@@ -454,6 +454,7 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 	}
 	partials := make([][]float64, blocks)
 	masses := make([]float64, blocks)
+	failed := make([]bool, len(live))
 	var wg sync.WaitGroup
 	for i, w := range live {
 		lob, hib := chunkRange(blocks, len(live), i)
@@ -461,18 +462,29 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 			continue
 		}
 		wg.Add(1)
-		go func(w *remoteWorker, lob, hib int) {
+		go func(i int, w *remoteWorker, lob, hib int) {
 			defer wg.Done()
 			p, ms, err := m.spmvOn(w, gen, syncEnv, x, lob, hib)
 			if err != nil || len(p) != hib-lob || len(ms) != hib-lob {
 				m.markDead(w)
-				p, ms = m.scatterer.SpMVScatterBlocks(x, lob, hib)
+				failed[i] = true
+				return
 			}
 			copy(partials[lob:hib], p)
 			copy(masses[lob:hib], ms)
-		}(w, lob, hib)
+		}(i, w, lob, hib)
 	}
 	wg.Wait()
+	// Dead workers' blocks are recomputed here, one range at a time: the
+	// local scatter shares the mechanism's SpMV workspace.
+	for i := range live {
+		if failed[i] {
+			lob, hib := chunkRange(blocks, len(live), i)
+			p, ms := m.scatterer.SpMVScatterBlocks(x, lob, hib)
+			copy(partials[lob:hib], p)
+			copy(masses[lob:hib], ms)
+		}
+	}
 	linalg.FoldBlocks(y, dangle, partials, masses)
 	return true
 }

@@ -12,6 +12,7 @@ package linalg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +36,13 @@ type CSR struct {
 	cols []int32
 	vals []float64
 	live int // live entries; len(cols) - live is leaked by row moves
+
+	// rowsPer is the row span of one canonical SpMV block; gen[b] counts
+	// the column-set changes of block b's rows, so a Workspace rebuilds a
+	// block's scatter pattern only when its structure (not its values)
+	// changed.
+	rowsPer int
+	gen     []uint64
 }
 
 // New returns an empty n×n matrix.
@@ -42,8 +50,17 @@ func New(n int) *CSR {
 	if n < 0 {
 		n = 0
 	}
-	return &CSR{n: n, rows: make([]extent, n)}
+	blocks := blockCount(n)
+	return &CSR{
+		n:       n,
+		rows:    make([]extent, n),
+		rowsPer: (n + blocks - 1) / blocks,
+		gen:     make([]uint64, blocks),
+	}
 }
+
+// touch records that row i's column set changed.
+func (c *CSR) touch(i int) { c.gen[i/c.rowsPer]++ }
 
 // Triplet is one (row, col, value) coordinate entry.
 type Triplet struct {
@@ -126,6 +143,9 @@ func (c *CSR) SetRow(i int, cols []int32, vals []float64) {
 	}
 	e := c.rows[i]
 	if len(cols) <= e.cap {
+		if !slices.Equal(c.cols[e.off:e.off+e.n], cols) {
+			c.touch(i)
+		}
 		copy(c.cols[e.off:], cols)
 		copy(c.vals[e.off:], vals)
 		c.live += len(cols) - e.n
@@ -134,6 +154,7 @@ func (c *CSR) SetRow(i int, cols []int32, vals []float64) {
 	}
 	// Abandon the old extent; emptying it first lets a compaction pass
 	// drop it instead of copying dead entries.
+	c.touch(i)
 	c.live -= e.n
 	c.rows[i].n = 0
 	if len(c.cols) > 2*(c.live+len(cols))+64 {
@@ -155,6 +176,10 @@ func (c *CSR) SetRow(i int, cols []int32, vals []float64) {
 
 // ClearRow empties row i (its extent capacity is kept for reuse).
 func (c *CSR) ClearRow(i int) {
+	if c.rows[i].n == 0 {
+		return
+	}
+	c.touch(i)
 	c.live -= c.rows[i].n
 	c.rows[i].n = 0
 }

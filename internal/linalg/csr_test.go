@@ -241,4 +241,24 @@ func TestMulTransposeSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state SpMV allocates %v objects/op, want 0", allocs)
 	}
+	// A value-only rewrite (same columns, then normalization) keeps the
+	// block patterns: still no allocation.
+	row := 0
+	for c.RowEmpty(row) {
+		row++
+	}
+	cols, _ := c.Row(row)
+	cols = append([]int32(nil), cols...)
+	vals := make([]float64, len(cols))
+	allocs = testing.AllocsPerRun(50, func() {
+		for k := range vals {
+			vals[k] = rng.Float64()
+		}
+		c.SetRow(row, cols, vals)
+		c.NormalizeRow(row)
+		c.MulTranspose(y, x, dangle, 1, &ws)
+	})
+	if allocs != 0 {
+		t.Fatalf("SpMV after a same-pattern SetRow+NormalizeRow allocates %v objects/op, want 0", allocs)
+	}
 }

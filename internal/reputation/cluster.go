@@ -33,6 +33,8 @@ type BlockScatterer interface {
 	// mechanism's dimension).
 	SpMVBlocks() int
 	// SpMVScatterBlocks returns the partial vectors and dangling masses of
-	// blocks [lob, hib) for y = Aᵀx, per linalg.CSR.ScatterBlocks.
+	// blocks [lob, hib) for y = Aᵀx, per linalg.CSR.ScatterBlocks. It runs on
+	// the mechanism's SpMV workspace, so calls must not overlap each other
+	// or a Compute.
 	SpMVScatterBlocks(x []float64, lob, hib int) (partials [][]float64, masses []float64)
 }

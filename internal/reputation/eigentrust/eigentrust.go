@@ -147,7 +147,7 @@ func (m *Mechanism) SpMVBlocks() int { return linalg.BlockCount(m.cfg.N) }
 // partials.
 func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
 	m.refreshMatrix()
-	return m.csr.ScatterBlocks(x, lob, hib)
+	return m.csr.ScatterBlocks(x, lob, hib, &m.ws)
 }
 
 var (

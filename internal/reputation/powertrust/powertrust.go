@@ -96,6 +96,9 @@ type Mechanism struct {
 	vecA, vecB, vecMid []float64 //trustlint:derived scratch, contents never outlive one Compute
 	colScratch         []int32   //trustlint:derived scratch, contents never outlive one Compute
 	valScratch         []float64 //trustlint:derived scratch, contents never outlive one Compute
+	// Power-node election scratch: per-peer rank and the elected heap.
+	rank    []float64 //trustlint:derived scratch, refilled by every election
+	elected []int     //trustlint:derived scratch, refilled by every election; power aliases it between elections
 	// Max-normalized score cache backing ScoresView.
 	norm    []float64 //trustlint:derived cache, recomputed from scores by refreshNorm on restore
 	normMax float64   //trustlint:derived cache, recomputed from scores by refreshNorm on restore
@@ -124,6 +127,8 @@ func newMech(cfg Config) *Mechanism {
 		vecA:         make([]float64, cfg.N),
 		vecB:         make([]float64, cfg.N),
 		vecMid:       make([]float64, cfg.N),
+		rank:         make([]float64, cfg.N),
+		elected:      make([]int, 0, cfg.M),
 		norm:         make([]float64, cfg.N),
 	}
 	m.scores = make([]float64, cfg.N)
@@ -183,7 +188,7 @@ func (m *Mechanism) SpMVBlocks() int { return linalg.BlockCount(m.cfg.N) }
 // CSR rows, then scatter blocks [lob, hib) of Rᵀx.
 func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
 	m.refreshMatrix()
-	return m.csr.ScatterBlocks(x, lob, hib)
+	return m.csr.ScatterBlocks(x, lob, hib, &m.ws)
 }
 
 var (
@@ -279,8 +284,12 @@ var _ reputation.BatchSubmitter = (*Mechanism)(nil)
 // On the first election, before any global scores exist, it bootstraps from
 // the trust overlay's weighted in-degree (sum of incoming mean ratings) —
 // raw rater counts would let heavily-rated bad peers win. Ties break by id.
+// The election runs on reusable buffers: one pass over the peers keeps the
+// m strongest in a heap whose root is the weakest of them (O(n log m)), and
+// sorting the heap in place leaves them strongest first. The returned slice
+// is the mechanism's buffer, valid until the next election.
 func (m *Mechanism) electPowerNodes() []int {
-	rank := make([]float64, m.cfg.N)
+	rank := m.rank
 	uniform := 1 / float64(m.cfg.N)
 	bootstrapped := true
 	for _, s := range m.scores {
@@ -290,6 +299,7 @@ func (m *Mechanism) electPowerNodes() []int {
 		}
 	}
 	if bootstrapped {
+		clear(rank)
 		for _, row := range m.feedback {
 			for j, p := range row {
 				rank[j] += p.sum / float64(p.count)
@@ -298,17 +308,61 @@ func (m *Mechanism) electPowerNodes() []int {
 	} else {
 		copy(rank, m.scores)
 	}
-	ids := make([]int, m.cfg.N)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if rank[ids[a]] != rank[ids[b]] {
-			return rank[ids[a]] > rank[ids[b]]
+	heap := m.elected[:0]
+	for id := range rank {
+		if len(heap) < m.cfg.M {
+			heap = append(heap, id)
+			siftUp(heap, rank)
+		} else if outranks(rank, id, heap[0]) {
+			heap[0] = id
+			siftDown(heap, rank)
 		}
-		return ids[a] < ids[b]
-	})
-	return ids[:m.cfg.M]
+	}
+	for end := len(heap) - 1; end > 0; end-- {
+		heap[0], heap[end] = heap[end], heap[0]
+		siftDown(heap[:end], rank)
+	}
+	m.elected = heap
+	return heap
+}
+
+// outranks reports whether peer a is elected ahead of peer b: higher rank
+// first, ties to the lower id.
+func outranks(rank []float64, a, b int) bool {
+	if rank[a] != rank[b] {
+		return rank[a] > rank[b]
+	}
+	return a < b
+}
+
+// siftUp restores the weakest-at-root heap order after an append.
+func siftUp(h []int, rank []float64) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !outranks(rank, h[parent], h[i]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// siftDown restores the weakest-at-root heap order after the root changed.
+func siftDown(h []int, rank []float64) {
+	for i := 0; ; {
+		weak := 2*i + 1
+		if weak >= len(h) {
+			return
+		}
+		if r := weak + 1; r < len(h) && outranks(rank, h[weak], h[r]) {
+			weak = r
+		}
+		if !outranks(rank, h[i], h[weak]) {
+			return
+		}
+		h[i], h[weak] = h[weak], h[i]
+		i = weak
+	}
 }
 
 // TrustworthyFraction implements reputation.CommunityAssessor: the fraction

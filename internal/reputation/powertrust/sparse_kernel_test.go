@@ -289,10 +289,9 @@ func TestPowerNodesViewAliasesElection(t *testing.T) {
 	}
 }
 
-// TestComputeSteadyStateAllocFree pins the reusable-buffer contract for the
-// walk itself (the election sorts ids per Compute and is measured out by
-// holding the matrix clean: only refreshNorm, jump fill and the iteration
-// run — all on reused buffers except the election's rank scratch).
+// TestComputeSteadyStateAllocFree pins the reusable-buffer contract: the
+// walk itself, and a whole Compute over a clean matrix (election, jump
+// fill, iteration, refreshNorm), allocate nothing.
 func TestComputeSteadyStateAllocFree(t *testing.T) {
 	m, err := New(Config{N: 400})
 	if err != nil {
@@ -311,5 +310,12 @@ func TestComputeSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state walk allocates %v objects/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		m.dirty = true
+		m.Compute()
+	})
+	if allocs != 0 {
+		t.Fatalf("clean-matrix Compute allocates %v objects/op, want 0", allocs)
 	}
 }
