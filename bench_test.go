@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
@@ -379,6 +380,43 @@ func BenchmarkLedgerExposure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = l.Exposure(i % 50)
+	}
+}
+
+// BenchmarkLedgerRecord records a feedback-shaped disclosure stream — each
+// report a fresh per-transaction item of one of 20k raters, disclosed to the
+// mechanism (recipient -1) — into a ledger pre-filled with ten reports per
+// rater. Items are built in batches with the timer stopped, so ns/op and
+// allocs/op are the ledger's own.
+func BenchmarkLedgerRecord(b *testing.B) {
+	const owners, batch = 20000, 4096
+	rng := sim.NewRNG(1)
+	tx := 0
+	next := func() privacy.Disclosure {
+		tx++
+		owner := rng.Intn(owners)
+		return privacy.Disclosure{
+			Owner: owner, Item: "feedback/" + strconv.Itoa(owner) + "/" + strconv.Itoa(tx),
+			Sensitivity: social.Low, Recipient: -1, Purpose: privacy.ReputationUse, Consented: true,
+		}
+	}
+	l := privacy.NewLedger()
+	for k := 0; k < 10*owners; k++ {
+		l.Record(next())
+	}
+	buf := make([]privacy.Disclosure, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		m := min(batch, b.N-done)
+		for k := range buf[:m] {
+			buf[k] = next()
+		}
+		b.StartTimer()
+		for k := range buf[:m] {
+			l.Record(buf[k])
+		}
 	}
 }
 

@@ -126,6 +126,9 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	if st.BaseHonesty < 0 || st.BaseHonesty > 1 {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
+	if err := checkLedgerState(st.Ledger, n); err != nil {
+		return err
+	}
 	if err := d.eng.Restore(st.Engine); err != nil {
 		return fmt.Errorf("core: restore engine: %w", err)
 	}
@@ -165,5 +168,26 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	d.privTree.Fill(leaves)
 	d.discTree.Fill(d.disclosure)
 	d.honTree.Fill(d.honesty)
+	return nil
+}
+
+// checkLedgerState rejects a snapshot ledger that names users outside the
+// population: owners and dirty marks must be users, recipients users or -1
+// (the reputation mechanism). The epoch tail indexes per-user state by these
+// ids, so an out-of-range one would crash or corrupt a later epoch.
+func checkLedgerState(st privacy.LedgerState, n int) error {
+	for i, e := range st.Events {
+		if e.Owner < 0 || e.Owner >= n {
+			return fmt.Errorf("core: snapshot ledger event %d: owner %d out of range [0,%d)", i, e.Owner, n)
+		}
+		if e.Recipient < -1 || e.Recipient >= n {
+			return fmt.Errorf("core: snapshot ledger event %d: recipient %d out of range [-1,%d)", i, e.Recipient, n)
+		}
+	}
+	for _, u := range st.FacetDirty {
+		if u < 0 || u >= n {
+			return fmt.Errorf("core: snapshot ledger dirty owner %d out of range [0,%d)", u, n)
+		}
+	}
 	return nil
 }

@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -19,10 +19,14 @@ type Edge struct {
 
 // Graph is a directed weighted multigraph-free graph over nodes 0..N-1.
 // Adding an edge that already exists overwrites its weight.
+//
+// Each node's out- and in-edges are flat slices kept sorted by endpoint, so
+// adjacency reads are the stored slices themselves (no per-read sort or
+// copy) and point queries binary-search.
 type Graph struct {
 	n   int
-	out []map[int]float64
-	in  []map[int]float64
+	out [][]Edge // out[u]: u's out-edges, ascending by destination
+	in  [][]Edge // in[v]: v's in-edges, ascending by source (Edge.To holds the source)
 }
 
 // New returns an empty graph with n nodes.
@@ -32,8 +36,8 @@ func New(n int) *Graph {
 	}
 	g := &Graph{
 		n:   n,
-		out: make([]map[int]float64, n),
-		in:  make([]map[int]float64, n),
+		out: make([][]Edge, n),
+		in:  make([][]Edge, n),
 	}
 	return g
 }
@@ -51,6 +55,40 @@ func (g *Graph) AddNode() int {
 
 func (g *Graph) valid(v int) bool { return v >= 0 && v < g.n }
 
+// search returns the position of endpoint v in es (sorted by To): its index
+// when present, else the index it would be inserted at.
+func search(es []Edge, v int) (int, bool) {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].To < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(es) && es[lo].To == v
+}
+
+// upsert sets the weight of endpoint v in es, inserting it in order when
+// absent.
+func upsert(es []Edge, v int, w float64) []Edge {
+	i, ok := search(es, v)
+	if ok {
+		es[i].Weight = w
+		return es
+	}
+	return slices.Insert(es, i, Edge{To: v, Weight: w})
+}
+
+// remove deletes endpoint v from es if present.
+func remove(es []Edge, v int) []Edge {
+	if i, ok := search(es, v); ok {
+		return slices.Delete(es, i, i+1)
+	}
+	return es
+}
+
 // SetEdge adds or updates the directed edge u->v with weight w.
 // It returns an error for out-of-range nodes or self-loops.
 func (g *Graph) SetEdge(u, v int, w float64) error {
@@ -60,14 +98,8 @@ func (g *Graph) SetEdge(u, v int, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d rejected", u)
 	}
-	if g.out[u] == nil {
-		g.out[u] = make(map[int]float64)
-	}
-	if g.in[v] == nil {
-		g.in[v] = make(map[int]float64)
-	}
-	g.out[u][v] = w
-	g.in[v][u] = w
+	g.out[u] = upsert(g.out[u], v, w)
+	g.in[v] = upsert(g.in[v], u, w)
 	return nil
 }
 
@@ -84,16 +116,13 @@ func (g *Graph) RemoveEdge(u, v int) {
 	if !g.valid(u) || !g.valid(v) {
 		return
 	}
-	delete(g.out[u], v)
-	delete(g.in[v], u)
+	g.out[u] = remove(g.out[u], v)
+	g.in[v] = remove(g.in[v], u)
 }
 
 // HasEdge reports whether u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if !g.valid(u) || !g.valid(v) {
-		return false
-	}
-	_, ok := g.out[u][v]
+	_, ok := g.Weight(u, v)
 	return ok
 }
 
@@ -102,8 +131,11 @@ func (g *Graph) Weight(u, v int) (float64, bool) {
 	if !g.valid(u) {
 		return 0, false
 	}
-	w, ok := g.out[u][v]
-	return w, ok
+	es := g.out[u]
+	if i, ok := search(es, v); ok {
+		return es[i].Weight, true
+	}
+	return 0, false
 }
 
 // OutDegree returns the out-degree of u (0 if out of range).
@@ -122,46 +154,32 @@ func (g *Graph) InDegree(u int) int {
 	return len(g.in[u])
 }
 
-// Out returns u's out-edges sorted by destination (deterministic order).
+// Out returns u's out-edges sorted by destination. The slice is the graph's
+// own storage (shared; read-only) and valid until the next mutation of u's
+// out-edges; its capacity is clipped, so appending to it copies.
 func (g *Graph) Out(u int) []Edge {
 	if !g.valid(u) {
 		return nil
 	}
-	return sortedEdges(g.out[u])
+	return slices.Clip(g.out[u])
 }
 
-// In returns u's in-edges sorted by source.
+// In returns u's in-edges sorted by source (Edge.To holds the source). The
+// slice is the graph's own storage (shared; read-only) and valid until the
+// next mutation of u's in-edges; its capacity is clipped, so appending to it
+// copies.
 func (g *Graph) In(u int) []Edge {
 	if !g.valid(u) {
 		return nil
 	}
-	return sortedEdges(g.in[u])
-}
-
-func sortedEdges(m map[int]float64) []Edge {
-	es := make([]Edge, 0, len(m))
-	for v, w := range m {
-		es = append(es, Edge{To: v, Weight: w})
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
-	return es
-}
-
-// Neighbors returns the sorted out-neighbor ids of u.
-func (g *Graph) Neighbors(u int) []int {
-	es := g.Out(u)
-	ids := make([]int, len(es))
-	for i, e := range es {
-		ids[i] = e.To
-	}
-	return ids
+	return slices.Clip(g.in[u])
 }
 
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for _, m := range g.out {
-		total += len(m)
+	for _, es := range g.out {
+		total += len(es)
 	}
 	return total
 }
@@ -169,10 +187,9 @@ func (g *Graph) NumEdges() int {
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u, m := range g.out {
-		for v, w := range m {
-			_ = c.SetEdge(u, v, w) // edges in g are valid by construction
-		}
+	for u := range g.out {
+		c.out[u] = slices.Clone(g.out[u])
+		c.in[u] = slices.Clone(g.in[u])
 	}
 	return c
 }

@@ -68,9 +68,9 @@ func TestDegreesAndAdjacency(t *testing.T) {
 	if g.OutDegree(0) != 2 || g.InDegree(0) != 1 {
 		t.Fatalf("degrees: out=%d in=%d", g.OutDegree(0), g.InDegree(0))
 	}
-	nbrs := g.Neighbors(0)
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 2 {
-		t.Fatalf("Neighbors = %v (must be sorted)", nbrs)
+	out := g.Out(0)
+	if len(out) != 2 || out[0].To != 1 || out[1].To != 2 {
+		t.Fatalf("Out = %v (must be sorted)", out)
 	}
 	in := g.In(0)
 	if len(in) != 1 || in[0].To != 3 {

@@ -2,9 +2,9 @@ package privacy
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/social"
 )
@@ -25,74 +25,113 @@ type Disclosure struct {
 
 // Ledger is the accountability record (OECD accountability + openness): it
 // stores every disclosure and answers the exposure queries that feed the
-// privacy facet. Per-owner aggregates (recipient sets, item sensitivities,
-// consent tallies) are maintained incrementally on Record, so the per-user
-// facet queries run by every epoch's measurement barrier touch only the
-// owner's own state instead of rescanning the whole event list — and are
-// therefore safe to fan out read-only over measurement shards.
+// privacy facet. Per-owner aggregates (consent tallies, items with their
+// sensitivities and recipient sets) are maintained incrementally on Record,
+// so the per-user facet queries run by every epoch's measurement barrier
+// touch only the owner's own state instead of rescanning the whole event
+// list — and are therefore safe to fan out read-only over measurement shards.
 type Ledger struct {
 	events []Disclosure
-	// byOwner[owner][item] -> set of recipients
-	byOwner map[int]map[string]map[int]bool //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	// sensByOwner[owner][item] -> max sensitivity weight seen for the item
-	sensByOwner map[int]map[string]float64 //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	// consent[owner] -> (total, consented) disclosure tallies
-	consent map[int]consentTally //trustlint:derived index rebuilt by replaying Events through Record on SetState
+	// owners holds one aggregate per owner seen; slot maps an owner id (any
+	// int) to its aggregate's index, so no storage is sized by an owner id.
+	owners []ownerAgg    //trustlint:derived index rebuilt by replaying Events through Record on SetState
+	slot   map[int]int32 //trustlint:derived index rebuilt by replaying Events through Record on SetState
 
-	// Facet cache: PrivacyFacet's item-key sort makes the cold query the
-	// most expensive per-user read in an epoch's measurement barrier, so
-	// owners whose ledger state did not change between barriers keep their
-	// previous value. Record marks the owner dirty; RefreshFacets (called
-	// sequentially, before any parallel fan-out) recomputes only the dirty
-	// owners. Readers never mutate the cache, so the fan-out stays race-free.
-	facetVal   []float64        //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetOK    []bool           //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetScale float64          //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetInit  bool             //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetDirty metrics.DirtySet //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
+	// Facet cache: each aggregate keeps its owner's PrivacyFacet at
+	// facetScale, so owners whose ledger state did not change between
+	// barriers keep their previous value. Record marks the owner dirty;
+	// RefreshFacets (called sequentially, before any parallel fan-out)
+	// recomputes only the dirty owners. Readers never mutate the cache, so
+	// the fan-out stays race-free. Negative owners are never marked or
+	// cached: their facet is always computed on the fly.
+	facetScale float64 //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
+	facetInit  bool    //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
+	// dirty lists the slots of the owners marked since the last refresh, in
+	// marking order; dirtyIDs is DirtyOwners' buffer.
+	dirty    []int32 //trustlint:derived dirty marks are captured as LedgerState.FacetDirty owner ids
+	dirtyIDs []int   //trustlint:derived scratch rebuilt by every DirtyOwners call
 }
 
-type consentTally struct{ total, ok int64 }
+// ownerAgg is one owner's aggregate: consent tallies, the disclosed items
+// in ascending key order, and the facet cache entry.
+type ownerAgg struct {
+	id        int
+	total, ok int64 // disclosure tallies: all, consented
+	items     []ledgerItem
+	facet     float64
+	facetOK   bool
+	dirty     bool
+}
+
+// ledgerItem is one disclosed item: the maximum sensitivity weight seen for
+// it and its distinct recipients — the first inline, the rest ascending.
+type ledgerItem struct {
+	key    string
+	weight float64
+	first  int
+	more   []int
+}
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		byOwner:     make(map[int]map[string]map[int]bool),
-		sensByOwner: make(map[int]map[string]float64),
-		consent:     make(map[int]consentTally),
+	return &Ledger{slot: make(map[int]int32)}
+}
+
+// find returns owner's aggregate, or nil when the owner has none.
+func (l *Ledger) find(owner int) *ownerAgg {
+	if i, ok := l.slot[owner]; ok {
+		return &l.owners[i]
 	}
+	return nil
+}
+
+// aggregate returns owner's slot, creating an empty aggregate if needed.
+func (l *Ledger) aggregate(owner int) int32 {
+	i, ok := l.slot[owner]
+	if !ok {
+		i = int32(len(l.owners))
+		l.owners = append(l.owners, ownerAgg{id: owner})
+		l.slot[owner] = i
+	}
+	return i
+}
+
+// markDirty records that slot i's facet must be recomputed.
+func (l *Ledger) markDirty(i int32) {
+	a := &l.owners[i]
+	if a.dirty || a.id < 0 {
+		return
+	}
+	a.dirty = true
+	l.dirty = append(l.dirty, i)
 }
 
 // Record appends a disclosure event and folds it into the per-owner
 // aggregates.
 func (l *Ledger) Record(d Disclosure) {
 	l.events = append(l.events, d)
-	items := l.byOwner[d.Owner]
-	if items == nil {
-		items = make(map[string]map[int]bool)
-		l.byOwner[d.Owner] = items
-	}
-	recips := items[d.Item]
-	if recips == nil {
-		recips = make(map[int]bool)
-		items[d.Item] = recips
-	}
-	recips[d.Recipient] = true
-	sens := l.sensByOwner[d.Owner]
-	if sens == nil {
-		sens = make(map[string]float64)
-		l.sensByOwner[d.Owner] = sens
-	}
-	if w := SensitivityWeight(d.Sensitivity); w > sens[d.Item] {
-		sens[d.Item] = w
-	}
-	t := l.consent[d.Owner]
-	t.total++
+	i := l.aggregate(d.Owner)
+	a := &l.owners[i]
+	a.total++
 	if d.Consented {
-		t.ok++
+		a.ok++
 	}
-	l.consent[d.Owner] = t
-	l.facetDirty.Mark(d.Owner)
+	k, found := slices.BinarySearchFunc(a.items, d.Item, func(it ledgerItem, key string) int {
+		return strings.Compare(it.key, key)
+	})
+	if !found {
+		a.items = slices.Insert(a.items, k, ledgerItem{key: d.Item, first: d.Recipient})
+	}
+	it := &a.items[k]
+	if w := SensitivityWeight(d.Sensitivity); w > it.weight {
+		it.weight = w
+	}
+	if found && d.Recipient != it.first {
+		if j, seen := slices.BinarySearch(it.more, d.Recipient); !seen {
+			it.more = slices.Insert(it.more, j, d.Recipient)
+		}
+	}
+	l.markDirty(i)
 }
 
 // Events returns all recorded events (shared; read-only).
@@ -127,24 +166,19 @@ func (l *Ledger) Violations() []Disclosure {
 }
 
 // Exposure returns owner's information exposure: for each disclosed item,
-// sensitivity weight × log2(1+distinct recipients), summed. A user whose
-// high-sensitivity data reached many parties has high exposure.
-func (l *Ledger) Exposure(owner int) float64 {
-	items := l.byOwner[owner]
-	if len(items) == 0 {
+// sensitivity weight × log2(1+distinct recipients), summed in ascending item
+// order. A user whose high-sensitivity data reached many parties has high
+// exposure.
+func (l *Ledger) Exposure(owner int) float64 { return l.find(owner).exposure() }
+
+func (a *ownerAgg) exposure() float64 {
+	if a == nil {
 		return 0
 	}
-	// Sensitivity per item is the maximum seen in the recorded events,
-	// maintained incrementally by Record.
-	sens := l.sensByOwner[owner]
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	total := 0.0
-	for _, item := range keys {
-		total += sens[item] * math.Log2(1+float64(len(items[item])))
+	for k := range a.items {
+		it := &a.items[k]
+		total += it.weight * math.Log2(1+float64(1+len(it.more)))
 	}
 	return total
 }
@@ -152,22 +186,31 @@ func (l *Ledger) Exposure(owner int) float64 {
 // NormalizedExposure maps exposure into [0,1) via x/(x+scale); scale is the
 // exposure at which a user counts as "half exposed" (clamped to >= 1).
 func (l *Ledger) NormalizedExposure(owner int, scale float64) float64 {
+	return normalize(l.Exposure(owner), scale)
+}
+
+func normalize(x, scale float64) float64 {
 	if scale < 1 {
 		scale = 1
 	}
-	x := l.Exposure(owner)
 	return x / (x + scale)
 }
 
 // RespectRate returns the fraction of owner's disclosures that were
 // consented (1 when there are none): the "policy respect" half of the
 // privacy facet.
-func (l *Ledger) RespectRate(owner int) float64 {
-	t := l.consent[owner]
-	if t.total == 0 {
+func (l *Ledger) RespectRate(owner int) float64 { return l.find(owner).respectRate() }
+
+func (a *ownerAgg) respectRate() float64 {
+	if a == nil || a.total == 0 {
 		return 1
 	}
-	return float64(t.ok) / float64(t.total)
+	return float64(a.ok) / float64(a.total)
+}
+
+// privacyFacet computes the facet from the aggregate (nil: no disclosures).
+func (a *ownerAgg) privacyFacet(scale float64) float64 {
+	return a.respectRate() * (1 - normalize(a.exposure(), scale))
 }
 
 // PrivacyFacet computes owner's privacy satisfaction P_u as the paper's
@@ -177,19 +220,25 @@ func (l *Ledger) RespectRate(owner int) float64 {
 // otherwise the facet is computed on the fly without touching the cache, so
 // the call stays safe to fan out read-only over measurement shards.
 func (l *Ledger) PrivacyFacet(owner int, scale float64) float64 {
-	if l.facetInit && scale == l.facetScale &&
-		owner >= 0 && owner < len(l.facetOK) &&
-		l.facetOK[owner] && !l.facetDirty.Dirty(owner) {
-		return l.facetVal[owner]
+	a := l.find(owner)
+	if a != nil && a.facetOK && !a.dirty && l.facetInit && scale == l.facetScale {
+		return a.facet
 	}
-	return l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
+	return a.privacyFacet(scale)
 }
 
 // DirtyOwners returns the ascending owner ids whose ledger state changed
 // since the last RefreshFacets — the privacy leg of the epoch tail's facet
 // dirty set. The slice is owned by the ledger and valid until its next
 // mutation; callers that need it past a refresh must copy it first.
-func (l *Ledger) DirtyOwners() []int { return l.facetDirty.Sorted() }
+func (l *Ledger) DirtyOwners() []int {
+	l.dirtyIDs = l.dirtyIDs[:0]
+	for _, i := range l.dirty {
+		l.dirtyIDs = append(l.dirtyIDs, l.owners[i].id)
+	}
+	slices.Sort(l.dirtyIDs)
+	return l.dirtyIDs
+}
 
 // RefreshFacets brings the facet cache up to date at the given normalization
 // scale: dirty owners (and, on first use or a scale change, every owner with
@@ -198,35 +247,30 @@ func (l *Ledger) DirtyOwners() []int { return l.facetDirty.Sorted() }
 // out over shards.
 func (l *Ledger) RefreshFacets(scale float64) {
 	if !l.facetInit || scale != l.facetScale {
-		for i := range l.facetOK {
-			l.facetOK[i] = false
-		}
 		l.facetScale = scale
 		l.facetInit = true
-		//trustlint:ordered cacheFacet writes only the owner's own facetVal/facetOK cells, so visit order is immaterial
-		for owner := range l.consent {
-			l.cacheFacet(owner, scale)
+		for i := range l.owners {
+			l.owners[i].cacheFacet(scale)
 		}
 	} else {
-		for _, owner := range l.facetDirty.Sorted() {
-			l.cacheFacet(owner, scale)
+		for _, i := range l.dirty {
+			l.owners[i].cacheFacet(scale)
 		}
 	}
-	l.facetDirty.Reset()
+	l.resetDirty()
 }
 
-func (l *Ledger) cacheFacet(owner int, scale float64) {
-	if owner < 0 {
+func (a *ownerAgg) cacheFacet(scale float64) {
+	if a.id < 0 {
 		return
 	}
-	if owner >= len(l.facetOK) {
-		grownVal := make([]float64, owner+1)
-		copy(grownVal, l.facetVal)
-		l.facetVal = grownVal
-		grownOK := make([]bool, owner+1)
-		copy(grownOK, l.facetOK)
-		l.facetOK = grownOK
+	a.facet = a.privacyFacet(scale)
+	a.facetOK = true
+}
+
+func (l *Ledger) resetDirty() {
+	for _, i := range l.dirty {
+		l.owners[i].dirty = false
 	}
-	l.facetVal[owner] = l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
-	l.facetOK[owner] = true
+	l.dirty = l.dirty[:0]
 }

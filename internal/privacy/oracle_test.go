@@ -1,0 +1,272 @@
+package privacy
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/social"
+)
+
+// refLedger is the nested-map ledger the flat per-owner aggregates
+// replaced, kept as the differential oracle: owner→item→recipient-set maps,
+// with Exposure sorting the item keys afresh on every call and an
+// owner-id-indexed facet cache.
+type refLedger struct {
+	events      []Disclosure
+	byOwner     map[int]map[string]map[int]bool
+	sensByOwner map[int]map[string]float64
+	consent     map[int]consentTally
+	facetVal    []float64
+	facetOK     []bool
+	facetScale  float64
+	facetInit   bool
+	facetDirty  metrics.DirtySet
+}
+
+type consentTally struct{ total, ok int64 }
+
+func newRefLedger() *refLedger {
+	l := &refLedger{}
+	l.SetState(LedgerState{})
+	return l
+}
+
+func (l *refLedger) Record(d Disclosure) {
+	l.events = append(l.events, d)
+	items := l.byOwner[d.Owner]
+	if items == nil {
+		items = make(map[string]map[int]bool)
+		l.byOwner[d.Owner] = items
+	}
+	recips := items[d.Item]
+	if recips == nil {
+		recips = make(map[int]bool)
+		items[d.Item] = recips
+	}
+	recips[d.Recipient] = true
+	sens := l.sensByOwner[d.Owner]
+	if sens == nil {
+		sens = make(map[string]float64)
+		l.sensByOwner[d.Owner] = sens
+	}
+	if w := SensitivityWeight(d.Sensitivity); w > sens[d.Item] {
+		sens[d.Item] = w
+	}
+	t := l.consent[d.Owner]
+	t.total++
+	if d.Consented {
+		t.ok++
+	}
+	l.consent[d.Owner] = t
+	l.facetDirty.Mark(d.Owner)
+}
+
+func (l *refLedger) Exposure(owner int) float64 {
+	items := l.byOwner[owner]
+	if len(items) == 0 {
+		return 0
+	}
+	sens := l.sensByOwner[owner]
+	keys := make([]string, 0, len(items))
+	for k := range items {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	total := 0.0
+	for _, item := range keys {
+		total += sens[item] * math.Log2(1+float64(len(items[item])))
+	}
+	return total
+}
+
+func (l *refLedger) NormalizedExposure(owner int, scale float64) float64 {
+	if scale < 1 {
+		scale = 1
+	}
+	x := l.Exposure(owner)
+	return x / (x + scale)
+}
+
+func (l *refLedger) RespectRate(owner int) float64 {
+	t := l.consent[owner]
+	if t.total == 0 {
+		return 1
+	}
+	return float64(t.ok) / float64(t.total)
+}
+
+func (l *refLedger) PrivacyFacet(owner int, scale float64) float64 {
+	if l.facetInit && scale == l.facetScale &&
+		owner >= 0 && owner < len(l.facetOK) &&
+		l.facetOK[owner] && !l.facetDirty.Dirty(owner) {
+		return l.facetVal[owner]
+	}
+	return l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
+}
+
+func (l *refLedger) DirtyOwners() []int { return l.facetDirty.Sorted() }
+
+func (l *refLedger) RefreshFacets(scale float64) {
+	if !l.facetInit || scale != l.facetScale {
+		for i := range l.facetOK {
+			l.facetOK[i] = false
+		}
+		l.facetScale = scale
+		l.facetInit = true
+		for owner := range l.consent {
+			l.cacheFacet(owner, scale)
+		}
+	} else {
+		for _, owner := range l.facetDirty.Sorted() {
+			l.cacheFacet(owner, scale)
+		}
+	}
+	l.facetDirty.Reset()
+}
+
+func (l *refLedger) cacheFacet(owner int, scale float64) {
+	if owner < 0 {
+		return
+	}
+	if owner >= len(l.facetOK) {
+		grownVal := make([]float64, owner+1)
+		copy(grownVal, l.facetVal)
+		l.facetVal = grownVal
+		grownOK := make([]bool, owner+1)
+		copy(grownOK, l.facetOK)
+		l.facetOK = grownOK
+	}
+	l.facetVal[owner] = l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
+	l.facetOK[owner] = true
+}
+
+func (l *refLedger) State() LedgerState {
+	return LedgerState{
+		Events:     append([]Disclosure(nil), l.events...),
+		FacetDirty: append([]int(nil), l.facetDirty.Sorted()...),
+	}
+}
+
+func (l *refLedger) SetState(st LedgerState) {
+	l.events = nil
+	l.byOwner = make(map[int]map[string]map[int]bool)
+	l.sensByOwner = make(map[int]map[string]float64)
+	l.consent = make(map[int]consentTally)
+	l.facetVal = nil
+	l.facetOK = nil
+	l.facetInit = false
+	l.facetDirty.Reset()
+	for _, e := range st.Events {
+		l.Record(e)
+	}
+	l.facetDirty.Reset()
+	for _, owner := range st.FacetDirty {
+		l.facetDirty.Mark(owner)
+	}
+}
+
+// compareLedgers checks every owner query bitwise against the oracle, for
+// owners in [lo, hi) and at each scale.
+func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, lo, hi int, scales []float64) {
+	t.Helper()
+	bits := math.Float64bits
+	for o := lo; o < hi; o++ {
+		if got, want := l.Exposure(o), ref.Exposure(o); bits(got) != bits(want) {
+			t.Fatalf("%s: Exposure(%d) = %v, want %v", where, o, got, want)
+		}
+		if got, want := l.RespectRate(o), ref.RespectRate(o); bits(got) != bits(want) {
+			t.Fatalf("%s: RespectRate(%d) = %v, want %v", where, o, got, want)
+		}
+		for _, s := range scales {
+			if got, want := l.PrivacyFacet(o, s), ref.PrivacyFacet(o, s); bits(got) != bits(want) {
+				t.Fatalf("%s: PrivacyFacet(%d, %v) = %v, want %v", where, o, s, got, want)
+			}
+		}
+	}
+	if got, want := l.DirtyOwners(), ref.DirtyOwners(); !slices.Equal(got, want) {
+		t.Fatalf("%s: DirtyOwners = %v, want %v", where, got, want)
+	}
+	if l.Len() != len(ref.events) {
+		t.Fatalf("%s: Len = %d, want %d", where, l.Len(), len(ref.events))
+	}
+}
+
+// TestLedgerMatchesMapOracle drives random operation sequences through the
+// flat ledger and the map oracle: repeated items and duplicate recipients,
+// Public (weight 0) disclosures and sensitivity upgrades, recipient -1 and
+// negative owners, facet refreshes at changing scales, and SetState both
+// round-tripped and rewound mid-sequence. Every query is compared bitwise
+// after every step.
+func TestLedgerMatchesMapOracle(t *testing.T) {
+	const lo, hi = -3, 14 // owner range probed, including owners never seen
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		l, ref := NewLedger(), newRefLedger()
+		scales := []float64{0.5, 1, 2.5, 4}
+		scale := scales[0]
+		var saved LedgerState
+		for step := 0; step < 800; step++ {
+			where := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(40); {
+			case op < 33:
+				d := Disclosure{
+					Owner:       rng.Intn(hi-lo-2) + lo + 1, // leaves lo and hi-1 unseen
+					Item:        fmt.Sprintf("item/%d", rng.Intn(12)),
+					Sensitivity: social.Sensitivity(rng.Intn(5)), // 0 is out of the enum
+					Recipient:   rng.Intn(8) - 1,
+					Consented:   rng.Bool(0.8),
+				}
+				if rng.Bool(0.2) {
+					d.Item = fmt.Sprintf("feedback/%d/%d", d.Owner, step)
+				}
+				l.Record(d)
+				ref.Record(d)
+			case op < 36:
+				if rng.Bool(0.3) {
+					scale = scales[rng.Intn(len(scales))]
+				}
+				l.RefreshFacets(scale)
+				ref.RefreshFacets(scale)
+			case op < 38:
+				st := l.State()
+				if want := ref.State(); !reflect.DeepEqual(st, want) {
+					t.Fatalf("%s: State differs from oracle", where)
+				}
+				saved = st
+				l.SetState(st)
+				ref.SetState(st)
+			default:
+				l.SetState(saved)
+				ref.SetState(saved)
+			}
+			compareLedgers(t, where, l, ref, lo, hi, []float64{scale, 3})
+		}
+	}
+}
+
+// TestLedgerQueriesAllocFree pins the interaction-path ledger operations at
+// zero allocations: Exposure is one pass over the owner's items, and
+// recording an already-seen (owner, item, recipient) only appends to the
+// event log (amortized growth, under one allocation per call).
+func TestLedgerQueriesAllocFree(t *testing.T) {
+	l := NewLedger()
+	for k := 0; k < 200; k++ {
+		l.Record(Disclosure{Owner: k % 7, Item: fmt.Sprintf("item/%d", k%23), Sensitivity: social.Medium, Recipient: k % 5, Consented: true})
+	}
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() { sink = l.Exposure(3) }); a != 0 {
+		t.Fatalf("Exposure allocates %v per call", a)
+	}
+	_ = sink
+	seen := Disclosure{Owner: 3, Item: "item/3", Sensitivity: social.Medium, Recipient: 3, Consented: true}
+	l.Record(seen)
+	if a := testing.AllocsPerRun(1000, func() { l.Record(seen) }); a != 0 {
+		t.Fatalf("re-recording a seen disclosure allocates %v per call", a)
+	}
+}

@@ -17,7 +17,7 @@ type LedgerState struct {
 func (l *Ledger) State() LedgerState {
 	return LedgerState{
 		Events:     append([]Disclosure(nil), l.events...),
-		FacetDirty: append([]int(nil), l.facetDirty.Sorted()...),
+		FacetDirty: append([]int(nil), l.DirtyOwners()...),
 	}
 }
 
@@ -26,16 +26,12 @@ func (l *Ledger) State() LedgerState {
 // (the workload engine's, the dynamics') valid.
 func (l *Ledger) SetState(st LedgerState) {
 	l.events = nil
-	l.byOwner = make(map[int]map[string]map[int]bool)
-	l.sensByOwner = make(map[int]map[string]float64)
-	l.consent = make(map[int]consentTally)
-	// Drop the facet cache entirely: the replay below marks every restored
-	// owner dirty, but a cold cache also forgets stale entries for owners
-	// the snapshot no longer contains.
-	l.facetVal = nil
-	l.facetOK = nil
+	// Dropping the aggregates drops the facet cache with them: a cold cache
+	// also forgets stale entries for owners the snapshot no longer contains.
+	l.owners = nil
+	l.slot = make(map[int]int32)
 	l.facetInit = false
-	l.facetDirty.Reset()
+	l.dirty = nil
 	if len(st.Events) > 0 {
 		l.events = make([]Disclosure, 0, len(st.Events))
 	}
@@ -44,11 +40,13 @@ func (l *Ledger) SetState(st LedgerState) {
 	}
 	// The replay above marked every restored owner dirty; reduce the set to
 	// exactly what the capture recorded, so a resumed run's dirty-facet
-	// accounting matches the uninterrupted one. (The facet cache was dropped
-	// wholesale above, so correctness does not depend on these marks — only
-	// the epoch tail's bookkeeping does.)
-	l.facetDirty.Reset()
+	// accounting matches the uninterrupted one. (The facet cache is cold,
+	// so correctness does not depend on these marks — only the epoch tail's
+	// bookkeeping does.)
+	l.resetDirty()
 	for _, owner := range st.FacetDirty {
-		l.facetDirty.Mark(owner)
+		if owner >= 0 {
+			l.markDirty(l.aggregate(owner))
+		}
 	}
 }

@@ -84,8 +84,9 @@ func (e *Engine) SimulateChunk(plans []PlannedInteraction, scores []float64, gat
 	}
 	results := make([]interactionResult, len(ip))
 	sim.ForChunks(e.shards, len(ip), func(lo, hi int) {
+		sc := e.newChunkScratch(hi - lo)
 		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&ip[k], scores, gate, pool, round)
+			results[k] = e.simulate(&ip[k], scores, gate, pool, round, &sc)
 		}
 	})
 	out := make([]InteractionOutcome, len(results))

@@ -90,11 +90,26 @@ func (e *Engine) scatter(plans []interactionPlan, scores []float64, gate float64
 	}
 	results := make([]interactionResult, len(plans))
 	sim.ForChunks(e.shards, len(plans), func(lo, hi int) {
+		sc := e.newChunkScratch(hi - lo)
 		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&plans[k], scores, gate, pool, round)
+			results[k] = e.simulate(&plans[k], scores, gate, pool, round, &sc)
 		}
 	})
 	return results
+}
+
+// chunkScratch holds one shard chunk's simulation buffers, so simulating an
+// interaction allocates nothing of its own.
+type chunkScratch struct {
+	perm []int // friend permutation, reused for every interaction
+	// cands is the backing store every candidate set of the chunk is carved
+	// from; results keep their sets, so it is never rewound.
+	cands []int
+}
+
+// newChunkScratch sizes a chunk's candidate store for k interactions.
+func (e *Engine) newChunkScratch(k int) chunkScratch {
+	return chunkScratch{cands: make([]int, 0, k*e.cfg.CandidateSize)}
 }
 
 // simulate runs one interaction against round-immutable state. It must not
@@ -102,14 +117,17 @@ func (e *Engine) scatter(plans []interactionPlan, scores []float64, gate float64
 // plan's private stream, and every mutation is deferred to gather. The round
 // index is passed explicitly (rather than read off the engine) so a worker
 // replica can simulate the master's round without advancing its own clock.
-func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, pool []int, round int) interactionResult {
+// sc is scratch owned by the calling shard chunk.
+func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, pool []int, round int, sc *chunkScratch) interactionResult {
 	rng := &p.rng
 	r := interactionResult{consumer: p.consumer, provider: -1}
 	if !e.PeerActive(p.consumer) {
 		r.absent = true
 		return r
 	}
-	candidates := e.sampleCandidates(rng, p.consumer, pool)
+	n := len(sc.cands)
+	candidates := e.sampleCandidates(rng, p.consumer, pool, sc.cands[n:n:n+e.cfg.CandidateSize], &sc.perm)
+	sc.cands = sc.cands[:n+len(candidates)]
 	if gate >= 0 {
 		eligible := candidates[:0]
 		for _, c := range candidates {

@@ -730,12 +730,22 @@ func (e *Engine) recordFeedbackDisclosure(rater int, tx uint64) {
 	}
 	e.ledger.Record(privacy.Disclosure{
 		Owner:       rater,
-		Item:        "feedback/" + strconv.Itoa(rater) + "/" + strconv.FormatUint(tx, 10),
+		Item:        feedbackItem(rater, tx),
 		Sensitivity: social.Low,
 		Recipient:   -1,
 		Purpose:     privacy.ReputationUse,
 		Consented:   true,
 	})
+}
+
+// feedbackItem renders "feedback/<rater>/<tx>" with a single allocation.
+func feedbackItem(rater int, tx uint64) string {
+	var buf [64]byte
+	b := append(buf[:0], "feedback/"...)
+	b = strconv.AppendInt(b, int64(rater), 10)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, tx, 10)
+	return string(b)
 }
 
 // sampleCandidates picks the candidate provider set for a consumer: its
@@ -744,10 +754,11 @@ func (e *Engine) recordFeedbackDisclosure(rater int, tx uint64) {
 // population — never rejection-sampled against all of 0..n — so the draw
 // cost tracks present peers. A nil pool means everyone is present and
 // strangers come uniformly from the full id range. It draws only from the
-// supplied stream so it is safe in the scatter phase.
-func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int) []int {
+// supplied stream so it is safe in the scatter phase. The set is appended
+// to out, which the caller passes empty with capacity CandidateSize (never
+// exceeded); perm is the caller's scratch for the friend permutation.
+func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []int, perm *[]int) []int {
 	cfg := e.cfg
-	out := make([]int, 0, cfg.CandidateSize)
 	// Candidate sets are tiny (default 5), so a linear membership scan
 	// beats allocating a map in this per-interaction hot path.
 	seen := func(p int) bool {
@@ -761,13 +772,21 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int) []int 
 		}
 		return false
 	}
-	friends := e.snet.Friends().Neighbors(consumer)
+	friends := e.snet.Friends().Out(consumer)
 	if len(friends) > 0 {
-		for _, idx := range rng.Perm(len(friends)) {
+		// The same identity fill and Shuffle draws as rng.Perm, without its
+		// per-call allocation.
+		p := (*perm)[:0]
+		for i := range friends {
+			p = append(p, i)
+		}
+		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		*perm = p
+		for _, idx := range p {
 			if len(out) >= cfg.CandidateSize/2+1 {
 				break
 			}
-			if f := friends[idx]; !seen(f) {
+			if f := friends[idx].To; !seen(f) {
 				out = append(out, f)
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/privacy"
 )
 
 // runEpochs drives an engine n epochs, failing the test on any error.
@@ -216,6 +218,52 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	if err := eng.Restore(&bad); err == nil {
 		t.Fatal("wrong-version snapshot accepted")
 	}
+}
+
+// TestRestoreRejectsHostileLedger feeds snapshots whose privacy ledger names
+// users outside the population through the public encode/decode/restore
+// path: each must be an error, not a panic or an out-of-memory growth of
+// per-user state, and a rejected restore must leave the engine runnable.
+func TestRestoreRejectsHostileLedger(t *testing.T) {
+	eng, err := New(sessionScenario(402)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 2)
+	n := eng.Peers()
+	cases := []struct {
+		name   string
+		mutate func(st *privacy.LedgerState)
+	}{
+		{"huge owner", func(st *privacy.LedgerState) { st.Events[0].Owner = 1 << 62 }},
+		{"mid-sized owner", func(st *privacy.LedgerState) { st.Events[0].Owner = 1 << 34 }},
+		{"negative owner", func(st *privacy.LedgerState) { st.Events[0].Owner = -1 }},
+		{"owner = peers", func(st *privacy.LedgerState) { st.Events[0].Owner = n }},
+		{"recipient below -1", func(st *privacy.LedgerState) { st.Events[0].Recipient = -2 }},
+		{"recipient = peers", func(st *privacy.LedgerState) { st.Events[0].Recipient = n }},
+		{"dirty owner out of range", func(st *privacy.LedgerState) { st.FacetDirty = append(st.FacetDirty, 1<<62) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := snapshotRoundTrip(t, eng)
+			if len(snap.State.Ledger.Events) == 0 {
+				t.Fatal("snapshot has no ledger events to corrupt")
+			}
+			tc.mutate(&snap.State.Ledger)
+			var buf bytes.Buffer
+			if err := snap.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			hostile, err := DecodeSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "ledger") {
+				t.Fatalf("restore of hostile ledger = %v, want a ledger range error", err)
+			}
+		})
+	}
+	runEpochs(t, eng, 1)
 }
 
 // TestDecodeSnapshotOldVersionClearError pins the decode-time version probe:
