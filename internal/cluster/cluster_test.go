@@ -3,13 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/trustnet"
 )
 
@@ -88,26 +88,25 @@ func runCluster(t *testing.T, sc trustnet.Scenario, n int) ([]trustnet.EpochStat
 	return hist, m
 }
 
-func gobBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob: %v", err)
-	}
-	return buf.Bytes()
+// histBytes renders an epoch history for bitwise comparison: %#v prints
+// every float in its shortest round-tripping form, so equal bytes mean
+// equal bits.
+func histBytes(hist []trustnet.EpochStats) []byte {
+	return fmt.Appendf(nil, "%#v", hist)
 }
 
 // TestGoldenTopologies is the subsystem's core invariant: equal seeds give
 // bit-identical epoch histories for local execution and 1-, 2- and 4-worker
-// loopback clusters, on a schedule-bearing scenario (leave, whitewash and
-// join waves force mid-run replica resyncs).
+// loopback clusters, on a schedule-bearing scenario. Its leave, whitewash
+// and join waves are membership changes, not honesty-only ones, so they
+// must force full replica resyncs past the bootstrap sync.
 func TestGoldenTopologies(t *testing.T) {
 	sc := trustnet.MustScenario("churnstorm")
 	sc.Epochs = 10
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 	for _, workers := range []int{1, 2, 4} {
 		hist, m := runCluster(t, sc, workers)
-		if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+		if got := histBytes(hist); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: cluster history diverged from local run", workers)
 		}
 		scatters, spmvs := m.RemotePhases()
@@ -117,6 +116,9 @@ func TestGoldenTopologies(t *testing.T) {
 		if spmvs == 0 {
 			t.Errorf("workers=%d: no SpMV ranges ran remotely", workers)
 		}
+		if resyncs := m.Resyncs(); resyncs <= uint64(workers) {
+			t.Errorf("workers=%d: resyncs = %d, want > %d: membership waves must resync replicas", workers, resyncs, workers)
+		}
 	}
 }
 
@@ -125,9 +127,9 @@ func TestGoldenPowerTrust(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
 	sc.Mechanism = trustnet.MechanismSpec{Kind: "powertrust"}
 	sc.Epochs = 6
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 	hist, m := runCluster(t, sc, 2)
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Errorf("powertrust cluster history diverged from local run")
 	}
 	if scatters, spmvs := m.RemotePhases(); scatters == 0 || spmvs == 0 {
@@ -141,7 +143,7 @@ func TestGoldenPowerTrust(t *testing.T) {
 func TestWorkerDeathMidRun(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
 	sc.Epochs = 8
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 
 	ln := NewLoopbackListener()
 	m, err := NewMaster(sc, MasterConfig{Listener: ln, HeartbeatEvery: -1, PhaseTimeout: 30 * time.Second})
@@ -172,7 +174,7 @@ func TestWorkerDeathMidRun(t *testing.T) {
 	hist := m.Engine().History()
 	m.Shutdown()
 	wait()
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Errorf("history diverged after mid-run worker death")
 	}
 	if m.LiveWorkers() != 0 {
@@ -186,7 +188,7 @@ func TestWorkerDeathMidRun(t *testing.T) {
 func TestRejoinAfterDeath(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
 	sc.Epochs = 8
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 
 	ln := NewLoopbackListener()
 	m, err := NewMaster(sc, MasterConfig{Listener: ln, HeartbeatEvery: -1, PhaseTimeout: 30 * time.Second})
@@ -225,7 +227,7 @@ func TestRejoinAfterDeath(t *testing.T) {
 	if lateWait != nil {
 		lateWait()
 	}
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Errorf("history diverged across death + rejoin")
 	}
 }
@@ -269,15 +271,23 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 
 // TestTCPEquivalence runs the same scenario over real TCP sockets and over
 // loopback; both must match the local run bit-for-bit (the transports carry
-// identical frames, so this pins the framing layer too).
+// identical frames, so this pins the framing layer too). The baseline
+// scenario is coupled: its per-epoch honesty changes travel as honesty
+// frames, so each worker needs exactly one full sync, at bootstrap.
 func TestTCPEquivalence(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
+	if !sc.Coupled {
+		t.Fatal("baseline scenario is expected to be coupled")
+	}
 	sc.Epochs = 5
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 
-	lhist, _ := runCluster(t, sc, 2)
-	if got := gobBytes(t, lhist); !bytes.Equal(got, want) {
+	lhist, lm := runCluster(t, sc, 2)
+	if got := histBytes(lhist); !bytes.Equal(got, want) {
 		t.Fatalf("loopback history diverged from local run")
+	}
+	if resyncs := lm.Resyncs(); resyncs != 2 {
+		t.Errorf("loopback resyncs = %d, want 2 (one bootstrap sync per worker)", resyncs)
 	}
 
 	ln, err := ListenTCP("127.0.0.1:0")
@@ -314,8 +324,11 @@ func TestTCPEquivalence(t *testing.T) {
 			t.Errorf("tcp worker %d exit: %v", i, err)
 		}
 	}
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Errorf("TCP history diverged from local run")
+	}
+	if resyncs := m.Resyncs(); resyncs != 2 {
+		t.Errorf("TCP resyncs = %d, want 2 (one bootstrap sync per worker)", resyncs)
 	}
 }
 
@@ -324,7 +337,7 @@ func TestTCPEquivalence(t *testing.T) {
 func TestNoWorkersDegradesLocally(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
 	sc.Epochs = 3
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 	ln := NewLoopbackListener()
 	m, err := NewMaster(sc, MasterConfig{Listener: ln, HeartbeatEvery: -1})
 	if err != nil {
@@ -332,7 +345,7 @@ func TestNoWorkersDegradesLocally(t *testing.T) {
 	}
 	defer m.Shutdown()
 	runSession(t, m.Engine(), sc)
-	if got := gobBytes(t, m.Engine().History()); !bytes.Equal(got, want) {
+	if got := histBytes(m.Engine().History()); !bytes.Equal(got, want) {
 		t.Errorf("workerless master diverged from plain local run")
 	}
 	if scatters, spmvs := m.RemotePhases(); scatters != 0 || spmvs != 0 {
@@ -340,33 +353,25 @@ func TestNoWorkersDegradesLocally(t *testing.T) {
 	}
 }
 
-// TestQuiescentRunAvoidsResyncs pins the replica-coherence win from the
-// bytewise-identical honesty-override skip: an uncoupled steady scenario
-// installs the same honesty vector every epoch, which must NOT bump the
-// mutation generation, so workers need only the bootstrap sync plus the one
-// real override change — far fewer than one resync per epoch.
+// TestQuiescentRunAvoidsResyncs pins replica coherence on an uncoupled
+// steady scenario: it installs the same honesty vector every epoch, and its
+// one real override change reaches the workers as a honesty frame, so each
+// worker needs only its bootstrap sync.
 func TestQuiescentRunAvoidsResyncs(t *testing.T) {
 	sc := trustnet.MustScenario("baseline")
 	sc.Coupled = false
 	sc.Epochs = 10
-	want := gobBytes(t, runLocal(t, sc))
+	want := histBytes(runLocal(t, sc))
 	const workers = 2
 	hist, m := runCluster(t, sc, workers)
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Fatalf("uncoupled cluster history diverged from local run")
 	}
 	if scatters, _ := m.RemotePhases(); scatters == 0 {
 		t.Fatalf("no scatter chunks ran remotely")
 	}
-	resyncs := m.Resyncs()
-	// One bootstrap sync per worker, plus one after epoch 1's first (and
-	// only) real honesty-override install. Anything close to epochs×workers
-	// means no-op installs are bumping the generation again.
-	if max := uint64(3 * workers); resyncs > max {
-		t.Errorf("resyncs = %d, want <= %d (quiescent run must not resync per epoch)", resyncs, max)
-	}
-	if perEpoch := uint64(sc.Epochs * workers); resyncs >= perEpoch {
-		t.Errorf("resyncs = %d, not below per-epoch rate %d", resyncs, perEpoch)
+	if resyncs := m.Resyncs(); resyncs > workers {
+		t.Errorf("resyncs = %d, want <= %d (bootstrap only)", resyncs, workers)
 	}
 }
 
@@ -383,9 +388,93 @@ func TestClusterMatchesDenseReference(t *testing.T) {
 	}
 	eng.SetDenseReference(true)
 	runSession(t, eng, sc)
-	want := gobBytes(t, eng.History())
+	want := histBytes(eng.History())
 	hist, _ := runCluster(t, sc, 2)
-	if got := gobBytes(t, hist); !bytes.Equal(got, want) {
+	if got := histBytes(hist); !bytes.Equal(got, want) {
 		t.Errorf("sparse cluster history diverged from dense local reference")
+	}
+}
+
+// tamperConn is a worker's end of a connection that rewrites the worker's
+// frames before they are encoded: a hostile worker speaking well-formed
+// frames with bad contents.
+type tamperConn struct {
+	Conn
+	tamper func(env *envelope)
+}
+
+func (c *tamperConn) Send(env *envelope) error {
+	c.tamper(env)
+	return c.Conn.Send(env)
+}
+
+// TestHostileWorkerReplies: a worker whose replies decode but do not fit
+// the request — indices outside the population, outcomes for the wrong
+// consumer, malformed SpMV partials — must not crash the master. It is the
+// only worker, so it receives every phase; it is marked dead and its share
+// recomputed locally, so the history is unchanged.
+func TestHostileWorkerReplies(t *testing.T) {
+	sc := trustnet.MustScenario("baseline")
+	sc.Epochs = 3
+	want := histBytes(runLocal(t, sc))
+	cases := map[string]func(env *envelope, n int){
+		"provider out of range": func(env *envelope, n int) {
+			if env.Kind == kindScatterResult {
+				env.ScatterRes.Outcomes[0].Provider = 1 << 40
+			}
+		},
+		"candidate out of range": func(env *envelope, n int) {
+			if env.Kind == kindScatterResult {
+				out := env.ScatterRes.Outcomes
+				out[len(out)-1].Candidates = append(out[len(out)-1].Candidates, n)
+			}
+		},
+		"wrong consumer": func(env *envelope, n int) {
+			if env.Kind == kindScatterResult {
+				env.ScatterRes.Outcomes[0].Consumer++
+			}
+		},
+		"partial column out of range": func(env *envelope, n int) {
+			if env.Kind == kindSpMVResult {
+				env.SpMVRes.Parts[0] = linalg.BlockPartial{Cols: []int32{int32(n)}, Vals: []float64{1}}
+			}
+		},
+		"partial columns unsorted": func(env *envelope, n int) {
+			if env.Kind == kindSpMVResult {
+				env.SpMVRes.Parts[0] = linalg.BlockPartial{Cols: []int32{2, 1}, Vals: []float64{1, 1}}
+			}
+		},
+	}
+	for name, tamper := range cases {
+		t.Run(name, func(t *testing.T) {
+			ln := NewLoopbackListener()
+			m, err := NewMaster(sc, MasterConfig{Listener: ln, HeartbeatEvery: -1, PhaseTimeout: 30 * time.Second})
+			if err != nil {
+				t.Fatalf("master: %v", err)
+			}
+			defer m.Shutdown()
+			n := m.Engine().Peers()
+			conn, err := ln.Dial()
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			hostile := make(chan error, 1)
+			go func() {
+				hostile <- RunWorker(&tamperConn{Conn: conn, tamper: func(env *envelope) { tamper(env, n) }}, "hostile")
+			}()
+			if err := m.WaitForWorkers(1, 5*time.Second); err != nil {
+				t.Fatalf("wait workers: %v", err)
+			}
+			runSession(t, m.Engine(), sc)
+			if live := m.LiveWorkers(); live != 0 {
+				t.Errorf("LiveWorkers = %d after hostile replies, want 0", live)
+			}
+			hist := m.Engine().History()
+			m.Shutdown()
+			<-hostile
+			if got := histBytes(hist); !bytes.Equal(got, want) {
+				t.Errorf("history diverged after hostile worker replies")
+			}
+		})
 	}
 }

@@ -14,25 +14,29 @@
 //     simulate consumes exactly the draws the local scatter would have.
 //   - Workers hold full engine replicas, built from the scenario spec the
 //     master streams at handshake and synced by Snapshot/Restore whenever
-//     the master's out-of-round mutation generation moves; in-round
+//     the master's out-of-round mutation generation moves. A change of the
+//     honesty override alone moves a separate honesty generation and
+//     reaches the replica as the override vector, not a snapshot; in-round
 //     mechanism feedback is mirrored as report batches, so replica CSRs
 //     stay current without re-snapshotting.
 //   - SpMV work is cut along the canonical block decomposition (a function
-//     of the matrix dimension only) and folded with linalg.FoldBlocks — the
-//     same arithmetic, in the same order, as the local kernel.
-//   - Gob preserves float64 bits exactly, and every result is indexed
-//     (plan index, block index), so neither worker count nor completion
-//     order can perturb a single operation.
+//     of the matrix dimension only); workers return each block's compressed
+//     partial, and linalg.FoldBlocks folds them with the same arithmetic,
+//     in the same order, as the local kernel.
+//   - The frame codec writes every float64 as its IEEE-754 bits, and every
+//     result is indexed (plan index, block index), so neither worker count
+//     nor completion order can perturb a single operation.
 //
 // The master is authoritative: any worker failure (heartbeat miss, phase
-// deadline, decode error) marks the worker dead and its chunk is recomputed
-// locally from the same inputs — degraded latency, identical bits. With no
-// live workers the delegates decline and the engine transparently runs its
-// local parallel path. A rejoining worker is adopted at the next phase
-// boundary with a fresh snapshot.
+// deadline, decode error, a reply that does not fit its request) marks the
+// worker dead and its chunk is recomputed locally from the same inputs —
+// degraded latency, identical bits. With no live workers the delegates
+// decline and the engine transparently runs its local parallel path. A
+// rejoining worker is adopted at the next phase boundary with a fresh
+// snapshot.
 //
 // Transports: Loopback (in-process channels carrying the same encoded
-// frames, for tests) and TCP (length-prefixed gob). Both run the identical
-// protocol; see messages.go for the schema and DESIGN.md for the phase
-// walkthrough.
+// frames, for tests) and TCP (length-prefixed frames). Both run the
+// identical protocol; see messages.go for the schema, codec.go for the
+// frame layout and DESIGN.md for the phase walkthrough.
 package cluster

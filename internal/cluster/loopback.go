@@ -6,8 +6,8 @@ import (
 )
 
 // The loopback transport runs the full wire protocol in-process: frames are
-// gob-encoded exactly as over TCP and passed through buffered channels, so a
-// loopback run exercises everything but the socket — including gob's
+// encoded exactly as over TCP and passed through buffered channels, so a
+// loopback run exercises everything but the socket — including the codec's
 // nil/empty-slice flattening, which is where transport bugs would perturb
 // determinism.
 

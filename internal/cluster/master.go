@@ -47,21 +47,23 @@ type remoteWorker struct {
 	conn Conn
 
 	mu sync.Mutex
-	// syncGen/hasSync track which mutation generation the worker's replica
-	// was last synced to. Written only inside phase exchanges (which hold
-	// mu) and read at phase starts — phases are sequential, so reads see
-	// the latest exchange's writes.
+	// syncGen/honGen/hasSync track which mutation and honesty generations
+	// the worker's replica was last brought up to. Written only inside
+	// phase exchanges (which hold mu) and read at phase starts — phases are
+	// sequential, so reads see the latest exchange's writes.
 	syncGen uint64
+	honGen  uint64
 	hasSync bool
 
 	alive bool // guarded by Master.mu
 }
 
-// markSynced records that the worker's replica now reflects generation gen
-// (under the conversation lock, so observeReports' hasSync read is safe).
-func (w *remoteWorker) markSynced(gen uint64) {
+// markSynced records that the worker's replica now reflects generations
+// gen and hgen (under the conversation lock, so observeReports' hasSync
+// read is safe).
+func (w *remoteWorker) markSynced(gen, hgen uint64) {
 	w.mu.Lock()
-	w.hasSync, w.syncGen = true, gen
+	w.hasSync, w.syncGen, w.honGen = true, gen, hgen
 	w.mu.Unlock()
 }
 
@@ -106,10 +108,10 @@ type Master struct {
 	// assert delegation happened; operators read them in logs).
 	remoteScatters atomic.Uint64
 	remoteSpMVs    atomic.Uint64
-	// resyncs counts full replica-state pushes to stale workers. Mutations
-	// that do not change engine state (e.g. installing a bytewise-identical
-	// honesty override) must not bump the mutation generation, so a
-	// steady-state run resyncs rarely; tests pin that.
+	// resyncs counts full replica-state pushes to stale workers. Honesty
+	// override changes ride a separate generation and reach replicas as a
+	// honesty frame, so a coupled steady-state run resyncs only at
+	// bootstrap; tests pin that.
 	resyncs atomic.Uint64
 }
 
@@ -180,7 +182,7 @@ func (m *Master) acceptLoop() {
 func (m *Master) handshake(conn Conn) {
 	conn.SetDeadline(time.Now().Add(m.cfg.PhaseTimeout))
 	env, err := conn.Recv()
-	if err != nil || env.Kind != kindHello || env.Hello == nil || env.Hello.Name == "" {
+	if err != nil || env.Kind != kindHello || env.Hello.Name == "" {
 		conn.Close()
 		return
 	}
@@ -331,50 +333,87 @@ func chunkRange(n, k, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// syncEnvelope snapshots the engine for replicas that are behind generation
-// gen. Snapshotting is safe at every phase boundary the delegates run at:
-// the plan phase is complete, no reports are pending, and nothing the
-// snapshot reads is concurrently mutated.
-func (m *Master) syncEnvelope(gen uint64) (*envelope, error) {
-	snap, err := m.eng.Snapshot()
+// replicaPlan is one phase's replica-coherence plan: the master's
+// generations, plus the frames that bring a live worker's replica up to
+// them — a full snapshot for a replica behind on the mutation generation,
+// the honesty override for one behind only on the honesty generation. Each
+// frame is built once per phase and only when some live worker needs it.
+type replicaPlan struct {
+	gen, hgen uint64
+	sync      *envelope
+	honesty   *envelope
+}
+
+// planReplicas builds the phase's replica plan. Snapshotting is safe at
+// every phase boundary the delegates run at: the plan phase is complete, no
+// reports are pending, and nothing the snapshot reads is concurrently
+// mutated.
+func (m *Master) planReplicas(live []*remoteWorker) (*replicaPlan, error) {
+	p := &replicaPlan{gen: m.we.MutationGen(), hgen: m.we.HonestyGen()}
+	for _, w := range live {
+		switch {
+		case !w.hasSync || w.syncGen != p.gen:
+			if p.sync == nil {
+				snap, err := m.eng.Snapshot()
+				if err != nil {
+					return nil, err
+				}
+				var buf bytes.Buffer
+				if err := snap.Encode(&buf); err != nil {
+					return nil, err
+				}
+				p.sync = &envelope{Kind: kindSync, Sync: &syncMsg{Gen: p.gen, Snapshot: buf.Bytes()}}
+			}
+		case w.honGen != p.hgen && p.honesty == nil:
+			h := m.we.HonestOverride()
+			p.honesty = &envelope{Kind: kindHonesty, Honesty: &honestyMsg{Override: h, HasOverride: h != nil}}
+		}
+	}
+	return p, nil
+}
+
+// exchangePhase runs one phase request on w in a single ordered
+// conversation under one deadline: the replica catch-up frame the plan
+// calls for (if any), then req, then the reply, which must be of kind want.
+// On success the worker's replica is recorded as current.
+func (m *Master) exchangePhase(w *remoteWorker, p *replicaPlan, req *envelope, want msgKind) (*envelope, error) {
+	reqs := make([]*envelope, 0, 2)
+	full := !w.hasSync || w.syncGen != p.gen
+	switch {
+	case full:
+		reqs = append(reqs, p.sync)
+	case w.honGen != p.hgen:
+		reqs = append(reqs, p.honesty)
+	}
+	resp, err := w.exchange(m.cfg.PhaseTimeout, append(reqs, req)...)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		return nil, err
+	if resp.Kind != want {
+		return nil, fmt.Errorf("cluster: worker %q: reply kind %d to a kind %d request", w.name, resp.Kind, req.Kind)
 	}
-	return &envelope{Kind: kindSync, Sync: &syncMsg{Gen: gen, Snapshot: buf.Bytes()}}, nil
-}
-
-// needSync reports whether any of the live workers' replicas are behind gen.
-func needSync(live []*remoteWorker, gen uint64) bool {
-	for _, w := range live {
-		if !w.hasSync || w.syncGen != gen {
-			return true
-		}
+	w.markSynced(p.gen, p.hgen)
+	if full {
+		m.resyncs.Add(1)
 	}
-	return false
+	return resp, nil
 }
 
 // scatterDelegate implements workload.ScatterDelegate: cut the plan list
 // into contiguous chunks, one per live worker, simulate each remotely (after
-// resyncing stale replicas), and merge by index. A failed worker's chunk is
-// recomputed locally from the same round-immutable inputs — identical bits,
-// degraded latency. Declines (false) when no workers are live, handing the
-// round back to the engine's local parallel path.
+// bringing stale replicas up to date), and merge by index. A worker that
+// fails or replies with outcomes that do not fit its plans is marked dead
+// and its chunk recomputed locally from the same round-immutable inputs —
+// identical bits, degraded latency. Declines (false) when no workers are
+// live, handing the round back to the engine's local parallel path.
 func (m *Master) scatterDelegate(plans []workload.PlannedInteraction, scores []float64, gate float64, pool []int, round int) ([]workload.InteractionOutcome, bool) {
 	live := m.adoptLive()
 	if len(live) == 0 || len(plans) == 0 {
 		return nil, false
 	}
-	gen := m.we.MutationGen()
-	var syncEnv *envelope
-	if needSync(live, gen) {
-		var err error
-		if syncEnv, err = m.syncEnvelope(gen); err != nil {
-			return nil, false
-		}
+	rp, err := m.planReplicas(live)
+	if err != nil {
+		return nil, false
 	}
 	out := make([]workload.InteractionOutcome, len(plans))
 	var wg sync.WaitGroup
@@ -386,8 +425,8 @@ func (m *Master) scatterDelegate(plans []workload.PlannedInteraction, scores []f
 		wg.Add(1)
 		go func(w *remoteWorker, lo, hi int) {
 			defer wg.Done()
-			res, err := m.scatterOn(w, gen, syncEnv, plans[lo:hi], scores, gate, pool, round)
-			if err != nil || len(res) != hi-lo {
+			res, err := m.scatterOn(w, rp, plans[lo:hi], scores, gate, pool, round)
+			if err != nil || !validOutcomes(res, plans[lo:hi], m.eng.Peers()) {
 				m.markDead(w)
 				res = m.we.SimulateChunk(plans[lo:hi], scores, gate, pool, round)
 			}
@@ -398,40 +437,45 @@ func (m *Master) scatterDelegate(plans []workload.PlannedInteraction, scores []f
 	return out, true
 }
 
-// scatterOn runs one worker's chunk: optional resync, then the scatter
-// request, one ordered conversation under one deadline.
-func (m *Master) scatterOn(w *remoteWorker, gen uint64, syncEnv *envelope, plans []workload.PlannedInteraction, scores []float64, gate float64, pool []int, round int) ([]workload.InteractionOutcome, error) {
-	reqs := make([]*envelope, 0, 2)
-	stale := !w.hasSync || w.syncGen != gen
-	if stale {
-		if syncEnv == nil {
-			return nil, fmt.Errorf("cluster: stale worker %q without sync payload", w.name)
-		}
-		reqs = append(reqs, syncEnv)
+// validOutcomes reports whether a worker's outcomes can be merged without
+// indexing out of range: one per plan, each for its plan's consumer, with
+// the provider in [-1, n) and every candidate in [0, n).
+func validOutcomes(out []workload.InteractionOutcome, plans []workload.PlannedInteraction, n int) bool {
+	if len(out) != len(plans) {
+		return false
 	}
-	reqs = append(reqs, &envelope{Kind: kindScatter, Scatter: &scatterMsg{
+	for k := range out {
+		o := &out[k]
+		if o.Consumer != plans[k].Consumer || o.Provider < -1 || o.Provider >= n {
+			return false
+		}
+		for _, c := range o.Candidates {
+			if c < 0 || c >= n {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// scatterOn runs one worker's chunk.
+func (m *Master) scatterOn(w *remoteWorker, rp *replicaPlan, plans []workload.PlannedInteraction, scores []float64, gate float64, pool []int, round int) ([]workload.InteractionOutcome, error) {
+	resp, err := m.exchangePhase(w, rp, &envelope{Kind: kindScatter, Scatter: &scatterMsg{
 		Plans: plans, Scores: scores, Gate: gate,
 		Pool: pool, HasPool: pool != nil, Round: round,
-	}})
-	resp, err := w.exchange(m.cfg.PhaseTimeout, reqs...)
+	}}, kindScatterResult)
 	if err != nil {
 		return nil, err
-	}
-	if resp.Kind != kindScatterResult || resp.ScatterRes == nil {
-		return nil, fmt.Errorf("cluster: worker %q: unexpected reply kind %d to scatter", w.name, resp.Kind)
-	}
-	if stale {
-		w.markSynced(gen)
-		m.resyncs.Add(1)
 	}
 	m.remoteScatters.Add(1)
 	return resp.ScatterRes.Outcomes, nil
 }
 
 // spmvDelegate implements reputation.SpMVDelegate: fan the canonical block
-// range out over live workers, recompute dead workers' blocks locally, and
-// fold everything in ascending block order — bit-identical to the local
-// kernel by linalg's scatter/fold contract.
+// range out over live workers, recompute the blocks of dead workers — and
+// of workers whose partials are malformed — locally, and fold everything in
+// ascending block order, bit-identical to the local kernel by linalg's
+// scatter/fold contract.
 func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 	if m.scatterer == nil {
 		return false
@@ -444,16 +488,11 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 	if blocks == 0 {
 		return false
 	}
-	gen := m.we.MutationGen()
-	var syncEnv *envelope
-	if needSync(live, gen) {
-		var err error
-		if syncEnv, err = m.syncEnvelope(gen); err != nil {
-			return false
-		}
+	rp, err := m.planReplicas(live)
+	if err != nil {
+		return false
 	}
-	partials := make([][]float64, blocks)
-	masses := make([]float64, blocks)
+	parts := make([]linalg.BlockPartial, blocks)
 	failed := make([]bool, len(live))
 	var wg sync.WaitGroup
 	for i, w := range live {
@@ -464,14 +503,13 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 		wg.Add(1)
 		go func(i int, w *remoteWorker, lob, hib int) {
 			defer wg.Done()
-			p, ms, err := m.spmvOn(w, gen, syncEnv, x, lob, hib)
-			if err != nil || len(p) != hib-lob || len(ms) != hib-lob {
+			p, err := m.spmvOn(w, rp, x, lob, hib)
+			if err != nil || !validPartials(p, hib-lob, len(y)) {
 				m.markDead(w)
 				failed[i] = true
 				return
 			}
-			copy(partials[lob:hib], p)
-			copy(masses[lob:hib], ms)
+			copy(parts[lob:hib], p)
 		}(i, w, lob, hib)
 	}
 	wg.Wait()
@@ -480,40 +518,35 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 	for i := range live {
 		if failed[i] {
 			lob, hib := chunkRange(blocks, len(live), i)
-			p, ms := m.scatterer.SpMVScatterBlocks(x, lob, hib)
-			copy(partials[lob:hib], p)
-			copy(masses[lob:hib], ms)
+			copy(parts[lob:hib], m.scatterer.SpMVScatterBlocks(x, lob, hib))
 		}
 	}
-	linalg.FoldBlocks(y, dangle, partials, masses)
+	return linalg.FoldBlocks(y, dangle, parts)
+}
+
+// validPartials reports whether a worker's reply holds one well-formed
+// partial per requested block (linalg.BlockPartial.Valid, the check
+// FoldBlocks applies).
+func validPartials(parts []linalg.BlockPartial, blocks, n int) bool {
+	if len(parts) != blocks {
+		return false
+	}
+	for i := range parts {
+		if !parts[i].Valid(n) {
+			return false
+		}
+	}
 	return true
 }
 
-// spmvOn runs one worker's block range: optional resync, then the spmv
-// request.
-func (m *Master) spmvOn(w *remoteWorker, gen uint64, syncEnv *envelope, x []float64, lob, hib int) ([][]float64, []float64, error) {
-	reqs := make([]*envelope, 0, 2)
-	stale := !w.hasSync || w.syncGen != gen
-	if stale {
-		if syncEnv == nil {
-			return nil, nil, fmt.Errorf("cluster: stale worker %q without sync payload", w.name)
-		}
-		reqs = append(reqs, syncEnv)
-	}
-	reqs = append(reqs, &envelope{Kind: kindSpMV, SpMV: &spmvMsg{X: x, Lob: lob, Hib: hib}})
-	resp, err := w.exchange(m.cfg.PhaseTimeout, reqs...)
+// spmvOn runs one worker's block range.
+func (m *Master) spmvOn(w *remoteWorker, rp *replicaPlan, x []float64, lob, hib int) ([]linalg.BlockPartial, error) {
+	resp, err := m.exchangePhase(w, rp, &envelope{Kind: kindSpMV, SpMV: &spmvMsg{X: x, Lob: lob, Hib: hib}}, kindSpMVResult)
 	if err != nil {
-		return nil, nil, err
-	}
-	if resp.Kind != kindSpMVResult || resp.SpMVRes == nil {
-		return nil, nil, fmt.Errorf("cluster: worker %q: unexpected reply kind %d to spmv", w.name, resp.Kind)
-	}
-	if stale {
-		w.markSynced(gen)
-		m.resyncs.Add(1)
+		return nil, err
 	}
 	m.remoteSpMVs.Add(1)
-	return resp.SpMVRes.Partials, resp.SpMVRes.Masses, nil
+	return resp.SpMVRes.Parts, nil
 }
 
 // observeReports mirrors a mechanism-accepted report batch onto every

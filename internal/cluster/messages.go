@@ -1,25 +1,23 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
+	"repro/internal/linalg"
 	"repro/internal/reputation"
 	"repro/internal/workload"
 )
 
 // The wire schema. One envelope type with a kind tag and one pointer field
-// per payload keeps gob simple (no interface registration) and every frame
-// self-describing. Fields must stay exported for gob; the types themselves
-// are package-private because both ends of every conversation live in this
-// package.
+// per payload; codec.go encodes the tag and that kind's payload fields in a
+// fixed binary layout. The types are package-private because both ends of
+// every conversation live in this package.
 //
 // Conversation shapes (all per-connection, strictly ordered):
 //
 //	worker → master   hello
 //	master → worker   welcome (scenario spec) | error (handshake rejection)
 //	master → worker   sync (full snapshot; only when the replica is stale)
+//	master → worker   honesty (override vector; only when the replica is
+//	                  current but for the honesty override)
 //	master → worker   scatter → scatterResult
 //	master → worker   reports (mechanism feedback mirror; no reply)
 //	master → worker   spmv → spmvResult
@@ -40,6 +38,7 @@ const (
 	kindPing
 	kindPong
 	kindShutdown
+	kindHonesty
 )
 
 // envelope is the single frame type every transport carries.
@@ -49,6 +48,7 @@ type envelope struct {
 	Welcome    *welcomeMsg
 	Err        *errorMsg
 	Sync       *syncMsg
+	Honesty    *honestyMsg
 	Scatter    *scatterMsg
 	ScatterRes *scatterResultMsg
 	Reports    *reportsMsg
@@ -80,9 +80,18 @@ type syncMsg struct {
 	Snapshot []byte
 }
 
+// honestyMsg brings a replica that is current on the mutation generation up
+// to the master's honesty generation: the full override vector, installed
+// with SetHonestOverride. HasOverride distinguishes "no override" from an
+// empty one (zero-length slices decode to nil).
+type honestyMsg struct {
+	Override    []float64
+	HasOverride bool
+}
+
 // scatterMsg asks the worker to simulate a contiguous chunk of a round's
 // plans against its replica. HasPool distinguishes "everyone present" (nil
-// pool) from an empty active pool: gob flattens empty slices to nil, and the
+// pool) from an empty active pool: zero-length slices decode to nil, and the
 // two mean different candidate-sampling draws.
 type scatterMsg struct {
 	Plans   []workload.PlannedInteraction
@@ -111,29 +120,8 @@ type spmvMsg struct {
 	Lob, Hib int
 }
 
-// spmvResultMsg returns the per-block partial vectors and dangling masses.
+// spmvResultMsg returns the blocks' compressed partials, one per block in
+// ascending order.
 type spmvResultMsg struct {
-	Partials [][]float64
-	Masses   []float64
-}
-
-// encodeFrame gob-encodes one envelope with a fresh encoder, so every frame
-// is self-contained (decodable regardless of which frames preceded it — the
-// property that lets a transport drop or replay framing without gob stream
-// state leaking across messages).
-func encodeFrame(env *envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, fmt.Errorf("cluster: encode frame: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFrame decodes one self-contained frame.
-func decodeFrame(b []byte) (*envelope, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("cluster: decode frame: %w", err)
-	}
-	return &env, nil
+	Parts []linalg.BlockPartial
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The TCP transport: each frame is a 4-byte big-endian length prefix
-// followed by one self-contained gob-encoded envelope. TCP's in-order
+// followed by one self-contained encoded envelope (codec.go). TCP's in-order
 // reliable delivery supplies the ordering the protocol relies on; the
 // length prefix supplies framing.
 

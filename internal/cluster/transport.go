@@ -8,7 +8,9 @@ import (
 // Conn is one ordered, reliable message channel between the master and a
 // worker. Send and Recv are each safe for one concurrent caller (the
 // protocol is strictly request/response per connection, serialized by the
-// master's per-worker lock and the worker's single loop). SetDeadline bounds
+// master's per-worker lock and the worker's single loop). Recv returns only
+// envelopes that decodeFrame accepted, which carry the payload their kind
+// calls for, so receivers need no nil-payload checks. SetDeadline bounds
 // both directions; a zero time clears it. Close unblocks any pending
 // operation on either end.
 type Conn interface {

@@ -27,16 +27,9 @@ func RunWorker(conn Conn, name string) error {
 	switch env.Kind {
 	case kindWelcome:
 	case kindError:
-		msg := "handshake rejected"
-		if env.Err != nil {
-			msg = env.Err.Msg
-		}
-		return fmt.Errorf("cluster: master rejected worker %q: %s", name, msg)
+		return fmt.Errorf("cluster: master rejected worker %q: %s", name, env.Err.Msg)
 	default:
 		return fmt.Errorf("cluster: unexpected handshake reply kind %d", env.Kind)
-	}
-	if env.Welcome == nil {
-		return fmt.Errorf("cluster: empty welcome")
 	}
 	sc, err := trustnet.ScenarioFromJSON(env.Welcome.Scenario)
 	if err != nil {
@@ -62,9 +55,6 @@ func RunWorker(conn Conn, name string) error {
 				return fmt.Errorf("cluster: worker %q: %w", name, err)
 			}
 		case kindSync:
-			if env.Sync == nil {
-				return fmt.Errorf("cluster: worker %q: empty sync", name)
-			}
 			snap, err := trustnet.DecodeSnapshot(bytes.NewReader(env.Sync.Snapshot))
 			if err != nil {
 				return fmt.Errorf("cluster: worker %q: %w", name, err)
@@ -72,15 +62,18 @@ func RunWorker(conn Conn, name string) error {
 			if err := eng.Restore(snap); err != nil {
 				return fmt.Errorf("cluster: worker %q: %w", name, err)
 			}
-		case kindScatter:
-			if env.Scatter == nil {
-				return fmt.Errorf("cluster: worker %q: empty scatter", name)
+		case kindHonesty:
+			h := env.Honesty.Override
+			if env.Honesty.HasOverride && h == nil {
+				h = []float64{}
 			}
+			we.SetHonestOverride(h)
+		case kindScatter:
 			sm := env.Scatter
 			pool := sm.Pool
 			if sm.HasPool && pool == nil {
-				// Gob flattened an empty (but present) active pool; an empty
-				// pool and a nil one mean different sampling draws.
+				// An empty (but present) active pool decodes to nil; an
+				// empty pool and a nil one mean different sampling draws.
 				pool = []int{}
 			}
 			out := we.SimulateChunk(sm.Plans, sm.Scores, sm.Gate, pool, sm.Round)
@@ -88,9 +81,6 @@ func RunWorker(conn Conn, name string) error {
 				return fmt.Errorf("cluster: worker %q: %w", name, err)
 			}
 		case kindReports:
-			if env.Reports == nil {
-				return fmt.Errorf("cluster: worker %q: empty reports", name)
-			}
 			// Mirror master-accepted feedback into the replica's mechanism.
 			// Gatherer/ledger accounting is master-only state and skipped —
 			// simulate never reads it, and syncs overwrite it wholesale.
@@ -106,15 +96,12 @@ func RunWorker(conn Conn, name string) error {
 				}
 			}
 		case kindSpMV:
-			if env.SpMV == nil {
-				return fmt.Errorf("cluster: worker %q: empty spmv", name)
-			}
 			bs, ok := mech.(reputation.BlockScatterer)
 			if !ok {
 				return fmt.Errorf("cluster: worker %q: mechanism %q cannot scatter SpMV blocks", name, mech.Name())
 			}
-			p, ms := bs.SpMVScatterBlocks(env.SpMV.X, env.SpMV.Lob, env.SpMV.Hib)
-			if err := conn.Send(&envelope{Kind: kindSpMVResult, SpMVRes: &spmvResultMsg{Partials: p, Masses: ms}}); err != nil {
+			parts := bs.SpMVScatterBlocks(env.SpMV.X, env.SpMV.Lob, env.SpMV.Hib)
+			if err := conn.Send(&envelope{Kind: kindSpMVResult, SpMVRes: &spmvResultMsg{Parts: parts}}); err != nil {
 				return fmt.Errorf("cluster: worker %q: %w", name, err)
 			}
 		default:

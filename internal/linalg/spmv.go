@@ -211,63 +211,96 @@ func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
 	}
 }
 
-// ScatterBlocks computes the partial vectors and dangling masses of the
-// canonical scatter blocks [lob, hib) for y = Aᵀx: partials[k] is block
-// lob+k's length-n partial, masses[k] its dangling x mass. It runs exactly
-// the serial per-block accumulation MulTranspose's scatter phase runs, on
-// ws's patterns for those blocks, and expands each compressed partial to
-// length n (+0 off its pattern), so a partial computed here — in another
-// process, say — is bit-for-bit the one the local kernel would have
+// BlockPartial is one canonical block's share of y = Aᵀx in the kernel's
+// compressed form: Vals[k] is the block's partial sum at column Cols[k]
+// (strictly ascending), every other column's partial is +0, and Mass is the
+// x weight on the block's empty rows.
+type BlockPartial struct {
+	Cols []int32
+	Vals []float64
+	Mass float64
+}
+
+// Valid reports whether p is well-formed for an n-column product: as many
+// values as columns, and columns strictly ascending within [0, n).
+func (p *BlockPartial) Valid(n int) bool {
+	if len(p.Vals) != len(p.Cols) {
+		return false
+	}
+	prev := int32(-1)
+	for _, col := range p.Cols {
+		if col <= prev || int(col) >= n {
+			return false
+		}
+		prev = col
+	}
+	return true
+}
+
+// ScatterBlocks computes the compressed partials of the canonical scatter
+// blocks [lob, hib) for y = Aᵀx, one per block in ascending order. It runs
+// exactly the serial per-block accumulation MulTranspose's scatter phase
+// runs, on ws's patterns for those blocks, so a partial computed here — in
+// another process, say — is bit-for-bit the one the local kernel would have
 // produced. Pair with FoldBlocks on the full block set to finish the
-// product. Only the returned blocks are allocated; the results never alias
-// ws.
-func (c *CSR) ScatterBlocks(x []float64, lob, hib int, ws *Workspace) (partials [][]float64, masses []float64) {
-	n := c.n
+// product. The results cost O(touched columns), never alias ws, and share
+// one column and one value backing array.
+func (c *CSR) ScatterBlocks(x []float64, lob, hib int, ws *Workspace) []BlockPartial {
 	if hib > len(c.gen) {
 		hib = len(c.gen)
 	}
-	if n == 0 || lob >= hib {
-		return nil, nil
+	if c.n == 0 || lob >= hib {
+		return nil
 	}
 	ws.refresh(c, lob, hib)
 	c.scatter(ws, x, lob, hib)
-	dense := make([]float64, (hib-lob)*n)
-	partials = make([][]float64, hib-lob)
+	touched := 0
 	for b := lob; b < hib; b++ {
-		out := dense[(b-lob)*n : (b-lob+1)*n : (b-lob+1)*n]
-		p := &ws.pats[b]
-		for k, col := range p.cols {
-			out[col] = p.part[k]
-		}
-		partials[b-lob] = out
+		touched += len(ws.pats[b].cols)
 	}
-	return partials, append([]float64(nil), ws.mass[lob:hib]...)
+	cols := make([]int32, 0, touched)
+	vals := make([]float64, 0, touched)
+	parts := make([]BlockPartial, hib-lob)
+	for b := lob; b < hib; b++ {
+		p := &ws.pats[b]
+		k := len(cols)
+		cols = append(cols, p.cols...)
+		vals = append(vals, p.part...)
+		parts[b-lob] = BlockPartial{Cols: cols[k:len(cols):len(cols)], Vals: vals[k:len(vals):len(vals)], Mass: ws.mass[b]}
+	}
+	return parts
 }
 
-// FoldBlocks completes y = Aᵀx + mass·dangle from a full set of per-block
-// partials (partials[b] for block b, ascending; masses likewise). The fold
-// runs the same arithmetic in the same order as MulTranspose's fold phase —
-// masses summed in ascending block order, each output index summing its
-// partials in ascending block order before the rank-one dangling correction
-// — so a product assembled from remotely computed blocks is bit-identical
-// to the local one. dangle == nil applies no correction.
-func FoldBlocks(y, dangle []float64, partials [][]float64, masses []float64) {
+// FoldBlocks completes y = Aᵀx + mass·dangle from a full set of block
+// partials (parts[b] for block b, ascending). The fold runs MulTranspose's
+// fold arithmetic in the same order — masses summed in ascending block
+// order, each output index summing its partials in ascending block order
+// (the +0 off a block's columns skipped, which is exact) before the
+// rank-one dangling correction — so a product assembled from remotely
+// computed blocks is bit-identical to the local one. dangle == nil applies
+// no correction. It returns false, leaving y untouched, when any partial
+// fails Valid for len(y).
+func FoldBlocks(y, dangle []float64, parts []BlockPartial) bool {
+	for b := range parts {
+		if !parts[b].Valid(len(y)) {
+			return false
+		}
+	}
+	clear(y)
 	mass := 0.0
-	for _, m := range masses {
-		mass += m
-	}
-	blocks := len(partials)
-	for j := range y {
-		s := 0.0
-		for b := 0; b < blocks; b++ {
-			s += partials[b][j]
-		}
-		if dangle == nil {
-			y[j] = s
-		} else {
-			y[j] = s + mass*dangle[j]
+	for b := range parts {
+		p := &parts[b]
+		mass += p.Mass
+		for k, col := range p.Cols {
+			y[col] += p.Vals[k]
 		}
 	}
+	if dangle != nil {
+		for j := range y {
+			y[j] += mass * dangle[j]
+		}
+	}
+	return true
 }
 
 // scatter accumulates blocks [lob, hib) of the transpose product into the

@@ -38,7 +38,21 @@ func denseBlockProduct(c *CSR, y, x, dangle []float64) {
 		}
 		partials[b] = p
 	}
-	FoldBlocks(y, dangle, partials, masses)
+	mass := 0.0
+	for _, m := range masses {
+		mass += m
+	}
+	for j := range y {
+		s := 0.0
+		for b := range partials {
+			s += partials[b][j]
+		}
+		if dangle == nil {
+			y[j] = s
+		} else {
+			y[j] = s + mass*dangle[j]
+		}
+	}
 }
 
 // sparseRandomMatrix builds an n×n matrix whose rows are non-empty with
@@ -144,9 +158,11 @@ func TestMulTransposeBitIdentity(t *testing.T) {
 				// workspace and on a fresh one.
 				blocks := BlockCount(n)
 				for _, ws := range []*Workspace{&scatterWS, new(Workspace)} {
-					lowP, lowM := c.ScatterBlocks(x, 0, blocks/2, ws)
-					highP, highM := c.ScatterBlocks(x, blocks/2, blocks, ws)
-					FoldBlocks(got, dangle, append(lowP, highP...), append(lowM, highM...))
+					low := c.ScatterBlocks(x, 0, blocks/2, ws)
+					high := c.ScatterBlocks(x, blocks/2, blocks, ws)
+					if !FoldBlocks(got, dangle, append(low, high...)) {
+						t.Fatalf("step %d (%s): FoldBlocks rejected the kernel's own partials", step, op)
+					}
 					if j, ok := sameBits(got, want); !ok {
 						t.Fatalf("step %d (%s): ScatterBlocks+FoldBlocks: y[%d] = %v, want %v",
 							step, op, j, got[j], want[j])
@@ -291,9 +307,10 @@ func TestWorkspaceFootprint(t *testing.T) {
 }
 
 // TestScatterBlocksAllocatesOnlyItsBlocks pins ScatterBlocks to the blocks
-// it returns: on a warm workspace a two-block sub-range allocates the two
-// dense partials it hands out (one backing array), their slice headers and
-// the masses — never a full blocks × n workspace.
+// it returns: on a warm workspace a two-block sub-range allocates one column
+// array and one value array sized to those blocks' touched columns, plus the
+// partials' headers — never a dense (hib-lob) × n expansion, let alone a
+// full blocks × n workspace.
 func TestScatterBlocksAllocatesOnlyItsBlocks(t *testing.T) {
 	const n = 9001 // 32 blocks
 	rng := sim.NewRNG(9)
@@ -304,14 +321,19 @@ func TestScatterBlocksAllocatesOnlyItsBlocks(t *testing.T) {
 	}
 	const lob, hib = 3, 5
 	var ws Workspace
-	partials, masses := c.ScatterBlocks(x, lob, hib, &ws)
-	if len(partials) != hib-lob || len(masses) != hib-lob {
-		t.Fatalf("got %d partials, %d masses; want %d", len(partials), len(masses), hib-lob)
+	parts := c.ScatterBlocks(x, lob, hib, &ws)
+	if len(parts) != hib-lob {
+		t.Fatalf("got %d partials, want %d", len(parts), hib-lob)
 	}
-	for _, p := range partials {
-		if len(p) != n {
-			t.Fatalf("partial length %d, want %d", len(p), n)
+	touched := 0
+	for _, p := range parts {
+		if !p.Valid(n) {
+			t.Fatalf("ScatterBlocks returned a malformed partial: %d cols, %d vals", len(p.Cols), len(p.Vals))
 		}
+		touched += len(p.Cols)
+	}
+	if touched == 0 || touched >= (hib-lob)*n/2 {
+		t.Fatalf("blocks %d..%d touch %d columns; the bound below needs a sparse, non-empty range", lob, hib, touched)
 	}
 	const runs = 20
 	var before, after runtime.MemStats
@@ -322,13 +344,59 @@ func TestScatterBlocksAllocatesOnlyItsBlocks(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
-	limit := uint64((hib-lob)*n*8 + 8192) // slack: page rounding of the backing array
+	headers := uint64((hib - lob) * int(unsafe.Sizeof(BlockPartial{})))
+	// Slack: malloc size classes round each array up by at most 1/8.
+	limit := uint64(touched*(4+8))*9/8 + headers + 256
 	if perCall > limit {
-		t.Fatalf("ScatterBlocks(%d, %d) allocates %d B/call, want <= %d (full workspace: %d B)",
-			lob, hib, perCall, limit, BlockCount(n)*n*8)
+		t.Fatalf("ScatterBlocks(%d, %d) allocates %d B/call, want <= %d (%d touched columns; dense: %d B)",
+			lob, hib, perCall, limit, touched, (hib-lob)*n*8)
 	}
 	if allocs := testing.AllocsPerRun(runs, func() { c.ScatterBlocks(x, lob, hib, &ws) }); allocs > 3 {
 		t.Fatalf("ScatterBlocks(%d, %d) makes %v allocations/call, want <= 3", lob, hib, allocs)
+	}
+}
+
+// TestFoldBlocksRejectsMalformedPartials: a partial that arrives from
+// outside the process (a cluster worker's reply) is checked before the fold
+// indexes y with it — unsorted, duplicate and out-of-range columns and a
+// value count that differs from the column count all make FoldBlocks return
+// false without panicking and without touching y.
+func TestFoldBlocksRejectsMalformedPartials(t *testing.T) {
+	const n = 8
+	good := BlockPartial{Cols: []int32{1, 4, 7}, Vals: []float64{0.5, 0.25, 0.125}, Mass: 0.5}
+	cases := map[string]BlockPartial{
+		"unsorted":       {Cols: []int32{4, 1}, Vals: []float64{1, 1}},
+		"duplicate":      {Cols: []int32{2, 2}, Vals: []float64{1, 1}},
+		"negative":       {Cols: []int32{-1, 3}, Vals: []float64{1, 1}},
+		"past end":       {Cols: []int32{3, n}, Vals: []float64{1, 1}},
+		"far past end":   {Cols: []int32{1 << 30}, Vals: []float64{1}},
+		"short values":   {Cols: []int32{1, 2}, Vals: []float64{1}},
+		"long values":    {Cols: []int32{1}, Vals: []float64{1, 2}},
+		"values no cols": {Vals: []float64{1}},
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			y := []float64{9, 9, 9, 9, 9, 9, 9, 9}
+			if FoldBlocks(y, nil, []BlockPartial{good, bad}) {
+				t.Fatalf("FoldBlocks accepted %+v", bad)
+			}
+			for j, v := range y {
+				if v != 9 {
+					t.Fatalf("rejected fold wrote y[%d] = %v", j, v)
+				}
+			}
+		})
+	}
+	y := make([]float64, n)
+	dangle := make([]float64, n)
+	for j := range dangle {
+		dangle[j] = 1.0 / n
+	}
+	if !FoldBlocks(y, dangle, []BlockPartial{good, {Mass: 0.25}}) {
+		t.Fatal("FoldBlocks rejected well-formed partials")
+	}
+	if y[4] != 0.25+0.75/n || y[0] != 0.75/n {
+		t.Fatalf("fold of well-formed partials = %v", y)
 	}
 }
 

@@ -1,5 +1,7 @@
 package reputation
 
+import "repro/internal/linalg"
+
 // The cluster seam: mechanisms whose Compute is dominated by a sparse
 // matrix-vector product can hand that product to an external executor — the
 // master/worker cluster layer — without giving up the determinism contract.
@@ -32,9 +34,9 @@ type BlockScatterer interface {
 	// SpMVBlocks returns the canonical block count (linalg.BlockCount of the
 	// mechanism's dimension).
 	SpMVBlocks() int
-	// SpMVScatterBlocks returns the partial vectors and dangling masses of
-	// blocks [lob, hib) for y = Aᵀx, per linalg.CSR.ScatterBlocks. It runs on
-	// the mechanism's SpMV workspace, so calls must not overlap each other
-	// or a Compute.
-	SpMVScatterBlocks(x []float64, lob, hib int) (partials [][]float64, masses []float64)
+	// SpMVScatterBlocks returns the compressed partials of blocks
+	// [lob, hib) for y = Aᵀx, per linalg.CSR.ScatterBlocks. It runs on the
+	// mechanism's SpMV workspace, so calls must not overlap each other or a
+	// Compute.
+	SpMVScatterBlocks(x []float64, lob, hib int) []linalg.BlockPartial
 }

@@ -145,7 +145,7 @@ func (m *Mechanism) SpMVBlocks() int { return linalg.BlockCount(m.cfg.N) }
 // y = Cᵀx. Because row materialization is a pure function of the current
 // local trust, a replica that folded the same reports returns bit-identical
 // partials.
-func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
+func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) []linalg.BlockPartial {
 	m.refreshMatrix()
 	return m.csr.ScatterBlocks(x, lob, hib, &m.ws)
 }

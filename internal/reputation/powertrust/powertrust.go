@@ -186,7 +186,7 @@ func (m *Mechanism) SpMVBlocks() int { return linalg.BlockCount(m.cfg.N) }
 
 // SpMVScatterBlocks implements reputation.BlockScatterer: refresh any dirty
 // CSR rows, then scatter blocks [lob, hib) of Rᵀx.
-func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
+func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) []linalg.BlockPartial {
 	m.refreshMatrix()
 	return m.csr.ScatterBlocks(x, lob, hib, &m.ws)
 }

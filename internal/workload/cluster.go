@@ -58,12 +58,23 @@ func (e *Engine) SetScatterDelegate(fn ScatterDelegate) { e.scatterDelegate = fn
 func (e *Engine) SetReportObserver(fn func([]reputation.Report)) { e.reportObserver = fn }
 
 // MutationGen returns the engine's mutation generation: a counter bumped by
-// every out-of-round mutation of simulate-visible state (membership,
-// behaviour classes, honesty overrides, whitewashes, state restores). A
-// replica synced at generation g needs a fresh snapshot iff the master's
-// generation has moved past g; report flow is mirrored separately via the
-// report observer and does not bump the generation.
+// every out-of-round mutation of simulate-visible state other than the
+// honesty override (membership, behaviour classes, whitewashes, state
+// restores). A replica synced at generation g needs a fresh snapshot iff the
+// master's generation has moved past g; report flow is mirrored separately
+// via the report observer and does not bump the generation.
 func (e *Engine) MutationGen() uint64 { return e.mutationGen }
+
+// HonestyGen returns the engine's honesty generation: a counter bumped by
+// every change of the honesty override (SetHonestOverride,
+// ApplyHonestyDelta). A replica current on MutationGen but behind on
+// HonestyGen catches up by installing HonestOverride; a full snapshot
+// carries the override, so a resync covers both generations.
+func (e *Engine) HonestyGen() uint64 { return e.honestyGen }
+
+// HonestOverride returns the installed honesty override (nil when none).
+// The slice is the engine's own: callers must not modify or retain it.
+func (e *Engine) HonestOverride() []float64 { return e.honestOverride }
 
 // NoteMutation records an out-of-round mutation of simulate-visible state
 // performed outside the engine's own setters (e.g. a whitewash resetting

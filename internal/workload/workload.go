@@ -259,6 +259,9 @@ type Engine struct {
 	// mutationGen counts out-of-round mutations of simulate-visible state;
 	// see MutationGen in cluster.go.
 	mutationGen uint64 //trustlint:derived replica-sync cursor, compared only against itself within one master process
+	// honestyGen counts honesty-override changes, which a replica can take
+	// without a full snapshot; see HonestyGen in cluster.go.
+	honestyGen uint64 //trustlint:derived replica-sync cursor for the honesty override alone, compared only against itself within one master process
 	// profileItem caches each user's ledger item name so the gather phase
 	// does not re-format it on every interaction.
 	profileItem []string //trustlint:derived format cache, a pure function of the peer id
@@ -387,14 +390,15 @@ func (e *Engine) SetDisclosure(d []float64) {
 
 // SetHonestOverride installs per-peer truthful-report probabilities,
 // overriding behaviour-class honesty (nil restores class behaviour). A
-// vector bitwise identical to the installed one is a no-op: it neither
-// copies nor bumps the replica-sync generation, so a steady-state epoch does
-// not force a full cluster resync just to reinstall unchanged honesty.
+// change bumps the honesty generation, not the mutation generation, so a
+// cluster replica catches up by installing the vector instead of a full
+// resync; a vector bitwise identical to the installed one is a no-op that
+// bumps neither.
 func (e *Engine) SetHonestOverride(h []float64) {
 	if h == nil {
 		if e.honestOverride != nil {
 			e.honestOverride = nil
-			e.mutationGen++
+			e.honestyGen++
 		}
 		return
 	}
@@ -410,19 +414,19 @@ func (e *Engine) SetHonestOverride(h []float64) {
 			return
 		}
 		copy(e.honestOverride, h)
-		e.mutationGen++
+		e.honestyGen++
 		return
 	}
 	cp := make([]float64, len(h))
 	copy(cp, h)
 	e.honestOverride = cp
-	e.mutationGen++
+	e.honestyGen++
 }
 
 // ApplyHonestyDelta rewrites the honesty override for just the listed users
 // from h (a full n-length vector; only cells named by ids are read). With no
 // override installed yet it falls back to installing the whole vector. The
-// replica-sync generation is bumped only when something actually changes.
+// honesty generation is bumped only when something actually changes.
 func (e *Engine) ApplyHonestyDelta(ids []int, h []float64) {
 	if e.honestOverride == nil {
 		e.SetHonestOverride(h)
@@ -439,7 +443,7 @@ func (e *Engine) ApplyHonestyDelta(ids []int, h []float64) {
 		}
 	}
 	if changed {
-		e.mutationGen++
+		e.honestyGen++
 	}
 }
 
