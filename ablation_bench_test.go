@@ -1,8 +1,8 @@
 package repro
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// pre-trusted set size, the DHT replication factor, the gossip view size,
-// and the anonymity-protection level. Each sub-benchmark is a design point;
+// pre-trusted set size, the DHT replication factor, and the
+// anonymity-protection level. Each sub-benchmark is a design point;
 // comparing ns/op and the printed quality metrics shows the trade.
 
 import (
@@ -10,11 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/dht"
-	"repro/internal/overlay"
 	"repro/internal/reputation"
 	"repro/internal/reputation/anonrep"
 	"repro/internal/reputation/eigentrust"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -72,22 +70,6 @@ func BenchmarkAblationDHTReplicas(b *testing.B) {
 				if _, err := ring.Get(key); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationGossipView sweeps the peer-sampling view size: bigger
-// views mix faster per round but cost more per shuffle.
-func BenchmarkAblationGossipView(b *testing.B) {
-	for _, v := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("view-%d", v), func(b *testing.B) {
-			s := sim.New()
-			net := overlay.NewNetwork(s, sim.NewRNG(1), 256, overlay.Config{})
-			ps := overlay.NewPeerSampler(net, v)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ps.Round()
 			}
 		})
 	}

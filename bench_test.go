@@ -12,7 +12,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/overlay"
 	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/reputation/eigentrust"
@@ -273,16 +272,6 @@ func BenchmarkDHTStabilize(b *testing.B) {
 	}
 }
 
-func BenchmarkGossipRound(b *testing.B) {
-	s := sim.New()
-	net := overlay.NewNetwork(s, sim.NewRNG(1), 512, overlay.Config{})
-	ps := overlay.NewPeerSampler(net, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.Round()
-	}
-}
-
 func BenchmarkEigenTrustCompute(b *testing.B) {
 	rng := sim.NewRNG(1)
 	m := mustEigen(b, 200)
@@ -315,26 +304,6 @@ func BenchmarkPowerTrustCompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.Submit(reputation.Report{TxID: uint64(i), Rater: 0, Ratee: 1 + i%199, Value: 0.9})
 		m.Compute()
-	}
-}
-
-func BenchmarkDistributedEigenTrust(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := mustEigen(b, 50)
-		rng := sim.NewRNG(1)
-		for k := 0; k < 1000; k++ {
-			x, y := rng.Intn(50), rng.Intn(50)
-			if x != y {
-				_ = m.Submit(reputation.Report{Rater: x, Ratee: y, Value: rng.Float64()})
-			}
-		}
-		s := sim.New()
-		net := overlay.NewNetwork(s, sim.NewRNG(2), 50, overlay.Config{})
-		b.StartTimer()
-		if _, err := m.RunDistributed(net, 100); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

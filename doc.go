@@ -14,10 +14,9 @@
 // The implementation lives under internal/: the paper's contribution (the
 // correlated three-facet trust model, its §3 coupling dynamics, and the §4
 // tradeoff explorer) is in internal/core, built on from-scratch substrates —
-// a discrete-event simulator, graph generators, a P2P overlay with gossip
-// and churn, a Chord-style DHT, the three cited reputation mechanisms
-// (EigenTrust, TrustMe, PowerTrust), the Quiané-Ruiz satisfaction model and
-// a P3P/OECD/PriServ privacy stack.
+// a discrete-event simulator, graph generators, a Chord-style DHT, the three
+// cited reputation mechanisms (EigenTrust, TrustMe, PowerTrust), the
+// Quiané-Ruiz satisfaction model and a P3P/OECD/PriServ privacy stack.
 //
 // See README.md for the quickstart and tour, and DESIGN.md for the system
 // inventory, the facade's design rationale, and the experiment index.

@@ -2,7 +2,7 @@ package repro
 
 // End-to-end integration tests: the full stack wired together the way the
 // examples and experiments use it, plus cross-substrate scenarios (churn +
-// DHT repair + reputation, whitewashing through the overlay).
+// DHT repair + reputation).
 
 import (
 	"fmt"
@@ -12,7 +12,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/dht"
-	"repro/internal/overlay"
 	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/reputation/eigentrust"
@@ -83,7 +82,7 @@ func TestEndToEndCoupledSystem(t *testing.T) {
 }
 
 func TestEndToEndChurnWithTrustMeRepair(t *testing.T) {
-	// TrustMe's THA storage must survive overlay churn when the ring is
+	// TrustMe's THA storage must survive peer churn when the ring is
 	// stabilized after membership changes.
 	m, err := trustme.New(trustme.Config{N: 40, Replicas: 3})
 	if err != nil {
@@ -104,21 +103,24 @@ func TestEndToEndChurnWithTrustMeRepair(t *testing.T) {
 	m.Compute()
 	want := m.Score(0)
 
-	// Churn: an overlay with a churner decides who is alive; dead peers
-	// leave the THA ring, survivors stabilize it.
-	s := sim.New()
-	net := overlay.NewNetwork(s, sim.NewRNG(3), 40, overlay.Config{})
-	ch, err := overlay.StartChurn(net, overlay.ChurnConfig{Period: 10, LeaveProb: 0.05, RejoinProb: 0.3})
-	if err != nil {
-		t.Fatal(err)
+	// Churn: a seeded process decides who is alive — each step every live
+	// peer leaves with probability 0.05 and every departed one rejoins with
+	// probability 0.3. Dead peers leave the THA ring, survivors stabilize it.
+	rng := sim.NewRNG(3)
+	alive := make([]bool, 40)
+	for id := range alive {
+		alive[id] = true
 	}
+	leaves := 0
 	for step := 0; step < 10; step++ {
-		if err := s.Run(s.Now() + 10); err != nil {
-			t.Fatal(err)
-		}
-		alive := map[int]bool{}
-		for _, id := range net.AliveIDs() {
-			alive[int(id)] = true
+		for id := range alive {
+			switch {
+			case alive[id] && rng.Bool(0.05):
+				alive[id] = false
+				leaves++
+			case !alive[id] && rng.Bool(0.3):
+				alive[id] = true
+			}
 		}
 		// Mirror membership into the ring.
 		load := m.Ring().LoadByNode()
@@ -127,14 +129,14 @@ func TestEndToEndChurnWithTrustMeRepair(t *testing.T) {
 				m.Ring().Leave(addr)
 			}
 		}
-		for id := range alive {
-			if _, ok := load[id]; !ok {
+		for id, up := range alive {
+			if _, ok := load[id]; up && !ok {
 				_ = m.Ring().Join(id) // rejoining address may already be present
 			}
 		}
 		m.Ring().Stabilize()
 	}
-	if ch.Leaves == 0 {
+	if leaves == 0 {
 		t.Fatal("churn produced no departures")
 	}
 	if m.Ring().Size() == 0 {

@@ -89,7 +89,7 @@ func NewInfo() *types.Info {
 // below one (so mechanism subpackages like repro/internal/reputation/\
 // eigentrust are covered). Everything else — cmd/ (including trustmaster
 // and trustworker), tools/, internal/serve, internal/cluster, the
-// overlay/dht/crypto simulation scaffolding — is off the deterministic path
+// dht/crypto simulation scaffolding — is off the deterministic path
 // and exempt. internal/cluster is exempt by design, not oversight: its job
 // is wall-clock plumbing (deadlines, heartbeats, reconnects), and its
 // determinism is enforced end-to-end by the golden topology tests instead

@@ -6,8 +6,8 @@ import "repro/internal/linalg"
 // matrix-vector product can hand that product to an external executor — the
 // master/worker cluster layer — without giving up the determinism contract.
 // The delegate replaces only the SpMV; iteration control, convergence tests
-// and score normalization stay inside the mechanism, so a delegated Compute
-// is the same solver with its inner product computed elsewhere.
+// and score normalization stay inside the Solver, so a delegated Compute is
+// the same solver with its inner product computed elsewhere.
 
 // SpMVDelegate computes y = Aᵀx + mass·dangle for the mechanism's current
 // matrix, where mass is the total x weight on empty rows and dangle the

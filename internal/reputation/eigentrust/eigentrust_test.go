@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/overlay"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 )
@@ -191,46 +190,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestDistributedMatchesCentralized(t *testing.T) {
-	const n = 20
-	m, err := New(Config{N: n, Pretrusted: []int{0, 1}})
+// TestSubmitRejectsNaN pins that a NaN rating is an error rather than an
+// "unsatisfactory" vote. SubmitBatch keeps its rule that the reports before
+// the invalid one stay folded.
+func TestSubmitRejectsNaN(t *testing.T) {
+	m, err := New(Config{N: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(7)
-	for k := 0; k < 600; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		v := 0.9
-		if j%4 == 0 {
-			v = 0.1
-		}
-		_ = m.Submit(reputation.Report{Rater: i, Ratee: j, Value: v})
+	feed(t, m, 0, 1, 0.9, 2)
+	if err := m.Submit(reputation.Report{Rater: 0, Ratee: 1, Value: math.NaN()}); err == nil {
+		t.Fatal("NaN rating accepted by Submit")
 	}
-	s := sim.New()
-	net := overlay.NewNetwork(s, sim.NewRNG(8), n, overlay.Config{})
-	res, err := m.RunDistributed(net, 300)
-	if err != nil {
-		t.Fatal(err)
+	batch := []reputation.Report{
+		{Rater: 3, Ratee: 1, Value: 0.8},
+		{Rater: 0, Ratee: 1, Value: math.NaN()},
+		{Rater: 4, Ratee: 2, Value: 0.8},
 	}
-	if res.Rounds == 0 || res.Messages == 0 {
-		t.Fatalf("distributed run did nothing: %+v", res)
+	if err := m.SubmitBatch(batch); err == nil {
+		t.Fatal("NaN rating accepted by SubmitBatch")
 	}
-	if res.MaxDiff > 1e-3 {
-		t.Fatalf("distributed fixed point differs from centralized by %v", res.MaxDiff)
+	lt := m.LocalTrust()
+	if got := lt.S(0, 1); got != 2 {
+		t.Fatalf("s(0,1) = %v after NaN ratings, want 2", got)
 	}
-}
-
-func TestDistributedRequiresBigEnoughOverlay(t *testing.T) {
-	m, err := New(Config{N: 10})
-	if err != nil {
-		t.Fatal(err)
+	if lt.S(3, 1) != 1 {
+		t.Fatal("report before the NaN was not folded")
 	}
-	s := sim.New()
-	net := overlay.NewNetwork(s, sim.NewRNG(1), 5, overlay.Config{})
-	if _, err := m.RunDistributed(net, 10); err == nil {
-		t.Fatal("undersized overlay accepted")
+	if lt.S(4, 2) != 0 {
+		t.Fatal("report after the NaN was folded")
 	}
 }

@@ -233,7 +233,7 @@ func TestComputeSteadyStateAllocFree(t *testing.T) {
 	feedRandom(t, m, sim.NewRNG(3), 400, 4000)
 	m.Compute() // warm buffers and materialize the CSR
 	allocs := testing.AllocsPerRun(20, func() {
-		m.dirty = true // force the iteration; no rows are dirty
+		m.MarkDirty() // force the iteration; no rows are dirty
 		m.Compute()
 	})
 	if allocs != 0 {

@@ -26,12 +26,13 @@ type mechanismState struct {
 
 // MechanismState implements reputation.Snapshotter.
 func (m *Mechanism) MechanismState() ([]byte, error) {
+	sv := m.Solver.State()
 	st := mechanismState{
 		LT:      m.lt.State(),
-		Scores:  append([]float64(nil), m.scores...),
-		Dirty:   m.dirty,
-		Conv:    m.lastConv,
-		HasConv: m.hasConv,
+		Scores:  sv.Scores,
+		Dirty:   sv.Dirty,
+		Conv:    sv.Conv,
+		HasConv: sv.HasConv,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -46,18 +47,13 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("eigentrust: decode state: %w", err)
 	}
-	if len(st.Scores) != m.cfg.N {
-		return fmt.Errorf("eigentrust: state for %d peers, want %d", len(st.Scores), m.cfg.N)
+	sv := reputation.SolverState{Scores: st.Scores, Dirty: st.Dirty, Conv: st.Conv, HasConv: st.HasConv}
+	if err := m.Solver.SetState(sv); err != nil {
+		return fmt.Errorf("eigentrust: %w", err)
 	}
 	if err := m.lt.SetState(st.LT); err != nil {
 		return fmt.Errorf("eigentrust: %w", err)
 	}
-	copy(m.scores, st.Scores)
-	m.refreshNorm()
-	m.dirty = st.Dirty
-	m.materialized = false
-	m.lastConv = st.Conv
-	m.hasConv = st.HasConv
 	return nil
 }
 

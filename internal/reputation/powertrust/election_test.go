@@ -49,7 +49,7 @@ func TestElectPowerNodesMatchesFullSort(t *testing.T) {
 				}
 			}
 			rank := make([]float64, tc.n) // summed exactly as the election sums
-			for _, row := range mech.feedback {
+			for _, row := range mech.feedback.rows {
 				for j, p := range row {
 					rank[j] += p.sum / float64(p.count)
 				}
@@ -57,11 +57,12 @@ func TestElectPowerNodesMatchesFullSort(t *testing.T) {
 			checkElection(t, "bootstrap", mech.electPowerNodes(), fullSortElection(rank, tc.m))
 
 			// Scores: a handful of levels, so most peers tie with others.
-			for i := range mech.scores {
-				mech.scores[i] = float64(1+rng.Intn(4)) / float64(tc.n)
+			scores := mech.RawView()
+			for i := range scores {
+				scores[i] = float64(1+rng.Intn(4)) / float64(tc.n)
 			}
-			mech.scores[0] = 2 // never within 1% of uniform
-			checkElection(t, "scores", mech.electPowerNodes(), fullSortElection(mech.scores, tc.m))
+			scores[0] = 2 // never within 1% of uniform
+			checkElection(t, "scores", mech.electPowerNodes(), fullSortElection(scores, tc.m))
 
 			if allocs := testing.AllocsPerRun(10, func() { mech.electPowerNodes() }); allocs != 0 {
 				t.Fatalf("election allocates %v objects/op, want 0", allocs)

@@ -212,3 +212,35 @@ func TestScoreBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRejectsNaN pins that a NaN rating is an error, not a value:
+// clamping lets NaN through into the pair sums, and one NaN then zeroes
+// every score. SubmitBatch keeps its rule that the reports before the
+// invalid one stay folded.
+func TestSubmitRejectsNaN(t *testing.T) {
+	m, err := New(Config{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, m, 0, 1, 0.9, 1)
+	if err := m.Submit(reputation.Report{Rater: 2, Ratee: 1, Value: math.NaN()}); err == nil {
+		t.Fatal("NaN rating accepted by Submit")
+	}
+	m.Compute()
+	if got := m.Score(1); got != 1 {
+		t.Fatalf("score of the only rated peer = %v, want 1 (scores %v)", got, m.Scores())
+	}
+	batch := []reputation.Report{
+		{Rater: 3, Ratee: 4, Value: 0.1},
+		{Rater: 3, Ratee: 2, Value: math.NaN()},
+		{Rater: 4, Ratee: 2, Value: 0.1},
+	}
+	if err := m.SubmitBatch(batch); err == nil {
+		t.Fatal("NaN rating accepted by SubmitBatch")
+	}
+	// Peer 1 rated well, peer 4 badly by the report before the NaN; peer 2
+	// unrated, because the report after the NaN was not folded.
+	if got := m.TrustworthyFraction(); got != 0.5 {
+		t.Fatalf("trustworthy fraction = %v, want 0.5", got)
+	}
+}

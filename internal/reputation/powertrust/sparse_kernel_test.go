@@ -18,7 +18,7 @@ func denseRows(m *Mechanism) [][]float64 {
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		sum := 0.0
-		for j, p := range m.feedback[i] {
+		for j, p := range m.feedback.rows[i] {
 			row[j] = p.sum / float64(p.count)
 		}
 		for _, v := range row {
@@ -77,7 +77,7 @@ func denseCompute(m *Mechanism) []float64 {
 	next := make([]float64, n)
 	mid := make([]float64, n)
 	for rounds := 0; rounds < m.cfg.MaxIter; rounds++ {
-		if m.cfg.LookAhead {
+		if m.lookAhead {
 			denseApplyWalk(rows, t, mid, m.cfg.Alpha, jump)
 			denseApplyWalk(rows, mid, next, m.cfg.Alpha, jump)
 		} else {
@@ -300,19 +300,19 @@ func TestComputeSteadyStateAllocFree(t *testing.T) {
 	feedRandom(t, m, sim.NewRNG(3), 400, 4000)
 	m.Compute()
 	// Measure the walk in isolation: election + rebuild excluded.
-	t0 := m.vecA
+	t0, mid, next := make([]float64, m.cfg.N), make([]float64, m.cfg.N), make([]float64, m.cfg.N)
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range t0 {
 			t0[i] = 1 / float64(m.cfg.N)
 		}
-		m.step(m.vecMid, t0)
-		m.step(m.vecB, m.vecMid)
+		m.Step(mid, t0)
+		m.Step(next, mid)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state walk allocates %v objects/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(20, func() {
-		m.dirty = true
+		m.MarkDirty()
 		m.Compute()
 	})
 	if allocs != 0 {

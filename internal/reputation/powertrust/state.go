@@ -35,20 +35,21 @@ type mechanismState struct {
 
 // MechanismState implements reputation.Snapshotter.
 func (m *Mechanism) MechanismState() ([]byte, error) {
+	sv := m.Solver.State()
 	st := mechanismState{
-		Scores:  append([]float64(nil), m.scores...),
+		Scores:  sv.Scores,
 		Power:   append([]int(nil), m.power...),
-		Dirty:   m.dirty,
-		Conv:    m.lastConv,
-		HasConv: m.hasConv,
+		Dirty:   sv.Dirty,
+		Conv:    sv.Conv,
+		HasConv: sv.HasConv,
 	}
-	for i := range m.dirtyRows {
+	for i := range m.feedback.dirty {
 		st.DirtyRows = append(st.DirtyRows, i)
 	}
 	sort.Slice(st.DirtyRows, func(a, b int) bool { return st.DirtyRows[a] < st.DirtyRows[b] })
-	for i, row := range m.feedback {
+	for i, row := range m.feedback.rows {
 		for j, p := range row {
-			st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: j, Sum: p.sum, Count: p.count})
+			st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: int(j), Sum: p.sum, Count: p.count})
 		}
 	}
 	// Map iteration order is random; canonicalize so equal states encode to
@@ -72,18 +73,15 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("powertrust: decode state: %w", err)
 	}
-	if len(st.Scores) != m.cfg.N {
-		return fmt.Errorf("powertrust: state for %d peers, want %d", len(st.Scores), m.cfg.N)
-	}
-	feedback := make([]map[int]*pair, m.cfg.N)
+	rows := make([]map[int32]pair, m.cfg.N)
 	for _, e := range st.Feedback {
 		if e.Rater < 0 || e.Rater >= m.cfg.N || e.Ratee < 0 || e.Ratee >= m.cfg.N {
 			return fmt.Errorf("powertrust: state entry %d->%d out of range [0,%d)", e.Rater, e.Ratee, m.cfg.N)
 		}
-		if feedback[e.Rater] == nil {
-			feedback[e.Rater] = make(map[int]*pair)
+		if rows[e.Rater] == nil {
+			rows[e.Rater] = make(map[int32]pair)
 		}
-		feedback[e.Rater][e.Ratee] = &pair{sum: e.Sum, count: e.Count}
+		rows[e.Rater][int32(e.Ratee)] = pair{sum: e.Sum, count: e.Count}
 	}
 	dirtyRows := make(map[int32]struct{}, len(st.DirtyRows))
 	for _, i := range st.DirtyRows {
@@ -92,15 +90,12 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 		}
 		dirtyRows[i] = struct{}{}
 	}
-	m.feedback = feedback
-	copy(m.scores, st.Scores)
-	m.refreshNorm()
+	sv := reputation.SolverState{Scores: st.Scores, Dirty: st.Dirty, Conv: st.Conv, HasConv: st.HasConv}
+	if err := m.Solver.SetState(sv); err != nil {
+		return fmt.Errorf("powertrust: %w", err)
+	}
+	m.feedback = ratings{rows: rows, dirty: dirtyRows}
 	m.power = append([]int(nil), st.Power...)
-	m.dirty = st.Dirty
-	m.dirtyRows = dirtyRows
-	m.materialized = false
-	m.lastConv = st.Conv
-	m.hasConv = st.HasConv
 	return nil
 }
 

@@ -9,6 +9,7 @@ package reputation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -23,6 +24,22 @@ type Report struct {
 	Rater int     `json:"rater"`
 	Ratee int     `json:"ratee"`
 	Value float64 `json:"value"`
+}
+
+// Validate checks r against an n-peer population: both peers in range, no
+// self-rating, and a value that is a number. Mechanisms clamp or threshold
+// out-of-range values, but a NaN would poison every sum it enters.
+func (r Report) Validate(n int) error {
+	if r.Rater < 0 || r.Rater >= n || r.Ratee < 0 || r.Ratee >= n {
+		return fmt.Errorf("report %d->%d out of range [0,%d)", r.Rater, r.Ratee, n)
+	}
+	if r.Rater == r.Ratee {
+		return fmt.Errorf("self-rating by %d rejected", r.Rater)
+	}
+	if math.IsNaN(r.Value) {
+		return fmt.Errorf("report %d->%d has a NaN value", r.Rater, r.Ratee)
+	}
+	return nil
 }
 
 // Mechanism is a pluggable scoring engine ("scoring and ranking" block).
@@ -156,27 +173,8 @@ func (l *LocalTrust) N() int { return l.n }
 func (l *LocalTrust) markDirty(i int) { l.dirty[int32(i)] = struct{}{} }
 
 // Add folds a report into the matrix. Ratings >= SatThreshold count as
-// satisfactory. Out-of-range peers or self-ratings are rejected.
-func (l *LocalTrust) Add(r Report) error {
-	if r.Rater < 0 || r.Rater >= l.n || r.Ratee < 0 || r.Ratee >= l.n {
-		return fmt.Errorf("reputation: report %d->%d out of range [0,%d)", r.Rater, r.Ratee, l.n)
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("reputation: self-rating by %d rejected", r.Rater)
-	}
-	if l.rows[r.Rater] == nil {
-		l.rows[r.Rater] = make(map[int32]cell)
-	}
-	c := l.rows[r.Rater][int32(r.Ratee)]
-	if r.Value >= SatThreshold {
-		c.sat++
-	} else {
-		c.unsat++
-	}
-	l.rows[r.Rater][int32(r.Ratee)] = c
-	l.markDirty(r.Rater)
-	return nil
-}
+// satisfactory. Invalid reports (see Report.Validate) are rejected.
+func (l *LocalTrust) Add(r Report) error { return l.AddBatch([]Report{r}) }
 
 // AddBatch folds a batch of reports, amortizing the row lookup and
 // dirty-set insert across consecutive reports by the same rater (a round's
@@ -189,11 +187,8 @@ func (l *LocalTrust) AddBatch(rs []Report) error {
 	var row map[int32]cell
 	for i := range rs {
 		r := &rs[i]
-		if r.Rater < 0 || r.Rater >= l.n || r.Ratee < 0 || r.Ratee >= l.n {
-			return fmt.Errorf("reputation: report %d->%d out of range [0,%d)", r.Rater, r.Ratee, l.n)
-		}
-		if r.Rater == r.Ratee {
-			return fmt.Errorf("reputation: self-rating by %d rejected", r.Rater)
+		if err := r.Validate(l.n); err != nil {
+			return fmt.Errorf("reputation: %w", err)
 		}
 		if r.Rater != lastRater {
 			if l.rows[r.Rater] == nil {

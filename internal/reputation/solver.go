@@ -1,0 +1,316 @@
+package reputation
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/linalg"
+)
+
+// RowFeed is a mechanism's rating matrix as the Solver sees it: a source of
+// materialized rows plus the set of rows changed since the solver last
+// materialized them. LocalTrust is EigenTrust's feed.
+type RowFeed interface {
+	// AppendRow appends row i's nonnegative entries — columns ascending —
+	// to cols and vals and returns them. A row with no positive entry is
+	// dangling.
+	AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64)
+	// DirtyRows returns, ascending, the rows changed since ClearDirty.
+	DirtyRows() []int
+	// HasDirty reports whether any row changed since ClearDirty.
+	HasDirty() bool
+	// ClearDirty empties the dirty set.
+	ClearDirty()
+}
+
+var _ RowFeed = (*LocalTrust)(nil)
+
+// Solver is the damped power iteration EigenTrust and PowerTrust share:
+//
+//	t ← (1−α)·(Aᵀt + mᵀ·dangle) + α·teleport
+//
+// where A is the feed's row-normalized matrix and m the trust mass on its
+// dangling rows, folded in by the kernel's rank-one correction instead of
+// dense rows. A lives in a CSR whose rows are rematerialized from the feed's
+// dirty set, so a recompute touches only the rows that changed; the
+// iteration runs the shard-parallel SpMV on buffers reused across computes
+// (zero steady-state allocation), bit-for-bit identical for every shard
+// count. Mechanisms embed it and keep only what differs between them: the
+// feed, the two vectors, and whatever they do before a Solve.
+type Solver struct {
+	feed     RowFeed   //trustlint:derived the owning mechanism's matrix, which the mechanism snapshots itself
+	dangle   []float64 //trustlint:derived configuration, rebuilt by the mechanism's constructor
+	teleport []float64 //trustlint:derived configuration or refilled by the mechanism before every Solve
+	alpha    float64   //trustlint:derived configuration
+	epsilon  float64   //trustlint:derived configuration
+	maxIter  int       //trustlint:derived configuration
+	cold     bool      //trustlint:derived configuration
+
+	scores []float64 // the fixed point of the last Solve (sums to ~1)
+	dirty  bool      // a report or reset arrived since the last Solve
+	// Diagnostics of the most recent Solve that ran iterations.
+	lastConv Convergence
+	hasConv  bool
+
+	// Sparse kernel state.
+	csr          *linalg.CSR      //trustlint:derived rematerialized from the feed on first Solve after restore
+	ws           linalg.Workspace //trustlint:derived scratch, contents never outlive one Solve
+	workers      int              //trustlint:derived configuration (SetComputeShards), not part of the deterministic state
+	materialized bool             //trustlint:derived cleared by restore to force a full CSR rebuild
+	// spmv, when set, computes the inner product remotely (the cluster
+	// layer); nil or a false return runs the local kernel.
+	spmv SpMVDelegate //trustlint:derived cluster-layer hook, re-attached by the owner after restore; bit-exact by contract
+	// Reusable iteration and materialization scratch.
+	vecA, vecB, vecMid []float64 //trustlint:derived scratch, contents never outlive one Solve
+	cols               []int32   //trustlint:derived scratch, contents never outlive one Solve
+	vals               []float64 //trustlint:derived scratch, contents never outlive one Solve
+	// Max-normalized score cache backing ScoresView.
+	norm    []float64 //trustlint:derived cache, recomputed from scores by refreshNorm on restore
+	normMax float64   //trustlint:derived cache, recomputed from scores by refreshNorm on restore
+}
+
+// NewSolver builds a solver over feed's len(dangle)-peer matrix. dangle is
+// the distribution dangling rows' mass jumps to; it is also the initial
+// scores and the cold start. teleport is the restart distribution weighted
+// by alpha; the solver reads it on every iteration, so its owner may refill
+// it between Solves. Both slices are aliased, not copied.
+func NewSolver(feed RowFeed, dangle, teleport []float64, alpha, epsilon float64, maxIter int, coldStart bool) *Solver {
+	n := len(dangle)
+	s := &Solver{
+		feed:         feed,
+		dangle:       dangle,
+		teleport:     teleport,
+		alpha:        alpha,
+		epsilon:      epsilon,
+		maxIter:      maxIter,
+		cold:         coldStart,
+		scores:       append([]float64(nil), dangle...),
+		csr:          linalg.New(n),
+		workers:      1,
+		materialized: true, // a fresh CSR matches the empty matrix
+		vecA:         make([]float64, n),
+		vecB:         make([]float64, n),
+		norm:         make([]float64, n),
+	}
+	s.refreshNorm()
+	return s
+}
+
+// SetComputeShards implements ComputeSharder: the SpMV scatters over k
+// workers. Shards are a scheduling knob only — scores stay bit-for-bit
+// identical for every k.
+func (s *Solver) SetComputeShards(k int) {
+	if k < 1 {
+		k = 1
+	}
+	s.workers = k
+}
+
+// SetSpMVDelegate implements SpMVDelegator: the inner product routes
+// through fn (nil restores the local kernel). The delegate is bit-exact by
+// contract, so delegated and local solves produce identical scores.
+func (s *Solver) SetSpMVDelegate(fn SpMVDelegate) { s.spmv = fn }
+
+// SpMVBlocks implements BlockScatterer.
+func (s *Solver) SpMVBlocks() int { return linalg.BlockCount(len(s.scores)) }
+
+// SpMVScatterBlocks implements BlockScatterer: it rematerializes any dirty
+// rows, then computes the canonical block partials of Aᵀx. Materialization
+// is a pure function of the feed, so a replica that folded the same reports
+// returns bit-identical partials.
+func (s *Solver) SpMVScatterBlocks(x []float64, lob, hib int) []linalg.BlockPartial {
+	s.refreshMatrix()
+	return s.csr.ScatterBlocks(x, lob, hib, &s.ws)
+}
+
+var (
+	_ ComputeSharder      = (*Solver)(nil)
+	_ SpMVDelegator       = (*Solver)(nil)
+	_ BlockScatterer      = (*Solver)(nil)
+	_ ConvergenceReporter = (*Solver)(nil)
+	_ ScoresViewer        = (*Solver)(nil)
+)
+
+// MarkDirty records that the feed changed, so the next Solve iterates.
+func (s *Solver) MarkDirty() { s.dirty = true }
+
+// Dirty reports whether the next Solve will iterate.
+func (s *Solver) Dirty() bool { return s.dirty }
+
+// refreshMatrix rematerializes the CSR rows the feed reports dirty — every
+// row after a snapshot restore. Materialization is a pure function of the
+// row's current feed, so the incremental matrix is bit-for-bit identical to
+// a from-scratch rebuild.
+func (s *Solver) refreshMatrix() {
+	if s.materialized && !s.feed.HasDirty() {
+		return
+	}
+	setRow := func(i int) {
+		s.cols, s.vals = s.feed.AppendRow(i, s.cols[:0], s.vals[:0])
+		s.csr.SetRow(i, s.cols, s.vals)
+		s.csr.NormalizeRow(i)
+	}
+	if !s.materialized {
+		for i := range s.scores {
+			setRow(i)
+		}
+		s.materialized = true
+	} else {
+		for _, i := range s.feed.DirtyRows() {
+			setRow(i)
+		}
+	}
+	s.feed.ClearDirty()
+}
+
+// mul computes dst = Aᵀsrc + mᵀ·dangle, remotely when a delegate accepts.
+func (s *Solver) mul(dst, src []float64) {
+	if s.spmv == nil || !s.spmv(dst, src, s.dangle) {
+		s.csr.MulTranspose(dst, src, s.dangle, s.workers, &s.ws)
+	}
+}
+
+// Step applies the iteration operator once: dst = (1−α)·(Aᵀsrc + mᵀ·dangle)
+// + α·teleport. It reads the materialized matrix as the last Solve left it.
+func (s *Solver) Step(dst, src []float64) {
+	s.mul(dst, src)
+	for j := range dst {
+		dst[j] = (1-s.alpha)*dst[j] + s.alpha*s.teleport[j]
+	}
+}
+
+// Solve iterates until the L1 change of a round drops below epsilon or
+// maxIter rounds ran, and returns the round count (0 when nothing changed
+// since the last Solve). A look-ahead round applies the operator twice —
+// each node aggregates its neighbors' own aggregated vectors, one extra
+// message exchange that halves the round count. By default the iteration
+// warm-starts from the previous fixed point, so an incremental recompute
+// pays only as many rounds as the matrix actually moved; a cold start
+// begins at dangle every time. epsilon is never loosened on warm starts.
+// Each round's last operator application fuses the α blend with the
+// residual, so a round makes no more passes over n than the operator needs.
+func (s *Solver) Solve(lookAhead bool) int {
+	if !s.dirty {
+		return 0
+	}
+	s.refreshMatrix()
+	if lookAhead && s.vecMid == nil {
+		s.vecMid = make([]float64, len(s.scores)) // only look-ahead walks need it
+	}
+	t, next, mid := s.vecA, s.vecB, s.vecMid
+	if s.cold {
+		copy(t, s.dangle)
+	} else {
+		copy(t, s.scores)
+	}
+	alpha, teleport := s.alpha, s.teleport
+	iters := 0
+	residual := 0.0
+	for ; iters < s.maxIter; iters++ {
+		src := t
+		if lookAhead {
+			s.Step(mid, t)
+			src = mid
+		}
+		s.mul(next, src)
+		diff := 0.0
+		for j := range next {
+			next[j] = (1-alpha)*next[j] + alpha*teleport[j]
+			diff += math.Abs(next[j] - t[j])
+		}
+		t, next = next, t
+		residual = diff
+		if diff < s.epsilon {
+			iters++
+			break
+		}
+	}
+	copy(s.scores, t)
+	s.vecA, s.vecB = t, next // keep the buffer pair owned by the solver
+	s.refreshNorm()
+	s.dirty = false
+	s.lastConv = Convergence{Iterations: iters, Residual: residual, Warm: !s.cold}
+	s.hasConv = true
+	return iters
+}
+
+// refreshNorm rebuilds the max-normalized score cache behind ScoresView.
+func (s *Solver) refreshNorm() {
+	maxV := 0.0
+	for _, v := range s.scores {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	s.normMax = maxV
+	if maxV == 0 {
+		clear(s.norm)
+		return
+	}
+	for i, v := range s.scores {
+		s.norm[i] = v / maxV
+	}
+}
+
+// LastConvergence implements ConvergenceReporter.
+func (s *Solver) LastConvergence() (Convergence, bool) { return s.lastConv, s.hasConv }
+
+// Raw returns a copy of the fixed point (sums to ~1).
+func (s *Solver) Raw() []float64 { return append([]float64(nil), s.scores...) }
+
+// RawView returns the fixed point without the copy. Read-only; valid until
+// the next Solve or restore.
+func (s *Solver) RawView() []float64 { return s.scores }
+
+// Score implements Mechanism: the peer's share normalized by the maximum,
+// so the best peer scores 1.
+func (s *Solver) Score(peer int) float64 {
+	if peer < 0 || peer >= len(s.scores) || s.normMax == 0 {
+		return 0
+	}
+	return s.scores[peer] / s.normMax
+}
+
+// Scores implements Mechanism.
+func (s *Solver) Scores() []float64 { return append([]float64(nil), s.norm...) }
+
+// ScoresView implements ScoresViewer: the max-normalized scores without the
+// copy. Read-only; valid until the next Solve or restore.
+func (s *Solver) ScoresView() []float64 { return s.norm }
+
+// SolverState is the serializable state of a Solver. The CSR is derived: it
+// is rematerialized from the feed on the first Solve after a restore, and
+// materialization is pure, so restore-then-run is bit-for-bit identical to
+// an uninterrupted run. The diagnostics travel so a restored run reports
+// what an uninterrupted one would.
+type SolverState struct {
+	Scores  []float64
+	Dirty   bool
+	Conv    Convergence
+	HasConv bool
+}
+
+// State captures the solver.
+func (s *Solver) State() SolverState {
+	return SolverState{
+		Scores:  append([]float64(nil), s.scores...),
+		Dirty:   s.dirty,
+		Conv:    s.lastConv,
+		HasConv: s.hasConv,
+	}
+}
+
+// SetState restores a captured solver of the same dimension and forces a
+// full CSR rebuild on the next Solve.
+func (s *Solver) SetState(st SolverState) error {
+	if len(st.Scores) != len(s.scores) {
+		return fmt.Errorf("state for %d peers, want %d", len(st.Scores), len(s.scores))
+	}
+	copy(s.scores, st.Scores)
+	s.refreshNorm()
+	s.dirty = st.Dirty
+	s.materialized = false
+	s.lastConv = st.Conv
+	s.hasConv = st.HasConv
+	return nil
+}

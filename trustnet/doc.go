@@ -58,9 +58,8 @@
 // Reputation mechanisms are pluggable through the Mechanism interface; the
 // cited implementations ship as factories (EigenTrust, TrustMe, PowerTrust,
 // AnonRep, NoReputation). The supporting substrates — privacy service and
-// ledger, discrete-event simulator, gossip overlay, graph generators,
-// rendering tables — are re-exported so programs never import
-// repro/internal directly.
+// ledger, discrete-event simulator, graph generators, rendering tables —
+// are re-exported so programs never import repro/internal directly.
 //
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package trustnet
