@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/reputation/eigentrust"
 	"repro/internal/reputation/powertrust"
 	"repro/internal/reputation/trustme"
+	"repro/internal/satisfaction"
 	"repro/internal/sim"
 	"repro/internal/social"
 	"repro/internal/workload"
@@ -385,6 +387,117 @@ func BenchmarkLedgerRecord(b *testing.B) {
 		b.StartTimer()
 		for k := range buf[:m] {
 			l.Record(buf[k])
+		}
+	}
+}
+
+// feedbackPeers gives each of n peers ten distinct random partners — the
+// friends a feedback-shaped stream draws its ratees and candidates from.
+func feedbackPeers(rng *sim.RNG, n int) [][]int {
+	partners := make([][]int, n)
+	for i := range partners {
+		for len(partners[i]) < 10 {
+			if j := rng.Intn(n); j != i && !slices.Contains(partners[i], j) {
+				partners[i] = append(partners[i], j)
+			}
+		}
+	}
+	return partners
+}
+
+// BenchmarkLocalTrustAddBatch folds a feedback-shaped report stream — each
+// report from one of 20k raters about one of its ten partners — into an
+// EigenTrust local-trust matrix pre-filled with ten reports per rater, in
+// round-sized batches. Batches are built with the timer stopped, so ns/op
+// and allocs/op are the matrix's own, per report.
+func BenchmarkLocalTrustAddBatch(b *testing.B) {
+	const raters, batch = 20000, 2500
+	rng := sim.NewRNG(1)
+	partners := feedbackPeers(rng, raters)
+	next := func() reputation.Report {
+		i := rng.Intn(raters)
+		return reputation.Report{Rater: i, Ratee: partners[i][rng.Intn(10)], Value: rng.Float64()}
+	}
+	lt := reputation.NewLocalTrust(raters)
+	buf := make([]reputation.Report, batch)
+	fill := func(m int) {
+		for k := range buf[:m] {
+			buf[k] = next()
+		}
+	}
+	for k := 0; k < 10*raters/batch; k++ {
+		fill(batch)
+		if err := lt.AddBatch(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		m := min(batch, b.N-done)
+		fill(m)
+		b.StartTimer()
+		if err := lt.AddBatch(buf[:m]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConsumerObserve runs the consumer side of an interaction — the
+// allocation satisfaction over five candidates, then the private preference
+// update — for one of 20k sparse consumers, each drawing its candidates
+// from ten partners, after ten warm-up interactions per consumer.
+// Interactions are drawn in batches with the timer stopped.
+func BenchmarkConsumerObserve(b *testing.B) {
+	const users, batch = 20000, 4096
+	rng := sim.NewRNG(1)
+	partners := feedbackPeers(rng, users)
+	consumers := make([]*satisfaction.Consumer, users)
+	for i := range consumers {
+		c, err := satisfaction.NewUniformConsumer(users, 0.5, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		consumers[i] = c
+	}
+	type interaction struct {
+		consumer, provider int
+		candidates         []int
+		quality            float64
+	}
+	next := func(it *interaction) {
+		it.consumer = rng.Intn(users)
+		for k, j := range rng.Sample(10, 5) {
+			it.candidates[k] = partners[it.consumer][j]
+		}
+		it.provider = it.candidates[rng.Intn(5)]
+		it.quality = rng.Float64()
+	}
+	buf := make([]interaction, batch)
+	for k := range buf {
+		buf[k].candidates = make([]int, 5)
+	}
+	observe := func(it *interaction) {
+		c := consumers[it.consumer]
+		c.ObserveQuality(it.provider, it.candidates, it.quality)
+		c.UpdatePreference(it.provider, it.quality)
+	}
+	for k := 0; k < 10*users; k++ {
+		next(&buf[0])
+		observe(&buf[0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		m := min(batch, b.N-done)
+		for k := range buf[:m] {
+			next(&buf[k])
+		}
+		b.StartTimer()
+		for k := range buf[:m] {
+			observe(&buf[k])
 		}
 	}
 }

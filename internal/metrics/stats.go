@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -173,16 +174,24 @@ func KendallTau(a, b []float64) float64 {
 	if n != len(b) || n < 2 {
 		return 0
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	// Sort the (a, b) pairs by a, then b. Equal pairs are interchangeable,
+	// so the order is a function of the values alone.
+	ps := make([]pair, n)
+	for i := range ps {
+		ps[i] = pair{a[i], b[i]}
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		i, j := idx[x], idx[y]
-		if a[i] != a[j] {
-			return a[i] < a[j]
+	slices.SortFunc(ps, func(x, y pair) int {
+		switch {
+		case x.a < y.a:
+			return -1
+		case x.a > y.a:
+			return 1
+		case x.b < y.b:
+			return -1
+		case x.b > y.b:
+			return 1
 		}
-		return b[i] < b[j]
+		return 0
 	})
 	// Tied-pair counts: n1 over groups tied in a, n2 over groups tied in b,
 	// n3 over groups tied in both.
@@ -190,13 +199,13 @@ func KendallTau(a, b []float64) float64 {
 	var n1, n3 float64
 	for lo := 0; lo < n; {
 		hi := lo + 1
-		for hi < n && a[idx[hi]] == a[idx[lo]] {
+		for hi < n && ps[hi].a == ps[lo].a {
 			hi++
 		}
 		n1 += pairs(float64(hi - lo))
 		for jlo := lo; jlo < hi; {
 			jhi := jlo + 1
-			for jhi < n && a[idx[jhi]] == a[idx[jlo]] && b[idx[jhi]] == b[idx[jlo]] {
+			for jhi < hi && ps[jhi].b == ps[jlo].b {
 				jhi++
 			}
 			n3 += pairs(float64(jhi - jlo))
@@ -205,11 +214,11 @@ func KendallTau(a, b []float64) float64 {
 		lo = hi
 	}
 	bs := make([]float64, n)
-	for i, id := range idx {
-		bs[i] = b[id]
+	for i, p := range ps {
+		bs[i] = p.b
 	}
+	// countInversions leaves bs sorted, ready for the ties-in-b count.
 	discordant := float64(countInversions(bs, make([]float64, n)))
-	sort.Float64s(bs)
 	var n2 float64
 	for lo := 0; lo < n; {
 		hi := lo + 1
@@ -227,6 +236,9 @@ func KendallTau(a, b []float64) float64 {
 	// concordant - discordant = n0 - n1 - n2 + n3 - 2*discordant.
 	return (n0 - n1 - n2 + n3 - 2*discordant) / denom
 }
+
+// pair is one (a, b) observation of KendallTau's inputs.
+type pair struct{ a, b float64 }
 
 // countInversions merge-sorts xs in place and returns the number of strict
 // inversions (i < j with xs[i] > xs[j]); tmp is scratch of equal length.
@@ -273,7 +285,15 @@ func AUC(pos, neg []float64) float64 {
 	for _, v := range neg {
 		all = append(all, obs{v, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	slices.SortFunc(all, func(x, y obs) int {
+		switch {
+		case x.v < y.v:
+			return -1
+		case x.v > y.v:
+			return 1
+		}
+		return 0
+	})
 	// Sum average ranks (1-based) of the positives, ties sharing a rank.
 	rankSum := 0.0
 	for lo := 0; lo < len(all); {

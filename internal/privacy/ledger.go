@@ -32,9 +32,13 @@ type Disclosure struct {
 // list — and are therefore safe to fan out read-only over measurement shards.
 type Ledger struct {
 	events []Disclosure
-	// owners holds one aggregate per owner seen; slot maps an owner id (any
-	// int) to its aggregate's index, so no storage is sized by an owner id.
+	// owners holds one aggregate per owner seen. dense maps a compact
+	// non-negative owner id to its aggregate's index plus one (0: none);
+	// it never grows past denseLimit(len(owners)), so its size stays
+	// O(owners seen). slot maps every other owner id — negative, or beyond
+	// the dense range when first seen — so a hostile id sizes nothing.
 	owners []ownerAgg    //trustlint:derived index rebuilt by replaying Events through Record on SetState
+	dense  []int32       //trustlint:derived index rebuilt by replaying Events through Record on SetState
 	slot   map[int]int32 //trustlint:derived index rebuilt by replaying Events through Record on SetState
 
 	// Facet cache: each aggregate keeps its owner's PrivacyFacet at
@@ -77,9 +81,23 @@ func NewLedger() *Ledger {
 	return &Ledger{slot: make(map[int]int32)}
 }
 
+// denseLimit bounds the dense index's length once `owners` aggregates
+// exist: a constant floor plus a fixed multiple of the owners seen.
+func denseLimit(owners int) int { return 4096 + 16*owners }
+
+// lookup returns owner's slot and whether the owner has an aggregate.
+func (l *Ledger) lookup(owner int) (int32, bool) {
+	if owner >= 0 && owner < len(l.dense) {
+		i := l.dense[owner]
+		return i - 1, i != 0
+	}
+	i, ok := l.slot[owner]
+	return i, ok
+}
+
 // find returns owner's aggregate, or nil when the owner has none.
 func (l *Ledger) find(owner int) *ownerAgg {
-	if i, ok := l.slot[owner]; ok {
+	if i, ok := l.lookup(owner); ok {
 		return &l.owners[i]
 	}
 	return nil
@@ -87,13 +105,41 @@ func (l *Ledger) find(owner int) *ownerAgg {
 
 // aggregate returns owner's slot, creating an empty aggregate if needed.
 func (l *Ledger) aggregate(owner int) int32 {
-	i, ok := l.slot[owner]
-	if !ok {
-		i = int32(len(l.owners))
-		l.owners = append(l.owners, ownerAgg{id: owner})
+	if i, ok := l.lookup(owner); ok {
+		return i
+	}
+	i := int32(len(l.owners))
+	l.owners = append(l.owners, ownerAgg{id: owner})
+	if limit := denseLimit(len(l.owners)); owner >= len(l.dense) && 2*len(l.dense) <= limit {
+		l.growDense(min(max(2*len(l.dense), owner+1), limit))
+	}
+	if owner >= 0 && owner < len(l.dense) {
+		l.dense[owner] = i + 1
+	} else {
 		l.slot[owner] = i
 	}
 	return i
+}
+
+// growDense extends the dense index to size and moves the map entries the
+// new range covers into it, so an id is always in exactly one of the two
+// indexes. Every growth at least doubles the index (aggregate grows only
+// while doubling stays within denseLimit), so there are O(log owners)
+// growths and the moves cost O(owners) each.
+func (l *Ledger) growDense(size int) {
+	old := len(l.dense)
+	l.dense = append(l.dense, make([]int32, size-old)...)
+	if len(l.slot) == 0 {
+		return
+	}
+	for i := range l.owners {
+		if id := l.owners[i].id; id >= old && id < size {
+			if _, ok := l.slot[id]; ok {
+				l.dense[id] = int32(i) + 1
+				delete(l.slot, id)
+			}
+		}
+	}
 }
 
 // markDirty records that slot i's facet must be recomputed.

@@ -8,25 +8,23 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/social"
 )
 
 // refLedger is the nested-map ledger the flat per-owner aggregates
 // replaced, kept as the differential oracle: owner→item→recipient-set maps,
-// with Exposure sorting the item keys afresh on every call and an
-// owner-id-indexed facet cache.
+// with Exposure sorting the item keys afresh on every call, and an
+// owner-keyed facet cache and dirty set.
 type refLedger struct {
 	events      []Disclosure
 	byOwner     map[int]map[string]map[int]bool
 	sensByOwner map[int]map[string]float64
 	consent     map[int]consentTally
-	facetVal    []float64
-	facetOK     []bool
+	facetVal    map[int]float64
 	facetScale  float64
 	facetInit   bool
-	facetDirty  metrics.DirtySet
+	facetDirty  map[int]bool
 }
 
 type consentTally struct{ total, ok int64 }
@@ -64,7 +62,13 @@ func (l *refLedger) Record(d Disclosure) {
 		t.ok++
 	}
 	l.consent[d.Owner] = t
-	l.facetDirty.Mark(d.Owner)
+	l.markDirty(d.Owner)
+}
+
+func (l *refLedger) markDirty(owner int) {
+	if owner >= 0 {
+		l.facetDirty[owner] = true
+	}
 }
 
 func (l *refLedger) Exposure(owner int) float64 {
@@ -102,55 +106,49 @@ func (l *refLedger) RespectRate(owner int) float64 {
 }
 
 func (l *refLedger) PrivacyFacet(owner int, scale float64) float64 {
-	if l.facetInit && scale == l.facetScale &&
-		owner >= 0 && owner < len(l.facetOK) &&
-		l.facetOK[owner] && !l.facetDirty.Dirty(owner) {
-		return l.facetVal[owner]
+	if v, ok := l.facetVal[owner]; ok && l.facetInit && scale == l.facetScale && !l.facetDirty[owner] {
+		return v
 	}
 	return l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
 }
 
-func (l *refLedger) DirtyOwners() []int { return l.facetDirty.Sorted() }
+func (l *refLedger) DirtyOwners() []int {
+	out := []int{}
+	for owner := range l.facetDirty {
+		out = append(out, owner)
+	}
+	slices.Sort(out)
+	return out
+}
 
 func (l *refLedger) RefreshFacets(scale float64) {
 	if !l.facetInit || scale != l.facetScale {
-		for i := range l.facetOK {
-			l.facetOK[i] = false
-		}
+		clear(l.facetVal)
 		l.facetScale = scale
 		l.facetInit = true
 		for owner := range l.consent {
 			l.cacheFacet(owner, scale)
 		}
 	} else {
-		for _, owner := range l.facetDirty.Sorted() {
+		for owner := range l.facetDirty {
 			l.cacheFacet(owner, scale)
 		}
 	}
-	l.facetDirty.Reset()
+	clear(l.facetDirty)
 }
 
 func (l *refLedger) cacheFacet(owner int, scale float64) {
-	if owner < 0 {
-		return
+	if owner >= 0 {
+		l.facetVal[owner] = l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
 	}
-	if owner >= len(l.facetOK) {
-		grownVal := make([]float64, owner+1)
-		copy(grownVal, l.facetVal)
-		l.facetVal = grownVal
-		grownOK := make([]bool, owner+1)
-		copy(grownOK, l.facetOK)
-		l.facetOK = grownOK
-	}
-	l.facetVal[owner] = l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
-	l.facetOK[owner] = true
 }
 
 func (l *refLedger) State() LedgerState {
-	return LedgerState{
-		Events:     append([]Disclosure(nil), l.events...),
-		FacetDirty: append([]int(nil), l.facetDirty.Sorted()...),
+	st := LedgerState{Events: append([]Disclosure(nil), l.events...)}
+	if owners := l.DirtyOwners(); len(owners) > 0 {
+		st.FacetDirty = owners
 	}
+	return st
 }
 
 func (l *refLedger) SetState(st LedgerState) {
@@ -158,25 +156,24 @@ func (l *refLedger) SetState(st LedgerState) {
 	l.byOwner = make(map[int]map[string]map[int]bool)
 	l.sensByOwner = make(map[int]map[string]float64)
 	l.consent = make(map[int]consentTally)
-	l.facetVal = nil
-	l.facetOK = nil
+	l.facetVal = make(map[int]float64)
 	l.facetInit = false
-	l.facetDirty.Reset()
+	l.facetDirty = make(map[int]bool)
 	for _, e := range st.Events {
 		l.Record(e)
 	}
-	l.facetDirty.Reset()
+	clear(l.facetDirty)
 	for _, owner := range st.FacetDirty {
-		l.facetDirty.Mark(owner)
+		l.markDirty(owner)
 	}
 }
 
 // compareLedgers checks every owner query bitwise against the oracle, for
-// owners in [lo, hi) and at each scale.
-func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, lo, hi int, scales []float64) {
+// the given owners and at each scale.
+func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, owners []int, scales []float64) {
 	t.Helper()
 	bits := math.Float64bits
-	for o := lo; o < hi; o++ {
+	for _, o := range owners {
 		if got, want := l.Exposure(o), ref.Exposure(o); bits(got) != bits(want) {
 			t.Fatalf("%s: Exposure(%d) = %v, want %v", where, o, got, want)
 		}
@@ -201,22 +198,43 @@ func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, lo, h
 // flat ledger and the map oracle: repeated items and duplicate recipients,
 // Public (weight 0) disclosures and sensitivity upgrades, recipient -1 and
 // negative owners, facet refreshes at changing scales, and SetState both
-// round-tripped and rewound mid-sequence. Every query is compared bitwise
-// after every step.
+// round-tripped and rewound mid-sequence. Owners beyond the dense index's
+// bound when first seen (4500, 6000) and far outliers (1<<40) exercise the
+// map fallback; a stream of fresh owners grows the dense index, which may
+// come to cover 4500 and 6000 and move them out of the map. Every query is
+// compared bitwise after every step.
 func TestLedgerMatchesMapOracle(t *testing.T) {
-	const lo, hi = -3, 14 // owner range probed, including owners never seen
+	const lo, hi = -3, 14 // small owner range probed, including owners never seen
+	outliers := []int{4500, 6000, 1 << 40}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
 		l, ref := NewLedger(), newRefLedger()
 		scales := []float64{0.5, 1, 2.5, 4}
 		scale := scales[0]
 		var saved LedgerState
-		for step := 0; step < 800; step++ {
+		fresh := 0 // fresh owners recorded so far: ids 16, 32, 48, ...
+		probe := func() []int {
+			owners := append([]int(nil), outliers...)
+			owners = append(owners, 1<<40+1, 16*fresh, 16*fresh+16) // last fresh owner and the next one
+			for o := lo; o < hi; o++ {
+				owners = append(owners, o)
+			}
+			return owners
+		}
+		for step := 0; step < 1200; step++ {
 			where := fmt.Sprintf("seed %d step %d", seed, step)
 			switch op := rng.Intn(40); {
 			case op < 33:
+				owner := rng.Intn(hi-lo-2) + lo + 1 // leaves lo and hi-1 unseen
+				switch k := rng.Intn(10); {
+				case k < 6:
+					fresh++
+					owner = 16 * fresh
+				case k < 7:
+					owner = outliers[rng.Intn(len(outliers))]
+				}
 				d := Disclosure{
-					Owner:       rng.Intn(hi-lo-2) + lo + 1, // leaves lo and hi-1 unseen
+					Owner:       owner,
 					Item:        fmt.Sprintf("item/%d", rng.Intn(12)),
 					Sensitivity: social.Sensitivity(rng.Intn(5)), // 0 is out of the enum
 					Recipient:   rng.Intn(8) - 1,
@@ -245,7 +263,10 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				l.SetState(saved)
 				ref.SetState(saved)
 			}
-			compareLedgers(t, where, l, ref, lo, hi, []float64{scale, 3})
+			compareLedgers(t, where, l, ref, probe(), []float64{scale, 3})
+		}
+		if _, ok := l.slot[1<<40]; !ok {
+			t.Fatalf("seed %d: owner 1<<40 is not in the map fallback", seed)
 		}
 	}
 }
@@ -269,4 +290,45 @@ func TestLedgerQueriesAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { l.Record(seen) }); a != 0 {
 		t.Fatalf("re-recording a seen disclosure allocates %v per call", a)
 	}
+}
+
+// TestLedgerDenseIndexBounds pins the owner index's two regimes: an owner
+// first seen beyond the dense bound lives in the map until enough owners
+// arrive for the dense index to cover it, and then moves into it; far
+// outliers never size the dense index past denseLimit(owners seen).
+func TestLedgerDenseIndexBounds(t *testing.T) {
+	l, ref := NewLedger(), newRefLedger()
+	record := func(owner int) {
+		d := Disclosure{Owner: owner, Item: fmt.Sprintf("item/%d", owner%5), Sensitivity: social.High, Recipient: owner % 3, Consented: owner%4 != 0}
+		l.Record(d)
+		ref.Record(d)
+	}
+	record(6000)
+	if _, ok := l.slot[6000]; !ok || len(l.dense) > 6000 {
+		t.Fatalf("owner 6000 first seen with one owner: in map %v, dense len %d", ok, len(l.dense))
+	}
+	for owner := 0; len(l.dense) <= 6000; owner += 7 {
+		record(owner)
+		if len(l.dense) > denseLimit(len(l.owners)) {
+			t.Fatalf("dense index len %d exceeds denseLimit(%d owners)", len(l.dense), len(l.owners))
+		}
+	}
+	if _, ok := l.slot[6000]; ok || l.dense[6000] == 0 {
+		t.Fatal("owner 6000 was not moved into the dense index")
+	}
+	for k := 0; k < 2000; k++ {
+		record(1<<40 + 977*k)
+		record(-1 - k)
+		if len(l.dense) > denseLimit(len(l.owners)) {
+			t.Fatalf("dense index len %d exceeds denseLimit(%d owners)", len(l.dense), len(l.owners))
+		}
+	}
+	owners := []int{6000, 6001, -1, -2000, -2001, 1 << 40, 1<<40 + 977, 1<<40 + 1}
+	for o := 0; o < 100; o++ {
+		owners = append(owners, o)
+	}
+	compareLedgers(t, "dense bounds", l, ref, owners, []float64{2})
+	l.RefreshFacets(2)
+	ref.RefreshFacets(2)
+	compareLedgers(t, "dense bounds refreshed", l, ref, owners, []float64{2})
 }

@@ -29,6 +29,7 @@ func (l *Ledger) SetState(st LedgerState) {
 	// Dropping the aggregates drops the facet cache with them: a cold cache
 	// also forgets stale entries for owners the snapshot no longer contains.
 	l.owners = nil
+	l.dense = nil
 	l.slot = make(map[int]int32)
 	l.facetInit = false
 	l.dirty = nil

@@ -10,8 +10,9 @@ package reputation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -138,21 +139,38 @@ type CommunityAssessor interface {
 	TrustworthyFraction() float64
 }
 
-// cell is one (rater, ratee) aggregate of the local-trust matrix.
-type cell struct{ sat, unsat int32 }
+// cell is one (rater, ratee) aggregate of the local-trust matrix: the ratee
+// column and its satisfactory/unsatisfactory report counts.
+type cell struct {
+	col        int32
+	sat, unsat int32
+}
+
+// rowCap is the capacity a rater's row starts with: most raters rate a
+// handful of distinct ratees, so one allocation covers a typical row.
+const rowCap = 8
 
 // LocalTrust accumulates reports into EigenTrust-style local trust values:
 // s_ij = sat(i,j) − unsat(i,j), and normalized rows
 // c_ij = max(s_ij,0) / Σ_j max(s_ij,0).
 //
-// The matrix is stored sparsely — one map per rater, holding only pairs
-// that ever exchanged a report — and tracks which rows changed since the
-// mechanism last materialized them (the dirty set), so a recompute touches
-// O(changed rows), not Θ(n²).
+// The matrix is stored sparsely — one slice of cells per rater, sorted by
+// ratee and holding only pairs that ever exchanged a report — and tracks
+// which rows changed since the mechanism last materialized them (the dirty
+// set), so a recompute touches O(changed rows), not Θ(n²). Per-ratee
+// net/seen tallies keep the community assessment O(1).
 type LocalTrust struct {
 	n     int
-	rows  []map[int32]cell
-	dirty map[int32]struct{}
+	rows  [][]cell // nil: the rater has no row (never rated, or reset)
+	dirty metrics.DirtySet
+
+	// net[j] and seen[j] are Σ_i (sat−unsat) and Σ_i (sat+unsat) over the
+	// cells of column j; rated counts the ratees with seen != 0 and
+	// positive those among them with net > 0.
+	net      []int32 //trustlint:derived column tallies recomputed from the restored rows by SetState
+	seen     []int32 //trustlint:derived column tallies recomputed from the restored rows by SetState
+	rated    int     //trustlint:derived column tallies recomputed from the restored rows by SetState
+	positive int     //trustlint:derived column tallies recomputed from the restored rows by SetState
 }
 
 // NewLocalTrust returns an empty matrix for n peers.
@@ -161,30 +179,61 @@ func NewLocalTrust(n int) *LocalTrust {
 		n = 0
 	}
 	return &LocalTrust{
-		n:     n,
-		rows:  make([]map[int32]cell, n),
-		dirty: make(map[int32]struct{}),
+		n:    n,
+		rows: make([][]cell, n),
+		net:  make([]int32, n),
+		seen: make([]int32, n),
 	}
 }
 
 // N returns the matrix dimension.
 func (l *LocalTrust) N() int { return l.n }
 
-func (l *LocalTrust) markDirty(i int) { l.dirty[int32(i)] = struct{}{} }
+// find returns the position of column j in row (sorted by column): its
+// index when present, else the index it would be inserted at.
+func find(row []cell, j int32) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].col < j {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].col == j
+}
+
+// tally adds a cell's (sat, unsat) delta to column j's tallies, keeping the
+// rated/positive counts current.
+func (l *LocalTrust) tally(j int32, dSat, dUnsat int32) {
+	if l.seen[j] != 0 {
+		l.rated--
+		if l.net[j] > 0 {
+			l.positive--
+		}
+	}
+	l.net[j] += dSat - dUnsat
+	l.seen[j] += dSat + dUnsat
+	if l.seen[j] != 0 {
+		l.rated++
+		if l.net[j] > 0 {
+			l.positive++
+		}
+	}
+}
 
 // Add folds a report into the matrix. Ratings >= SatThreshold count as
 // satisfactory. Invalid reports (see Report.Validate) are rejected.
 func (l *LocalTrust) Add(r Report) error { return l.AddBatch([]Report{r}) }
 
-// AddBatch folds a batch of reports, amortizing the row lookup and
-// dirty-set insert across consecutive reports by the same rater (a round's
-// reports arrive grouped by interaction, so runs of equal raters are
-// common). The result is exactly that of calling Add for each report in
-// order; the first invalid report aborts the batch with the reports before
-// it already folded.
+// AddBatch folds a batch of reports, amortizing the dirty-set insert across
+// consecutive reports by the same rater (a round's reports arrive grouped by
+// interaction, so runs of equal raters are common). The result is exactly
+// that of calling Add for each report in order; the first invalid report
+// aborts the batch with the reports before it already folded.
 func (l *LocalTrust) AddBatch(rs []Report) error {
 	lastRater := -1
-	var row map[int32]cell
 	for i := range rs {
 		r := &rs[i]
 		if err := r.Validate(l.n); err != nil {
@@ -192,19 +241,25 @@ func (l *LocalTrust) AddBatch(rs []Report) error {
 		}
 		if r.Rater != lastRater {
 			if l.rows[r.Rater] == nil {
-				l.rows[r.Rater] = make(map[int32]cell)
+				l.rows[r.Rater] = make([]cell, 0, rowCap)
 			}
-			row = l.rows[r.Rater]
-			l.markDirty(r.Rater)
+			l.dirty.Mark(r.Rater)
 			lastRater = r.Rater
 		}
-		c := row[int32(r.Ratee)]
-		if r.Value >= SatThreshold {
-			c.sat++
-		} else {
-			c.unsat++
+		j := int32(r.Ratee)
+		row := l.rows[r.Rater]
+		k, found := find(row, j)
+		if !found {
+			row = slices.Insert(row, k, cell{col: j})
+			l.rows[r.Rater] = row
 		}
-		row[int32(r.Ratee)] = c
+		if r.Value >= SatThreshold {
+			row[k].sat++
+			l.tally(j, 1, 0)
+		} else {
+			row[k].unsat++
+			l.tally(j, 0, 1)
+		}
 	}
 	return nil
 }
@@ -214,12 +269,12 @@ func (l *LocalTrust) S(i, j int) float64 {
 	if i < 0 || i >= l.n || j < 0 || j >= l.n {
 		return 0
 	}
-	c := l.rows[i][int32(j)]
-	v := c.sat - c.unsat
-	if v < 0 {
+	row := l.rows[i]
+	k, found := find(row, int32(j))
+	if !found || row[k].sat <= row[k].unsat {
 		return 0
 	}
-	return float64(v)
+	return float64(row[k].sat - row[k].unsat)
 }
 
 // AppendRow appends row i's positive local-trust entries — column indices
@@ -229,18 +284,11 @@ func (l *LocalTrust) AppendRow(i int, cols []int32, vals []float64) ([]int32, []
 	if i < 0 || i >= l.n {
 		return cols, vals
 	}
-	start := len(cols)
-	//trustlint:ordered the appended keys are sorted just below through the row alias of cols[start:]
-	for j, c := range l.rows[i] {
+	for _, c := range l.rows[i] {
 		if c.sat > c.unsat {
-			cols = append(cols, j)
+			cols = append(cols, c.col)
+			vals = append(vals, float64(c.sat-c.unsat))
 		}
-	}
-	row := cols[start:]
-	sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-	for _, j := range row {
-		c := l.rows[i][j]
-		vals = append(vals, float64(c.sat-c.unsat))
 	}
 	return cols, vals
 }
@@ -270,30 +318,13 @@ func (l *LocalTrust) NormalizedRow(i int, pretrust []float64) []float64 {
 // NetPositiveFraction returns, over peers that received at least one
 // rating, the fraction whose incoming net trust Σ_i (sat_i − unsat_i) is
 // positive — the matrix's conclusion about community trustworthiness.
-// It returns 1 when no peer has incoming ratings. Cost: O(nnz).
+// It returns 1 when no peer has incoming ratings. Cost: O(1), from the
+// column tallies every mutation keeps current.
 func (l *LocalTrust) NetPositiveFraction() float64 {
-	net := make([]int32, l.n)
-	seen := make([]int32, l.n)
-	for _, row := range l.rows {
-		for j, c := range row {
-			net[j] += c.sat - c.unsat
-			seen[j] += c.sat + c.unsat
-		}
-	}
-	rated, positive := 0, 0
-	for p := 0; p < l.n; p++ {
-		if seen[p] == 0 {
-			continue
-		}
-		rated++
-		if net[p] > 0 {
-			positive++
-		}
-	}
-	if rated == 0 {
+	if l.rated == 0 {
 		return 1
 	}
-	return float64(positive) / float64(rated)
+	return float64(l.positive) / float64(l.rated)
 }
 
 // ResetPeer erases all local trust involving a peer — the matrix state a
@@ -304,13 +335,17 @@ func (l *LocalTrust) ResetPeer(i int) {
 		return
 	}
 	if l.rows[i] != nil {
+		for _, c := range l.rows[i] {
+			l.tally(c.col, -c.sat, -c.unsat)
+		}
 		l.rows[i] = nil
-		l.markDirty(i)
+		l.dirty.Mark(i)
 	}
 	for k, row := range l.rows {
-		if _, ok := row[int32(i)]; ok {
-			delete(row, int32(i))
-			l.markDirty(k)
+		if p, found := find(row, int32(i)); found {
+			l.tally(int32(i), -row[p].sat, -row[p].unsat)
+			l.rows[k] = slices.Delete(row, p, p+1)
+			l.dirty.Mark(k)
 		}
 	}
 }
@@ -329,22 +364,16 @@ func (l *LocalTrust) HasOutgoing(i int) bool {
 }
 
 // DirtyRows returns, in ascending order, the rows changed since the last
-// ClearDirty — the rows whose CSR materialization is stale.
-func (l *LocalTrust) DirtyRows() []int {
-	out := make([]int, 0, len(l.dirty))
-	for i := range l.dirty {
-		out = append(out, int(i))
-	}
-	sort.Ints(out)
-	return out
-}
+// ClearDirty — the rows whose CSR materialization is stale. The slice is
+// owned by the matrix and valid until its next mutation or ClearDirty.
+func (l *LocalTrust) DirtyRows() []int { return l.dirty.Sorted() }
 
 // HasDirty reports whether any row changed since the last ClearDirty.
-func (l *LocalTrust) HasDirty() bool { return len(l.dirty) > 0 }
+func (l *LocalTrust) HasDirty() bool { return l.dirty.Len() > 0 }
 
 // ClearDirty empties the dirty set (called after the mechanism has
 // rematerialized the rows it reported).
-func (l *LocalTrust) ClearDirty() { clear(l.dirty) }
+func (l *LocalTrust) ClearDirty() { l.dirty.Reset() }
 
 // UniformPretrust returns the uniform distribution over n peers.
 func UniformPretrust(n int) []float64 {
@@ -391,7 +420,7 @@ func PretrustOver(n int, trusted []int) ([]float64, error) {
 type Gatherer struct {
 	rng        *sim.RNG
 	disclosure []float64
-	sharedBy   map[int]int64
+	sharedBy   []int64 // per rater, aligned with disclosure
 	// Gathered and Withheld count reports passed vs suppressed.
 	Gathered, Withheld int64
 }
@@ -409,11 +438,17 @@ func NewGatherer(rng *sim.RNG, disclosure []float64) *Gatherer {
 		}
 		d[i] = v
 	}
-	return &Gatherer{rng: rng, disclosure: d, sharedBy: make(map[int]int64)}
+	return &Gatherer{rng: rng, disclosure: d, sharedBy: make([]int64, len(d))}
 }
 
-// SharedBy returns how many reports the given rater has disclosed.
-func (g *Gatherer) SharedBy(rater int) int64 { return g.sharedBy[rater] }
+// SharedBy returns how many reports the given rater has disclosed (0 for a
+// rater outside the disclosure vector).
+func (g *Gatherer) SharedBy(rater int) int64 {
+	if rater < 0 || rater >= len(g.sharedBy) {
+		return 0
+	}
+	return g.sharedBy[rater]
+}
 
 // SetDisclosure updates one rater's disclosure probability in place (clamped
 // to [0,1]), preserving the gatherer's random stream and gathering counters.
@@ -451,10 +486,13 @@ func (g *Gatherer) Admit(rater int) bool {
 }
 
 // Commit records one admitted report as successfully delivered to the
-// mechanism (the second half of the Admit/Commit pair).
+// mechanism (the second half of the Admit/Commit pair). A rater outside the
+// disclosure vector counts towards Gathered only.
 func (g *Gatherer) Commit(rater int) {
 	g.Gathered++
-	g.sharedBy[rater]++
+	if rater >= 0 && rater < len(g.sharedBy) {
+		g.sharedBy[rater]++
+	}
 }
 
 // Offer submits the report to the mechanism iff the rater's disclosure

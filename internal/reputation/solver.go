@@ -15,7 +15,8 @@ type RowFeed interface {
 	// to cols and vals and returns them. A row with no positive entry is
 	// dangling.
 	AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64)
-	// DirtyRows returns, ascending, the rows changed since ClearDirty.
+	// DirtyRows returns, ascending, the rows changed since ClearDirty. The
+	// slice may be the feed's own, valid until its next mutation.
 	DirtyRows() []int
 	// HasDirty reports whether any row changed since ClearDirty.
 	HasDirty() bool

@@ -14,6 +14,7 @@ package satisfaction
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 )
@@ -34,23 +35,34 @@ func clamp01(v float64) float64 {
 
 // Consumer tracks one data consumer's intentions and satisfaction.
 //
-// Preferences have two representations. The dense form (NewConsumer) stores
-// one float per provider. The sparse form (NewUniformConsumer) stores a
-// shared default plus per-provider overrides for the providers actually
-// experienced — at population scale almost every preference is still the
-// untouched default, so the sparse form keeps memory proportional to
-// interactions, not population². Both forms run the identical EMA
+// Preferences are a shared default plus per-provider overrides, kept sorted
+// by provider. A uniform consumer (NewUniformConsumer) starts with no
+// overrides and gains one per provider it experiences — at population scale
+// almost every preference is still the untouched default, so memory stays
+// proportional to interactions, not population². A dense consumer
+// (NewConsumer) overrides every provider from the start, and its state
+// carries the full preference vector. Both run the identical EMA
 // arithmetic, so they are bit-for-bit interchangeable.
 type Consumer struct {
-	prefs     []float64 // dense intention vector (nil in sparse form)
-	pop       int       // provider count in sparse form
-	def       float64   // sparse default preference
-	overrides map[int32]float64
+	overrides []override // ascending by provider; every provider when dense
+	pop       int        // provider count
+	def       float64    // preference of a provider without an override
 	sat       float64
 	memory    float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
-	started   bool
 	n         int64
+	started   bool
+	dense     bool // built by NewConsumer: State captures the full vector
 }
+
+// override is one provider's own preference, shadowing the default.
+type override struct {
+	provider int32
+	pref     float64
+}
+
+// overrideCap is the capacity a uniform consumer's overrides start with:
+// one allocation covers the handful of providers a typical consumer meets.
+const overrideCap = 8
 
 // NewConsumer creates a consumer with initial preferences over providers.
 // memory in (0,1] is the EMA weight (0 selects DefaultMemory).
@@ -64,9 +76,9 @@ func NewConsumer(prefs []float64, memory float64) (*Consumer, error) {
 	if memory < 0 || memory > 1 {
 		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
 	}
-	c := &Consumer{prefs: make([]float64, len(prefs)), memory: memory}
+	c := &Consumer{overrides: make([]override, len(prefs)), pop: len(prefs), memory: memory, dense: true}
 	for i, p := range prefs {
-		c.prefs[i] = clamp01(p)
+		c.overrides[i] = override{provider: int32(i), pref: clamp01(p)}
 	}
 	return c, nil
 }
@@ -88,27 +100,31 @@ func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
 	return &Consumer{pop: n, def: clamp01(pref), memory: memory}, nil
 }
 
-// providerCount returns the number of providers the consumer has an
-// intention over, in either representation.
-func (c *Consumer) providerCount() int {
-	if c.prefs != nil {
-		return len(c.prefs)
-	}
-	return c.pop
-}
-
 // Preference returns the consumer's current preference for a provider.
 func (c *Consumer) Preference(provider int) float64 {
-	if provider < 0 || provider >= c.providerCount() {
+	if provider < 0 || provider >= c.pop {
 		return 0
 	}
-	if c.prefs != nil {
-		return c.prefs[provider]
-	}
-	if v, ok := c.overrides[int32(provider)]; ok {
-		return v
+	if k, ok := c.findOverride(provider); ok {
+		return c.overrides[k].pref
 	}
 	return c.def
+}
+
+// findOverride returns the position of provider's override: its index when
+// present, else the index it would be inserted at.
+func (c *Consumer) findOverride(provider int) (int, bool) {
+	p, ovs := int32(provider), c.overrides
+	lo, hi := 0, len(ovs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ovs[m].provider < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(ovs) && ovs[lo].provider == p
 }
 
 // UpdatePreference folds a delivered quality into the consumer's private
@@ -116,21 +132,18 @@ func (c *Consumer) Preference(provider int) float64 {
 // is assumed to be used by a data consumer to decide which providers she
 // prefers").
 func (c *Consumer) UpdatePreference(provider int, quality float64) {
-	if provider < 0 || provider >= c.providerCount() {
+	if provider < 0 || provider >= c.pop {
 		return
 	}
-	if c.prefs != nil {
-		c.prefs[provider] = (1-c.memory)*c.prefs[provider] + c.memory*clamp01(quality)
-		return
+	k, ok := c.findOverride(provider)
+	if !ok {
+		if c.overrides == nil {
+			c.overrides = make([]override, 0, overrideCap)
+		}
+		c.overrides = slices.Insert(c.overrides, k, override{provider: int32(provider), pref: c.def})
 	}
-	cur := c.def
-	if v, ok := c.overrides[int32(provider)]; ok {
-		cur = v
-	}
-	if c.overrides == nil {
-		c.overrides = make(map[int32]float64)
-	}
-	c.overrides[int32(provider)] = (1-c.memory)*cur + c.memory*clamp01(quality)
+	o := &c.overrides[k]
+	o.pref = (1-c.memory)*o.pref + c.memory*clamp01(quality)
 }
 
 // Adequacy returns how well allocating `chosen` matched the consumer's
@@ -139,7 +152,7 @@ func (c *Consumer) UpdatePreference(provider int, quality float64) {
 // or not among the candidates, and 1 when the system picked a most-preferred
 // candidate.
 func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
-	if chosen < 0 || chosen >= c.providerCount() {
+	if chosen < 0 || chosen >= c.pop {
 		return 0
 	}
 	best := 0.0

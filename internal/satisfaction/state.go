@@ -1,6 +1,10 @@
 package satisfaction
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // ConsumerState is the serializable mutable state of a Consumer. The EMA
 // memory is configuration, not state: it is re-established when the owning
@@ -21,29 +25,45 @@ type ConsumerState struct {
 // State captures the consumer's mutable state.
 func (c *Consumer) State() ConsumerState {
 	st := ConsumerState{Sat: c.sat, Started: c.started, N: c.n}
-	if c.prefs != nil {
-		st.Prefs = append([]float64(nil), c.prefs...)
+	if c.dense {
+		st.Prefs = make([]float64, len(c.overrides))
+		for i, o := range c.overrides {
+			st.Prefs[i] = o.pref
+		}
 		return st
 	}
 	st.Pop = c.pop
 	st.Def = c.def
 	if len(c.overrides) > 0 {
 		st.Overrides = make(map[int32]float64, len(c.overrides))
-		for k, v := range c.overrides {
-			st.Overrides[k] = v
+		for _, o := range c.overrides {
+			st.Overrides[o.provider] = o.pref
 		}
 	}
 	return st
 }
 
+// validPref reports whether v is a preference a consumer can hold: a
+// number in [0, 1] (construction clamps into it and the EMA stays in it).
+func validPref(v float64) bool { return v >= 0 && v <= 1 }
+
 // SetState restores a previously captured state. The representation and the
-// provider count must match the consumer's own.
+// provider count must match the consumer's own, every preference must lie
+// in [0, 1] and every override name a provider in [0, Pop); a rejected
+// state leaves the consumer unchanged.
 func (c *Consumer) SetState(st ConsumerState) error {
-	if c.prefs != nil {
-		if len(st.Prefs) != len(c.prefs) {
-			return fmt.Errorf("satisfaction: consumer state has %d preferences, want %d", len(st.Prefs), len(c.prefs))
+	if c.dense {
+		if len(st.Prefs) != c.pop {
+			return fmt.Errorf("satisfaction: consumer state has %d preferences, want %d", len(st.Prefs), c.pop)
 		}
-		copy(c.prefs, st.Prefs)
+		for p, v := range st.Prefs {
+			if !validPref(v) {
+				return fmt.Errorf("satisfaction: consumer state preference %v for provider %d outside [0,1]", v, p)
+			}
+		}
+		for p, v := range st.Prefs {
+			c.overrides[p].pref = v
+		}
 	} else {
 		if st.Prefs != nil {
 			return fmt.Errorf("satisfaction: dense consumer state restored into sparse consumer")
@@ -51,14 +71,24 @@ func (c *Consumer) SetState(st ConsumerState) error {
 		if st.Pop != c.pop {
 			return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
 		}
-		c.def = st.Def
-		c.overrides = nil
-		if len(st.Overrides) > 0 {
-			c.overrides = make(map[int32]float64, len(st.Overrides))
-			for k, v := range st.Overrides {
-				c.overrides[k] = v
+		if !validPref(st.Def) {
+			return fmt.Errorf("satisfaction: consumer state default preference %v outside [0,1]", st.Def)
+		}
+		var overrides []override
+		for p, v := range st.Overrides {
+			overrides = append(overrides, override{provider: p, pref: v})
+		}
+		slices.SortFunc(overrides, func(a, b override) int { return cmp.Compare(a.provider, b.provider) })
+		for _, o := range overrides {
+			if o.provider < 0 || int(o.provider) >= c.pop {
+				return fmt.Errorf("satisfaction: consumer state override for provider %d outside [0,%d)", o.provider, c.pop)
+			}
+			if !validPref(o.pref) {
+				return fmt.Errorf("satisfaction: consumer state preference %v for provider %d outside [0,1]", o.pref, o.provider)
 			}
 		}
+		c.def = st.Def
+		c.overrides = overrides
 	}
 	c.sat = st.Sat
 	c.started = st.Started

@@ -127,6 +127,10 @@ func (e *Engine) Restore(st EngineState) error {
 	if st.TrustGate < 0 || st.TrustGate >= 1 {
 		return fmt.Errorf("workload: snapshot trust gate %v out of [0,1)", st.TrustGate)
 	}
+	gatherer, err := reputation.RestoreGatherer(st.Gatherer)
+	if err != nil {
+		return fmt.Errorf("workload: %w", err)
+	}
 	snap, ok := e.mech.(reputation.Snapshotter)
 	if !ok {
 		return fmt.Errorf("workload: mechanism %q does not support snapshots", e.mech.Name())
@@ -174,7 +178,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if e.activity != nil {
 		e.activity.Stream().SetState(*st.Activity)
 	}
-	e.gatherer = reputation.RestoreGatherer(st.Gatherer)
+	e.gatherer = gatherer
 	e.active = append([]bool(nil), st.Active...)
 	// The active-peer index is derived state: recount eagerly, rebuild the
 	// id list lazily on next use.
