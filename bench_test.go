@@ -83,17 +83,17 @@ func BenchmarkE2IteratedMap(b *testing.B) {
 // BenchmarkE5DisclosureSweep regenerates one point of E5 (Fig. 2 right):
 // evaluating a disclosure setting end to end.
 func BenchmarkE5DisclosureSweep(b *testing.B) {
-	cfg := core.ExploreConfig{
-		Base: workload.Config{
-			Seed: 1, NumPeers: 100, Mix: benchMix(0.3), RecomputeEvery: 2,
-		},
-		Mechanism: func(n int) (reputation.Mechanism, error) {
-			return eigentrust.New(eigentrust.Config{N: n, Pretrusted: []int{0, 1, 2}})
+	cfg := trustnet.ExploreConfig{
+		Scenario: trustnet.Scenario{
+			Peers: 100, Seed: 1,
+			Mix:            trustnet.MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
+			Mechanism:      trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+			RecomputeEvery: 2,
 		},
 		Rounds: 20,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateSetting(cfg, core.Setting{Disclosure: 0.5}); err != nil {
+		if _, err := trustnet.EvaluateSetting(cfg, trustnet.Setting{Disclosure: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}

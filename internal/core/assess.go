@@ -27,69 +27,83 @@ type Assessment struct {
 	Community float64
 }
 
+// reputationReading is one measurement of the shared reputation facet.
+type reputationReading struct {
+	tau        float64
+	separation float64 // AUC, or tau mapped to [0,1] when the AUC is undefined
+	community  float64
+	facet      float64 // power damped by the community conclusion
+}
+
+// facetMeter holds the reusable buffers of the one facet reader, so the
+// epoch boundary measures without allocating once the buffers have grown.
+type facetMeter struct {
+	gt, sc, good, bad []float64
+}
+
+// measure reads the shared reputation facet off the engine: the mean of
+// (a) rank consistency of the mechanism's scores with realized behaviour
+// (Kendall tau mapped to [0,1]) and (b) the probability that a
+// well-behaved peer outranks a misbehaved one (AUC; good = realized
+// quality >= 0.5), both over the providers that ever served, damped by the
+// mechanism's community conclusion (§3 claim 4). It only reads: the scores
+// are the mechanism's as of its last Compute.
+func (m *facetMeter) measure(e *workload.Engine) reputationReading {
+	scores := reputation.ScoresOf(e.Mechanism())
+	m.gt, m.sc = m.gt[:0], m.sc[:0]
+	m.good, m.bad = m.good[:0], m.bad[:0]
+	for _, p := range e.ServedProviders() {
+		q := e.ProviderQuality(p)
+		m.gt = append(m.gt, q)
+		m.sc = append(m.sc, scores[p])
+		if q >= 0.5 {
+			m.good = append(m.good, scores[p])
+		} else {
+			m.bad = append(m.bad, scores[p])
+		}
+	}
+	r := reputationReading{tau: metrics.KendallTau(m.sc, m.gt), community: 1}
+	tau01 := (r.tau + 1) / 2
+	r.separation = metrics.AUC(m.good, m.bad)
+	power := tau01
+	if math.IsNaN(r.separation) {
+		r.separation = tau01
+	} else {
+		power = (tau01 + r.separation) / 2
+	}
+	if ca, ok := e.Mechanism().(reputation.CommunityAssessor); ok {
+		r.community = ca.TrustworthyFraction()
+	}
+	r.facet = power * (0.5 + 0.5*r.community)
+	return r
+}
+
 // Assess extracts all three facets from a workload engine.
 //
 //   - Satisfaction: the user's long-run satisfaction, averaged over her
 //     consumer and provider roles (§2.1).
-//   - Reputation: the mechanism's power — the mean of (a) rank consistency
-//     with realized behaviour (Kendall tau mapped to [0,1]) and (b) the
-//     probability the mechanism ranks a well-behaved peer above a
-//     misbehaved one (AUC over served peers). Both are calibration-free:
-//     mechanisms report scores on incomparable scales (§4: "consistency
-//     with the reality").
+//   - Reputation: the mechanism's power, measured as the epoch boundary
+//     measures it (see facetMeter.measure). Both components are
+//     calibration-free: mechanisms report scores on incomparable scales
+//     (§4: "consistency with the reality").
 //   - Privacy: the ledger-backed privacy facet (policy respect × retained
 //     information), 1 when no ledger is attached.
+//
+// Assess is a pure read: it reads the scores as of the mechanism's last
+// Compute (every epoch ends with one) and never refreshes the ledger's
+// facet cache, so calling it does not change the run.
 func Assess(e *workload.Engine) Assessment {
-	sum := e.Summarize()
-
-	// Separation (AUC) over served peers: good = realized quality >= 0.5.
-	// Ground truth and the served set come from the engine's incremental
-	// accumulators; the AUC is the O(m log m) rank-sum form.
-	gt, served := e.GroundTruth()
-	n := len(gt)
-	// Read-only fast path: the facet loop only reads score values.
-	scores := reputation.ScoresOf(e.Mechanism())
-	var goodScores, badScores []float64
-	for p, ok := range served {
-		if !ok {
-			continue
-		}
-		if gt[p] >= 0.5 {
-			goodScores = append(goodScores, scores[p])
-		} else {
-			badScores = append(badScores, scores[p])
-		}
-	}
-	tau01 := (sum.Tau + 1) / 2
-	separation := metrics.AUC(goodScores, badScores)
-	power := tau01
-	if !math.IsNaN(separation) {
-		power = (tau01 + separation) / 2
-	} else {
-		separation = tau01
-	}
-
-	// §3 claim 4: an efficient mechanism that concludes the majority is
-	// untrustworthy lowers trust towards the system. The reputation facet
-	// is the mechanism's power damped by its community conclusion.
-	community := 1.0
-	if ca, ok := e.Mechanism().(reputation.CommunityAssessor); ok {
-		community = ca.TrustworthyFraction()
-	}
-	repFacet := power * (0.5 + 0.5*community)
-
-	cons := e.ConsumerSatisfactions()
-	prov := e.ProviderSatisfactions()
-	priv := e.PrivacyFacets()
-	per := make([]Facets, n)
-	for u := 0; u < n; u++ {
+	var m facetMeter
+	r := m.measure(e)
+	per := make([]Facets, e.Network().N())
+	for u := range per {
 		per[u] = Facets{
-			Satisfaction: (cons[u] + prov[u]) / 2,
-			Reputation:   repFacet,
-			Privacy:      priv[u],
+			Satisfaction: e.UserSatisfaction(u),
+			Reputation:   r.facet,
+			Privacy:      e.PrivacyFacetOf(u),
 		}
 	}
-	return Assessment{PerUser: per, Power: repFacet, Tau: sum.Tau, Separation: separation, Community: community}
+	return Assessment{PerUser: per, Power: r.facet, Tau: r.tau, Separation: r.separation, Community: r.community}
 }
 
 // GlobalFacets averages an assessment into a single Facets value. The means

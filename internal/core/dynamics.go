@@ -155,10 +155,7 @@ type Dynamics struct {
 	facetDirty     metrics.DirtySet //trustlint:derived per-epoch scratch, empty between epochs
 	candidates     []int            //trustlint:derived per-epoch scratch, dead between epochs
 	ledgerDirtyBuf []int            //trustlint:derived per-epoch scratch, dead between epochs
-	gtBuf          []float64        //trustlint:derived per-epoch scratch, dead between epochs
-	scBuf          []float64        //trustlint:derived per-epoch scratch, dead between epochs
-	goodBuf        []float64        //trustlint:derived per-epoch scratch, dead between epochs
-	badBuf         []float64        //trustlint:derived per-epoch scratch, dead between epochs
+	meter          facetMeter       //trustlint:derived per-epoch scratch, dead between epochs
 }
 
 // NewDynamics builds the coupled system around a mechanism sized for
@@ -353,36 +350,12 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	bad := after.BadService - before.BadService
 	interactions := after.Interactions - before.Interactions
 
-	// 3. Measure the shared reputation facet over the served set — the same
-	// computation Assess performs, folded over the engine's incremental
-	// accumulators into reusable buffers instead of n-sized slices.
+	// 3. End the measurement period with the mechanism barrier, then read
+	// the shared reputation facet through the one facet reader (the same
+	// read Assess performs) into reusable buffers.
 	d.eng.BarrierCompute()
-	scores := reputation.ScoresOf(d.eng.Mechanism())
-	served := d.eng.ServedProviders()
-	d.gtBuf, d.scBuf = d.gtBuf[:0], d.scBuf[:0]
-	d.goodBuf, d.badBuf = d.goodBuf[:0], d.badBuf[:0]
-	for _, p := range served {
-		q := d.eng.ProviderQuality(p)
-		d.gtBuf = append(d.gtBuf, q)
-		d.scBuf = append(d.scBuf, scores[p])
-		if q >= 0.5 {
-			d.goodBuf = append(d.goodBuf, scores[p])
-		} else {
-			d.badBuf = append(d.badBuf, scores[p])
-		}
-	}
-	tau := metrics.KendallTau(d.scBuf, d.gtBuf)
-	tau01 := (tau + 1) / 2
-	separation := metrics.AUC(d.goodBuf, d.badBuf)
-	power := tau01
-	if !math.IsNaN(separation) {
-		power = (tau01 + separation) / 2
-	}
-	community := 1.0
-	if ca, ok := d.eng.Mechanism().(reputation.CommunityAssessor); ok {
-		community = ca.TrustworthyFraction()
-	}
-	repFacet := power * (0.5 + 0.5*community)
+	rep := d.meter.measure(d.eng)
+	repFacet := rep.facet
 
 	// 4. Assemble the facet dirty set: users whose satisfaction EMA was
 	// touched, owners whose privacy ledger state changed, and — when the
@@ -532,8 +505,8 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 		Privacy:      d.privTree.Mean(),
 		Disclosure:   d.discTree.Mean(),
 		Honesty:      d.honTree.Mean(),
-		Tau:          tau,
-		Community:    community,
+		Tau:          rep.tau,
+		Community:    rep.community,
 		SettledUsers: d.tm.SettledCount(),
 		DirtyFacets:  dirtyFacets,
 	}

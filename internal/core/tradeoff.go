@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/reputation"
-	"repro/internal/workload"
-)
+import "fmt"
 
 // Setting is one point in the settable-configuration space of §4 / Fig. 2:
 // how much information participants share (the privacy/reputation
@@ -26,95 +21,6 @@ type Point struct {
 	Global Facets
 	// Trust is the generic metric Φ applied to the global facets.
 	Trust float64
-}
-
-// MechanismFactory builds a fresh mechanism for n peers; every evaluated
-// setting gets its own mechanism so settings do not contaminate each other.
-type MechanismFactory func(n int) (reputation.Mechanism, error)
-
-// ExploreConfig configures single-setting evaluation (EvaluateSetting).
-// The grid explorer and optimizer live in the trustnet facade, built on
-// the Experiment/Sweep orchestrator; this config is the minimal low-level
-// surface the facade's per-point evaluation semantics are defined against.
-type ExploreConfig struct {
-	// Base is the scenario template; its Disclosure and TrustGate fields
-	// are overridden per point.
-	Base workload.Config
-	// Mechanism builds the scoring engine per point (default EigenTrust is
-	// NOT assumed — the factory is required).
-	Mechanism MechanismFactory
-	// Rounds per evaluation (default 30; negative is an error, never a
-	// silent clamp).
-	Rounds int
-	// Weights combine facets into trust (default DefaultWeights).
-	Weights Weights
-	// ExposureScale normalizes ledger exposure (default 50).
-	ExposureScale float64
-}
-
-func (c ExploreConfig) withDefaults() (ExploreConfig, error) {
-	if c.Mechanism == nil {
-		return c, fmt.Errorf("core: explore requires a mechanism factory")
-	}
-	// Zero means "default"; explicit nonpositive values are configuration
-	// errors, never silently clamped.
-	if c.Rounds < 0 {
-		return c, fmt.Errorf("core: explore rounds must be positive, got %d", c.Rounds)
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 30
-	}
-	if c.Weights == (Weights{}) {
-		c.Weights = DefaultWeights()
-	}
-	if c.ExposureScale == 0 {
-		c.ExposureScale = 50
-	}
-	return c, nil
-}
-
-// EvaluateSetting measures the global facets and trust of one setting by
-// running a fresh scenario.
-func EvaluateSetting(cfg ExploreConfig, s Setting) (Point, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return Point{}, err
-	}
-	if s.Disclosure < 0 || s.Disclosure > 1 || s.TrustGate < 0 || s.TrustGate >= 1 {
-		return Point{}, fmt.Errorf("core: setting %+v out of range", s)
-	}
-	wcfg := cfg.Base
-	wcfg.Disclosure = s.Disclosure
-	wcfg.TrustGate = s.TrustGate
-	mech, err := cfg.Mechanism(wcfg.NumPeers)
-	if err != nil {
-		return Point{}, fmt.Errorf("core: mechanism factory: %w", err)
-	}
-	dyn, err := NewDynamics(DynamicsConfig{
-		Workload:      wcfg,
-		Weights:       cfg.Weights,
-		EpochRounds:   cfg.Rounds,
-		Coupled:       false, // explore measures the setting, not the feedback
-		ExposureScale: cfg.ExposureScale,
-	}, mech)
-	if err != nil {
-		return Point{}, err
-	}
-	// The Config zero value means "default 1"; the explorer needs a true
-	// zero-disclosure point, so set the base explicitly.
-	if err := dyn.SetBaseDisclosure(s.Disclosure); err != nil {
-		return Point{}, err
-	}
-	if _, err := dyn.Epoch(); err != nil {
-		return Point{}, err
-	}
-	assess := Assess(dyn.Engine())
-	g := assess.GlobalFacets()
-	trust, err := Combine(g, cfg.Weights)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{Setting: s, Global: g, Trust: trust}, nil
 }
 
 // Constraints are minimum facet levels an application context imposes (§4:

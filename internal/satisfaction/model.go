@@ -6,7 +6,7 @@ import "fmt"
 // model for callers that configure scenarios declaratively (the public
 // facade's WithSatisfactionModel option).
 type Model struct {
-	// Memory is the EMA weight of past satisfaction in [0,1)
+	// Memory is the EMA weight of the newest allocation in [0,1)
 	// (DefaultMemory when zero).
 	Memory float64 `json:"memory,omitempty"`
 }
@@ -19,7 +19,7 @@ func (m Model) Validate() (Model, error) {
 	if m.Memory == 0 {
 		m.Memory = DefaultMemory
 	}
-	if m.Memory < 0 || m.Memory >= 1 {
+	if !(m.Memory >= 0 && m.Memory < 1) {
 		return m, fmt.Errorf("satisfaction: memory %v out of [0,1)", m.Memory)
 	}
 	return m, nil

@@ -147,7 +147,7 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		dense bool
+		dense bool // a consumer built with a preference for every provider
 		st    ConsumerState
 	}{
 		{"override provider at pop", false, sparse(0.5, map[int32]float64{n: 0.4})},
@@ -157,15 +157,15 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 		{"NaN override", false, sparse(0.5, map[int32]float64{2: math.NaN()})},
 		{"infinite override", false, sparse(0.5, map[int32]float64{2: math.Inf(1)})},
 		{"negative override", false, sparse(0.5, map[int32]float64{2: -0.1})},
-		{"NaN dense preference", true, ConsumerState{Prefs: []float64{0.5, math.NaN(), 0.5, 0.5, 0.5}}},
-		{"dense preference above one", true, ConsumerState{Prefs: []float64{0.5, 0.5, 2, 0.5, 0.5}}},
+		{"NaN dense preference", true, sparse(0, map[int32]float64{0: 0.5, 1: math.NaN(), 2: 0.5, 3: 0.5, 4: 0.5})},
+		{"dense preference above one", true, sparse(0, map[int32]float64{0: 0.5, 1: 0.5, 2: 2, 3: 0.5, 4: 0.5})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Consumer
 			var err error
 			if tc.dense {
-				c, err = NewConsumer([]float64{0.5, 0.5, 0.5, 0.5, 0.5}, 0.1)
+				c, err = newPrefConsumer([]float64{0.5, 0.5, 0.5, 0.5, 0.5}, 0.1)
 			} else {
 				c, err = NewUniformConsumer(n, 0.5, 0.1)
 			}

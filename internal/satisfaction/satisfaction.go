@@ -36,22 +36,18 @@ func clamp01(v float64) float64 {
 // Consumer tracks one data consumer's intentions and satisfaction.
 //
 // Preferences are a shared default plus per-provider overrides, kept sorted
-// by provider. A uniform consumer (NewUniformConsumer) starts with no
-// overrides and gains one per provider it experiences — at population scale
-// almost every preference is still the untouched default, so memory stays
-// proportional to interactions, not population². A dense consumer
-// (NewConsumer) overrides every provider from the start, and its state
-// carries the full preference vector. Both run the identical EMA
-// arithmetic, so they are bit-for-bit interchangeable.
+// by provider. A consumer starts with no overrides and gains one per
+// provider it experiences — at population scale almost every preference is
+// still the untouched default, so memory stays proportional to
+// interactions, not population².
 type Consumer struct {
-	overrides []override // ascending by provider; every provider when dense
+	overrides []override // ascending by provider
 	pop       int        // provider count
 	def       float64    // preference of a provider without an override
 	sat       float64
 	memory    float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
 	n         int64
 	started   bool
-	dense     bool // built by NewConsumer: State captures the full vector
 }
 
 // override is one provider's own preference, shadowing the default.
@@ -64,25 +60,6 @@ type override struct {
 // one allocation covers the handful of providers a typical consumer meets.
 const overrideCap = 8
 
-// NewConsumer creates a consumer with initial preferences over providers.
-// memory in (0,1] is the EMA weight (0 selects DefaultMemory).
-func NewConsumer(prefs []float64, memory float64) (*Consumer, error) {
-	if len(prefs) == 0 {
-		return nil, fmt.Errorf("satisfaction: consumer needs at least one provider preference")
-	}
-	if memory == 0 {
-		memory = DefaultMemory
-	}
-	if memory < 0 || memory > 1 {
-		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
-	}
-	c := &Consumer{overrides: make([]override, len(prefs)), pop: len(prefs), memory: memory, dense: true}
-	for i, p := range prefs {
-		c.overrides[i] = override{provider: int32(i), pref: clamp01(p)}
-	}
-	return c, nil
-}
-
 // NewUniformConsumer creates a consumer whose preference for every one of n
 // providers starts at the same value. Deviations from the default accumulate
 // sparsely as qualities are observed, so memory stays proportional to the
@@ -94,7 +71,7 @@ func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
 	if memory == 0 {
 		memory = DefaultMemory
 	}
-	if memory < 0 || memory > 1 {
+	if !(memory >= 0 && memory <= 1) {
 		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
 	}
 	return &Consumer{pop: n, def: clamp01(pref), memory: memory}, nil
@@ -222,36 +199,16 @@ func (c *Consumer) Satisfaction() float64 {
 // Observations returns the number of allocation rounds folded in.
 func (c *Consumer) Observations() int64 { return c.n }
 
-// Provider tracks one data provider's intentions and satisfaction. Like
-// Consumer, it has a dense form (NewProvider: one willingness float per
-// consumer) and a sparse uniform form (NewUniformProvider: a shared default;
-// willingness is never mutated, so no overrides are needed).
+// Provider tracks one data provider's intentions and satisfaction. Its
+// willingness is one shared value for every consumer and is never mutated,
+// so no per-consumer vector is needed.
 type Provider struct {
-	willingness []float64 // dense intention vector (nil in sparse form)
-	pop         int       // consumer count in sparse form
-	def         float64   // sparse uniform willingness
-	sat         float64
-	memory      float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
-	started     bool
-	n           int64
-}
-
-// NewProvider creates a provider with willingness to serve each consumer.
-func NewProvider(willingness []float64, memory float64) (*Provider, error) {
-	if len(willingness) == 0 {
-		return nil, fmt.Errorf("satisfaction: provider needs at least one consumer willingness")
-	}
-	if memory == 0 {
-		memory = DefaultMemory
-	}
-	if memory < 0 || memory > 1 {
-		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
-	}
-	p := &Provider{willingness: make([]float64, len(willingness)), memory: memory}
-	for i, w := range willingness {
-		p.willingness[i] = clamp01(w)
-	}
-	return p, nil
+	pop     int     // consumer count
+	def     float64 // willingness to serve any consumer
+	sat     float64
+	memory  float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
+	started bool
+	n       int64
 }
 
 // NewUniformProvider creates a provider equally willing to serve every one
@@ -263,28 +220,16 @@ func NewUniformProvider(n int, will, memory float64) (*Provider, error) {
 	if memory == 0 {
 		memory = DefaultMemory
 	}
-	if memory < 0 || memory > 1 {
+	if !(memory >= 0 && memory <= 1) {
 		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
 	}
 	return &Provider{pop: n, def: clamp01(will), memory: memory}, nil
 }
 
-// consumerCount returns the number of consumers the provider has an
-// intention over, in either representation.
-func (p *Provider) consumerCount() int {
-	if p.willingness != nil {
-		return len(p.willingness)
-	}
-	return p.pop
-}
-
 // Willingness returns the provider's willingness to serve a consumer.
 func (p *Provider) Willingness(consumer int) float64 {
-	if consumer < 0 || consumer >= p.consumerCount() {
+	if consumer < 0 || consumer >= p.pop {
 		return 0
-	}
-	if p.willingness != nil {
-		return p.willingness[consumer]
 	}
 	return p.def
 }

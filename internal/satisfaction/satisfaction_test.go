@@ -9,16 +9,16 @@ import (
 )
 
 func TestNewConsumerValidation(t *testing.T) {
-	if _, err := NewConsumer(nil, 0.1); err == nil {
+	if _, err := newPrefConsumer(nil, 0.1); err == nil {
 		t.Fatal("empty prefs accepted")
 	}
-	if _, err := NewConsumer([]float64{0.5}, -1); err == nil {
+	if _, err := newPrefConsumer([]float64{0.5}, -1); err == nil {
 		t.Fatal("negative memory accepted")
 	}
-	if _, err := NewConsumer([]float64{0.5}, 1.5); err == nil {
+	if _, err := newPrefConsumer([]float64{0.5}, 1.5); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
-	c, err := NewConsumer([]float64{2, -1}, 0)
+	c, err := newPrefConsumer([]float64{2, -1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestNewConsumerValidation(t *testing.T) {
 }
 
 func TestAdequacyBestChoice(t *testing.T) {
-	c, err := NewConsumer([]float64{0.2, 0.8, 0.4}, 0.1)
+	c, err := newPrefConsumer([]float64{0.2, 0.8, 0.4}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAdequacyBestChoice(t *testing.T) {
 }
 
 func TestAdequacyInvalidChoices(t *testing.T) {
-	c, err := NewConsumer([]float64{0.2, 0.8}, 0.1)
+	c, err := newPrefConsumer([]float64{0.2, 0.8}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAdequacyInvalidChoices(t *testing.T) {
 }
 
 func TestAdequacyIndifferentConsumer(t *testing.T) {
-	c, err := NewConsumer([]float64{0, 0}, 0.1)
+	c, err := newPrefConsumer([]float64{0, 0}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAdequacyIndifferentConsumer(t *testing.T) {
 }
 
 func TestSatisfactionEMA(t *testing.T) {
-	c, err := NewConsumer([]float64{1, 0}, 0.5)
+	c, err := newPrefConsumer([]float64{1, 0}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSatisfactionEMA(t *testing.T) {
 func TestLongRunConvergence(t *testing.T) {
 	// Consistently receiving the preferred provider drives satisfaction
 	// toward 1; consistently failing drives it toward 0.
-	c, err := NewConsumer([]float64{0.9, 0.1}, 0.1)
+	c, err := newPrefConsumer([]float64{0.9, 0.1}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLongRunConvergence(t *testing.T) {
 func TestImposedAllocationOnlyDents(t *testing.T) {
 	// The paper: a provider can stay satisfied even if the system sometimes
 	// imposes requests it does not intend to treat.
-	p, err := NewProvider([]float64{1.0, 0.0}, 0.1)
+	p, err := newPrefProvider([]float64{1.0, 0.0}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestImposedAllocationOnlyDents(t *testing.T) {
 }
 
 func TestPreferenceLearning(t *testing.T) {
-	c, err := NewConsumer([]float64{0.5, 0.5}, 0.2)
+	c, err := newPrefConsumer([]float64{0.5, 0.5}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestPreferenceLearning(t *testing.T) {
 }
 
 func TestProviderValidation(t *testing.T) {
-	if _, err := NewProvider(nil, 0.1); err == nil {
+	if _, err := NewUniformProvider(0, 0.7, 0.1); err == nil {
 		t.Fatal("empty willingness accepted")
 	}
-	if _, err := NewProvider([]float64{1}, 2); err == nil {
+	if _, err := NewUniformProvider(1, 0.7, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
-	p, err := NewProvider([]float64{0.7}, 0)
+	p, err := NewUniformProvider(1, 0.7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSatisfactionAlwaysInUnitInterval(t *testing.T) {
 		for i := range prefs {
 			prefs[i] = rng.Float64()
 		}
-		c, err := NewConsumer(prefs, 0.1+rng.Float64()*0.9)
+		c, err := newPrefConsumer(prefs, 0.1+rng.Float64()*0.9)
 		if err != nil {
 			return false
 		}
@@ -223,11 +223,11 @@ func TestMonotoneBetterAllocationsBetterSatisfaction(t *testing.T) {
 	// Property: a consumer always given its top candidate ends at least as
 	// satisfied as one always given its worst candidate.
 	prefs := []float64{0.9, 0.5, 0.1}
-	top, err := NewConsumer(prefs, 0.1)
+	top, err := newPrefConsumer(prefs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := NewConsumer(prefs, 0.1)
+	worst, err := newPrefConsumer(prefs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

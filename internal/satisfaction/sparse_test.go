@@ -1,6 +1,7 @@
 package satisfaction
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -17,7 +18,7 @@ func TestSparseConsumerMatchesDense(t *testing.T) {
 	for i := range prefs {
 		prefs[i] = 0.5
 	}
-	dense, err := NewConsumer(prefs, 0.2)
+	dense, err := newPrefConsumer(prefs, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSparseProviderMatchesDense(t *testing.T) {
 	for i := range will {
 		will[i] = 0.8
 	}
-	dense, err := NewProvider(will, 0.15)
+	dense, err := newPrefProvider(will, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,12 @@ func TestSparseConstructorValidation(t *testing.T) {
 	if _, err := NewUniformProvider(5, 0.8, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
+	if _, err := NewUniformConsumer(5, 0.5, math.NaN()); err == nil {
+		t.Fatal("NaN consumer memory accepted")
+	}
+	if _, err := NewUniformProvider(5, 0.8, math.NaN()); err == nil {
+		t.Fatal("NaN provider memory accepted")
+	}
 	c, err := NewUniformConsumer(3, 7, 0.1) // default clamped into [0,1]
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +127,7 @@ func TestSparseConstructorValidation(t *testing.T) {
 
 // TestSparseConsumerStateRoundTrip checks that a sparse consumer's state
 // (default + overrides) survives a State/SetState cycle bit for bit, and
-// that mismatched representations are rejected instead of silently merged.
+// that a population mismatch is rejected instead of silently merged.
 func TestSparseConsumerStateRoundTrip(t *testing.T) {
 	const n = 20
 	c, err := NewUniformConsumer(n, 0.5, 0.1)
@@ -134,9 +141,6 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		c.Observe(cands[0], cands)
 	}
 	st := c.State()
-	if st.Prefs != nil {
-		t.Fatal("sparse consumer serialized a dense vector")
-	}
 	back, err := NewUniformConsumer(n, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +157,7 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		t.Fatal("satisfaction state diverged after round trip")
 	}
 
-	// Representation mismatches must error.
-	dense, err := NewConsumer(make([]float64, n), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.SetState(dense.State()); err == nil {
-		t.Fatal("dense state restored into sparse consumer")
-	}
+	// A population mismatch must error.
 	wrong, err := NewUniformConsumer(n+1, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,7 @@ import (
 type shardObservation struct {
 	rounds   []RoundStats
 	summary  Summary
-	consumer []float64
-	provider []float64
+	sat      []float64
 	privacy  []float64
 	gt       []float64
 	served   []bool
@@ -36,12 +35,15 @@ func observeSharded(t *testing.T, shards int, cfg Config) shardObservation {
 	for i := 0; i < 25; i++ {
 		rounds = append(rounds, e.Round())
 	}
-	gt, served := e.GroundTruth()
+	gt, served := groundTruth(e)
+	sat := make([]float64, cfg.NumPeers)
+	for u := range sat {
+		sat[u] = e.UserSatisfaction(u)
+	}
 	return shardObservation{
 		rounds:   rounds,
 		summary:  e.Summarize(),
-		consumer: e.ConsumerSatisfactions(),
-		provider: e.ProviderSatisfactions(),
+		sat:      sat,
 		privacy:  e.PrivacyFacets(),
 		gt:       gt,
 		served:   served,
@@ -49,6 +51,21 @@ func observeSharded(t *testing.T, shards int, cfg Config) shardObservation {
 		fakes:    e.FakeReports,
 		gateFail: e.GateFailures,
 	}
+}
+
+// groundTruth reads each provider's realized mean quality and whether it
+// ever served through the engine's served-set accessors.
+func groundTruth(e *Engine) (gt []float64, served []bool) {
+	n := e.Network().N()
+	gt = make([]float64, n)
+	served = make([]bool, n)
+	for p := range gt {
+		gt[p] = e.ProviderQuality(p)
+	}
+	for _, p := range e.ServedProviders() {
+		served[p] = true
+	}
+	return gt, served
 }
 
 func equalF64(a, b []float64) bool {
@@ -96,7 +113,7 @@ func TestShardCountInvariance(t *testing.T) {
 		if got.summary != ref.summary {
 			t.Fatalf("shards=%d: summary\n%+v\n!=\n%+v", k, got.summary, ref.summary)
 		}
-		if !equalF64(got.consumer, ref.consumer) || !equalF64(got.provider, ref.provider) {
+		if !equalF64(got.sat, ref.sat) {
 			t.Fatalf("shards=%d: satisfactions diverged", k)
 		}
 		if !equalF64(got.privacy, ref.privacy) {
@@ -170,7 +187,7 @@ func TestGroundTruthMatchesLogScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(15)
-	gt, served := e.GroundTruth()
+	gt, served := groundTruth(e)
 	want := e.Network().GroundTruthQuality()
 	if !equalF64(gt, want) {
 		t.Fatalf("incremental ground truth diverged from log scan:\n%v\n%v", gt, want)

@@ -498,8 +498,10 @@ func (e *Engine) Ledger() *privacy.Ledger { return e.ledger }
 
 // PrivacyFacets returns each user's privacy facet from the attached ledger
 // (all ones when no ledger is attached: nothing was accounted as disclosed).
-// The per-user ledger queries are read-only, so they fan out over the
-// engine's shards.
+// It is a pure read: owners changed since the last epoch boundary get their
+// facet computed on the fly without touching the ledger's cache, so the
+// per-user queries fan out over the engine's shards and the next epoch
+// still sees every changed owner.
 func (e *Engine) PrivacyFacets() []float64 {
 	out := make([]float64, e.cfg.NumPeers)
 	if e.ledger == nil {
@@ -508,10 +510,6 @@ func (e *Engine) PrivacyFacets() []float64 {
 		}
 		return out
 	}
-	// Sequentially refresh the ledger's facet cache for owners dirtied since
-	// the last barrier; the sharded readers below then hit cached values
-	// without ever mutating ledger state.
-	e.ledger.RefreshFacets(e.ledgerScale)
 	sim.ForChunks(e.shards, len(out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = e.ledger.PrivacyFacet(i, e.ledgerScale)
@@ -521,9 +519,10 @@ func (e *Engine) PrivacyFacets() []float64 {
 }
 
 // RefreshPrivacyFacets brings the attached ledger's facet cache up to date
-// at the current exposure scale (a no-op without a ledger). It mutates the
-// cache, so it must run on a sequential phase, before PrivacyFacetOf calls
-// fan out over shards.
+// at the current exposure scale (a no-op without a ledger) and clears the
+// ledger's dirty owners. It mutates the cache, so it must run on a
+// sequential phase, before PrivacyFacetOf calls fan out over shards; the
+// epoch boundary is its one caller, after it has read LedgerDirtyOwners.
 func (e *Engine) RefreshPrivacyFacets() {
 	if e.ledger != nil {
 		e.ledger.RefreshFacets(e.ledgerScale)
@@ -531,8 +530,8 @@ func (e *Engine) RefreshPrivacyFacets() {
 }
 
 // PrivacyFacetOf returns one user's privacy facet at the current exposure
-// scale (1 without a ledger). After RefreshPrivacyFacets it is a cached,
-// mutation-free read, safe to fan out over shards.
+// scale (1 without a ledger). It never mutates the ledger, so it is safe to
+// fan out over shards; after RefreshPrivacyFacets it is a cached read.
 func (e *Engine) PrivacyFacetOf(u int) float64 {
 	if e.ledger == nil {
 		return 1
@@ -570,10 +569,10 @@ func (e *Engine) SatisfactionTouched() []int { return e.satDirty.Sorted() }
 // after an epoch's facet measurement has consumed it.
 func (e *Engine) ResetSatisfactionTouched() { e.satDirty.Reset() }
 
-// BarrierCompute forces a mechanism recompute — the measurement barrier an
-// epoch boundary runs so facet measurement sees scores that reflect every
-// gathered report — and folds its iteration count into the solver-cost
-// ledger, exactly as Summarize's barrier does.
+// BarrierCompute forces a mechanism recompute — the measurement barrier that
+// ends a measurement period, so facet measurement sees scores that reflect
+// every gathered report — and folds its iteration count into the
+// solver-cost ledger. Every epoch boundary runs one; reads never do.
 func (e *Engine) BarrierCompute() {
 	e.computeIters += int64(e.mech.Compute())
 }
@@ -596,7 +595,7 @@ func (e *Engine) ServedProviders() []int {
 
 // ProviderQuality returns a provider's realized mean service quality from
 // the incremental accumulators (1 for providers who never served, matching
-// GroundTruth).
+// social.Network.GroundTruthQuality).
 func (e *Engine) ProviderQuality(p int) float64 {
 	if p < 0 || p >= len(e.servedCount) || e.servedCount[p] == 0 {
 		return 1
@@ -889,9 +888,9 @@ type Summary struct {
 	ShareRate float64 `json:"share_rate"`
 }
 
-// Summarize computes the summary so far.
+// Summarize computes the summary so far. It is a pure read: Tau ranks the
+// mechanism's scores as of its last Compute (every epoch ends with one).
 func (e *Engine) Summarize() Summary {
-	e.computeIters += int64(e.mech.Compute())
 	s := Summary{Rounds: e.round}
 	if e.cumulative.Interactions > 0 {
 		s.BadServiceRate = float64(e.cumulative.BadService) / float64(e.cumulative.Interactions)
@@ -908,15 +907,15 @@ func (e *Engine) Summarize() Summary {
 	s.RecentBadRate = recent.BadRate()
 	// Reputation power = rank agreement between scores and realized
 	// behaviour, over peers that actually served (others have no ground
-	// truth to be consistent with). The served set and ground truth come
-	// from the incremental per-provider accumulators, not a log rescan.
+	// truth to be consistent with), in the order the epoch boundary reads
+	// them.
 	scores := reputation.ScoresOf(e.mech)
-	var gtServed, scServed []float64
-	for p, cnt := range e.servedCount {
-		if cnt > 0 {
-			gtServed = append(gtServed, e.qualSum[p]/float64(cnt))
-			scServed = append(scServed, scores[p])
-		}
+	served := e.ServedProviders()
+	gtServed := make([]float64, len(served))
+	scServed := make([]float64, len(served))
+	for i, p := range served {
+		gtServed[i] = e.ProviderQuality(p)
+		scServed[i] = scores[p]
 	}
 	s.Tau = metrics.KendallTau(scServed, gtServed)
 	cs := make([]float64, len(e.consumers))
@@ -931,23 +930,6 @@ func (e *Engine) Summarize() Summary {
 		s.ShareRate = float64(e.gatherer.Gathered) / float64(tot)
 	}
 	return s
-}
-
-// GroundTruth returns, from the incremental accumulators, each provider's
-// realized mean quality (1 for providers who never served, matching
-// social.Network.GroundTruthQuality) and whether it ever served.
-func (e *Engine) GroundTruth() (gt []float64, served []bool) {
-	gt = make([]float64, e.cfg.NumPeers)
-	served = make([]bool, e.cfg.NumPeers)
-	for p, cnt := range e.servedCount {
-		if cnt == 0 {
-			gt[p] = 1
-			continue
-		}
-		served[p] = true
-		gt[p] = e.qualSum[p] / float64(cnt)
-	}
-	return gt, served
 }
 
 // CumulativeStats returns the accumulated round totals so far (Round field
@@ -1143,22 +1125,4 @@ func (e *Engine) rebuildColluders() error {
 		e.snet.User(id).Behavior = b
 	}
 	return nil
-}
-
-// ConsumerSatisfactions returns each consumer's long-run satisfaction.
-func (e *Engine) ConsumerSatisfactions() []float64 {
-	out := make([]float64, len(e.consumers))
-	for i, c := range e.consumers {
-		out[i] = c.Satisfaction()
-	}
-	return out
-}
-
-// ProviderSatisfactions returns each provider's long-run satisfaction.
-func (e *Engine) ProviderSatisfactions() []float64 {
-	out := make([]float64, len(e.providers))
-	for i, p := range e.providers {
-		out[i] = p.Satisfaction()
-	}
-	return out
 }

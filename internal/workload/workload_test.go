@@ -221,8 +221,10 @@ func TestSatisfactionsTracked(t *testing.T) {
 	if s.ProviderSat <= 0.3 {
 		t.Fatalf("provider satisfaction = %v", s.ProviderSat)
 	}
-	if len(e.ConsumerSatisfactions()) != 25 || len(e.ProviderSatisfactions()) != 25 {
-		t.Fatal("per-user satisfactions wrong length")
+	for u := 0; u < 25; u++ {
+		if v := e.UserSatisfaction(u); v < 0 || v > 1 {
+			t.Fatalf("user %d satisfaction = %v, want in [0,1]", u, v)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package trustnet
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Assessment carries the per-user facets extracted from a running scenario
@@ -24,65 +24,38 @@ type UserAssessment struct {
 }
 
 // Assess is the single-shot path: measure the three facets of the scenario
-// as it stands (§2.1–2.3 extraction, see the Assessment fields).
+// as it stands (§2.1–2.3 extraction, see the Assessment fields), through
+// the same reader the epoch boundary uses. It is a pure read: the scores
+// are the mechanism's as of its last Compute — every epoch ends with one —
+// and calling it never changes the run.
 func (e *Engine) Assess() Assessment {
 	return core.Assess(e.workloadEngine())
 }
 
-// AssessAll is the batch path: one facet measurement, then every user's
-// combined trust computed concurrently by a worker pool (WithWorkers caps
-// it; default GOMAXPROCS). The context cancels the fan-out between users.
+// AssessAll is the batch path: one facet measurement (a pure read, as
+// Assess), then every user's combined trust computed concurrently by a
+// worker pool (WithWorkers caps it; default GOMAXPROCS). The context
+// cancels the fan-out between users and wins over a combine error; among
+// combine errors, the lowest user's is returned.
 func (e *Engine) AssessAll(ctx context.Context) ([]UserAssessment, error) {
 	a := e.Assess()
-	n := len(a.PerUser)
 	tm := e.dyn.TrustModel()
-
 	workers := e.cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	out := make([]UserAssessment, n)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				f := a.PerUser[u]
-				trust, err := core.Combine(f, tm.UserWeights(u))
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				out[u] = UserAssessment{User: u, Facets: f, Trust: trust}
-			}
-		}()
-	}
-feed:
-	for u := 0; u < n; u++ {
-		select {
-		case <-ctx.Done():
-			errOnce.Do(func() { firstErr = ctx.Err() })
-			break feed
-		case next <- u:
+	out := make([]UserAssessment, len(a.PerUser))
+	err := sim.RunIndexed(ctx, workers, len(out), func(u int) error {
+		f := a.PerUser[u]
+		trust, err := core.Combine(f, tm.UserWeights(u))
+		if err != nil {
+			return err
 		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		out[u] = UserAssessment{User: u, Facets: f, Trust: trust}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -28,6 +28,10 @@
 //   - Engine.Run — drive the §3 coupled dynamics epoch by epoch under a
 //     context.Context.
 //
+// Assess, AssessAll, Summary and PrivacyFacets are pure reads: they see the
+// mechanism's scores as of its last Compute (every epoch ends with one) and
+// never change the run.
+//
 // Run is the batch wrapper over the session layer. Engine.Session streams
 // the same dynamics incrementally — Next pulls one epoch, Epochs adapts the
 // session to range-over-func iteration — fires OnEpoch/OnRound observers

@@ -173,7 +173,9 @@ func (e *Engine) SubmitReports(reports ...Report) error {
 // corrupts the engine's record.
 func (e *Engine) History() []EpochStats { return e.dyn.History() }
 
-// Summary computes the scenario-level metrics so far.
+// Summary computes the scenario-level metrics so far. It is a pure read:
+// Tau ranks the scores as of the mechanism's last Compute — every epoch
+// ends with one — and calling it never changes the run.
 func (e *Engine) Summary() Summary { return e.dyn.Engine().Summarize() }
 
 // SharedReports returns how many feedback reports peers actually disclosed
@@ -190,7 +192,9 @@ func (e *Engine) SystemTrusted(threshold, q float64) bool {
 	return e.dyn.TrustModel().SystemTrusted(threshold, q)
 }
 
-// PrivacyFacets returns each user's ledger-backed privacy facet.
+// PrivacyFacets returns each user's ledger-backed privacy facet. It is a
+// pure read: the ledger's facet cache is refreshed only at epoch
+// boundaries, so calling it never changes the run.
 func (e *Engine) PrivacyFacets() []float64 { return e.dyn.Engine().PrivacyFacets() }
 
 // Convergence returns the reputation mechanism's diagnostics for its most

@@ -119,3 +119,42 @@ func TestDifferentContextsDifferentOptima(t *testing.T) {
 			pPriv.Setting.Disclosure, pPerf.Setting.Disclosure)
 	}
 }
+
+func TestEvaluateSettingBounds(t *testing.T) {
+	cfg := ExploreConfig{Scenario: exploreScenario(), Rounds: 20}
+	if _, err := EvaluateSetting(cfg, Setting{Disclosure: -0.1}); err == nil {
+		t.Fatal("negative disclosure accepted")
+	}
+	if _, err := EvaluateSetting(cfg, Setting{TrustGate: 1}); err == nil {
+		t.Fatal("gate=1 accepted")
+	}
+	p, err := EvaluateSetting(cfg, Setting{Disclosure: 0.8, TrustGate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Global.Valid() || p.Trust < 0 || p.Trust > 1 {
+		t.Fatalf("point = %+v", p)
+	}
+}
+
+func TestDisclosureAntinomy(t *testing.T) {
+	// Figure 2 right: less shared information => higher privacy facet but
+	// lower reputation power; full disclosure reverses both.
+	cfg := ExploreConfig{Scenario: exploreScenario(), Rounds: 20}
+	low, err := EvaluateSetting(cfg, Setting{Disclosure: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := EvaluateSetting(cfg, Setting{Disclosure: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if low.Global.Privacy <= high.Global.Privacy {
+		t.Fatalf("privacy not higher at low disclosure: %v vs %v",
+			low.Global.Privacy, high.Global.Privacy)
+	}
+	if low.Global.Reputation >= high.Global.Reputation {
+		t.Fatalf("reputation power not higher at full disclosure: %v vs %v",
+			low.Global.Reputation, high.Global.Reputation)
+	}
+}

@@ -634,9 +634,12 @@ func (e *Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunR
 			}
 		}
 	}
-	// Measure before Observe runs: observers may poke the mechanism
-	// (submit a probe report, trigger a recompute) without perturbing the
-	// recorded facets, summary, or history.
+	// A custom Drive may end on RunRounds rather than an epoch boundary, so
+	// close the measurement period with the mechanism barrier; the run is
+	// over, so nothing later is perturbed. Measure before Observe runs:
+	// observers may poke the mechanism (submit a probe report, trigger a
+	// recompute) without perturbing the recorded facets, summary, or history.
+	eng.workloadEngine().BarrierCompute()
 	g := eng.Assess().GlobalFacets()
 	trust, err := Combine(g, sc.weights())
 	if err != nil {

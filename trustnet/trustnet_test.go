@@ -34,6 +34,7 @@ func TestOptionValidation(t *testing.T) {
 		{"gate at one", []Option{WithPrivacyPolicy(PrivacyPolicy{TrustGate: 1})}, "trust gate"},
 		{"negative exposure scale", []Option{WithPrivacyPolicy(PrivacyPolicy{ExposureScale: -1})}, "exposure scale"},
 		{"bad satisfaction memory", []Option{WithSatisfactionModel(SatisfactionModel{Memory: 1})}, "memory"},
+		{"NaN satisfaction memory", []Option{WithPeers(50), WithSatisfactionModel(SatisfactionModel{Memory: math.NaN()})}, "memory"},
 		{"zero weights", []Option{WithWeights(Weights{})}, "zero"},
 		{"negative weight", []Option{WithWeights(Weights{Satisfaction: -1, Reputation: 1, Privacy: 1})}, "negative"},
 		{"negative user", []Option{WithUserWeights(-1, DefaultWeights())}, "user"},
