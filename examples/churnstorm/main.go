@@ -101,7 +101,7 @@ func runStorm(factory trustnet.MechanismFactory) (scores []float64, adversaries 
 			log.Fatal(err)
 		}
 	}
-	return eng.Mechanism().Scores(), adversaries
+	return eng.Mechanism().ScoresView(), adversaries
 }
 
 func mean(scores []float64, users []int) float64 {

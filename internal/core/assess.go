@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/reputation"
 	"repro/internal/workload"
 )
 
@@ -49,7 +48,7 @@ type facetMeter struct {
 // mechanism's community conclusion (§3 claim 4). It only reads: the scores
 // are the mechanism's as of its last Compute.
 func (m *facetMeter) measure(e *workload.Engine) reputationReading {
-	scores := reputation.ScoresOf(e.Mechanism())
+	scores := e.Mechanism().ScoresView()
 	m.gt, m.sc = m.gt[:0], m.sc[:0]
 	m.good, m.bad = m.good[:0], m.bad[:0]
 	for _, p := range e.ServedProviders() {
@@ -62,7 +61,7 @@ func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 			m.bad = append(m.bad, scores[p])
 		}
 	}
-	r := reputationReading{tau: metrics.KendallTau(m.sc, m.gt), community: 1}
+	r := reputationReading{tau: metrics.KendallTau(m.sc, m.gt)}
 	tau01 := (r.tau + 1) / 2
 	r.separation = metrics.AUC(m.good, m.bad)
 	power := tau01
@@ -71,9 +70,7 @@ func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 	} else {
 		power = (tau01 + r.separation) / 2
 	}
-	if ca, ok := e.Mechanism().(reputation.CommunityAssessor); ok {
-		r.community = ca.TrustworthyFraction()
-	}
+	r.community = e.Mechanism().TrustworthyFraction()
 	r.facet = power * (0.5 + 0.5*r.community)
 	return r
 }

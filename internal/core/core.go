@@ -299,23 +299,6 @@ func (m *TrustModel) Update(user int, f Facets) (float64, error) {
 	return m.trust[user], nil
 }
 
-// UpdateAll folds every user's facets into her trust in one sharded pass:
-// per[u] is user u's facets and must cover all users. Within each chunk the
-// last Combine result is memoized, so runs of users with bit-identical
-// facets (the common case: the reputation facet is global per epoch, and
-// untouched users share default satisfaction and privacy) pay one geometric
-// mean instead of one each. The memo only ever skips recomputing a pure
-// function on equal inputs — and is bypassed for users carrying individual
-// weight profiles — so the resulting trust vector is bit-for-bit identical
-// to per-user Update calls, at any shard count.
-func (m *TrustModel) UpdateAll(per []Facets, shards int) error {
-	n := len(m.trust)
-	if len(per) != n {
-		return fmt.Errorf("core: UpdateAll got %d facet rows for %d users", len(per), n)
-	}
-	return m.UpdateScattered(nil, true, func(u int) Facets { return per[u] }, shards)
-}
-
 // UpdateScattered is the sparse trust-update pass behind the sub-linear
 // epoch tail. It folds current facets into trust for a candidate subset:
 // the ascending id list cands, or every user when all is set (cands is then
@@ -397,7 +380,11 @@ const sparseSeqCutoff = 2048
 // only per-user cells (trust, started) and per-candidate scratch (errs,
 // newSettled), so disjoint ranges are safe to run concurrently. Within the
 // chunk the last Combine result is memoized for users without individual
-// weight profiles (see UpdateAll).
+// weight profiles, so runs of users with bit-identical facets (the common
+// case: the reputation facet is global per epoch, and untouched users share
+// default satisfaction and privacy) pay one geometric mean instead of one
+// each. The memo only skips recomputing a pure function on equal inputs, so
+// the trust vector is bit-for-bit identical to per-user Update calls.
 func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets, errs []error, newSettled []bool, lo, hi int) {
 	var lastF Facets
 	var lastInstant float64

@@ -110,7 +110,6 @@ type transfer struct {
 }
 
 var _ reputation.Mechanism = (*Mechanism)(nil)
-var _ reputation.CommunityAssessor = (*Mechanism)(nil)
 
 // New builds the mechanism.
 func New(cfg Config) (*Mechanism, error) {
@@ -156,11 +155,8 @@ func (m *Mechanism) Pseudonym(peer int) string {
 // Submit implements reputation.Mechanism: the rating is credited to the
 // ratee's *current pseudonym* account.
 func (m *Mechanism) Submit(r reputation.Report) error {
-	if r.Rater < 0 || r.Rater >= m.cfg.N || r.Ratee < 0 || r.Ratee >= m.cfg.N {
-		return fmt.Errorf("anonrep: report %d->%d out of range", r.Rater, r.Ratee)
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("anonrep: self-rating by %d rejected", r.Rater)
+	if err := r.Validate(m.cfg.N); err != nil {
+		return fmt.Errorf("anonrep: %w", err)
 	}
 	v := r.Value
 	if v < 0 {
@@ -241,20 +237,11 @@ func (m *Mechanism) Score(peer int) float64 {
 	return m.scores[peer]
 }
 
-// Scores implements reputation.Mechanism.
-func (m *Mechanism) Scores() []float64 {
-	out := make([]float64, len(m.scores))
-	copy(out, m.scores)
-	return out
-}
-
-// ScoresView implements reputation.ScoresViewer: the score cache without
-// the copy. Read-only; valid until the next Compute or restore.
+// ScoresView implements reputation.Mechanism: the score cache, uncopied.
+// Read-only; valid until the next Compute or restore.
 func (m *Mechanism) ScoresView() []float64 { return m.scores }
 
-var _ reputation.ScoresViewer = (*Mechanism)(nil)
-
-// TrustworthyFraction implements reputation.CommunityAssessor.
+// TrustworthyFraction implements reputation.Mechanism.
 func (m *Mechanism) TrustworthyFraction() float64 {
 	rated, positive := 0, 0
 	for p := 0; p < m.cfg.N; p++ {

@@ -208,3 +208,26 @@ func TestWorksAsWorkloadMechanism(t *testing.T) {
 		t.Fatal("clean compute re-ran")
 	}
 }
+
+// TestSubmitRejectsNaN pins that a NaN rating is an error, not a value:
+// clamping lets NaN through into the account sum, and the ratee's score
+// would stay NaN, carried across every later pseudonym change.
+func TestSubmitRejectsNaN(t *testing.T) {
+	m, err := New(Config{N: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(reputation.Report{Rater: 2, Ratee: 1, Value: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(reputation.Report{Rater: 0, Ratee: 1, Value: math.NaN()}); err == nil {
+		t.Fatal("NaN rating accepted by Submit")
+	}
+	m.Compute()
+	if got := m.Score(1); got != 0.8 {
+		t.Fatalf("score of peer 1 = %v after a NaN rating, want 0.8", got)
+	}
+	if got := m.TrustworthyFraction(); got != 1 {
+		t.Fatalf("trustworthy fraction = %v, want 1", got)
+	}
+}

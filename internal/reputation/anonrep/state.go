@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/crypto"
-	"repro/internal/reputation"
 	"repro/internal/sim"
 )
 
@@ -37,7 +36,7 @@ type mechanismState struct {
 	Dirty        bool
 }
 
-// MechanismState implements reputation.Snapshotter.
+// MechanismState implements reputation.Mechanism.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
 		RNG:    m.rng.State(),
@@ -64,7 +63,7 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Snapshotter.
+// RestoreMechanismState implements reputation.Mechanism.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -103,5 +102,3 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.allDirty = true
 	return nil
 }
-
-var _ reputation.Snapshotter = (*Mechanism)(nil)

@@ -93,13 +93,11 @@ func (*Mechanism) Name() string { return "eigentrust" }
 // LocalTrust exposes the accumulated matrix (read-only use).
 func (m *Mechanism) LocalTrust() *reputation.LocalTrust { return m.lt }
 
-// TrustworthyFraction implements reputation.CommunityAssessor: the fraction
-// of rated peers with net-positive incoming local trust.
+// TrustworthyFraction implements reputation.Mechanism: the fraction of
+// rated peers with net-positive incoming local trust.
 func (m *Mechanism) TrustworthyFraction() float64 {
 	return m.lt.NetPositiveFraction()
 }
-
-var _ reputation.CommunityAssessor = (*Mechanism)(nil)
 
 // Whitewash models a peer abandoning its identity and rejoining fresh: all
 // local trust involving it is erased. Under EigenTrust a fresh identity has
@@ -121,8 +119,7 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 }
 
 // SubmitBatch implements reputation.BatchSubmitter: a whole round's reports
-// fold through LocalTrust.AddBatch, touching each dirty row once instead of
-// per report.
+// fold through LocalTrust.AddBatch, with the solver marked dirty once.
 func (m *Mechanism) SubmitBatch(rs []reputation.Report) error {
 	if len(rs) == 0 {
 		return nil

@@ -51,7 +51,7 @@ func TestScoresSeparateGoodFromBad(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no iterations performed")
 	}
-	scores := m.Scores()
+	scores := m.ScoresView()
 	for j := 0; j < 4; j++ {
 		if scores[j] <= scores[4] {
 			t.Fatalf("good peer %d (%v) not above bad peer 4 (%v)", j, scores[j], scores[4])
@@ -124,7 +124,7 @@ func TestPretrustDampingLimitsCollusion(t *testing.T) {
 		}
 	}
 	m.Compute()
-	s := m.Scores()
+	s := m.ScoresView()
 	for _, h := range []int{0, 1, 2} {
 		for _, c := range []int{3, 4} {
 			if s[h] <= s[c] {

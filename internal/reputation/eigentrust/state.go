@@ -24,7 +24,7 @@ type mechanismState struct {
 	HasConv bool
 }
 
-// MechanismState implements reputation.Snapshotter.
+// MechanismState implements reputation.Mechanism.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	sv := m.Solver.State()
 	st := mechanismState{
@@ -41,7 +41,7 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Snapshotter.
+// RestoreMechanismState implements reputation.Mechanism.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -56,5 +56,3 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	}
 	return nil
 }
-
-var _ reputation.Snapshotter = (*Mechanism)(nil)

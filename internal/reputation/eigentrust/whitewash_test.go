@@ -2,8 +2,6 @@ package eigentrust
 
 import (
 	"testing"
-
-	"repro/internal/reputation"
 )
 
 func TestWhitewashDoesNotLaunderEigenTrust(t *testing.T) {
@@ -62,5 +60,4 @@ func TestTrustworthyFraction(t *testing.T) {
 	if got := m.TrustworthyFraction(); got != 0.5 {
 		t.Fatalf("fraction = %v, want 0.5", got)
 	}
-	_ = reputation.CommunityAssessor(m)
 }

@@ -15,11 +15,10 @@ import (
 )
 
 // iterative is the surface the golden stream drives: the power-iteration
-// mechanisms with their batch, snapshot, shard and diagnostics seams.
+// mechanisms with their batch, shard and diagnostics seams.
 type iterative interface {
 	reputation.Mechanism
 	reputation.BatchSubmitter
-	reputation.Snapshotter
 	reputation.ComputeSharder
 	reputation.ConvergenceReporter
 	Raw() []float64

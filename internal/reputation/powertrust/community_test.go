@@ -2,8 +2,6 @@ package powertrust
 
 import (
 	"testing"
-
-	"repro/internal/reputation"
 )
 
 func TestPowerTrustTrustworthyFraction(t *testing.T) {
@@ -26,7 +24,6 @@ func TestPowerTrustTrustworthyFraction(t *testing.T) {
 	if got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("fraction = %v, want %v", got, want)
 	}
-	_ = reputation.CommunityAssessor(m)
 }
 
 func TestElectionUsesScoresAfterFirstCompute(t *testing.T) {

@@ -49,10 +49,8 @@ func TestElectPowerNodesMatchesFullSort(t *testing.T) {
 				}
 			}
 			rank := make([]float64, tc.n) // summed exactly as the election sums
-			for _, row := range mech.feedback.rows {
-				for j, p := range row {
-					rank[j] += p.sum / float64(p.count)
-				}
+			for _, c := range mech.feedback.All() {
+				rank[c.Col] += c.Val.sum / float64(c.Val.count)
 			}
 			checkElection(t, "bootstrap", mech.electPowerNodes(), fullSortElection(rank, tc.m))
 

@@ -7,7 +7,6 @@ package powertrust
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/reputation"
 )
@@ -63,48 +62,26 @@ func (c Config) withDefaults() (Config, error) {
 // pair aggregates ratings from one rater to one ratee.
 type pair struct {
 	sum   float64
-	count int
+	count int32
 }
 
 // ratings is the feedback graph as the solver's row feed: per rater, the
-// aggregate of its ratings of each ratee, plus the rows changed since the
-// solver last materialized them. A row materializes as the rater's mean
-// ratings; a rater whose ratings sum to zero is dangling, and the walk
-// jumps its weight uniformly.
+// aggregate of its ratings of each ratee in the shared sparse store, which
+// also tracks the rows changed since the solver last materialized them. A
+// row materializes as the rater's mean ratings; a rater whose ratings sum to
+// zero is dangling, and the walk jumps its weight uniformly.
 type ratings struct {
-	rows  []map[int32]pair
-	dirty map[int32]struct{}
+	reputation.Rows[pair]
 }
 
 // AppendRow implements reputation.RowFeed.
 func (f *ratings) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
-	row := cols[len(cols):]
-	for j := range f.rows[i] {
-		row = append(row, j)
+	for _, c := range f.Row(i) {
+		cols = append(cols, c.Col)
+		vals = append(vals, c.Val.sum/float64(c.Val.count))
 	}
-	slices.Sort(row)
-	for _, j := range row {
-		p := f.rows[i][j]
-		vals = append(vals, p.sum/float64(p.count))
-	}
-	return append(cols, row...), vals
+	return cols, vals
 }
-
-// DirtyRows implements reputation.RowFeed.
-func (f *ratings) DirtyRows() []int {
-	out := make([]int, 0, len(f.dirty))
-	for i := range f.dirty {
-		out = append(out, int(i))
-	}
-	slices.Sort(out)
-	return out
-}
-
-// HasDirty implements reputation.RowFeed.
-func (f *ratings) HasDirty() bool { return len(f.dirty) > 0 }
-
-// ClearDirty implements reputation.RowFeed.
-func (f *ratings) ClearDirty() { clear(f.dirty) }
 
 var _ reputation.RowFeed = (*ratings)(nil)
 
@@ -145,7 +122,7 @@ func build(cfg Config, lookAhead bool) (*Mechanism, error) {
 	m := &Mechanism{
 		cfg:       cfg,
 		lookAhead: lookAhead,
-		feedback:  ratings{rows: make([]map[int32]pair, cfg.N), dirty: make(map[int32]struct{})},
+		feedback:  ratings{reputation.NewRows[pair](cfg.N)},
 		jump:      make([]float64, cfg.N),
 		rank:      make([]float64, cfg.N),
 		elected:   make([]int, 0, cfg.M),
@@ -169,13 +146,10 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 }
 
 // SubmitBatch implements reputation.BatchSubmitter: a whole round's reports
-// fold in one call, reusing the rater's row map and dirty-row insert across
-// consecutive reports by the same rater. The result is exactly that of
-// calling Submit for each report in order; the first invalid report aborts
-// the batch with the reports before it already folded.
+// fold in one call. The result is exactly that of calling Submit for each
+// report in order; the first invalid report aborts the batch with the
+// reports before it already folded.
 func (m *Mechanism) SubmitBatch(rs []reputation.Report) error {
-	lastRater := -1
-	var row map[int32]pair
 	for i := range rs {
 		r := &rs[i]
 		if err := r.Validate(m.cfg.N); err != nil {
@@ -188,18 +162,9 @@ func (m *Mechanism) SubmitBatch(rs []reputation.Report) error {
 		if v > 1 {
 			v = 1
 		}
-		if r.Rater != lastRater {
-			if m.feedback.rows[r.Rater] == nil {
-				m.feedback.rows[r.Rater] = make(map[int32]pair)
-			}
-			row = m.feedback.rows[r.Rater]
-			m.feedback.dirty[int32(r.Rater)] = struct{}{}
-			lastRater = r.Rater
-		}
-		p := row[int32(r.Ratee)]
+		p := m.feedback.Upsert(r.Rater, int32(r.Ratee))
 		p.sum += v
 		p.count++
-		row[int32(r.Ratee)] = p
 		m.MarkDirty()
 	}
 	return nil
@@ -229,10 +194,8 @@ func (m *Mechanism) electPowerNodes() []int {
 	}
 	if bootstrapped {
 		clear(rank)
-		for _, row := range m.feedback.rows {
-			for j, p := range row {
-				rank[j] += p.sum / float64(p.count)
-			}
+		for _, c := range m.feedback.All() {
+			rank[c.Col] += c.Val.sum / float64(c.Val.count)
 		}
 	} else {
 		copy(rank, scores)
@@ -294,11 +257,11 @@ func siftDown(h []int, rank []float64) {
 	}
 }
 
-// TrustworthyFraction implements reputation.CommunityAssessor: the fraction
-// of rated peers whose mean incoming rating is at least 0.5. The scan stays
-// a full canonical recompute (incremental cross-peer float accumulators
-// would make results depend on fold order), but the accumulation buffers
-// are reused across calls.
+// TrustworthyFraction implements reputation.Mechanism: the fraction of
+// rated peers whose mean incoming rating is at least 0.5. The scan stays a
+// full recompute in (rater, ratee) order (incremental cross-peer float
+// accumulators would make results depend on fold order), but the
+// accumulation buffers are reused across calls.
 func (m *Mechanism) TrustworthyFraction() float64 {
 	if m.tfSums == nil {
 		m.tfSums = make([]float64, m.cfg.N)
@@ -309,11 +272,9 @@ func (m *Mechanism) TrustworthyFraction() float64 {
 		sums[j] = 0
 		counts[j] = 0
 	}
-	for _, row := range m.feedback.rows {
-		for j, p := range row {
-			sums[j] += p.sum
-			counts[j] += p.count
-		}
+	for _, c := range m.feedback.All() {
+		sums[c.Col] += c.Val.sum
+		counts[c.Col] += int(c.Val.count)
 	}
 	rated, positive := 0, 0
 	for j := 0; j < m.cfg.N; j++ {
@@ -330,8 +291,6 @@ func (m *Mechanism) TrustworthyFraction() float64 {
 	}
 	return float64(positive) / float64(rated)
 }
-
-var _ reputation.CommunityAssessor = (*Mechanism)(nil)
 
 // PowerNodes returns a copy of the most recently elected power nodes.
 func (m *Mechanism) PowerNodes() []int {

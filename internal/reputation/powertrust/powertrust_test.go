@@ -64,7 +64,7 @@ func TestSeparatesGoodFromBad(t *testing.T) {
 	if rounds == 0 {
 		t.Fatal("no rounds")
 	}
-	s := m.Scores()
+	s := m.ScoresView()
 	worstGood, bestBad := 1.0, 0.0
 	for i := 0; i < 15; i++ {
 		if s[i] < worstGood {
@@ -98,7 +98,7 @@ func TestLookAheadConvergesFaster(t *testing.T) {
 		t.Fatalf("look-ahead rounds %d not fewer than plain %d", rLA, rPlain)
 	}
 	// Both walks must agree on the ranking of good vs bad peers.
-	sLA, sPlain := la.Scores(), plain.Scores()
+	sLA, sPlain := la.ScoresView(), plain.ScoresView()
 	for i := 0; i < 15; i++ {
 		for j := 15; j < 20; j++ {
 			if (sLA[i] > sLA[j]) != (sPlain[i] > sPlain[j]) {
@@ -206,7 +206,7 @@ func TestScoreBounds(t *testing.T) {
 	}
 	feed(t, m, 0, 1, 0.9, 3)
 	m.Compute()
-	for i, v := range m.Scores() {
+	for i, v := range m.ScoresView() {
 		if v < 0 || v > 1 {
 			t.Fatalf("score[%d] = %v out of [0,1]", i, v)
 		}
@@ -228,7 +228,7 @@ func TestSubmitRejectsNaN(t *testing.T) {
 	}
 	m.Compute()
 	if got := m.Score(1); got != 1 {
-		t.Fatalf("score of the only rated peer = %v, want 1 (scores %v)", got, m.Scores())
+		t.Fatalf("score of the only rated peer = %v, want 1 (scores %v)", got, m.ScoresView())
 	}
 	batch := []reputation.Report{
 		{Rater: 3, Ratee: 4, Value: 0.1},

@@ -18,8 +18,8 @@ func denseRows(m *Mechanism) [][]float64 {
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		sum := 0.0
-		for j, p := range m.feedback.rows[i] {
-			row[j] = p.sum / float64(p.count)
+		for _, c := range m.feedback.Row(i) {
+			row[c.Col] = c.Val.sum / float64(c.Val.count)
 		}
 		for _, v := range row {
 			sum += v

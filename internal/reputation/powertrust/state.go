@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/reputation"
 )
@@ -33,33 +33,22 @@ type mechanismState struct {
 	HasConv bool
 }
 
-// MechanismState implements reputation.Snapshotter.
+// MechanismState implements reputation.Mechanism. The store yields the
+// feedback in (rater, ratee) order, so equal states encode to equal blobs
+// without a sort.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	sv := m.Solver.State()
 	st := mechanismState{
-		Scores:  sv.Scores,
-		Power:   append([]int(nil), m.power...),
-		Dirty:   sv.Dirty,
-		Conv:    sv.Conv,
-		HasConv: sv.HasConv,
+		Scores:    sv.Scores,
+		Power:     append([]int(nil), m.power...),
+		Dirty:     sv.Dirty,
+		DirtyRows: m.feedback.DirtyState(),
+		Conv:      sv.Conv,
+		HasConv:   sv.HasConv,
 	}
-	for i := range m.feedback.dirty {
-		st.DirtyRows = append(st.DirtyRows, i)
+	for i, c := range m.feedback.All() {
+		st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: int(c.Col), Sum: c.Val.sum, Count: int(c.Val.count)})
 	}
-	sort.Slice(st.DirtyRows, func(a, b int) bool { return st.DirtyRows[a] < st.DirtyRows[b] })
-	for i, row := range m.feedback.rows {
-		for j, p := range row {
-			st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: int(j), Sum: p.sum, Count: p.count})
-		}
-	}
-	// Map iteration order is random; canonicalize so equal states encode to
-	// equal blobs.
-	sort.Slice(st.Feedback, func(a, b int) bool {
-		if st.Feedback[a].Rater != st.Feedback[b].Rater {
-			return st.Feedback[a].Rater < st.Feedback[b].Rater
-		}
-		return st.Feedback[a].Ratee < st.Feedback[b].Ratee
-	})
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("powertrust: encode state: %w", err)
@@ -67,36 +56,40 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Snapshotter.
+// RestoreMechanismState implements reputation.Mechanism. Every feedback
+// entry must be one reports can build — an in-range, non-self pair that
+// appears once, with 1..MaxInt32 ratings summing to a value in [0, Count]
+// (ratings are clamped to [0,1]) — and every dirty row and power node in
+// range. A rejected state is an error that leaves the mechanism unchanged.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("powertrust: decode state: %w", err)
 	}
-	rows := make([]map[int32]pair, m.cfg.N)
-	for _, e := range st.Feedback {
-		if e.Rater < 0 || e.Rater >= m.cfg.N || e.Ratee < 0 || e.Ratee >= m.cfg.N {
-			return fmt.Errorf("powertrust: state entry %d->%d out of range [0,%d)", e.Rater, e.Ratee, m.cfg.N)
+	entries := make([]reputation.Entry[pair], len(st.Feedback))
+	for k, e := range st.Feedback {
+		if e.Count <= 0 || e.Count > math.MaxInt32 {
+			return fmt.Errorf("powertrust: state entry %d->%d counts %d ratings", e.Rater, e.Ratee, e.Count)
 		}
-		if rows[e.Rater] == nil {
-			rows[e.Rater] = make(map[int32]pair)
+		if !(e.Sum >= 0 && e.Sum <= float64(e.Count)) {
+			return fmt.Errorf("powertrust: state entry %d->%d sums %d ratings to %v", e.Rater, e.Ratee, e.Count, e.Sum)
 		}
-		rows[e.Rater][int32(e.Ratee)] = pair{sum: e.Sum, count: e.Count}
+		entries[k] = reputation.Entry[pair]{Row: e.Rater, Col: e.Ratee, Val: pair{sum: e.Sum, count: int32(e.Count)}}
 	}
-	dirtyRows := make(map[int32]struct{}, len(st.DirtyRows))
-	for _, i := range st.DirtyRows {
-		if i < 0 || int(i) >= m.cfg.N {
-			return fmt.Errorf("powertrust: dirty row %d out of range [0,%d)", i, m.cfg.N)
+	rows, err := reputation.RowsFromState(m.cfg.N, entries, st.DirtyRows)
+	if err != nil {
+		return fmt.Errorf("powertrust: state: %w", err)
+	}
+	for _, p := range st.Power {
+		if p < 0 || p >= m.cfg.N {
+			return fmt.Errorf("powertrust: state power node %d out of range [0,%d)", p, m.cfg.N)
 		}
-		dirtyRows[i] = struct{}{}
 	}
 	sv := reputation.SolverState{Scores: st.Scores, Dirty: st.Dirty, Conv: st.Conv, HasConv: st.HasConv}
 	if err := m.Solver.SetState(sv); err != nil {
 		return fmt.Errorf("powertrust: %w", err)
 	}
-	m.feedback = ratings{rows: rows, dirty: dirtyRows}
+	m.feedback.Rows = rows
 	m.power = append([]int(nil), st.Power...)
 	return nil
 }
-
-var _ reputation.Snapshotter = (*Mechanism)(nil)

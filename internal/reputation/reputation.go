@@ -10,9 +10,7 @@ package reputation
 import (
 	"fmt"
 	"math"
-	"slices"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -44,6 +42,9 @@ func (r Report) Validate(n int) error {
 }
 
 // Mechanism is a pluggable scoring engine ("scoring and ranking" block).
+// The methods here are the ones every mechanism has; capabilities only some
+// have (batched submission, whitewashing, sharded or delegated compute,
+// convergence diagnostics) are optional interfaces beside it.
 type Mechanism interface {
 	// Name identifies the mechanism in experiment output.
 	Name() string
@@ -54,8 +55,26 @@ type Mechanism interface {
 	Compute() int
 	// Score returns the current global score of a peer in [0,1].
 	Score(peer int) float64
-	// Scores returns all peers' scores indexed by peer id.
-	Scores() []float64
+	// ScoresView returns all peers' scores indexed by peer id, uncopied.
+	// The slice is READ-ONLY and valid only until the mechanism's next
+	// Compute or state restore: callers that keep scores across one clone
+	// them.
+	ScoresView() []float64
+	// TrustworthyFraction returns, over peers with any feedback, the
+	// fraction the mechanism concludes are trustworthy (1 when no peer has
+	// feedback yet). Section 3 of the paper makes this a first-class
+	// signal — "the set of those levels may indicate the trustworthy of the
+	// global system": an efficient mechanism concluding that the majority
+	// is untrustworthy must LOWER trust towards the system, not raise it.
+	TrustworthyFraction() float64
+	// MechanismState serializes the mechanism's mutable state (an empty
+	// blob when it has none). It is the seam the engine-wide
+	// snapshot/resume feature runs through: restore-then-run must be
+	// bit-for-bit identical to an uninterrupted run.
+	MechanismState() ([]byte, error)
+	// RestoreMechanismState restores a blob captured from a mechanism with
+	// identical configuration.
+	RestoreMechanismState(data []byte) error
 }
 
 // SatThreshold is the rating at or above which a transaction counts as
@@ -64,37 +83,14 @@ type Mechanism interface {
 const SatThreshold = 0.5
 
 // BatchSubmitter is implemented by mechanisms that can fold a whole round's
-// reports in one call, amortizing per-report overhead (row lookups,
-// dirty-set inserts) across the batch. Folding a batch must leave the
-// mechanism in exactly the state that calling Submit for each report in
-// order would; an invalid report aborts the batch with an error, the
-// reports before it already folded. Callers that need per-report error
+// reports in one call, amortizing per-report overhead (the call itself, the
+// mechanism's dirty bookkeeping) across the batch. Folding a batch must
+// leave the mechanism in exactly the state that calling Submit for each
+// report in order would; an invalid report aborts the batch with an error,
+// the reports before it already folded. Callers that need per-report error
 // isolation (reports of unvetted provenance) must use Submit.
 type BatchSubmitter interface {
 	SubmitBatch(rs []Report) error
-}
-
-// ScoresViewer is implemented by mechanisms that can expose their current
-// score vector without copying. The returned slice is READ-ONLY and valid
-// only until the mechanism's next Compute, Submit-triggered recompute, or
-// state restore: callers that need to retain or mutate scores must use
-// Scores() instead. It exists for the per-round observer paths (candidate
-// gating, facet measurement) that would otherwise copy n floats every
-// round.
-type ScoresViewer interface {
-	// ScoresView returns the same values Scores() would, uncopied.
-	ScoresView() []float64
-}
-
-// ScoresOf returns m's scores through the read-only fast path when the
-// mechanism offers one, falling back to the copying accessor. The result
-// must be treated as read-only and not retained across mechanism mutations
-// (see ScoresViewer).
-func ScoresOf(m Mechanism) []float64 {
-	if v, ok := m.(ScoresViewer); ok {
-		return v.ScoresView()
-	}
-	return m.Scores()
 }
 
 // ComputeSharder is implemented by mechanisms whose Compute scatters work
@@ -125,44 +121,21 @@ type ConvergenceReporter interface {
 	LastConvergence() (Convergence, bool)
 }
 
-// CommunityAssessor is implemented by mechanisms that can report their
-// conclusion about the population: the fraction of rated peers the
-// mechanism considers trustworthy. Section 3 of the paper makes this a
-// first-class signal — "the set of those levels may indicate the
-// trustworthy of the global system": an efficient mechanism concluding that
-// the majority is untrustworthy must LOWER trust towards the system, not
-// raise it.
-type CommunityAssessor interface {
-	// TrustworthyFraction returns, over peers with any feedback, the
-	// fraction the mechanism concludes are trustworthy (1 when no peer has
-	// feedback yet).
-	TrustworthyFraction() float64
-}
-
-// cell is one (rater, ratee) aggregate of the local-trust matrix: the ratee
-// column and its satisfactory/unsatisfactory report counts.
-type cell struct {
-	col        int32
-	sat, unsat int32
-}
-
-// rowCap is the capacity a rater's row starts with: most raters rate a
-// handful of distinct ratees, so one allocation covers a typical row.
-const rowCap = 8
+// satCounts is one (rater, ratee) aggregate of the local-trust matrix: its
+// satisfactory and unsatisfactory report counts.
+type satCounts struct{ sat, unsat int32 }
 
 // LocalTrust accumulates reports into EigenTrust-style local trust values:
 // s_ij = sat(i,j) − unsat(i,j), and normalized rows
 // c_ij = max(s_ij,0) / Σ_j max(s_ij,0).
 //
-// The matrix is stored sparsely — one slice of cells per rater, sorted by
-// ratee and holding only pairs that ever exchanged a report — and tracks
-// which rows changed since the mechanism last materialized them (the dirty
-// set), so a recompute touches O(changed rows), not Θ(n²). Per-ratee
-// net/seen tallies keep the community assessment O(1).
+// The matrix is stored sparsely in the shared Rows store, which tracks the
+// rows changed since the mechanism last materialized them, so a recompute
+// touches O(changed rows), not Θ(n²). Per-ratee net/seen tallies keep the
+// community assessment O(1).
 type LocalTrust struct {
-	n     int
-	rows  [][]cell // nil: the rater has no row (never rated, or reset)
-	dirty metrics.DirtySet
+	n    int
+	rows Rows[satCounts]
 
 	// net[j] and seen[j] are Σ_i (sat−unsat) and Σ_i (sat+unsat) over the
 	// cells of column j; rated counts the ratees with seen != 0 and
@@ -180,7 +153,7 @@ func NewLocalTrust(n int) *LocalTrust {
 	}
 	return &LocalTrust{
 		n:    n,
-		rows: make([][]cell, n),
+		rows: NewRows[satCounts](n),
 		net:  make([]int32, n),
 		seen: make([]int32, n),
 	}
@@ -188,21 +161,6 @@ func NewLocalTrust(n int) *LocalTrust {
 
 // N returns the matrix dimension.
 func (l *LocalTrust) N() int { return l.n }
-
-// find returns the position of column j in row (sorted by column): its
-// index when present, else the index it would be inserted at.
-func find(row []cell, j int32) (int, bool) {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if row[m].col < j {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(row) && row[lo].col == j
-}
 
 // tally adds a cell's (sat, unsat) delta to column j's tallies, keeping the
 // rated/positive counts current.
@@ -227,37 +185,22 @@ func (l *LocalTrust) tally(j int32, dSat, dUnsat int32) {
 // satisfactory. Invalid reports (see Report.Validate) are rejected.
 func (l *LocalTrust) Add(r Report) error { return l.AddBatch([]Report{r}) }
 
-// AddBatch folds a batch of reports, amortizing the dirty-set insert across
-// consecutive reports by the same rater (a round's reports arrive grouped by
-// interaction, so runs of equal raters are common). The result is exactly
-// that of calling Add for each report in order; the first invalid report
-// aborts the batch with the reports before it already folded.
+// AddBatch folds a batch of reports. The result is exactly that of calling
+// Add for each report in order; the first invalid report aborts the batch
+// with the reports before it already folded.
 func (l *LocalTrust) AddBatch(rs []Report) error {
-	lastRater := -1
 	for i := range rs {
 		r := &rs[i]
 		if err := r.Validate(l.n); err != nil {
 			return fmt.Errorf("reputation: %w", err)
 		}
-		if r.Rater != lastRater {
-			if l.rows[r.Rater] == nil {
-				l.rows[r.Rater] = make([]cell, 0, rowCap)
-			}
-			l.dirty.Mark(r.Rater)
-			lastRater = r.Rater
-		}
 		j := int32(r.Ratee)
-		row := l.rows[r.Rater]
-		k, found := find(row, j)
-		if !found {
-			row = slices.Insert(row, k, cell{col: j})
-			l.rows[r.Rater] = row
-		}
+		c := l.rows.Upsert(r.Rater, j)
 		if r.Value >= SatThreshold {
-			row[k].sat++
+			c.sat++
 			l.tally(j, 1, 0)
 		} else {
-			row[k].unsat++
+			c.unsat++
 			l.tally(j, 0, 1)
 		}
 	}
@@ -269,12 +212,11 @@ func (l *LocalTrust) S(i, j int) float64 {
 	if i < 0 || i >= l.n || j < 0 || j >= l.n {
 		return 0
 	}
-	row := l.rows[i]
-	k, found := find(row, int32(j))
-	if !found || row[k].sat <= row[k].unsat {
+	c := l.rows.Find(i, int32(j))
+	if c == nil || c.sat <= c.unsat {
 		return 0
 	}
-	return float64(row[k].sat - row[k].unsat)
+	return float64(c.sat - c.unsat)
 }
 
 // AppendRow appends row i's positive local-trust entries — column indices
@@ -284,10 +226,10 @@ func (l *LocalTrust) AppendRow(i int, cols []int32, vals []float64) ([]int32, []
 	if i < 0 || i >= l.n {
 		return cols, vals
 	}
-	for _, c := range l.rows[i] {
-		if c.sat > c.unsat {
-			cols = append(cols, c.col)
-			vals = append(vals, float64(c.sat-c.unsat))
+	for _, c := range l.rows.Row(i) {
+		if c.Val.sat > c.Val.unsat {
+			cols = append(cols, c.Col)
+			vals = append(vals, float64(c.Val.sat-c.Val.unsat))
 		}
 	}
 	return cols, vals
@@ -334,18 +276,13 @@ func (l *LocalTrust) ResetPeer(i int) {
 	if i < 0 || i >= l.n {
 		return
 	}
-	if l.rows[i] != nil {
-		for _, c := range l.rows[i] {
-			l.tally(c.col, -c.sat, -c.unsat)
-		}
-		l.rows[i] = nil
-		l.dirty.Mark(i)
+	for _, c := range l.rows.Row(i) {
+		l.tally(c.Col, -c.Val.sat, -c.Val.unsat)
 	}
-	for k, row := range l.rows {
-		if p, found := find(row, int32(i)); found {
-			l.tally(int32(i), -row[p].sat, -row[p].unsat)
-			l.rows[k] = slices.Delete(row, p, p+1)
-			l.dirty.Mark(k)
+	l.rows.DropRow(i)
+	for k := 0; k < l.n; k++ {
+		if c, ok := l.rows.Delete(k, int32(i)); ok {
+			l.tally(int32(i), -c.sat, -c.unsat)
 		}
 	}
 }
@@ -355,8 +292,8 @@ func (l *LocalTrust) HasOutgoing(i int) bool {
 	if i < 0 || i >= l.n {
 		return false
 	}
-	for _, c := range l.rows[i] {
-		if c.sat > c.unsat {
+	for _, c := range l.rows.Row(i) {
+		if c.Val.sat > c.Val.unsat {
 			return true
 		}
 	}
@@ -364,16 +301,14 @@ func (l *LocalTrust) HasOutgoing(i int) bool {
 }
 
 // DirtyRows returns, in ascending order, the rows changed since the last
-// ClearDirty — the rows whose CSR materialization is stale. The slice is
-// owned by the matrix and valid until its next mutation or ClearDirty.
-func (l *LocalTrust) DirtyRows() []int { return l.dirty.Sorted() }
+// ClearDirty (see Rows.DirtyRows).
+func (l *LocalTrust) DirtyRows() []int { return l.rows.DirtyRows() }
 
 // HasDirty reports whether any row changed since the last ClearDirty.
-func (l *LocalTrust) HasDirty() bool { return l.dirty.Len() > 0 }
+func (l *LocalTrust) HasDirty() bool { return l.rows.HasDirty() }
 
-// ClearDirty empties the dirty set (called after the mechanism has
-// rematerialized the rows it reported).
-func (l *LocalTrust) ClearDirty() { l.dirty.Reset() }
+// ClearDirty empties the dirty set.
+func (l *LocalTrust) ClearDirty() { l.rows.ClearDirty() }
 
 // UniformPretrust returns the uniform distribution over n peers.
 func UniformPretrust(n int) []float64 {
@@ -470,9 +405,8 @@ func (g *Gatherer) SetDisclosure(rater int, p float64) {
 
 // Admit performs the rater's disclosure draw without delivering anything:
 // it returns whether the rater shares the report, counting Withheld when
-// not. Callers that buffer admitted reports for batched delivery must call
-// Commit for each successfully delivered one, so the Gathered/SharedBy
-// accounting stays exactly what per-report Offer calls would produce.
+// not. Callers deliver admitted reports to the mechanism and call Commit for
+// each one delivered successfully.
 func (g *Gatherer) Admit(rater int) bool {
 	p := 1.0
 	if rater >= 0 && rater < len(g.disclosure) {
@@ -493,19 +427,6 @@ func (g *Gatherer) Commit(rater int) {
 	if rater >= 0 && rater < len(g.sharedBy) {
 		g.sharedBy[rater]++
 	}
-}
-
-// Offer submits the report to the mechanism iff the rater's disclosure
-// admits it. It reports whether the report was shared.
-func (g *Gatherer) Offer(m Mechanism, r Report) (bool, error) {
-	if !g.Admit(r.Rater) {
-		return false, nil
-	}
-	if err := m.Submit(r); err != nil {
-		return false, err
-	}
-	g.Commit(r.Rater)
-	return true, nil
 }
 
 // SelectBest is the "response" block used by the experiments: choose the
@@ -591,15 +512,11 @@ func (*None) Compute() int { return 0 }
 // Score implements Mechanism.
 func (*None) Score(int) float64 { return 0.5 }
 
-// Scores implements Mechanism.
-func (m *None) Scores() []float64 {
-	return append([]float64(nil), m.scores...)
-}
-
-// ScoresView implements ScoresViewer (the baseline's scores never change).
+// ScoresView implements Mechanism (the baseline's scores never change).
 func (m *None) ScoresView() []float64 { return m.scores }
 
-var (
-	_ Mechanism    = (*None)(nil)
-	_ ScoresViewer = (*None)(nil)
-)
+// TrustworthyFraction implements Mechanism: the baseline draws no
+// conclusion about the population, which reads as no evidence against it.
+func (*None) TrustworthyFraction() float64 { return 1 }
+
+var _ Mechanism = (*None)(nil)

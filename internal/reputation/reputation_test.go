@@ -194,17 +194,16 @@ func TestLocalTrustStateRoundTrip(t *testing.T) {
 	}
 }
 
+// The gatherer tests drive the engine's delivery path: Admit draws the
+// disclosure, and Commit records a report the mechanism then accepted.
+
 func TestGathererDisclosureZeroAndOne(t *testing.T) {
 	rng := sim.NewRNG(3)
-	m := NewNone(4)
 	g := NewGatherer(rng, []float64{0, 1})
 	shared0 := 0
 	for i := 0; i < 200; i++ {
-		ok, err := g.Offer(m, Report{Rater: 0, Ratee: 1, Value: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+		if g.Admit(0) {
+			g.Commit(0)
 			shared0++
 		}
 	}
@@ -213,8 +212,8 @@ func TestGathererDisclosureZeroAndOne(t *testing.T) {
 	}
 	shared1 := 0
 	for i := 0; i < 200; i++ {
-		ok, _ := g.Offer(m, Report{Rater: 1, Ratee: 0, Value: 1})
-		if ok {
+		if g.Admit(1) {
+			g.Commit(1)
 			shared1++
 		}
 	}
@@ -228,12 +227,11 @@ func TestGathererDisclosureZeroAndOne(t *testing.T) {
 
 func TestGathererFraction(t *testing.T) {
 	rng := sim.NewRNG(4)
-	m := NewNone(2)
 	g := NewGatherer(rng, []float64{0.3})
 	shared := 0
 	for i := 0; i < 5000; i++ {
-		ok, _ := g.Offer(m, Report{Rater: 0, Ratee: 1, Value: 1})
-		if ok {
+		if g.Admit(0) {
+			g.Commit(0)
 			shared++
 		}
 	}
@@ -246,15 +244,14 @@ func TestGathererFraction(t *testing.T) {
 func TestGathererClampsAndDefaults(t *testing.T) {
 	rng := sim.NewRNG(5)
 	g := NewGatherer(rng, []float64{-1, 2})
-	m := NewNone(3)
-	if ok, _ := g.Offer(m, Report{Rater: 0, Ratee: 1}); ok {
+	if g.Admit(0) {
 		t.Fatal("clamped-to-0 rater shared")
 	}
-	if ok, _ := g.Offer(m, Report{Rater: 1, Ratee: 0}); !ok {
+	if !g.Admit(1) {
 		t.Fatal("clamped-to-1 rater withheld")
 	}
 	// Rater beyond the disclosure vector defaults to full disclosure.
-	if ok, _ := g.Offer(m, Report{Rater: 2, Ratee: 0}); !ok {
+	if !g.Admit(2) {
 		t.Fatal("unknown rater withheld")
 	}
 }
@@ -333,12 +330,15 @@ func TestNoneBaseline(t *testing.T) {
 	if m.Compute() != 0 {
 		t.Fatal("Compute should be 0 rounds")
 	}
-	for i, s := range m.Scores() {
+	for i, s := range m.ScoresView() {
 		if s != 0.5 {
 			t.Fatalf("score[%d] = %v", i, s)
 		}
 	}
 	if m.Score(0) != 0.5 {
 		t.Fatal("Score != 0.5")
+	}
+	if got := m.TrustworthyFraction(); got != 1 {
+		t.Fatalf("TrustworthyFraction = %v, want 1", got)
 	}
 }

@@ -129,7 +129,6 @@ var (
 	_ SpMVDelegator       = (*Solver)(nil)
 	_ BlockScatterer      = (*Solver)(nil)
 	_ ConvergenceReporter = (*Solver)(nil)
-	_ ScoresViewer        = (*Solver)(nil)
 )
 
 // MarkDirty records that the feed changed, so the next Solve iterates.
@@ -272,11 +271,8 @@ func (s *Solver) Score(peer int) float64 {
 	return s.scores[peer] / s.normMax
 }
 
-// Scores implements Mechanism.
-func (s *Solver) Scores() []float64 { return append([]float64(nil), s.norm...) }
-
-// ScoresView implements ScoresViewer: the max-normalized scores without the
-// copy. Read-only; valid until the next Solve or restore.
+// ScoresView implements Mechanism: the max-normalized scores, uncopied.
+// Read-only; valid until the next Solve or restore.
 func (s *Solver) ScoresView() []float64 { return s.norm }
 
 // SolverState is the serializable state of a Solver. The CSR is derived: it

@@ -1,27 +1,11 @@
 package reputation
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"repro/internal/sim"
 )
-
-// Snapshotter is implemented by mechanisms whose mutable state can be
-// captured as an opaque blob and later restored into a freshly constructed
-// mechanism with the same configuration. It is the seam the engine-wide
-// snapshot/resume feature runs through: restore-then-run must be bit-for-bit
-// identical to an uninterrupted run.
-//
-// Mechanisms without mutable state (the None baseline) return an empty blob.
-type Snapshotter interface {
-	// MechanismState serializes the mechanism's mutable state.
-	MechanismState() ([]byte, error)
-	// RestoreMechanismState restores a blob captured from a mechanism with
-	// identical configuration.
-	RestoreMechanismState(data []byte) error
-}
 
 // LocalTrustEntry is one (rater, ratee) aggregate of a serialized
 // local-trust matrix.
@@ -40,17 +24,12 @@ type LocalTrustState struct {
 	Dirty   []int32
 }
 
-// State captures the matrix. Rows are stored column-sorted and visited in
-// rater order, so the entries come out canonical without a sort.
+// State captures the matrix. The store yields its cells in (rater, ratee)
+// order, so the entries come out canonical without a sort.
 func (l *LocalTrust) State() LocalTrustState {
-	st := LocalTrustState{N: l.n}
-	for i, row := range l.rows {
-		for _, c := range row {
-			st.Entries = append(st.Entries, LocalTrustEntry{I: int32(i), J: c.col, Sat: c.sat, Unsat: c.unsat})
-		}
-	}
-	for _, i := range l.dirty.Sorted() {
-		st.Dirty = append(st.Dirty, int32(i))
+	st := LocalTrustState{N: l.n, Dirty: l.rows.DirtyState()}
+	for i, c := range l.rows.All() {
+		st.Entries = append(st.Entries, LocalTrustEntry{I: int32(i), J: c.Col, Sat: c.Val.sat, Unsat: c.Val.unsat})
 	}
 	return st
 }
@@ -58,65 +37,29 @@ func (l *LocalTrust) State() LocalTrustState {
 // SetState restores a captured matrix of the same dimension, replacing the
 // current contents and dirty set. Entries may come in any order, but each
 // must be an in-range, non-self (rater, ratee) pair that appears once, with
-// non-negative counts — the only matrices reports can build. A rejected
-// state leaves the matrix unchanged.
+// non-negative counts — the only matrices reports can build (see
+// RowsFromState). A rejected state leaves the matrix unchanged.
 func (l *LocalTrust) SetState(st LocalTrustState) error {
 	if st.N != l.n {
 		return fmt.Errorf("reputation: local-trust state for %d peers, want %d", st.N, l.n)
 	}
-	for _, e := range st.Entries {
-		if e.I < 0 || int(e.I) >= l.n || e.J < 0 || int(e.J) >= l.n {
-			return fmt.Errorf("reputation: local-trust state entry %d->%d out of range [0,%d)", e.I, e.J, l.n)
-		}
-		if e.I == e.J {
-			return fmt.Errorf("reputation: local-trust state entry %d->%d is a self-rating", e.I, e.J)
-		}
+	entries := make([]Entry[satCounts], len(st.Entries))
+	for k, e := range st.Entries {
 		if e.Sat < 0 || e.Unsat < 0 {
 			return fmt.Errorf("reputation: local-trust state entry %d->%d has negative counts %d/%d", e.I, e.J, e.Sat, e.Unsat)
 		}
+		entries[k] = Entry[satCounts]{Row: int(e.I), Col: int(e.J), Val: satCounts{sat: e.Sat, unsat: e.Unsat}}
 	}
-	for _, i := range st.Dirty {
-		if i < 0 || int(i) >= l.n {
-			return fmt.Errorf("reputation: local-trust dirty row %d out of range [0,%d)", i, l.n)
-		}
+	rows, err := RowsFromState(l.n, entries, st.Dirty)
+	if err != nil {
+		return fmt.Errorf("reputation: local-trust state: %w", err)
 	}
-	byPair := func(a, b LocalTrustEntry) int {
-		if c := cmp.Compare(a.I, b.I); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.J, b.J)
-	}
-	entries := st.Entries
-	if !slices.IsSortedFunc(entries, byPair) {
-		entries = slices.Clone(entries)
-		slices.SortFunc(entries, byPair)
-	}
-	for k := 1; k < len(entries); k++ {
-		if byPair(entries[k-1], entries[k]) == 0 {
-			return fmt.Errorf("reputation: local-trust state entry %d->%d appears twice", entries[k].I, entries[k].J)
-		}
-	}
-	clear(l.rows)
+	l.rows = rows
 	clear(l.net)
 	clear(l.seen)
 	l.rated, l.positive = 0, 0
-	for lo := 0; lo < len(entries); {
-		i := entries[lo].I
-		hi := lo + 1
-		for hi < len(entries) && entries[hi].I == i {
-			hi++
-		}
-		row := make([]cell, hi-lo)
-		for k, e := range entries[lo:hi] {
-			row[k] = cell{col: e.J, sat: e.Sat, unsat: e.Unsat}
-			l.tally(e.J, e.Sat, e.Unsat)
-		}
-		l.rows[i] = row
-		lo = hi
-	}
-	l.dirty.Reset()
-	for _, i := range st.Dirty {
-		l.dirty.Mark(int(i))
+	for _, c := range l.rows.All() {
+		l.tally(c.Col, c.Val.sat, c.Val.unsat)
 	}
 	return nil
 }
@@ -175,10 +118,8 @@ func RestoreGatherer(st GathererState) (*Gatherer, error) {
 	return g, nil
 }
 
-// MechanismState implements Snapshotter: the baseline has no mutable state.
+// MechanismState implements Mechanism: the baseline has no mutable state.
 func (*None) MechanismState() ([]byte, error) { return nil, nil }
 
-// RestoreMechanismState implements Snapshotter.
+// RestoreMechanismState implements Mechanism.
 func (*None) RestoreMechanismState([]byte) error { return nil }
-
-var _ Snapshotter = (*None)(nil)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/dht"
-	"repro/internal/reputation"
 )
 
 // mechanismState is the gob-serialized mutable state of the mechanism: the
@@ -25,7 +24,7 @@ type mechanismState struct {
 	Dirty    bool
 }
 
-// MechanismState implements reputation.Snapshotter.
+// MechanismState implements reputation.Mechanism.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
 		Ring:     m.ring.State(),
@@ -49,7 +48,7 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Snapshotter.
+// RestoreMechanismState implements reputation.Mechanism.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -81,5 +80,3 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.tfAll = true
 	return nil
 }
-
-var _ reputation.Snapshotter = (*Mechanism)(nil)

@@ -159,11 +159,8 @@ func (m *Mechanism) BeginTransaction(txID uint64, consumer, provider int) (crypt
 // certificate exchange always precedes the transaction in the real
 // protocol), but a mismatched one is a hard error.
 func (m *Mechanism) Submit(r reputation.Report) error {
-	if r.Rater < 0 || r.Rater >= m.cfg.N || r.Ratee < 0 || r.Ratee >= m.cfg.N {
-		return fmt.Errorf("trustme: report %d->%d out of range", r.Rater, r.Ratee)
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("trustme: self-rating by %d rejected", r.Rater)
+	if err := r.Validate(m.cfg.N); err != nil {
+		return fmt.Errorf("trustme: %w", err)
 	}
 	cert, ok := m.certs[r.TxID]
 	if !ok {
@@ -252,20 +249,11 @@ func (m *Mechanism) Score(peer int) float64 {
 	return m.scores[peer]
 }
 
-// Scores implements reputation.Mechanism.
-func (m *Mechanism) Scores() []float64 {
-	out := make([]float64, len(m.scores))
-	copy(out, m.scores)
-	return out
-}
-
-// ScoresView implements reputation.ScoresViewer: the score cache without
-// the copy. Read-only; valid until the next Compute or restore.
+// ScoresView implements reputation.Mechanism: the score cache, uncopied.
+// Read-only; valid until the next Compute or restore.
 func (m *Mechanism) ScoresView() []float64 { return m.scores }
 
-var _ reputation.ScoresViewer = (*Mechanism)(nil)
-
-// TrustworthyFraction implements reputation.CommunityAssessor: the fraction
+// TrustworthyFraction implements reputation.Mechanism: the fraction
 // of peers with THA-stored history whose mean rating is at least 0.5. The
 // per-peer means and the rated/positive tallies are cached and refreshed
 // only for peers whose history changed, so the assessment costs O(changed)
@@ -322,8 +310,6 @@ func (m *Mechanism) refreshTF(p int) {
 		m.tfPositive++
 	}
 }
-
-var _ reputation.CommunityAssessor = (*Mechanism)(nil)
 
 // Whitewash models a peer abandoning its identity: its THA-stored rating
 // history is deleted and its pseudonym rotated. Because TrustMe defaults

@@ -204,12 +204,35 @@ func TestCompositeWorkload(t *testing.T) {
 		tx++
 	}
 	m.Compute()
-	s := m.Scores()
+	s := m.ScoresView()
 	for i := 0; i < 15; i++ {
 		for j := 15; j < 20; j++ {
 			if s[i] <= s[j] {
 				t.Fatalf("good peer %d (%v) not above bad peer %d (%v)", i, s[i], j, s[j])
 			}
 		}
+	}
+}
+
+// TestSubmitRejectsNaN pins that a NaN rating is an error, not a value:
+// appended to the ratee's THA history, it would make every later mean of
+// that history NaN.
+func TestSubmitRejectsNaN(t *testing.T) {
+	m, err := New(Config{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(reputation.Report{TxID: 1, Rater: 2, Ratee: 1, Value: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(reputation.Report{TxID: 2, Rater: 0, Ratee: 1, Value: math.NaN()}); err == nil {
+		t.Fatal("NaN rating accepted by Submit")
+	}
+	m.Compute()
+	if got := m.Score(1); got != 0.8 {
+		t.Fatalf("score of peer 1 = %v after a NaN rating, want 0.8", got)
+	}
+	if got := m.TrustworthyFraction(); got != 1 {
+		t.Fatalf("trustworthy fraction = %v, want 1", got)
 	}
 }

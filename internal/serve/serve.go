@@ -6,8 +6,8 @@
 // The core mechanism is an epoch-boundary read/write concordance:
 //
 //   - Reads never touch the live engine. At every epoch boundary the server
-//     copies the mechanism's score vector (through the zero-copy ScoresView
-//     fast path) into a fresh immutable View — scores, rank order, epoch
+//     copies the mechanism's score vector (from its read-only ScoresView)
+//     into a fresh immutable View — scores, rank order, epoch
 //     stats, a checksum — and swaps it in with one atomic pointer store.
 //     Queries load the pointer and read freely: a reader can hold a view
 //     across any number of epoch swaps and still see one epoch-consistent
@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/reputation"
 	"repro/trustnet"
 )
 
@@ -291,7 +290,7 @@ func New(cfg Config) (*Server, error) {
 	if hist := cfg.Engine.History(); len(hist) > 0 {
 		st = hist[len(hist)-1]
 	}
-	v := buildView(cfg.Engine.EpochIndex(), cfg.Engine.ActivePeers(), st, reputation.ScoresOf(cfg.Engine.Mechanism()))
+	v := buildView(cfg.Engine.EpochIndex(), cfg.Engine.ActivePeers(), st, cfg.Engine.Mechanism().ScoresView())
 	s.view.Store(v)
 	s.epochDone.Store(int64(v.Epoch))
 	return s, nil
@@ -431,7 +430,7 @@ func (s *Server) advanceOnce() (trustnet.EpochStats, error) {
 		}
 		return trustnet.EpochStats{}, err
 	}
-	v := buildView(s.eng.EpochIndex(), s.eng.ActivePeers(), st, reputation.ScoresOf(s.eng.Mechanism()))
+	v := buildView(s.eng.EpochIndex(), s.eng.ActivePeers(), st, s.eng.Mechanism().ScoresView())
 	s.view.Store(v)
 	s.epochDone.Store(int64(v.Epoch))
 	s.broadcast(st)

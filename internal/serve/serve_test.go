@@ -158,7 +158,7 @@ func TestServedDeterminismMatchesBatch(t *testing.T) {
 			}
 
 			// Scores must match bit for bit, through the HTTP surface too.
-			want := batch.Mechanism().Scores()
+			want := batch.Mechanism().ScoresView()
 			var scored struct {
 				Epoch  int       `json:"epoch"`
 				Scores []float64 `json:"scores"`
@@ -375,7 +375,7 @@ func TestSnapshotEndpointResumes(t *testing.T) {
 	if _, err := restored.Run(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	a, b := eng.Mechanism().Scores(), restored.Mechanism().Scores()
+	a, b := eng.Mechanism().ScoresView(), restored.Mechanism().ScoresView()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("score[%d]: served %v != restored continuation %v", i, a[i], b[i])

@@ -102,7 +102,7 @@ func TestActiveIndexSnapshotRoundTrip(t *testing.T) {
 	if orig.Summarize() != restored.Summarize() {
 		t.Fatalf("summaries diverged after restore-then-run:\n%+v\n%+v", orig.Summarize(), restored.Summarize())
 	}
-	a, b := orig.mech.Scores(), restored.mech.Scores()
+	a, b := orig.mech.ScoresView(), restored.mech.ScoresView()
 	for p := range a {
 		if a[p] != b[p] {
 			t.Fatalf("score[%d]: %v != %v after restore-then-run", p, a[p], b[p])

@@ -52,7 +52,7 @@ func TestCollusionDiffersFromPlainMalice(t *testing.T) {
 		}
 		e.Run(20)
 		e.Mechanism().Compute()
-		return e.Mechanism().Scores()
+		return e.Mechanism().ScoresView()
 	}
 	mal := run(adversary.Mix{
 		Fractions:   map[adversary.Class]float64{adversary.Honest: 0.7, adversary.Malicious: 0.3},
@@ -80,7 +80,7 @@ func TestPretrustDampsCollusionInWorkload(t *testing.T) {
 	}
 	e.Run(40)
 	e.Mechanism().Compute()
-	scores := e.Mechanism().Scores()
+	scores := e.Mechanism().ScoresView()
 	gt := e.Network().GroundTruthQuality()
 	served := map[int]bool{}
 	for _, i := range e.Network().Interactions() {

@@ -56,14 +56,9 @@ type EngineState struct {
 	LedgerScale float64
 }
 
-// State captures the engine's mutable state. The mechanism must implement
-// reputation.Snapshotter.
+// State captures the engine's mutable state.
 func (e *Engine) State() (EngineState, error) {
-	snap, ok := e.mech.(reputation.Snapshotter)
-	if !ok {
-		return EngineState{}, fmt.Errorf("workload: mechanism %q does not support snapshots", e.mech.Name())
-	}
-	blob, err := snap.MechanismState()
+	blob, err := e.mech.MechanismState()
 	if err != nil {
 		return EngineState{}, err
 	}
@@ -131,11 +126,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	snap, ok := e.mech.(reputation.Snapshotter)
-	if !ok {
-		return fmt.Errorf("workload: mechanism %q does not support snapshots", e.mech.Name())
-	}
-	if err := snap.RestoreMechanismState(st.Mechanism); err != nil {
+	if err := e.mech.RestoreMechanismState(st.Mechanism); err != nil {
 		return err
 	}
 	if err := e.snet.SetState(st.Network); err != nil {

@@ -611,9 +611,9 @@ func (e *Engine) ProviderQuality(p int) float64 {
 func (e *Engine) Round() RoundStats {
 	cfg := e.cfg
 	st := RoundStats{Round: e.round}
-	// Read-only fast path: the round only gates and ranks on the scores, so
-	// the per-round n-float copy is skipped when the mechanism offers a view.
-	scores := reputation.ScoresOf(e.mech)
+	// The round only gates and ranks on the scores, so it reads the
+	// mechanism's view: no report in the round recomputes them.
+	scores := e.mech.ScoresView()
 	gate := -1.0
 	if cfg.TrustGate > 0 {
 		gate = metrics.Quantile(scores, cfg.TrustGate)
@@ -684,10 +684,12 @@ func (e *Engine) offerReport(tx uint64, rater, ratee int, value float64) {
 
 // flushReports delivers the round's admitted reports to the mechanism — in
 // one SubmitBatch call when the mechanism supports it — and completes the
-// gatherer and ledger accounting for each delivered report, exactly as
-// per-report Offer calls would have. Mechanism errors only arise from
-// malformed reports, which the engine never produces; a rejected report is
-// dropped, like under per-report submission.
+// gatherer and ledger accounting for each delivered report. Batching is
+// optional because the two paths differ on failure: per-report delivery
+// drops only a rejected report, a batch aborts at the first one. For the
+// batch submitters (EigenTrust, PowerTrust) errors only arise from
+// malformed reports, which the engine never produces; TrustMe's Submit can
+// also fail on a DHT lookup or store, so it keeps per-report delivery.
 func (e *Engine) flushReports() {
 	if len(e.pending) == 0 {
 		return
@@ -909,7 +911,7 @@ func (e *Engine) Summarize() Summary {
 	// behaviour, over peers that actually served (others have no ground
 	// truth to be consistent with), in the order the epoch boundary reads
 	// them.
-	scores := reputation.ScoresOf(e.mech)
+	scores := e.mech.ScoresView()
 	served := e.ServedProviders()
 	gtServed := make([]float64, len(served))
 	scServed := make([]float64, len(served))

@@ -51,7 +51,7 @@ func TestMechanismScoresShardInvariant(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return eng.Mechanism().Scores(), hist
+					return eng.Mechanism().ScoresView(), hist
 				}
 				refScores, refHist := run(1)
 				gotScores, gotHist := run(4)

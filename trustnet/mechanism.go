@@ -28,11 +28,6 @@ type Report = reputation.Report
 // reset to what a fresh identity would present (EigenTrust, TrustMe).
 type Whitewasher = reputation.Whitewasher
 
-// CommunityAssessor is implemented by mechanisms that report their
-// conclusion about the population (§3: "the set of those levels may
-// indicate the trustworthy of the global system").
-type CommunityAssessor = reputation.CommunityAssessor
-
 // Convergence describes one iterative Compute run: iterations performed,
 // final L1 residual, and whether the solver warm-started from the previous
 // fixed point.

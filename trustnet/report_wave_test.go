@@ -59,7 +59,7 @@ func TestReportWaveMatchesDirectSubmission(t *testing.T) {
 	if got, want := histBytes(t, manual.History()), histBytes(t, scheduled.History()); !bytes.Equal(got, want) {
 		t.Fatalf("ReportWave history diverged from direct submission")
 	}
-	a, b := scheduled.Mechanism().Scores(), manual.Mechanism().Scores()
+	a, b := scheduled.Mechanism().ScoresView(), manual.Mechanism().ScoresView()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("score[%d]: scheduled %v != direct %v", i, a[i], b[i])

@@ -105,7 +105,7 @@ func TestMechanismSwapping(t *testing.T) {
 		if got := eng.Mechanism().Name(); !strings.HasPrefix(got, f.name) {
 			t.Fatalf("mechanism name = %q, want prefix %q", got, f.name)
 		}
-		if got := len(eng.Mechanism().Scores()); got != peers {
+		if got := len(eng.Mechanism().ScoresView()); got != peers {
 			t.Fatalf("%s: scores length = %d, want %d", f.name, got, peers)
 		}
 		a := eng.Assess()
