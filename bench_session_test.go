@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/trustnet"
@@ -119,4 +120,53 @@ type countingWriter struct{ n int }
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
+}
+
+// BenchmarkEpochAge measures one epoch's cost at a given run age — the
+// epoch after `age` completed ones — on trustsim's default scenario at 500
+// peers. Each iteration restores the checkpoint taken at that age (timer
+// stopped) and runs a single epoch, so every iteration times the same
+// epoch. State that grows with run length shows up as age=80 costing more
+// than age=5; bounded state keeps the two close.
+func BenchmarkEpochAge(b *testing.B) {
+	opts := []trustnet.Option{
+		trustnet.WithPeers(500),
+		trustnet.WithRNGSeed(1),
+		trustnet.WithMix(trustnet.Mix{
+			Fractions:   map[trustnet.Class]float64{trustnet.Honest: 0.7, trustnet.Malicious: 0.3},
+			ForceHonest: []int{0, 1, 2},
+		}),
+		trustnet.WithReputationMechanism(trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
+		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8}),
+		trustnet.WithRecomputeEvery(2),
+		trustnet.WithCoupling(true),
+		trustnet.WithEpochRounds(8),
+		trustnet.WithShards(1),
+	}
+	for _, age := range []int{5, 80} {
+		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
+			eng, err := trustnet.New(opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Run(context.Background(), age); err != nil {
+				b.Fatal(err)
+			}
+			snap, err := eng.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := eng.Restore(snap); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := eng.Run(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -354,26 +354,33 @@ func BenchmarkLedgerExposure(b *testing.B) {
 	}
 }
 
-// BenchmarkLedgerRecord records a feedback-shaped disclosure stream — each
-// report a fresh per-transaction item of one of 20k raters, disclosed to the
-// mechanism (recipient -1) — into a ledger pre-filled with ten reports per
-// rater. Items are built in batches with the timer stopped, so ns/op and
-// allocs/op are the ledger's own.
+// BenchmarkLedgerRecord records the engine's two per-interaction ledger
+// calls — the consumer's profile disclosed to its provider, then the
+// feedback report it shares with the mechanism — for consumers among 20k
+// peers, each served by one of its ten partners, into a ledger pre-filled
+// with ten interactions per peer. Disclosures are drawn in batches with the
+// timer stopped, so ns/op and allocs/op are the ledger's own, per
+// interaction.
 func BenchmarkLedgerRecord(b *testing.B) {
-	const owners, batch = 20000, 4096
+	const peers, batch = 20000, 4096
 	rng := sim.NewRNG(1)
-	tx := 0
+	partners := feedbackPeers(rng, peers)
+	profile := make([]string, peers)
+	for i := range profile {
+		profile[i] = "profile/" + strconv.Itoa(i)
+	}
 	next := func() privacy.Disclosure {
-		tx++
-		owner := rng.Intn(owners)
+		owner := rng.Intn(peers)
 		return privacy.Disclosure{
-			Owner: owner, Item: "feedback/" + strconv.Itoa(owner) + "/" + strconv.Itoa(tx),
-			Sensitivity: social.Low, Recipient: -1, Purpose: privacy.ReputationUse, Consented: true,
+			Owner: owner, Item: profile[owner], Sensitivity: social.Medium,
+			Recipient: partners[owner][rng.Intn(10)], Purpose: privacy.SocialUse, Consented: true,
 		}
 	}
 	l := privacy.NewLedger()
-	for k := 0; k < 10*owners; k++ {
-		l.Record(next())
+	for k := 0; k < 10*peers; k++ {
+		d := next()
+		l.Record(d)
+		l.RecordFeedback(d.Owner)
 	}
 	buf := make([]privacy.Disclosure, batch)
 	b.ReportAllocs()
@@ -387,6 +394,7 @@ func BenchmarkLedgerRecord(b *testing.B) {
 		b.StartTimer()
 		for k := range buf[:m] {
 			l.Record(buf[k])
+			l.RecordFeedback(buf[k].Owner)
 		}
 	}
 }

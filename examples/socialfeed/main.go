@@ -100,7 +100,7 @@ func main() {
 	// Each member can see exactly what about them went where.
 	someone := 3
 	fmt.Printf("\nmember %d's disclosure log (%d events), exposure %.2f, privacy facet %.3f\n",
-		someone, len(ledger.EventsFor(someone)), ledger.Exposure(someone), ledger.PrivacyFacet(someone, 10))
+		someone, len(svc.EventsFor(someone)), ledger.Exposure(someone), ledger.PrivacyFacet(someone, 10))
 
 	// Run retention expiries, then audit.
 	if err := s.Run(s.Now() + 2000); err != nil {

@@ -89,9 +89,6 @@ type Behavior interface {
 	// Rate converts an observed quality from a partner into the rating the
 	// peer reports ([0,1]); liars invert or inflate.
 	Rate(rng *sim.RNG, partner int, observed float64) float64
-	// Honest reports whether Rate is truthful for this partner (ground
-	// truth used by experiment metrics, never by protocols).
-	Honest(partner int) bool
 }
 
 // Config tunes the behaviour models.
@@ -193,9 +190,8 @@ type basic struct {
 	honest  bool
 }
 
-func (b *basic) Class() Class            { return b.class }
-func (b *basic) Serves(*sim.RNG) bool    { return true }
-func (b *basic) Honest(partner int) bool { return b.honest }
+func (b *basic) Class() Class         { return b.class }
+func (b *basic) Serves(*sim.RNG) bool { return true }
 func (b *basic) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, b.quality, b.cfg.Noise)
 }
@@ -212,7 +208,6 @@ type selfish struct{ cfg Config }
 
 func (s *selfish) Class() Class             { return Selfish }
 func (s *selfish) Serves(rng *sim.RNG) bool { return rng.Bool(s.cfg.SelfishServeProb) }
-func (s *selfish) Honest(partner int) bool  { return true }
 func (s *selfish) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
 }
@@ -224,9 +219,8 @@ func (s *selfish) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // then bad for TraitorPeriod steps (milking it).
 type traitor struct{ cfg Config }
 
-func (tr *traitor) Class() Class            { return Traitor }
-func (tr *traitor) Serves(*sim.RNG) bool    { return true }
-func (tr *traitor) Honest(partner int) bool { return true }
+func (tr *traitor) Class() Class         { return Traitor }
+func (tr *traitor) Serves(*sim.RNG) bool { return true }
 func (tr *traitor) ServiceQuality(rng *sim.RNG, t int) float64 {
 	phase := (t / tr.cfg.TraitorPeriod) % 2
 	if phase == 0 {
@@ -242,9 +236,8 @@ func (tr *traitor) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // observes, poisoning the feedback pool.
 type slanderer struct{ cfg Config }
 
-func (s *slanderer) Class() Class            { return Slanderer }
-func (s *slanderer) Serves(*sim.RNG) bool    { return true }
-func (s *slanderer) Honest(partner int) bool { return false }
+func (s *slanderer) Class() Class         { return Slanderer }
+func (s *slanderer) Serves(*sim.RNG) bool { return true }
 func (s *slanderer) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
 }
@@ -258,9 +251,6 @@ type colluder struct{ cfg Config }
 
 func (c *colluder) Class() Class         { return Colluder }
 func (c *colluder) Serves(*sim.RNG) bool { return true }
-func (c *colluder) Honest(partner int) bool {
-	return !c.cfg.Clique[partner]
-}
 func (c *colluder) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, c.cfg.BadQuality, c.cfg.Noise)
 }

@@ -29,9 +29,6 @@ func TestHonestBehavior(t *testing.T) {
 	if got := b.Rate(rng, 5, 0.7); got != 0.7 {
 		t.Fatalf("honest rating = %v, want truthful", got)
 	}
-	if !b.Honest(3) {
-		t.Fatal("honest peer reported dishonest")
-	}
 }
 
 func TestMaliciousBehavior(t *testing.T) {
@@ -42,9 +39,6 @@ func TestMaliciousBehavior(t *testing.T) {
 	}
 	if got := b.Rate(rng, 1, 0.9); got > 0.2 {
 		t.Fatalf("malicious rating of good partner = %v, want inverted", got)
-	}
-	if b.Honest(1) {
-		t.Fatal("malicious peer claims honesty")
 	}
 }
 
@@ -64,8 +58,8 @@ func TestSelfishBehavior(t *testing.T) {
 	if q := avgQuality(b, rng, 0, 500); q < 0.85 {
 		t.Fatalf("selfish quality = %v", q)
 	}
-	if !b.Honest(0) {
-		t.Fatal("selfish should rate honestly")
+	if got := b.Rate(rng, 0, 0.7); got != 0.7 {
+		t.Fatalf("selfish rating = %v, want truthful", got)
 	}
 }
 
@@ -89,9 +83,6 @@ func TestSlandererLiesButServesWell(t *testing.T) {
 	if got := b.Rate(rng, 2, 0.9); got > 0.2 {
 		t.Fatalf("slanderer rating = %v, want inverted", got)
 	}
-	if b.Honest(2) {
-		t.Fatal("slanderer claims honesty")
-	}
 }
 
 func TestColluderInflatesClique(t *testing.T) {
@@ -102,12 +93,6 @@ func TestColluderInflatesClique(t *testing.T) {
 	}
 	if got := b.Rate(rng, 3, 0.4); got != 0.4 {
 		t.Fatalf("non-clique rating = %v, want truthful", got)
-	}
-	if b.Honest(7) {
-		t.Fatal("colluder honest about clique member")
-	}
-	if !b.Honest(3) {
-		t.Fatal("colluder dishonest about outsider")
 	}
 	if q := avgQuality(b, rng, 0, 500); q > 0.2 {
 		t.Fatalf("colluder quality = %v, want bad", q)

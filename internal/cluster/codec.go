@@ -33,10 +33,10 @@ import (
 // Minimum encoded sizes of the repeated records, used to bound a count by
 // the bytes left in the frame before the records are allocated.
 const (
-	minPlanBytes    = 1 + 1 + 8 + 1                     // consumer, RNG state, spare, has-spare
-	minOutcomeBytes = 1 + 1 + 1 + 1 + 1 + 1 + 8 + 8 + 1 // consumer, provider, absent, gate-failed, candidate count, refused, quality, rating, honest
-	minReportBytes  = 1 + 1 + 1 + 8                     // tx id, rater, ratee, value
-	minPartialBytes = 1 + 1 + 8                         // column count, value count, mass
+	minPlanBytes    = 1 + 1 + 8 + 1                 // consumer, RNG state, spare, has-spare
+	minOutcomeBytes = 1 + 1 + 1 + 1 + 1 + 1 + 8 + 8 // consumer, provider, absent, gate-failed, candidate count, refused, quality, rating
+	minReportBytes  = 1 + 1 + 1 + 8                 // tx id, rater, ratee, value
+	minPartialBytes = 1 + 1 + 8                     // column count, value count, mass
 )
 
 // encodeFrame encodes one envelope into a self-contained frame. A kind
@@ -84,7 +84,6 @@ func encodeFrame(env *envelope) ([]byte, error) {
 			w.bool(o.Refused)
 			w.float(o.Quality)
 			w.float(o.Rating)
-			w.bool(o.Honest)
 		}
 	case k == kindReports && env.Reports != nil:
 		rs := env.Reports.Reports
@@ -172,7 +171,6 @@ func decodeFrame(b []byte) (*envelope, error) {
 				o.Refused = r.bool()
 				o.Quality = r.float()
 				o.Rating = r.float()
-				o.Honest = r.bool()
 			}
 		}
 		env.ScatterRes = res

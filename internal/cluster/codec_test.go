@@ -46,8 +46,8 @@ func codecCases() map[string]*envelope {
 		"scatter result": {Kind: kindScatterResult, ScatterRes: &scatterResultMsg{Outcomes: []workload.InteractionOutcome{
 			{Consumer: 2, Provider: -1, Absent: true},
 			{Consumer: 5, Provider: -1, GateFailed: true},
-			{Consumer: 1, Provider: 7, Candidates: []int{7, 3, 9}, Quality: negZero, Rating: nanBits, Honest: true},
-			{Consumer: 4, Provider: 0, Candidates: []int{0}, Refused: true, Honest: true},
+			{Consumer: 1, Provider: 7, Candidates: []int{7, 3, 9}, Quality: negZero, Rating: nanBits},
+			{Consumer: 4, Provider: 0, Candidates: []int{0}, Refused: true},
 		}}},
 		"reports": {Kind: kindReports, Reports: &reportsMsg{Reports: []reputation.Report{
 			{TxID: 1 << 63, Rater: 4, Ratee: 9, Value: 1},

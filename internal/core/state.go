@@ -133,8 +133,11 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 		return fmt.Errorf("core: restore engine: %w", err)
 	}
 	// The ledger is restored in place: the workload engine and this Dynamics
-	// keep their existing pointer to it.
-	d.ledger.SetState(st.Ledger)
+	// keep their existing pointer to it. checkLedgerState has validated it,
+	// so this cannot fail.
+	if err := d.ledger.SetState(st.Ledger); err != nil {
+		return fmt.Errorf("core: restore ledger: %w", err)
+	}
 	if err := d.tm.SetState(st.Trust); err != nil {
 		return err
 	}
@@ -171,23 +174,31 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	return nil
 }
 
-// checkLedgerState rejects a snapshot ledger that names users outside the
-// population: owners and dirty marks must be users, recipients users or -1
-// (the reputation mechanism). The epoch tail indexes per-user state by these
+// checkLedgerState rejects a snapshot ledger that is malformed (see
+// privacy.LedgerState.Validate) or names users outside the population:
+// owners and dirty marks must be users, recipients users or -1 (the
+// reputation mechanism). The epoch tail indexes per-user state by these
 // ids, so an out-of-range one would crash or corrupt a later epoch.
 func checkLedgerState(st privacy.LedgerState, n int) error {
-	for i, e := range st.Events {
-		if e.Owner < 0 || e.Owner >= n {
-			return fmt.Errorf("core: snapshot ledger event %d: owner %d out of range [0,%d)", i, e.Owner, n)
+	for _, o := range st.Owners {
+		if o.Owner < 0 || o.Owner >= n {
+			return fmt.Errorf("core: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
 		}
-		if e.Recipient < -1 || e.Recipient >= n {
-			return fmt.Errorf("core: snapshot ledger event %d: recipient %d out of range [-1,%d)", i, e.Recipient, n)
+		for _, it := range o.Items {
+			for _, r := range it.Recipients {
+				if r < -1 || r >= n {
+					return fmt.Errorf("core: snapshot ledger owner %d item %q: recipient %d out of range [-1,%d)", o.Owner, it.Key, r, n)
+				}
+			}
 		}
 	}
 	for _, u := range st.FacetDirty {
 		if u < 0 || u >= n {
 			return fmt.Errorf("core: snapshot ledger dirty owner %d out of range [0,%d)", u, n)
 		}
+	}
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("core: snapshot %w", err)
 	}
 	return nil
 }

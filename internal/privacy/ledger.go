@@ -23,23 +23,31 @@ type Disclosure struct {
 	Consented   bool
 }
 
-// Ledger is the accountability record (OECD accountability + openness): it
-// stores every disclosure and answers the exposure queries that feed the
-// privacy facet. Per-owner aggregates (consent tallies, items with their
-// sensitivities and recipient sets) are maintained incrementally on Record,
-// so the per-user facet queries run by every epoch's measurement barrier
-// touch only the owner's own state instead of rescanning the whole event
-// list — and are therefore safe to fan out read-only over measurement shards.
+// Ledger is the accountability record behind the privacy facet (§2.3): one
+// aggregate per owner — consent tallies, a running feedback exposure, and
+// the disclosed items with their maximum sensitivity weights and distinct
+// recipients — which is all the facet queries read, so its size never grows
+// with the number of disclosures. The per-event trail the OECD audit reads
+// lives on the PriServ Service. A facet query touches only the owner's own
+// aggregate, so queries fan out read-only over measurement shards.
+//
+// Feedback ordering contract: RecordFeedback stands for one item per shared
+// report, with weight Low, the mechanism as its one recipient, and a key
+// sorting before every other item key of the owner (the engine's reports
+// were "feedback/<rater>/<tx>", its other items "profile/<id>"). Exposure
+// folds items in ascending key order, so those k items came first, each
+// adding exactly feedbackTerm; starting the fold from the running sum of
+// the same k adds gives the same bits.
 type Ledger struct {
-	events []Disclosure
 	// owners holds one aggregate per owner seen. dense maps a compact
 	// non-negative owner id to its aggregate's index plus one (0: none);
 	// it never grows past denseLimit(len(owners)), so its size stays
 	// O(owners seen). slot maps every other owner id — negative, or beyond
 	// the dense range when first seen — so a hostile id sizes nothing.
-	owners []ownerAgg    //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	dense  []int32       //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	slot   map[int]int32 //trustlint:derived index rebuilt by replaying Events through Record on SetState
+	owners []ownerAgg
+	dense  []int32       //trustlint:derived index rebuilt from the restored owner aggregates on SetState
+	slot   map[int]int32 //trustlint:derived index rebuilt from the restored owner aggregates on SetState
+	n      int64         //trustlint:derived disclosure count, the sum of the owners' totals, recounted on SetState
 
 	// Facet cache: each aggregate keeps its owner's PrivacyFacet at
 	// facetScale, so owners whose ledger state did not change between
@@ -56,11 +64,13 @@ type Ledger struct {
 	dirtyIDs []int   //trustlint:derived scratch rebuilt by every DirtyOwners call
 }
 
-// ownerAgg is one owner's aggregate: consent tallies, the disclosed items
-// in ascending key order, and the facet cache entry.
+// ownerAgg is one owner's aggregate: consent tallies, the exposure of the
+// shared feedback reports, the disclosed items in ascending key order, and
+// the facet cache entry.
 type ownerAgg struct {
 	id        int
-	total, ok int64 // disclosure tallies: all, consented
+	total, ok int64   // disclosure tallies: all, consented
+	feedback  float64 // running sum of feedbackTerm, one add per report
 	items     []ledgerItem
 	facet     float64
 	facetOK   bool
@@ -68,13 +78,16 @@ type ownerAgg struct {
 }
 
 // ledgerItem is one disclosed item: the maximum sensitivity weight seen for
-// it and its distinct recipients — the first inline, the rest ascending.
+// it and its distinct recipients in ascending order.
 type ledgerItem struct {
 	key    string
 	weight float64
-	first  int
-	more   []int
+	rcpt   []int
 }
+
+// feedbackTerm is the exposure term of one shared feedback report: a Low
+// item reaching one recipient, SensitivityWeight(Low) × log2(1+1).
+var feedbackTerm = SensitivityWeight(social.Low) * math.Log2(1+1)
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
@@ -152,79 +165,63 @@ func (l *Ledger) markDirty(i int32) {
 	l.dirty = append(l.dirty, i)
 }
 
-// Record appends a disclosure event and folds it into the per-owner
-// aggregates.
+// Record folds one disclosure into its owner's aggregate.
 func (l *Ledger) Record(d Disclosure) {
-	l.events = append(l.events, d)
 	i := l.aggregate(d.Owner)
 	a := &l.owners[i]
 	a.total++
 	if d.Consented {
 		a.ok++
 	}
+	l.n++
 	k, found := slices.BinarySearchFunc(a.items, d.Item, func(it ledgerItem, key string) int {
 		return strings.Compare(it.key, key)
 	})
 	if !found {
-		a.items = slices.Insert(a.items, k, ledgerItem{key: d.Item, first: d.Recipient})
+		a.items = slices.Insert(a.items, k, ledgerItem{key: d.Item})
 	}
 	it := &a.items[k]
 	if w := SensitivityWeight(d.Sensitivity); w > it.weight {
 		it.weight = w
 	}
-	if found && d.Recipient != it.first {
-		if j, seen := slices.BinarySearch(it.more, d.Recipient); !seen {
-			it.more = slices.Insert(it.more, j, d.Recipient)
-		}
+	if j, seen := slices.BinarySearch(it.rcpt, d.Recipient); !seen {
+		it.rcpt = slices.Insert(it.rcpt, j, d.Recipient)
 	}
 	l.markDirty(i)
 }
 
-// Events returns all recorded events (shared; read-only).
-func (l *Ledger) Events() []Disclosure { return l.events }
-
-// Len returns the number of recorded events.
-func (l *Ledger) Len() int { return len(l.events) }
-
-// EventsFor returns the events about one owner's data, in recording order.
-// This is the OECD "individual participation" query: an individual can see
-// exactly what about them went where.
-func (l *Ledger) EventsFor(owner int) []Disclosure {
-	var out []Disclosure
-	for _, e := range l.events {
-		if e.Owner == owner {
-			out = append(out, e)
-		}
-	}
-	return out
+// RecordFeedback accounts one feedback report the owner shared with the
+// reputation mechanism: a consented disclosure that adds feedbackTerm to the
+// owner's exposure (see the ordering contract on Ledger). It keeps no
+// per-report item, so its cost and memory do not grow with the reports.
+func (l *Ledger) RecordFeedback(owner int) {
+	i := l.aggregate(owner)
+	a := &l.owners[i]
+	a.total++
+	a.ok++
+	a.feedback += feedbackTerm
+	l.n++
+	l.markDirty(i)
 }
 
-// Violations returns the non-consented disclosures (accountability audit
-// trail).
-func (l *Ledger) Violations() []Disclosure {
-	var out []Disclosure
-	for _, e := range l.events {
-		if !e.Consented {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Len returns the number of recorded disclosures, feedback reports
+// included.
+func (l *Ledger) Len() int { return int(l.n) }
 
 // Exposure returns owner's information exposure: for each disclosed item,
-// sensitivity weight × log2(1+distinct recipients), summed in ascending item
-// order. A user whose high-sensitivity data reached many parties has high
-// exposure.
+// sensitivity weight × log2(1+distinct recipients), summed after the shared
+// feedback reports in ascending item order. A user whose high-sensitivity
+// data reached many parties has high exposure.
 func (l *Ledger) Exposure(owner int) float64 { return l.find(owner).exposure() }
 
 func (a *ownerAgg) exposure() float64 {
 	if a == nil {
 		return 0
 	}
-	total := 0.0
+	total := a.feedback
 	for k := range a.items {
 		it := &a.items[k]
-		total += it.weight * math.Log2(1+float64(1+len(it.more)))
+		total += it.weight * math.Log2(1+float64(len(it.rcpt)))
 	}
 	return total
 }

@@ -8,17 +8,28 @@ import (
 )
 
 func TestLedgerRecordAndQuery(t *testing.T) {
-	l := NewLedger()
-	l.Record(Disclosure{Owner: 0, Item: "a", Sensitivity: social.High, Recipient: 1, Purpose: SocialUse, Consented: true})
-	l.Record(Disclosure{Owner: 0, Item: "a", Sensitivity: social.High, Recipient: 2, Purpose: SocialUse, Consented: true})
-	l.Record(Disclosure{Owner: 1, Item: "b", Sensitivity: social.Low, Recipient: 0, Purpose: ReputationUse, Consented: false})
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
+	svc, l, _ := newTestService(t)
+	if err := svc.Publish(0, "a", []byte("x"), social.High, allowAll()); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(l.EventsFor(0)); got != 2 {
+	if err := svc.Publish(1, "b", []byte("y"), social.Low, allowAll()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 2} {
+		if _, _, err := svc.Request(r, "a", Read, SocialUse, 1, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Leak("b", 0); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 3 || len(svc.Events()) != 3 {
+		t.Fatalf("Len = %d, trail = %d", l.Len(), len(svc.Events()))
+	}
+	if got := len(svc.EventsFor(0)); got != 2 {
 		t.Fatalf("EventsFor(0) = %d", got)
 	}
-	if got := len(l.Violations()); got != 1 {
+	if got := len(svc.Violations()); got != 1 {
 		t.Fatalf("Violations = %d", got)
 	}
 }

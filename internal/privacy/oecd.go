@@ -62,12 +62,13 @@ type AuditResult struct {
 }
 
 // Audit checks the privacy service and ledger against each OECD principle
-// and returns one result per principle (the E9 conformance matrix).
+// and returns one result per principle (the E9 conformance matrix). The
+// disclosure trail comes from the service; the ledger's count must match it.
 func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	results := make([]AuditResult, 0, 8)
 
 	// 1. Collection limitation: no data flowed without consent.
-	viol := len(ledger.Violations())
+	viol := len(svc.Violations())
 	results = append(results, AuditResult{
 		Principle: CollectionLimitation,
 		Pass:      viol == 0,
@@ -76,7 +77,7 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 
 	// 2. Purpose specification: every disclosure declared a purpose.
 	unspecified := 0
-	for _, e := range ledger.Events() {
+	for _, e := range svc.Events() {
 		if e.Purpose == 0 {
 			unspecified++
 		}
@@ -90,7 +91,7 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	// 3. Use limitation: every consented disclosure's purpose was allowed
 	// by the item's policy at audit time.
 	misuse := 0
-	for _, e := range ledger.Events() {
+	for _, e := range svc.Events() {
 		if !e.Consented {
 			continue
 		}
@@ -148,10 +149,11 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 
 	// 7. Individual participation: every owner with disclosures can
 	// enumerate them (EventsFor) — verified structurally: events about an
-	// owner are retrievable and complete.
+	// owner are retrievable, and together they are every disclosure the
+	// ledger counted.
 	counted := 0
-	for owner := range ownersOf(ledger) {
-		counted += len(ledger.EventsFor(owner))
+	for owner := range ownersOf(svc) {
+		counted += len(svc.EventsFor(owner))
 	}
 	ipPass := counted == ledger.Len()
 	results = append(results, AuditResult{
@@ -162,7 +164,7 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 
 	// 8. Accountability: every grant the service made is ledgered.
 	consented := int64(0)
-	for _, e := range ledger.Events() {
+	for _, e := range svc.Events() {
 		if e.Consented {
 			consented++
 		}
@@ -176,9 +178,9 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	return results
 }
 
-func ownersOf(l *Ledger) map[int]bool {
+func ownersOf(svc *Service) map[int]bool {
 	owners := make(map[int]bool)
-	for _, e := range l.Events() {
+	for _, e := range svc.Events() {
 		owners[e.Owner] = true
 	}
 	return owners

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -31,7 +32,7 @@ type consentTally struct{ total, ok int64 }
 
 func newRefLedger() *refLedger {
 	l := &refLedger{}
-	l.SetState(LedgerState{})
+	l.SetState(refState{})
 	return l
 }
 
@@ -143,15 +144,17 @@ func (l *refLedger) cacheFacet(owner int, scale float64) {
 	}
 }
 
-func (l *refLedger) State() LedgerState {
-	st := LedgerState{Events: append([]Disclosure(nil), l.events...)}
-	if owners := l.DirtyOwners(); len(owners) > 0 {
-		st.FacetDirty = owners
-	}
-	return st
+// refState is the oracle's own checkpoint: its event list and dirty set.
+type refState struct {
+	events []Disclosure
+	dirty  []int
 }
 
-func (l *refLedger) SetState(st LedgerState) {
+func (l *refLedger) State() refState {
+	return refState{events: append([]Disclosure(nil), l.events...), dirty: l.DirtyOwners()}
+}
+
+func (l *refLedger) SetState(st refState) {
 	l.events = nil
 	l.byOwner = make(map[int]map[string]map[int]bool)
 	l.sensByOwner = make(map[int]map[string]float64)
@@ -159,13 +162,53 @@ func (l *refLedger) SetState(st LedgerState) {
 	l.facetVal = make(map[int]float64)
 	l.facetInit = false
 	l.facetDirty = make(map[int]bool)
-	for _, e := range st.Events {
+	for _, e := range st.events {
 		l.Record(e)
 	}
 	clear(l.facetDirty)
-	for _, owner := range st.FacetDirty {
+	for _, owner := range st.dirty {
 		l.markDirty(owner)
 	}
+}
+
+// ledgerState derives the aggregate form the production ledger captures:
+// owners ascending; each owner's "feedback/…" items folded, in key order,
+// into the feedback sum exactly as Exposure folds them; the other items
+// ascending with their recipient sets sorted.
+func (l *refLedger) ledgerState() LedgerState {
+	var st LedgerState
+	owners := make([]int, 0, len(l.consent))
+	for o := range l.consent {
+		owners = append(owners, o)
+	}
+	slices.Sort(owners)
+	for _, o := range owners {
+		t := l.consent[o]
+		os := OwnerState{Owner: o, Total: t.total, Consented: t.ok}
+		keys := make([]string, 0, len(l.byOwner[o]))
+		for k := range l.byOwner[o] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			recips := l.byOwner[o][k]
+			if strings.HasPrefix(k, "feedback/") {
+				os.Feedback += l.sensByOwner[o][k] * math.Log2(1+float64(len(recips)))
+				continue
+			}
+			it := ItemState{Key: k, Weight: l.sensByOwner[o][k]}
+			for r := range recips {
+				it.Recipients = append(it.Recipients, r)
+			}
+			slices.Sort(it.Recipients)
+			os.Items = append(os.Items, it)
+		}
+		st.Owners = append(st.Owners, os)
+	}
+	if dirty := l.DirtyOwners(); len(dirty) > 0 {
+		st.FacetDirty = dirty
+	}
+	return st
 }
 
 // compareLedgers checks every owner query bitwise against the oracle, for
@@ -195,7 +238,9 @@ func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, owner
 }
 
 // TestLedgerMatchesMapOracle drives random operation sequences through the
-// flat ledger and the map oracle: repeated items and duplicate recipients,
+// flat ledger and the map oracle: shared feedback reports (a per-report
+// "feedback/<owner>/<step>" item in the oracle, one RecordFeedback call in
+// the ledger), repeated items and duplicate recipients,
 // Public (weight 0) disclosures and sensitivity upgrades, recipient -1 and
 // negative owners, facet refreshes at changing scales, and SetState both
 // round-tripped and rewound mid-sequence. Owners beyond the dense index's
@@ -212,6 +257,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 		scales := []float64{0.5, 1, 2.5, 4}
 		scale := scales[0]
 		var saved LedgerState
+		var refSaved refState
 		fresh := 0 // fresh owners recorded so far: ids 16, 32, 48, ...
 		probe := func() []int {
 			owners := append([]int(nil), outliers...)
@@ -241,7 +287,16 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 					Consented:   rng.Bool(0.8),
 				}
 				if rng.Bool(0.2) {
-					d.Item = fmt.Sprintf("feedback/%d/%d", d.Owner, step)
+					ref.Record(Disclosure{
+						Owner:       owner,
+						Item:        fmt.Sprintf("feedback/%d/%d", owner, step),
+						Sensitivity: social.Low,
+						Recipient:   -1,
+						Purpose:     ReputationUse,
+						Consented:   true,
+					})
+					l.RecordFeedback(owner)
+					break
 				}
 				l.Record(d)
 				ref.Record(d)
@@ -253,15 +308,19 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				ref.RefreshFacets(scale)
 			case op < 38:
 				st := l.State()
-				if want := ref.State(); !reflect.DeepEqual(st, want) {
-					t.Fatalf("%s: State differs from oracle", where)
+				if want := ref.ledgerState(); !reflect.DeepEqual(st, want) {
+					t.Fatalf("%s: State differs from oracle:\n got %+v\nwant %+v", where, st, want)
 				}
-				saved = st
-				l.SetState(st)
-				ref.SetState(st)
+				saved, refSaved = st, ref.State()
+				if err := l.SetState(st); err != nil {
+					t.Fatalf("%s: SetState of a captured state: %v", where, err)
+				}
+				ref.SetState(refSaved)
 			default:
-				l.SetState(saved)
-				ref.SetState(saved)
+				if err := l.SetState(saved); err != nil {
+					t.Fatalf("%s: SetState of a captured state: %v", where, err)
+				}
+				ref.SetState(refSaved)
 			}
 			compareLedgers(t, where, l, ref, probe(), []float64{scale, 3})
 		}
@@ -273,8 +332,8 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 
 // TestLedgerQueriesAllocFree pins the interaction-path ledger operations at
 // zero allocations: Exposure is one pass over the owner's items, and
-// recording an already-seen (owner, item, recipient) only appends to the
-// event log (amortized growth, under one allocation per call).
+// recording an already-seen (owner, item, recipient) or a feedback report
+// of a seen owner only updates that owner's aggregate.
 func TestLedgerQueriesAllocFree(t *testing.T) {
 	l := NewLedger()
 	for k := 0; k < 200; k++ {
@@ -289,6 +348,9 @@ func TestLedgerQueriesAllocFree(t *testing.T) {
 	l.Record(seen)
 	if a := testing.AllocsPerRun(1000, func() { l.Record(seen) }); a != 0 {
 		t.Fatalf("re-recording a seen disclosure allocates %v per call", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { l.RecordFeedback(3) }); a != 0 {
+		t.Fatalf("recording a feedback report allocates %v per call", a)
 	}
 }
 

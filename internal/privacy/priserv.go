@@ -50,7 +50,9 @@ type Notification struct {
 // publish private data with a privacy policy; requesters must present
 // operation, purpose and a sufficient trust level. Data lives on the DHT,
 // sealed with an integrity MAC; every grant is ledgered; retention limits
-// are enforced by simulation events.
+// are enforced by simulation events. Besides feeding the ledger's
+// aggregates, the service keeps the per-event disclosure trail the OECD
+// audit reads.
 type Service struct {
 	ring   *dht.Ring
 	ledger *Ledger
@@ -61,6 +63,7 @@ type Service struct {
 	accesses map[string]map[int]int // key -> requester -> count
 	copies   []*grantedCopy
 	notices  []Notification
+	events   []Disclosure // every grant and leak, in recording order
 
 	// Grants counts allowed requests; Denials tallies by reason.
 	Grants  int64
@@ -178,7 +181,7 @@ func (s *Service) Request(requester int, key string, op Operation, purpose Purpo
 		s.accesses[key] = make(map[int]int)
 	}
 	s.accesses[key][requester]++
-	s.ledger.Record(Disclosure{
+	s.record(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -221,13 +224,13 @@ func (s *Service) Withdraw(owner int, key string) error {
 
 // Leak records an unconsented flow of key's data to a recipient (used by
 // attack experiments to model a requester violating a NoForward
-// obligation). The ledger keeps the system accountable for it.
+// obligation). The ledger and the trail keep the system accountable for it.
 func (s *Service) Leak(key string, recipient int) error {
 	m, ok := s.registry[key]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	s.ledger.Record(Disclosure{
+	s.record(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -237,6 +240,41 @@ func (s *Service) Leak(key string, recipient int) error {
 		Consented:   false,
 	})
 	return nil
+}
+
+// record appends a disclosure to the trail and folds it into the ledger.
+func (s *Service) record(d Disclosure) {
+	s.events = append(s.events, d)
+	s.ledger.Record(d)
+}
+
+// Events returns every disclosure the service made, in recording order
+// (shared; read-only).
+func (s *Service) Events() []Disclosure { return s.events }
+
+// EventsFor returns the disclosures of one owner's data, in recording order.
+// This is the OECD "individual participation" query: an individual can see
+// exactly what about them went where.
+func (s *Service) EventsFor(owner int) []Disclosure {
+	var out []Disclosure
+	for _, e := range s.events {
+		if e.Owner == owner {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Violations returns the non-consented disclosures (accountability audit
+// trail).
+func (s *Service) Violations() []Disclosure {
+	var out []Disclosure
+	for _, e := range s.events {
+		if !e.Consented {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Notifications returns the NotifyOwner obligation executions.

@@ -55,12 +55,12 @@ func TestPublishRequestGrant(t *testing.T) {
 	if svc.Grants != 1 {
 		t.Fatalf("Grants = %d", svc.Grants)
 	}
-	if ledger.Len() != 1 {
+	if ledger.Len() != 1 || len(svc.Events()) != 1 {
 		t.Fatal("grant not ledgered")
 	}
-	e := ledger.Events()[0]
+	e := svc.Events()[0]
 	if e.Owner != 0 || e.Recipient != 1 || !e.Consented || e.Purpose != SocialUse {
-		t.Fatalf("ledger event = %+v", e)
+		t.Fatalf("trail event = %+v", e)
 	}
 }
 
@@ -206,9 +206,12 @@ func TestLeakIsLedgeredUnconsented(t *testing.T) {
 	if err := svc.Leak("k", 7); err != nil {
 		t.Fatal(err)
 	}
-	v := ledger.Violations()
+	v := svc.Violations()
 	if len(v) != 1 || v[0].Recipient != 7 || v[0].Consented {
 		t.Fatalf("violations = %+v", v)
+	}
+	if ledger.Len() != 1 || ledger.RespectRate(0) != 0 {
+		t.Fatalf("ledger: Len %d, respect rate %v after one leak", ledger.Len(), ledger.RespectRate(0))
 	}
 	if err := svc.Leak("ghost", 7); err == nil {
 		t.Fatal("leak of unknown key accepted")

@@ -55,30 +55,6 @@ func TestUserLookup(t *testing.T) {
 	}
 }
 
-func TestResources(t *testing.T) {
-	net, err := NewNetwork(honestUsers(2), graph.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := net.AddResource(0, File, Medium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := net.Resource(id)
-	if !ok || r.Owner != 0 || r.Kind != File || r.Sensitivity != Medium {
-		t.Fatalf("resource = %+v", r)
-	}
-	if _, err := net.AddResource(9, Post, Low); err == nil {
-		t.Fatal("unknown owner accepted")
-	}
-	if _, ok := net.Resource(99); ok {
-		t.Fatal("phantom resource")
-	}
-	if net.NumResources() != 1 {
-		t.Fatalf("NumResources = %d", net.NumResources())
-	}
-}
-
 func TestTxIDsUnique(t *testing.T) {
 	net, err := NewNetwork(honestUsers(2), graph.New(2))
 	if err != nil {
@@ -92,46 +68,15 @@ func TestTxIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-}
-
-func TestInteractionLog(t *testing.T) {
-	net, err := NewNetwork(honestUsers(3), graph.New(3))
+	// The counter is the network's whole mutable state: a restored network
+	// continues the sequence.
+	back, err := NewNetwork(honestUsers(2), graph.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Record(Interaction{ID: 1, Consumer: 0, Provider: 1, Quality: 0.9, Outcome: Good})
-	net.Record(Interaction{ID: 2, Consumer: 2, Provider: 1, Quality: 0.2, Outcome: Bad})
-	net.Record(Interaction{ID: 3, Consumer: 0, Provider: 2, Quality: 0.8, Outcome: Good})
-	if len(net.Interactions()) != 3 {
-		t.Fatal("log size wrong")
-	}
-	with1 := net.InteractionsWith(1)
-	if len(with1) != 2 {
-		t.Fatalf("InteractionsWith(1) = %d", len(with1))
-	}
-	with0 := net.InteractionsWith(0)
-	if len(with0) != 2 {
-		t.Fatalf("InteractionsWith(0) = %d", len(with0))
-	}
-}
-
-func TestGroundTruthQuality(t *testing.T) {
-	net, err := NewNetwork(honestUsers(3), graph.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Record(Interaction{Consumer: 0, Provider: 1, Quality: 0.8, Outcome: Good})
-	net.Record(Interaction{Consumer: 0, Provider: 1, Quality: 0.6, Outcome: Good})
-	net.Record(Interaction{Consumer: 1, Provider: 2, Quality: 0.9, Outcome: Refused})
-	gt := net.GroundTruthQuality()
-	if gt[0] != 1 {
-		t.Fatalf("never-served user quality = %v, want neutral 1", gt[0])
-	}
-	if gt[1] < 0.69 || gt[1] > 0.71 {
-		t.Fatalf("provider 1 quality = %v, want 0.7", gt[1])
-	}
-	if gt[2] != 0 {
-		t.Fatalf("refusing provider quality = %v, want 0", gt[2])
+	back.SetState(net.State())
+	if got, want := back.NextTxID(), net.NextTxID(); got != want {
+		t.Fatalf("restored counter issued %d, want %d", got, want)
 	}
 }
 
@@ -160,10 +105,7 @@ func TestStringers(t *testing.T) {
 	if Public.String() != "public" || High.String() != "high" {
 		t.Fatal("sensitivity names")
 	}
-	if Good.String() != "good" || Refused.String() != "refused" {
-		t.Fatal("outcome names")
-	}
-	if Sensitivity(9).String() == "" || Outcome(9).String() == "" {
+	if Sensitivity(9).String() == "" {
 		t.Fatal("unknown enum empty name")
 	}
 }

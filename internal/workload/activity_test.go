@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// consumerActivity counts each peer's requests as a consumer: the
+// allocation rounds its satisfaction model folded in.
+func consumerActivity(e *Engine) []int {
+	counts := make([]int, len(e.consumers))
+	for i, c := range e.consumers {
+		counts[i] = int(c.Observations())
+	}
+	return counts
+}
+
 func TestActivitySkewValidation(t *testing.T) {
 	if _, err := NewEngine(Config{NumPeers: 10, ActivitySkew: -1}, newEigen(t, 10)); err == nil {
 		t.Fatal("negative skew accepted")
@@ -18,10 +28,7 @@ func TestActivitySkewConcentratesConsumers(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Run(30)
-		counts := make([]int, 40)
-		for _, i := range e.Network().Interactions() {
-			counts[i.Consumer]++
-		}
+		counts := consumerActivity(e)
 		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 		return counts
 	}
@@ -43,10 +50,7 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(20)
-	counts := make([]int, 60)
-	for _, i := range e.Network().Interactions() {
-		counts[i.Consumer]++
-	}
+	counts := consumerActivity(e)
 	// The most active consumer must not always be peer 0 (the identity
 	// permutation decorrelates activity rank from peer id).
 	maxID, maxC := 0, 0
@@ -62,10 +66,7 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		e2.Run(20)
-		counts2 := make([]int, 60)
-		for _, i := range e2.Network().Interactions() {
-			counts2[i.Consumer]++
-		}
+		counts2 := consumerActivity(e2)
 		max2, c2 := 0, 0
 		for id, c := range counts2 {
 			if c > c2 {

@@ -35,7 +35,6 @@ type InteractionOutcome struct {
 	Refused    bool
 	Quality    float64
 	Rating     float64
-	Honest     bool
 }
 
 // ScatterDelegate executes a round's scatter phase externally. It receives
@@ -126,7 +125,6 @@ func exportOutcome(r *interactionResult) InteractionOutcome {
 		Refused:    r.refused,
 		Quality:    r.quality,
 		Rating:     r.rating,
-		Honest:     r.honest,
 	}
 }
 
@@ -140,6 +138,5 @@ func importOutcome(o *InteractionOutcome) interactionResult {
 		refused:    o.Refused,
 		quality:    o.Quality,
 		rating:     o.Rating,
-		honest:     o.Honest,
 	}
 }

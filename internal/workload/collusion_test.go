@@ -81,11 +81,7 @@ func TestPretrustDampsCollusionInWorkload(t *testing.T) {
 	e.Run(40)
 	e.Mechanism().Compute()
 	scores := e.Mechanism().ScoresView()
-	gt := e.Network().GroundTruthQuality()
-	served := map[int]bool{}
-	for _, i := range e.Network().Interactions() {
-		served[i.Provider] = true
-	}
+	gt, served := groundTruth(e)
 	bestColluder, bestHonest := 0.0, 0.0
 	for id, c := range e.Classes() {
 		if !served[id] {

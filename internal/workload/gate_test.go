@@ -40,6 +40,15 @@ func TestTrustGateCausesFailures(t *testing.T) {
 	}
 }
 
+// sharedTotal sums the reports every peer disclosed to the mechanism.
+func sharedTotal(eng *Engine, n int) int64 {
+	var total int64
+	for u := 0; u < n; u++ {
+		total += eng.Gatherer().SharedBy(u)
+	}
+	return total
+}
+
 func TestAttachLedgerAccountsFlows(t *testing.T) {
 	eng, err := NewEngine(Config{Seed: 33, NumPeers: 20, RecomputeEvery: 2}, newEigen(t, 20))
 	if err != nil {
@@ -48,23 +57,21 @@ func TestAttachLedgerAccountsFlows(t *testing.T) {
 	ledger := privacy.NewLedger()
 	eng.AttachLedger(ledger, 50)
 	eng.Run(10)
-	if ledger.Len() == 0 {
-		t.Fatal("ledger empty after interactions")
-	}
-	// Both flow kinds are recorded: profile->provider and feedback->mechanism.
-	var profile, feedback int
-	for _, e := range ledger.Events() {
-		if e.Recipient == -1 {
-			feedback++
-		} else {
-			profile++
-		}
-		if !e.Consented {
-			t.Fatal("engine recorded unconsented flow")
-		}
-	}
+	// Both flow kinds are recorded: a profile disclosure per served
+	// interaction and a feedback disclosure per shared report.
+	cum := eng.CumulativeStats()
+	profile, feedback := int64(cum.Interactions-cum.Refused), sharedTotal(eng, 20)
 	if profile == 0 || feedback == 0 {
 		t.Fatalf("flows: profile=%d feedback=%d", profile, feedback)
+	}
+	if got := int64(ledger.Len()); got != profile+feedback {
+		t.Fatalf("ledger Len = %d, want %d profile + %d feedback disclosures", got, profile, feedback)
+	}
+	// Every engine flow is consented.
+	for u := 0; u < 20; u++ {
+		if r := ledger.RespectRate(u); r != 1 {
+			t.Fatalf("user %d respect rate = %v: engine recorded an unconsented flow", u, r)
+		}
 	}
 	// Privacy facets reflect the accounting.
 	for u, p := range eng.PrivacyFacets() {
@@ -96,9 +103,9 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	eng.AttachLedger(ledger, 50)
 	eng.SetDisclosure(make([]float64, 20))
 	eng.Run(10)
-	for _, e := range ledger.Events() {
-		if e.Recipient == -1 {
-			t.Fatal("feedback flow recorded at zero disclosure")
-		}
+	cum := eng.CumulativeStats()
+	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng, 20) != 0 {
+		t.Fatalf("ledger Len = %d with %d shared reports, want only the %d profile disclosures",
+			got, sharedTotal(eng, 20), want)
 	}
 }

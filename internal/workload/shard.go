@@ -23,8 +23,8 @@ import (
 //     interaction's private stream and state that is immutable for the
 //     round (scores, graph, behaviours, honesty override).
 //  3. gather (sequential): results merge into the shared mutable state
-//     (interaction log, satisfaction EMAs, disclosure ledger, gatherer →
-//     mechanism) in interaction-index order, so transaction ids, EMA folds
+//     (ground-truth tallies, satisfaction EMAs, disclosure ledger, gatherer
+//     → mechanism) in interaction-index order, so transaction ids, EMA folds
 //     and the gatherer's disclosure draws are canonical.
 
 // interactionPlan is one scheduled request: the consumer plus the private
@@ -47,7 +47,6 @@ type interactionResult struct {
 	refused    bool
 	quality    float64
 	rating     float64
-	honest     bool
 }
 
 // planRound draws the round's interaction schedule from the main stream.
@@ -156,11 +155,10 @@ func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, po
 	pu := e.snet.User(provider)
 	if !pu.Behavior.Serves(rng) {
 		r.refused = true
-		r.honest = true
 		return r
 	}
 	r.quality = pu.Behavior.ServiceQuality(rng, round)
-	r.rating, r.honest = e.rate(rng, e.snet.User(p.consumer), p.consumer, provider, r.quality)
+	r.rating = e.rate(rng, e.snet.User(p.consumer), p.consumer, provider, r.quality)
 	return r
 }
 
@@ -195,10 +193,6 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		if r.refused {
 			st.BadService++
 			st.Refused++
-			e.snet.Record(social.Interaction{
-				ID: tx, Consumer: r.consumer, Provider: r.provider,
-				Quality: 0, Outcome: social.Refused, Rating: 0, HonestRating: true,
-			})
 			e.recordServed(r.provider, 0)
 			e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, 0)
 			e.consumers[r.consumer].UpdatePreference(r.provider, 0)
@@ -209,15 +203,9 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		// The consumer judges the allocation against its intentions and the
 		// quality it actually received.
 		e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, r.quality)
-		outcome := social.Good
 		if r.quality < 0.5 {
-			outcome = social.Bad
 			st.BadService++
 		}
-		e.snet.Record(social.Interaction{
-			ID: tx, Consumer: r.consumer, Provider: r.provider,
-			Quality: r.quality, Outcome: outcome, Rating: r.rating, HonestRating: r.honest,
-		})
 		e.recordServed(r.provider, r.quality)
 		e.consumers[r.consumer].UpdatePreference(r.provider, r.quality)
 		if e.ledger != nil {
@@ -236,8 +224,7 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 }
 
 // recordServed folds one served (or refused, quality 0) interaction into the
-// incremental ground-truth accumulators, sparing facet measurement a full
-// log rescan.
+// ground-truth accumulators: the provider's served count and quality sum.
 func (e *Engine) recordServed(provider int, quality float64) {
 	e.servedCount[provider]++
 	if e.servedCount[provider] == 1 {

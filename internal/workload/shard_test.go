@@ -178,33 +178,57 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestGroundTruthMatchesLogScan pins the incremental accumulators to the
-// reference full-log computation.
+// TestGroundTruthMatchesLogScan pins the incremental accumulators to an
+// independent scan of every interaction outcome: a scatter delegate runs
+// each round through SimulateChunk — the same simulation the local scatter
+// performs — and folds the outcomes into per-provider sums in interaction
+// order, refusals counting as quality 0.
 func TestGroundTruthMatchesLogScan(t *testing.T) {
-	cfg := Config{Seed: 21, NumPeers: 50, Mix: mixMalicious(0.4), Shards: 3}
-	e, err := NewEngine(cfg, newEigen(t, 50))
+	const n = 50
+	cfg := Config{Seed: 21, NumPeers: n, Mix: mixMalicious(0.4), Shards: 3}
+	e, err := NewEngine(cfg, newEigen(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sums := make([]float64, n)
+	counts := make([]int, n)
+	total := 0
+	e.SetScatterDelegate(func(plans []PlannedInteraction, scores []float64, gate float64, pool []int, round int) ([]InteractionOutcome, bool) {
+		out := e.SimulateChunk(plans, scores, gate, pool, round)
+		for _, o := range out {
+			if o.Absent || o.GateFailed || o.Provider < 0 {
+				continue
+			}
+			q := o.Quality
+			if o.Refused {
+				q = 0
+			}
+			sums[o.Provider] += q
+			counts[o.Provider]++
+			total++
+		}
+		return out, true
+	})
 	e.Run(15)
 	gt, served := groundTruth(e)
-	want := e.Network().GroundTruthQuality()
+	want := make([]float64, n)
+	for p := range want {
+		want[p] = 1
+		if counts[p] > 0 {
+			want[p] = sums[p] / float64(counts[p])
+		}
+	}
 	if !equalF64(gt, want) {
-		t.Fatalf("incremental ground truth diverged from log scan:\n%v\n%v", gt, want)
+		t.Fatalf("incremental ground truth diverged from outcome scan:\n%v\n%v", gt, want)
 	}
-	inLog := make([]bool, 50)
-	for _, i := range e.Network().Interactions() {
-		inLog[i.Provider] = true
-	}
-	for p := range inLog {
-		if inLog[p] != served[p] {
-			t.Fatalf("served[%d] = %v, log says %v", p, served[p], inLog[p])
+	for p := range counts {
+		if (counts[p] > 0) != served[p] {
+			t.Fatalf("served[%d] = %v, outcome scan counted %d", p, served[p], counts[p])
 		}
 	}
 	cum := e.CumulativeStats()
-	if cum.Interactions != len(e.Network().Interactions()) {
-		t.Fatalf("cumulative interactions %d != log length %d",
-			cum.Interactions, len(e.Network().Interactions()))
+	if cum.Interactions != total {
+		t.Fatalf("cumulative interactions %d != scanned outcomes %d", cum.Interactions, total)
 	}
 	if cum.Round != 15 {
 		t.Fatalf("cumulative round = %d, want 15", cum.Round)

@@ -129,9 +129,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if err := e.mech.RestoreMechanismState(st.Mechanism); err != nil {
 		return err
 	}
-	if err := e.snet.SetState(st.Network); err != nil {
-		return err
-	}
+	e.snet.SetState(st.Network)
 	for i, c := range e.consumers {
 		if err := c.SetState(st.Consumers[i]); err != nil {
 			return err

@@ -594,8 +594,9 @@ func (e *Engine) ServedProviders() []int {
 }
 
 // ProviderQuality returns a provider's realized mean service quality from
-// the incremental accumulators (1 for providers who never served, matching
-// social.Network.GroundTruthQuality).
+// the incremental accumulators: refusals count as quality 0, and a provider
+// who never served scores 1, so an unknown peer ranks as neutral-good
+// rather than bad.
 func (e *Engine) ProviderQuality(p int) float64 {
 	if p < 0 || p >= len(e.servedCount) || e.servedCount[p] == 0 {
 		return 1
@@ -658,14 +659,14 @@ func (e *Engine) Round() RoundStats {
 // rate computes the consumer's reported rating, honouring the honesty
 // override when installed. It draws only from the supplied stream so it is
 // safe in the scatter phase.
-func (e *Engine) rate(rng *sim.RNG, cu *social.User, consumer, provider int, quality float64) (float64, bool) {
+func (e *Engine) rate(rng *sim.RNG, cu *social.User, consumer, provider int, quality float64) float64 {
 	if e.honestOverride != nil {
 		if rng.Bool(e.honestOverride[consumer]) {
-			return quality, true
+			return quality
 		}
-		return 1 - quality, false
+		return 1 - quality
 	}
-	return cu.Behavior.Rate(rng, provider, quality), cu.Behavior.Honest(provider)
+	return cu.Behavior.Rate(rng, provider, quality)
 }
 
 // offerReport runs the rater's disclosure draw at its canonical position in
@@ -699,7 +700,7 @@ func (e *Engine) flushReports() {
 			for i := range e.pending {
 				r := &e.pending[i]
 				e.gatherer.Commit(r.Rater)
-				e.recordFeedbackDisclosure(r.Rater, r.TxID)
+				e.recordFeedbackDisclosure(r.Rater)
 			}
 			if e.reportObserver != nil {
 				e.reportObserver(e.pending)
@@ -713,7 +714,7 @@ func (e *Engine) flushReports() {
 				continue
 			}
 			e.gatherer.Commit(r.Rater)
-			e.recordFeedbackDisclosure(r.Rater, r.TxID)
+			e.recordFeedbackDisclosure(r.Rater)
 			if e.reportObserver != nil {
 				delivered = append(delivered, *r)
 			}
@@ -727,30 +728,11 @@ func (e *Engine) flushReports() {
 
 // recordFeedbackDisclosure accounts one shared feedback report in the
 // privacy ledger: sharing feedback discloses the rater's behavioural data to
-// the reputation layer (recipient -1 = the mechanism). Items are
-// per-transaction so exposure grows with each shared report.
-func (e *Engine) recordFeedbackDisclosure(rater int, tx uint64) {
-	if e.ledger == nil {
-		return
+// the reputation layer, so exposure grows with each shared report.
+func (e *Engine) recordFeedbackDisclosure(rater int) {
+	if e.ledger != nil {
+		e.ledger.RecordFeedback(rater)
 	}
-	e.ledger.Record(privacy.Disclosure{
-		Owner:       rater,
-		Item:        feedbackItem(rater, tx),
-		Sensitivity: social.Low,
-		Recipient:   -1,
-		Purpose:     privacy.ReputationUse,
-		Consented:   true,
-	})
-}
-
-// feedbackItem renders "feedback/<rater>/<tx>" with a single allocation.
-func feedbackItem(rater int, tx uint64) string {
-	var buf [64]byte
-	b := append(buf[:0], "feedback/"...)
-	b = strconv.AppendInt(b, int64(rater), 10)
-	b = append(b, '/')
-	b = strconv.AppendUint(b, tx, 10)
-	return string(b)
 }
 
 // sampleCandidates picks the candidate provider set for a consumer: its
@@ -863,7 +845,7 @@ func (e *Engine) SubmitExternalReport(rater, ratee int, value float64) error {
 	}
 	// Same accounting as a gathered in-simulation report: sharing feedback
 	// discloses the rater's behavioural data to the mechanism.
-	e.recordFeedbackDisclosure(rater, tx)
+	e.recordFeedbackDisclosure(rater)
 	if e.reportObserver != nil {
 		e.reportObserver([]reputation.Report{{TxID: tx, Rater: rater, Ratee: ratee, Value: value}})
 	}

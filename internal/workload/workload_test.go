@@ -67,8 +67,8 @@ func TestRoundsProduceInteractions(t *testing.T) {
 	if st.Interactions == 0 {
 		t.Fatal("no interactions in a round")
 	}
-	if len(e.Network().Interactions()) != st.Interactions {
-		t.Fatalf("log has %d, round reports %d", len(e.Network().Interactions()), st.Interactions)
+	if cum := e.CumulativeStats(); cum.Interactions != st.Interactions {
+		t.Fatalf("cumulative stats count %d, round reports %d", cum.Interactions, st.Interactions)
 	}
 }
 

@@ -17,7 +17,12 @@ import (
 // dropped the dense Sat/Unsat matrices for an Entries list + Dirty rows,
 // powertrust gained DirtyRows — so v1 blobs would gob-decode into empty
 // trust matrices if accepted.
-const snapshotVersion = 2
+//
+// v3: the privacy ledger is captured as per-owner aggregates (tallies, the
+// feedback exposure sum, items with their recipients) instead of an event
+// list, and the social network's interaction log and resource registry are
+// gone, so a v2 blob would restore an empty ledger.
+const snapshotVersion = 3
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,36 +223,90 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsHostileLedger feeds snapshots whose privacy ledger names
-// users outside the population through the public encode/decode/restore
-// path: each must be an error, not a panic or an out-of-memory growth of
-// per-user state, and a rejected restore must leave the engine runnable.
+// TestRestoreRejectsHostileLedger feeds snapshots whose privacy ledger is
+// malformed or names users outside the population through the public
+// encode/decode/restore path: each must be an error, not a panic or an
+// out-of-memory growth of per-user state, and a rejected restore must leave
+// the engine exactly as it was — its ledger state unchanged and its
+// continuation bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreRejectsHostileLedger(t *testing.T) {
 	eng, err := New(sessionScenario(402)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin, err := New(sessionScenario(402)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
 	n := eng.Peers()
+	// withItems returns the first owner disclosing an item to at least
+	// minRcpt recipients.
+	withItems := func(t *testing.T, st *privacy.LedgerState, minRcpt int) *privacy.OwnerState {
+		for k := range st.Owners {
+			if o := &st.Owners[k]; len(o.Items) > 0 && len(o.Items[0].Recipients) >= minRcpt {
+				return o
+			}
+		}
+		t.Fatalf("snapshot ledger has no item with %d recipients to corrupt", minRcpt)
+		return nil
+	}
+	last := func(st *privacy.LedgerState) *privacy.OwnerState { return &st.Owners[len(st.Owners)-1] }
 	cases := []struct {
 		name   string
-		mutate func(st *privacy.LedgerState)
+		mutate func(t *testing.T, st *privacy.LedgerState)
 	}{
-		{"huge owner", func(st *privacy.LedgerState) { st.Events[0].Owner = 1 << 62 }},
-		{"mid-sized owner", func(st *privacy.LedgerState) { st.Events[0].Owner = 1 << 34 }},
-		{"negative owner", func(st *privacy.LedgerState) { st.Events[0].Owner = -1 }},
-		{"owner = peers", func(st *privacy.LedgerState) { st.Events[0].Owner = n }},
-		{"recipient below -1", func(st *privacy.LedgerState) { st.Events[0].Recipient = -2 }},
-		{"recipient = peers", func(st *privacy.LedgerState) { st.Events[0].Recipient = n }},
-		{"dirty owner out of range", func(st *privacy.LedgerState) { st.FacetDirty = append(st.FacetDirty, 1<<62) }},
+		{"huge owner", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = 1 << 62 }},
+		{"mid-sized owner", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = 1 << 34 }},
+		{"negative owner", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Owner = -1 }},
+		{"owner = peers", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = n }},
+		{"owners unsorted", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0], st.Owners[1] = st.Owners[1], st.Owners[0] }},
+		{"owner duplicated", func(t *testing.T, st *privacy.LedgerState) { st.Owners[1].Owner = st.Owners[0].Owner }},
+		{"recipient below -1", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients[0] = -2 }},
+		{"recipient = peers", func(t *testing.T, st *privacy.LedgerState) {
+			r := withItems(t, st, 1).Items[0].Recipients
+			r[len(r)-1] = n
+		}},
+		{"recipients unsorted", func(t *testing.T, st *privacy.LedgerState) {
+			r := withItems(t, st, 2).Items[0].Recipients
+			r[0], r[1] = r[1], r[0]
+		}},
+		{"recipient duplicated", func(t *testing.T, st *privacy.LedgerState) {
+			r := withItems(t, st, 2).Items[0].Recipients
+			r[1] = r[0]
+		}},
+		{"item without recipients", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients = nil }},
+		{"dirty owner out of range", func(t *testing.T, st *privacy.LedgerState) { st.FacetDirty = append(st.FacetDirty, 1<<62) }},
+		{"consented > total", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = st.Owners[0].Total + 1 }},
+		{"negative consented", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = -1 }},
+		{"negative total", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Total, st.Owners[0].Consented = -1, -1 }},
+		{"feedback NaN", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Feedback = math.NaN() }},
+		{"feedback negative", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Feedback = -0.2 }},
+		{"feedback above 0.2 x total", func(t *testing.T, st *privacy.LedgerState) {
+			st.Owners[0].Feedback = 0.2*float64(st.Owners[0].Total) + 0.2
+		}},
+		{"item keys unsorted", func(t *testing.T, st *privacy.LedgerState) {
+			o := withItems(t, st, 1)
+			o.Items = append(o.Items, privacy.ItemState{Key: "a", Weight: 0.5, Recipients: []int{0}})
+		}},
+		{"item key duplicated", func(t *testing.T, st *privacy.LedgerState) {
+			o := withItems(t, st, 1)
+			o.Items = append(o.Items, o.Items[len(o.Items)-1])
+		}},
+		{"weight of no class", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Weight = 0.3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			snap := snapshotRoundTrip(t, eng)
-			if len(snap.State.Ledger.Events) == 0 {
-				t.Fatal("snapshot has no ledger events to corrupt")
+			before, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
-			tc.mutate(&snap.State.Ledger)
+			snap := snapshotRoundTrip(t, eng)
+			if len(snap.State.Ledger.Owners) < 2 {
+				t.Fatal("snapshot ledger has too few owners to corrupt")
+			}
+			tc.mutate(t, &snap.State.Ledger)
 			var buf bytes.Buffer
 			if err := snap.Encode(&buf); err != nil {
 				t.Fatal(err)
@@ -259,17 +316,64 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "ledger") {
-				t.Fatalf("restore of hostile ledger = %v, want a ledger range error", err)
+				t.Fatalf("restore of hostile ledger = %v, want a ledger error", err)
+			}
+			after, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after.State.Ledger, before.State.Ledger) || after.Epoch != before.Epoch {
+				t.Fatal("rejected restore changed the engine")
 			}
 		})
 	}
-	runEpochs(t, eng, 1)
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restores perturbed the continuation")
+	}
+}
+
+// TestSnapshotSizeBounded pins bounded state: the snapshot carries
+// sufficient statistics, not logs, so a 300-peer run's checkpoint stays
+// small at 60 epochs instead of growing with every interaction and report.
+// The scenario is trustsim's default one.
+func TestSnapshotSizeBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 60 epochs")
+	}
+	eng, err := New(
+		WithPeers(300),
+		WithRNGSeed(1),
+		WithMix(Mix{Fractions: map[Class]float64{Honest: 0.7, Malicious: 0.3}, ForceHonest: []int{0, 1, 2}}),
+		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
+		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8}),
+		WithRecomputeEvery(2),
+		WithCoupling(true),
+		WithEpochRounds(8),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 60)
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if size := buf.Len(); size > 1<<20 {
+		t.Fatalf("300-peer snapshot at epoch 60 is %d bytes, want at most 1 MiB", size)
+	}
 }
 
 // TestDecodeSnapshotOldVersionClearError pins the decode-time version probe:
 // a snapshot from an older format generation — whose State would not even
-// gob-decode into the current shape — must report a clear version mismatch,
-// not a raw gob failure from deep inside the state.
+// gob-decode into the current shape, or would decode into an empty ledger —
+// must report a clear version mismatch, not a raw gob failure from deep
+// inside the state or a silently emptied restore.
 func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	// A v1-era blob stand-in: same header fields, but a State whose wire
 	// type is incompatible with core.DynamicsState, so a single-pass decode
@@ -284,19 +388,37 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		Epoch     int
 		State     v1State
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v1Snapshot{
-		Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3,
-		State: v1State{Engine: "dense matrices lived here"},
-	}); err != nil {
-		t.Fatal(err)
+	// A v2-era stand-in: the ledger was an event list, which has no field
+	// in common with the v3 per-owner aggregates.
+	type v2Event struct{ Owner, Recipient int }
+	type v2State struct {
+		Ledger struct{ Events []v2Event }
+		Epoch  int
 	}
-	_, err := DecodeSnapshot(&buf)
-	if err == nil {
-		t.Fatal("old-version snapshot decoded without error")
+	type v2Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v2State
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 2)") {
-		t.Fatalf("decode error %q does not name the version mismatch", err)
+	v2 := v2Snapshot{Version: 2, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
+	v2.State.Ledger.Events = []v2Event{{Owner: 4, Recipient: -1}}
+	for _, blob := range []any{
+		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
+		v2,
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeSnapshot(&buf)
+		if err == nil {
+			t.Fatalf("old-version snapshot %T decoded without error", blob)
+		}
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 3)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
+		}
 	}
 }
 
