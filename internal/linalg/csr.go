@@ -1,9 +1,9 @@
 // Package linalg is the sparse linear-algebra kernel under the reputation
-// mechanisms: CSR trust matrices with incremental per-row updates and a
-// deterministic, shard-parallel sparse matrix–vector product. Every epoch
-// the interaction graph touches only a sliver of the population, so the
-// mechanisms rematerialize just the changed rows and pay O(nnz) per power
-// iteration instead of the Θ(n²) a dense [][]float64 costs.
+// mechanisms: row-normalized CSR trust matrices updated in batches of dirty
+// rows, and a deterministic, shard-parallel sparse matrix–vector product.
+// Every epoch the interaction graph touches only a sliver of the
+// population, so the mechanisms rematerialize just the changed rows and pay
+// O(nnz) per power iteration instead of the Θ(n²) a dense [][]float64 costs.
 //
 // Determinism is a hard contract, matching the epoch pipeline's: all
 // results are bit-for-bit identical for every worker count (see spmv.go for
@@ -12,211 +12,299 @@ package linalg
 
 import (
 	"fmt"
-	"slices"
-	"sort"
+	"math/bits"
 )
 
-// extent locates one row inside the shared arena.
-type extent struct {
-	off, n, cap int
+// RowSource supplies matrix rows: AppendRow appends row i's entries —
+// columns strictly ascending within [0, n) — to cols and vals and returns
+// the extended slices.
+type RowSource interface {
+	AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64)
 }
 
-// CSR is a square sparse matrix in compressed-sparse-row form. All rows
-// share one (cols, vals) arena; each row occupies a contiguous extent with
-// slack capacity so hot rows can be rewritten in place as trust accumulates.
-// Rows that outgrow their extent move to the arena tail, and the arena is
-// repacked automatically once the leaked space exceeds the live entries.
-//
-// Column indices within a row are strictly ascending — the invariant every
-// kernel (SpMV accumulation order, row normalization, golden equivalence
-// with the dense reference) rests on.
+// entries is a run of entries, rows ascending and columns ascending within
+// a row, with each row's start offset. A block keeps no col: its columns
+// live compressed in its cols and lidx, and col is the merge's scratch.
+type entries struct {
+	ptr []int32   // row r of the run holds entries [ptr[r], ptr[r+1])
+	row []int32   // per entry: its row
+	col []int32   // per entry: its column
+	val []float64 // per entry: its value
+}
+
+// block is one canonical SpMV block (see spmv.go): its rows' entries in the
+// order the kernel reads them, plus the block's compressed partial layout.
+// Per entry it holds only what the kernel reads: row, slot and value.
+type block struct {
+	lo int // first row; the block holds rows [lo, lo+len(ptr)-1)
+	entries
+	cols  []int32 // ascending distinct columns the block's rows touch
+	lidx  []int32 // per entry: the slot of its column in cols
+	empty []int32 // ascending rows with no entry (dangling)
+}
+
+// CSR is a square sparse matrix whose rows are each empty (dangling) or
+// normalized to sum 1. It is stored block-major: each canonical SpMV block
+// keeps its entries contiguous, rows ascending and columns strictly
+// ascending within a row — the order the kernel reads them, and the order
+// its deterministic accumulation rests on. Rows change only through Update.
 type CSR struct {
-	n    int
-	rows []extent
-	cols []int32
-	vals []float64
-	live int // live entries; len(cols) - live is leaked by row moves
+	n       int
+	rowsPer int // rows per block; the last block may hold fewer
+	blocks  []block
+	nnz     int
 
-	// rowsPer is the row span of one canonical SpMV block; gen[b] counts
-	// the column-set changes of block b's rows, so a Workspace rebuilds a
-	// block's scatter pattern only when its structure (not its values)
-	// changed.
-	rowsPer int
-	gen     []uint64
+	// Update scratch: the dirty rows' new entries (ptr per dirty row), the
+	// merge target a rebuilt block swaps its entries with (its col carries
+	// the merged columns to the pattern rebuild), and the column bitmap with
+	// its per-word rank. The bitmap is all zero between calls.
+	fresh, spare entries
+	mark         []uint64
+	rank         []int32
 }
 
-// New returns an empty n×n matrix.
+// New returns an empty n×n matrix: every row dangling.
 func New(n int) *CSR {
-	if n < 0 {
-		n = 0
-	}
-	blocks := blockCount(n)
-	return &CSR{
+	n = max(n, 0)
+	nb := BlockCount(n)
+	words := (n + 63) / 64
+	c := &CSR{
 		n:       n,
-		rows:    make([]extent, n),
-		rowsPer: (n + blocks - 1) / blocks,
-		gen:     make([]uint64, blocks),
+		rowsPer: max(1, (n+nb-1)/nb),
+		blocks:  make([]block, nb),
+		mark:    make([]uint64, words),
+		rank:    make([]int32, words),
 	}
+	for b := range c.blocks {
+		blk := &c.blocks[b]
+		blk.lo = min(b*c.rowsPer, n)
+		rows := min((b+1)*c.rowsPer, n) - blk.lo
+		blk.ptr = make([]int32, rows+1)
+		blk.empty = make([]int32, 0, rows)
+		c.pattern(blk)
+	}
+	return c
 }
 
-// touch records that row i's column set changed.
-func (c *CSR) touch(i int) { c.gen[i/c.rowsPer]++ }
-
-// Triplet is one (row, col, value) coordinate entry.
-type Triplet struct {
-	Row, Col int
-	Val      float64
-}
-
-// FromTriplets builds a matrix from coordinate entries in any order;
-// duplicate coordinates are summed. Out-of-range coordinates are an error.
-func FromTriplets(n int, ts []Triplet) (*CSR, error) {
-	for _, t := range ts {
-		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
-			return nil, fmt.Errorf("linalg: triplet (%d,%d) out of range [0,%d)", t.Row, t.Col, n)
-		}
-	}
-	sorted := append([]Triplet(nil), ts...)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].Row != sorted[b].Row {
-			return sorted[a].Row < sorted[b].Row
-		}
-		return sorted[a].Col < sorted[b].Col
-	})
+// Build returns the n×n matrix whose rows are src's rows, each normalized
+// as Update does.
+func Build(n int, src RowSource) *CSR {
 	c := New(n)
-	c.cols = make([]int32, 0, len(sorted))
-	c.vals = make([]float64, 0, len(sorted))
-	for i := 0; i < len(sorted); {
-		row := sorted[i].Row
-		off := len(c.cols)
-		for ; i < len(sorted) && sorted[i].Row == row; i++ {
-			if k := len(c.cols); k > off && c.cols[k-1] == int32(sorted[i].Col) {
-				c.vals[k-1] += sorted[i].Val
-				continue
-			}
-			c.cols = append(c.cols, int32(sorted[i].Col))
-			c.vals = append(c.vals, sorted[i].Val)
-		}
-		c.rows[row] = extent{off: off, n: len(c.cols) - off, cap: len(c.cols) - off}
+	rows := make([]int, c.n)
+	for i := range rows {
+		rows[i] = i
 	}
-	c.live = len(c.cols)
-	return c, nil
+	c.Update(src, rows)
+	return c
 }
-
-// N returns the matrix dimension.
-func (c *CSR) N() int { return c.n }
 
 // NNZ returns the number of stored entries.
-func (c *CSR) NNZ() int { return c.live }
+func (c *CSR) NNZ() int { return c.nnz }
 
-// Row returns row i's column indices (ascending) and values. The slices
-// alias internal storage: they are read-only and valid only until the next
-// mutating call (SetRow, NormalizeRow, ClearRow).
-func (c *CSR) Row(i int) ([]int32, []float64) {
-	e := c.rows[i]
-	return c.cols[e.off : e.off+e.n], c.vals[e.off : e.off+e.n]
+// AppendRow appends row i's columns (ascending) and values to cols and vals
+// and returns the extended slices, so a matrix is itself a RowSource.
+func (c *CSR) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
+	blk := &c.blocks[i/c.rowsPer]
+	lo, hi := blk.ptr[i-blk.lo], blk.ptr[i-blk.lo+1]
+	for _, slot := range blk.lidx[lo:hi] {
+		cols = append(cols, blk.cols[slot])
+	}
+	return cols, append(vals, blk.val[lo:hi]...)
 }
 
-// RowEmpty reports whether row i has no stored entries.
-func (c *CSR) RowEmpty(i int) bool { return c.rows[i].n == 0 }
+// hasCols reports whether row lo+r of the block stores exactly cols.
+func (blk *block) hasCols(r int, cols []int32) bool {
+	lidx := blk.lidx[blk.ptr[r]:blk.ptr[r+1]]
+	if len(lidx) != len(cols) {
+		return false
+	}
+	for k, slot := range lidx {
+		if blk.cols[slot] != cols[k] {
+			return false
+		}
+	}
+	return true
+}
 
-// SetRow replaces row i. cols must be strictly ascending and in range —
-// a violated invariant is a programming error and panics — and cols/vals
-// must not alias the matrix's own storage (pass scratch buffers, not the
-// slices returned by Row). The row is rewritten in place when it fits its
-// extent; otherwise it moves to the arena tail (compacting first if the
-// arena has leaked past its live size).
-func (c *CSR) SetRow(i int, cols []int32, vals []float64) {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("linalg: SetRow row %d out of range [0,%d)", i, c.n))
+// Update rematerializes rows — strictly ascending — from src. Each row is
+// normalized: its sum is taken in ascending column order and each value
+// divided by it, so the result matches a dense left-to-right row scan bit
+// for bit. A row whose sum is not positive becomes empty: a dangling row,
+// handled by the SpMV's rank-one correction instead of a dense uniform
+// fill. A block whose updated rows all keep their column sets is rewritten
+// in place, in O(updated entries); any other block is rebuilt, in
+// O(entries in the block). Rows out of order or range, or a source row
+// with unordered or out-of-range columns, are programming errors and panic.
+func (c *CSR) Update(src RowSource, rows []int) {
+	for k, i := range rows {
+		if i < 0 || i >= c.n || (k > 0 && i <= rows[k-1]) {
+			panic(fmt.Sprintf("linalg: Update rows must be strictly ascending in [0,%d): %d at position %d", c.n, i, k))
+		}
 	}
-	if len(cols) != len(vals) {
-		panic(fmt.Sprintf("linalg: SetRow row %d: %d cols vs %d vals", i, len(cols), len(vals)))
+	for k := 0; k < len(rows); {
+		blk := &c.blocks[rows[k]/c.rowsPer]
+		end := k + 1
+		for end < len(rows) && rows[end] < blk.lo+len(blk.ptr)-1 {
+			end++
+		}
+		c.updateBlock(src, blk, rows[k:end])
+		k = end
 	}
+}
+
+// updateBlock rematerializes rows of blk from src.
+func (c *CSR) updateBlock(src RowSource, blk *block, rows []int) {
+	f := &c.fresh
+	f.ptr = append(f.ptr[:0], 0)
+	f.col, f.val = f.col[:0], f.val[:0]
+	same := true
+	for _, i := range rows {
+		start := len(f.col)
+		f.col, f.val = src.AppendRow(i, f.col, f.val)
+		c.normalize(i, start)
+		f.ptr = append(f.ptr, int32(len(f.col)))
+		same = same && blk.hasCols(i-blk.lo, f.col[start:])
+	}
+	if same {
+		for j, i := range rows {
+			r := i - blk.lo
+			copy(blk.val[blk.ptr[r]:blk.ptr[r+1]], f.val[f.ptr[j]:f.ptr[j+1]])
+		}
+		return
+	}
+	c.merge(blk, rows)
+	c.pattern(blk)
+}
+
+// normalize checks the row i just appended at fresh[start:] and scales it to
+// sum 1, or drops its entries when the sum is not positive.
+func (c *CSR) normalize(i, start int) {
+	f := &c.fresh
+	if len(f.col) != len(f.val) {
+		panic(fmt.Sprintf("linalg: row %d: %d cols vs %d vals", i, len(f.col)-start, len(f.val)-start))
+	}
+	cols, vals := f.col[start:], f.val[start:]
 	for k, col := range cols {
 		if col < 0 || int(col) >= c.n {
-			panic(fmt.Sprintf("linalg: SetRow row %d: column %d out of range [0,%d)", i, col, c.n))
+			panic(fmt.Sprintf("linalg: row %d: column %d out of range [0,%d)", i, col, c.n))
 		}
 		if k > 0 && cols[k-1] >= col {
-			panic(fmt.Sprintf("linalg: SetRow row %d: columns not strictly ascending at %d", i, k))
+			panic(fmt.Sprintf("linalg: row %d: columns not strictly ascending at %d", i, k))
 		}
 	}
-	e := c.rows[i]
-	if len(cols) <= e.cap {
-		if !slices.Equal(c.cols[e.off:e.off+e.n], cols) {
-			c.touch(i)
-		}
-		copy(c.cols[e.off:], cols)
-		copy(c.vals[e.off:], vals)
-		c.live += len(cols) - e.n
-		c.rows[i] = extent{off: e.off, n: len(cols), cap: e.cap}
-		return
-	}
-	// Abandon the old extent; emptying it first lets a compaction pass
-	// drop it instead of copying dead entries.
-	c.touch(i)
-	c.live -= e.n
-	c.rows[i].n = 0
-	if len(c.cols) > 2*(c.live+len(cols))+64 {
-		c.compact()
-	}
-	// Slack absorbs the steady growth of a filling trust row without a move
-	// per added entry.
-	slack := len(cols)/4 + 4
-	off := len(c.cols)
-	c.cols = append(c.cols, cols...)
-	c.vals = append(c.vals, vals...)
-	for k := 0; k < slack; k++ {
-		c.cols = append(c.cols, 0)
-		c.vals = append(c.vals, 0)
-	}
-	c.rows[i] = extent{off: off, n: len(cols), cap: len(cols) + slack}
-	c.live += len(cols)
-}
-
-// ClearRow empties row i (its extent capacity is kept for reuse).
-func (c *CSR) ClearRow(i int) {
-	if c.rows[i].n == 0 {
-		return
-	}
-	c.touch(i)
-	c.live -= c.rows[i].n
-	c.rows[i].n = 0
-}
-
-// NormalizeRow scales row i to sum 1, returning the pre-normalization sum.
-// The sum is accumulated in ascending column order, so it is deterministic
-// and matches a dense left-to-right row scan bit for bit. A row with a
-// non-positive sum is cleared: it is a dangling row, handled by the SpMV's
-// rank-one correction instead of a dense uniform fill.
-func (c *CSR) NormalizeRow(i int) float64 {
-	e := c.rows[i]
 	sum := 0.0
-	for _, v := range c.vals[e.off : e.off+e.n] {
+	for _, v := range vals {
 		sum += v
 	}
 	if sum <= 0 {
-		c.ClearRow(i)
-		return sum
+		f.col, f.val = f.col[:start], f.val[:start]
+		return
 	}
-	for k := e.off; k < e.off+e.n; k++ {
-		c.vals[k] /= sum
+	for k := range vals {
+		vals[k] /= sum
 	}
-	return sum
 }
 
-// compact repacks the arena, dropping extents leaked by row moves. Row
-// order is preserved, so iteration order — and therefore every numeric
-// result — is unchanged.
-func (c *CSR) compact() {
-	cols := make([]int32, 0, c.live+c.live/4)
-	vals := make([]float64, 0, c.live+c.live/4)
-	for i := range c.rows {
-		e := c.rows[i]
-		off := len(cols)
-		cols = append(cols, c.cols[e.off:e.off+e.n]...)
-		vals = append(vals, c.vals[e.off:e.off+e.n]...)
-		c.rows[i] = extent{off: off, n: e.n, cap: e.n}
+// merge rebuilds blk's entries in one pass into the spare run — the rows
+// between updated ones copied as whole runs, the updated rows from the
+// fresh entries — and swaps the two runs.
+func (c *CSR) merge(blk *block, rows []int) {
+	f, s := &c.fresh, &c.spare
+	nrows := len(blk.ptr) - 1
+	size := len(f.col) + len(blk.row)
+	for _, i := range rows {
+		size -= int(blk.ptr[i-blk.lo+1] - blk.ptr[i-blk.lo])
 	}
-	c.cols, c.vals = cols, vals
+	s.ptr = resize(s.ptr, nrows+1)
+	s.row, s.col, s.val = resize(s.row, size), resize(s.col, size), resize(s.val, size)
+	pos, next := int32(0), 0 // write offset; first row not yet written
+	for j := 0; ; j++ {
+		r := nrows
+		if j < len(rows) {
+			r = rows[j] - blk.lo
+		}
+		// Rows [next, r) keep their entries: copy them as one run.
+		if next < r {
+			lo, hi := blk.ptr[next], blk.ptr[r]
+			copy(s.row[pos:], blk.row[lo:hi])
+			for k, slot := range blk.lidx[lo:hi] {
+				s.col[int(pos)+k] = blk.cols[slot]
+			}
+			copy(s.val[pos:], blk.val[lo:hi])
+			for q := next; q < r; q++ {
+				s.ptr[q] = blk.ptr[q] - lo + pos
+			}
+			pos += hi - lo
+		}
+		if j == len(rows) {
+			break
+		}
+		lo, hi := f.ptr[j], f.ptr[j+1]
+		s.ptr[r] = pos
+		copy(s.col[pos:], f.col[lo:hi])
+		copy(s.val[pos:], f.val[lo:hi])
+		seg := s.row[pos : pos+hi-lo]
+		for k := range seg {
+			seg[k] = int32(blk.lo + r)
+		}
+		pos += hi - lo
+		next = r + 1
+	}
+	s.ptr[nrows] = pos
+	c.nnz += size - len(blk.row)
+	blk.entries, c.spare = c.spare, blk.entries
+}
+
+// pattern rebuilds blk's layout from its entries: its empty rows, and its
+// touched columns with each entry's slot among them — every column marked
+// in the bitmap, the marked columns listed in ascending order, then each
+// entry given its column's rank: a prefix count per word plus a popcount
+// within the word, so the cost is O(entries + words spanned), no
+// comparison sort.
+func (c *CSR) pattern(blk *block) {
+	blk.empty = blk.empty[:0]
+	for r := range blk.ptr[1:] {
+		if blk.ptr[r] == blk.ptr[r+1] {
+			blk.empty = append(blk.empty, int32(blk.lo+r))
+		}
+	}
+	mark := c.mark
+	wlo, whi := len(mark), 0
+	for _, col := range blk.col {
+		wd := int(col >> 6)
+		mark[wd] |= 1 << (col & 63)
+		wlo, whi = min(wlo, wd), max(whi, wd+1)
+	}
+	touched := int32(0)
+	for wd := wlo; wd < whi; wd++ {
+		c.rank[wd] = touched
+		touched += int32(bits.OnesCount64(mark[wd]))
+	}
+	blk.cols = resize(blk.cols, int(touched))
+	for wd := wlo; wd < whi; wd++ {
+		k := c.rank[wd]
+		for m := mark[wd]; m != 0; m &= m - 1 {
+			blk.cols[k] = int32(wd<<6 | bits.TrailingZeros64(m))
+			k++
+		}
+	}
+	blk.lidx = resize(blk.lidx, len(blk.col))
+	for k, col := range blk.col {
+		wd := col >> 6
+		below := mark[wd] & (1<<(col&63) - 1)
+		blk.lidx[k] = c.rank[wd] + int32(bits.OnesCount64(below))
+	}
+	for wd := wlo; wd < whi; wd++ {
+		mark[wd] = 0
+	}
+	c.spare.col, blk.col = blk.col, nil
+}
+
+// resize returns s with length n, reallocating with an eighth's headroom
+// only when it lacks capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/8)
+	}
+	return s[:n]
 }

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/sim"
@@ -20,7 +19,13 @@ import (
 // O(blocks·n). Skipping the untouched columns is exact. A dense partial holds
 // +0 there, and the fold's running sum starts at +0 and can never become −0
 // under round-to-nearest (x + y is −0 only when both are −0), so adding +0
-// leaves it unchanged bit for bit.
+// leaves it unchanged bit for bit. The same argument lets the scatter run
+// one flat loop over a block's entries with no per-row branch: a row whose
+// x weight is 0 adds ±0 to slots that hold no −0, which changes nothing.
+//
+// Every product is written float64(a*b): the explicit conversion rounds it,
+// so no architecture may fuse it with the add that follows, and the bits
+// are the same on all of them.
 const (
 	spmvBlockRows = 256
 	spmvMaxBlocks = 32
@@ -32,133 +37,29 @@ const (
 // a distributed SpMV bit-identical to the local one: each block's partial is
 // produced by the same serial accumulation wherever it runs, and FoldBlocks
 // folds them in the same canonical order MulTranspose does.
-func BlockCount(n int) int { return blockCount(n) }
-
-// blockCount returns the canonical scatter block count for an n-row matrix.
-func blockCount(n int) int {
-	b := (n + spmvBlockRows - 1) / spmvBlockRows
-	if b < 1 {
-		b = 1
-	}
-	if b > spmvMaxBlocks {
-		b = spmvMaxBlocks
-	}
-	return b
+func BlockCount(n int) int {
+	return min(max((n+spmvBlockRows-1)/spmvBlockRows, 1), spmvMaxBlocks)
 }
 
-// blockRows returns block b's row range [lo, hi).
-func (c *CSR) blockRows(b int) (lo, hi int) {
-	lo, hi = b*c.rowsPer, (b+1)*c.rowsPer
-	if hi > c.n {
-		hi = c.n
-	}
-	return lo, hi
-}
-
-// blockPattern is one block's compressed scatter layout: the columns its
-// rows touch and, for every stored entry, the slot of its column.
-type blockPattern struct {
-	built bool
-	gen   uint64    // the block's CSR.gen when the pattern was built
-	cols  []int32   // ascending distinct columns the block's rows touch
-	lidx  []int32   // per block entry (rows ascending, columns ascending): index into cols
-	part  []float64 // the block's partial product, aligned with cols
-}
-
-// Workspace holds the SpMV scratch: the per-block compressed partials, their
-// column patterns and the dangling masses. A pattern is rebuilt only when
-// its block's column set changed since the workspace last saw it (value-only
-// row rewrites keep it), so reusing one workspace across iterations keeps
-// the power iteration allocation-free in steady state. A workspace must not
-// be shared by concurrent SpMV calls.
+// Workspace holds the SpMV scratch: one compressed partial per block, its
+// Cols aliasing the block's touched columns. Reusing one workspace across
+// iterations keeps the power iteration allocation-free in steady state; it
+// may move between matrices. A workspace must not be shared by concurrent
+// SpMV calls.
 type Workspace struct {
-	owner *CSR // the matrix the patterns describe
-	pats  []blockPattern
-	mass  []float64
-	mark  []uint64 // column bitmap; all zero between pattern builds
-	rank  []int32  // per bitmap word: pattern columns in lower words
+	parts []BlockPartial
 }
 
-// refresh brings the patterns of blocks [lob, hib) up to date with c.
-func (w *Workspace) refresh(c *CSR, lob, hib int) {
-	if w.owner != c {
-		words := (c.n + 63) / 64
-		blocks := len(c.gen)
-		*w = Workspace{
-			owner: c,
-			pats:  make([]blockPattern, blocks),
-			mass:  make([]float64, blocks),
-			mark:  make([]uint64, words),
-			rank:  make([]int32, words),
-		}
+// fit sizes the partials of blocks [lob, hib) to c's current layout.
+func (w *Workspace) fit(c *CSR, lob, hib int) {
+	if len(w.parts) != len(c.blocks) {
+		w.parts = make([]BlockPartial, len(c.blocks))
 	}
 	for b := lob; b < hib; b++ {
-		if p := &w.pats[b]; !p.built || p.gen != c.gen[b] {
-			w.build(c, b)
-		}
+		p := &w.parts[b]
+		p.Cols = c.blocks[b].cols
+		p.Vals = resize(p.Vals, len(p.Cols))
 	}
-}
-
-// build rebuilds block b's pattern: mark every touched column in the bitmap,
-// list the marked columns in ascending order, then give each entry its
-// column's rank among them — a prefix count per word plus a popcount within
-// the word, so the cost is O(entries + words spanned), no comparison sort.
-func (w *Workspace) build(c *CSR, b int) {
-	p := &w.pats[b]
-	lo, hi := c.blockRows(b)
-	mark := w.mark
-	wlo, whi := len(mark), 0
-	entries := 0
-	for i := lo; i < hi; i++ {
-		e := c.rows[i]
-		if e.n == 0 {
-			continue
-		}
-		cols := c.cols[e.off : e.off+e.n]
-		for _, col := range cols {
-			mark[col>>6] |= 1 << (col & 63)
-		}
-		wlo = min(wlo, int(cols[0]>>6))
-		whi = max(whi, int(cols[len(cols)-1]>>6)+1)
-		entries += e.n
-	}
-	touched := int32(0)
-	for wd := wlo; wd < whi; wd++ {
-		w.rank[wd] = touched
-		touched += int32(bits.OnesCount64(mark[wd]))
-	}
-	p.cols = resize(p.cols, int(touched))
-	for wd := wlo; wd < whi; wd++ {
-		k := w.rank[wd]
-		for m := mark[wd]; m != 0; m &= m - 1 {
-			p.cols[k] = int32(wd<<6 | bits.TrailingZeros64(m))
-			k++
-		}
-	}
-	p.lidx = resize(p.lidx, entries)
-	k := 0
-	for i := lo; i < hi; i++ {
-		e := c.rows[i]
-		for _, col := range c.cols[e.off : e.off+e.n] {
-			wd := col >> 6
-			below := mark[wd] & (1<<(col&63) - 1)
-			p.lidx[k] = w.rank[wd] + int32(bits.OnesCount64(below))
-			k++
-		}
-	}
-	for wd := wlo; wd < whi; wd++ {
-		mark[wd] = 0
-	}
-	p.part = resize(p.part, int(touched))
-	p.gen, p.built = c.gen[b], true
-}
-
-// resize returns s with length n, reallocating only when it lacks capacity.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // MulTranspose computes y = Aᵀx + mass·dangle, where mass is the total x
@@ -180,11 +81,8 @@ func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
 	if workers < 1 {
 		workers = 1
 	}
-	blocks := len(c.gen)
-	ws.refresh(c, 0, blocks)
-
-	// Scatter: each block accumulates its rows' contributions into its own
-	// partial, rows ascending, columns ascending within a row.
+	blocks := len(c.blocks)
+	ws.fit(c, 0, blocks)
 	if workers == 1 {
 		// Inline serial path: no closures, so the steady state is
 		// allocation-free.
@@ -194,19 +92,14 @@ func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
 			c.scatter(ws, x, lob, hib)
 		})
 	}
-
-	mass := 0.0
-	for b := 0; b < blocks; b++ {
-		mass += ws.mass[b]
-	}
-
-	// Fold: each output index is owned by one worker and sums the partials
-	// in ascending block order — canonical regardless of chunking.
+	mass := totalMass(ws.parts)
+	// Each output index is owned by one worker and sums the partials in
+	// ascending block order — canonical regardless of chunking.
 	if workers == 1 {
-		ws.fold(y, dangle, mass, 0, n)
+		fold(y, dangle, ws.parts, mass, 0, n)
 	} else {
 		sim.ForChunks(workers, n, func(lo, hi int) {
-			ws.fold(y, dangle, mass, lo, hi)
+			fold(y, dangle, ws.parts, mass, lo, hi)
 		})
 	}
 }
@@ -240,113 +133,100 @@ func (p *BlockPartial) Valid(n int) bool {
 // ScatterBlocks computes the compressed partials of the canonical scatter
 // blocks [lob, hib) for y = Aᵀx, one per block in ascending order. It runs
 // exactly the serial per-block accumulation MulTranspose's scatter phase
-// runs, on ws's patterns for those blocks, so a partial computed here — in
-// another process, say — is bit-for-bit the one the local kernel would have
-// produced. Pair with FoldBlocks on the full block set to finish the
-// product. The results cost O(touched columns), never alias ws, and share
-// one column and one value backing array.
+// runs, so a partial computed here — in another process, say — is
+// bit-for-bit the one the local kernel would have produced. Pair with
+// FoldBlocks on the full block set to finish the product. The results cost
+// O(touched columns), never alias ws or the matrix, and share one column
+// and one value backing array.
 func (c *CSR) ScatterBlocks(x []float64, lob, hib int, ws *Workspace) []BlockPartial {
-	if hib > len(c.gen) {
-		hib = len(c.gen)
-	}
+	hib = min(hib, len(c.blocks))
 	if c.n == 0 || lob >= hib {
 		return nil
 	}
-	ws.refresh(c, lob, hib)
+	ws.fit(c, lob, hib)
 	c.scatter(ws, x, lob, hib)
 	touched := 0
 	for b := lob; b < hib; b++ {
-		touched += len(ws.pats[b].cols)
+		touched += len(ws.parts[b].Cols)
 	}
 	cols := make([]int32, 0, touched)
 	vals := make([]float64, 0, touched)
 	parts := make([]BlockPartial, hib-lob)
 	for b := lob; b < hib; b++ {
-		p := &ws.pats[b]
+		p := &ws.parts[b]
 		k := len(cols)
-		cols = append(cols, p.cols...)
-		vals = append(vals, p.part...)
-		parts[b-lob] = BlockPartial{Cols: cols[k:len(cols):len(cols)], Vals: vals[k:len(vals):len(vals)], Mass: ws.mass[b]}
+		cols = append(cols, p.Cols...)
+		vals = append(vals, p.Vals...)
+		parts[b-lob] = BlockPartial{Cols: cols[k:len(cols):len(cols)], Vals: vals[k:len(vals):len(vals)], Mass: p.Mass}
 	}
 	return parts
 }
 
 // FoldBlocks completes y = Aᵀx + mass·dangle from a full set of block
-// partials (parts[b] for block b, ascending). The fold runs MulTranspose's
-// fold arithmetic in the same order — masses summed in ascending block
-// order, each output index summing its partials in ascending block order
-// (the +0 off a block's columns skipped, which is exact) before the
-// rank-one dangling correction — so a product assembled from remotely
-// computed blocks is bit-identical to the local one. dangle == nil applies
-// no correction. It returns false, leaving y untouched, when any partial
-// fails Valid for len(y).
+// partials (parts[b] for block b, ascending). It runs MulTranspose's fold —
+// masses summed in ascending block order, each output index summing its
+// partials in ascending block order (the +0 off a block's columns skipped,
+// which is exact) before the rank-one dangling correction — so a product
+// assembled from remotely computed blocks is bit-identical to the local
+// one. dangle == nil applies no correction. It returns false, leaving y
+// untouched, when any partial fails Valid for len(y).
 func FoldBlocks(y, dangle []float64, parts []BlockPartial) bool {
 	for b := range parts {
 		if !parts[b].Valid(len(y)) {
 			return false
 		}
 	}
-	clear(y)
-	mass := 0.0
-	for b := range parts {
-		p := &parts[b]
-		mass += p.Mass
-		for k, col := range p.Cols {
-			y[col] += p.Vals[k]
-		}
-	}
-	if dangle != nil {
-		for j := range y {
-			y[j] += mass * dangle[j]
-		}
-	}
+	fold(y, dangle, parts, totalMass(parts), 0, len(y))
 	return true
 }
 
 // scatter accumulates blocks [lob, hib) of the transpose product into the
-// workspace's compressed partials and dangling masses.
+// workspace's compressed partials and dangling masses: one flat pass over
+// each block's entries, then one over its empty rows.
 func (c *CSR) scatter(ws *Workspace, x []float64, lob, hib int) {
 	for b := lob; b < hib; b++ {
-		p := &ws.pats[b]
-		part := p.part
+		blk := &c.blocks[b]
+		p := &ws.parts[b]
+		part := p.Vals
 		clear(part)
-		mass := 0.0
-		lo, hi := c.blockRows(b)
-		k := 0 // block entry index: the running offset into lidx
-		for i := lo; i < hi; i++ {
-			e := c.rows[i]
-			if e.n == 0 {
-				mass += x[i]
-				continue
-			}
-			xi := x[i]
-			if xi != 0 {
-				lidx := p.lidx[k : k+e.n]
-				for t, v := range c.vals[e.off : e.off+e.n] {
-					part[lidx[t]] += v * xi
-				}
-			}
-			k += e.n
+		lidx, val := blk.lidx[:len(blk.row)], blk.val[:len(blk.row)]
+		for k, i := range blk.row {
+			part[lidx[k]] += float64(val[k] * x[i])
 		}
-		ws.mass[b] = mass
+		mass := 0.0
+		for _, i := range blk.empty {
+			mass += x[i]
+		}
+		p.Mass = mass
 	}
+}
+
+// totalMass sums the blocks' dangling masses in ascending block order.
+func totalMass(parts []BlockPartial) float64 {
+	mass := 0.0
+	for b := range parts {
+		mass += parts[b].Mass
+	}
+	return mass
 }
 
 // fold writes output indices [lo, hi): the partials summed in ascending
 // block order, then the rank-one dangling correction when dangle is set.
-// Each block's first column in range is found by binary search.
-func (w *Workspace) fold(y, dangle []float64, mass float64, lo, hi int) {
+// Each block's columns in range are found by binary search.
+func fold(y, dangle []float64, parts []BlockPartial, mass float64, lo, hi int) {
 	clear(y[lo:hi])
-	for b := range w.pats {
-		cols, part := w.pats[b].cols, w.pats[b].part
-		k, _ := slices.BinarySearch(cols, int32(lo))
-		for ; k < len(cols) && int(cols[k]) < hi; k++ {
-			y[cols[k]] += part[k]
+	for b := range parts {
+		cols, vals := parts[b].Cols, parts[b].Vals
+		start, _ := slices.BinarySearch(cols, int32(lo))
+		end, _ := slices.BinarySearch(cols, int32(hi))
+		vals = vals[start:end]
+		for k, col := range cols[start:end] {
+			y[col] += vals[k]
 		}
 	}
 	if dangle != nil {
 		for j := lo; j < hi; j++ {
-			y[j] += mass * dangle[j]
+			y[j] += float64(mass * dangle[j])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -17,14 +18,14 @@ import (
 // dangling correction.
 func denseBlockProduct(c *CSR, y, x, dangle []float64) {
 	n := c.n
-	blocks := blockCount(n)
+	blocks := BlockCount(n)
 	rowsPer := (n + blocks - 1) / blocks
 	partials := make([][]float64, blocks)
 	masses := make([]float64, blocks)
 	for b := range partials {
 		p := make([]float64, n)
 		for i := b * rowsPer; i < min((b+1)*rowsPer, n); i++ {
-			cols, vals := c.Row(i)
+			cols, vals := rowOf(c, i)
 			if len(cols) == 0 {
 				masses[b] += x[i]
 				continue
@@ -55,51 +56,81 @@ func denseBlockProduct(c *CSR, y, x, dangle []float64) {
 	}
 }
 
-// sparseRandomMatrix builds an n×n matrix whose rows are non-empty with
-// probability fill, each with 1–4 entries.
-func sparseRandomMatrix(t testing.TB, rng *sim.RNG, n int, fill float64) *CSR {
-	t.Helper()
-	var ts []Triplet
-	for i := 0; i < n; i++ {
-		if !rng.Bool(fill) {
-			continue
-		}
-		for d := 1 + rng.Intn(4); d > 0; d-- {
-			ts = append(ts, Triplet{Row: i, Col: rng.Intn(n), Val: rng.Float64()})
-		}
-	}
-	c, err := FromTriplets(n, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// randomRow draws k distinct ascending columns in [0, n) with random values.
+// randomRow draws up to k distinct ascending columns in [0, n) (k draws,
+// duplicates merged) with random values.
 func randomRow(rng *sim.RNG, n, k int) ([]int32, []float64) {
-	if k > n {
-		k = n
+	cols := make([]int32, k)
+	for d := range cols {
+		cols[d] = int32(rng.Intn(n))
 	}
-	picked := rng.Sample(n, k)
-	on := make([]bool, n)
-	for _, j := range picked {
-		on[j] = true
-	}
-	cols := make([]int32, 0, k)
-	vals := make([]float64, 0, k)
-	for j, ok := range on {
-		if ok {
-			cols = append(cols, int32(j))
-			vals = append(vals, rng.Float64())
-		}
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
+	vals := make([]float64, len(cols))
+	for d := range vals {
+		vals[d] = rng.Float64()
 	}
 	return cols, vals
 }
 
-// setRandomRow replaces row i with k random entries.
-func setRandomRow(c *CSR, rng *sim.RNG, i, k int) {
-	cols, vals := randomRow(rng, c.n, k)
-	c.SetRow(i, cols, vals)
+// randomTable draws n raw rows that are non-empty with probability fill,
+// each with 1–4 entries.
+func randomTable(rng *sim.RNG, n int, fill float64) *table {
+	tbl := newTable(n)
+	for i := 0; i < n; i++ {
+		if rng.Bool(fill) {
+			cols, vals := randomRow(rng, n, 1+rng.Intn(4))
+			tbl.set(i, cols, vals)
+		}
+	}
+	return tbl
+}
+
+// sparseRandomMatrix builds an n×n matrix whose rows are non-empty with
+// probability fill, each with 1–4 entries.
+func sparseRandomMatrix(rng *sim.RNG, n int, fill float64) *CSR {
+	return Build(n, randomTable(rng, n, fill))
+}
+
+// mutateTable applies one random batch of row changes of the given kind to
+// tbl and returns the changed rows, ascending. Kinds: 0 rewrites values
+// keeping columns, 1 changes column sets, 2 empties rows (no entries or a
+// zero sum), 3 refills empty rows, 4 empties one whole block.
+func mutateTable(rng *sim.RNG, tbl *table, kind int) []int {
+	n := len(tbl.cols)
+	var rows []int
+	if kind == 4 {
+		blocks := BlockCount(n)
+		rowsPer := (n + blocks - 1) / blocks
+		b := rng.Intn(blocks)
+		for i := b * rowsPer; i < min((b+1)*rowsPer, n); i++ {
+			rows = append(rows, i)
+		}
+	} else {
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			rows = append(rows, rng.Intn(n))
+		}
+		slices.Sort(rows)
+		rows = slices.Compact(rows)
+	}
+	for _, i := range rows {
+		switch {
+		case kind == 0 && len(tbl.cols[i]) > 0:
+			vals := make([]float64, len(tbl.cols[i]))
+			for k := range vals {
+				vals[k] = rng.Float64()
+			}
+			tbl.set(i, tbl.cols[i], vals)
+		case kind == 1, kind == 3 && len(tbl.cols[i]) == 0:
+			cols, vals := randomRow(rng, n, 1+rng.Intn(6))
+			tbl.set(i, cols, vals)
+		case kind == 2 && rng.Bool(0.5):
+			cols, _ := randomRow(rng, n, 2)
+			tbl.set(i, cols, make([]float64, len(cols)))
+		case kind == 2, kind == 4:
+			tbl.set(i, nil, nil)
+		}
+	}
+	return rows
 }
 
 func sameBits(a, b []float64) (int, bool) {
@@ -111,23 +142,25 @@ func sameBits(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// TestMulTransposeBitIdentity pins the compressed kernel to the dense-block
-// reference bit for bit — at worker counts {1,2,3,8}, through the cluster
-// path (ScatterBlocks over every block, then FoldBlocks), and for a
-// long-lived workspace against a fresh one — while a random sequence of
-// same-pattern rewrites, new patterns, arena moves and compactions,
-// clears and normalizations to dangling rows mutates the matrix between
-// products. A workspace that missed a structural change would scatter
-// through a stale pattern and diverge.
+// TestMulTransposeBitIdentity pins the kernel to the dense-block reference
+// bit for bit — at worker counts {1,2,3,8}, through the cluster path
+// (ScatterBlocks over every block, then FoldBlocks), and for long-lived
+// workspaces against fresh ones — while random batched updates change the
+// matrix between products: in-place value rewrites, column-set changes,
+// rows turning empty and refilling, a whole block emptied, and full
+// rebuilds. A block whose layout missed a change would scatter through a
+// stale pattern and diverge.
 func TestMulTransposeBitIdentity(t *testing.T) {
+	kinds := []string{"value rewrite", "column-set change", "rows to empty", "refill", "all-empty block", "full rebuild"}
 	for _, n := range []int{1, 255, 257, 773, 9001} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			rng := sim.NewRNG(uint64(n))
-			c := sparseRandomMatrix(t, rng, n, 0.3)
+			tbl := randomTable(rng, n, 0.3)
+			c := Build(n, tbl)
 			x := make([]float64, n)
 			dangle := make([]float64, n)
 			for i := range x {
-				if !rng.Bool(0.2) { // zero x entries skip their rows
+				if !rng.Bool(0.2) { // zero x entries add +0 for their rows
 					x[i] = rng.Float64()
 				}
 				dangle[i] = rng.Float64() / float64(n)
@@ -174,110 +207,135 @@ func TestMulTransposeBitIdentity(t *testing.T) {
 			if n > 1000 {
 				steps = 40
 			}
-			compactions := 0
+			seen := make([]bool, len(kinds))
 			for step := 1; step <= steps; step++ {
-				i := rng.Intn(n)
-				e := c.rows[i]
-				var op string
-				switch rng.Intn(5) {
-				case 0:
-					op = "same-pattern SetRow"
-					cols, _ := c.Row(i)
-					cols = append([]int32(nil), cols...)
-					vals := make([]float64, len(cols))
-					for k := range vals {
-						vals[k] = rng.Float64()
-					}
-					c.SetRow(i, cols, vals)
-				case 1:
-					op = "new-pattern SetRow"
-					setRandomRow(c, rng, i, 1+rng.Intn(4))
-				case 2:
-					op = "outgrow"
-					arena := len(c.cols)
-					setRandomRow(c, rng, i, e.cap+1+rng.Intn(24))
-					// Churn other rows through moves until the arena repacks.
-					for tries := 0; len(c.cols) >= arena && tries < 64 && n > 1; tries++ {
-						r := rng.Intn(n)
-						arena = len(c.cols)
-						setRandomRow(c, rng, r, c.rows[r].cap+1+rng.Intn(24))
-						c.ClearRow(r)
-					}
-					if len(c.cols) < arena {
-						compactions++
-					}
-				case 3:
-					op = "ClearRow"
-					c.ClearRow(i)
-				case 4:
-					op = "NormalizeRow to dangling"
-					cols, _ := c.Row(i)
-					if len(cols) == 0 {
-						cols, _ = randomRow(rng, n, 2)
-					}
-					cols = append([]int32(nil), cols...)
-					c.SetRow(i, cols, make([]float64, len(cols)))
-					c.NormalizeRow(i)
-					if !c.RowEmpty(i) {
-						t.Fatalf("step %d: zero-sum row %d not dangling", step, i)
-					}
+				kind := rng.Intn(len(kinds))
+				seen[kind] = true
+				if kind == 5 {
+					c = Build(n, tbl)
+				} else {
+					c.Update(tbl, mutateTable(rng, tbl, kind))
 				}
-				// Keep the rest of the matrix row-stochastic like the
-				// mechanisms' matrices.
-				if !c.RowEmpty(i) {
-					c.NormalizeRow(i)
-				}
-				check(step, op)
+				check(step, kinds[kind])
 			}
-			if n > 1 && compactions == 0 {
-				t.Fatalf("no arena compaction exercised in %d steps", steps)
+			for kind, ok := range seen {
+				if !ok {
+					t.Fatalf("%s never exercised in %d steps", kinds[kind], steps)
+				}
 			}
 		})
 	}
 }
 
-// TestPatternRebuildsOnlyOnColumnChanges pins the incremental index: only
-// a changed column set (new-pattern SetRow, ClearRow of a non-empty row, a
-// zero-sum NormalizeRow) invalidates a block's pattern; value-only rewrites
-// and arena compaction keep it.
+// TestUpdateMatchesBuild: a matrix kept current by batched updates equals
+// one built from scratch from the same rows, bitwise, in every row and in
+// every product, and every row is the normalized source row.
+func TestUpdateMatchesBuild(t *testing.T) {
+	for _, n := range []int{1, 257, 2000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := sim.NewRNG(uint64(n) + 100)
+			tbl := randomTable(rng, n, 0.5)
+			c := Build(n, tbl)
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			got := make([]float64, n)
+			want := make([]float64, n)
+			var wsGot, wsWant Workspace
+			for step := 0; step < 60; step++ {
+				c.Update(tbl, mutateTable(rng, tbl, rng.Intn(5)))
+				ref := Build(n, tbl)
+				if c.NNZ() != ref.NNZ() {
+					t.Fatalf("step %d: NNZ = %d, rebuilt %d", step, c.NNZ(), ref.NNZ())
+				}
+				for i := 0; i < n; i++ {
+					cols, vals := rowOf(c, i)
+					refCols, refVals := rowOf(ref, i)
+					srcCols, srcVals := tbl.normalized(i)
+					if !slices.Equal(cols, refCols) || !slices.Equal(cols, srcCols) {
+						t.Fatalf("step %d: row %d columns %v, rebuilt %v, source %v", step, i, cols, refCols, srcCols)
+					}
+					if _, ok := sameBits(vals, refVals); !ok || len(vals) != len(refVals) {
+						t.Fatalf("step %d: row %d values %v, rebuilt %v", step, i, vals, refVals)
+					}
+					if _, ok := sameBits(vals, srcVals); !ok || len(vals) != len(srcVals) {
+						t.Fatalf("step %d: row %d values %v, normalized source %v", step, i, vals, srcVals)
+					}
+				}
+				for _, workers := range []int{1, 3} {
+					c.MulTranspose(got, x, x, workers, &wsGot)
+					ref.MulTranspose(want, x, x, workers, &wsWant)
+					if j, ok := sameBits(got, want); !ok {
+						t.Fatalf("step %d: workers=%d: y[%d] = %v, rebuilt %v", step, workers, j, got[j], want[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPatternRebuildsOnlyOnColumnChanges pins the incremental layout: only
+// a changed column set (a row gaining or losing columns, a row turning
+// empty or zero-sum) rebuilds a block; value-only rewrites and rewrites of
+// empty rows to empty keep it in place.
 func TestPatternRebuildsOnlyOnColumnChanges(t *testing.T) {
 	const n = 1000 // 4 blocks of 250 rows
 	c := New(n)
-	c.SetRow(10, []int32{1, 5}, []float64{1, 3})
-	c.SetRow(600, []int32{7}, []float64{2})
-	gen := append([]uint64(nil), c.gen...)
-	expect := func(op string, bumped int) {
+	tbl := newTable(n)
+	tbl.set(10, []int32{1, 5}, []float64{1, 3})
+	tbl.set(600, []int32{7}, []float64{2})
+	c.Update(tbl, []int{10, 600})
+	layout := func() []*int32 {
+		ptrs := make([]*int32, len(c.blocks))
+		for b := range c.blocks {
+			ptrs[b] = unsafe.SliceData(c.blocks[b].ptr)
+		}
+		return ptrs
+	}
+	before := layout()
+	expect := func(op string, rebuilt int) {
 		t.Helper()
-		for b := range c.gen {
-			if changed := c.gen[b] != gen[b]; changed != (b == bumped) {
-				t.Fatalf("%s: block %d generation %d -> %d, want bump only in block %d", op, b, gen[b], c.gen[b], bumped)
+		after := layout()
+		for b := range after {
+			if changed := after[b] != before[b]; changed != (b == rebuilt) {
+				t.Fatalf("%s: block %d rebuilt = %v, want a rebuild only in block %d", op, b, changed, rebuilt)
 			}
 		}
-		copy(gen, c.gen)
+		before = after
 	}
-	c.SetRow(10, []int32{1, 5}, []float64{2, 2})
-	c.NormalizeRow(10)
-	c.compact()
-	expect("same-pattern SetRow + NormalizeRow + compact", -1)
-	c.ClearRow(300) // already empty
-	expect("ClearRow of an empty row", -1)
-	c.SetRow(10, []int32{1, 6}, []float64{1, 1})
-	expect("new-pattern SetRow", 0)
-	c.SetRow(600, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, make([]float64, 12))
-	expect("SetRow outgrowing its extent", 2)
-	c.NormalizeRow(600)
-	expect("zero-sum NormalizeRow", 2)
-	c.ClearRow(10)
-	expect("ClearRow", 0)
+	tbl.set(10, []int32{1, 5}, []float64{2, 2})
+	tbl.set(300, nil, nil) // already empty
+	c.Update(tbl, []int{10, 300})
+	expect("value-only rewrite and an empty row kept empty", -1)
+	if _, vals := rowOf(c, 10); vals[0] != 0.5 || vals[1] != 0.5 {
+		t.Fatalf("value-only rewrite not applied: %v", vals)
+	}
+	tbl.set(10, []int32{1, 6}, []float64{1, 1})
+	c.Update(tbl, []int{10})
+	expect("new column set", 0)
+	tbl.set(600, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, make([]float64, 12))
+	c.Update(tbl, []int{600})
+	expect("row turning zero-sum", 2)
+	tbl.set(600, []int32{1, 2}, []float64{1, 1})
+	c.Update(tbl, []int{600})
+	expect("row refilled", 2)
+	tbl.set(10, nil, nil)
+	c.Update(tbl, []int{10})
+	expect("row emptied", 0)
 }
 
-// workspaceBytes is the memory a workspace holds: compressed partials,
-// block patterns, bitmap scratch and masses.
-func workspaceBytes(w *Workspace) int {
-	bytes := cap(w.pats)*int(unsafe.Sizeof(blockPattern{})) +
-		cap(w.mass)*8 + cap(w.mark)*8 + cap(w.rank)*4
-	for _, p := range w.pats {
-		bytes += cap(p.cols)*4 + cap(p.lidx)*4 + cap(p.part)*8
+// kernelBytes is the memory the SpMV reads: the workspace's compressed
+// partials and every per-block array of the matrix — entry rows, slots and
+// values, touched columns, empty rows and row offsets.
+func kernelBytes(c *CSR, w *Workspace) int {
+	bytes := cap(w.parts) * int(unsafe.Sizeof(BlockPartial{}))
+	for _, p := range w.parts {
+		bytes += cap(p.Vals) * 8 // Cols alias the matrix's touched columns
+	}
+	bytes += cap(c.blocks) * int(unsafe.Sizeof(block{}))
+	for _, blk := range c.blocks {
+		bytes += (cap(blk.row)+cap(blk.lidx)+cap(blk.cols)+cap(blk.empty)+cap(blk.ptr))*4 + cap(blk.val)*8
 	}
 	return bytes
 }
@@ -288,7 +346,7 @@ func workspaceBytes(w *Workspace) int {
 func TestWorkspaceFootprint(t *testing.T) {
 	const n = 100000
 	rng := sim.NewRNG(5)
-	c := sparseRandomMatrix(t, rng, n, 0.004)
+	c := sparseRandomMatrix(rng, n, 0.004)
 	if nnz := c.NNZ(); nnz < 500 || nnz > 2000 {
 		t.Fatalf("fixture nnz = %d, want ~1k", nnz)
 	}
@@ -299,11 +357,11 @@ func TestWorkspaceFootprint(t *testing.T) {
 	}
 	var ws Workspace
 	c.MulTranspose(y, x, x, 2, &ws)
-	bytes := workspaceBytes(&ws) + cap(c.gen)*8
+	bytes := kernelBytes(c, &ws)
 	if bytes >= 1<<20 {
-		t.Fatalf("SpMV scratch + block patterns hold %d B at n=%d, nnz=%d; want < 1 MB", bytes, n, c.NNZ())
+		t.Fatalf("SpMV scratch + block arrays hold %d B at n=%d, nnz=%d; want < 1 MB", bytes, n, c.NNZ())
 	}
-	t.Logf("n=%d nnz=%d: workspace %d B", n, c.NNZ(), bytes)
+	t.Logf("n=%d nnz=%d: workspace and block arrays %d B", n, c.NNZ(), bytes)
 }
 
 // TestScatterBlocksAllocatesOnlyItsBlocks pins ScatterBlocks to the blocks
@@ -314,7 +372,7 @@ func TestWorkspaceFootprint(t *testing.T) {
 func TestScatterBlocksAllocatesOnlyItsBlocks(t *testing.T) {
 	const n = 9001 // 32 blocks
 	rng := sim.NewRNG(9)
-	c := sparseRandomMatrix(t, rng, n, 0.5)
+	c := sparseRandomMatrix(rng, n, 0.5)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.Float64()
@@ -420,9 +478,6 @@ func BenchmarkMulTranspose(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			c.NormalizeRow(i)
-		}
 		x := make([]float64, n)
 		y := make([]float64, n)
 		for i := range x {
@@ -440,5 +495,52 @@ func BenchmarkMulTranspose(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.NNZ()), "ns/nnz")
 			})
 		}
+	}
+}
+
+// BenchmarkCSRUpdate measures one batched refresh at the epoch-active
+// shape: 20k rows with 1–4 entries each (a fifth dangling) and 5k dirty
+// rows. With changed=half, every other dirty row gets a new column set, so
+// every block is rebuilt, as in an epoch-active recompute; with
+// changed=none every dirty row keeps its columns and every block is
+// rewritten in place. Iterations alternate the dirty rows between two
+// versions, so every call changes them.
+func BenchmarkCSRUpdate(b *testing.B) {
+	const n, dirty = 20000, 5000
+	for _, changed := range []string{"half", "none"} {
+		b.Run(fmt.Sprintf("n=%d/dirty=%d/changed=%s", n, dirty, changed), func(b *testing.B) {
+			rng := sim.NewRNG(23)
+			a, alt := newTable(n), newTable(n)
+			for i := 0; i < n; i++ {
+				if rng.Bool(0.8) {
+					cols, vals := randomRow(rng, n, 1+rng.Intn(4))
+					a.set(i, cols, vals)
+					alt.set(i, cols, vals)
+				}
+			}
+			rows := rng.Sample(n, dirty)
+			slices.Sort(rows)
+			for k, i := range rows {
+				cols, vals := randomRow(rng, n, 1+rng.Intn(4))
+				if changed == "none" || k%2 == 1 {
+					cols = a.cols[i]
+					vals = vals[:0]
+					for range cols {
+						vals = append(vals, rng.Float64())
+					}
+				}
+				alt.set(i, cols, vals)
+			}
+			c := Build(n, a)
+			versions := [2]*table{alt, a}
+			for _, src := range versions {
+				c.Update(src, rows) // size the scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Update(versions[i%2], rows)
+			}
+		})
 	}
 }

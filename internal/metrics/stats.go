@@ -6,8 +6,8 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Stream accumulates streaming mean and variance using Welford's algorithm.
@@ -83,8 +83,13 @@ func (s *Stream) Merge(o *Stream) {
 	s.n, s.mean, s.m2 = n, mean, m2
 }
 
-// Quantile returns the q-quantile of xs using linear interpolation. It
-// copies and sorts its input; xs is not modified.
+// Quantile returns the q-quantile of xs using linear interpolation between
+// the order statistics at floor and ceil of q·(len(xs)−1), ordered as
+// sort.Float64s orders them (NaN first). It neither sorts nor copies xs:
+// it selects the order statistics by radix over the values' ordered bit
+// patterns, in at most nine passes over xs and without allocating. Where
+// the sort leaves equal values in any order, the result may differ from it
+// only in the sign of a zero or the payload of a NaN.
 //
 // Edge cases are explicit rather than clamped: an empty slice and a q
 // outside [0,1] (including NaN) both return NaN — "no data" and "not a
@@ -94,23 +99,91 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return math.NaN()
 	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if q == 0 {
-		return cp[0]
-	}
-	if q == 1 {
-		return cp[len(cp)-1]
-	}
-	pos := q * float64(len(cp)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	v, key, uniform := selectRank(xs, lo)
 	if lo == hi {
-		return cp[lo]
+		return v
+	}
+	// The next order statistic is v again when more than hi elements order
+	// at or before it, and otherwise the least element ordering after it.
+	next := v
+	if !uniform {
+		atOrBefore, nextKey := 0, uint64(math.MaxUint64)
+		for _, x := range xs {
+			switch k := orderKey(x); {
+			case k <= key:
+				atOrBefore++
+			case k < nextKey:
+				next, nextKey = x, k
+			}
+		}
+		if hi < atOrBefore {
+			next = v
+		}
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return v*(1-frac) + next*frac
+}
+
+// orderKey maps x to a key whose unsigned order is sort.Float64s's order:
+// every NaN lowest, then −Inf through +Inf, with −0 just below +0. A
+// negative value has all its bits flipped, any other its sign bit set.
+func orderKey(x float64) uint64 {
+	if x != x {
+		return 0
+	}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// selectRank returns the element of rank k (0-based) in orderKey order, its
+// key, and whether every element shares that key. A first pass finds the
+// least and greatest keys: when they are equal every element is, and
+// otherwise the bits above their highest difference are common to all.
+// Each further pass counts, among the elements whose keys carry the high
+// bits fixed so far, how many carry each value of the next 11-bit digit,
+// and fixes the digit that holds rank k; it stops as soon as the remaining
+// elements share one key.
+func selectRank(xs []float64, k int) (float64, uint64, bool) {
+	least, most := uint64(math.MaxUint64), uint64(0)
+	for _, x := range xs {
+		key := orderKey(x)
+		least, most = min(least, key), max(most, key)
+	}
+	uniform := least == most
+	var counts [1 << 11]int
+	for top := bits.Len64(least ^ most); least != most; top = max(top-11, 0) {
+		low := max(top-11, 0)
+		digit := uint64(1)<<(top-low) - 1
+		clear(counts[:])
+		prefix := least >> top
+		least, most = math.MaxUint64, 0
+		for _, x := range xs {
+			key := orderKey(x)
+			if key>>top != prefix {
+				continue
+			}
+			least, most = min(least, key), max(most, key)
+			counts[key>>low&digit]++
+		}
+		if least == most {
+			break
+		}
+		d := 0
+		for ; k >= counts[d]; d++ {
+			k -= counts[d]
+		}
+		least = prefix<<top | uint64(d)<<low
+		most = least | (uint64(1)<<low - 1)
+	}
+	for _, x := range xs {
+		if orderKey(x) == least {
+			return x, least, uniform
+		}
+	}
+	panic("metrics: selected key not in the input")
 }
 
 // Mean returns the arithmetic mean of xs. An empty slice returns NaN: a

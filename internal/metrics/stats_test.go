@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,86 @@ func TestQuantileInterpolates(t *testing.T) {
 	xs := []float64{0, 10}
 	if got := Quantile(xs, 0.3); !almostEqual(got, 3, 1e-12) {
 		t.Fatalf("interpolated quantile = %v, want 3", got)
+	}
+}
+
+// sortQuantile is the sort-based quantile QuantileInPlace must match: copy,
+// sort.Float64s, then interpolate between the two order statistics.
+func sortQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
+		return math.NaN()
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	pos := q * float64(len(cp)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return cp[lo]
+	}
+	frac := pos - float64(lo)
+	return cp[lo]*(1-frac) + cp[hi]*frac
+}
+
+// TestQuantileMatchesSort checks the selection-based quantile against the
+// sort-based one over random inputs with heavy duplication, ±Inf, NaN and
+// signed zeros, and over sorted, reversed, constant and organ-pipe inputs,
+// at q = 0, q = 1, exact order-statistic positions and interior points.
+// Results must be bitwise equal; the one exception is a zero result, where
+// +0 and −0 may differ because the sort leaves them in any order. The
+// quantile must neither modify nor copy its input.
+func TestQuantileMatchesSort(t *testing.T) {
+	rng := sim.NewRNG(3)
+	pool := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), 1, -1, 0.5, 1e-300, 2.5}
+	draw := func(n, kind int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch kind {
+			case 0: // from a small pool: duplicates and specials
+				xs[i] = pool[rng.Intn(len(pool))]
+			case 1: // mostly distinct, some specials
+				xs[i] = rng.Float64()*2 - 1
+				if rng.Bool(0.05) {
+					xs[i] = pool[rng.Intn(len(pool))]
+				}
+			case 2:
+				xs[i] = float64(i)
+			case 3:
+				xs[i] = float64(n - i)
+			case 4:
+				xs[i] = 7
+			case 5: // organ pipe
+				xs[i] = float64(min(i, n-i))
+			}
+		}
+		return xs
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(64)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(5000)
+		}
+		xs := draw(n, rng.Intn(6))
+		qs := []float64{0, 1, rng.Float64(), float64(rng.Intn(n)) / float64(max(n-1, 1)), 0.5, 0.9}
+		for _, q := range qs {
+			want := sortQuantile(xs, q)
+			orig := append([]float64(nil), xs...)
+			if got := Quantile(xs, q); !same(got, want) {
+				t.Fatalf("trial %d: Quantile(n=%d, q=%v) = %v, sort gives %v", trial, n, q, got, want)
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("trial %d: Quantile modified its input", trial)
+				}
+			}
+			if trial%100 == 0 {
+				if allocs := testing.AllocsPerRun(5, func() { Quantile(xs, q) }); allocs != 0 {
+					t.Fatalf("trial %d: Quantile(n=%d) allocates %v objects, want 0", trial, n, allocs)
+				}
+			}
+		}
 	}
 }
 

@@ -61,10 +61,8 @@ type Solver struct {
 	// spmv, when set, computes the inner product remotely (the cluster
 	// layer); nil or a false return runs the local kernel.
 	spmv SpMVDelegate //trustlint:derived cluster-layer hook, re-attached by the owner after restore; bit-exact by contract
-	// Reusable iteration and materialization scratch.
+	// Reusable iteration scratch.
 	vecA, vecB, vecMid []float64 //trustlint:derived scratch, contents never outlive one Solve
-	cols               []int32   //trustlint:derived scratch, contents never outlive one Solve
-	vals               []float64 //trustlint:derived scratch, contents never outlive one Solve
 	// Max-normalized score cache backing ScoresView.
 	norm    []float64 //trustlint:derived cache, recomputed from scores by refreshNorm on restore
 	normMax float64   //trustlint:derived cache, recomputed from scores by refreshNorm on restore
@@ -138,27 +136,18 @@ func (s *Solver) MarkDirty() { s.dirty = true }
 func (s *Solver) Dirty() bool { return s.dirty }
 
 // refreshMatrix rematerializes the CSR rows the feed reports dirty — every
-// row after a snapshot restore. Materialization is a pure function of the
-// row's current feed, so the incremental matrix is bit-for-bit identical to
-// a from-scratch rebuild.
+// row after a snapshot restore — in one batched call. Materialization is a
+// pure function of the row's current feed, so the incremental matrix is
+// bit-for-bit identical to a from-scratch rebuild.
 func (s *Solver) refreshMatrix() {
-	if s.materialized && !s.feed.HasDirty() {
-		return
-	}
-	setRow := func(i int) {
-		s.cols, s.vals = s.feed.AppendRow(i, s.cols[:0], s.vals[:0])
-		s.csr.SetRow(i, s.cols, s.vals)
-		s.csr.NormalizeRow(i)
-	}
-	if !s.materialized {
-		for i := range s.scores {
-			setRow(i)
-		}
+	switch {
+	case !s.materialized:
+		s.csr = linalg.Build(len(s.scores), s.feed)
 		s.materialized = true
-	} else {
-		for _, i := range s.feed.DirtyRows() {
-			setRow(i)
-		}
+	case s.feed.HasDirty():
+		s.csr.Update(s.feed, s.feed.DirtyRows())
+	default:
+		return
 	}
 	s.feed.ClearDirty()
 }
@@ -172,10 +161,13 @@ func (s *Solver) mul(dst, src []float64) {
 
 // Step applies the iteration operator once: dst = (1−α)·(Aᵀsrc + mᵀ·dangle)
 // + α·teleport. It reads the materialized matrix as the last Solve left it.
+// Each product is rounded by an explicit float64 conversion, so no
+// architecture fuses it into a multiply-add and every one computes the
+// same bits (as in the linalg kernel).
 func (s *Solver) Step(dst, src []float64) {
 	s.mul(dst, src)
 	for j := range dst {
-		dst[j] = (1-s.alpha)*dst[j] + s.alpha*s.teleport[j]
+		dst[j] = float64((1-s.alpha)*dst[j]) + float64(s.alpha*s.teleport[j])
 	}
 }
 
@@ -215,7 +207,7 @@ func (s *Solver) Solve(lookAhead bool) int {
 		s.mul(next, src)
 		diff := 0.0
 		for j := range next {
-			next[j] = (1-alpha)*next[j] + alpha*teleport[j]
+			next[j] = float64((1-alpha)*next[j]) + float64(alpha*teleport[j])
 			diff += math.Abs(next[j] - t[j])
 		}
 		t, next = next, t
