@@ -520,10 +520,17 @@ func BenchmarkCertSealVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkBarabasiAlbert builds the default friendship graph (m = 4). At
+// n=1000 no hub is large; n=100000 reaches hub degrees near 1000, where any
+// build cost that grows with a hub's degree shows.
 func BenchmarkBarabasiAlbert(b *testing.B) {
-	rng := sim.NewRNG(1)
-	for i := 0; i < b.N; i++ {
-		_ = graph.BarabasiAlbert(rng, 1000, 4)
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			for i := 0; i < b.N; i++ {
+				_ = graph.BarabasiAlbert(rng, n, 4)
+			}
+		})
 	}
 }
 

@@ -87,7 +87,9 @@ func NewInfo() *types.Info {
 // to be bit-identical across shard counts, snapshot/restore boundaries and
 // the served-vs-batch twin. A path matches if it equals a prefix or sits
 // below one (so mechanism subpackages like repro/internal/reputation/\
-// eigentrust are covered). Everything else — cmd/ (including trustmaster
+// eigentrust are covered). The population packages, graph and social, are
+// on it because the generators' random draws and the friend order feed
+// every history. Everything else — cmd/ (including trustmaster
 // and trustworker), tools/, internal/serve, internal/cluster, the
 // dht/crypto simulation scaffolding — is off the deterministic path
 // and exempt. internal/cluster is exempt by design, not oversight: its job
@@ -103,6 +105,8 @@ var deterministicPrefixes = []string{
 	"repro/internal/sim",
 	"repro/internal/satisfaction",
 	"repro/internal/privacy",
+	"repro/internal/graph",
+	"repro/internal/social",
 }
 
 // IsDeterministic reports whether the import path lies inside the

@@ -16,6 +16,8 @@ func TestIsDeterministic(t *testing.T) {
 		{"repro/internal/core/fixture", true},
 		{"repro/internal/reputation/eigentrust", true},
 		{"repro/internal/linalg", true},
+		{"repro/internal/graph", true},
+		{"repro/internal/social", true},
 		// Prefix matching must not swallow sibling packages that merely
 		// share a name prefix.
 		{"repro/internal/corelike", false},

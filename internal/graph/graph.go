@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -219,29 +220,63 @@ func BarabasiAlbert(rng *sim.RNG, n, m int) *Graph {
 	if n < m+1 {
 		n = m + 1
 	}
-	g := New(n)
-	// Repeated-endpoint list implements preferential attachment in O(1).
-	var endpoints []int
+	// ends holds both endpoints of every edge in creation order, the later
+	// node first. Drawing a uniform entry picks a node with probability
+	// proportional to its degree, and it doubles as the edge record the
+	// adjacency is built from.
+	ends := make([]int32, 0, 2*(m*(m+1)/2+(n-m-1)*m))
 	for u := 0; u <= m; u++ {
 		for v := 0; v < u; v++ {
-			_ = g.AddEdgeBoth(u, v, 1)
-			endpoints = append(endpoints, u, v)
+			ends = append(ends, int32(u), int32(v))
 		}
 	}
-	for u := m + 1; u < n; u++ {
-		chosen := make(map[int]bool, m)
-		targets := make([]int, 0, m) // selection order: keeps runs deterministic
-		for len(targets) < m {
-			t := endpoints[rng.Intn(len(endpoints))]
-			if t != u && !chosen[t] {
-				chosen[t] = true
-				targets = append(targets, t)
+	// picked[t] == u marks t as one of u's targets (u > m > 0, so the zero
+	// value marks nothing).
+	picked := make([]int32, n)
+	for u := int32(m + 1); int(u) < n; u++ {
+		urn := len(ends) // u's own edges join the urn only once all m are chosen
+		for len(ends) < urn+2*m {
+			if t := ends[rng.Intn(urn)]; picked[t] != u {
+				picked[t] = u
+				ends = append(ends, u, t)
 			}
 		}
-		for _, v := range targets {
-			_ = g.AddEdgeBoth(u, v, 1)
-			endpoints = append(endpoints, u, v)
+	}
+	return symmetric(n, ends)
+}
+
+// symmetric builds the unit-weight undirected graph over n nodes whose edges
+// ends lists as (later, earlier) pairs, in nondecreasing order of the later
+// node. All adjacency is filled in one pass into one backing array per
+// direction: a node's list is its earlier neighbours (its own edges, sorted
+// when they are complete) followed by the later nodes that chose it, which
+// arrive ascending.
+func symmetric(n int, ends []int32) *Graph {
+	off := make([]int, n+1)
+	for _, x := range ends {
+		off[x+1]++
+	}
+	for x := 0; x < n; x++ {
+		off[x+1] += off[x]
+	}
+	at := slices.Clone(off[:n])
+	out := make([]Edge, len(ends))
+	for k := 0; k < len(ends); k += 2 {
+		hi, lo := ends[k], ends[k+1]
+		out[at[hi]] = Edge{To: int(lo), Weight: 1}
+		at[hi]++
+		out[at[lo]] = Edge{To: int(hi), Weight: 1}
+		at[lo]++
+		if k+2 == len(ends) || ends[k+2] != hi {
+			slices.SortFunc(out[off[hi]:at[hi]], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 		}
+	}
+	in := slices.Clone(out)
+	g := New(n)
+	for x := 0; x < n; x++ {
+		lo, hi := off[x], off[x+1]
+		g.out[x] = out[lo:hi:hi]
+		g.in[x] = in[lo:hi:hi]
 	}
 	return g
 }

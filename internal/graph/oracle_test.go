@@ -188,7 +188,10 @@ func edgeDigest(g *Graph) string {
 // TestGeneratorEdgeSetsPinned pins the generators' edge sets for fixed
 // seeds. The digests were recorded with the map-based store, so they prove
 // the flat store consumes identical random draws and yields identical
-// graphs.
+// graphs. The 20k-node BA case (recorded with the per-edge sorted-insert
+// builder) reaches hub degrees in the hundreds, so it pins the one-pass
+// adjacency fill where a hub's list is long. The digest covers only
+// out-edges, so each graph's In lists must also mirror its Out lists.
 func TestGeneratorEdgeSetsPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -196,14 +199,37 @@ func TestGeneratorEdgeSetsPinned(t *testing.T) {
 		want string
 	}{
 		{"BA", func() *Graph { return BarabasiAlbert(sim.NewRNG(11), 500, 3) }, "2988/7f3f6e57682475cd"},
+		{"BA hubs", func() *Graph { return BarabasiAlbert(sim.NewRNG(11), 20000, 4) }, "159980/9ebf364e9ed34261"},
 		{"WS", func() *Graph { return WattsStrogatz(sim.NewRNG(12), 300, 6, 0.2) }, "1800/c09211a8ae640ef1"},
 		{"ER", func() *Graph { return ErdosRenyi(sim.NewRNG(13), 120, 0.05) }, "696/3dbc83f8d8237bb3"},
 	}
 	for _, tc := range cases {
-		if got := edgeDigest(tc.gen()); got != tc.want {
+		g := tc.gen()
+		if got := edgeDigest(g); got != tc.want {
 			t.Errorf("%s edge digest = %s, want %s", tc.name, got, tc.want)
 		}
+		if u, ok := inMirrorsOut(g); !ok {
+			t.Errorf("%s: In lists do not mirror Out lists at node %d", tc.name, u)
+		}
 	}
+}
+
+// inMirrorsOut reports whether every edge u->v with weight w appears in
+// In(v) as (u, w), and the in-degrees sum to the edge count; on failure it
+// returns the first node whose out-edges are not mirrored.
+func inMirrorsOut(g *Graph) (int, bool) {
+	in := 0
+	for u := 0; u < g.N(); u++ {
+		in += g.InDegree(u)
+		for _, e := range g.Out(u) {
+			es := g.In(e.To)
+			i, ok := search(es, u)
+			if !ok || math.Float64bits(es[i].Weight) != math.Float64bits(e.Weight) {
+				return u, false
+			}
+		}
+	}
+	return -1, in == g.NumEdges()
 }
 
 // TestOutInAllocFree pins the adjacency reads at zero allocations: they

@@ -1,10 +1,12 @@
 package social
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func honestUsers(n int) []*User {
@@ -12,7 +14,6 @@ func honestUsers(n int) []*User {
 	for i := range users {
 		users[i] = &User{
 			ID:             i,
-			Profile:        StandardProfile(i),
 			Behavior:       adversary.MustNew(adversary.Honest, adversary.Config{}),
 			BaseDisclosure: 1,
 		}
@@ -77,6 +78,51 @@ func TestTxIDsUnique(t *testing.T) {
 	back.SetState(net.State())
 	if got, want := back.NextTxID(), net.NextTxID(); got != want {
 		t.Fatalf("restored counter issued %d, want %d", got, want)
+	}
+}
+
+// TestFriendsOfIndexesGraph checks the flat friend index against the graph
+// it was built from, for every generator the workload uses: each user's
+// friends are the endpoints of its out-edges, ascending, and appending to
+// the returned slice cannot write into the index.
+func TestFriendsOfIndexesGraph(t *testing.T) {
+	const n = 300
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"BA", graph.BarabasiAlbert(sim.NewRNG(21), n, 4)},
+		{"WS", graph.WattsStrogatz(sim.NewRNG(22), n, 6, 0.2)},
+		{"ER", graph.ErdosRenyi(sim.NewRNG(23), n, 4.0/(n-1))},
+	} {
+		name, g := tc.name, tc.g
+		net, err := NewNetwork(honestUsers(n), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			got := net.FriendsOf(u)
+			want := make([]int32, 0, g.OutDegree(u))
+			for _, e := range g.Out(u) {
+				want = append(want, int32(e.To))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: FriendsOf(%d) = %v, want %v", name, u, got, want)
+			}
+			if !slices.IsSorted(got) {
+				t.Fatalf("%s: FriendsOf(%d) = %v not ascending", name, u, got)
+			}
+			if u+1 < n && len(net.FriendsOf(u+1)) > 0 {
+				next := net.FriendsOf(u + 1)[0]
+				_ = append(got, -1)
+				if net.FriendsOf(u + 1)[0] != next {
+					t.Fatalf("%s: appending to FriendsOf(%d) overwrote user %d's friends", name, u, u+1)
+				}
+			}
+		}
+		if net.FriendsOf(-1) != nil || net.FriendsOf(n) != nil {
+			t.Fatalf("%s: out-of-range FriendsOf not nil", name)
+		}
 	}
 }
 

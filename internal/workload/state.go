@@ -89,11 +89,11 @@ func (e *Engine) State() (EngineState, error) {
 		ast := e.activity.Stream().State()
 		st.Activity = &ast
 	}
-	for i, c := range e.consumers {
-		st.Consumers[i] = c.State()
+	for i := range e.consumers {
+		st.Consumers[i] = e.consumers[i].State()
 	}
-	for i, p := range e.providers {
-		st.Providers[i] = p.State()
+	for i := range e.providers {
+		st.Providers[i] = e.providers[i].State()
 	}
 	return st, nil
 }
@@ -130,13 +130,13 @@ func (e *Engine) Restore(st EngineState) error {
 		return err
 	}
 	e.snet.SetState(st.Network)
-	for i, c := range e.consumers {
-		if err := c.SetState(st.Consumers[i]); err != nil {
+	for i := range e.consumers {
+		if err := e.consumers[i].SetState(st.Consumers[i]); err != nil {
 			return err
 		}
 	}
-	for i, p := range e.providers {
-		if err := p.SetState(st.Providers[i]); err != nil {
+	for i := range e.providers {
+		if err := e.providers[i].SetState(st.Providers[i]); err != nil {
 			return err
 		}
 	}

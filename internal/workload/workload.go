@@ -104,6 +104,16 @@ func (c Config) withDefaults() (Config, error) {
 	if c.GraphParam <= 0 {
 		c.GraphParam = 4
 	}
+	// The generators raise n to their minimum size, which would leave the
+	// friendship graph with more nodes than there are peers.
+	switch {
+	case c.Graph == BarabasiAlbert && c.NumPeers <= c.GraphParam:
+		return c, fmt.Errorf("workload: barabasi-albert graph with m=%d needs more than %d peers, got %d",
+			c.GraphParam, c.GraphParam, c.NumPeers)
+	case c.Graph == WattsStrogatz && c.NumPeers < 3:
+		return c, fmt.Errorf("workload: watts-strogatz graph with k=%d needs at least 3 peers, got %d",
+			c.GraphParam, c.NumPeers)
+	}
 	if c.InteractionsPerRound <= 0 {
 		c.InteractionsPerRound = c.NumPeers
 	}
@@ -189,8 +199,8 @@ type Engine struct {
 	snet      *social.Network
 	mech      reputation.Mechanism
 	gatherer  *reputation.Gatherer
-	consumers []*satisfaction.Consumer
-	providers []*satisfaction.Provider
+	consumers []satisfaction.Consumer
+	providers []satisfaction.Provider
 	classes   []adversary.Class
 	// honestOverride, when non-nil, replaces each peer's honesty: the
 	// probability it reports truthfully (the §3 coupling between system
@@ -313,7 +323,6 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	for i := range users {
 		users[i] = &social.User{
 			ID:             i,
-			Profile:        social.StandardProfile(i),
 			Behavior:       behaviors[i],
 			BaseDisclosure: cfg.Disclosure,
 		}
@@ -353,23 +362,24 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		e.activityOrder = rng.Perm(cfg.NumPeers)
 	}
 	e.setUniformDisclosure(cfg.Disclosure)
-	e.consumers = make([]*satisfaction.Consumer, cfg.NumPeers)
-	e.providers = make([]*satisfaction.Provider, cfg.NumPeers)
-	for i := 0; i < cfg.NumPeers; i++ {
-		// Sparse uniform intentions: preferences start at 0.5 and deviate only
-		// for providers actually experienced; providers are mostly willing
-		// (imposed requests dent satisfaction). Dense vectors here would cost
-		// Θ(n²) memory — fatal at 100k+ peers.
-		c, err := satisfaction.NewUniformConsumer(cfg.NumPeers, 0.5, cfg.Memory)
-		if err != nil {
-			return nil, err
-		}
-		p, err := satisfaction.NewUniformProvider(cfg.NumPeers, 0.8, cfg.Memory)
-		if err != nil {
-			return nil, err
-		}
-		e.consumers[i] = c
-		e.providers[i] = p
+	// Sparse uniform intentions: preferences start at 0.5 and deviate only
+	// for providers actually experienced; providers are mostly willing
+	// (imposed requests dent satisfaction). Dense vectors here would cost
+	// Θ(n²) memory — fatal at 100k+ peers. Every peer starts as a copy of
+	// one validated template, stored by value.
+	c, err := satisfaction.NewUniformConsumer(cfg.NumPeers, 0.5, cfg.Memory)
+	if err != nil {
+		return nil, err
+	}
+	p, err := satisfaction.NewUniformProvider(cfg.NumPeers, 0.8, cfg.Memory)
+	if err != nil {
+		return nil, err
+	}
+	e.consumers = make([]satisfaction.Consumer, cfg.NumPeers)
+	e.providers = make([]satisfaction.Provider, cfg.NumPeers)
+	for i := range e.consumers {
+		e.consumers[i] = *c
+		e.providers[i] = *p
 	}
 	return e, nil
 }
@@ -759,7 +769,7 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []
 		}
 		return false
 	}
-	friends := e.snet.Friends().Out(consumer)
+	friends := e.snet.FriendsOf(consumer)
 	if len(friends) > 0 {
 		// The same identity fill and Shuffle draws as rng.Perm, without its
 		// per-call allocation.
@@ -773,7 +783,7 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []
 			if len(out) >= cfg.CandidateSize/2+1 {
 				break
 			}
-			if f := friends[idx].To; !seen(f) {
+			if f := int(friends[idx]); !seen(f) {
 				out = append(out, f)
 			}
 		}

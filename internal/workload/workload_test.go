@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -40,6 +41,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{NumPeers: 10, Graph: GraphKind(9)}, newEigen(t, 10)); err == nil {
 		t.Fatal("unknown graph kind accepted")
+	}
+	// A population smaller than its generator's minimum fails up front,
+	// naming the graph, not later as a graph/population size mismatch.
+	for _, cfg := range []Config{
+		{NumPeers: 4},
+		{NumPeers: 6, GraphParam: 6},
+		{NumPeers: 2, Graph: WattsStrogatz},
+	} {
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "graph with") {
+			t.Fatalf("%+v: Validate() = %v, want a graph-size error", cfg, err)
+		}
+		if _, err := NewEngine(cfg, newEigen(t, cfg.NumPeers)); err == nil || !strings.Contains(err.Error(), "graph with") {
+			t.Fatalf("%+v: NewEngine() = %v, want a graph-size error", cfg, err)
+		}
+	}
+	for _, cfg := range []Config{
+		{NumPeers: 5},
+		{NumPeers: 3, Graph: WattsStrogatz},
+		{NumPeers: 2, Graph: ErdosRenyi},
+	} {
+		if _, err := NewEngine(cfg, newEigen(t, cfg.NumPeers)); err != nil {
+			t.Fatalf("%+v: smallest buildable population rejected: %v", cfg, err)
+		}
 	}
 }
 

@@ -27,6 +27,8 @@ func TestOptionValidation(t *testing.T) {
 		{"nil option", []Option{nil}, "nil option"},
 		{"peers too small", []Option{WithPeers(1)}, "peers"},
 		{"negative graph param", []Option{WithGraph(BarabasiAlbert, 0)}, "graph parameter"},
+		{"too few peers for BA", []Option{WithPeers(4)}, "barabasi-albert graph with m=4"},
+		{"too few peers for WS", []Option{WithPeers(2), WithGraph(WattsStrogatz, 4)}, "watts-strogatz graph with k=4"},
 		{"unknown graph kind", []Option{WithGraph(GraphKind(99), 4)}, "graph kind"},
 		{"nil factory", []Option{WithReputationMechanism(nil)}, "factory"},
 		{"disclosure above one", []Option{WithPrivacyPolicy(PrivacyPolicy{Disclosure: 1.5})}, "disclosure"},
