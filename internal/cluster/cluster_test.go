@@ -3,13 +3,17 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/linalg"
+	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/trustnet"
 )
 
@@ -474,6 +478,66 @@ func TestHostileWorkerReplies(t *testing.T) {
 			<-hostile
 			if got := histBytes(hist); !bytes.Equal(got, want) {
 				t.Errorf("history diverged after hostile worker replies")
+			}
+		})
+	}
+}
+
+// TestWorkerRejectsHostileHonestyFrame: an honesty frame whose override does
+// not fit the replica — too short for the population, or holding a value
+// outside [0,1] — must end the worker with an error. Installed, a short
+// override would crash the worker on the next scatter, which indexes it by
+// consumer.
+func TestWorkerRejectsHostileHonestyFrame(t *testing.T) {
+	sc := trustnet.MustScenario("baseline")
+	sc.Peers = 20
+	scJSON, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sc.Peers
+	uniform := func(v float64) []float64 {
+		h := make([]float64, n)
+		for i := range h {
+			h[i] = v
+		}
+		return h
+	}
+	cases := map[string][]float64{
+		"3 entries for 20 peers": {1, 1, 1},
+		"value above 1":          uniform(5),
+		"NaN value":              uniform(math.NaN()),
+		"negative value":         uniform(-0.5),
+	}
+	for name, override := range cases {
+		t.Run(name, func(t *testing.T) {
+			master, worker := LoopbackPipe()
+			defer master.Close()
+			done := make(chan error, 1)
+			go func() { done <- RunWorker(worker, "w") }()
+			if env, err := master.Recv(); err != nil || env.Kind != kindHello {
+				t.Fatalf("handshake: %v (kind %v)", err, env)
+			}
+			plans := make([]workload.PlannedInteraction, n)
+			for i := range plans {
+				plans[i] = workload.PlannedInteraction{Consumer: i, RNG: sim.NewRNG(uint64(i)).State()}
+			}
+			for _, env := range []*envelope{
+				{Kind: kindWelcome, Welcome: &welcomeMsg{Scenario: scJSON}},
+				{Kind: kindHonesty, Honesty: &honestyMsg{Override: override, HasOverride: true}},
+				{Kind: kindScatter, Scatter: &scatterMsg{Plans: plans, Scores: make([]float64, n)}},
+			} {
+				if err := master.Send(env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "honesty override") {
+					t.Fatalf("RunWorker = %v, want an honesty override error", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("worker neither failed nor exited")
 			}
 		})
 	}

@@ -67,7 +67,9 @@ func RunWorker(conn Conn, name string) error {
 			if env.Honesty.HasOverride && h == nil {
 				h = []float64{}
 			}
-			we.SetHonestOverride(h)
+			if err := we.SetHonestOverride(h); err != nil {
+				return fmt.Errorf("cluster: worker %q: %w", name, err)
+			}
 		case kindScatter:
 			sm := env.Scatter
 			pool := sm.Pool

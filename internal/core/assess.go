@@ -62,7 +62,7 @@ func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 		}
 	}
 	r := reputationReading{tau: metrics.KendallTau(m.sc, m.gt)}
-	tau01 := (r.tau + 1) / 2
+	tau01 := float64((r.tau + 1) / 2)
 	r.separation = metrics.AUC(m.good, m.bad)
 	power := tau01
 	if math.IsNaN(r.separation) {
@@ -71,7 +71,7 @@ func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 		power = (tau01 + r.separation) / 2
 	}
 	r.community = e.Mechanism().TrustworthyFraction()
-	r.facet = power * (0.5 + 0.5*r.community)
+	r.facet = power * (0.5 + float64(0.5*r.community))
 	return r
 }
 

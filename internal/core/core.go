@@ -152,7 +152,7 @@ func CombineArithmetic(f Facets, w Weights) (float64, error) {
 		return 0, fmt.Errorf("core: facets %+v out of [0,1]", f)
 	}
 	total := w.Satisfaction + w.Reputation + w.Privacy
-	return (w.Satisfaction*f.Satisfaction + w.Reputation*f.Reputation + w.Privacy*f.Privacy) / total, nil
+	return (float64(w.Satisfaction*f.Satisfaction) + float64(w.Reputation*f.Reputation) + float64(w.Privacy*f.Privacy)) / total, nil
 }
 
 // TrustModel tracks per-user trust towards the system, smoothed with
@@ -261,14 +261,16 @@ func (m *TrustModel) weightsFor(user int) Weights {
 
 // fold computes user u's next trust value from the instant combination and
 // reports whether the result is at its bitwise fixed point under inertia
-// (re-folding the same instant would reproduce it exactly).
+// (re-folding the same instant would reproduce it exactly). Each product is
+// rounded on its own (float64(...)), so no architecture fuses it into the
+// add, and the fold and its settled test round alike.
 func (m *TrustModel) fold(u int, instant float64) (t float64, settled bool) {
 	if !m.started[u] {
 		t = instant
 	} else {
-		t = m.inertia*m.trust[u] + (1-m.inertia)*instant
+		t = float64(m.inertia*m.trust[u]) + float64((1-m.inertia)*instant)
 	}
-	return t, m.inertia*t+(1-m.inertia)*instant == t
+	return t, float64(m.inertia*t)+float64((1-m.inertia)*instant) == t
 }
 
 // Update folds a user's current facets into her trust and returns the new

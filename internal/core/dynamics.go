@@ -108,8 +108,6 @@ type Dynamics struct {
 	tm             *TrustModel
 	ledger         *privacy.Ledger
 	baseDisclosure float64
-	disclosure     []float64
-	honesty        []float64
 	epoch          int
 	history        []EpochStats
 
@@ -128,24 +126,16 @@ type Dynamics struct {
 	// reprice every privacy facet at once (re-derived from the engine on
 	// restore, so it needs no serialization).
 	prevLedgerScale float64 //trustlint:derived re-read from the restored engine's ledger scale
-	// discAll/honAll force full in-place installs of the coupling vectors at
-	// the next epoch; otherwise only the cells listed in discDirty/honDirty
-	// (ascending, appended by the last coupling pass) are rewritten. All
-	// four are forced to the full-install state on restore: a full in-place
-	// install writes the same values the pending deltas would and consumes
-	// no randomness, so it is value-identical.
-	discAll   bool  //trustlint:derived restore forces a full install, which subsumes any pending deltas
-	honAll    bool  //trustlint:derived restore forces a full install, which subsumes any pending deltas
-	discDirty []int //trustlint:derived restore forces a full install, which subsumes any pending deltas
-	honDirty  []int //trustlint:derived restore forces a full install, which subsumes any pending deltas
 	// Fixed-shape summation trees maintain the EpochStats means from the
 	// dirty set at O(log n) per touched leaf; their roots are bitwise equal
 	// to a dense rebuild over the same leaves (see metrics.SumTree), so the
-	// restore path rebuilds them from the serialized vectors.
+	// restore path rebuilds them from the restored engine. The §3 coupling
+	// variables themselves live only in the workload engine: disclosure in
+	// its gatherer, honesty in its override.
 	satTree  *metrics.SumTree //trustlint:derived rebuilt from engine satisfaction state on restore
 	privTree *metrics.SumTree //trustlint:derived rebuilt from ledger privacy facets on restore
-	discTree *metrics.SumTree //trustlint:derived rebuilt from the serialized disclosure vector on restore
-	honTree  *metrics.SumTree //trustlint:derived rebuilt from the serialized honesty vector on restore
+	discTree *metrics.SumTree //trustlint:derived rebuilt from the engine's gatherer disclosure on restore
+	honTree  *metrics.SumTree //trustlint:derived rebuilt from the engine's honesty override on restore
 	// denseRef disables every skip (the golden-test reference mode): all
 	// users update and couple each epoch. Counters and results must remain
 	// bit-identical to the sparse path.
@@ -173,14 +163,7 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 	}
 	ledger := privacy.NewLedger()
 	eng.AttachLedger(ledger, cfg.ExposureScale)
-	d := &Dynamics{
-		cfg:        cfg,
-		eng:        eng,
-		tm:         tm,
-		ledger:     ledger,
-		disclosure: make([]float64, n),
-		honesty:    make([]float64, n),
-	}
+	d := &Dynamics{cfg: cfg, eng: eng, tm: tm, ledger: ledger}
 	base := cfg.Workload.Disclosure
 	switch {
 	case base < 0: // the config's explicit-zero sentinel
@@ -189,36 +172,43 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 		base = 1
 	}
 	d.baseDisclosure = base
-	for i := 0; i < n; i++ {
-		d.disclosure[i] = base
-		d.honesty[i] = 1 // first epoch: behaviour-class honesty as-is
-	}
 	// Epoch 0 must run dense: no settled proof exists yet, the coupling
 	// invariant is not established, and NaN never equals a real rep facet.
 	d.prevRepFacet = math.NaN()
 	d.couplingAll = true
 	d.prevLedgerScale = eng.LedgerScale()
-	// The engine's gatherer was built from the same (defaults-mapped) base
-	// disclosure, so no install is pending; honesty has never been
-	// installed, so its first install is a full one.
-	d.discAll = false
-	d.honAll = true
 	d.satTree = metrics.NewSumTree(n)
 	d.privTree = metrics.NewSumTree(n)
 	d.discTree = metrics.NewSumTree(n)
 	d.honTree = metrics.NewSumTree(n)
-	leaves := make([]float64, n)
-	for i := range leaves {
-		leaves[i] = eng.UserSatisfaction(i)
-	}
-	d.satTree.Fill(leaves)
-	for i := range leaves {
-		leaves[i] = eng.PrivacyFacetOf(i)
-	}
-	d.privTree.Fill(leaves)
-	d.discTree.FillUniform(base)
-	d.honTree.FillUniform(1)
+	d.fillTrees()
 	return d, nil
+}
+
+// fillTrees rebuilds the four aggregate trees from the engine's per-user
+// state. Fill is bottom-up over the same fixed shape, so later incremental
+// Sets continue bit-identically to a run that never rebuilt them. With no
+// honesty override installed yet, every honesty leaf is the initial 1.
+func (d *Dynamics) fillTrees() {
+	leaves := make([]float64, d.cfg.Workload.NumPeers)
+	for _, f := range []struct {
+		tree *metrics.SumTree
+		leaf func(int) float64
+	}{
+		{d.satTree, d.eng.UserSatisfaction},
+		{d.privTree, d.eng.PrivacyFacetOf},
+		{d.discTree, d.eng.Disclosure},
+	} {
+		for u := range leaves {
+			leaves[u] = f.leaf(u)
+		}
+		f.tree.Fill(leaves)
+	}
+	if h := d.eng.HonestOverride(); h != nil {
+		d.honTree.Fill(h)
+	} else {
+		d.honTree.FillUniform(1)
+	}
 }
 
 // SetDenseReference switches the epoch tail into its dense reference mode:
@@ -236,15 +226,11 @@ func (d *Dynamics) SetBaseDisclosure(v float64) error {
 		return fmt.Errorf("core: base disclosure %v out of [0,1]", v)
 	}
 	d.baseDisclosure = v
-	for i := range d.disclosure {
-		d.disclosure[i] = v
+	for u := 0; u < d.cfg.Workload.NumPeers; u++ {
+		d.eng.SetDisclosure(u, v)
 	}
 	d.discTree.FillUniform(v)
-	// The reset rewrites every cell, so the next epoch installs the full
-	// vector and the next coupling pass re-derives every user from the new
-	// base.
-	d.discAll = true
-	d.discDirty = d.discDirty[:0]
+	// The next coupling pass re-derives every user from the new base.
 	d.couplingAll = true
 	return nil
 }
@@ -318,25 +304,15 @@ func (d *Dynamics) Epoch() (EpochStats, error) {
 func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	n := d.cfg.Workload.NumPeers
 	shards := d.eng.Shards()
-	// 1. Install this epoch's coupling variables: the full vectors when an
-	// intervention (or a restore) rewrote them wholesale, otherwise just the
-	// cells the last coupling pass actually moved. Installs are in-place and
-	// consume no randomness.
-	if d.discAll {
-		d.eng.InstallDisclosure(d.disclosure)
-		d.discAll = false
-	} else if len(d.discDirty) > 0 {
-		d.eng.UpdateDisclosure(d.discDirty, d.disclosure)
-	}
-	d.discDirty = d.discDirty[:0]
-	if d.epoch > 0 || d.cfg.Coupled {
-		if d.honAll {
-			d.eng.SetHonestOverride(d.honesty)
-			d.honAll = false
-		} else if len(d.honDirty) > 0 {
-			d.eng.ApplyHonestyDelta(d.honDirty, d.honesty)
+	// 1. The engine already holds this epoch's coupling variables: the last
+	// coupling pass wrote them. Rounds run before the first epoch run on
+	// behaviour-class honesty; a coupled run replaces it from epoch 0 on,
+	// starting all-truthful. (Uncoupled, the full pass at the end of epoch 0
+	// installs the override.)
+	if d.epoch == 0 && d.cfg.Coupled {
+		for u := 0; u < n; u++ {
+			d.eng.SetHonesty(u, 1)
 		}
-		d.honDirty = d.honDirty[:0]
 	}
 
 	// 2. Run the workload. The epoch's bad-service delta comes from the
@@ -427,17 +403,25 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 		}
 	}
 
-	// 6. Close the §3 loops for the next epoch. Only visited users' trust
+	// 6. Close the §3 loops for the next epoch, writing each user's
+	// disclosure and honesty straight into the engine (and the aggregate
+	// trees, whose Set skips an unchanged leaf). Only visited users' trust
 	// can have moved, so the sparse pass revisits exactly the update
 	// candidates; interventions that change the feedback functions
-	// themselves (couplingAll) force a full rewrite. Cells are written — and
-	// queued for next epoch's delta install — only when their value actually
-	// changes.
-	base := d.baseDisclosure
+	// themselves (couplingAll) force a full pass. A full pass writes every
+	// cell, so it leaves the honesty override installed even when no value
+	// moves.
+	base, h0 := d.baseDisclosure, d.cfg.BaseHonesty
+	write := func(u int, delta, h float64) {
+		d.eng.SetDisclosure(u, delta)
+		d.discTree.Set(u, delta)
+		d.eng.SetHonesty(u, h)
+		d.honTree.Set(u, h)
+	}
 	fullPass := d.couplingAll || allDirty
 	d.couplingAll = false
 	if d.cfg.Coupled {
-		couple := func(u int, queue bool) {
+		couple := func(u int) {
 			t := d.tm.Trust(u)
 			// δ_u = δ_base · 2T (clamped): neutral trust keeps the base,
 			// distrust withholds, strong trust discloses up to fully.
@@ -448,51 +432,24 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 			if delta < 0 {
 				delta = 0
 			}
-			if delta != d.disclosure[u] {
-				d.disclosure[u] = delta
-				d.discTree.Set(u, delta)
-				if queue {
-					d.discDirty = append(d.discDirty, u)
-				}
-			}
-			h := d.cfg.BaseHonesty + (1-d.cfg.BaseHonesty)*t
-			if h != d.honesty[u] {
-				d.honesty[u] = h
-				d.honTree.Set(u, h)
-				if queue {
-					d.honDirty = append(d.honDirty, u)
-				}
-			}
+			write(u, delta, h0+float64((1-h0)*t))
 		}
 		if fullPass {
-			// A full pass may move most cells; install the whole vectors next
-			// epoch instead of queueing deltas.
 			for u := 0; u < n; u++ {
-				couple(u, false)
+				couple(u)
 			}
-			d.discAll, d.honAll = true, true
-			d.discDirty, d.honDirty = d.discDirty[:0], d.honDirty[:0]
 		} else {
 			for _, u := range d.candidates {
-				couple(u, true)
+				couple(u)
 			}
 		}
 	} else if fullPass {
 		// Uncoupled, the variables are trust-independent constants; once
 		// written they cannot drift, so only intervention epochs pass here.
-		honConst := d.cfg.BaseHonesty + (1-d.cfg.BaseHonesty)*0.5
+		honConst := h0 + float64((1-h0)*0.5)
 		for u := 0; u < n; u++ {
-			if base != d.disclosure[u] {
-				d.disclosure[u] = base
-				d.discTree.Set(u, base)
-			}
-			if honConst != d.honesty[u] {
-				d.honesty[u] = honConst
-				d.honTree.Set(u, honConst)
-			}
+			write(u, base, honConst)
 		}
-		d.discAll, d.honAll = true, true
-		d.discDirty, d.honDirty = d.discDirty[:0], d.honDirty[:0]
 	}
 
 	// 7. The epoch's aggregates come from the trees' roots: bitwise equal to
@@ -598,7 +555,7 @@ func RunIteratedMap(t0 float64, steps int, cfg MapConfig) ([]float64, error) {
 	traj = append(traj, t0)
 	t := t0
 	for k := 0; k < steps; k++ {
-		s := cfg.SatBase + cfg.SatGain*t
+		s := cfg.SatBase + float64(cfg.SatGain*t)
 		if s > 1 {
 			s = 1
 		}
@@ -609,7 +566,7 @@ func RunIteratedMap(t0 float64, steps int, cfg MapConfig) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		t = cfg.Inertia*t + (1-cfg.Inertia)*phi
+		t = float64(cfg.Inertia*t) + float64((1-cfg.Inertia)*phi)
 		traj = append(traj, t)
 	}
 	return traj, nil

@@ -33,11 +33,8 @@ func (m *TrustModel) State() TrustModelState {
 // The settled count, the unsettled worklist, and the summation tree are
 // derived indexes over the restored vectors and are rebuilt here.
 func (m *TrustModel) SetState(st TrustModelState) error {
-	if len(st.Trust) != len(m.trust) || len(st.Started) != len(m.started) {
-		return fmt.Errorf("core: trust-model state for %d users, want %d", len(st.Trust), len(m.trust))
-	}
-	if st.Settled != nil && len(st.Settled) != len(m.settled) {
-		return fmt.Errorf("core: trust-model settled flags for %d users, want %d", len(st.Settled), len(m.settled))
+	if err := m.checkState(st); err != nil {
+		return err
 	}
 	copy(m.trust, st.Trust)
 	copy(m.started, st.Started)
@@ -61,12 +58,30 @@ func (m *TrustModel) SetState(st TrustModelState) error {
 	return nil
 }
 
+// checkState rejects a state whose shape does not match the model's
+// population, or whose trust is not a finite value in [0,1].
+func (m *TrustModel) checkState(st TrustModelState) error {
+	if len(st.Trust) != len(m.trust) || len(st.Started) != len(m.started) {
+		return fmt.Errorf("core: trust-model state for %d users, want %d", len(st.Trust), len(m.trust))
+	}
+	if st.Settled != nil && len(st.Settled) != len(m.settled) {
+		return fmt.Errorf("core: trust-model settled flags for %d users, want %d", len(st.Settled), len(m.settled))
+	}
+	for u, t := range st.Trust {
+		if !(t >= 0 && t <= 1) {
+			return fmt.Errorf("core: trust-model state: trust %v of user %d out of [0,1]", t, u)
+		}
+	}
+	return nil
+}
+
 // DynamicsState is the serializable mutable state of the whole coupled
 // system: the workload engine (with its random streams and mechanism), the
-// privacy ledger, the trust model, the §3 coupling variables, and the
-// recorded epoch history. Restoring it into a Dynamics built from identical
-// configuration makes the continuation bit-for-bit identical to an
-// uninterrupted run.
+// privacy ledger, the trust model, the §3 coupling settings, and the
+// recorded epoch history. The per-user coupling variables are engine state:
+// disclosure in the gatherer, honesty in the override. Restoring it into a
+// Dynamics built from identical configuration makes the continuation
+// bit-for-bit identical to an uninterrupted run.
 type DynamicsState struct {
 	Engine         workload.EngineState
 	Ledger         privacy.LedgerState
@@ -76,8 +91,6 @@ type DynamicsState struct {
 	// change them mid-run.
 	BaseHonesty float64
 	Coupled     bool
-	Disclosure  []float64
-	Honesty     []float64
 	Epoch       int
 	History     []EpochStats
 	// PrevRepFacet is the last epoch's reputation facet, used to detect
@@ -103,8 +116,6 @@ func (d *Dynamics) State() (DynamicsState, error) {
 		BaseDisclosure: d.baseDisclosure,
 		BaseHonesty:    d.cfg.BaseHonesty,
 		Coupled:        d.cfg.Coupled,
-		Disclosure:     append([]float64(nil), d.disclosure...),
-		Honesty:        append([]float64(nil), d.honesty...),
 		Epoch:          d.epoch,
 		History:        append([]EpochStats(nil), d.history...),
 		PrevRepFacet:   d.prevRepFacet,
@@ -114,12 +125,9 @@ func (d *Dynamics) State() (DynamicsState, error) {
 
 // Restore overwrites the coupled system's mutable state with a captured one.
 // The Dynamics must have been built from the identical configuration (shard
-// count excepted).
+// count excepted). Every check here runs before anything is overwritten.
 func (d *Dynamics) Restore(st DynamicsState) error {
 	n := d.cfg.Workload.NumPeers
-	if len(st.Disclosure) != n || len(st.Honesty) != n {
-		return fmt.Errorf("core: snapshot coupling vectors do not match %d users", n)
-	}
 	if st.BaseDisclosure < 0 || st.BaseDisclosure > 1 {
 		return fmt.Errorf("core: snapshot base disclosure %v out of [0,1]", st.BaseDisclosure)
 	}
@@ -127,6 +135,9 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
 	if err := checkLedgerState(st.Ledger, n); err != nil {
+		return err
+	}
+	if err := d.tm.checkState(st.Trust); err != nil {
 		return err
 	}
 	if err := d.eng.Restore(st.Engine); err != nil {
@@ -144,33 +155,12 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	d.baseDisclosure = st.BaseDisclosure
 	d.cfg.BaseHonesty = st.BaseHonesty
 	d.cfg.Coupled = st.Coupled
-	copy(d.disclosure, st.Disclosure)
-	copy(d.honesty, st.Honesty)
 	d.epoch = st.Epoch
 	d.history = append([]EpochStats(nil), st.History...)
 	d.prevRepFacet = st.PrevRepFacet
 	d.couplingAll = st.CouplingAll
-	// The remaining sub-linear-tail state is derived. Pending delta lists are
-	// superseded by full installs: a full in-place install writes values
-	// bit-identical to what the pending deltas would have written (the
-	// vectors themselves are restored above) and consumes no randomness.
-	d.discAll, d.honAll = true, true
-	d.discDirty, d.honDirty = d.discDirty[:0], d.honDirty[:0]
 	d.prevLedgerScale = d.eng.LedgerScale()
-	// Rebuild the four aggregate trees from the restored leaves. Fill is
-	// bottom-up over the same fixed shape, so subsequent incremental Sets
-	// continue bit-identically to an uninterrupted run.
-	leaves := make([]float64, n)
-	for u := 0; u < n; u++ {
-		leaves[u] = d.eng.UserSatisfaction(u)
-	}
-	d.satTree.Fill(leaves)
-	for u := 0; u < n; u++ {
-		leaves[u] = d.eng.PrivacyFacetOf(u)
-	}
-	d.privTree.Fill(leaves)
-	d.discTree.Fill(d.disclosure)
-	d.honTree.Fill(d.honesty)
+	d.fillTrees()
 	return nil
 }
 

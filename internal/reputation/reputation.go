@@ -403,16 +403,21 @@ func (g *Gatherer) SetDisclosure(rater int, p float64) {
 	g.disclosure[rater] = p
 }
 
+// Disclosure returns the rater's disclosure probability (1 for a rater
+// outside the disclosure vector, whose reports are always shared).
+func (g *Gatherer) Disclosure(rater int) float64 {
+	if rater < 0 || rater >= len(g.disclosure) {
+		return 1
+	}
+	return g.disclosure[rater]
+}
+
 // Admit performs the rater's disclosure draw without delivering anything:
 // it returns whether the rater shares the report, counting Withheld when
 // not. Callers deliver admitted reports to the mechanism and call Commit for
 // each one delivered successfully.
 func (g *Gatherer) Admit(rater int) bool {
-	p := 1.0
-	if rater >= 0 && rater < len(g.disclosure) {
-		p = g.disclosure[rater]
-	}
-	if !g.rng.Bool(p) {
+	if !g.rng.Bool(g.Disclosure(rater)) {
 		g.Withheld++
 		return false
 	}

@@ -75,15 +75,10 @@ func StandardProfile(userID int) Profile {
 	}}
 }
 
-// User is a participant: identity, behaviour policy, and the disclosure
-// willingness that links the privacy facet to the reputation facet (the
-// paper's "quantity of shared information").
+// User is a participant: identity and behaviour policy.
 type User struct {
 	ID       int
 	Behavior adversary.Behavior
-	// BaseDisclosure is the user's base willingness to share feedback and
-	// attributes with the reputation layer, in [0,1].
-	BaseDisclosure float64
 }
 
 // Network is the social network state.

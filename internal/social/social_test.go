@@ -13,9 +13,8 @@ func honestUsers(n int) []*User {
 	users := make([]*User, n)
 	for i := range users {
 		users[i] = &User{
-			ID:             i,
-			Behavior:       adversary.MustNew(adversary.Honest, adversary.Config{}),
-			BaseDisclosure: 1,
+			ID:       i,
+			Behavior: adversary.MustNew(adversary.Honest, adversary.Config{}),
 		}
 	}
 	return users

@@ -65,15 +65,11 @@ func (e *Engine) SetReportObserver(fn func([]reputation.Report)) { e.reportObser
 func (e *Engine) MutationGen() uint64 { return e.mutationGen }
 
 // HonestyGen returns the engine's honesty generation: a counter bumped by
-// every change of the honesty override (SetHonestOverride,
-// ApplyHonestyDelta). A replica current on MutationGen but behind on
-// HonestyGen catches up by installing HonestOverride; a full snapshot
-// carries the override, so a resync covers both generations.
+// every change of the honesty override (SetHonesty, SetHonestOverride). A
+// replica current on MutationGen but behind on HonestyGen catches up by
+// installing HonestOverride; a full snapshot carries the override, so a
+// resync covers both generations.
 func (e *Engine) HonestyGen() uint64 { return e.honestyGen }
-
-// HonestOverride returns the installed honesty override (nil when none).
-// The slice is the engine's own: callers must not modify or retain it.
-func (e *Engine) HonestOverride() []float64 { return e.honestOverride }
 
 // NoteMutation records an out-of-round mutation of simulate-visible state
 // performed outside the engine's own setters (e.g. a whitewash resetting

@@ -101,7 +101,9 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	}
 	ledger := privacy.NewLedger()
 	eng.AttachLedger(ledger, 50)
-	eng.SetDisclosure(make([]float64, 20))
+	for u := 0; u < 20; u++ {
+		eng.SetDisclosure(u, 0)
+	}
 	eng.Run(10)
 	cum := eng.CumulativeStats()
 	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng, 20) != 0 {

@@ -113,8 +113,13 @@ func (e *Engine) Restore(st EngineState) error {
 	if len(st.Active) != 0 && len(st.Active) != n {
 		return fmt.Errorf("workload: snapshot active set has %d entries, want %d", len(st.Active), n)
 	}
-	if len(st.HonestOverride) != 0 && len(st.HonestOverride) != n {
-		return fmt.Errorf("workload: snapshot honesty override has %d entries, want %d", len(st.HonestOverride), n)
+	if err := checkUnitVector("snapshot gatherer disclosure", st.Gatherer.Disclosure, n); err != nil {
+		return err
+	}
+	if len(st.HonestOverride) != 0 {
+		if err := checkUnitVector("snapshot honesty override", st.HonestOverride, n); err != nil {
+			return err
+		}
 	}
 	if (st.Activity != nil) != (e.activity != nil) {
 		return fmt.Errorf("workload: snapshot activity-skew state does not match scenario")

@@ -10,7 +10,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/adversary"
@@ -322,9 +321,8 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	users := make([]*social.User, cfg.NumPeers)
 	for i := range users {
 		users[i] = &social.User{
-			ID:             i,
-			Behavior:       behaviors[i],
-			BaseDisclosure: cfg.Disclosure,
+			ID:       i,
+			Behavior: behaviors[i],
 		}
 	}
 	snet, err := social.NewNetwork(users, friends)
@@ -361,7 +359,11 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		e.activity = sim.NewZipf(rng.Split(), cfg.NumPeers, cfg.ActivitySkew)
 		e.activityOrder = rng.Perm(cfg.NumPeers)
 	}
-	e.setUniformDisclosure(cfg.Disclosure)
+	disclosure := make([]float64, cfg.NumPeers)
+	for i := range disclosure {
+		disclosure[i] = cfg.Disclosure
+	}
+	e.gatherer = reputation.NewGatherer(rng.Split(), disclosure)
 	// Sparse uniform intentions: preferences start at 0.5 and deviate only
 	// for providers actually experienced; providers are mostly willing
 	// (imposed requests dent satisfaction). Dense vectors here would cost
@@ -384,100 +386,67 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) setUniformDisclosure(d float64) {
-	vec := make([]float64, e.cfg.NumPeers)
-	for i := range vec {
-		vec[i] = d
-	}
-	e.gatherer = reputation.NewGatherer(e.rng.Split(), vec)
-}
-
-// SetDisclosure installs a per-peer disclosure vector (values clamped by the
-// gatherer).
-func (e *Engine) SetDisclosure(d []float64) {
-	e.gatherer = reputation.NewGatherer(e.rng.Split(), d)
-}
-
-// SetHonestOverride installs per-peer truthful-report probabilities,
-// overriding behaviour-class honesty (nil restores class behaviour). A
-// change bumps the honesty generation, not the mutation generation, so a
-// cluster replica catches up by installing the vector instead of a full
-// resync; a vector bitwise identical to the installed one is a no-op that
-// bumps neither.
-func (e *Engine) SetHonestOverride(h []float64) {
-	if h == nil {
-		if e.honestOverride != nil {
-			e.honestOverride = nil
-			e.honestyGen++
-		}
-		return
-	}
-	if len(h) == len(e.honestOverride) {
-		same := true
-		for i, v := range h {
-			if math.Float64bits(v) != math.Float64bits(e.honestOverride[i]) {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-		copy(e.honestOverride, h)
-		e.honestyGen++
-		return
-	}
-	cp := make([]float64, len(h))
-	copy(cp, h)
-	e.honestOverride = cp
-	e.honestyGen++
-}
-
-// ApplyHonestyDelta rewrites the honesty override for just the listed users
-// from h (a full n-length vector; only cells named by ids are read). With no
-// override installed yet it falls back to installing the whole vector. The
-// honesty generation is bumped only when something actually changes.
-func (e *Engine) ApplyHonestyDelta(ids []int, h []float64) {
-	if e.honestOverride == nil {
-		e.SetHonestOverride(h)
-		return
-	}
-	changed := false
-	for _, u := range ids {
-		if u < 0 || u >= len(e.honestOverride) || u >= len(h) {
-			continue
-		}
-		if math.Float64bits(e.honestOverride[u]) != math.Float64bits(h[u]) {
-			e.honestOverride[u] = h[u]
-			changed = true
-		}
-	}
-	if changed {
-		e.honestyGen++
-	}
-}
-
-// InstallDisclosure overwrites every peer's disclosure probability in place
-// (clamped by the gatherer), preserving the gatherer's random stream —
-// unlike SetDisclosure, which rebuilds the gatherer on a fresh stream split.
+// SetDisclosure sets peer u's disclosure probability in place (clamped to
+// [0,1] by the gatherer), keeping the gatherer's random stream and counters.
 // The gatherer is consumed only on the sequential gather path, so no replica
 // resync is needed.
-func (e *Engine) InstallDisclosure(d []float64) {
-	for i, v := range d {
-		e.gatherer.SetDisclosure(i, v)
+func (e *Engine) SetDisclosure(u int, v float64) { e.gatherer.SetDisclosure(u, v) }
+
+// Disclosure returns peer u's current disclosure probability.
+func (e *Engine) Disclosure(u int) float64 { return e.gatherer.Disclosure(u) }
+
+// SetHonesty sets peer u's truthful-report probability, overriding its
+// behaviour-class honesty (the §3 coupling between system trust and honest
+// contribution). The first call installs an override that keeps every other
+// peer truthful. A change bumps the honesty generation, not the mutation
+// generation, so a cluster replica catches up by installing the vector
+// instead of a full resync.
+func (e *Engine) SetHonesty(u int, h float64) {
+	if e.honestOverride == nil {
+		e.honestOverride = make([]float64, e.cfg.NumPeers)
+		for i := range e.honestOverride {
+			e.honestOverride[i] = 1
+		}
+		e.honestyGen++
+	}
+	if e.honestOverride[u] != h {
+		e.honestOverride[u] = h
+		e.honestyGen++
 	}
 }
 
-// UpdateDisclosure rewrites the disclosure probability for just the listed
-// users from d (a full n-length vector; only cells named by ids are read) —
-// the sparse-coupling twin of InstallDisclosure.
-func (e *Engine) UpdateDisclosure(ids []int, d []float64) {
-	for _, u := range ids {
-		if u < 0 || u >= len(d) {
-			continue
+// HonestOverride returns the installed honesty override (nil when none).
+// The slice is the engine's own: callers must not modify or retain it.
+func (e *Engine) HonestOverride() []float64 { return e.honestOverride }
+
+// SetHonestOverride replaces the whole honesty override (nil restores class
+// behaviour): the cluster worker's install of its master's vector. A vector
+// whose length is not the population size, or that holds a value outside
+// [0,1], is an error and changes nothing.
+func (e *Engine) SetHonestOverride(h []float64) error {
+	if h != nil {
+		if err := checkUnitVector("honesty override", h, e.cfg.NumPeers); err != nil {
+			return err
 		}
-		e.gatherer.SetDisclosure(u, d[u])
+		h = append([]float64(nil), h...)
 	}
+	e.honestOverride = h
+	e.honestyGen++
+	return nil
+}
+
+// checkUnitVector rejects a per-peer probability vector whose length is not
+// n or that holds a value outside [0,1] (NaN included).
+func checkUnitVector(what string, v []float64, n int) error {
+	if len(v) != n {
+		return fmt.Errorf("workload: %s has %d entries, want %d", what, len(v), n)
+	}
+	for i, x := range v {
+		if !(x >= 0 && x <= 1) {
+			return fmt.Errorf("workload: %s of peer %d is %v, out of [0,1]", what, i, x)
+		}
+	}
+	return nil
 }
 
 // Network exposes the social network.

@@ -174,12 +174,19 @@ func TestSetDisclosureMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(5)
-	zero := make([]float64, 20)
-	e.SetDisclosure(zero)
+	for u := 0; u < 20; u++ {
+		e.SetDisclosure(u, 0)
+	}
+	// The gatherer is updated in place, so its counters are cumulative:
+	// the check is on what the second run adds.
 	g := e.Gatherer()
+	gathered, withheld := g.Gathered, g.Withheld
 	e.Run(5)
-	if g.Gathered != 0 {
-		t.Fatalf("zero disclosure still gathered %d", g.Gathered)
+	if g.Gathered != gathered {
+		t.Fatalf("zero disclosure still gathered %d", g.Gathered-gathered)
+	}
+	if g.Withheld == withheld {
+		t.Fatal("no report was offered after the reset, so nothing was tested")
 	}
 }
 
@@ -195,7 +202,9 @@ func TestHonestOverride(t *testing.T) {
 		for i := range override {
 			override[i] = h
 		}
-		e.SetHonestOverride(override)
+		if err := e.SetHonestOverride(override); err != nil {
+			t.Fatal(err)
+		}
 		e.Run(40)
 		return e.Summarize().Tau
 	}

@@ -101,6 +101,10 @@ func (e *Engine) TrustModel() *TrustModel { return e.dyn.TrustModel() }
 
 // RunRounds executes n interaction rounds without touching the coupling
 // state — the single-mechanism evaluation mode of the §2 experiments.
+// Before the first epoch the rounds run on the scenario's base disclosure
+// and behaviour-class honesty, coupled or not. After an Epoch they run on
+// the per-user disclosure and honesty its coupling pass wrote into the
+// engine, the values the next epoch would use.
 func (e *Engine) RunRounds(n int) {
 	e.dyn.Engine().Run(n)
 }

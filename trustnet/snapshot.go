@@ -22,7 +22,13 @@ import (
 // feedback exposure sum, items with their recipients) instead of an event
 // list, and the social network's interaction log and resource registry are
 // gone, so a v2 blob would restore an empty ledger.
-const snapshotVersion = 3
+//
+// v4: the §3 disclosure and honesty vectors are no longer captured beside
+// the engine; the engine's gatherer and honesty override are their only
+// copy, written by each coupling pass. A v3 engine holds the values one
+// epoch stale (the next epoch installed the captured vectors), so a v3 blob
+// would resume on them.
+const snapshotVersion = 4
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/privacy"
 )
 
@@ -334,6 +335,91 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsHostileUserState feeds snapshots whose per-user trust,
+// gatherer disclosure or honesty override is out of shape or out of [0,1]
+// through the public encode/decode/restore path. The engine holds the only
+// copy of the coupling variables, so each must be an error, and a rejected
+// restore must leave the engine's continuation bit-identical to a twin that
+// never saw the hostile blobs.
+func TestRestoreRejectsHostileUserState(t *testing.T) {
+	eng, err := New(sessionScenario(403)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(sessionScenario(403)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	n := eng.Peers()
+	cases := []struct {
+		name   string
+		want   string
+		mutate func(st *core.DynamicsState)
+	}{
+		{"trust NaN", "trust", func(st *core.DynamicsState) { st.Trust.Trust[3] = math.NaN() }},
+		{"trust +Inf", "trust", func(st *core.DynamicsState) { st.Trust.Trust[3] = math.Inf(1) }},
+		{"trust 9", "trust", func(st *core.DynamicsState) { st.Trust.Trust[n-1] = 9 }},
+		{"trust negative", "trust", func(st *core.DynamicsState) { st.Trust.Trust[0] = -0.1 }},
+		{"disclosure short", "disclosure", func(st *core.DynamicsState) {
+			st.Engine.Gatherer.Disclosure = st.Engine.Gatherer.Disclosure[:n-1]
+		}},
+		{"disclosure long", "disclosure", func(st *core.DynamicsState) {
+			st.Engine.Gatherer.Disclosure = append(st.Engine.Gatherer.Disclosure, 1)
+		}},
+		{"disclosure missing", "disclosure", func(st *core.DynamicsState) { st.Engine.Gatherer.Disclosure = nil }},
+		{"disclosure 1.5", "disclosure", func(st *core.DynamicsState) { st.Engine.Gatherer.Disclosure[2] = 1.5 }},
+		{"disclosure negative", "disclosure", func(st *core.DynamicsState) { st.Engine.Gatherer.Disclosure[2] = -0.5 }},
+		{"disclosure NaN", "disclosure", func(st *core.DynamicsState) { st.Engine.Gatherer.Disclosure[2] = math.NaN() }},
+		{"honesty 5", "honesty", func(st *core.DynamicsState) { st.Engine.HonestOverride[4] = 5 }},
+		{"honesty negative", "honesty", func(st *core.DynamicsState) { st.Engine.HonestOverride[4] = -1 }},
+		{"honesty NaN", "honesty", func(st *core.DynamicsState) { st.Engine.HonestOverride[4] = math.NaN() }},
+		{"honesty short", "honesty", func(st *core.DynamicsState) {
+			st.Engine.HonestOverride = st.Engine.HonestOverride[:3]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := snapshotRoundTrip(t, eng)
+			if len(snap.State.Engine.HonestOverride) != n {
+				t.Fatal("coupled snapshot carries no honesty override to corrupt")
+			}
+			tc.mutate(&snap.State)
+			var buf bytes.Buffer
+			if err := snap.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			hostile, err := DecodeSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore of hostile state = %v, want a %s error", err, tc.want)
+			}
+			after, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after.State.Trust, before.State.Trust) ||
+				!reflect.DeepEqual(after.State.Engine.Gatherer, before.State.Engine.Gatherer) ||
+				!reflect.DeepEqual(after.State.Engine.HonestOverride, before.State.Engine.HonestOverride) ||
+				after.Epoch != before.Epoch {
+				t.Fatal("rejected restore changed the engine")
+			}
+		})
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restores perturbed the continuation")
+	}
+}
+
 // TestSnapshotSizeBounded pins bounded state: the snapshot carries
 // sufficient statistics, not logs, so a 300-peer run's checkpoint stays
 // small at 60 epochs instead of growing with every interaction and report.
@@ -404,9 +490,25 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	}
 	v2 := v2Snapshot{Version: 2, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
 	v2.State.Ledger.Events = []v2Event{{Owner: 4, Recipient: -1}}
+	// A v3-era stand-in: the coupling vectors sat beside the engine, whose
+	// own copies lagged them by one epoch.
+	type v3State struct {
+		Disclosure, Honesty []float64
+		Epoch               int
+	}
+	type v3Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v3State
+	}
+	v3 := v3Snapshot{Version: 3, Peers: 2, Mechanism: "eigentrust", Epoch: 3,
+		State: v3State{Disclosure: []float64{0.4, 0.9}, Honesty: []float64{0.6, 1}, Epoch: 3}}
 	for _, blob := range []any{
 		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
 		v2,
+		v3,
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -416,7 +518,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("old-version snapshot %T decoded without error", blob)
 		}
-		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 3)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 4)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
 			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
 		}
 	}
