@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
@@ -365,14 +364,11 @@ func BenchmarkLedgerRecord(b *testing.B) {
 	const peers, batch = 20000, 4096
 	rng := sim.NewRNG(1)
 	partners := feedbackPeers(rng, peers)
-	profile := make([]string, peers)
-	for i := range profile {
-		profile[i] = "profile/" + strconv.Itoa(i)
-	}
 	next := func() privacy.Disclosure {
 		owner := rng.Intn(peers)
 		return privacy.Disclosure{
-			Owner: owner, Item: profile[owner], Sensitivity: social.Medium,
+			// The engine keys every owner's profile item "profile".
+			Owner: owner, Item: "profile", Sensitivity: social.Medium,
 			Recipient: partners[owner][rng.Intn(10)], Purpose: privacy.SocialUse, Consented: true,
 		}
 	}

@@ -130,7 +130,7 @@ func TestResumeRejectsOldVersionSnapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("old-version snapshot accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 4)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 5)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }

@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/metrics"
-	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/reputation/eigentrust"
 	"repro/internal/workload"
 )
 
-func assessEngine(t *testing.T, malicious float64, mech reputation.Mechanism, withLedger bool) *workload.Engine {
+func assessEngine(t *testing.T, malicious float64, mech reputation.Mechanism) *workload.Engine {
 	t.Helper()
 	eng, err := workload.NewEngine(workload.Config{
 		Seed:     5,
@@ -29,9 +28,6 @@ func assessEngine(t *testing.T, malicious float64, mech reputation.Mechanism, wi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withLedger {
-		eng.AttachLedger(privacy.NewLedger(), 50)
-	}
 	eng.Run(30)
 	return eng
 }
@@ -41,7 +37,7 @@ func TestAssessFacetsInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := assessEngine(t, 0.3, mech, true)
+	eng := assessEngine(t, 0.3, mech)
 	a := Assess(eng)
 	if len(a.PerUser) != 40 {
 		t.Fatalf("per-user length = %d", len(a.PerUser))
@@ -63,20 +59,6 @@ func TestAssessFacetsInRange(t *testing.T) {
 	}
 }
 
-func TestAssessNoLedgerMeansFullPrivacy(t *testing.T) {
-	mech, err := eigentrust.New(eigentrust.Config{N: 40, Pretrusted: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := assessEngine(t, 0.2, mech, false)
-	a := Assess(eng)
-	for u, f := range a.PerUser {
-		if f.Privacy != 1 {
-			t.Fatalf("user %d privacy = %v without ledger", u, f.Privacy)
-		}
-	}
-}
-
 func TestAssessCommunityTracksHostility(t *testing.T) {
 	mk := func() *eigentrust.Mechanism {
 		m, err := eigentrust.New(eigentrust.Config{N: 40, Pretrusted: []int{0, 1}})
@@ -85,8 +67,8 @@ func TestAssessCommunityTracksHostility(t *testing.T) {
 		}
 		return m
 	}
-	healthy := Assess(assessEngine(t, 0.1, mk(), false))
-	hostile := Assess(assessEngine(t, 0.7, mk(), false))
+	healthy := Assess(assessEngine(t, 0.1, mk()))
+	hostile := Assess(assessEngine(t, 0.7, mk()))
 	if hostile.Community >= healthy.Community {
 		t.Fatalf("hostile community %v not below healthy %v", hostile.Community, healthy.Community)
 	}
@@ -102,7 +84,7 @@ func TestAssessCommunityTracksHostility(t *testing.T) {
 }
 
 func TestAssessNoneMechanismNeutral(t *testing.T) {
-	eng := assessEngine(t, 0.3, reputation.NewNone(40), false)
+	eng := assessEngine(t, 0.3, reputation.NewNone(40))
 	a := Assess(eng)
 	// None draws no community conclusion: community defaults to 1.
 	if a.Community != 1 {

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/workload"
 )
@@ -32,8 +31,6 @@ type DynamicsConfig struct {
 	// Coupled enables the §3 feedback loops. When false, disclosure and
 	// honesty stay pinned at their base values (the E1 ablation).
 	Coupled bool
-	// ExposureScale normalizes ledger exposure (default 50).
-	ExposureScale float64
 }
 
 func (c DynamicsConfig) withDefaults() DynamicsConfig {
@@ -54,9 +51,6 @@ func (c DynamicsConfig) withDefaults() DynamicsConfig {
 	}
 	if c.EpochRounds <= 0 {
 		c.EpochRounds = 10
-	}
-	if c.ExposureScale == 0 {
-		c.ExposureScale = 50
 	}
 	return c
 }
@@ -106,7 +100,6 @@ type Dynamics struct {
 	cfg            DynamicsConfig
 	eng            *workload.Engine
 	tm             *TrustModel
-	ledger         *privacy.Ledger
 	baseDisclosure float64
 	epoch          int
 	history        []EpochStats
@@ -161,9 +154,7 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 	if err != nil {
 		return nil, err
 	}
-	ledger := privacy.NewLedger()
-	eng.AttachLedger(ledger, cfg.ExposureScale)
-	d := &Dynamics{cfg: cfg, eng: eng, tm: tm, ledger: ledger}
+	d := &Dynamics{cfg: cfg, eng: eng, tm: tm}
 	base := cfg.Workload.Disclosure
 	switch {
 	case base < 0: // the config's explicit-zero sentinel

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/privacy"
 	"repro/internal/workload"
 )
 
@@ -76,15 +75,14 @@ func (m *TrustModel) checkState(st TrustModelState) error {
 }
 
 // DynamicsState is the serializable mutable state of the whole coupled
-// system: the workload engine (with its random streams and mechanism), the
-// privacy ledger, the trust model, the §3 coupling settings, and the
+// system: the workload engine (with its random streams, mechanism and
+// privacy ledger), the trust model, the §3 coupling settings, and the
 // recorded epoch history. The per-user coupling variables are engine state:
 // disclosure in the gatherer, honesty in the override. Restoring it into a
 // Dynamics built from identical configuration makes the continuation
 // bit-for-bit identical to an uninterrupted run.
 type DynamicsState struct {
 	Engine         workload.EngineState
-	Ledger         privacy.LedgerState
 	Trust          TrustModelState
 	BaseDisclosure float64
 	// BaseHonesty and Coupled are captured because session interventions can
@@ -111,7 +109,6 @@ func (d *Dynamics) State() (DynamicsState, error) {
 	}
 	return DynamicsState{
 		Engine:         est,
-		Ledger:         d.ledger.State(),
 		Trust:          d.tm.State(),
 		BaseDisclosure: d.baseDisclosure,
 		BaseHonesty:    d.cfg.BaseHonesty,
@@ -127,27 +124,17 @@ func (d *Dynamics) State() (DynamicsState, error) {
 // The Dynamics must have been built from the identical configuration (shard
 // count excepted). Every check here runs before anything is overwritten.
 func (d *Dynamics) Restore(st DynamicsState) error {
-	n := d.cfg.Workload.NumPeers
 	if st.BaseDisclosure < 0 || st.BaseDisclosure > 1 {
 		return fmt.Errorf("core: snapshot base disclosure %v out of [0,1]", st.BaseDisclosure)
 	}
 	if st.BaseHonesty < 0 || st.BaseHonesty > 1 {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
-	if err := checkLedgerState(st.Ledger, n); err != nil {
-		return err
-	}
 	if err := d.tm.checkState(st.Trust); err != nil {
 		return err
 	}
 	if err := d.eng.Restore(st.Engine); err != nil {
 		return fmt.Errorf("core: restore engine: %w", err)
-	}
-	// The ledger is restored in place: the workload engine and this Dynamics
-	// keep their existing pointer to it. checkLedgerState has validated it,
-	// so this cannot fail.
-	if err := d.ledger.SetState(st.Ledger); err != nil {
-		return fmt.Errorf("core: restore ledger: %w", err)
 	}
 	if err := d.tm.SetState(st.Trust); err != nil {
 		return err
@@ -161,34 +148,5 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	d.couplingAll = st.CouplingAll
 	d.prevLedgerScale = d.eng.LedgerScale()
 	d.fillTrees()
-	return nil
-}
-
-// checkLedgerState rejects a snapshot ledger that is malformed (see
-// privacy.LedgerState.Validate) or names users outside the population:
-// owners and dirty marks must be users, recipients users or -1 (the
-// reputation mechanism). The epoch tail indexes per-user state by these
-// ids, so an out-of-range one would crash or corrupt a later epoch.
-func checkLedgerState(st privacy.LedgerState, n int) error {
-	for _, o := range st.Owners {
-		if o.Owner < 0 || o.Owner >= n {
-			return fmt.Errorf("core: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
-		}
-		for _, it := range o.Items {
-			for _, r := range it.Recipients {
-				if r < -1 || r >= n {
-					return fmt.Errorf("core: snapshot ledger owner %d item %q: recipient %d out of range [-1,%d)", o.Owner, it.Key, r, n)
-				}
-			}
-		}
-	}
-	for _, u := range st.FacetDirty {
-		if u < 0 || u >= n {
-			return fmt.Errorf("core: snapshot ledger dirty owner %d out of range [0,%d)", u, n)
-		}
-	}
-	if err := st.Validate(); err != nil {
-		return fmt.Errorf("core: snapshot %w", err)
-	}
 	return nil
 }

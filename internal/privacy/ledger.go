@@ -34,7 +34,7 @@ type Disclosure struct {
 // Feedback ordering contract: RecordFeedback stands for one item per shared
 // report, with weight Low, the mechanism as its one recipient, and a key
 // sorting before every other item key of the owner (the engine's reports
-// were "feedback/<rater>/<tx>", its other items "profile/<id>"). Exposure
+// were "feedback/<rater>/<tx>", its one other item is "profile"). Exposure
 // folds items in ascending key order, so those k items came first, each
 // adding exactly feedbackTerm; starting the fold from the running sum of
 // the same k adds gives the same bits.
@@ -221,7 +221,7 @@ func (a *ownerAgg) exposure() float64 {
 	total := a.feedback
 	for k := range a.items {
 		it := &a.items[k]
-		total += it.weight * math.Log2(1+float64(len(it.rcpt)))
+		total += float64(it.weight * math.Log2(1+float64(len(it.rcpt))))
 	}
 	return total
 }

@@ -85,7 +85,7 @@ func (l *refLedger) Exposure(owner int) float64 {
 	sort.Strings(keys)
 	total := 0.0
 	for _, item := range keys {
-		total += sens[item] * math.Log2(1+float64(len(items[item])))
+		total += float64(sens[item] * math.Log2(1+float64(len(items[item]))))
 	}
 	return total
 }
@@ -193,7 +193,7 @@ func (l *refLedger) ledgerState() LedgerState {
 		for _, k := range keys {
 			recips := l.byOwner[o][k]
 			if strings.HasPrefix(k, "feedback/") {
-				os.Feedback += l.sensByOwner[o][k] * math.Log2(1+float64(len(recips)))
+				os.Feedback += float64(l.sensByOwner[o][k] * math.Log2(1+float64(len(recips))))
 				continue
 			}
 			it := ItemState{Key: k, Weight: l.sensByOwner[o][k]}

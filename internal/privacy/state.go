@@ -116,7 +116,7 @@ func ascending[E any, K cmp.Ordered](xs []E, key func(E) K) bool {
 // one ulp upward, stay within a relative total·2⁻⁵² of the exact product.
 func maxFeedback(total int64) float64 {
 	t := float64(total)
-	return feedbackTerm * t * (1 + t*0x1p-52)
+	return feedbackTerm * t * (1 + float64(t*0x1p-52))
 }
 
 // validWeight reports whether w is the weight of some sensitivity class

@@ -76,7 +76,7 @@ func (a *account) score(prior float64) float64 {
 	if !a.hasBase {
 		return a.sum / float64(a.count)
 	}
-	return (a.base*prior + a.sum) / (prior + float64(a.count))
+	return (float64(a.base*prior) + a.sum) / (prior + float64(a.count))
 }
 
 // Mechanism is the pseudonymous reputation engine.
@@ -194,7 +194,7 @@ func (m *Mechanism) NextEpoch() {
 	for p := 0; p < m.cfg.N; p++ {
 		old := m.acctOf[p]
 		oldObs := m.quantize(old.score(m.cfg.PriorStrength))
-		carried := m.quantize(old.score(m.cfg.PriorStrength) + m.rng.NormFloat64()*m.cfg.Noise)
+		carried := m.quantize(old.score(m.cfg.PriorStrength) + float64(m.rng.NormFloat64()*m.cfg.Noise))
 		nym, _ := m.nyms[p].Advance()
 		m.cur[p] = nym
 		m.accts[nym] = &account{base: carried, hasBase: true}

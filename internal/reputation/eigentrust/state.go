@@ -47,12 +47,17 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("eigentrust: decode state: %w", err)
 	}
+	// Build and check the matrix before the solver is written, so a rejected
+	// state leaves the mechanism as it was. The solver reads the matrix
+	// through m.lt, so the checked one is installed in place.
+	lt := reputation.NewLocalTrust(m.cfg.N)
+	if err := lt.SetState(st.LT); err != nil {
+		return fmt.Errorf("eigentrust: %w", err)
+	}
 	sv := reputation.SolverState{Scores: st.Scores, Dirty: st.Dirty, Conv: st.Conv, HasConv: st.HasConv}
 	if err := m.Solver.SetState(sv); err != nil {
 		return fmt.Errorf("eigentrust: %w", err)
 	}
-	if err := m.lt.SetState(st.LT); err != nil {
-		return fmt.Errorf("eigentrust: %w", err)
-	}
+	*m.lt = *lt
 	return nil
 }

@@ -367,12 +367,14 @@ func TestRestoreGathererRejectsHostile(t *testing.T) {
 	if back.SharedBy(1) != 2 || back.SharedBy(0) != 0 || !reflect.DeepEqual(back.State(), good) {
 		t.Fatalf("round trip lost counts: %+v, want %+v", back.State(), good)
 	}
-	cases := map[string]map[int]int64{
-		"rater at n":      {3: 1},
-		"negative rater":  {-1: 1},
-		"far rater":       {1 << 40: 1},
-		"negative count":  {2: -4},
-		"one of two keys": {1: 2, 5: 1},
+	cases := map[string][]SharedCount{
+		"rater at n":      {{3, 1}},
+		"negative rater":  {{-1, 1}},
+		"far rater":       {{1 << 40, 1}},
+		"negative count":  {{2, -4}},
+		"one of two keys": {{1, 2}, {5, 1}},
+		"descending":      {{2, 1}, {1, 2}},
+		"duplicated":      {{1, 2}, {1, 1}},
 	}
 	for name, shared := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -25,6 +25,26 @@ type Report struct {
 	Value float64 `json:"value"`
 }
 
+// ValidateExternal checks a report submitted from outside the simulation
+// (the serving API, a scheduled report wave) against an n-peer population:
+// rater and ratee in range, no self-rating, and a value in [0,1], which
+// also rules out NaN. It is the one definition of a valid external report.
+func (r Report) ValidateExternal(n int) error {
+	if r.Rater < 0 || r.Rater >= n {
+		return fmt.Errorf("rater %d out of range [0,%d)", r.Rater, n)
+	}
+	if r.Ratee < 0 || r.Ratee >= n {
+		return fmt.Errorf("ratee %d out of range [0,%d)", r.Ratee, n)
+	}
+	if r.Rater == r.Ratee {
+		return fmt.Errorf("self-rating report by %d rejected", r.Rater)
+	}
+	if !(r.Value >= 0 && r.Value <= 1) {
+		return fmt.Errorf("report value %v out of [0,1]", r.Value)
+	}
+	return nil
+}
+
 // Validate checks r against an n-peer population: both peers in range, no
 // self-rating, and a value that is a number. Mechanisms clamp or threshold
 // out-of-range values, but a NaN would poison every sum it enters.

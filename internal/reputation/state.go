@@ -2,7 +2,6 @@ package reputation
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -69,51 +68,56 @@ func (l *LocalTrust) SetState(st LocalTrustState) error {
 type GathererState struct {
 	RNG        sim.RNGState
 	Disclosure []float64
-	SharedBy   map[int]int64
-	Gathered   int64
-	Withheld   int64
+	// SharedBy lists the raters that disclosed at least one report, in
+	// strictly ascending rater order, so the encoded bytes do not depend on
+	// map order.
+	SharedBy []SharedCount
+	Gathered int64
+	Withheld int64
 }
 
-// State captures the gatherer. SharedBy holds the raters that disclosed
-// at least one report.
+// SharedCount is how many reports one rater disclosed.
+type SharedCount struct {
+	Rater   int
+	Reports int64
+}
+
+// State captures the gatherer.
 func (g *Gatherer) State() GathererState {
 	st := GathererState{
 		RNG:        g.rng.State(),
 		Disclosure: append([]float64(nil), g.disclosure...),
-		SharedBy:   make(map[int]int64),
 		Gathered:   g.Gathered,
 		Withheld:   g.Withheld,
 	}
 	for k, v := range g.sharedBy {
 		if v != 0 {
-			st.SharedBy[k] = v
+			st.SharedBy = append(st.SharedBy, SharedCount{Rater: k, Reports: v})
 		}
 	}
 	return st
 }
 
 // RestoreGatherer rebuilds a gatherer from a captured state. A SharedBy
-// rater outside the disclosure vector, or a negative count, is an error.
+// rater outside the disclosure vector or out of ascending order, or a
+// negative count, is an error.
 func RestoreGatherer(st GathererState) (*Gatherer, error) {
 	rng := sim.NewRNG(0)
 	rng.SetState(st.RNG)
 	g := NewGatherer(rng, st.Disclosure)
 	g.Gathered = st.Gathered
 	g.Withheld = st.Withheld
-	raters := make([]int, 0, len(st.SharedBy))
-	for k := range st.SharedBy {
-		raters = append(raters, k)
-	}
-	slices.Sort(raters) // so the first offending rater is the one reported
-	for _, k := range raters {
-		v := st.SharedBy[k]
-		if k < 0 || k >= len(g.sharedBy) {
-			return nil, fmt.Errorf("reputation: gatherer state counts rater %d outside [0,%d)", k, len(g.sharedBy))
+	for i, c := range st.SharedBy {
+		if c.Rater < 0 || c.Rater >= len(g.sharedBy) {
+			return nil, fmt.Errorf("reputation: gatherer state counts rater %d outside [0,%d)", c.Rater, len(g.sharedBy))
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("reputation: gatherer state counts %d reports for rater %d", v, k)
+		if i > 0 && c.Rater <= st.SharedBy[i-1].Rater {
+			return nil, fmt.Errorf("reputation: gatherer state counts rater %d out of ascending order", c.Rater)
 		}
-		g.sharedBy[k] = v
+		if c.Reports < 0 {
+			return nil, fmt.Errorf("reputation: gatherer state counts %d reports for rater %d", c.Reports, c.Rater)
+		}
+		g.sharedBy[c.Rater] = c.Reports
 	}
 	return g, nil
 }

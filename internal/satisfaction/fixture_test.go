@@ -10,7 +10,7 @@ func newPrefConsumer(prefs []float64, memory float64) (*Consumer, error) {
 		return nil, err
 	}
 	for i, p := range prefs {
-		c.overrides = append(c.overrides, override{provider: int32(i), pref: clamp01(p)})
+		c.overrides = append(c.overrides, Override{Provider: int32(i), Pref: clamp01(p)})
 	}
 	return c, nil
 }

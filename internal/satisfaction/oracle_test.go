@@ -1,9 +1,11 @@
 package satisfaction
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -39,18 +41,16 @@ func (r *refOverrides) UpdatePreference(provider int, quality float64) {
 	if r.overrides == nil {
 		r.overrides = make(map[int32]float64)
 	}
-	r.overrides[int32(provider)] = (1-r.memory)*cur + r.memory*clamp01(quality)
+	r.overrides[int32(provider)] = float64((1-r.memory)*cur) + float64(r.memory*clamp01(quality))
 }
 
 // state is the oracle's part of a ConsumerState: the sparse fields.
 func (r *refOverrides) state() ConsumerState {
 	st := ConsumerState{Pop: r.pop, Def: r.def}
-	if len(r.overrides) > 0 {
-		st.Overrides = make(map[int32]float64, len(r.overrides))
-		for k, v := range r.overrides {
-			st.Overrides[k] = v
-		}
+	for k, v := range r.overrides {
+		st.Overrides = append(st.Overrides, Override{Provider: k, Pref: v})
 	}
+	slices.SortFunc(st.Overrides, func(a, b Override) int { return cmp.Compare(a.Provider, b.Provider) })
 	return st
 }
 
@@ -59,8 +59,8 @@ func (r *refOverrides) setState(st ConsumerState) {
 	r.overrides = nil
 	if len(st.Overrides) > 0 {
 		r.overrides = make(map[int32]float64, len(st.Overrides))
-		for k, v := range st.Overrides {
-			r.overrides[k] = v
+		for _, o := range st.Overrides {
+			r.overrides[o.Provider] = o.Pref
 		}
 	}
 }
@@ -142,23 +142,32 @@ func TestConsumerPreferenceAllocFree(t *testing.T) {
 // can hold; each must be an error that leaves the consumer unchanged.
 func TestConsumerSetStateRejectsHostile(t *testing.T) {
 	const n = 5
-	sparse := func(def float64, ov map[int32]float64) ConsumerState {
+	sparse := func(def float64, ov ...Override) ConsumerState {
 		return ConsumerState{Pop: n, Def: def, Overrides: ov}
+	}
+	dense := func(prefs ...float64) ConsumerState {
+		st := ConsumerState{Pop: n}
+		for p, v := range prefs {
+			st.Overrides = append(st.Overrides, Override{Provider: int32(p), Pref: v})
+		}
+		return st
 	}
 	cases := []struct {
 		name  string
 		dense bool // a consumer built with a preference for every provider
 		st    ConsumerState
 	}{
-		{"override provider at pop", false, sparse(0.5, map[int32]float64{n: 0.4})},
-		{"negative override provider", false, sparse(0.5, map[int32]float64{-1: 0.4})},
-		{"NaN default", false, sparse(math.NaN(), nil)},
-		{"default above one", false, sparse(1.5, nil)},
-		{"NaN override", false, sparse(0.5, map[int32]float64{2: math.NaN()})},
-		{"infinite override", false, sparse(0.5, map[int32]float64{2: math.Inf(1)})},
-		{"negative override", false, sparse(0.5, map[int32]float64{2: -0.1})},
-		{"NaN dense preference", true, sparse(0, map[int32]float64{0: 0.5, 1: math.NaN(), 2: 0.5, 3: 0.5, 4: 0.5})},
-		{"dense preference above one", true, sparse(0, map[int32]float64{0: 0.5, 1: 0.5, 2: 2, 3: 0.5, 4: 0.5})},
+		{"override provider at pop", false, sparse(0.5, Override{n, 0.4})},
+		{"negative override provider", false, sparse(0.5, Override{-1, 0.4})},
+		{"NaN default", false, sparse(math.NaN())},
+		{"default above one", false, sparse(1.5)},
+		{"NaN override", false, sparse(0.5, Override{2, math.NaN()})},
+		{"infinite override", false, sparse(0.5, Override{2, math.Inf(1)})},
+		{"negative override", false, sparse(0.5, Override{2, -0.1})},
+		{"overrides descending", false, sparse(0.5, Override{3, 0.4}, Override{2, 0.4})},
+		{"override duplicated", false, sparse(0.5, Override{2, 0.4}, Override{2, 0.6})},
+		{"NaN dense preference", true, dense(0.5, math.NaN(), 0.5, 0.5, 0.5)},
+		{"dense preference above one", true, dense(0.5, 0.5, 2, 0.5, 0.5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,7 +41,7 @@ func clamp01(v float64) float64 {
 // still the untouched default, so memory stays proportional to
 // interactions, not population².
 type Consumer struct {
-	overrides []override // ascending by provider
+	overrides []Override // ascending by provider
 	pop       int        // provider count
 	def       float64    // preference of a provider without an override
 	sat       float64
@@ -50,10 +50,10 @@ type Consumer struct {
 	started   bool
 }
 
-// override is one provider's own preference, shadowing the default.
-type override struct {
-	provider int32
-	pref     float64
+// Override is one provider's own preference, shadowing the default.
+type Override struct {
+	Provider int32
+	Pref     float64
 }
 
 // overrideCap is the capacity a uniform consumer's overrides start with:
@@ -83,7 +83,7 @@ func (c *Consumer) Preference(provider int) float64 {
 		return 0
 	}
 	if k, ok := c.findOverride(provider); ok {
-		return c.overrides[k].pref
+		return c.overrides[k].Pref
 	}
 	return c.def
 }
@@ -95,13 +95,13 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 	lo, hi := 0, len(ovs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ovs[m].provider < p {
+		if ovs[m].Provider < p {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(ovs) && ovs[lo].provider == p
+	return lo, lo < len(ovs) && ovs[lo].Provider == p
 }
 
 // UpdatePreference folds a delivered quality into the consumer's private
@@ -115,12 +115,12 @@ func (c *Consumer) UpdatePreference(provider int, quality float64) {
 	k, ok := c.findOverride(provider)
 	if !ok {
 		if c.overrides == nil {
-			c.overrides = make([]override, 0, overrideCap)
+			c.overrides = make([]Override, 0, overrideCap)
 		}
-		c.overrides = slices.Insert(c.overrides, k, override{provider: int32(provider), pref: c.def})
+		c.overrides = slices.Insert(c.overrides, k, Override{Provider: int32(provider), Pref: c.def})
 	}
 	o := &c.overrides[k]
-	o.pref = (1-c.memory)*o.pref + c.memory*clamp01(quality)
+	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*clamp01(quality))
 }
 
 // Adequacy returns how well allocating `chosen` matched the consumer's
@@ -182,7 +182,7 @@ func (c *Consumer) fold(a float64) {
 		c.sat = a
 		c.started = true
 	} else {
-		c.sat = (1-c.memory)*c.sat + c.memory*a
+		c.sat = float64((1-c.memory)*c.sat) + float64(c.memory*a)
 	}
 	c.n++
 }
@@ -245,7 +245,7 @@ func (p *Provider) Observe(consumer int) float64 {
 		p.sat = a
 		p.started = true
 	} else {
-		p.sat = (1-p.memory)*p.sat + p.memory*a
+		p.sat = float64((1-p.memory)*p.sat) + float64(p.memory*a)
 	}
 	p.n++
 	return a

@@ -1,7 +1,6 @@
 package satisfaction
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -11,10 +10,11 @@ import (
 // engine is rebuilt from the same scenario settings. Only the overrides are
 // carried, so snapshot size tracks interactions rather than population².
 type ConsumerState struct {
-	// Provider count, shared default, and deviations.
+	// Provider count, shared default, and deviations (strictly ascending
+	// by provider, so the encoded bytes do not depend on map order).
 	Pop       int
 	Def       float64
-	Overrides map[int32]float64
+	Overrides []Override
 	Sat       float64
 	Started   bool
 	N         int64
@@ -24,10 +24,7 @@ type ConsumerState struct {
 func (c *Consumer) State() ConsumerState {
 	st := ConsumerState{Pop: c.pop, Def: c.def, Sat: c.sat, Started: c.started, N: c.n}
 	if len(c.overrides) > 0 {
-		st.Overrides = make(map[int32]float64, len(c.overrides))
-		for _, o := range c.overrides {
-			st.Overrides[o.provider] = o.pref
-		}
+		st.Overrides = slices.Clone(c.overrides)
 	}
 	return st
 }
@@ -36,32 +33,40 @@ func (c *Consumer) State() ConsumerState {
 // number in [0, 1] (construction clamps into it and the EMA stays in it).
 func validPref(v float64) bool { return v >= 0 && v <= 1 }
 
-// SetState restores a previously captured state. The provider count must
-// match the consumer's own, every preference must lie in [0, 1] and every
-// override name a provider in [0, Pop); a rejected state leaves the
-// consumer unchanged.
-func (c *Consumer) SetState(st ConsumerState) error {
+// CheckState reports whether SetState would accept st: the provider count
+// must match the consumer's own, every preference must lie in [0, 1], and
+// the overrides must name providers in [0, Pop) in strictly ascending order.
+// It changes nothing.
+func (c *Consumer) CheckState(st ConsumerState) error {
 	if st.Pop != c.pop {
 		return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
 	}
 	if !validPref(st.Def) {
 		return fmt.Errorf("satisfaction: consumer state default preference %v outside [0,1]", st.Def)
 	}
-	var overrides []override
-	for p, v := range st.Overrides {
-		overrides = append(overrides, override{provider: p, pref: v})
-	}
-	slices.SortFunc(overrides, func(a, b override) int { return cmp.Compare(a.provider, b.provider) })
-	for _, o := range overrides {
-		if o.provider < 0 || int(o.provider) >= c.pop {
-			return fmt.Errorf("satisfaction: consumer state override for provider %d outside [0,%d)", o.provider, c.pop)
+	for k, o := range st.Overrides {
+		if o.Provider < 0 || int(o.Provider) >= c.pop {
+			return fmt.Errorf("satisfaction: consumer state override for provider %d outside [0,%d)", o.Provider, c.pop)
 		}
-		if !validPref(o.pref) {
-			return fmt.Errorf("satisfaction: consumer state preference %v for provider %d outside [0,1]", o.pref, o.provider)
+		if k > 0 && o.Provider <= st.Overrides[k-1].Provider {
+			return fmt.Errorf("satisfaction: consumer state override for provider %d not in ascending order", o.Provider)
+		}
+		if !validPref(o.Pref) {
+			return fmt.Errorf("satisfaction: consumer state preference %v for provider %d outside [0,1]", o.Pref, o.Provider)
 		}
 	}
+	return nil
+}
+
+// SetState restores a previously captured state; a state CheckState
+// rejects is an error and leaves the consumer unchanged.
+func (c *Consumer) SetState(st ConsumerState) error {
+	if err := c.CheckState(st); err != nil {
+		return err
+	}
+	c.pop = st.Pop // unchanged: CheckState matched it to the consumer's own
 	c.def = st.Def
-	c.overrides = overrides
+	c.overrides = slices.Clone(st.Overrides)
 	c.sat = st.Sat
 	c.started = st.Started
 	c.n = st.N
@@ -83,12 +88,22 @@ func (p *Provider) State() ProviderState {
 	return ProviderState{Pop: p.pop, Def: p.def, Sat: p.sat, Started: p.started, N: p.n}
 }
 
-// SetState restores a previously captured state. The consumer count must
-// match the provider's own.
-func (p *Provider) SetState(st ProviderState) error {
+// CheckState reports whether SetState would accept st: the consumer count
+// must match the provider's own. It changes nothing.
+func (p *Provider) CheckState(st ProviderState) error {
 	if st.Pop != p.pop {
 		return fmt.Errorf("satisfaction: provider state for %d consumers, want %d", st.Pop, p.pop)
 	}
+	return nil
+}
+
+// SetState restores a previously captured state; a state CheckState
+// rejects is an error and leaves the provider unchanged.
+func (p *Provider) SetState(st ProviderState) error {
+	if err := p.CheckState(st); err != nil {
+		return err
+	}
+	p.pop = st.Pop // unchanged: CheckState matched it to the provider's own
 	p.def = st.Def
 	p.sat = st.Sat
 	p.started = st.Started

@@ -444,17 +444,8 @@ func (s *Server) View() *View { return s.view.Load() }
 // boundary. It returns the epoch the report is expected to apply at (the
 // next boundary as of enqueue time; the applied log is authoritative).
 func (s *Server) EnqueueReport(r trustnet.Report) (int, error) {
-	if r.Rater < 0 || r.Rater >= s.peers {
-		return 0, fmt.Errorf("serve: rater %d out of range [0,%d)", r.Rater, s.peers)
-	}
-	if r.Ratee < 0 || r.Ratee >= s.peers {
-		return 0, fmt.Errorf("serve: ratee %d out of range [0,%d)", r.Ratee, s.peers)
-	}
-	if r.Rater == r.Ratee {
-		return 0, fmt.Errorf("serve: self-rating report by %d rejected", r.Rater)
-	}
-	if !(r.Value >= 0 && r.Value <= 1) { // also rejects NaN
-		return 0, fmt.Errorf("serve: report value %v out of [0,1]", r.Value)
+	if err := r.ValidateExternal(s.peers); err != nil {
+		return 0, fmt.Errorf("serve: %w", err)
 	}
 	r.TxID = 0 // assigned by the engine at application
 	s.qmu.Lock()

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"testing"
-
-	"repro/internal/privacy"
 )
 
 func TestTrustGateValidation(t *testing.T) {
@@ -49,13 +47,12 @@ func sharedTotal(eng *Engine, n int) int64 {
 	return total
 }
 
-func TestAttachLedgerAccountsFlows(t *testing.T) {
+func TestLedgerAccountsFlows(t *testing.T) {
 	eng, err := NewEngine(Config{Seed: 33, NumPeers: 20, RecomputeEvery: 2}, newEigen(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := privacy.NewLedger()
-	eng.AttachLedger(ledger, 50)
+	ledger := eng.Ledger()
 	eng.Run(10)
 	// Both flow kinds are recorded: a profile disclosure per served
 	// interaction and a feedback disclosure per shared report.
@@ -74,22 +71,9 @@ func TestAttachLedgerAccountsFlows(t *testing.T) {
 		}
 	}
 	// Privacy facets reflect the accounting.
-	for u, p := range eng.PrivacyFacets() {
-		if p <= 0 || p >= 1 {
+	for u := 0; u < 20; u++ {
+		if p := eng.PrivacyFacetOf(u); p <= 0 || p >= 1 {
 			t.Fatalf("user %d privacy facet = %v, want (0,1)", u, p)
-		}
-	}
-}
-
-func TestPrivacyFacetsWithoutLedger(t *testing.T) {
-	eng, err := NewEngine(Config{Seed: 35, NumPeers: 10}, newEigen(t, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(5)
-	for _, p := range eng.PrivacyFacets() {
-		if p != 1 {
-			t.Fatalf("facet = %v without ledger", p)
 		}
 	}
 }
@@ -99,8 +83,7 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := privacy.NewLedger()
-	eng.AttachLedger(ledger, 50)
+	ledger := eng.Ledger()
 	for u := 0; u < 20; u++ {
 		eng.SetDisclosure(u, 0)
 	}

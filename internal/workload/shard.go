@@ -208,17 +208,15 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		}
 		e.recordServed(r.provider, r.quality)
 		e.consumers[r.consumer].UpdatePreference(r.provider, r.quality)
-		if e.ledger != nil {
-			// Interacting discloses the consumer's profile to the provider.
-			e.ledger.Record(privacy.Disclosure{
-				Owner:       r.consumer,
-				Item:        e.profileItem[r.consumer],
-				Sensitivity: social.Medium,
-				Recipient:   r.provider,
-				Purpose:     privacy.SocialUse,
-				Consented:   true,
-			})
-		}
+		// Interacting discloses the consumer's profile to the provider.
+		e.ledger.Record(privacy.Disclosure{
+			Owner:       r.consumer,
+			Item:        profileKey,
+			Sensitivity: social.Medium,
+			Recipient:   r.provider,
+			Purpose:     privacy.SocialUse,
+			Consented:   true,
+		})
 		e.offerReport(tx, r.consumer, r.provider, r.rating)
 	}
 }

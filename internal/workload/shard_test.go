@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
-	"repro/internal/privacy"
 )
 
 // shardedRun executes a full scenario at the given shard count and returns
@@ -30,21 +29,22 @@ func observeSharded(t *testing.T, shards int, cfg Config) shardObservation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AttachLedger(privacy.NewLedger(), 50)
 	var rounds []RoundStats
 	for i := 0; i < 25; i++ {
 		rounds = append(rounds, e.Round())
 	}
 	gt, served := groundTruth(e)
 	sat := make([]float64, cfg.NumPeers)
+	priv := make([]float64, cfg.NumPeers)
 	for u := range sat {
 		sat[u] = e.UserSatisfaction(u)
+		priv[u] = e.PrivacyFacetOf(u)
 	}
 	return shardObservation{
 		rounds:   rounds,
 		summary:  e.Summarize(),
 		sat:      sat,
-		privacy:  e.PrivacyFacets(),
+		privacy:  priv,
 		gt:       gt,
 		served:   served,
 		gathered: e.Gatherer().Gathered,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/satisfaction"
 	"repro/internal/sim"
@@ -51,8 +52,11 @@ type EngineState struct {
 	// empty at snapshot time (epoch boundaries reset it), it is captured so a
 	// mid-epoch snapshot — or future callers with other cadences — resumes
 	// with identical dirty-set accounting.
-	SatDirty    []int
-	TrustGate   float64
+	SatDirty  []int
+	TrustGate float64
+	// Ledger is the privacy ledger's per-owner aggregates; LedgerScale is
+	// the exposure normalization scale its facet is read at.
+	Ledger      privacy.LedgerState
 	LedgerScale float64
 }
 
@@ -83,6 +87,7 @@ func (e *Engine) State() (EngineState, error) {
 		QualSum:        append([]float64(nil), e.qualSum...),
 		SatDirty:       append([]int(nil), e.satDirty.Sorted()...),
 		TrustGate:      e.cfg.TrustGate,
+		Ledger:         e.ledger.State(),
 		LedgerScale:    e.ledgerScale,
 	}
 	if e.activity != nil {
@@ -101,6 +106,8 @@ func (e *Engine) State() (EngineState, error) {
 // Restore overwrites the engine's mutable state with a captured one. The
 // engine must have been built from the identical configuration (same seed,
 // peers, graph, mechanism, behaviour mix); shard count is free to differ.
+// Every check runs before the first write, so a rejected state leaves the
+// engine as it was.
 func (e *Engine) Restore(st EngineState) error {
 	n := e.cfg.NumPeers
 	if st.MechName != e.mech.Name() {
@@ -127,47 +134,62 @@ func (e *Engine) Restore(st EngineState) error {
 	if st.TrustGate < 0 || st.TrustGate >= 1 {
 		return fmt.Errorf("workload: snapshot trust gate %v out of [0,1)", st.TrustGate)
 	}
+	if !(st.LedgerScale > 0) {
+		return fmt.Errorf("workload: snapshot exposure scale %v is not positive", st.LedgerScale)
+	}
 	gatherer, err := reputation.RestoreGatherer(st.Gatherer)
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	if err := e.mech.RestoreMechanismState(st.Mechanism); err != nil {
-		return err
-	}
-	e.snet.SetState(st.Network)
 	for i := range e.consumers {
-		if err := e.consumers[i].SetState(st.Consumers[i]); err != nil {
-			return err
+		if err := e.consumers[i].CheckState(st.Consumers[i]); err != nil {
+			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
-	}
-	for i := range e.providers {
-		if err := e.providers[i].SetState(st.Providers[i]); err != nil {
-			return err
+		if err := e.providers[i].CheckState(st.Providers[i]); err != nil {
+			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
 	}
 	// Rebuild behaviours from the recorded classes (intervention swaps may
 	// have diverged from the constructed assignment). Behaviours are pure
 	// functions of (class, config, clique), so this is exact.
-	e.clique = make(map[int]bool)
+	clique := make(map[int]bool)
+	var colluders []int
 	for id, c := range st.Classes {
 		if c == adversary.Colluder {
-			e.clique[id] = true
+			clique[id] = true
+			colluders = append(colluders, id)
 		}
 	}
 	cfg := e.cfg.AdvCfg
-	cfg.Clique = e.clique
-	e.colluders = nil
+	cfg.Clique = clique
+	behaviors := make([]adversary.Behavior, n)
 	for id, c := range st.Classes {
-		b, err := adversary.New(c, cfg)
-		if err != nil {
+		if behaviors[id], err = adversary.New(c, cfg); err != nil {
 			return fmt.Errorf("workload: rebuild behaviour for peer %d: %w", id, err)
 		}
-		e.classes[id] = c
-		e.snet.User(id).Behavior = b
-		if c == adversary.Colluder {
-			e.colluders = append(e.colluders, id)
-		}
 	}
+	if err := checkLedgerState(st.Ledger, n); err != nil {
+		return err
+	}
+	// The mechanism blob goes last: its restore is the one fallible write,
+	// and it leaves the mechanism unchanged when it fails.
+	if err := e.mech.RestoreMechanismState(st.Mechanism); err != nil {
+		return err
+	}
+
+	// Every check has passed, so nothing below can fail.
+	e.snet.SetState(st.Network)
+	for i := range e.consumers {
+		_ = e.consumers[i].SetState(st.Consumers[i]) // checked above
+		_ = e.providers[i].SetState(st.Providers[i]) // checked above
+	}
+	e.clique = clique
+	e.colluders = colluders
+	for id, b := range behaviors {
+		e.classes[id] = st.Classes[id]
+		e.snet.User(id).Behavior = b
+	}
+	_ = e.ledger.SetState(st.Ledger) // checked by checkLedgerState
 	e.rng.SetState(st.RNG)
 	if e.activity != nil {
 		e.activity.Stream().SetState(*st.Activity)
@@ -203,5 +225,34 @@ func (e *Engine) Restore(st EngineState) error {
 	// A restore rewrites every piece of simulate-visible state, so any
 	// cluster replica synced against the pre-restore engine is stale.
 	e.mutationGen++
+	return nil
+}
+
+// checkLedgerState rejects a snapshot ledger that is malformed (see
+// privacy.LedgerState.Validate) or names users outside the population:
+// owners and dirty marks must be users, recipients users or -1 (the
+// reputation mechanism). The epoch tail indexes per-user state by these
+// ids, so an out-of-range one would crash or corrupt a later epoch.
+func checkLedgerState(st privacy.LedgerState, n int) error {
+	for _, o := range st.Owners {
+		if o.Owner < 0 || o.Owner >= n {
+			return fmt.Errorf("workload: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
+		}
+		for _, it := range o.Items {
+			for _, r := range it.Recipients {
+				if r < -1 || r >= n {
+					return fmt.Errorf("workload: snapshot ledger owner %d item %q: recipient %d out of range [-1,%d)", o.Owner, it.Key, r, n)
+				}
+			}
+		}
+	}
+	for _, u := range st.FacetDirty {
+		if u < 0 || u >= n {
+			return fmt.Errorf("workload: snapshot ledger dirty owner %d out of range [0,%d)", u, n)
+		}
+	}
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("workload: snapshot %w", err)
+	}
 	return nil
 }

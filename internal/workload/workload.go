@@ -10,7 +10,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
@@ -88,7 +87,20 @@ type Config struct {
 	// Results are bit-for-bit identical for every shard count: shards are
 	// a scheduling decomposition, not a semantic one — see shard.go.
 	Shards int
+	// ExposureScale normalizes ledgered exposure into the privacy facet
+	// (default DefaultExposureScale; see privacy.Ledger.NormalizedExposure).
+	ExposureScale float64
 }
+
+// DefaultExposureScale is the exposure at which a user counts as half
+// exposed when no scale is configured.
+const DefaultExposureScale = 50
+
+// profileKey is the ledger item of the profile a consumer discloses to each
+// provider it interacts with. Item keys only need to be unique within their
+// owner's aggregate, and "feedback/…" sorts before it, as the ledger's
+// feedback ordering contract requires.
+const profileKey = "profile"
 
 func (c Config) withDefaults() (Config, error) {
 	if c.NumPeers <= 1 {
@@ -149,6 +161,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
+	if c.ExposureScale < 0 {
+		return c, fmt.Errorf("workload: negative exposure scale %v", c.ExposureScale)
+	}
+	if c.ExposureScale == 0 {
+		c.ExposureScale = DefaultExposureScale
+	}
 	return c, nil
 }
 
@@ -208,10 +226,11 @@ type Engine struct {
 	round          int
 	rounds         []RoundStats
 	cumulative     RoundStats
-	// ledger, when attached, accounts every information flow: the
-	// consumer's profile attribute disclosed to the provider on each
-	// interaction, and each feedback report disclosed to the mechanism.
-	ledger      *privacy.Ledger //trustlint:derived attached by the owner; the ledger snapshots itself through its own State/SetState
+	// ledger accounts every information flow: the consumer's profile
+	// disclosed to the provider on each interaction, and each feedback
+	// report disclosed to the mechanism. ledgerScale is its exposure
+	// normalization scale (Config.ExposureScale, changed by SetLedgerScale).
+	ledger      *privacy.Ledger
 	ledgerScale float64
 	// GateFailures counts allocation rounds where the trust gate left no
 	// eligible candidate.
@@ -271,9 +290,6 @@ type Engine struct {
 	// honestyGen counts honesty-override changes, which a replica can take
 	// without a full snapshot; see HonestyGen in cluster.go.
 	honestyGen uint64 //trustlint:derived replica-sync cursor for the honesty override alone, compared only against itself within one master process
-	// profileItem caches each user's ledger item name so the gather phase
-	// does not re-format it on every interaction.
-	profileItem []string //trustlint:derived format cache, a pure function of the peer id
 	// servedCount/qualSum accumulate each provider's realized service
 	// incrementally (refusals as quality 0), so ground truth and the served
 	// set never require rescanning the interaction log.
@@ -338,15 +354,13 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		shards:      cfg.Shards,
 		servedCount: make([]int, cfg.NumPeers),
 		qualSum:     make([]float64, cfg.NumPeers),
-		profileItem: make([]string, cfg.NumPeers),
+		ledger:      privacy.NewLedger(),
+		ledgerScale: cfg.ExposureScale,
 	}
 	// Mechanism compute parallelizes under the same shard configuration as
 	// the epoch pipeline (and with the same determinism contract).
 	if cs, ok := mech.(reputation.ComputeSharder); ok {
 		cs.SetComputeShards(cfg.Shards)
-	}
-	for i := range e.profileItem {
-		e.profileItem[i] = "profile/" + strconv.Itoa(i)
 	}
 	e.clique = make(map[int]bool)
 	for id, c := range classes {
@@ -465,72 +479,28 @@ func (e *Engine) Classes() []adversary.Class {
 	return out
 }
 
-// AttachLedger wires a privacy ledger into the interaction loop; scale is
-// the exposure normalization scale (see privacy.Ledger.NormalizedExposure).
-func (e *Engine) AttachLedger(l *privacy.Ledger, scale float64) {
-	e.ledger = l
-	e.ledgerScale = scale
-}
-
-// Ledger exposes the attached privacy ledger (nil when none attached).
+// Ledger exposes the engine's privacy ledger.
 func (e *Engine) Ledger() *privacy.Ledger { return e.ledger }
 
-// PrivacyFacets returns each user's privacy facet from the attached ledger
-// (all ones when no ledger is attached: nothing was accounted as disclosed).
-// It is a pure read: owners changed since the last epoch boundary get their
-// facet computed on the fly without touching the ledger's cache, so the
-// per-user queries fan out over the engine's shards and the next epoch
-// still sees every changed owner.
-func (e *Engine) PrivacyFacets() []float64 {
-	out := make([]float64, e.cfg.NumPeers)
-	if e.ledger == nil {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	sim.ForChunks(e.shards, len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.ledger.PrivacyFacet(i, e.ledgerScale)
-		}
-	})
-	return out
-}
-
-// RefreshPrivacyFacets brings the attached ledger's facet cache up to date
-// at the current exposure scale (a no-op without a ledger) and clears the
-// ledger's dirty owners. It mutates the cache, so it must run on a
-// sequential phase, before PrivacyFacetOf calls fan out over shards; the
-// epoch boundary is its one caller, after it has read LedgerDirtyOwners.
-func (e *Engine) RefreshPrivacyFacets() {
-	if e.ledger != nil {
-		e.ledger.RefreshFacets(e.ledgerScale)
-	}
-}
+// RefreshPrivacyFacets brings the ledger's facet cache up to date at the
+// current exposure scale and clears the ledger's dirty owners. It mutates
+// the cache, so it must run on a sequential phase, before PrivacyFacetOf
+// calls fan out over shards; the epoch boundary is its one caller, after it
+// has read LedgerDirtyOwners.
+func (e *Engine) RefreshPrivacyFacets() { e.ledger.RefreshFacets(e.ledgerScale) }
 
 // PrivacyFacetOf returns one user's privacy facet at the current exposure
-// scale (1 without a ledger). It never mutates the ledger, so it is safe to
-// fan out over shards; after RefreshPrivacyFacets it is a cached read.
-func (e *Engine) PrivacyFacetOf(u int) float64 {
-	if e.ledger == nil {
-		return 1
-	}
-	return e.ledger.PrivacyFacet(u, e.ledgerScale)
-}
+// scale. It never mutates the ledger, so it is safe to fan out over shards;
+// after RefreshPrivacyFacets it is a cached read.
+func (e *Engine) PrivacyFacetOf(u int) float64 { return e.ledger.PrivacyFacet(u, e.ledgerScale) }
 
 // LedgerDirtyOwners returns the ascending owner ids whose ledger state
-// changed since the last RefreshPrivacyFacets (nil without a ledger). The
-// slice is owned by the ledger and valid until its next mutation — read it
-// before refreshing.
-func (e *Engine) LedgerDirtyOwners() []int {
-	if e.ledger == nil {
-		return nil
-	}
-	return e.ledger.DirtyOwners()
-}
+// changed since the last RefreshPrivacyFacets. The slice is owned by the
+// ledger and valid until its next mutation — read it before refreshing.
+func (e *Engine) LedgerDirtyOwners() []int { return e.ledger.DirtyOwners() }
 
 // LedgerScale returns the exposure normalization scale currently in effect
-// for the attached ledger's privacy facet.
+// for the ledger's privacy facet.
 func (e *Engine) LedgerScale() float64 { return e.ledgerScale }
 
 // UserSatisfaction returns one user's satisfaction facet: her long-run
@@ -679,7 +649,7 @@ func (e *Engine) flushReports() {
 			for i := range e.pending {
 				r := &e.pending[i]
 				e.gatherer.Commit(r.Rater)
-				e.recordFeedbackDisclosure(r.Rater)
+				e.ledger.RecordFeedback(r.Rater)
 			}
 			if e.reportObserver != nil {
 				e.reportObserver(e.pending)
@@ -693,7 +663,7 @@ func (e *Engine) flushReports() {
 				continue
 			}
 			e.gatherer.Commit(r.Rater)
-			e.recordFeedbackDisclosure(r.Rater)
+			e.ledger.RecordFeedback(r.Rater)
 			if e.reportObserver != nil {
 				delivered = append(delivered, *r)
 			}
@@ -703,15 +673,6 @@ func (e *Engine) flushReports() {
 		}
 	}
 	e.pending = e.pending[:0]
-}
-
-// recordFeedbackDisclosure accounts one shared feedback report in the
-// privacy ledger: sharing feedback discloses the rater's behavioural data to
-// the reputation layer, so exposure grows with each shared report.
-func (e *Engine) recordFeedbackDisclosure(rater int) {
-	if e.ledger != nil {
-		e.ledger.RecordFeedback(rater)
-	}
 }
 
 // sampleCandidates picks the candidate provider set for a consumer: its
@@ -806,27 +767,19 @@ func (e *Engine) RunContext(ctx context.Context, n int) error {
 // counter (snapshotted state), so a run that replays the same submissions
 // at the same epoch boundaries reproduces identical mechanism state.
 func (e *Engine) SubmitExternalReport(rater, ratee int, value float64) error {
-	if rater < 0 || rater >= e.cfg.NumPeers {
-		return fmt.Errorf("workload: report rater %d out of range [0,%d)", rater, e.cfg.NumPeers)
+	r := reputation.Report{Rater: rater, Ratee: ratee, Value: value}
+	if err := r.ValidateExternal(e.cfg.NumPeers); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
-	if ratee < 0 || ratee >= e.cfg.NumPeers {
-		return fmt.Errorf("workload: report ratee %d out of range [0,%d)", ratee, e.cfg.NumPeers)
-	}
-	if rater == ratee {
-		return fmt.Errorf("workload: self-rating report by %d rejected", rater)
-	}
-	if !(value >= 0 && value <= 1) { // also rejects NaN
-		return fmt.Errorf("workload: report value %v out of [0,1]", value)
-	}
-	tx := e.snet.NextTxID()
-	if err := e.mech.Submit(reputation.Report{TxID: tx, Rater: rater, Ratee: ratee, Value: value}); err != nil {
+	r.TxID = e.snet.NextTxID()
+	if err := e.mech.Submit(r); err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
 	// Same accounting as a gathered in-simulation report: sharing feedback
 	// discloses the rater's behavioural data to the mechanism.
-	e.recordFeedbackDisclosure(rater)
+	e.ledger.RecordFeedback(rater)
 	if e.reportObserver != nil {
-		e.reportObserver([]reputation.Report{{TxID: tx, Rater: rater, Ratee: ratee, Value: value}})
+		e.reportObserver([]reputation.Report{r})
 	}
 	return nil
 }
@@ -1019,14 +972,14 @@ func (e *Engine) SetTrustGate(gate float64) error {
 	return nil
 }
 
-// SetLedgerScale changes the exposure normalization scale of the attached
-// ledger's privacy facet.
+// SetLedgerScale changes the exposure normalization scale of the ledger's
+// privacy facet (0 means DefaultExposureScale).
 func (e *Engine) SetLedgerScale(scale float64) error {
 	if scale < 0 {
 		return fmt.Errorf("workload: negative exposure scale %v", scale)
 	}
 	if scale == 0 {
-		scale = 50
+		scale = DefaultExposureScale
 	}
 	e.ledgerScale = scale
 	return nil

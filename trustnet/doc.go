@@ -28,7 +28,7 @@
 //   - Engine.Run — drive the §3 coupled dynamics epoch by epoch under a
 //     context.Context.
 //
-// Assess, AssessAll, Summary and PrivacyFacets are pure reads: they see the
+// Assess, AssessAll and Summary are pure reads: they see the
 // mechanism's scores as of its last Compute (every epoch ends with one) and
 // never change the run.
 //

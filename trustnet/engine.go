@@ -55,13 +55,12 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("trustnet: mechanism factory returned nil")
 	}
 	dyn, err := core.NewDynamics(core.DynamicsConfig{
-		Workload:      cfg.wl,
-		Weights:       cfg.weights,
-		Inertia:       cfg.inertia,
-		BaseHonesty:   cfg.baseHonesty,
-		EpochRounds:   cfg.epochRounds,
-		Coupled:       cfg.coupled,
-		ExposureScale: cfg.exposureScale,
+		Workload:    cfg.wl,
+		Weights:     cfg.weights,
+		Inertia:     cfg.inertia,
+		BaseHonesty: cfg.baseHonesty,
+		EpochRounds: cfg.epochRounds,
+		Coupled:     cfg.coupled,
 	}, mech)
 	if err != nil {
 		return nil, fmt.Errorf("trustnet: %w", err)
@@ -161,7 +160,7 @@ func (e *Engine) EpochIndex() int { return e.dyn.EpochIndex() }
 // queue or a scheduled ReportWave — produces bit-identical state.
 func (e *Engine) SubmitReports(reports ...Report) error {
 	for i, r := range reports {
-		if err := checkReport(e, r); err != nil {
+		if err := r.ValidateExternal(e.Peers()); err != nil {
 			return fmt.Errorf("trustnet: report %d: %w", i, err)
 		}
 	}
@@ -195,11 +194,6 @@ func (e *Engine) GlobalTrust() float64 { return e.dyn.TrustModel().GlobalTrust()
 func (e *Engine) SystemTrusted(threshold, q float64) bool {
 	return e.dyn.TrustModel().SystemTrusted(threshold, q)
 }
-
-// PrivacyFacets returns each user's ledger-backed privacy facet. It is a
-// pure read: the ledger's facet cache is refreshed only at epoch
-// boundaries, so calling it never changes the run.
-func (e *Engine) PrivacyFacets() []float64 { return e.dyn.Engine().PrivacyFacets() }
 
 // Convergence returns the reputation mechanism's diagnostics for its most
 // recent iterative Compute (iterations run, final L1 residual, whether it

@@ -216,25 +216,6 @@ func (c BehaviorChange) applyTo(e *Engine) error {
 	return nil
 }
 
-// checkReport validates one feedback report against the engine; it mirrors
-// the workload engine's own submission checks so a malformed schedule (or a
-// served API request) fails fast instead of at epoch boundary N.
-func checkReport(e *Engine, r Report) error {
-	if r.Rater < 0 || r.Rater >= e.Peers() {
-		return fmt.Errorf("rater %d out of range [0,%d)", r.Rater, e.Peers())
-	}
-	if r.Ratee < 0 || r.Ratee >= e.Peers() {
-		return fmt.Errorf("ratee %d out of range [0,%d)", r.Ratee, e.Peers())
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("self-rating report by %d rejected", r.Rater)
-	}
-	if !(r.Value >= 0 && r.Value <= 1) { // also rejects NaN
-		return fmt.Errorf("report value %v out of [0,1]", r.Value)
-	}
-	return nil
-}
-
 // ReportWave submits a batch of externally authored feedback reports at an
 // epoch boundary, in declaration order. It is the batch-mode twin of the
 // served daemon's report queue: trustnetd applies queued reports at the
@@ -250,7 +231,7 @@ func (w ReportWave) check(e *Engine) error {
 		return fmt.Errorf("trustnet: report wave with no reports")
 	}
 	for i, r := range w.Reports {
-		if err := checkReport(e, r); err != nil {
+		if err := r.ValidateExternal(e.Peers()); err != nil {
 			return fmt.Errorf("trustnet: report wave entry %d: %w", i, err)
 		}
 	}

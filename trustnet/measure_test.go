@@ -66,13 +66,12 @@ var facadeReads = []struct {
 	{"Summary", func(e *Engine) error { e.Summary(); return nil }},
 	{"Assess", func(e *Engine) error { e.Assess(); return nil }},
 	{"AssessAll", func(e *Engine) error { _, err := e.AssessAll(context.Background()); return err }},
-	{"PrivacyFacets", func(e *Engine) error { e.PrivacyFacets(); return nil }},
 }
 
 // TestReadsDoNotPerturbRun: a facade read between epochs is pure. After
-// reports are submitted mid-run, a run that reads Summary, Assess,
-// AssessAll or PrivacyFacets must record the same history and spend the
-// same solver iterations as the run that does not read.
+// reports are submitted mid-run, a run that reads Summary, Assess or
+// AssessAll must record the same history and spend the same solver
+// iterations as the run that does not read.
 func TestReadsDoNotPerturbRun(t *testing.T) {
 	raters := make([]int, 40)
 	for i := range raters {

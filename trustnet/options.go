@@ -51,22 +51,21 @@ type PrivacyPolicy struct {
 
 // DefaultPrivacyPolicy discloses everything, gates nothing.
 func DefaultPrivacyPolicy() PrivacyPolicy {
-	return PrivacyPolicy{Disclosure: 1, ExposureScale: 50}
+	return PrivacyPolicy{Disclosure: 1, ExposureScale: workload.DefaultExposureScale}
 }
 
 // engineConfig is the resolved scenario an Engine is built from.
 type engineConfig struct {
-	wl            workload.Config
-	weights       core.Weights
-	userWeights   map[int]core.Weights
-	inertia       float64
-	coupled       bool
-	baseHonesty   float64
-	epochRounds   int
-	exposureScale float64
-	factory       MechanismFactory
-	workers       int
-	err           error
+	wl          workload.Config
+	weights     core.Weights
+	userWeights map[int]core.Weights
+	inertia     float64
+	coupled     bool
+	baseHonesty float64
+	epochRounds int
+	factory     MechanismFactory
+	workers     int
+	err         error
 }
 
 // Option configures an Engine (or a scenario template for the tradeoff
@@ -181,7 +180,7 @@ func WithPrivacyPolicy(p PrivacyPolicy) Option {
 		}
 		c.wl.Disclosure = p.Disclosure
 		c.wl.TrustGate = p.TrustGate
-		c.exposureScale = p.ExposureScale
+		c.wl.ExposureScale = p.ExposureScale
 	}
 }
 

@@ -28,7 +28,14 @@ import (
 // copy, written by each coupling pass. A v3 engine holds the values one
 // epoch stale (the next epoch installed the captured vectors), so a v3 blob
 // would resume on them.
-const snapshotVersion = 4
+//
+// v5: the privacy ledger is captured inside the workload engine's state,
+// which builds and owns it, instead of beside it; the engine's profile
+// disclosures use one item key, "profile", instead of "profile/<id>"; and
+// the gatherer's per-rater counts and each consumer's preference overrides
+// are ascending lists instead of maps, so encoding a snapshot twice gives
+// the same bytes. A v4 blob would gob-decode into an empty engine ledger.
+const snapshotVersion = 5
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer

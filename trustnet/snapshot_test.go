@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/privacy"
+	"repro/internal/reputation"
 )
 
 // runEpochs drives an engine n epochs, failing the test on any error.
@@ -304,10 +305,10 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := snapshotRoundTrip(t, eng)
-			if len(snap.State.Ledger.Owners) < 2 {
+			if len(snap.State.Engine.Ledger.Owners) < 2 {
 				t.Fatal("snapshot ledger has too few owners to corrupt")
 			}
-			tc.mutate(t, &snap.State.Ledger)
+			tc.mutate(t, &snap.State.Engine.Ledger)
 			var buf bytes.Buffer
 			if err := snap.Encode(&buf); err != nil {
 				t.Fatal(err)
@@ -323,7 +324,7 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(after.State.Ledger, before.State.Ledger) || after.Epoch != before.Epoch {
+			if !reflect.DeepEqual(after.State.Engine.Ledger, before.State.Engine.Ledger) || after.Epoch != before.Epoch {
 				t.Fatal("rejected restore changed the engine")
 			}
 		})
@@ -378,6 +379,8 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 		{"honesty short", "honesty", func(st *core.DynamicsState) {
 			st.Engine.HonestOverride = st.Engine.HonestOverride[:3]
 		}},
+		{"exposure scale NaN", "exposure scale", func(st *core.DynamicsState) { st.Engine.LedgerScale = math.NaN() }},
+		{"exposure scale 0", "exposure scale", func(st *core.DynamicsState) { st.Engine.LedgerScale = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -417,6 +420,135 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 	runEpochs(t, twin, 2)
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restores perturbed the continuation")
+	}
+}
+
+// TestRestoreIsAtomic feeds a snapshot taken one epoch earlier, with one
+// hostile part placed where a restore that writes as it checks would already
+// have overwritten the mechanism and most users: the last consumer, the last
+// provider, the last peer's behaviour class, or a self-rating in the
+// EigenTrust local-trust matrix. Each must be an error that leaves the
+// engine's encoded snapshot byte-identical to before and its continuation
+// bit-identical to a twin that never saw the hostile blobs.
+func TestRestoreIsAtomic(t *testing.T) {
+	eng, err := New(sessionScenario(404)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(sessionScenario(404)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 1)
+	earlier := snapshotRoundTrip(t, eng)
+	runEpochs(t, eng, 1)
+	runEpochs(t, twin, 2)
+	n := eng.Peers()
+	// etState mirrors the EigenTrust mechanism blob; gob matches fields by name.
+	type etState struct {
+		LT      reputation.LocalTrustState
+		Scores  []float64
+		Dirty   bool
+		Conv    reputation.Convergence
+		HasConv bool
+	}
+	cases := []struct {
+		name   string
+		want   string
+		mutate func(t *testing.T, st *core.DynamicsState)
+	}{
+		{"last consumer default 7", "default preference", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[n-1].Def = 7 }},
+		{"last provider wrong population", "provider state", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[n-1].Pop = n + 1 }},
+		{"last peer unknown class", "behaviour", func(t *testing.T, st *core.DynamicsState) { st.Engine.Classes[n-1] = Class(99) }},
+		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
+			var et etState
+			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
+				t.Fatal(err)
+			}
+			if len(et.LT.Entries) == 0 {
+				t.Fatal("snapshot local trust has no entry to corrupt")
+			}
+			e := &et.LT.Entries[len(et.LT.Entries)-1]
+			e.J = e.I
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(et); err != nil {
+				t.Fatal(err)
+			}
+			st.Engine.Mechanism = buf.Bytes()
+		}},
+	}
+	encode := func(t *testing.T) []byte {
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := encode(t)
+			var buf bytes.Buffer
+			if err := earlier.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			hostile, err := DecodeSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(t, &hostile.State)
+			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore of hostile snapshot = %v, want a %s error", err, tc.want)
+			}
+			if !bytes.Equal(encode(t), before) {
+				t.Fatal("rejected restore changed the engine")
+			}
+		})
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restores perturbed the continuation")
+	}
+}
+
+// TestSnapshotEncodeIsByteStable encodes one mid-run snapshot several
+// times: the bytes must not depend on map iteration order.
+func TestSnapshotEncodeIsByteStable(t *testing.T) {
+	for _, mech := range []struct {
+		name    string
+		factory MechanismFactory
+	}{
+		{"eigentrust", EigenTrust(EigenTrustConfig{})},
+		{"powertrust", PowerTrust(PowerTrustConfig{})},
+		{"none", NoReputation()},
+	} {
+		t.Run(mech.name, func(t *testing.T) {
+			eng, err := New(sessionScenario(405, WithPeers(200), WithReputationMechanism(mech.factory))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runEpochs(t, eng, 2)
+			snap, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first []byte
+			for i := 0; i < 4; i++ {
+				var buf bytes.Buffer
+				if err := snap.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), first) {
+					t.Fatalf("encoding %d of the same snapshot differs from the first", i)
+				}
+			}
+		})
 	}
 }
 
@@ -505,10 +637,27 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	}
 	v3 := v3Snapshot{Version: 3, Peers: 2, Mechanism: "eigentrust", Epoch: 3,
 		State: v3State{Disclosure: []float64{0.4, 0.9}, Honesty: []float64{0.6, 1}, Epoch: 3}}
+	// A v4-era stand-in: the ledger sat beside the engine, so it would
+	// decode into nothing and leave the engine's ledger empty.
+	type v4Owner struct{ Owner, Total, Consented int64 }
+	type v4State struct {
+		Ledger struct{ Owners []v4Owner }
+		Epoch  int
+	}
+	type v4Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v4State
+	}
+	v4 := v4Snapshot{Version: 4, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
+	v4.State.Ledger.Owners = []v4Owner{{Owner: 4, Total: 2, Consented: 2}}
 	for _, blob := range []any{
 		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
 		v2,
 		v3,
+		v4,
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -518,7 +667,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("old-version snapshot %T decoded without error", blob)
 		}
-		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 4)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 5)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
 			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
 		}
 	}
