@@ -171,7 +171,7 @@ func MustNew(class Class, cfg Config) Behavior {
 }
 
 func jitter(rng *sim.RNG, q, noise float64) float64 {
-	q += (rng.Float64()*2 - 1) * noise
+	q += float64((float64(rng.Float64()*2) - 1) * noise)
 	if q < 0 {
 		return 0
 	}
@@ -316,7 +316,7 @@ func (m Mix) Assign(rng *sim.RNG, n int, cfg Config) ([]Behavior, []Class, error
 	}
 	var rems []rem
 	for _, c := range classes {
-		exact := m.Fractions[c] / total * float64(n)
+		exact := float64(m.Fractions[c] / total * float64(n))
 		k := int(exact)
 		counts[c] = k
 		assigned += k

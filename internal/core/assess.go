@@ -34,36 +34,29 @@ type reputationReading struct {
 	facet      float64 // power damped by the community conclusion
 }
 
-// facetMeter holds the reusable buffers of the one facet reader, so the
-// epoch boundary measures without allocating once the buffers have grown.
+// facetMeter holds the reusable sample of the one facet reader, so the
+// epoch boundary measures without allocating once its storage has grown.
 type facetMeter struct {
-	gt, sc, good, bad []float64
+	sample metrics.RankSample
 }
 
 // measure reads the shared reputation facet off the engine: the mean of
 // (a) rank consistency of the mechanism's scores with realized behaviour
 // (Kendall tau mapped to [0,1]) and (b) the probability that a
 // well-behaved peer outranks a misbehaved one (AUC; good = realized
-// quality >= 0.5), both over the providers that ever served, damped by the
-// mechanism's community conclusion (§3 claim 4). It only reads: the scores
-// are the mechanism's as of its last Compute.
+// quality >= 0.5), both over the providers that ever served and both read
+// off one ordering of them by score, damped by the mechanism's community
+// conclusion (§3 claim 4). It only reads: the scores are the mechanism's as
+// of its last Compute.
 func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 	scores := e.Mechanism().ScoresView()
-	m.gt, m.sc = m.gt[:0], m.sc[:0]
-	m.good, m.bad = m.good[:0], m.bad[:0]
+	m.sample.Reset()
 	for _, p := range e.ServedProviders() {
-		q := e.ProviderQuality(p)
-		m.gt = append(m.gt, q)
-		m.sc = append(m.sc, scores[p])
-		if q >= 0.5 {
-			m.good = append(m.good, scores[p])
-		} else {
-			m.bad = append(m.bad, scores[p])
-		}
+		m.sample.Add(scores[p], e.ProviderQuality(p))
 	}
-	r := reputationReading{tau: metrics.KendallTau(m.sc, m.gt)}
+	var r reputationReading
+	r.tau, r.separation = m.sample.Read()
 	tau01 := float64((r.tau + 1) / 2)
-	r.separation = metrics.AUC(m.good, m.bad)
 	power := tau01
 	if math.IsNaN(r.separation) {
 		r.separation = tau01

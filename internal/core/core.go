@@ -286,7 +286,8 @@ func (m *TrustModel) Update(user int, f Facets) (float64, error) {
 	t, settledNow := m.fold(user, instant)
 	m.trust[user] = t
 	m.started[user] = true
-	m.tree.Set(user, t)
+	m.tree.Stage(user, t)
+	m.tree.Flush()
 	switch {
 	case settledNow && !m.settled[user]:
 		m.settled[user] = true
@@ -346,17 +347,17 @@ func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Fa
 			return err
 		}
 	}
-	// Sequential fold: aggregate tree, settled flags/count, and the rebuilt
-	// unsettled worklist. Every currently-unsettled user is a candidate (the
-	// caller's contract above), so filtering the visited set rebuilds the
-	// whole worklist.
+	// Sequential fold: aggregate tree (staged, then flushed once), settled
+	// flags/count, and the rebuilt unsettled worklist. Every
+	// currently-unsettled user is a candidate (the caller's contract above),
+	// so filtering the visited set rebuilds the whole worklist.
 	m.unsettled = m.unsettled[:0]
 	for k := 0; k < count; k++ {
 		u := k
 		if !all {
 			u = cands[k]
 		}
-		m.tree.Set(u, m.trust[u])
+		m.tree.Stage(u, m.trust[u])
 		if on := newSettled[k]; on != m.settled[u] {
 			m.settled[u] = on
 			if on {
@@ -369,6 +370,7 @@ func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Fa
 			m.unsettled = append(m.unsettled, u)
 		}
 	}
+	m.tree.Flush()
 	return nil
 }
 

@@ -120,11 +120,11 @@ type Dynamics struct {
 	// restore, so it needs no serialization).
 	prevLedgerScale float64 //trustlint:derived re-read from the restored engine's ledger scale
 	// Fixed-shape summation trees maintain the EpochStats means from the
-	// dirty set at O(log n) per touched leaf; their roots are bitwise equal
-	// to a dense rebuild over the same leaves (see metrics.SumTree), so the
-	// restore path rebuilds them from the restored engine. The §3 coupling
-	// variables themselves live only in the workload engine: disclosure in
-	// its gatherer, honesty in its override.
+	// dirty set, staged per touched leaf and flushed once per epoch; their
+	// roots are bitwise equal to a dense rebuild over the same leaves (see
+	// metrics.SumTree), so the restore path rebuilds them from the restored
+	// engine. The §3 coupling variables themselves live only in the
+	// workload engine: disclosure in its gatherer, honesty in its override.
 	satTree  *metrics.SumTree //trustlint:derived rebuilt from engine satisfaction state on restore
 	privTree *metrics.SumTree //trustlint:derived rebuilt from ledger privacy facets on restore
 	discTree *metrics.SumTree //trustlint:derived rebuilt from the engine's gatherer disclosure on restore
@@ -139,6 +139,9 @@ type Dynamics struct {
 	candidates     []int            //trustlint:derived per-epoch scratch, dead between epochs
 	ledgerDirtyBuf []int            //trustlint:derived per-epoch scratch, dead between epochs
 	meter          facetMeter       //trustlint:derived per-epoch scratch, dead between epochs
+	// facetOf is currentFacets bound once: the trust update may hand it to
+	// its parallel fan-out, where a per-epoch method value would escape.
+	facetOf func(int) Facets //trustlint:derived method value bound at construction
 }
 
 // NewDynamics builds the coupled system around a mechanism sized for
@@ -155,6 +158,7 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 		return nil, err
 	}
 	d := &Dynamics{cfg: cfg, eng: eng, tm: tm}
+	d.facetOf = d.currentFacets
 	base := cfg.Workload.Disclosure
 	switch {
 	case base < 0: // the config's explicit-zero sentinel
@@ -177,8 +181,8 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 }
 
 // fillTrees rebuilds the four aggregate trees from the engine's per-user
-// state. Fill is bottom-up over the same fixed shape, so later incremental
-// Sets continue bit-identically to a run that never rebuilt them. With no
+// state. Fill is bottom-up over the same fixed shape, so later staged
+// updates continue bit-identically to a run that never rebuilt them. With no
 // honesty override installed yet, every honesty leaf is the initial 1.
 func (d *Dynamics) fillTrees() {
 	leaves := make([]float64, d.cfg.Workload.NumPeers)
@@ -286,22 +290,24 @@ func (d *Dynamics) Epoch() (EpochStats, error) {
 // merged (the engine is a shorter, not corrupt, run).
 //
 // The epoch tail — trust updates, §3 coupling, and the EpochStats
-// aggregates — costs O(dirty + settled-transitions + log n), not Θ(n): only
-// users whose facet triple changed (or who have not yet reached their
-// bitwise trust fixed point) are visited, and the means are maintained in
-// fixed-shape summation trees. Every skip is provably a no-op (see
-// TrustModel.UpdateScattered), so the results are bit-for-bit identical to
-// the dense reference path at any shard count, topology, or resume point.
+// aggregates — costs O(dirty + n/64 + flushed nodes), not Θ(n): only users
+// whose facet triple changed (or who have not yet reached their bitwise
+// trust fixed point) are visited, the dirty sets are bitmaps read in order
+// without a sort, and the means are kept in fixed-shape summation trees
+// whose touched leaves are staged and flushed once, each node above them
+// re-evaluated once. The reputation reading adds O(served) when the
+// mechanism ties every score and O(served·log served) otherwise. Every
+// skip is provably a no-op (see TrustModel.UpdateScattered), so the results
+// are bit-for-bit identical to the dense reference path at any shard count,
+// topology, or resume point.
 func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
-	n := d.cfg.Workload.NumPeers
-	shards := d.eng.Shards()
 	// 1. The engine already holds this epoch's coupling variables: the last
 	// coupling pass wrote them. Rounds run before the first epoch run on
 	// behaviour-class honesty; a coupled run replaces it from epoch 0 on,
 	// starting all-truthful. (Uncoupled, the full pass at the end of epoch 0
 	// installs the override.)
 	if d.epoch == 0 && d.cfg.Coupled {
-		for u := 0; u < n; u++ {
+		for u := 0; u < d.cfg.Workload.NumPeers; u++ {
 			d.eng.SetHonesty(u, 1)
 		}
 	}
@@ -313,6 +319,22 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	if err := d.eng.RunContext(ctx, d.cfg.EpochRounds); err != nil {
 		return EpochStats{}, err
 	}
+	st, err := d.closeEpoch(before, itersBefore)
+	if err != nil {
+		return EpochStats{}, err
+	}
+	d.epoch++
+	d.history = append(d.history, st)
+	return st, nil
+}
+
+// closeEpoch is the epoch tail, steps 3 to 7 of EpochCtx: it measures the
+// facets, updates trust, closes the §3 loops and reads the aggregates into
+// the epoch's stats, given the engine's cumulative counters from before the
+// epoch's rounds. It leaves the epoch count and the history to its caller.
+func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (EpochStats, error) {
+	n := d.cfg.Workload.NumPeers
+	shards := d.eng.Shards()
 	after := d.eng.CumulativeStats()
 	bad := after.BadService - before.BadService
 	interactions := after.Interactions - before.Interactions
@@ -335,12 +357,13 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	scaleChanged := scale != d.prevLedgerScale
 	d.prevLedgerScale = scale
 	d.facetDirty.Reset()
-	satTouched := d.eng.SatisfactionTouched()
-	for _, u := range satTouched {
+	for _, u := range d.eng.SatisfactionTouched() {
 		d.facetDirty.Mark(u)
+		d.satTree.Stage(u, d.eng.UserSatisfaction(u))
 	}
-	// The ledger owns its dirty list and the refresh below resets it, so
-	// snapshot it first.
+	d.eng.ResetSatisfactionTouched()
+	// The ledger owns its dirty list (in marking order) and the refresh
+	// below resets it, so snapshot it first.
 	d.ledgerDirtyBuf = append(d.ledgerDirtyBuf[:0], d.eng.LedgerDirtyOwners()...)
 	for _, u := range d.ledgerDirtyBuf {
 		if u < n {
@@ -353,51 +376,39 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 		dirtyFacets = n
 	}
 
-	// Refresh the ledger's facet cache sequentially, then fold the touched
-	// leaves into the aggregate trees (O(log n) each). A skipped leaf's
-	// sources are untouched, so its recomputed value would be bit-identical.
+	// Refresh the ledger's facet cache sequentially, then stage the touched
+	// leaves in the aggregate trees (the satisfaction leaves are staged
+	// above; step 7 flushes every tree once). A skipped leaf's sources are
+	// untouched, so its recomputed value would be bit-identical.
 	d.eng.RefreshPrivacyFacets()
-	for _, u := range satTouched {
-		d.satTree.Set(u, d.eng.UserSatisfaction(u))
-	}
-	d.eng.ResetSatisfactionTouched()
 	if scaleChanged {
 		for u := 0; u < n; u++ {
-			d.privTree.Set(u, d.eng.PrivacyFacetOf(u))
+			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
 		}
 	} else {
 		for _, u := range d.ledgerDirtyBuf {
-			if u < n {
-				d.privTree.Set(u, d.eng.PrivacyFacetOf(u))
-			}
+			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
 		}
 	}
 
 	// 5. Update trust for the candidates — facet-dirty users plus everyone
 	// not yet at a bitwise fixed point — or for everyone on a dense epoch.
 	// Facets are read on demand; no per-user []Facets is materialized.
-	facetOf := func(u int) Facets {
-		return Facets{
-			Satisfaction: d.eng.UserSatisfaction(u),
-			Reputation:   repFacet,
-			Privacy:      d.eng.PrivacyFacetOf(u),
-		}
-	}
 	if allDirty {
-		if err := d.tm.UpdateScattered(nil, true, facetOf, shards); err != nil {
+		if err := d.tm.UpdateScattered(nil, true, d.facetOf, shards); err != nil {
 			return EpochStats{}, err
 		}
 	} else {
 		d.candidates = mergeAscending(d.candidates[:0], d.facetDirty.Sorted(), d.tm.UnsettledIDs())
-		if err := d.tm.UpdateScattered(d.candidates, false, facetOf, shards); err != nil {
+		if err := d.tm.UpdateScattered(d.candidates, false, d.facetOf, shards); err != nil {
 			return EpochStats{}, err
 		}
 	}
 
 	// 6. Close the §3 loops for the next epoch, writing each user's
-	// disclosure and honesty straight into the engine (and the aggregate
-	// trees, whose Set skips an unchanged leaf). Only visited users' trust
-	// can have moved, so the sparse pass revisits exactly the update
+	// disclosure and honesty straight into the engine (and stage them in
+	// the aggregate trees, which skip an unchanged leaf). Only visited users'
+	// trust can have moved, so the sparse pass revisits exactly the update
 	// candidates; interventions that change the feedback functions
 	// themselves (couplingAll) force a full pass. A full pass writes every
 	// cell, so it leaves the honesty override installed even when no value
@@ -405,9 +416,9 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	base, h0 := d.baseDisclosure, d.cfg.BaseHonesty
 	write := func(u int, delta, h float64) {
 		d.eng.SetDisclosure(u, delta)
-		d.discTree.Set(u, delta)
+		d.discTree.Stage(u, delta)
 		d.eng.SetHonesty(u, h)
-		d.honTree.Set(u, h)
+		d.honTree.Stage(u, h)
 	}
 	fullPass := d.couplingAll || allDirty
 	d.couplingAll = false
@@ -443,8 +454,12 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 		}
 	}
 
-	// 7. The epoch's aggregates come from the trees' roots: bitwise equal to
-	// a dense recompute over the same fixed shape, O(1) to read.
+	// 7. The epoch's aggregates come from the trees' roots: one flush each
+	// re-evaluates every node above a staged leaf once, and the roots are
+	// then bitwise equal to a dense recompute over the same fixed shape.
+	for _, t := range [...]*metrics.SumTree{d.satTree, d.privTree, d.discTree, d.honTree} {
+		t.Flush()
+	}
 	st := EpochStats{
 		Epoch:        d.epoch,
 		Trust:        d.tm.GlobalTrust(),
@@ -465,9 +480,18 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	if interactions > 0 {
 		st.BadRate = float64(bad) / float64(interactions)
 	}
-	d.epoch++
-	d.history = append(d.history, st)
 	return st, nil
+}
+
+// currentFacets returns user u's facet triple as the epoch tail reads it:
+// her satisfaction and privacy now, and the shared reputation facet that
+// step 4 of the tail has just recorded in prevRepFacet.
+func (d *Dynamics) currentFacets(u int) Facets {
+	return Facets{
+		Satisfaction: d.eng.UserSatisfaction(u),
+		Reputation:   d.prevRepFacet,
+		Privacy:      d.eng.PrivacyFacetOf(u),
+	}
 }
 
 // mergeAscending merges two ascending int slices into dst without

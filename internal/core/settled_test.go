@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -81,5 +82,35 @@ func BenchmarkSettledTrustUpdate(b *testing.B) {
 		if err := m.UpdateScattered(cands, false, facetOf, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDenseEpochTailZeroAllocs extends the guarantee to a dense epoch tail:
+// with the reputation facet moved, every user is facet-dirty, so the tail
+// updates and couples everyone, stages every tree leaf, flushes the trees
+// and reads the reputation facet off a fully ordered served set. Once its
+// scratch has grown, that allocates nothing.
+func TestDenseEpochTailZeroAllocs(t *testing.T) {
+	d := newDyn(t, true, 0.3)
+	if _, err := d.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	if served := len(d.eng.ServedProviders()); served < 10 {
+		t.Fatalf("only %d providers served; the reading would not be exercised", served)
+	}
+	before, iters := d.eng.CumulativeStats(), d.eng.ComputeIterations()
+	tail := func() {
+		d.prevRepFacet = math.NaN() // the reputation facet moved: every user is dirty
+		st, err := d.closeEpoch(before, iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DirtyFacets != d.cfg.Workload.NumPeers {
+			t.Fatalf("tail was not dense: %d dirty facets", st.DirtyFacets)
+		}
+	}
+	tail()
+	if allocs := testing.AllocsPerRun(50, tail); allocs != 0 {
+		t.Fatalf("dense epoch tail allocates %v objects/op, want 0", allocs)
 	}
 }

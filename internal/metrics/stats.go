@@ -7,7 +7,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Stream accumulates streaming mean and variance using Welford's algorithm.
@@ -35,7 +34,7 @@ func (s *Stream) Add(x float64) {
 	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.m2 += float64(delta * (x - s.mean))
 }
 
 // N returns the number of observations.
@@ -99,7 +98,7 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return math.NaN()
 	}
-	pos := q * float64(len(xs)-1)
+	pos := float64(q * float64(len(xs)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	v, key, uniform := selectRank(xs, lo)
@@ -124,7 +123,7 @@ func Quantile(xs []float64, q float64) float64 {
 		}
 	}
 	frac := pos - float64(lo)
-	return v*(1-frac) + next*frac
+	return float64(v*(1-frac)) + float64(next*frac)
 }
 
 // orderKey maps x to a key whose unsigned order is sort.Float64s's order:
@@ -232,160 +231,6 @@ func Describe(xs []float64) Agg {
 	}
 }
 
-// KendallTau returns the Kendall rank correlation coefficient (tau-b,
-// handling ties) between two equal-length score vectors. It returns 0 for
-// degenerate inputs (length < 2, mismatched lengths, or all-tied vectors).
-//
-// The experiment harness uses it as the "reputation power / consistency with
-// reality" metric of the paper's Figure 2: correlation between mechanism
-// scores and ground-truth peer behaviour. Facet measurement runs it every
-// epoch, so it uses Knight's O(n log n) algorithm (sort by the first vector,
-// then count discordant pairs as merge-sort inversions of the second)
-// rather than the quadratic pair scan.
-func KendallTau(a, b []float64) float64 {
-	n := len(a)
-	if n != len(b) || n < 2 {
-		return 0
-	}
-	// Sort the (a, b) pairs by a, then b. Equal pairs are interchangeable,
-	// so the order is a function of the values alone.
-	ps := make([]pair, n)
-	for i := range ps {
-		ps[i] = pair{a[i], b[i]}
-	}
-	slices.SortFunc(ps, func(x, y pair) int {
-		switch {
-		case x.a < y.a:
-			return -1
-		case x.a > y.a:
-			return 1
-		case x.b < y.b:
-			return -1
-		case x.b > y.b:
-			return 1
-		}
-		return 0
-	})
-	// Tied-pair counts: n1 over groups tied in a, n2 over groups tied in b,
-	// n3 over groups tied in both.
-	pairs := func(t float64) float64 { return t * (t - 1) / 2 }
-	var n1, n3 float64
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && ps[hi].a == ps[lo].a {
-			hi++
-		}
-		n1 += pairs(float64(hi - lo))
-		for jlo := lo; jlo < hi; {
-			jhi := jlo + 1
-			for jhi < hi && ps[jhi].b == ps[jlo].b {
-				jhi++
-			}
-			n3 += pairs(float64(jhi - jlo))
-			jlo = jhi
-		}
-		lo = hi
-	}
-	bs := make([]float64, n)
-	for i, p := range ps {
-		bs[i] = p.b
-	}
-	// countInversions leaves bs sorted, ready for the ties-in-b count.
-	discordant := float64(countInversions(bs, make([]float64, n)))
-	var n2 float64
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && bs[hi] == bs[lo] {
-			hi++
-		}
-		n2 += pairs(float64(hi - lo))
-		lo = hi
-	}
-	n0 := float64(n) * float64(n-1) / 2
-	denom := math.Sqrt((n0 - n1) * (n0 - n2))
-	if denom == 0 {
-		return 0
-	}
-	// concordant - discordant = n0 - n1 - n2 + n3 - 2*discordant.
-	return (n0 - n1 - n2 + n3 - 2*discordant) / denom
-}
-
-// pair is one (a, b) observation of KendallTau's inputs.
-type pair struct{ a, b float64 }
-
-// countInversions merge-sorts xs in place and returns the number of strict
-// inversions (i < j with xs[i] > xs[j]); tmp is scratch of equal length.
-func countInversions(xs, tmp []float64) int64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mid := n / 2
-	inv := countInversions(xs[:mid], tmp[:mid]) + countInversions(xs[mid:], tmp[mid:])
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if xs[i] <= xs[j] {
-			tmp[k] = xs[i]
-			i++
-		} else {
-			tmp[k] = xs[j]
-			inv += int64(mid - i)
-			j++
-		}
-		k++
-	}
-	copy(tmp[k:], xs[i:mid])
-	copy(xs, tmp[:k+mid-i])
-	return inv
-}
-
-// AUC returns the probability that a uniformly chosen positive outranks a
-// uniformly chosen negative (ties count half) — the Mann–Whitney form of
-// the ROC area, computed in O(m log m) by rank-summing rather than the
-// quadratic pair scan. It returns NaN when either class is empty.
-func AUC(pos, neg []float64) float64 {
-	if len(pos) == 0 || len(neg) == 0 {
-		return math.NaN()
-	}
-	type obs struct {
-		v   float64
-		pos bool
-	}
-	all := make([]obs, 0, len(pos)+len(neg))
-	for _, v := range pos {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range neg {
-		all = append(all, obs{v, false})
-	}
-	slices.SortFunc(all, func(x, y obs) int {
-		switch {
-		case x.v < y.v:
-			return -1
-		case x.v > y.v:
-			return 1
-		}
-		return 0
-	})
-	// Sum average ranks (1-based) of the positives, ties sharing a rank.
-	rankSum := 0.0
-	for lo := 0; lo < len(all); {
-		hi := lo + 1
-		for hi < len(all) && all[hi].v == all[lo].v {
-			hi++
-		}
-		avg := float64(lo+1+hi) / 2 // mean of ranks lo+1 .. hi
-		for i := lo; i < hi; i++ {
-			if all[i].pos {
-				rankSum += avg
-			}
-		}
-		lo = hi
-	}
-	np, nn := float64(len(pos)), float64(len(neg))
-	return (rankSum - np*(np+1)/2) / (np * nn)
-}
-
 // Pearson returns the Pearson linear correlation of two equal-length vectors
 // (0 for degenerate inputs).
 func Pearson(a, b []float64) float64 {
@@ -397,9 +242,9 @@ func Pearson(a, b []float64) float64 {
 	var cov, va, vb float64
 	for i := 0; i < n; i++ {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0

@@ -270,16 +270,16 @@ func (l *Ledger) PrivacyFacet(owner int, scale float64) float64 {
 	return a.privacyFacet(scale)
 }
 
-// DirtyOwners returns the ascending owner ids whose ledger state changed
-// since the last RefreshFacets — the privacy leg of the epoch tail's facet
-// dirty set. The slice is owned by the ledger and valid until its next
-// mutation; callers that need it past a refresh must copy it first.
+// DirtyOwners returns the owner ids whose ledger state changed since the
+// last RefreshFacets, each once, in the order they were first marked — the
+// privacy leg of the epoch tail's facet dirty set, which needs no order.
+// The slice is owned by the ledger and valid until its next mutation;
+// callers that need it past a refresh must copy it first.
 func (l *Ledger) DirtyOwners() []int {
 	l.dirtyIDs = l.dirtyIDs[:0]
 	for _, i := range l.dirty {
 		l.dirtyIDs = append(l.dirtyIDs, l.owners[i].id)
 	}
-	slices.Sort(l.dirtyIDs)
 	return l.dirtyIDs
 }
 

@@ -47,6 +47,7 @@ type ItemState struct {
 // ledgers capture equal states however their owners arrived.
 func (l *Ledger) State() LedgerState {
 	st := LedgerState{FacetDirty: append([]int(nil), l.DirtyOwners()...)}
+	slices.Sort(st.FacetDirty)
 	for i := range l.owners {
 		a := &l.owners[i]
 		o := OwnerState{Owner: a.id, Total: a.total, Consented: a.ok, Feedback: a.feedback}

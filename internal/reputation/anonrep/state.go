@@ -63,7 +63,10 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Mechanism.
+// RestoreMechanismState implements reputation.Mechanism. It is atomic: the
+// blob is decoded and every derived structure built and checked in locals
+// before the first write to the mechanism, so a rejected blob leaves it as
+// it was.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -72,29 +75,32 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N || len(st.Cur) != m.cfg.N {
 		return fmt.Errorf("anonrep: state for %d peers, want %d", len(st.Scores), m.cfg.N)
 	}
+	accts := make(map[string]*account, len(st.Accts))
+	for nym, a := range st.Accts {
+		accts[nym] = &account{base: a.Base, hasBase: a.HasBase, sum: a.Sum, count: a.Count}
+	}
+	acctOf := make([]*account, m.cfg.N)
+	for p, nym := range st.Cur {
+		acct := accts[nym]
+		if acct == nil {
+			return fmt.Errorf("anonrep: state has no account for peer %d's pseudonym", p)
+		}
+		acctOf[p] = acct
+	}
+	var lastTransfer []transfer
+	for _, t := range st.LastTransfer {
+		lastTransfer = append(lastTransfer, transfer{peer: t.Peer, oldObs: t.OldObs, carried: t.Carried})
+	}
 	m.rng.SetState(st.RNG)
 	for i := range m.nyms {
 		m.nyms[i].SetState(st.Nyms[i])
 	}
-	m.cur = append([]string(nil), st.Cur...)
-	m.accts = make(map[string]*account, len(st.Accts))
-	for nym, a := range st.Accts {
-		m.accts[nym] = &account{base: a.Base, hasBase: a.HasBase, sum: a.Sum, count: a.Count}
-	}
-	m.acctOf = make([]*account, m.cfg.N)
-	for p := 0; p < m.cfg.N; p++ {
-		acct := m.accts[m.cur[p]]
-		if acct == nil {
-			return fmt.Errorf("anonrep: state has no account for peer %d's pseudonym", p)
-		}
-		m.acctOf[p] = acct
-	}
+	m.cur = st.Cur
+	m.accts = accts
+	m.acctOf = acctOf
 	m.epoch = st.Epoch
-	m.lastTransfer = nil
-	for _, t := range st.LastTransfer {
-		m.lastTransfer = append(m.lastTransfer, transfer{peer: t.Peer, oldObs: t.OldObs, carried: t.Carried})
-	}
-	m.scores = append([]float64(nil), st.Scores...)
+	m.lastTransfer = lastTransfer
+	m.scores = st.Scores
 	m.dirty = st.Dirty
 	// The snapshot does not record which cached scores are stale; the next
 	// Compute rebuilds the cache in full.

@@ -60,9 +60,11 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The quotient is rounded
+// explicitly, so a caller's 2*Float64() (which the compiler may turn into an
+// add) cannot fuse with it.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bool returns true with probability p.
@@ -84,9 +86,9 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}

@@ -494,9 +494,10 @@ func (e *Engine) RefreshPrivacyFacets() { e.ledger.RefreshFacets(e.ledgerScale) 
 // after RefreshPrivacyFacets it is a cached read.
 func (e *Engine) PrivacyFacetOf(u int) float64 { return e.ledger.PrivacyFacet(u, e.ledgerScale) }
 
-// LedgerDirtyOwners returns the ascending owner ids whose ledger state
-// changed since the last RefreshPrivacyFacets. The slice is owned by the
-// ledger and valid until its next mutation — read it before refreshing.
+// LedgerDirtyOwners returns the owner ids whose ledger state changed since
+// the last RefreshPrivacyFacets, each once and in no set order. The slice is
+// owned by the ledger and valid until its next mutation — read it before
+// refreshing.
 func (e *Engine) LedgerDirtyOwners() []int { return e.ledger.DirtyOwners() }
 
 // LedgerScale returns the exposure normalization scale currently in effect

@@ -13,8 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/privacy"
 	"repro/internal/reputation"
+	"repro/internal/sim"
 )
 
 // runEpochs drives an engine n epochs, failing the test on any error.
@@ -512,6 +514,104 @@ func TestRestoreIsAtomic(t *testing.T) {
 	runEpochs(t, twin, 2)
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restores perturbed the continuation")
+	}
+	t.Run("anonrep pseudonym with no account", func(t *testing.T) {
+		testAnonRepRestoreIsAtomic(t)
+	})
+}
+
+// anonRepState mirrors the AnonRep mechanism blob; gob matches fields by
+// name.
+type anonRepState struct {
+	RNG   sim.RNGState
+	Nyms  []crypto.ChainState
+	Cur   []string
+	Accts map[string]struct {
+		Base    float64
+		HasBase bool
+		Sum     float64
+		Count   int
+	}
+	Epoch        int
+	LastTransfer []struct {
+		Peer            int
+		OldObs, Carried float64
+	}
+	Scores []float64
+	Dirty  bool
+}
+
+// testAnonRepRestoreIsAtomic is TestRestoreIsAtomic's AnonRep case: a blob
+// whose last peer's current pseudonym names no account. The AnonRep blob
+// gob-encodes its account map in map order, so the engine is compared as
+// its encoded snapshot without the blob, byte for byte, plus the blob
+// decoded, by value.
+func testAnonRepRestoreIsAtomic(t *testing.T) {
+	opts := func() []Option {
+		return sessionScenario(406, WithReputationMechanism(AnonRep(AnonRepConfig{Seed: 5})))
+	}
+	eng, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 1)
+	earlier := snapshotRoundTrip(t, eng)
+	runEpochs(t, eng, 1)
+	runEpochs(t, twin, 2)
+	capture := func(t *testing.T) ([]byte, anonRepState) {
+		t.Helper()
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mech anonRepState
+		if err := gob.NewDecoder(bytes.NewReader(snap.State.Engine.Mechanism)).Decode(&mech); err != nil {
+			t.Fatal(err)
+		}
+		snap.State.Engine.Mechanism = nil
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), mech
+	}
+	beforeBytes, beforeMech := capture(t)
+	var buf bytes.Buffer
+	if err := earlier.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mech anonRepState
+	if err := gob.NewDecoder(bytes.NewReader(hostile.State.Engine.Mechanism)).Decode(&mech); err != nil {
+		t.Fatal(err)
+	}
+	mech.Cur[len(mech.Cur)-1] = "no such pseudonym"
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(mech); err != nil {
+		t.Fatal(err)
+	}
+	hostile.State.Engine.Mechanism = blob.Bytes()
+	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "no account") {
+		t.Fatalf("restore of hostile snapshot = %v, want a no-account error", err)
+	}
+	afterBytes, afterMech := capture(t)
+	if !bytes.Equal(afterBytes, beforeBytes) {
+		t.Fatal("rejected restore changed the engine")
+	}
+	if !reflect.DeepEqual(afterMech, beforeMech) {
+		t.Fatal("rejected restore changed the AnonRep mechanism")
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restore perturbed the continuation")
 	}
 }
 
