@@ -449,10 +449,11 @@ func BenchmarkLocalTrustAddBatch(b *testing.B) {
 }
 
 // BenchmarkConsumerObserve runs the consumer side of an interaction — the
-// allocation satisfaction over five candidates, then the private preference
-// update — for one of 20k sparse consumers, each drawing its candidates
-// from ten partners, after ten warm-up interactions per consumer.
-// Interactions are drawn in batches with the timer stopped.
+// allocation satisfaction over five candidates and the private preference
+// update, in the one ObserveAllocation pass the round's gather makes — for
+// one of 20k sparse consumers, each drawing its candidates from ten
+// partners, after ten warm-up interactions per consumer. Interactions are
+// drawn in batches with the timer stopped.
 func BenchmarkConsumerObserve(b *testing.B) {
 	const users, batch = 20000, 4096
 	rng := sim.NewRNG(1)
@@ -467,25 +468,23 @@ func BenchmarkConsumerObserve(b *testing.B) {
 	}
 	type interaction struct {
 		consumer, provider int
-		candidates         []int
+		candidates         []int32
 		quality            float64
 	}
 	next := func(it *interaction) {
 		it.consumer = rng.Intn(users)
 		for k, j := range rng.Sample(10, 5) {
-			it.candidates[k] = partners[it.consumer][j]
+			it.candidates[k] = int32(partners[it.consumer][j])
 		}
-		it.provider = it.candidates[rng.Intn(5)]
+		it.provider = int(it.candidates[rng.Intn(5)])
 		it.quality = rng.Float64()
 	}
 	buf := make([]interaction, batch)
 	for k := range buf {
-		buf[k].candidates = make([]int, 5)
+		buf[k].candidates = make([]int32, 5)
 	}
 	observe := func(it *interaction) {
-		c := consumers[it.consumer]
-		c.ObserveQuality(it.provider, it.candidates, it.quality)
-		c.UpdatePreference(it.provider, it.quality)
+		consumers[it.consumer].ObserveAllocation(it.provider, it.candidates, it.quality)
 	}
 	for k := 0; k < 10*users; k++ {
 		next(&buf[0])
@@ -543,6 +542,10 @@ func BenchmarkKendallTau(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadRound runs interaction rounds of a 200-peer engine with
+// no recompute. The engine reuses its round buffers, so the allocations it
+// reports are first-touch growth of per-user state: ledger recipients and
+// items, local-trust cells and preference overrides.
 func BenchmarkWorkloadRound(b *testing.B) {
 	eng, err := workload.NewEngine(workload.Config{
 		Seed: 1, NumPeers: 200, Mix: benchMix(0.3), RecomputeEvery: 1 << 30,
@@ -550,6 +553,7 @@ func BenchmarkWorkloadRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Round()

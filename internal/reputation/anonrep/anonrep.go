@@ -96,6 +96,8 @@ type Mechanism struct {
 	lastTransfer []transfer
 	scores       []float64
 	dirty        bool
+	// version counts the rewrites of scores (ScoresVersion).
+	version uint64 //trustlint:derived process-local cursor, compared only against itself; never snapshotted
 	// dirtyPeers tracks ratees touched since the last Compute; allDirty
 	// forces a full refresh (epoch rotation re-bases every account, and a
 	// restored snapshot does not say which cached scores are stale).
@@ -226,6 +228,7 @@ func (m *Mechanism) Compute() int {
 	}
 	m.dirtyPeers.Reset()
 	m.dirty = false
+	m.version++
 	return 1
 }
 
@@ -240,6 +243,10 @@ func (m *Mechanism) Score(peer int) float64 {
 // ScoresView implements reputation.Mechanism: the score cache, uncopied.
 // Read-only; valid until the next Compute or restore.
 func (m *Mechanism) ScoresView() []float64 { return m.scores }
+
+// ScoresVersion implements reputation.Mechanism: it advances on every
+// Compute that rescores a peer and on every restore.
+func (m *Mechanism) ScoresVersion() uint64 { return m.version }
 
 // TrustworthyFraction implements reputation.Mechanism.
 func (m *Mechanism) TrustworthyFraction() float64 {

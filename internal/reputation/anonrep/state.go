@@ -102,6 +102,7 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.lastTransfer = lastTransfer
 	m.scores = st.Scores
 	m.dirty = st.Dirty
+	m.version++
 	// The snapshot does not record which cached scores are stale; the next
 	// Compute rebuilds the cache in full.
 	m.dirtyPeers.Reset()

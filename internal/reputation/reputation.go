@@ -80,6 +80,15 @@ type Mechanism interface {
 	// Compute or state restore: callers that keep scores across one clone
 	// them.
 	ScoresView() []float64
+	// ScoresVersion identifies the contents of ScoresView. It must change
+	// whenever they may have changed — on every Compute that rewrites a
+	// score and on every RestoreMechanismState — and may stay put
+	// otherwise. The workload engine computes its trust gate once per
+	// version, so a custom mechanism must honour this contract: a version
+	// that stays put while the scores move leaves the gate stale. It is a
+	// process-local cursor, compared only against itself, and never part
+	// of MechanismState.
+	ScoresVersion() uint64
 	// TrustworthyFraction returns, over peers with any feedback, the
 	// fraction the mechanism concludes are trustworthy (1 when no peer has
 	// feedback yet). Section 3 of the paper makes this a first-class
@@ -457,11 +466,12 @@ func (g *Gatherer) Commit(rater int) {
 // SelectBest is the "response" block used by the experiments: choose the
 // candidate with the highest score, breaking ties uniformly. It returns -1
 // for an empty candidate list.
-func SelectBest(rng *sim.RNG, scores []float64, candidates []int) int {
+func SelectBest[C ~int | ~int32](rng *sim.RNG, scores []float64, candidates []C) int {
 	best := -1
 	bestScore := -1.0
 	ties := 0
-	for _, c := range candidates {
+	for _, cand := range candidates {
+		c := int(cand)
 		if c < 0 || c >= len(scores) {
 			continue
 		}
@@ -483,30 +493,44 @@ func SelectBest(rng *sim.RNG, scores []float64, candidates []int) int {
 // SelectProportional chooses a candidate with probability proportional to
 // its score (uniform when all scores are zero). It returns -1 for an empty
 // list. EigenTrust's paper recommends this to avoid overloading the
-// highest-reputation peers.
-func SelectProportional(rng *sim.RNG, scores []float64, candidates []int) int {
+// highest-reputation peers. Candidates out of range or with a negative
+// score are skipped; the walk makes a second pass over the list instead of
+// collecting the valid ones, so it allocates nothing.
+func SelectProportional[C ~int | ~int32](rng *sim.RNG, scores []float64, candidates []C) int {
+	valid := func(c int) bool { return c >= 0 && c < len(scores) && scores[c] >= 0 }
 	total := 0.0
-	valid := make([]int, 0, len(candidates))
-	for _, c := range candidates {
-		if c >= 0 && c < len(scores) && scores[c] >= 0 {
-			valid = append(valid, c)
+	count, last := 0, -1
+	for _, cand := range candidates {
+		if c := int(cand); valid(c) {
 			total += scores[c]
+			count++
+			last = c
 		}
 	}
-	if len(valid) == 0 {
+	if count == 0 {
 		return -1
 	}
 	if total == 0 {
-		return valid[rng.Intn(len(valid))]
-	}
-	x := rng.Float64() * total
-	for _, c := range valid {
-		x -= scores[c]
-		if x <= 0 {
-			return c
+		pick := rng.Intn(count)
+		for _, cand := range candidates {
+			if c := int(cand); valid(c) {
+				if pick == 0 {
+					return c
+				}
+				pick--
+			}
 		}
 	}
-	return valid[len(valid)-1]
+	x := rng.Float64() * total
+	for _, cand := range candidates {
+		if c := int(cand); valid(c) {
+			x -= scores[c]
+			if x <= 0 {
+				return c
+			}
+		}
+	}
+	return last
 }
 
 // None is the no-reputation baseline: every peer scores the same neutral
@@ -539,6 +563,10 @@ func (*None) Score(int) float64 { return 0.5 }
 
 // ScoresView implements Mechanism (the baseline's scores never change).
 func (m *None) ScoresView() []float64 { return m.scores }
+
+// ScoresVersion implements Mechanism: the baseline's scores never change,
+// so neither does their version.
+func (*None) ScoresVersion() uint64 { return 0 }
 
 // TrustworthyFraction implements Mechanism: the baseline draws no
 // conclusion about the population, which reads as no evidence against it.

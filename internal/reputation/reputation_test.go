@@ -262,7 +262,7 @@ func TestSelectBest(t *testing.T) {
 	if got := SelectBest(rng, scores, []int{0, 1, 2}); got != 1 {
 		t.Fatalf("SelectBest = %d", got)
 	}
-	if got := SelectBest(rng, scores, nil); got != -1 {
+	if got := SelectBest[int](rng, scores, nil); got != -1 {
 		t.Fatal("empty candidates should return -1")
 	}
 	if got := SelectBest(rng, scores, []int{7, -1}); got != -1 {
@@ -314,7 +314,7 @@ func TestSelectProportionalZeroScores(t *testing.T) {
 			t.Fatalf("zero-score selection not uniform: %v", counts)
 		}
 	}
-	if got := SelectProportional(rng, scores, nil); got != -1 {
+	if got := SelectProportional[int](rng, scores, nil); got != -1 {
 		t.Fatal("empty candidates != -1")
 	}
 }

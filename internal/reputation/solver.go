@@ -66,6 +66,8 @@ type Solver struct {
 	// Max-normalized score cache backing ScoresView.
 	norm    []float64 //trustlint:derived cache, recomputed from scores by refreshNorm on restore
 	normMax float64   //trustlint:derived cache, recomputed from scores by refreshNorm on restore
+	// version counts the rewrites of norm (ScoresVersion).
+	version uint64 //trustlint:derived process-local cursor, compared only against itself; never snapshotted
 }
 
 // NewSolver builds a solver over feed's len(dangle)-peer matrix. dangle is
@@ -226,8 +228,10 @@ func (s *Solver) Solve(lookAhead bool) int {
 	return iters
 }
 
-// refreshNorm rebuilds the max-normalized score cache behind ScoresView.
+// refreshNorm rebuilds the max-normalized score cache behind ScoresView
+// and advances its version.
 func (s *Solver) refreshNorm() {
+	s.version++
 	maxV := 0.0
 	for _, v := range s.scores {
 		if v > maxV {
@@ -266,6 +270,10 @@ func (s *Solver) Score(peer int) float64 {
 // ScoresView implements Mechanism: the max-normalized scores, uncopied.
 // Read-only; valid until the next Solve or restore.
 func (s *Solver) ScoresView() []float64 { return s.norm }
+
+// ScoresVersion implements Mechanism: it advances on every Solve that
+// iterates and on every SetState, the two writers of ScoresView.
+func (s *Solver) ScoresVersion() uint64 { return s.version }
 
 // SolverState is the serializable state of a Solver. The CSR is derived: it
 // is rematerialized from the feed on the first Solve after a restore, and

@@ -3,6 +3,7 @@ package trustme
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
@@ -151,4 +152,88 @@ func decodeState(t *testing.T, m *Mechanism) mechanismState {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestRestoreRejectsHostileState feeds RestoreMechanismState blobs no run
+// can produce: a score that is NaN or outside [0,1], or a negative protocol
+// counter. Each must be an error that leaves the mechanism's state and its
+// scores version as they were; a valid blob restores and moves the version.
+func TestRestoreRejectsHostileState(t *testing.T) {
+	const n = 12
+	m, err := New(Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(9)
+	var tx uint64
+	feedRandom(t, rng, &tx, 80, m)
+	m.Compute()
+	good := decodeState(t, m)
+	cases := map[string]func(st *mechanismState){
+		"NaN score":         func(st *mechanismState) { st.Scores[n-1] = math.NaN() },
+		"score above one":   func(st *mechanismState) { st.Scores[3] = 1.5 },
+		"negative score":    func(st *mechanismState) { st.Scores[0] = -0.1 },
+		"negative messages": func(st *mechanismState) { st.Messages = -1 },
+		"negative rejected": func(st *mechanismState) { st.Rejected = -1 },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			st := decodeState(t, m)
+			mutate(&st)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+			version := m.ScoresVersion()
+			if err := m.RestoreMechanismState(buf.Bytes()); err == nil {
+				t.Fatal("hostile state accepted")
+			}
+			if got := decodeState(t, m); !reflect.DeepEqual(got, good) {
+				t.Fatal("rejected state changed the mechanism")
+			}
+			if m.ScoresVersion() != version {
+				t.Fatal("rejected state moved the scores version")
+			}
+		})
+	}
+	blob, err := m.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := m.ScoresVersion()
+	if err := m.RestoreMechanismState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if m.ScoresVersion() == version {
+		t.Fatal("a restore left the scores version in place")
+	}
+}
+
+// TestSubmitClampsRatings pins that a rating outside [0,1], which only a
+// direct caller can submit, is stored clamped, so every score stays a mean
+// of values in [0,1] and every snapshot passes the restore check.
+func TestSubmitClampsRatings(t *testing.T) {
+	m, err := New(Config{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tx, v := range []float64{5, 1} {
+		if err := m.Submit(reputation.Report{TxID: uint64(tx + 1), Rater: 0, Ratee: 1, Value: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Submit(reputation.Report{TxID: 3, Rater: 0, Ratee: 2, Value: -2}); err != nil {
+		t.Fatal(err)
+	}
+	m.Compute()
+	if a, b := m.Score(1), m.Score(2); a != 1 || b != 0 {
+		t.Fatalf("scores %v and %v, want 1 and 0", a, b)
+	}
+	blob, err := m.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreMechanismState(blob); err != nil {
+		t.Fatal(err)
+	}
 }

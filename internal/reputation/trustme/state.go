@@ -48,7 +48,11 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Mechanism.
+// RestoreMechanismState implements reputation.Mechanism. Every check runs
+// before the first write, so a rejected blob leaves the mechanism as it
+// was: one score and one pseudonym chain per peer, every score a number in
+// [0,1] (each is a mean of clamped ratings, or the neutral 0.5), and
+// counters that are not negative.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -57,6 +61,15 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N {
 		return fmt.Errorf("trustme: state for %d peers, want %d", len(st.Scores), m.cfg.N)
 	}
+	for p, v := range st.Scores {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("trustme: state score %v of peer %d out of [0,1]", v, p)
+		}
+	}
+	if st.Messages < 0 || st.Rejected < 0 {
+		return fmt.Errorf("trustme: state counters messages=%d rejected=%d are negative", st.Messages, st.Rejected)
+	}
+
 	m.ring.SetState(st.Ring)
 	m.certs = make(map[uint64]crypto.TransactionCert, len(st.Certs))
 	for tx, cert := range st.Certs {
@@ -69,6 +82,7 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.Rejected = st.Rejected
 	m.scores = append([]float64(nil), st.Scores...)
 	m.dirty = st.Dirty
+	m.version++
 	// The snapshot does not record which cached entries are stale, so the
 	// next Compute / TrustworthyFraction must rebuild their caches in full.
 	m.dirtyPeers.Reset()

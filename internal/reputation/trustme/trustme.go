@@ -73,6 +73,8 @@ type Mechanism struct {
 	Rejected int64
 	scores   []float64
 	dirty    bool
+	// version counts the rewrites of scores (ScoresVersion).
+	version uint64 //trustlint:derived process-local cursor, compared only against itself; never snapshotted
 	// dirtyPeers tracks which ratees' THA histories changed since the last
 	// Compute, so a refresh fetches only those; allDirty forces a full
 	// refresh (after a restore, where the snapshot does not say which
@@ -179,14 +181,15 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 		return fmt.Errorf("%w: tx %d", ErrCertMismatch, r.TxID)
 	}
 	// Append the rating (recorded under the rater's current pseudonym) to
-	// the ratee's THA-stored history.
+	// the ratee's THA-stored history, clamped into [0,1] so every score,
+	// a mean of the history, stays there.
 	key := scoreKey(r.Ratee)
 	existing, err := m.ring.Get(key)
 	if err != nil && !errors.Is(err, dht.ErrNotFound) {
 		return fmt.Errorf("trustme: fetch history: %w", err)
 	}
 	ratings := decodeRatings(existing)
-	ratings = append(ratings, r.Value)
+	ratings = append(ratings, min(max(r.Value, 0), 1))
 	if len(ratings) > m.cfg.Window {
 		ratings = ratings[len(ratings)-m.cfg.Window:]
 	}
@@ -222,6 +225,7 @@ func (m *Mechanism) Compute() int {
 	}
 	m.dirtyPeers.Reset()
 	m.dirty = false
+	m.version++
 	return 1
 }
 
@@ -252,6 +256,10 @@ func (m *Mechanism) Score(peer int) float64 {
 // ScoresView implements reputation.Mechanism: the score cache, uncopied.
 // Read-only; valid until the next Compute or restore.
 func (m *Mechanism) ScoresView() []float64 { return m.scores }
+
+// ScoresVersion implements reputation.Mechanism: it advances on every
+// Compute that refreshes the cache and on every restore.
+func (m *Mechanism) ScoresVersion() uint64 { return m.version }
 
 // TrustworthyFraction implements reputation.Mechanism: the fraction
 // of peers with THA-stored history whose mean rating is at least 0.5. The

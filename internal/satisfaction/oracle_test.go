@@ -11,6 +11,74 @@ import (
 	"repro/internal/sim"
 )
 
+// The two-call consumer path the fused ObserveAllocation replaced, kept as
+// its differential oracle: ObserveQuality then UpdatePreference, searching
+// the overrides once per candidate, once more for the chosen provider, and
+// once for the update.
+
+// UpdatePreference folds a delivered quality into the consumer's private
+// preference for the provider.
+func (c *Consumer) UpdatePreference(provider int, quality float64) {
+	if provider < 0 || provider >= c.pop {
+		return
+	}
+	k, ok := c.findOverride(provider)
+	if !ok {
+		if c.overrides == nil {
+			c.overrides = make([]Override, 0, overrideCap)
+		}
+		c.overrides = slices.Insert(c.overrides, k, Override{Provider: int32(provider), Pref: c.def})
+	}
+	o := &c.overrides[k]
+	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*clamp01(quality))
+}
+
+// Adequacy returns how well allocating chosen matched the consumer's
+// intention given the candidate set: preference of the chosen provider
+// relative to the best available preference. It is 0 when chosen is invalid
+// or not among the candidates, and 1 when the system picked a most-preferred
+// candidate.
+func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
+	if chosen < 0 || chosen >= c.pop {
+		return 0
+	}
+	best := 0.0
+	inSet := false
+	for _, cand := range candidates {
+		if cand == chosen {
+			inSet = true
+		}
+		if p := c.Preference(cand); p > best {
+			best = p
+		}
+	}
+	if !inSet {
+		return 0
+	}
+	if best == 0 {
+		return 1 // indifferent consumer: any allocation is adequate
+	}
+	return c.Preference(chosen) / best
+}
+
+// Observe records one allocation: it computes the allocation satisfaction
+// (the per-allocation adequacy), folds it into the long-run satisfaction,
+// and returns it.
+func (c *Consumer) Observe(chosen int, candidates []int) float64 {
+	a := c.Adequacy(chosen, candidates)
+	c.fold(a)
+	return a
+}
+
+// ObserveQuality records one allocation together with the quality the
+// chosen provider delivered: the allocation satisfaction is adequacy ×
+// quality.
+func (c *Consumer) ObserveQuality(chosen int, candidates []int, quality float64) float64 {
+	a := c.Adequacy(chosen, candidates) * clamp01(quality)
+	c.fold(a)
+	return a
+}
+
 // refOverrides is the map-based sparse preference store the provider-sorted
 // override slice replaced, kept as the differential oracle.
 type refOverrides struct {
@@ -119,7 +187,8 @@ func TestConsumerOverridesMatchMapOracle(t *testing.T) {
 
 // TestConsumerPreferenceAllocFree pins the interaction-path preference
 // operations at zero allocations: reading a preference (override or
-// default) and re-folding a quality into an existing override.
+// default), re-folding a quality into an existing override, and a whole
+// allocation whose chosen provider already has one.
 func TestConsumerPreferenceAllocFree(t *testing.T) {
 	c, err := NewUniformConsumer(100, 0.5, 0.1)
 	if err != nil {
@@ -135,6 +204,10 @@ func TestConsumerPreferenceAllocFree(t *testing.T) {
 	_ = sink
 	if a := testing.AllocsPerRun(100, func() { c.UpdatePreference(42, 0.3) }); a != 0 {
 		t.Fatalf("re-folding an existing override allocates %v per call", a)
+	}
+	cands := []int32{40, 41, 42, 43, 44}
+	if a := testing.AllocsPerRun(100, func() { sink = c.ObserveAllocation(42, cands, 0.3) }); a != 0 {
+		t.Fatalf("an allocation to a provider with an override allocates %v per call", a)
 	}
 }
 
@@ -168,6 +241,10 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 		{"override duplicated", false, sparse(0.5, Override{2, 0.4}, Override{2, 0.6})},
 		{"NaN dense preference", true, dense(0.5, math.NaN(), 0.5, 0.5, 0.5)},
 		{"dense preference above one", true, dense(0.5, 0.5, 2, 0.5, 0.5)},
+		{"NaN satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.NaN(), Started: true, N: 3}},
+		{"infinite satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.Inf(1), Started: true, N: 3}},
+		{"negative satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: -0.2, Started: true, N: 3}},
+		{"negative observation count", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, Started: true, N: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,6 +265,127 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 			}
 			if got := c.State(); !reflect.DeepEqual(got, before) {
 				t.Fatalf("rejected state changed the consumer: %+v, want %+v", got, before)
+			}
+		})
+	}
+}
+
+// TestObserveAllocationMatchesTwoCallOracle drives seeded random allocations
+// through the fused ObserveAllocation and through ObserveQuality followed by
+// UpdatePreference on a twin, and compares the returned allocation
+// satisfaction and the whole consumer state bit for bit after every step.
+// The runs start from override sets of every size, the empty one included,
+// and the allocations cover a chosen provider that is not a candidate,
+// out-of-range ids in both places, duplicated candidates, empty candidate
+// lists and qualities outside [0,1]. Every third run starts from a zero
+// default preference, so some candidate sets have a best preference of 0
+// (the indifferent consumer).
+func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
+	const n = 40
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := sim.NewRNG(seed)
+		def := rng.Float64()
+		if seed%3 == 0 {
+			def = 0
+		}
+		fused, err := NewUniformConsumer(n, def, 0.05+0.3*rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed%4 != 0 { // every fourth run starts with no override at all
+			for _, p := range rng.Sample(n, rng.Intn(n+1)) {
+				fused.UpdatePreference(p, rng.Float64())
+			}
+		}
+		twin, err := NewUniformConsumer(n, 0.5, fused.memory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.SetState(fused.State()); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 400; step++ {
+			cands := make([]int32, rng.Intn(7))
+			for i := range cands {
+				switch rng.Intn(12) {
+				case 0:
+					cands[i] = int32(-1 - rng.Intn(2))
+				case 1:
+					cands[i] = int32(n + rng.Intn(2))
+				default:
+					cands[i] = int32(rng.Intn(n))
+				}
+			}
+			var chosen int
+			switch r := rng.Intn(10); {
+			case r < 6 && len(cands) > 0:
+				chosen = int(cands[rng.Intn(len(cands))])
+			case r < 8:
+				chosen = rng.Intn(n)
+			case r == 8:
+				chosen = -1 - rng.Intn(2)
+			default:
+				chosen = n + rng.Intn(2)
+			}
+			q := 1.6*rng.Float64() - 0.3
+			wide := make([]int, len(cands))
+			for i, c := range cands {
+				wide[i] = int(c)
+			}
+			got := fused.ObserveAllocation(chosen, cands, q)
+			want := twin.ObserveQuality(chosen, wide, q)
+			twin.UpdatePreference(chosen, q)
+			where := fmt.Sprintf("seed %d step %d: chosen %d of %v, quality %v", seed, step, chosen, cands, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: allocation satisfaction %v, oracle %v", where, got, want)
+			}
+			if gs, ws := fused.State(), twin.State(); !sameConsumerBits(gs, ws) {
+				t.Fatalf("%s: state %+v, oracle %+v", where, gs, ws)
+			}
+		}
+	}
+}
+
+// sameConsumerBits compares two consumer states with every float by its
+// bits.
+func sameConsumerBits(a, b ConsumerState) bool {
+	if a.Pop != b.Pop || a.Started != b.Started || a.N != b.N || len(a.Overrides) != len(b.Overrides) ||
+		math.Float64bits(a.Def) != math.Float64bits(b.Def) || math.Float64bits(a.Sat) != math.Float64bits(b.Sat) {
+		return false
+	}
+	for k, o := range a.Overrides {
+		if o.Provider != b.Overrides[k].Provider || math.Float64bits(o.Pref) != math.Float64bits(b.Overrides[k].Pref) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestProviderSetStateRejectsHostile feeds SetState provider states no run
+// can reach; each must be an error that leaves the provider unchanged.
+func TestProviderSetStateRejectsHostile(t *testing.T) {
+	const n = 5
+	cases := map[string]ProviderState{
+		"wrong population":           {Pop: n + 1, Def: 0.8, Sat: 0.5, Started: true, N: 2},
+		"NaN willingness":            {Pop: n, Def: math.NaN(), Sat: 0.5, Started: true, N: 2},
+		"willingness above one":      {Pop: n, Def: 1.5, Sat: 0.5, Started: true, N: 2},
+		"NaN satisfaction":           {Pop: n, Def: 0.8, Sat: math.NaN(), Started: true, N: 2},
+		"negative satisfaction":      {Pop: n, Def: 0.8, Sat: -1, Started: true, N: 2},
+		"negative observation count": {Pop: n, Def: 0.8, Sat: 0.5, Started: true, N: -3},
+	}
+	for name, st := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewUniformProvider(n, 0.8, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Observe(2)
+			before := p.State()
+			if err := p.SetState(st); err == nil {
+				t.Fatal("hostile provider state accepted")
+			}
+			if got := p.State(); got != before {
+				t.Fatalf("rejected state changed the provider: %+v, want %+v", got, before)
 			}
 		})
 	}

@@ -89,85 +89,102 @@ func (c *Consumer) Preference(provider int) float64 {
 }
 
 // findOverride returns the position of provider's override: its index when
-// present, else the index it would be inserted at.
+// present, else the index it would be inserted at. The interaction path
+// searches short lists for unpredictable providers, so each halving step
+// advances by a mask rather than a branch the CPU would mispredict.
 func (c *Consumer) findOverride(provider int) (int, bool) {
 	p, ovs := int32(provider), c.overrides
-	lo, hi := 0, len(ovs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ovs[m].Provider < p {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	if len(ovs) == 0 {
+		return 0, false
 	}
-	return lo, lo < len(ovs) && ovs[lo].Provider == p
+	// The position lies in [base, base+n].
+	base, n := 0, len(ovs)
+	for n > 1 {
+		half := n >> 1
+		below := 0
+		if ovs[base+half].Provider < p {
+			below = 1
+		}
+		base += half & -below
+		n -= half
+	}
+	if ovs[base].Provider < p {
+		base++
+	}
+	return base, base < len(ovs) && ovs[base].Provider == p
 }
 
-// UpdatePreference folds a delivered quality into the consumer's private
-// preference for the provider (quality of results "is a private notion that
-// is assumed to be used by a data consumer to decide which providers she
+// ObserveAllocation records one allocation together with the quality the
+// chosen provider delivered, and returns the allocation satisfaction.
+//
+// The allocation satisfaction is adequacy × quality. Adequacy is how well
+// allocating chosen matched the consumer's intention given the candidate
+// set: the preference of the chosen provider relative to the best available
+// preference. It is 0 when chosen is invalid or not among the candidates,
+// and 1 when every candidate's preference is 0 (an indifferent consumer).
+// §2.1 requires "a system which both provides results of good quality and
+// is also usable accordingly to the user needs": being handed the best of a
+// uniformly bad candidate set is still a bad outcome. The allocation
+// satisfaction folds into the long-run satisfaction.
+//
+// The delivered quality then folds into the consumer's private preference
+// for the chosen provider (quality of results "is a private notion that is
+// assumed to be used by a data consumer to decide which providers she
 // prefers").
-func (c *Consumer) UpdatePreference(provider int, quality float64) {
-	if provider < 0 || provider >= c.pop {
-		return
+//
+// It is one pass over the overrides: each candidate's override is searched
+// once, and the chosen provider's slot serves both the adequacy and the
+// preference update, so the update inserts at most once and searches again
+// only when chosen is not a candidate.
+func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64) float64 {
+	q := clamp01(quality)
+	valid := chosen >= 0 && chosen < c.pop
+	adequacy := 0.0
+	// slot is chosen's position in the overrides (found: an override is
+	// there; else the position one is inserted at); -1 until searched.
+	slot, found := -1, false
+	if valid {
+		best := 0.0
+		for _, cand := range candidates {
+			p := 0.0
+			if cand >= 0 && int(cand) < c.pop {
+				k, ok := c.findOverride(int(cand))
+				p = c.def
+				if ok {
+					p = c.overrides[k].Pref
+				}
+				if int(cand) == chosen {
+					slot, found = k, ok
+				}
+			}
+			if p > best {
+				best = p
+			}
+		}
+		switch {
+		case slot < 0: // chosen is not a candidate: adequacy 0
+			slot, found = c.findOverride(chosen)
+		case best == 0:
+			adequacy = 1 // indifferent consumer: any allocation is adequate
+		case found:
+			adequacy = c.overrides[slot].Pref / best
+		default:
+			adequacy = c.def / best
+		}
 	}
-	k, ok := c.findOverride(provider)
-	if !ok {
+	a := adequacy * q
+	c.fold(a)
+	if !valid {
+		return a
+	}
+	if !found {
 		if c.overrides == nil {
 			c.overrides = make([]Override, 0, overrideCap)
 		}
-		c.overrides = slices.Insert(c.overrides, k, Override{Provider: int32(provider), Pref: c.def})
+		c.overrides = slices.Insert(c.overrides, slot, Override{Provider: int32(chosen), Pref: c.def})
 	}
-	o := &c.overrides[k]
-	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*clamp01(quality))
-}
-
-// Adequacy returns how well allocating `chosen` matched the consumer's
-// intention given the candidate set: preference of the chosen provider
-// relative to the best available preference. It is 0 when chosen is invalid
-// or not among the candidates, and 1 when the system picked a most-preferred
-// candidate.
-func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
-	if chosen < 0 || chosen >= c.pop {
-		return 0
-	}
-	best := 0.0
-	inSet := false
-	for _, cand := range candidates {
-		if cand == chosen {
-			inSet = true
-		}
-		if p := c.Preference(cand); p > best {
-			best = p
-		}
-	}
-	if !inSet {
-		return 0
-	}
-	if best == 0 {
-		return 1 // indifferent consumer: any allocation is adequate
-	}
-	return c.Preference(chosen) / best
-}
-
-// Observe records one allocation: it computes the allocation satisfaction
-// (the per-allocation adequacy), folds it into the long-run satisfaction,
-// and returns it.
-func (c *Consumer) Observe(chosen int, candidates []int) float64 {
-	a := c.Adequacy(chosen, candidates)
-	c.fold(a)
-	return a
-}
-
-// ObserveQuality records one allocation together with the quality the
-// chosen provider actually delivered. The allocation satisfaction is
-// adequacy × quality: §2.1 requires "a system which both provides results
-// of good quality and is also usable accordingly to the user needs" — being
-// handed the best of a uniformly bad candidate set is still a bad outcome.
-func (c *Consumer) ObserveQuality(chosen int, candidates []int, quality float64) float64 {
-	a := c.Adequacy(chosen, candidates) * clamp01(quality)
-	c.fold(a)
+	o := &c.overrides[slot]
+	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*q)
 	return a
 }
 

@@ -33,13 +33,29 @@ func (c *Consumer) State() ConsumerState {
 // number in [0, 1] (construction clamps into it and the EMA stays in it).
 func validPref(v float64) bool { return v >= 0 && v <= 1 }
 
+// checkEMA rejects a long-run satisfaction outside [0, 1] (NaN included;
+// every fold keeps it there) and a negative observation count.
+func checkEMA(who string, sat float64, n int64) error {
+	if !validPref(sat) {
+		return fmt.Errorf("satisfaction: %s state satisfaction %v outside [0,1]", who, sat)
+	}
+	if n < 0 {
+		return fmt.Errorf("satisfaction: %s state counts %d observations", who, n)
+	}
+	return nil
+}
+
 // CheckState reports whether SetState would accept st: the provider count
-// must match the consumer's own, every preference must lie in [0, 1], and
-// the overrides must name providers in [0, Pop) in strictly ascending order.
+// must match the consumer's own, the satisfaction and every preference must
+// lie in [0, 1], the observation count must not be negative, and the
+// overrides must name providers in [0, Pop) in strictly ascending order.
 // It changes nothing.
 func (c *Consumer) CheckState(st ConsumerState) error {
 	if st.Pop != c.pop {
 		return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
+	}
+	if err := checkEMA("consumer", st.Sat, st.N); err != nil {
+		return err
 	}
 	if !validPref(st.Def) {
 		return fmt.Errorf("satisfaction: consumer state default preference %v outside [0,1]", st.Def)
@@ -89,12 +105,17 @@ func (p *Provider) State() ProviderState {
 }
 
 // CheckState reports whether SetState would accept st: the consumer count
-// must match the provider's own. It changes nothing.
+// must match the provider's own, the willingness and the satisfaction must
+// lie in [0, 1], and the observation count must not be negative. It
+// changes nothing.
 func (p *Provider) CheckState(st ProviderState) error {
 	if st.Pop != p.pop {
 		return fmt.Errorf("satisfaction: provider state for %d consumers, want %d", st.Pop, p.pop)
 	}
-	return nil
+	if !validPref(st.Def) {
+		return fmt.Errorf("satisfaction: provider state willingness %v outside [0,1]", st.Def)
+	}
+	return checkEMA("provider", st.Sat, st.N)
 }
 
 // SetState restores a previously captured state; a state CheckState

@@ -18,14 +18,11 @@ func ForChunks(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers <= 1 || n == 1 {
 		fn(0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
+	chunk := ChunkLen(workers, n)
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -39,6 +36,18 @@ func ForChunks(workers, n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// ChunkLen returns the length of the chunks ForChunks(workers, n, ...)
+// runs: the chunk starting at lo is chunk lo/ChunkLen(workers, n), and
+// there are at most max(workers, 1) of them, so a caller can keep one
+// scratch buffer per chunk.
+func ChunkLen(workers, n int) int {
+	workers = min(workers, n)
+	if workers <= 1 {
+		return max(n, 1)
+	}
+	return (n + workers - 1) / workers
 }
 
 // RunIndexed runs fn(0) .. fn(n-1) under a bounded pool of at most

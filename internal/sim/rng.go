@@ -112,11 +112,22 @@ func (r *RNG) ExpFloat64() float64 {
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a pseudo-random permutation of [0, len(p)), making
+// exactly the draws of Perm(len(p)) and Shuffle: the identity, then
+// Fisher-Yates from the end. It swaps in place rather than through a swap
+// function, for callers that permute on a hot path into a reused buffer.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap (Fisher-Yates).

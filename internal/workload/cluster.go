@@ -24,8 +24,9 @@ type PlannedInteraction struct {
 	RNG      sim.RNGState
 }
 
-// InteractionOutcome is the wire form of one simulated interaction result,
-// mirroring interactionResult field for field.
+// InteractionOutcome is the wire form of one simulated interaction result:
+// interactionResult with its consumer, its status as flags, and its
+// candidate set (empty unless a provider was chosen).
 type InteractionOutcome struct {
 	Consumer   int
 	Provider   int // -1 when no provider was found
@@ -81,23 +82,32 @@ func (e *Engine) NoteMutation() { e.mutationGen++ }
 // the master's local fallback for a chunk whose worker died). It fans the
 // chunk over the engine's shards exactly like the local scatter phase, and
 // reads only round-immutable state, so outcomes are bit-identical wherever
-// the chunk runs.
+// the chunk runs. It may run while the engine's own round is scattering, so
+// it simulates into buffers of its own, never the engine's round buffers. A
+// plan's stream is a fresh split, so only its State word is read; a
+// consumer outside the population makes the request absent.
 func (e *Engine) SimulateChunk(plans []PlannedInteraction, scores []float64, gate float64, pool []int, round int) []InteractionOutcome {
-	ip := make([]interactionPlan, len(plans))
+	n, cs := len(plans), e.cfg.CandidateSize
+	ip := make([]interactionPlan, n)
 	for k := range plans {
-		ip[k].consumer = plans[k].Consumer
-		ip[k].rng.SetState(plans[k].RNG)
-	}
-	results := make([]interactionResult, len(ip))
-	sim.ForChunks(e.shards, len(ip), func(lo, hi int) {
-		sc := e.newChunkScratch(hi - lo)
-		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&ip[k], scores, gate, pool, round, &sc)
+		c := plans[k].Consumer
+		if c < 0 || c >= e.cfg.NumPeers {
+			c = -1
 		}
+		ip[k] = interactionPlan{stream: plans[k].RNG.State, consumer: int32(c)}
+	}
+	results := make([]interactionResult, n)
+	cands := make([]int32, n*cs)
+	in := roundInputs{scores: scores, gate: gate, pool: pool, round: round}
+	chunks := make([]chunkScratch, e.shards)
+	per := sim.ChunkLen(e.shards, n)
+	sim.ForChunks(e.shards, n, func(lo, hi int) {
+		e.simulateRange(ip, results, cands, &in, &chunks[lo/per], lo, hi)
 	})
-	out := make([]InteractionOutcome, len(results))
+	out := make([]InteractionOutcome, n)
+	wide := make([]int, 0, n*cs) // one store all the outcomes' candidate sets are carved from
 	for k := range results {
-		out[k] = exportOutcome(&results[k])
+		out[k], wide = exportOutcome(plans[k].Consumer, &results[k], cands[k*cs:(k+1)*cs], wide)
 	}
 	return out
 }
@@ -106,33 +116,56 @@ func (e *Engine) SimulateChunk(plans []PlannedInteraction, scores []float64, gat
 func exportPlans(plans []interactionPlan) []PlannedInteraction {
 	out := make([]PlannedInteraction, len(plans))
 	for k := range plans {
-		out[k] = PlannedInteraction{Consumer: plans[k].consumer, RNG: plans[k].rng.State()}
+		out[k] = PlannedInteraction{Consumer: int(plans[k].consumer), RNG: sim.RNGState{State: plans[k].stream}}
 	}
 	return out
 }
 
-func exportOutcome(r *interactionResult) InteractionOutcome {
-	return InteractionOutcome{
-		Consumer:   r.consumer,
-		Provider:   r.provider,
-		Absent:     r.absent,
-		GateFailed: r.gateFailed,
-		Candidates: r.candidates,
-		Refused:    r.refused,
+// exportOutcome converts one result, with its candidate slot, to its wire
+// form, carving the candidate set from the end of store, which it returns
+// extended.
+func exportOutcome(consumer int, r *interactionResult, slot []int32, store []int) (InteractionOutcome, []int) {
+	o := InteractionOutcome{
+		Consumer:   consumer,
+		Provider:   int(r.provider),
+		Absent:     r.status == absent,
+		GateFailed: r.status == gateFailed,
+		Refused:    r.status == refused,
 		Quality:    r.quality,
 		Rating:     r.rating,
 	}
+	if r.status == served || r.status == refused {
+		start := len(store)
+		for _, c := range candidateSet(slot) {
+			store = append(store, int(c))
+		}
+		o.Candidates = store[start:len(store):len(store)]
+	}
+	return o, store
 }
 
-func importOutcome(o *InteractionOutcome) interactionResult {
-	return interactionResult{
-		consumer:   o.Consumer,
-		provider:   o.Provider,
-		absent:     o.Absent,
-		gateFailed: o.GateFailed,
-		candidates: o.Candidates,
-		refused:    o.Refused,
-		quality:    o.Quality,
-		rating:     o.Rating,
+// importOutcome converts one wire outcome to a result, writing its
+// candidates to slot (at most CandidateSize of them).
+func importOutcome(o *InteractionOutcome, slot []int32) interactionResult {
+	r := interactionResult{provider: int32(o.Provider), quality: o.Quality, rating: o.Rating}
+	switch {
+	case o.Absent:
+		r.status = absent
+	case o.GateFailed:
+		r.status = gateFailed
+	case o.Provider < 0:
+		r.status = noProvider
+	case o.Refused:
+		r.status = refused
+	default:
+		r.status = served
 	}
+	n := min(len(o.Candidates), len(slot))
+	for i, c := range o.Candidates[:n] {
+		slot[i] = int32(c)
+	}
+	if n < len(slot) {
+		slot[n] = -1
+	}
+	return r
 }

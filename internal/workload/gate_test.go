@@ -1,7 +1,16 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/reputation"
+	"repro/internal/reputation/anonrep"
+	"repro/internal/reputation/eigentrust"
+	"repro/internal/reputation/powertrust"
+	"repro/internal/reputation/trustme"
 )
 
 func TestTrustGateValidation(t *testing.T) {
@@ -92,5 +101,88 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng, 20) != 0 {
 		t.Fatalf("ledger Len = %d with %d shared reports, want only the %d profile disclosures",
 			got, sharedTotal(eng, 20), want)
+	}
+}
+
+// TestTrustGateFollowsScores checks the cached trust gate for every
+// mechanism: after each event that can move the scores or the gate level,
+// the next round must gate at a fresh metrics.Quantile of the scores it
+// reads. The events are the engine's own recompute, a Compute called
+// directly on the mechanism the engine exposes (as trustnet's
+// Engine.Mechanism lets any caller do), a whitewash followed by a direct
+// Compute, a restore of an earlier state, and SetTrustGate. For every
+// mechanism but the constant baseline the score events must move the gate
+// at least once, so a gate left stale would show.
+func TestTrustGateFollowsScores(t *testing.T) {
+	const n = 60
+	mechs := map[string]func() (reputation.Mechanism, error){
+		"eigentrust": func() (reputation.Mechanism, error) { return eigentrust.New(eigentrust.Config{N: n}) },
+		"powertrust": func() (reputation.Mechanism, error) { return powertrust.New(powertrust.Config{N: n}) },
+		"trustme":    func() (reputation.Mechanism, error) { return trustme.New(trustme.Config{N: n}) },
+		"anonrep":    func() (reputation.Mechanism, error) { return anonrep.New(anonrep.Config{N: n, Seed: 3}) },
+		"none":       func() (reputation.Mechanism, error) { return reputation.NewNone(n), nil },
+	}
+	for name, build := range mechs {
+		t.Run(name, func(t *testing.T) {
+			mech, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(Config{Seed: 41, NumPeers: n, Mix: mixMalicious(0.3), RecomputeEvery: 2, TrustGate: 0.3}, mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := false
+			last := math.NaN()
+			// next runs one round and checks the gate it used against a
+			// fresh quantile of the scores it read.
+			next := func(event string) {
+				t.Helper()
+				want := metrics.Quantile(slices.Clone(mech.ScoresView()), e.cfg.TrustGate)
+				e.Round()
+				if math.Float64bits(e.gate) != math.Float64bits(want) {
+					t.Fatalf("after %s: round gated at %v, fresh quantile %v", event, e.gate, want)
+				}
+				if !math.IsNaN(last) && want != last {
+					moved = true
+				}
+				last = want
+			}
+			next("the first round")
+			next("an engine recompute") // RecomputeEvery 2: the scores moved
+			saved, err := e.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				next("a round")
+				mech.Compute()
+				next("a direct Compute")
+			}
+			if ww, ok := mech.(reputation.Whitewasher); ok {
+				for u := 0; u < n; u += 7 {
+					ww.Whitewash(u)
+				}
+				e.NoteMutation()
+				next("a whitewash")
+				mech.Compute()
+				next("a whitewash and a direct Compute")
+			}
+			if err := e.Restore(saved); err != nil {
+				t.Fatal(err)
+			}
+			next("a restore")
+			if name != "none" && !moved {
+				t.Fatal("no event moved the gate, so a stale gate would not show")
+			}
+			if err := e.SetTrustGate(0.6); err != nil {
+				t.Fatal(err)
+			}
+			next("SetTrustGate")
+			if err := e.SetTrustGate(0.3); err != nil {
+				t.Fatal(err)
+			}
+			next("SetTrustGate back")
+		})
 	}
 }

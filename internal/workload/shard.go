@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/sim"
@@ -28,36 +30,67 @@ import (
 //     and the gatherer's disclosure draws are canonical.
 
 // interactionPlan is one scheduled request: the consumer plus the private
-// RNG stream its simulation will consume.
+// RNG stream its simulation will consume. The stream is a fresh split,
+// which holds no spare Gaussian, so its whole position is one word.
 type interactionPlan struct {
-	consumer int
-	rng      sim.RNG
+	stream   uint64
+	consumer int32
 }
+
+// outcome is what became of one planned interaction.
+type outcome uint8
+
+const (
+	served     outcome = iota // the provider served; quality and rating are set
+	refused                   // the provider declined
+	gateFailed                // the trust gate left no eligible candidate
+	noProvider                // no candidate could be chosen
+	absent                    // the consumer is not present: the request is dropped
+)
 
 // interactionResult is the outcome of simulating one planned interaction
-// against the round-immutable state.
+// against the round-immutable state. Its consumer is its plan's, and its
+// candidate set lies in its slot of the round's candidate store (see
+// candidatesOf).
 type interactionResult struct {
-	consumer int
-	provider int // -1 when no provider was found
-	// absent marks a request whose scheduled consumer is not present in the
-	// network (a left peer): the interaction is dropped entirely.
-	absent     bool
-	gateFailed bool
-	candidates []int
-	refused    bool
-	quality    float64
-	rating     float64
+	quality  float64
+	rating   float64
+	provider int32 // -1 when no provider was chosen
+	status   outcome
 }
 
-// planRound draws the round's interaction schedule from the main stream.
-// Consumers come from the active-peer index when churn has thinned the
-// population (nil pool = everyone present = uniform over 0..n, identical
-// draws to index-free planning). The Zipf activity path keeps mapping over
-// the full id range — its skew is a property of peer identity, so absent
-// heavy hitters simply drop their requests in simulate.
-func (e *Engine) planRound(pool []int) []interactionPlan {
-	plans := make([]interactionPlan, e.cfg.InteractionsPerRound)
-	for k := range plans {
+// roundInputs are the round-immutable inputs every simulation reads.
+type roundInputs struct {
+	scores []float64
+	gate   float64 // -1 when ungated
+	pool   []int   // nil when everyone is present
+	round  int
+}
+
+// chunkScratch holds one scatter chunk's simulation buffers, so simulating
+// an interaction allocates nothing of its own.
+type chunkScratch struct {
+	rng  sim.RNG // the stream of the interaction being simulated
+	perm []int   // friend permutation, reused for every interaction
+}
+
+// The round buffers. The engine keeps one plan, one result and one
+// candidate slot of CandidateSize ids per interaction, plus one chunkScratch
+// per scatter chunk, and reuses them every round: a steady-state plan and
+// scatter allocate nothing. Between rounds the plan, result and candidate
+// buffers are empty, so none of them is engine state.
+
+// planRound draws the round's interaction schedule from the main stream
+// into the engine's plan buffer. Consumers come from the active-peer index
+// when churn has thinned the population (nil pool = everyone present =
+// uniform over 0..n, identical draws to index-free planning). The Zipf
+// activity path keeps mapping over the full id range — its skew is a
+// property of peer identity, so absent heavy hitters simply drop their
+// requests in simulate.
+func (e *Engine) planRound(pool []int) {
+	n := e.cfg.InteractionsPerRound
+	e.plans = slices.Grow(e.plans[:0], n)[:n]
+	for k := range e.plans {
 		var consumer int
 		switch {
 		case e.activity != nil:
@@ -67,157 +100,181 @@ func (e *Engine) planRound(pool []int) []interactionPlan {
 		default:
 			consumer = e.rng.Intn(e.cfg.NumPeers)
 		}
-		plans[k] = interactionPlan{consumer: consumer, rng: *e.rng.Split()}
+		e.plans[k] = interactionPlan{stream: e.rng.Split().State().State, consumer: int32(consumer)}
 	}
-	return plans
 }
 
-// scatter simulates every planned interaction, fanning the index range out
-// over the engine's shards — or, when a scatter delegate is installed and
-// accepts, handing the whole phase to the external executor (the cluster
-// master). The delegate contract (see cluster.go) makes the two paths
-// bit-identical.
-func (e *Engine) scatter(plans []interactionPlan, scores []float64, gate float64, pool []int, round int) []interactionResult {
+// scatter simulates every planned interaction into the engine's result and
+// candidate buffers, fanning the index range out over the engine's shards —
+// or, when a scatter delegate is installed and accepts, handing the whole
+// phase to the external executor (the cluster master). The delegate
+// contract (see cluster.go) makes the two paths bit-identical.
+func (e *Engine) scatter(in roundInputs) {
+	n, cs := len(e.plans), e.cfg.CandidateSize
+	e.results = slices.Grow(e.results[:0], n)[:n]
+	e.cands = slices.Grow(e.cands[:0], n*cs)[:n*cs]
 	if e.scatterDelegate != nil {
-		if out, ok := e.scatterDelegate(exportPlans(plans), scores, gate, pool, round); ok && len(out) == len(plans) {
-			results := make([]interactionResult, len(out))
+		if out, ok := e.scatterDelegate(exportPlans(e.plans), in.scores, in.gate, in.pool, in.round); ok && len(out) == n {
 			for k := range out {
-				results[k] = importOutcome(&out[k])
+				e.results[k] = importOutcome(&out[k], e.cands[k*cs:(k+1)*cs])
 			}
-			return results
+			return
 		}
 	}
-	results := make([]interactionResult, len(plans))
-	sim.ForChunks(e.shards, len(plans), func(lo, hi int) {
-		sc := e.newChunkScratch(hi - lo)
-		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&plans[k], scores, gate, pool, round, &sc)
+	if len(e.chunks) < e.shards {
+		e.chunks = append(e.chunks, make([]chunkScratch, e.shards-len(e.chunks))...)
+	}
+	e.in = in
+	sim.ForChunks(e.shards, n, e.scatterChunk)
+	e.in = roundInputs{}
+}
+
+// newScatterChunk builds the body of the local scatter: simulate the
+// engine's plans [lo, hi) with that chunk's scratch. NewEngine builds it
+// once, so a round hands ForChunks no new function value.
+func (e *Engine) newScatterChunk() func(lo, hi int) {
+	return func(lo, hi int) {
+		sc := &e.chunks[lo/sim.ChunkLen(e.shards, len(e.plans))]
+		e.simulateRange(e.plans, e.results, e.cands, &e.in, sc, lo, hi)
+	}
+}
+
+// simulateRange simulates plans [lo, hi) into results and the matching
+// CandidateSize-id slots of cands, with one chunk's scratch.
+func (e *Engine) simulateRange(plans []interactionPlan, results []interactionResult, cands []int32, in *roundInputs, sc *chunkScratch, lo, hi int) {
+	cs := e.cfg.CandidateSize
+	for k := lo; k < hi; k++ {
+		results[k] = e.simulate(plans[k], in, cands[k*cs:(k+1)*cs], sc)
+	}
+}
+
+// candidatesOf returns interaction k's candidate set: its slot of the
+// round's candidate store, up to the -1 that ends a set shorter than
+// CandidateSize.
+func (e *Engine) candidatesOf(k int) []int32 {
+	cs := e.cfg.CandidateSize
+	return candidateSet(e.cands[k*cs : (k+1)*cs])
+}
+
+// candidateSet trims a candidate slot at its first -1.
+func candidateSet(slot []int32) []int32 {
+	for i, c := range slot {
+		if c < 0 {
+			return slot[:i]
 		}
-	})
-	return results
-}
-
-// chunkScratch holds one shard chunk's simulation buffers, so simulating an
-// interaction allocates nothing of its own.
-type chunkScratch struct {
-	perm []int // friend permutation, reused for every interaction
-	// cands is the backing store every candidate set of the chunk is carved
-	// from; results keep their sets, so it is never rewound.
-	cands []int
-}
-
-// newChunkScratch sizes a chunk's candidate store for k interactions.
-func (e *Engine) newChunkScratch(k int) chunkScratch {
-	return chunkScratch{cands: make([]int, 0, k*e.cfg.CandidateSize)}
+	}
+	return slot
 }
 
 // simulate runs one interaction against round-immutable state. It must not
 // touch any state shared across interactions: all randomness comes from the
 // plan's private stream, and every mutation is deferred to gather. The round
-// index is passed explicitly (rather than read off the engine) so a worker
+// index comes in with the inputs (rather than off the engine) so a worker
 // replica can simulate the master's round without advancing its own clock.
-// sc is scratch owned by the calling shard chunk.
-func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, pool []int, round int, sc *chunkScratch) interactionResult {
-	rng := &p.rng
-	r := interactionResult{consumer: p.consumer, provider: -1}
-	if !e.PeerActive(p.consumer) {
-		r.absent = true
+// The candidate set is written to slot, which holds CandidateSize ids; sc is
+// scratch owned by the calling chunk.
+func (e *Engine) simulate(p interactionPlan, in *roundInputs, slot []int32, sc *chunkScratch) interactionResult {
+	r := interactionResult{provider: -1}
+	consumer := int(p.consumer)
+	if !e.PeerActive(consumer) {
+		r.status = absent
 		return r
 	}
-	n := len(sc.cands)
-	candidates := e.sampleCandidates(rng, p.consumer, pool, sc.cands[n:n:n+e.cfg.CandidateSize], &sc.perm)
-	sc.cands = sc.cands[:n+len(candidates)]
-	if gate >= 0 {
+	sc.rng.SetState(sim.RNGState{State: p.stream})
+	rng := &sc.rng
+	candidates := e.sampleCandidates(rng, consumer, in.pool, slot[:0], &sc.perm)
+	if in.gate >= 0 {
 		eligible := candidates[:0]
 		for _, c := range candidates {
-			if scores[c] >= gate {
+			if in.scores[c] >= in.gate {
 				eligible = append(eligible, c)
 			}
 		}
 		if len(eligible) == 0 {
-			r.gateFailed = true
+			r.status = gateFailed
 			return r
 		}
 		candidates = eligible
 	}
-	r.candidates = candidates
 	var provider int
 	switch e.cfg.Selection {
 	case SelectProportional:
-		provider = reputation.SelectProportional(rng, scores, candidates)
+		provider = reputation.SelectProportional(rng, in.scores, candidates)
 	default:
-		provider = reputation.SelectBest(rng, scores, candidates)
+		provider = reputation.SelectBest(rng, in.scores, candidates)
 	}
 	if provider < 0 {
+		r.status = noProvider
 		return r
 	}
-	r.provider = provider
+	if len(candidates) < len(slot) {
+		slot[len(candidates)] = -1
+	}
+	r.provider = int32(provider)
 	pu := e.snet.User(provider)
 	if !pu.Behavior.Serves(rng) {
-		r.refused = true
+		r.status = refused
 		return r
 	}
-	r.quality = pu.Behavior.ServiceQuality(rng, round)
-	r.rating = e.rate(rng, e.snet.User(p.consumer), p.consumer, provider, r.quality)
+	r.status = served
+	r.quality = pu.Behavior.ServiceQuality(rng, in.round)
+	r.rating = e.rate(rng, e.snet.User(consumer), consumer, provider, r.quality)
 	return r
 }
 
-// gather merges the shard results into the shared state in canonical
+// gather merges the round's results into the shared state in canonical
 // (interaction-index) order.
-func (e *Engine) gather(results []interactionResult, st *RoundStats) {
-	for k := range results {
-		r := &results[k]
-		if r.absent {
+func (e *Engine) gather(st *RoundStats) {
+	for k := range e.results {
+		r := &e.results[k]
+		consumer := int(e.plans[k].consumer)
+		switch r.status {
+		case absent:
 			continue
-		}
-		if r.gateFailed {
+		case gateFailed:
 			e.GateFailures++
-			e.consumers[r.consumer].ObserveFailure()
-			e.satDirty.Mark(r.consumer)
+			fallthrough
+		case noProvider:
+			e.consumers[consumer].ObserveFailure()
+			e.satDirty.Mark(consumer)
 			continue
 		}
-		if r.provider < 0 {
-			e.consumers[r.consumer].ObserveFailure()
-			e.satDirty.Mark(r.consumer)
-			continue
-		}
+		provider := int(r.provider)
 		st.Interactions++
 		tx := e.snet.NextTxID()
 
 		// The provider judges the (possibly imposed) request against its
 		// own intentions.
-		e.providers[r.provider].Observe(r.consumer)
-		e.satDirty.Mark(r.provider)
-		e.satDirty.Mark(r.consumer)
-
-		if r.refused {
-			st.BadService++
-			st.Refused++
-			e.recordServed(r.provider, 0)
-			e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, 0)
-			e.consumers[r.consumer].UpdatePreference(r.provider, 0)
-			e.offerReport(tx, r.consumer, r.provider, 0)
-			continue
-		}
+		e.providers[provider].Observe(consumer)
+		e.satDirty.Mark(provider)
+		e.satDirty.Mark(consumer)
 
 		// The consumer judges the allocation against its intentions and the
-		// quality it actually received.
-		e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, r.quality)
+		// quality it actually received (none, when refused), and folds that
+		// quality into its preference for the provider.
+		if r.status == refused {
+			st.BadService++
+			st.Refused++
+			e.recordServed(provider, 0)
+			e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), 0)
+			e.offerReport(tx, consumer, provider, 0)
+			continue
+		}
+		e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality)
 		if r.quality < 0.5 {
 			st.BadService++
 		}
-		e.recordServed(r.provider, r.quality)
-		e.consumers[r.consumer].UpdatePreference(r.provider, r.quality)
+		e.recordServed(provider, r.quality)
 		// Interacting discloses the consumer's profile to the provider.
 		e.ledger.Record(privacy.Disclosure{
-			Owner:       r.consumer,
+			Owner:       consumer,
 			Item:        profileKey,
 			Sensitivity: social.Medium,
-			Recipient:   r.provider,
+			Recipient:   provider,
 			Purpose:     privacy.SocialUse,
 			Consented:   true,
 		})
-		e.offerReport(tx, r.consumer, r.provider, r.rating)
+		e.offerReport(tx, consumer, provider, r.rating)
 	}
 }
 

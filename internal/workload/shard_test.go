@@ -234,3 +234,45 @@ func TestGroundTruthMatchesLogScan(t *testing.T) {
 		t.Fatalf("cumulative round = %d, want 15", cum.Round)
 	}
 }
+
+// TestPlanScatterZeroAllocs pins the round buffers: once a few rounds have
+// sized them, planning and scattering a round at one shard allocate
+// nothing — under best-response selection with everyone present, and under
+// proportional selection with churn and activity skew. The remaining
+// allocations of a round are first-touch state growth in the gather.
+func TestPlanScatterZeroAllocs(t *testing.T) {
+	cases := map[string]struct {
+		cfg   Config
+		leave []int
+	}{
+		"best": {cfg: Config{Seed: 51, NumPeers: 300, Mix: mixMalicious(0.2), TrustGate: 0.2}},
+		"proportional churn skew": {
+			cfg:   Config{Seed: 52, NumPeers: 300, Mix: mixMalicious(0.2), TrustGate: 0.2, Selection: SelectProportional, ActivitySkew: 0.8},
+			leave: []int{3, 40, 41, 42, 200},
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			tc.cfg.Shards = 1
+			e, err := NewEngine(tc.cfg, newEigen(t, tc.cfg.NumPeers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range tc.leave {
+				if err := e.SetPeerActive(u, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Run(10)
+			scores := e.Mechanism().ScoresView()
+			pool := e.activePool()
+			in := roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: e.round}
+			if a := testing.AllocsPerRun(20, func() {
+				e.planRound(pool)
+				e.scatter(in)
+			}); a != 0 {
+				t.Fatalf("plan and scatter allocate %v times per round", a)
+			}
+		})
+	}
+}

@@ -137,6 +137,9 @@ func (e *Engine) Restore(st EngineState) error {
 	if !(st.LedgerScale > 0) {
 		return fmt.Errorf("workload: snapshot exposure scale %v is not positive", st.LedgerScale)
 	}
+	if err := checkServed(st.ServedCount, st.QualSum); err != nil {
+		return err
+	}
 	gatherer, err := reputation.RestoreGatherer(st.Gatherer)
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
@@ -222,9 +225,28 @@ func (e *Engine) Restore(st EngineState) error {
 	}
 	e.cfg.TrustGate = st.TrustGate
 	e.ledgerScale = st.LedgerScale
+	// The restored mechanism's scores are new, whatever its version says.
+	e.gateLevel = 0
 	// A restore rewrites every piece of simulate-visible state, so any
 	// cluster replica synced against the pre-restore engine is stale.
 	e.mutationGen++
+	return nil
+}
+
+// checkServed rejects ground-truth accumulators no run can reach: a
+// negative served count, or a quality sum that is not a number in
+// [0, count]. Each sum adds count qualities in [0, 1], and every partial
+// sum stays at or below its count, an exactly representable integer, so
+// rounding never carries it past the count.
+func checkServed(count []int, qual []float64) error {
+	for p, c := range count {
+		if c < 0 {
+			return fmt.Errorf("workload: snapshot served count %d of provider %d is negative", c, p)
+		}
+		if q := qual[p]; !(q >= 0 && q <= float64(c)) {
+			return fmt.Errorf("workload: snapshot quality sum %v of provider %d is outside [0,%d]", q, p, c)
+		}
+	}
 	return nil
 }
 

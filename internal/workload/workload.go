@@ -10,6 +10,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
@@ -266,6 +267,23 @@ type Engine struct {
 	// flushReports). The buffer is always empty between rounds, so it is
 	// not part of EngineState.
 	pending []reputation.Report //trustlint:derived always empty between rounds, when snapshots are taken
+	// The round buffers (see shard.go): one plan, one result and one
+	// CandidateSize-id candidate slot per interaction, one scratch per
+	// scatter chunk, the inputs the scatter reads, and the scatter body,
+	// built once.
+	plans        []interactionPlan   //trustlint:derived round buffer, empty between rounds
+	results      []interactionResult //trustlint:derived round buffer, empty between rounds
+	cands        []int32             //trustlint:derived round buffer, empty between rounds
+	chunks       []chunkScratch      //trustlint:derived scatter scratch, contents never outlive one simulation
+	in           roundInputs         //trustlint:derived set for one scatter and cleared after it
+	scatterChunk func(lo, hi int)    //trustlint:derived built once by NewEngine
+	// gate caches the round's trust gate, the TrustGate quantile of the
+	// scores, for the (scores version, TrustGate) pair it was computed at;
+	// gateLevel is 0, which no gating level equals, while nothing is
+	// cached (before the first gated round and after a restore).
+	gate        float64 //trustlint:derived cache, recomputed when the scores version or the trust gate moves
+	gateVersion uint64  //trustlint:derived process-local cursor of the cached gate
+	gateLevel   float64 //trustlint:derived key of the cached gate, compared with cfg.TrustGate; reset by restore
 	// computeIters accumulates the iteration counts returned by every
 	// mechanism Compute the engine triggers (periodic recomputes and
 	// summary barriers) — the solver-cost ledger behind the facade's
@@ -357,6 +375,7 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		ledger:      privacy.NewLedger(),
 		ledgerScale: cfg.ExposureScale,
 	}
+	e.scatterChunk = e.newScatterChunk()
 	// Mechanism compute parallelizes under the same shard configuration as
 	// the epoch pipeline (and with the same determinism contract).
 	if cs, ok := mech.(reputation.ComputeSharder); ok {
@@ -565,16 +584,13 @@ func (e *Engine) Round() RoundStats {
 	// The round only gates and ranks on the scores, so it reads the
 	// mechanism's view: no report in the round recomputes them.
 	scores := e.mech.ScoresView()
-	gate := -1.0
-	if cfg.TrustGate > 0 {
-		gate = metrics.Quantile(scores, cfg.TrustGate)
-	}
 	// Freshen the active index on the sequential path: the scatter phase
 	// reads it from every shard concurrently.
 	pool := e.activePool()
-	plans := e.planRound(pool)
-	results := e.scatter(plans, scores, gate, pool, e.round)
-	e.gather(results, &st)
+	e.planRound(pool)
+	e.scatter(roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: e.round})
+	e.gather(&st)
+	e.plans, e.results, e.cands = e.plans[:0], e.results[:0], e.cands[:0]
 	// Malicious collective: each colluder fabricates one satisfied
 	// transaction about another clique member per round. Absent colluders
 	// neither stuff ballots nor receive them.
@@ -604,6 +620,22 @@ func (e *Engine) Round() RoundStats {
 		e.roundObserver(st)
 	}
 	return st
+}
+
+// trustGate returns the privacy policy's MinTrustLevel gate for a round:
+// the TrustGate quantile of the scores, or -1 when the policy does not
+// gate. The quantile is computed once per scores version and gate level,
+// and reused while neither moves.
+func (e *Engine) trustGate(scores []float64) float64 {
+	level := e.cfg.TrustGate
+	if level <= 0 {
+		return -1
+	}
+	if v := e.mech.ScoresVersion(); v != e.gateVersion || level != e.gateLevel {
+		e.gate = metrics.Quantile(scores, level)
+		e.gateVersion, e.gateLevel = v, level
+	}
+	return e.gate
 }
 
 // rate computes the consumer's reported rating, honouring the honesty
@@ -685,8 +717,8 @@ func (e *Engine) flushReports() {
 // supplied stream so it is safe in the scatter phase. The set is appended
 // to out, which the caller passes empty with capacity CandidateSize (never
 // exceeded); perm is the caller's scratch for the friend permutation.
-func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []int, perm *[]int) []int {
-	cfg := e.cfg
+func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []int32, perm *[]int) []int32 {
+	size := e.cfg.CandidateSize
 	// Candidate sets are tiny (default 5), so a linear membership scan
 	// beats allocating a map in this per-interaction hot path.
 	seen := func(p int) bool {
@@ -694,7 +726,7 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []
 			return true
 		}
 		for _, q := range out {
-			if q == p {
+			if int(q) == p {
 				return true
 			}
 		}
@@ -702,27 +734,24 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []
 	}
 	friends := e.snet.FriendsOf(consumer)
 	if len(friends) > 0 {
-		// The same identity fill and Shuffle draws as rng.Perm, without its
-		// per-call allocation.
-		p := (*perm)[:0]
-		for i := range friends {
-			p = append(p, i)
-		}
-		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		// The draws of rng.Perm, into the caller's reused buffer.
+		p := slices.Grow((*perm)[:0], len(friends))[:len(friends)]
+		rng.PermInto(p)
 		*perm = p
 		for _, idx := range p {
-			if len(out) >= cfg.CandidateSize/2+1 {
+			if len(out) >= size/2+1 {
 				break
 			}
-			if f := int(friends[idx]); !seen(f) {
+			if f := friends[idx]; !seen(int(f)) {
 				out = append(out, f)
 			}
 		}
 	}
 	if pool == nil {
-		for guard := 0; len(out) < cfg.CandidateSize && guard < cfg.NumPeers*4; guard++ {
-			if p := rng.Intn(cfg.NumPeers); !seen(p) {
-				out = append(out, p)
+		n := e.cfg.NumPeers
+		for guard := 0; len(out) < size && guard < n*4; guard++ {
+			if p := rng.Intn(n); !seen(p) {
+				out = append(out, int32(p))
 			}
 		}
 		return out
@@ -730,9 +759,9 @@ func (e *Engine) sampleCandidates(rng *sim.RNG, consumer int, pool []int, out []
 	// Draws from the pool only collide with self, friends already picked,
 	// or earlier duplicates, so a small multiple of the pool bounds the
 	// rejection loop even when few peers remain.
-	for guard := 0; len(out) < cfg.CandidateSize && guard < len(pool)*4; guard++ {
+	for guard := 0; len(out) < size && guard < len(pool)*4; guard++ {
 		if p := pool[rng.Intn(len(pool))]; !seen(p) {
-			out = append(out, p)
+			out = append(out, int32(p))
 		}
 	}
 	return out

@@ -12,7 +12,10 @@ import (
 )
 
 // Mechanism is the pluggable scoring engine of the reputation facet
-// (Marti & Garcia-Molina's "scoring and ranking" block).
+// (Marti & Garcia-Molina's "scoring and ranking" block). A custom
+// mechanism must advance ScoresVersion whenever its ScoresView may have
+// changed: the engine recomputes its trust gate only when the version
+// moves.
 type Mechanism = reputation.Mechanism
 
 // MechanismFactory builds a fresh mechanism sized for n peers. Scenario

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/dht"
 	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/sim"
@@ -429,7 +430,10 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 // hostile part placed where a restore that writes as it checks would already
 // have overwritten the mechanism and most users: the last consumer, the last
 // provider, the last peer's behaviour class, or a self-rating in the
-// EigenTrust local-trust matrix. Each must be an error that leaves the
+// EigenTrust local-trust matrix. Six more corrupt round state no run can
+// reach: a provider's satisfaction or willingness, a consumer's
+// satisfaction or observation count, and a provider's served count or
+// quality sum; restored, they would fail or diverge one epoch later. Each must be an error that leaves the
 // engine's encoded snapshot byte-identical to before and its continuation
 // bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreIsAtomic(t *testing.T) {
@@ -462,6 +466,12 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"last consumer default 7", "default preference", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[n-1].Def = 7 }},
 		{"last provider wrong population", "provider state", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[n-1].Pop = n + 1 }},
 		{"last peer unknown class", "behaviour", func(t *testing.T, st *core.DynamicsState) { st.Engine.Classes[n-1] = Class(99) }},
+		{"provider satisfaction NaN", "provider state satisfaction", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[5].Sat = math.NaN() }},
+		{"provider willingness NaN", "willingness", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[5].Def = math.NaN() }},
+		{"consumer satisfaction +Inf", "consumer state satisfaction", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].Sat = math.Inf(1) }},
+		{"consumer observations -1", "observations", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].N = -1 }},
+		{"served count -3", "served count", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5] = -3 }},
+		{"quality sum NaN", "quality sum", func(t *testing.T, st *core.DynamicsState) { st.Engine.QualSum[5] = math.NaN() }},
 		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
 			var et etState
 			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
@@ -518,6 +528,98 @@ func TestRestoreIsAtomic(t *testing.T) {
 	t.Run("anonrep pseudonym with no account", func(t *testing.T) {
 		testAnonRepRestoreIsAtomic(t)
 	})
+	t.Run("trustme NaN score", func(t *testing.T) {
+		testTrustMeRestoreIsAtomic(t)
+	})
+}
+
+// trustMeState mirrors the TrustMe mechanism blob; gob matches fields by
+// name.
+type trustMeState struct {
+	Ring     dht.RingState
+	Certs    map[uint64]crypto.TransactionCert
+	Nyms     []crypto.ChainState
+	Messages int64
+	Rejected int64
+	Scores   []float64
+	Dirty    bool
+}
+
+// testTrustMeRestoreIsAtomic is TestRestoreIsAtomic's TrustMe case: a blob
+// whose last peer's score is NaN. TrustMe's blob gob-encodes its
+// certificate map in map order, so the engine is compared as its encoded
+// snapshot without the blob, byte for byte, plus the blob decoded, by
+// value.
+func testTrustMeRestoreIsAtomic(t *testing.T) {
+	opts := func() []Option {
+		return sessionScenario(407, WithReputationMechanism(TrustMe(TrustMeConfig{})))
+	}
+	eng, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 1)
+	earlier := snapshotRoundTrip(t, eng)
+	runEpochs(t, eng, 1)
+	runEpochs(t, twin, 2)
+	capture := func(t *testing.T) ([]byte, trustMeState) {
+		t.Helper()
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mech trustMeState
+		if err := gob.NewDecoder(bytes.NewReader(snap.State.Engine.Mechanism)).Decode(&mech); err != nil {
+			t.Fatal(err)
+		}
+		snap.State.Engine.Mechanism = nil
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), mech
+	}
+	beforeBytes, beforeMech := capture(t)
+	var buf bytes.Buffer
+	if err := earlier.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mech trustMeState
+	if err := gob.NewDecoder(bytes.NewReader(hostile.State.Engine.Mechanism)).Decode(&mech); err != nil {
+		t.Fatal(err)
+	}
+	if len(mech.Certs) == 0 {
+		t.Fatal("snapshot carries no certificate, so the ring and certificate restore go unexercised")
+	}
+	mech.Scores[len(mech.Scores)-1] = math.NaN()
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(mech); err != nil {
+		t.Fatal(err)
+	}
+	hostile.State.Engine.Mechanism = blob.Bytes()
+	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "score") {
+		t.Fatalf("restore of hostile snapshot = %v, want a score error", err)
+	}
+	afterBytes, afterMech := capture(t)
+	if !bytes.Equal(afterBytes, beforeBytes) {
+		t.Fatal("rejected restore changed the engine")
+	}
+	if !reflect.DeepEqual(afterMech, beforeMech) {
+		t.Fatal("rejected restore changed the TrustMe mechanism")
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restore perturbed the continuation")
+	}
 }
 
 // anonRepState mirrors the AnonRep mechanism blob; gob matches fields by
