@@ -476,21 +476,21 @@ func (m *Master) scatterOn(w *remoteWorker, rp *replicaPlan, plans []workload.Pl
 // of workers whose partials are malformed — locally, and fold everything in
 // ascending block order, bit-identical to the local kernel by linalg's
 // scatter/fold contract.
-func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
+func (m *Master) spmvDelegate(y, x []float64) (float64, bool) {
 	if m.scatterer == nil {
-		return false
+		return 0, false
 	}
 	live := m.adoptLive()
 	if len(live) == 0 {
-		return false
+		return 0, false
 	}
 	blocks := m.scatterer.SpMVBlocks()
 	if blocks == 0 {
-		return false
+		return 0, false
 	}
 	rp, err := m.planReplicas(live)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	parts := make([]linalg.BlockPartial, blocks)
 	failed := make([]bool, len(live))
@@ -521,7 +521,7 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 			copy(parts[lob:hib], m.scatterer.SpMVScatterBlocks(x, lob, hib))
 		}
 	}
-	return linalg.FoldBlocks(y, dangle, parts)
+	return linalg.FoldBlocks(y, parts)
 }
 
 // validPartials reports whether a worker's reply holds one well-formed

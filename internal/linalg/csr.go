@@ -1,18 +1,19 @@
 // Package linalg is the sparse linear-algebra kernel under the reputation
 // mechanisms: row-normalized CSR trust matrices updated in batches of dirty
-// rows, and a deterministic, shard-parallel sparse matrix–vector product.
+// rows, and a deterministic sparse matrix–vector product.
 // Every epoch the interaction graph touches only a sliver of the
 // population, so the mechanisms rematerialize just the changed rows and pay
 // O(nnz) per power iteration instead of the Θ(n²) a dense [][]float64 costs.
 //
-// Determinism is a hard contract, matching the epoch pipeline's: all
-// results are bit-for-bit identical for every worker count (see spmv.go for
-// the canonical-fold argument).
+// Determinism is a hard contract, matching the epoch pipeline's: every
+// product adds the same terms in the same canonical block order, locally or
+// through the cluster's block partials (see spmv.go for the argument).
 package linalg
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // RowSource supplies matrix rows: AppendRow appends row i's entries —
@@ -23,8 +24,7 @@ type RowSource interface {
 }
 
 // entries is a run of entries, rows ascending and columns ascending within
-// a row, with each row's start offset. A block keeps no col: its columns
-// live compressed in its cols and lidx, and col is the merge's scratch.
+// a row, with each row's start offset.
 type entries struct {
 	ptr []int32   // row r of the run holds entries [ptr[r], ptr[r+1])
 	row []int32   // per entry: its row
@@ -33,14 +33,13 @@ type entries struct {
 }
 
 // block is one canonical SpMV block (see spmv.go): its rows' entries in the
-// order the kernel reads them, plus the block's compressed partial layout.
-// Per entry it holds only what the kernel reads: row, slot and value.
+// order the kernel reads them, plus the block's pattern.
 type block struct {
 	lo int // first row; the block holds rows [lo, lo+len(ptr)-1)
 	entries
-	cols  []int32 // ascending distinct columns the block's rows touch
-	lidx  []int32 // per entry: the slot of its column in cols
-	empty []int32 // ascending rows with no entry (dangling)
+	cols   []int32 // ascending distinct columns the block's rows touch
+	shared []int32 // ascending columns the block's rows touch more than once
+	empty  []int32 // ascending rows with no entry (dangling)
 }
 
 // CSR is a square sparse matrix whose rows are each empty (dangling) or
@@ -55,12 +54,11 @@ type CSR struct {
 	nnz     int
 
 	// Update scratch: the dirty rows' new entries (ptr per dirty row), the
-	// merge target a rebuilt block swaps its entries with (its col carries
-	// the merged columns to the pattern rebuild), and the column bitmap with
-	// its per-word rank. The bitmap is all zero between calls.
+	// merge target a rebuilt block swaps its entries with, and the column
+	// bitmaps of a pattern rebuild (touched, and touched twice). The bitmaps
+	// are all zero between calls.
 	fresh, spare entries
-	mark         []uint64
-	rank         []int32
+	mark, dup    []uint64
 }
 
 // New returns an empty n×n matrix: every row dangling.
@@ -73,7 +71,7 @@ func New(n int) *CSR {
 		rowsPer: max(1, (n+nb-1)/nb),
 		blocks:  make([]block, nb),
 		mark:    make([]uint64, words),
-		rank:    make([]int32, words),
+		dup:     make([]uint64, words),
 	}
 	for b := range c.blocks {
 		blk := &c.blocks[b]
@@ -106,24 +104,7 @@ func (c *CSR) NNZ() int { return c.nnz }
 func (c *CSR) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
 	blk := &c.blocks[i/c.rowsPer]
 	lo, hi := blk.ptr[i-blk.lo], blk.ptr[i-blk.lo+1]
-	for _, slot := range blk.lidx[lo:hi] {
-		cols = append(cols, blk.cols[slot])
-	}
-	return cols, append(vals, blk.val[lo:hi]...)
-}
-
-// hasCols reports whether row lo+r of the block stores exactly cols.
-func (blk *block) hasCols(r int, cols []int32) bool {
-	lidx := blk.lidx[blk.ptr[r]:blk.ptr[r+1]]
-	if len(lidx) != len(cols) {
-		return false
-	}
-	for k, slot := range lidx {
-		if blk.cols[slot] != cols[k] {
-			return false
-		}
-	}
-	return true
+	return append(cols, blk.col[lo:hi]...), append(vals, blk.val[lo:hi]...)
 }
 
 // Update rematerializes rows — strictly ascending — from src. Each row is
@@ -163,7 +144,8 @@ func (c *CSR) updateBlock(src RowSource, blk *block, rows []int) {
 		f.col, f.val = src.AppendRow(i, f.col, f.val)
 		c.normalize(i, start)
 		f.ptr = append(f.ptr, int32(len(f.col)))
-		same = same && blk.hasCols(i-blk.lo, f.col[start:])
+		r := i - blk.lo
+		same = same && slices.Equal(blk.col[blk.ptr[r]:blk.ptr[r+1]], f.col[start:])
 	}
 	if same {
 		for j, i := range rows {
@@ -227,9 +209,7 @@ func (c *CSR) merge(blk *block, rows []int) {
 		if next < r {
 			lo, hi := blk.ptr[next], blk.ptr[r]
 			copy(s.row[pos:], blk.row[lo:hi])
-			for k, slot := range blk.lidx[lo:hi] {
-				s.col[int(pos)+k] = blk.cols[slot]
-			}
+			copy(s.col[pos:], blk.col[lo:hi])
 			copy(s.val[pos:], blk.val[lo:hi])
 			for q := next; q < r; q++ {
 				s.ptr[q] = blk.ptr[q] - lo + pos
@@ -255,11 +235,11 @@ func (c *CSR) merge(blk *block, rows []int) {
 	blk.entries, c.spare = c.spare, blk.entries
 }
 
-// pattern rebuilds blk's layout from its entries: its empty rows, and its
-// touched columns with each entry's slot among them — every column marked
-// in the bitmap, the marked columns listed in ascending order, then each
-// entry given its column's rank: a prefix count per word plus a popcount
-// within the word, so the cost is O(entries + words spanned), no
+// pattern rebuilds blk's pattern from its entries: its empty rows, its
+// touched columns and, among them, those touched more than once. Each
+// column is marked in a bitmap over the n/64 column words, a second mark
+// recording a repeat, and the marked columns are read out word by word in
+// ascending order, so the cost is O(entries + words spanned), no
 // comparison sort.
 func (c *CSR) pattern(blk *block) {
 	blk.empty = blk.empty[:0]
@@ -268,36 +248,34 @@ func (c *CSR) pattern(blk *block) {
 			blk.empty = append(blk.empty, int32(blk.lo+r))
 		}
 	}
-	mark := c.mark
+	mark, dup := c.mark, c.dup
 	wlo, whi := len(mark), 0
 	for _, col := range blk.col {
-		wd := int(col >> 6)
-		mark[wd] |= 1 << (col & 63)
+		wd, bit := int(col>>6), uint64(1)<<(col&63)
+		dup[wd] |= mark[wd] & bit
+		mark[wd] |= bit
 		wlo, whi = min(wlo, wd), max(whi, wd+1)
 	}
-	touched := int32(0)
+	touched, shared := 0, 0
 	for wd := wlo; wd < whi; wd++ {
-		c.rank[wd] = touched
-		touched += int32(bits.OnesCount64(mark[wd]))
+		touched += bits.OnesCount64(mark[wd])
+		shared += bits.OnesCount64(dup[wd])
 	}
-	blk.cols = resize(blk.cols, int(touched))
-	for wd := wlo; wd < whi; wd++ {
-		k := c.rank[wd]
-		for m := mark[wd]; m != 0; m &= m - 1 {
-			blk.cols[k] = int32(wd<<6 | bits.TrailingZeros64(m))
-			k++
+	whi = max(whi, wlo) // a block with no entry spans no word
+	blk.cols = listBits(resize(blk.cols, touched)[:0], mark[wlo:whi], wlo)
+	blk.shared = listBits(resize(blk.shared, shared)[:0], dup[wlo:whi], wlo)
+}
+
+// listBits appends, ascending, the column of every bit set in words (word
+// 0 being column word base) to dst, zeroes the words, and returns dst.
+func listBits(dst []int32, words []uint64, base int) []int32 {
+	for k, w := range words {
+		for m := w; m != 0; m &= m - 1 {
+			dst = append(dst, int32((base+k)<<6|bits.TrailingZeros64(m)))
 		}
+		words[k] = 0
 	}
-	blk.lidx = resize(blk.lidx, len(blk.col))
-	for k, col := range blk.col {
-		wd := col >> 6
-		below := mark[wd] & (1<<(col&63) - 1)
-		blk.lidx[k] = c.rank[wd] + int32(bits.OnesCount64(below))
-	}
-	for wd := wlo; wd < whi; wd++ {
-		mark[wd] = 0
-	}
-	c.spare.col, blk.col = blk.col, nil
+	return dst
 }
 
 // resize returns s with length n, reallocating with an eighth's headroom

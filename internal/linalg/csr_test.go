@@ -287,7 +287,7 @@ func TestMulTransposeMatchesDense(t *testing.T) {
 		}
 		y := make([]float64, n)
 		var ws Workspace
-		c.MulTranspose(y, x, dangle, 1, &ws)
+		mulDangle(c, y, x, dangle, &ws)
 
 		d := denseOf(c)
 		want := make([]float64, n)
@@ -310,41 +310,75 @@ func TestMulTransposeMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulTransposeWorkerInvariance(t *testing.T) {
-	rng := sim.NewRNG(11)
-	// Large enough for multiple scatter blocks.
-	n := 3 * spmvBlockRows
-	c := randomMatrix(t, rng, n)
-	x := make([]float64, n)
-	dangle := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64()
-		dangle[i] = 1 / float64(n)
-	}
-	ref := make([]float64, n)
-	var ws Workspace
-	c.MulTranspose(ref, x, dangle, 1, &ws)
-	for _, workers := range []int{2, 3, 4, 8, 17} {
-		y := make([]float64, n)
-		var w2 Workspace
-		c.MulTranspose(y, x, dangle, workers, &w2)
-		for j := range y {
-			if y[j] != ref[j] {
-				t.Fatalf("workers=%d: y[%d] = %v differs from serial %v (bit-for-bit contract)",
-					workers, j, y[j], ref[j])
+// TestMulTransposeMatchesBlockFold pins the one-pass kernel bit for bit,
+// product and dangling mass, to the canonical block fold it replaced: every
+// block scattered into its compressed partial by ScatterBlocks and folded
+// by FoldBlocks, and the dense-partial reference. The matrices aim most
+// rows at a few hot columns, so nearly every block touches some columns
+// more than once and parks them; a fifth of the rows dangle, a fifth of x
+// is zero, and an all-empty matrix leaves y at zero with all of x as mass.
+func TestMulTransposeMatchesBlockFold(t *testing.T) {
+	for _, n := range []int{1, 255, 257, 773, 9001} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := sim.NewRNG(uint64(n) + 7)
+			tbl := newTable(n)
+			hot := min(n, 8)
+			for i := 0; i < n; i++ {
+				if rng.Bool(0.2) {
+					continue // dangling row
+				}
+				cols, vals := randomRow(rng, n, 1+rng.Intn(3))
+				cols = append(cols, int32(rng.Intn(hot)))
+				slices.Sort(cols)
+				cols = slices.Compact(cols)
+				vals = append(vals, rng.Float64())[:len(cols)]
+				tbl.set(i, cols, vals)
 			}
-		}
+			x := make([]float64, n)
+			for i := range x {
+				if !rng.Bool(0.2) {
+					x[i] = rng.Float64()
+				}
+			}
+			for _, c := range []*CSR{Build(n, tbl), New(n)} {
+				if n >= 255 && c.NNZ() > 0 && len(c.blocks[0].shared) == 0 {
+					t.Fatal("fixture block 0 touches no column twice, so parking goes unexercised")
+				}
+				var ws Workspace
+				got := make([]float64, n)
+				mass := c.MulTranspose(got, x, &ws)
+				want := make([]float64, n)
+				wantMass, ok := FoldBlocks(want, c.ScatterBlocks(x, 0, BlockCount(n), &ws))
+				if !ok {
+					t.Fatal("FoldBlocks rejected the kernel's own partials")
+				}
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("nnz=%d: y[%d] = %v, block fold %v", c.NNZ(), j, got[j], want[j])
+				}
+				if math.Float64bits(mass) != math.Float64bits(wantMass) {
+					t.Fatalf("nnz=%d: mass %v, block fold %v", c.NNZ(), mass, wantMass)
+				}
+				dense := make([]float64, n)
+				denseBlockProduct(c, dense, x, x)
+				mulDangle(c, got, x, x, &ws)
+				if j, ok := sameBits(got, dense); !ok {
+					t.Fatalf("nnz=%d: corrected y[%d] = %v, dense-partial reference %v", c.NNZ(), j, got[j], dense[j])
+				}
+			}
+		})
 	}
 }
 
+// TestMulTransposeNilDangle: the product leaves the dangling correction to
+// its caller. An all-dangling matrix gives y = 0, whatever y held, and all
+// of x as mass.
 func TestMulTransposeNilDangle(t *testing.T) {
 	c := New(2) // all rows dangling
-	x := []float64{0.5, 0.5}
+	x := []float64{0.5, 0.25}
 	y := []float64{9, 9}
 	var ws Workspace
-	c.MulTranspose(y, x, nil, 1, &ws)
-	if y[0] != 0 || y[1] != 0 {
-		t.Fatalf("nil dangle: y = %v, want zeros", y)
+	if mass := c.MulTranspose(y, x, &ws); mass != 0.75 || y[0] != 0 || y[1] != 0 {
+		t.Fatalf("all-dangling product: y = %v, mass %v; want zeros and 0.75", y, mass)
 	}
 }
 
@@ -360,9 +394,9 @@ func TestMulTransposeSteadyStateAllocFree(t *testing.T) {
 		dangle[i] = 1 / float64(n)
 	}
 	var ws Workspace
-	c.MulTranspose(y, x, dangle, 1, &ws) // warm the workspace
+	mulDangle(c, y, x, dangle, &ws) // warm the workspace
 	allocs := testing.AllocsPerRun(50, func() {
-		c.MulTranspose(y, x, dangle, 1, &ws)
+		mulDangle(c, y, x, dangle, &ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SpMV allocates %v objects/op, want 0", allocs)
@@ -386,7 +420,7 @@ func TestMulTransposeSteadyStateAllocFree(t *testing.T) {
 			vals[k] = rng.Float64()
 		}
 		c.Update(src, rows)
-		c.MulTranspose(y, x, dangle, 1, &ws)
+		mulDangle(c, y, x, dangle, &ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("SpMV after a value-only Update allocates %v objects/op, want 0", allocs)

@@ -1,27 +1,26 @@
 package linalg
 
-import (
-	"slices"
-
-	"repro/internal/sim"
-)
-
-// The scatter phase of the parallel SpMV works over fixed row blocks. The
-// block decomposition is a function of the matrix dimension ONLY — never of
-// the worker count — so each block's partial vector is computed by exactly
-// one worker with a deterministic serial accumulation order, and the fold
-// sums the partials in canonical (ascending block) order. Worker count then
-// only changes which goroutine computes a block, not any float operation or
-// its order: results are bit-for-bit identical for every parallelism.
+// The product works over fixed row blocks. The block decomposition is a
+// function of the matrix dimension ONLY, and the product adds each block's
+// terms in one canonical order: blocks ascending, and within a block its
+// entries rows ascending, columns ascending. Every output index therefore
+// sums the same block partials in the same block order wherever the blocks
+// are computed — here, or in cluster workers through ScatterBlocks and
+// FoldBlocks — so the bits never depend on where a block ran.
 //
-// A block's partial is stored compressed: one slot per distinct column the
-// block's rows touch, so a product costs O(nnz + touched columns) instead of
-// O(blocks·n). Skipping the untouched columns is exact. A dense partial holds
-// +0 there, and the fold's running sum starts at +0 and can never become −0
-// under round-to-nearest (x + y is −0 only when both are −0), so adding +0
-// leaves it unchanged bit for bit. The same argument lets the scatter run
-// one flat loop over a block's entries with no per-row branch: a row whose
-// x weight is 0 adds ±0 to slots that hold no −0, which changes nothing.
+// MulTranspose makes one serial pass over the blocks. An entry whose column
+// its block touches only once adds its term straight into the output, and
+// a column the block touches more than once accumulates the block's partial
+// in the output cell itself, with the running sum parked aside and added
+// back right after the block. Both are exact against the partial-then-fold
+// form. A one-term partial is +0 + v, which equals v unless v is −0; the
+// output starts at +0 and can never become −0 under round-to-nearest
+// (x + y is −0 only when both are −0), so adding −0 or +0 to it changes
+// nothing. A parked column restarts at +0, so it builds the block's partial
+// term by term exactly as a private slot would. Skipping a column a block
+// does not touch is exact for the same reason: the partial there is +0. And
+// a row whose x weight is 0 adds ±0, which changes nothing either, so the
+// pass is one flat loop over a block's entries with no per-row branch.
 //
 // Every product is written float64(a*b): the explicit conversion rounds it,
 // so no architecture may fuse it with the add that follows, and the bits
@@ -31,83 +30,70 @@ const (
 	spmvMaxBlocks = 32
 )
 
-// BlockCount returns the canonical scatter block count for an n-row matrix —
-// the decomposition the cluster layer fans out to worker processes. It is a
+// BlockCount returns the canonical block count for an n-row matrix — the
+// decomposition the cluster layer fans out to worker processes. It is a
 // function of n ONLY (never of worker or process count), which is what makes
-// a distributed SpMV bit-identical to the local one: each block's partial is
-// produced by the same serial accumulation wherever it runs, and FoldBlocks
-// folds them in the same canonical order MulTranspose does.
+// a distributed product bit-identical to the local one: each block's partial
+// is produced by the same serial accumulation wherever it runs, and
+// FoldBlocks folds them in the same canonical order MulTranspose adds them.
 func BlockCount(n int) int {
 	return min(max((n+spmvBlockRows-1)/spmvBlockRows, 1), spmvMaxBlocks)
 }
 
-// Workspace holds the SpMV scratch: one compressed partial per block, its
-// Cols aliasing the block's touched columns. Reusing one workspace across
-// iterations keeps the power iteration allocation-free in steady state; it
-// may move between matrices. A workspace must not be shared by concurrent
-// SpMV calls.
+// Workspace holds the product's scratch: the parked output values of a
+// block's shared columns, and ScatterBlocks' dense accumulator (all zero
+// between calls). Reusing one workspace across iterations keeps the power
+// iteration allocation-free in steady state; it may move between matrices.
+// A workspace must not be shared by concurrent calls.
 type Workspace struct {
-	parts []BlockPartial
+	park  []float64
+	dense []float64
 }
 
-// fit sizes the partials of blocks [lob, hib) to c's current layout.
-func (w *Workspace) fit(c *CSR, lob, hib int) {
-	if len(w.parts) != len(c.blocks) {
-		w.parts = make([]BlockPartial, len(c.blocks))
+// MulTranspose sets y = Aᵀx and returns the dangling mass: the total x
+// weight sitting on empty rows, mass = Σ_{i : row i empty} x[i], summed per
+// block in row order and over blocks in ascending order. The caller applies
+// the rank-one correction mass·dangle that replaces a dense uniform (or
+// pretrust) fill of silent rows, in its own pass over y. x and y must have
+// length N and must not overlap. See the package comment for why the result
+// is bit-for-bit the canonical block fold.
+func (c *CSR) MulTranspose(y, x []float64, ws *Workspace) float64 {
+	clear(y)
+	mass := 0.0
+	for b := range c.blocks {
+		blk := &c.blocks[b]
+		if len(ws.park) < len(blk.shared) {
+			ws.park = make([]float64, len(blk.shared))
+		}
+		park := ws.park[:len(blk.shared)]
+		for s, j := range blk.shared {
+			park[s], y[j] = y[j], 0
+		}
+		col, val := blk.col[:len(blk.row)], blk.val[:len(blk.row)]
+		for k, i := range blk.row {
+			y[col[k]] += float64(val[k] * x[i])
+		}
+		for s, j := range blk.shared {
+			y[j] = park[s] + y[j]
+		}
+		mass += blk.mass(x)
 	}
-	for b := lob; b < hib; b++ {
-		p := &w.parts[b]
-		p.Cols = c.blocks[b].cols
-		p.Vals = resize(p.Vals, len(p.Cols))
-	}
+	return mass
 }
 
-// MulTranspose computes y = Aᵀx + mass·dangle, where mass is the total x
-// weight sitting on empty (dangling) rows: mass = Σ_{i : row i empty} x[i].
-// This is the rank-one uniform correction that replaces a dense uniform (or
-// pretrust) fill of silent rows — dangle is the distribution a dangling
-// row's weight jumps to (nil applies no correction). x and y must have
-// length N and must not overlap.
-//
-// The product scatters over the canonical row blocks on up to `workers`
-// goroutines and folds the compressed partials in ascending block order,
-// each worker owning a contiguous output range; see the package comment for
-// why the result is bit-for-bit identical at any worker count.
-func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
-	n := c.n
-	if n == 0 {
-		return
+// mass sums x over the block's empty rows, in row order.
+func (blk *block) mass(x []float64) float64 {
+	m := 0.0
+	for _, i := range blk.empty {
+		m += x[i]
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	blocks := len(c.blocks)
-	ws.fit(c, 0, blocks)
-	if workers == 1 {
-		// Inline serial path: no closures, so the steady state is
-		// allocation-free.
-		c.scatter(ws, x, 0, blocks)
-	} else {
-		sim.ForChunks(workers, blocks, func(lob, hib int) {
-			c.scatter(ws, x, lob, hib)
-		})
-	}
-	mass := totalMass(ws.parts)
-	// Each output index is owned by one worker and sums the partials in
-	// ascending block order — canonical regardless of chunking.
-	if workers == 1 {
-		fold(y, dangle, ws.parts, mass, 0, n)
-	} else {
-		sim.ForChunks(workers, n, func(lo, hi int) {
-			fold(y, dangle, ws.parts, mass, lo, hi)
-		})
-	}
+	return m
 }
 
-// BlockPartial is one canonical block's share of y = Aᵀx in the kernel's
-// compressed form: Vals[k] is the block's partial sum at column Cols[k]
-// (strictly ascending), every other column's partial is +0, and Mass is the
-// x weight on the block's empty rows.
+// BlockPartial is one canonical block's share of y = Aᵀx in compressed
+// form: Vals[k] is the block's partial sum at column Cols[k] (strictly
+// ascending), every other column's partial is +0, and Mass is the x weight
+// on the block's empty rows.
 type BlockPartial struct {
 	Cols []int32
 	Vals []float64
@@ -130,103 +116,73 @@ func (p *BlockPartial) Valid(n int) bool {
 	return true
 }
 
-// ScatterBlocks computes the compressed partials of the canonical scatter
-// blocks [lob, hib) for y = Aᵀx, one per block in ascending order. It runs
-// exactly the serial per-block accumulation MulTranspose's scatter phase
-// runs, so a partial computed here — in another process, say — is
-// bit-for-bit the one the local kernel would have produced. Pair with
-// FoldBlocks on the full block set to finish the product. The results cost
-// O(touched columns), never alias ws or the matrix, and share one column
-// and one value backing array.
+// ScatterBlocks computes the compressed partials of the canonical blocks
+// [lob, hib) for y = Aᵀx, one per block in ascending order: the cluster's
+// wire form of the product. Each block's entries accumulate in the same
+// order MulTranspose adds them, so a partial computed here — in another
+// process, say — folds by FoldBlocks to bit-for-bit MulTranspose's result.
+// The results cost O(touched columns), never alias ws or the matrix, and
+// share one column and one value backing array.
 func (c *CSR) ScatterBlocks(x []float64, lob, hib int, ws *Workspace) []BlockPartial {
 	hib = min(hib, len(c.blocks))
 	if c.n == 0 || lob >= hib {
 		return nil
 	}
-	ws.fit(c, lob, hib)
-	c.scatter(ws, x, lob, hib)
 	touched := 0
 	for b := lob; b < hib; b++ {
-		touched += len(ws.parts[b].Cols)
+		touched += len(c.blocks[b].cols)
 	}
 	cols := make([]int32, 0, touched)
-	vals := make([]float64, 0, touched)
+	vals := make([]float64, touched)
 	parts := make([]BlockPartial, hib-lob)
+	if len(ws.dense) < c.n {
+		ws.dense = make([]float64, c.n)
+	}
 	for b := lob; b < hib; b++ {
-		p := &ws.parts[b]
 		k := len(cols)
-		cols = append(cols, p.Cols...)
-		vals = append(vals, p.Vals...)
-		parts[b-lob] = BlockPartial{Cols: cols[k:len(cols):len(cols)], Vals: vals[k:len(vals):len(vals)], Mass: p.Mass}
+		cols = append(cols, c.blocks[b].cols...)
+		end := len(cols)
+		c.scatter(b, x, ws.dense, vals[k:end])
+		parts[b-lob] = BlockPartial{Cols: cols[k:end:end], Vals: vals[k:end:end], Mass: c.blocks[b].mass(x)}
 	}
 	return parts
 }
 
-// FoldBlocks completes y = Aᵀx + mass·dangle from a full set of block
-// partials (parts[b] for block b, ascending). It runs MulTranspose's fold —
-// masses summed in ascending block order, each output index summing its
-// partials in ascending block order (the +0 off a block's columns skipped,
-// which is exact) before the rank-one dangling correction — so a product
-// assembled from remotely computed blocks is bit-identical to the local
-// one. dangle == nil applies no correction. It returns false, leaving y
+// scatter accumulates block b's entries, in order, into the all-zero dense
+// scratch d, then moves d at the block's touched columns (ascending) into
+// vals, one value per column, leaving d all zero again.
+func (c *CSR) scatter(b int, x, d, vals []float64) {
+	blk := &c.blocks[b]
+	col, val := blk.col[:len(blk.row)], blk.val[:len(blk.row)]
+	for k, i := range blk.row {
+		d[col[k]] += float64(val[k] * x[i])
+	}
+	vals = vals[:len(blk.cols)]
+	for k, j := range blk.cols {
+		vals[k], d[j] = d[j], 0
+	}
+}
+
+// FoldBlocks sets y = Aᵀx from a full set of block partials (parts[b] for
+// block b, ascending) and returns the dangling mass, both as MulTranspose
+// computes them: each output index sums its partials in ascending block
+// order (the +0 off a block's columns skipped, which is exact), and the
+// masses are summed in ascending block order. It returns false, leaving y
 // untouched, when any partial fails Valid for len(y).
-func FoldBlocks(y, dangle []float64, parts []BlockPartial) bool {
+func FoldBlocks(y []float64, parts []BlockPartial) (float64, bool) {
 	for b := range parts {
 		if !parts[b].Valid(len(y)) {
-			return false
+			return 0, false
 		}
 	}
-	fold(y, dangle, parts, totalMass(parts), 0, len(y))
-	return true
-}
-
-// scatter accumulates blocks [lob, hib) of the transpose product into the
-// workspace's compressed partials and dangling masses: one flat pass over
-// each block's entries, then one over its empty rows.
-func (c *CSR) scatter(ws *Workspace, x []float64, lob, hib int) {
-	for b := lob; b < hib; b++ {
-		blk := &c.blocks[b]
-		p := &ws.parts[b]
-		part := p.Vals
-		clear(part)
-		lidx, val := blk.lidx[:len(blk.row)], blk.val[:len(blk.row)]
-		for k, i := range blk.row {
-			part[lidx[k]] += float64(val[k] * x[i])
-		}
-		mass := 0.0
-		for _, i := range blk.empty {
-			mass += x[i]
-		}
-		p.Mass = mass
-	}
-}
-
-// totalMass sums the blocks' dangling masses in ascending block order.
-func totalMass(parts []BlockPartial) float64 {
+	clear(y)
 	mass := 0.0
 	for b := range parts {
-		mass += parts[b].Mass
-	}
-	return mass
-}
-
-// fold writes output indices [lo, hi): the partials summed in ascending
-// block order, then the rank-one dangling correction when dangle is set.
-// Each block's columns in range are found by binary search.
-func fold(y, dangle []float64, parts []BlockPartial, mass float64, lo, hi int) {
-	clear(y[lo:hi])
-	for b := range parts {
-		cols, vals := parts[b].Cols, parts[b].Vals
-		start, _ := slices.BinarySearch(cols, int32(lo))
-		end, _ := slices.BinarySearch(cols, int32(hi))
-		vals = vals[start:end]
-		for k, col := range cols[start:end] {
+		vals := parts[b].Vals
+		for k, col := range parts[b].Cols {
 			y[col] += vals[k]
 		}
+		mass += parts[b].Mass
 	}
-	if dangle != nil {
-		for j := lo; j < hi; j++ {
-			y[j] += float64(mass * dangle[j])
-		}
-	}
+	return mass, true
 }

@@ -56,6 +56,17 @@ func denseBlockProduct(c *CSR, y, x, dangle []float64) {
 	}
 }
 
+// mulDangle is the product with the rank-one dangling correction the
+// solver applies: y = Aᵀx + mass·dangle, or y = Aᵀx when dangle is nil.
+func mulDangle(c *CSR, y, x, dangle []float64, ws *Workspace) {
+	mass := c.MulTranspose(y, x, ws)
+	if dangle != nil {
+		for j := range y {
+			y[j] += float64(mass * dangle[j])
+		}
+	}
+}
+
 // randomRow draws up to k distinct ascending columns in [0, n) (k draws,
 // duplicates merged) with random values.
 func randomRow(rng *sim.RNG, n, k int) ([]int32, []float64) {
@@ -143,13 +154,12 @@ func sameBits(a, b []float64) (int, bool) {
 }
 
 // TestMulTransposeBitIdentity pins the kernel to the dense-block reference
-// bit for bit — at worker counts {1,2,3,8}, through the cluster path
-// (ScatterBlocks over every block, then FoldBlocks), and for long-lived
-// workspaces against fresh ones — while random batched updates change the
-// matrix between products: in-place value rewrites, column-set changes,
-// rows turning empty and refilling, a whole block emptied, and full
-// rebuilds. A block whose layout missed a change would scatter through a
-// stale pattern and diverge.
+// bit for bit — for long-lived workspaces and fresh ones, and through the
+// cluster path (ScatterBlocks over every block, then FoldBlocks) — while
+// random batched updates change the matrix between products: in-place
+// value rewrites, column-set changes, rows turning empty and refilling, a
+// whole block emptied, and full rebuilds. A block whose pattern missed a
+// change would park or skip the wrong columns and diverge.
 func TestMulTransposeBitIdentity(t *testing.T) {
 	kinds := []string{"value rewrite", "column-set change", "rows to empty", "refill", "all-empty block", "full rebuild"}
 	for _, n := range []int{1, 255, 257, 773, 9001} {
@@ -165,26 +175,20 @@ func TestMulTransposeBitIdentity(t *testing.T) {
 				}
 				dangle[i] = rng.Float64() / float64(n)
 			}
-			workerCounts := []int{1, 2, 3, 8}
-			long := make([]Workspace, len(workerCounts))
-			var scatterWS Workspace
+			var long, scatterWS Workspace
 			want := make([]float64, n)
 			got := make([]float64, n)
 			check := func(step int, op string) {
 				t.Helper()
 				denseBlockProduct(c, want, x, dangle)
-				for wi, workers := range workerCounts {
-					c.MulTranspose(got, x, dangle, workers, &long[wi])
-					if j, ok := sameBits(got, want); !ok {
-						t.Fatalf("step %d (%s): workers=%d long-lived workspace: y[%d] = %v, want %v",
-							step, op, workers, j, got[j], want[j])
-					}
-					var fresh Workspace
-					c.MulTranspose(got, x, dangle, workers, &fresh)
-					if j, ok := sameBits(got, want); !ok {
-						t.Fatalf("step %d (%s): workers=%d fresh workspace: y[%d] = %v, want %v",
-							step, op, workers, j, got[j], want[j])
-					}
+				mulDangle(c, got, x, dangle, &long)
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("step %d (%s): long-lived workspace: y[%d] = %v, want %v", step, op, j, got[j], want[j])
+				}
+				var fresh Workspace
+				mulDangle(c, got, x, dangle, &fresh)
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("step %d (%s): fresh workspace: y[%d] = %v, want %v", step, op, j, got[j], want[j])
 				}
 				// The cluster path: every block scattered (in two ranges, as
 				// two workers would) and folded by FoldBlocks, on a long-lived
@@ -193,8 +197,12 @@ func TestMulTransposeBitIdentity(t *testing.T) {
 				for _, ws := range []*Workspace{&scatterWS, new(Workspace)} {
 					low := c.ScatterBlocks(x, 0, blocks/2, ws)
 					high := c.ScatterBlocks(x, blocks/2, blocks, ws)
-					if !FoldBlocks(got, dangle, append(low, high...)) {
+					mass, ok := FoldBlocks(got, append(low, high...))
+					if !ok {
 						t.Fatalf("step %d (%s): FoldBlocks rejected the kernel's own partials", step, op)
+					}
+					for j := range got {
+						got[j] += float64(mass * dangle[j])
 					}
 					if j, ok := sameBits(got, want); !ok {
 						t.Fatalf("step %d (%s): ScatterBlocks+FoldBlocks: y[%d] = %v, want %v",
@@ -263,12 +271,10 @@ func TestUpdateMatchesBuild(t *testing.T) {
 						t.Fatalf("step %d: row %d values %v, normalized source %v", step, i, vals, srcVals)
 					}
 				}
-				for _, workers := range []int{1, 3} {
-					c.MulTranspose(got, x, x, workers, &wsGot)
-					ref.MulTranspose(want, x, x, workers, &wsWant)
-					if j, ok := sameBits(got, want); !ok {
-						t.Fatalf("step %d: workers=%d: y[%d] = %v, rebuilt %v", step, workers, j, got[j], want[j])
-					}
+				mulDangle(c, got, x, x, &wsGot)
+				mulDangle(ref, want, x, x, &wsWant)
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("step %d: y[%d] = %v, rebuilt %v", step, j, got[j], want[j])
 				}
 			}
 		})
@@ -325,17 +331,14 @@ func TestPatternRebuildsOnlyOnColumnChanges(t *testing.T) {
 	expect("row emptied", 0)
 }
 
-// kernelBytes is the memory the SpMV reads: the workspace's compressed
-// partials and every per-block array of the matrix — entry rows, slots and
-// values, touched columns, empty rows and row offsets.
+// kernelBytes is what one product reads and writes besides x and y: the
+// workspace, and every per-block array of the matrix — entries, touched
+// and shared columns, empty rows and row offsets.
 func kernelBytes(c *CSR, w *Workspace) int {
-	bytes := cap(w.parts) * int(unsafe.Sizeof(BlockPartial{}))
-	for _, p := range w.parts {
-		bytes += cap(p.Vals) * 8 // Cols alias the matrix's touched columns
-	}
+	bytes := (cap(w.park) + cap(w.dense)) * 8
 	bytes += cap(c.blocks) * int(unsafe.Sizeof(block{}))
 	for _, blk := range c.blocks {
-		bytes += (cap(blk.row)+cap(blk.lidx)+cap(blk.cols)+cap(blk.empty)+cap(blk.ptr))*4 + cap(blk.val)*8
+		bytes += (cap(blk.row)+cap(blk.col)+cap(blk.cols)+cap(blk.shared)+cap(blk.empty)+cap(blk.ptr))*4 + cap(blk.val)*8
 	}
 	return bytes
 }
@@ -356,7 +359,7 @@ func TestWorkspaceFootprint(t *testing.T) {
 		x[i] = 1 / float64(n)
 	}
 	var ws Workspace
-	c.MulTranspose(y, x, x, 2, &ws)
+	mulDangle(c, y, x, x, &ws)
 	bytes := kernelBytes(c, &ws)
 	if bytes >= 1<<20 {
 		t.Fatalf("SpMV scratch + block arrays hold %d B at n=%d, nnz=%d; want < 1 MB", bytes, n, c.NNZ())
@@ -435,7 +438,7 @@ func TestFoldBlocksRejectsMalformedPartials(t *testing.T) {
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
 			y := []float64{9, 9, 9, 9, 9, 9, 9, 9}
-			if FoldBlocks(y, nil, []BlockPartial{good, bad}) {
+			if _, ok := FoldBlocks(y, []BlockPartial{good, bad}); ok {
 				t.Fatalf("FoldBlocks accepted %+v", bad)
 			}
 			for j, v := range y {
@@ -445,23 +448,21 @@ func TestFoldBlocksRejectsMalformedPartials(t *testing.T) {
 			}
 		})
 	}
-	y := make([]float64, n)
-	dangle := make([]float64, n)
-	for j := range dangle {
-		dangle[j] = 1.0 / n
-	}
-	if !FoldBlocks(y, dangle, []BlockPartial{good, {Mass: 0.25}}) {
+	y := []float64{9, 9, 9, 9, 9, 9, 9, 9}
+	mass, ok := FoldBlocks(y, []BlockPartial{good, {Mass: 0.25}})
+	if !ok {
 		t.Fatal("FoldBlocks rejected well-formed partials")
 	}
-	if y[4] != 0.25+0.75/n || y[0] != 0.75/n {
-		t.Fatalf("fold of well-formed partials = %v", y)
+	if y[4] != 0.25 || y[0] != 0 || mass != 0.75 {
+		t.Fatalf("fold of well-formed partials = %v, mass %v", y, mass)
 	}
 }
 
-// BenchmarkMulTranspose measures one power-iteration product at the
-// epoch-active shape (~2 stored entries per row, a fifth of rows dangling)
-// for 20k and 100k users. ns/nnz is advisory: it should stay flat as n
-// grows, since the kernel's cost follows the stored entries, not blocks × n.
+// BenchmarkMulTranspose measures one power-iteration product, without the
+// solver's dangling-correction pass, at the epoch-active shape (~2 stored
+// entries per row, a fifth of rows dangling) for 20k and 100k users. ns/nnz
+// is advisory: it should stay flat as n grows, since the kernel's cost
+// follows the stored entries, not blocks × n.
 func BenchmarkMulTranspose(b *testing.B) {
 	for _, n := range []int{20000, 100000} {
 		rng := sim.NewRNG(21)
@@ -483,18 +484,16 @@ func BenchmarkMulTranspose(b *testing.B) {
 		for i := range x {
 			x[i] = 1 / float64(n)
 		}
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				var ws Workspace
-				c.MulTranspose(y, x, x, workers, &ws)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.MulTranspose(y, x, x, workers, &ws)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.NNZ()), "ns/nnz")
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var ws Workspace
+			c.MulTranspose(y, x, &ws)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.MulTranspose(y, x, &ws)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.NNZ()), "ns/nnz")
+		})
 	}
 }
 

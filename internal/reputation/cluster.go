@@ -9,15 +9,15 @@ import "repro/internal/linalg"
 // and score normalization stay inside the Solver, so a delegated Compute is
 // the same solver with its inner product computed elsewhere.
 
-// SpMVDelegate computes y = Aᵀx + mass·dangle for the mechanism's current
-// matrix, where mass is the total x weight on empty rows and dangle the
-// distribution that weight jumps to (exactly linalg.CSR.MulTranspose's
-// contract). It returns false to decline — no workers available, say — in
-// which case the mechanism runs the product locally. A delegate MUST be
-// bit-exact: the linalg block scatter/fold helpers guarantee this when the
-// remote side computes blocks with ScatterBlocks and the caller folds with
-// FoldBlocks in canonical order.
-type SpMVDelegate func(y, x, dangle []float64) bool
+// SpMVDelegate sets y = Aᵀx for the mechanism's current matrix and returns
+// the total x weight on its empty rows (exactly linalg.CSR.MulTranspose's
+// contract); the solver applies the dangling correction itself. It returns
+// false to decline — no workers available, say — in which case the
+// mechanism runs the product locally. A delegate MUST be bit-exact: the
+// linalg block scatter/fold helpers guarantee this when the remote side
+// computes blocks with ScatterBlocks and the caller folds with FoldBlocks
+// in canonical order.
+type SpMVDelegate func(y, x []float64) (mass float64, ok bool)
 
 // SpMVDelegator is implemented by mechanisms that can route their Compute's
 // inner SpMV through a delegate (nil restores the local kernel).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 )
@@ -89,25 +90,43 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 	}
 }
 
-func TestComputeWorkerInvariance(t *testing.T) {
-	build := func(workers int) *Mechanism {
-		m, err := New(Config{N: 300, Pretrusted: []int{1}})
+// TestComputeMatchesBlockFold pins the one-pass product and the solver's
+// fused correction, blend and residual pass, bit for bit, to the canonical
+// block fold: a twin whose every product is ScatterBlocks over all blocks
+// plus FoldBlocks, the form the cluster computes. Both see the same reports
+// in three waves, a Compute after each, so the later waves run on
+// incrementally updated matrices; scores, round counts and residuals must
+// match exactly.
+func TestComputeMatchesBlockFold(t *testing.T) {
+	const n = 600 // three canonical blocks
+	build := func(fold bool) *Mechanism {
+		m, err := New(Config{N: n, Pretrusted: []int{1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetComputeShards(workers)
-		feedRandom(t, m, sim.NewRNG(42), 300, 3000)
+		if fold {
+			m.SetSpMVDelegate(func(y, x []float64) (float64, bool) {
+				return linalg.FoldBlocks(y, m.SpMVScatterBlocks(x, 0, m.SpMVBlocks()))
+			})
+		}
 		return m
 	}
-	ref := build(1)
-	ref.Compute()
-	for _, workers := range []int{2, 4, 8} {
-		m := build(workers)
-		m.Compute()
-		for j, v := range m.Raw() {
-			if v != ref.Raw()[j] {
-				t.Fatalf("workers=%d: score[%d] = %v differs from serial %v (bit-for-bit contract)",
-					workers, j, v, ref.Raw()[j])
+	local, folded := build(false), build(true)
+	for wave := uint64(0); wave < 3; wave++ {
+		feedRandom(t, local, sim.NewRNG(42+wave), n, 1500)
+		feedRandom(t, folded, sim.NewRNG(42+wave), n, 1500)
+		if li, fi := local.Compute(), folded.Compute(); li != fi {
+			t.Fatalf("wave %d: %d rounds, block fold %d", wave, li, fi)
+		}
+		lc, _ := local.LastConvergence()
+		fc, _ := folded.LastConvergence()
+		if math.Float64bits(lc.Residual) != math.Float64bits(fc.Residual) {
+			t.Fatalf("wave %d: residual %v, block fold %v", wave, lc.Residual, fc.Residual)
+		}
+		want := folded.Raw()
+		for j, v := range local.Raw() {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("wave %d: score[%d] = %v, block fold %v", wave, j, v, want[j])
 			}
 		}
 	}

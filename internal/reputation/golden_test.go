@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/reputation"
 	"repro/internal/reputation/eigentrust"
 	"repro/internal/reputation/powertrust"
@@ -15,21 +16,37 @@ import (
 )
 
 // iterative is the surface the golden stream drives: the power-iteration
-// mechanisms with their batch, shard and diagnostics seams.
+// mechanisms with their batch, block-partial and diagnostics seams.
 type iterative interface {
 	reputation.Mechanism
 	reputation.BatchSubmitter
-	reputation.ComputeSharder
+	reputation.SpMVDelegator
+	reputation.BlockScatterer
 	reputation.ConvergenceReporter
 	Raw() []float64
 }
 
-// goldenN spans three canonical SpMV blocks, so the sharded runs really
-// scatter in parallel.
+// goldenN spans three canonical SpMV blocks, so the block-fold runs really
+// split the product.
 const goldenN = 600
 
+// blockFold returns a delegate that computes every product the cluster's
+// way: the canonical blocks scattered in `shards` contiguous ranges, as that
+// many workers would, and folded by linalg.FoldBlocks.
+func blockFold(m iterative, shards int) reputation.SpMVDelegate {
+	return func(y, x []float64) (float64, bool) {
+		blocks := m.SpMVBlocks()
+		var parts []linalg.BlockPartial
+		for k := 0; k < shards; k++ {
+			parts = append(parts, m.SpMVScatterBlocks(x, k*blocks/shards, (k+1)*blocks/shards)...)
+		}
+		return linalg.FoldBlocks(y, parts)
+	}
+}
+
 // goldenDigests are SHA-256 digests of goldenStream's output, one per
-// mechanism and start; every shard count must reproduce the same digest.
+// mechanism and start; the local kernel (shards=1) and the block fold over
+// four block ranges (shards=4) must both reproduce it.
 // They were recorded once and must never be regenerated to make a change
 // pass: a differing digest means the change moved a score, an iteration
 // count, a residual or a snapshot byte.
@@ -56,7 +73,9 @@ func goldenStream(t *testing.T, build func() (iterative, error), shards int) str
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetComputeShards(shards)
+	if shards > 1 {
+		m.SetSpMVDelegate(blockFold(m, shards))
+	}
 	h := sha256.New()
 	word := func(v uint64) {
 		var b [8]byte
@@ -97,7 +116,9 @@ func goldenStream(t *testing.T, build func() (iterative, error), shards int) str
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh.SetComputeShards(shards)
+			if shards > 1 {
+				fresh.SetSpMVDelegate(blockFold(fresh, shards))
+			}
 			if err := fresh.RestoreMechanismState(blob); err != nil {
 				t.Fatal(err)
 			}

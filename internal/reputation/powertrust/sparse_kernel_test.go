@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 )
@@ -140,27 +141,59 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 	}
 }
 
-func TestComputeWorkerInvariance(t *testing.T) {
-	build := func(workers int) *Mechanism {
-		m, err := New(Config{N: 300})
-		if err != nil {
-			t.Fatal(err)
+// TestComputeMatchesBlockFold pins the one-pass product and the solver's
+// fused correction, blend and residual pass, bit for bit, to the canonical
+// block fold: a twin whose every product is ScatterBlocks over all blocks
+// plus FoldBlocks, the form the cluster computes. It covers the look-ahead
+// walk, whose first operator application is Step, and the plain one. Both
+// twins see the same reports in three waves, a Compute after each, so the
+// later waves run on incrementally updated matrices; scores, round counts,
+// residuals and one more Step from the last fixed point must match exactly.
+func TestComputeMatchesBlockFold(t *testing.T) {
+	const n = 600 // three canonical blocks
+	for _, plain := range []bool{false, true} {
+		newMech := New
+		if plain {
+			newMech = NewPlain
 		}
-		m.SetComputeShards(workers)
-		feedRandom(t, m, sim.NewRNG(21), 300, 3000)
-		return m
-	}
-	ref := build(1)
-	ref.Compute()
-	for _, workers := range []int{2, 4, 8} {
-		m := build(workers)
-		m.Compute()
-		for j, v := range m.Raw() {
-			if v != ref.Raw()[j] {
-				t.Fatalf("workers=%d: score[%d] = %v differs from serial %v (bit-for-bit contract)",
-					workers, j, v, ref.Raw()[j])
+		build := func(fold bool) *Mechanism {
+			m, err := newMech(Config{N: n, M: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fold {
+				m.SetSpMVDelegate(func(y, x []float64) (float64, bool) {
+					return linalg.FoldBlocks(y, m.SpMVScatterBlocks(x, 0, m.SpMVBlocks()))
+				})
+			}
+			return m
+		}
+		local, folded := build(false), build(true)
+		same := func(what string, got, want []float64) {
+			t.Helper()
+			for j, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[j]) {
+					t.Fatalf("plain=%v: %s[%d] = %v, block fold %v", plain, what, j, v, want[j])
+				}
 			}
 		}
+		for wave := uint64(0); wave < 3; wave++ {
+			feedRandom(t, local, sim.NewRNG(21+wave), n, 1500)
+			feedRandom(t, folded, sim.NewRNG(21+wave), n, 1500)
+			if li, fi := local.Compute(), folded.Compute(); li != fi {
+				t.Fatalf("plain=%v wave %d: %d rounds, block fold %d", plain, wave, li, fi)
+			}
+			lc, _ := local.LastConvergence()
+			fc, _ := folded.LastConvergence()
+			if math.Float64bits(lc.Residual) != math.Float64bits(fc.Residual) {
+				t.Fatalf("plain=%v wave %d: residual %v, block fold %v", plain, wave, lc.Residual, fc.Residual)
+			}
+			same("score", local.Raw(), folded.Raw())
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		local.Step(got, local.Raw())
+		folded.Step(want, folded.Raw())
+		same("Step", got, want)
 	}
 }
 

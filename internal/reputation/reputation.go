@@ -122,17 +122,6 @@ type BatchSubmitter interface {
 	SubmitBatch(rs []Report) error
 }
 
-// ComputeSharder is implemented by mechanisms whose Compute scatters work
-// over parallel worker shards. Implementations guarantee the epoch
-// pipeline's determinism contract: scores are bit-for-bit identical for
-// every shard count, so the engine may wire its scheduling configuration
-// straight through.
-type ComputeSharder interface {
-	// SetComputeShards sets the worker count used by Compute (values < 1
-	// are clamped to 1).
-	SetComputeShards(k int)
-}
-
 // Convergence describes one iterative Compute run: how many iterations the
 // solver performed, the final L1 residual when it stopped, and whether the
 // iteration was warm-started from the previous fixed point.

@@ -31,13 +31,14 @@ var _ RowFeed = (*LocalTrust)(nil)
 //	t ← (1−α)·(Aᵀt + mᵀ·dangle) + α·teleport
 //
 // where A is the feed's row-normalized matrix and m the trust mass on its
-// dangling rows, folded in by the kernel's rank-one correction instead of
-// dense rows. A lives in a CSR whose rows are rematerialized from the feed's
-// dirty set, so a recompute touches only the rows that changed; the
-// iteration runs the shard-parallel SpMV on buffers reused across computes
-// (zero steady-state allocation), bit-for-bit identical for every shard
-// count. Mechanisms embed it and keep only what differs between them: the
-// feed, the two vectors, and whatever they do before a Solve.
+// dangling rows, folded in by a rank-one correction instead of dense rows.
+// A lives in a CSR whose rows are rematerialized from the feed's dirty set,
+// so a recompute touches only the rows that changed; each step is one
+// serial product followed by one pass over n that applies the correction,
+// the α-blend and (in Solve) the residual, on buffers reused across
+// computes (zero steady-state allocation). Mechanisms embed it and keep
+// only what differs between them: the feed, the two vectors, and whatever
+// they do before a Solve.
 type Solver struct {
 	feed     RowFeed   //trustlint:derived the owning mechanism's matrix, which the mechanism snapshots itself
 	dangle   []float64 //trustlint:derived configuration, rebuilt by the mechanism's constructor
@@ -56,7 +57,6 @@ type Solver struct {
 	// Sparse kernel state.
 	csr          *linalg.CSR      //trustlint:derived rematerialized from the feed on first Solve after restore
 	ws           linalg.Workspace //trustlint:derived scratch, contents never outlive one Solve
-	workers      int              //trustlint:derived configuration (SetComputeShards), not part of the deterministic state
 	materialized bool             //trustlint:derived cleared by restore to force a full CSR rebuild
 	// spmv, when set, computes the inner product remotely (the cluster
 	// layer); nil or a false return runs the local kernel.
@@ -87,7 +87,6 @@ func NewSolver(feed RowFeed, dangle, teleport []float64, alpha, epsilon float64,
 		cold:         coldStart,
 		scores:       append([]float64(nil), dangle...),
 		csr:          linalg.New(n),
-		workers:      1,
 		materialized: true, // a fresh CSR matches the empty matrix
 		vecA:         make([]float64, n),
 		vecB:         make([]float64, n),
@@ -95,16 +94,6 @@ func NewSolver(feed RowFeed, dangle, teleport []float64, alpha, epsilon float64,
 	}
 	s.refreshNorm()
 	return s
-}
-
-// SetComputeShards implements ComputeSharder: the SpMV scatters over k
-// workers. Shards are a scheduling knob only — scores stay bit-for-bit
-// identical for every k.
-func (s *Solver) SetComputeShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.workers = k
 }
 
 // SetSpMVDelegate implements SpMVDelegator: the inner product routes
@@ -125,7 +114,6 @@ func (s *Solver) SpMVScatterBlocks(x []float64, lob, hib int) []linalg.BlockPart
 }
 
 var (
-	_ ComputeSharder      = (*Solver)(nil)
 	_ SpMVDelegator       = (*Solver)(nil)
 	_ BlockScatterer      = (*Solver)(nil)
 	_ ConvergenceReporter = (*Solver)(nil)
@@ -154,22 +142,28 @@ func (s *Solver) refreshMatrix() {
 	s.feed.ClearDirty()
 }
 
-// mul computes dst = Aᵀsrc + mᵀ·dangle, remotely when a delegate accepts.
-func (s *Solver) mul(dst, src []float64) {
-	if s.spmv == nil || !s.spmv(dst, src, s.dangle) {
-		s.csr.MulTranspose(dst, src, s.dangle, s.workers, &s.ws)
+// mul sets dst = Aᵀsrc, remotely when a delegate accepts, and returns the
+// dangling mass of src.
+func (s *Solver) mul(dst, src []float64) float64 {
+	if s.spmv != nil {
+		if mass, ok := s.spmv(dst, src); ok {
+			return mass
+		}
 	}
+	return s.csr.MulTranspose(dst, src, &s.ws)
 }
 
 // Step applies the iteration operator once: dst = (1−α)·(Aᵀsrc + mᵀ·dangle)
-// + α·teleport. It reads the materialized matrix as the last Solve left it.
-// Each product is rounded by an explicit float64 conversion, so no
-// architecture fuses it into a multiply-add and every one computes the
-// same bits (as in the linalg kernel).
+// + α·teleport, the correction and the blend in one pass over the product.
+// It reads the materialized matrix as the last Solve left it. Each product
+// is rounded by an explicit float64 conversion, so no architecture fuses it
+// into a multiply-add and every one computes the same bits (as in the
+// linalg kernel).
 func (s *Solver) Step(dst, src []float64) {
-	s.mul(dst, src)
-	for j := range dst {
-		dst[j] = float64((1-s.alpha)*dst[j]) + float64(s.alpha*s.teleport[j])
+	mass := s.mul(dst, src)
+	alpha, dangle, teleport := s.alpha, s.dangle, s.teleport
+	for j, v := range dst {
+		dst[j] = float64((1-alpha)*(v+float64(mass*dangle[j]))) + float64(alpha*teleport[j])
 	}
 }
 
@@ -181,8 +175,9 @@ func (s *Solver) Step(dst, src []float64) {
 // warm-starts from the previous fixed point, so an incremental recompute
 // pays only as many rounds as the matrix actually moved; a cold start
 // begins at dangle every time. epsilon is never loosened on warm starts.
-// Each round's last operator application fuses the α blend with the
-// residual, so a round makes no more passes over n than the operator needs.
+// Each round's last operator application does Step's pass and adds the
+// residual, in ascending order, in the same pass, so a round makes no more
+// passes over n than its products need.
 func (s *Solver) Solve(lookAhead bool) int {
 	if !s.dirty {
 		return 0
@@ -197,7 +192,7 @@ func (s *Solver) Solve(lookAhead bool) int {
 	} else {
 		copy(t, s.scores)
 	}
-	alpha, teleport := s.alpha, s.teleport
+	alpha, dangle, teleport := s.alpha, s.dangle, s.teleport
 	iters := 0
 	residual := 0.0
 	for ; iters < s.maxIter; iters++ {
@@ -206,11 +201,12 @@ func (s *Solver) Solve(lookAhead bool) int {
 			s.Step(mid, t)
 			src = mid
 		}
-		s.mul(next, src)
+		mass := s.mul(next, src)
 		diff := 0.0
-		for j := range next {
-			next[j] = float64((1-alpha)*next[j]) + float64(alpha*teleport[j])
-			diff += math.Abs(next[j] - t[j])
+		for j, v := range next {
+			v = float64((1-alpha)*(v+float64(mass*dangle[j]))) + float64(alpha*teleport[j])
+			next[j] = v
+			diff += math.Abs(v - t[j])
 		}
 		t, next = next, t
 		residual = diff
@@ -298,10 +294,18 @@ func (s *Solver) State() SolverState {
 }
 
 // SetState restores a captured solver of the same dimension and forces a
-// full CSR rebuild on the next Solve.
+// full CSR rebuild on the next Solve. Every score must be a number in
+// [0, 1], as every Solve's is (a convex blend of distributions); the check
+// runs before the first write, so a rejected state leaves the solver as it
+// was.
 func (s *Solver) SetState(st SolverState) error {
 	if len(st.Scores) != len(s.scores) {
 		return fmt.Errorf("state for %d peers, want %d", len(st.Scores), len(s.scores))
+	}
+	for i, v := range st.Scores {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("state score %v of peer %d out of [0,1]", v, i)
+		}
 	}
 	copy(s.scores, st.Scores)
 	s.refreshNorm()

@@ -135,7 +135,10 @@ func (m *Mechanism) Ring() *dht.Ring { return m.ring }
 
 // BeginTransaction establishes the pairwise transaction certificate before
 // the transaction takes place, as TrustMe requires. Calling it twice for the
-// same txID returns the existing certificate.
+// same txID returns the existing certificate. A certificate lives until the
+// transaction's report is filed: Submit then drops it, so the mechanism
+// holds only the certificates of transactions still waiting for a report,
+// and a later report under the same txID needs a new one.
 func (m *Mechanism) BeginTransaction(txID uint64, consumer, provider int) (crypto.TransactionCert, error) {
 	if consumer < 0 || consumer >= m.cfg.N || provider < 0 || provider >= m.cfg.N {
 		return crypto.TransactionCert{}, fmt.Errorf("trustme: parties %d,%d out of range", consumer, provider)
@@ -159,7 +162,8 @@ func (m *Mechanism) BeginTransaction(txID uint64, consumer, provider int) (crypt
 // established certificate with matching parties; otherwise it is rejected.
 // For harness convenience a missing certificate is auto-established (the
 // certificate exchange always precedes the transaction in the real
-// protocol), but a mismatched one is a hard error.
+// protocol), but a mismatched one is a hard error. Filing the report
+// consumes the certificate.
 func (m *Mechanism) Submit(r reputation.Report) error {
 	if err := r.Validate(m.cfg.N); err != nil {
 		return fmt.Errorf("trustme: %w", err)
@@ -198,6 +202,7 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 	}
 	_ = m.nyms[r.Rater].Current() // pseudonym under which the report is filed
 	m.Messages += 2               // store + ack (routing hops counted by ring)
+	delete(m.certs, r.TxID)
 	m.dirty = true
 	m.dirtyPeers.Mark(r.Ratee)
 	m.tfDirty.Mark(r.Ratee)

@@ -68,6 +68,40 @@ func TestCertificateMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestCertificateLifetime: a certificate lives from BeginTransaction until
+// its report is filed. A pending one survives a state round trip and still
+// binds its parties; filing consumes it, so the store holds only pending
+// transactions.
+func TestCertificateLifetime(t *testing.T) {
+	m, err := New(Config{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.BeginTransaction(7, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := m.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(Config{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreMechanismState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Submit(reputation.Report{TxID: 7, Rater: 3, Ratee: 2, Value: 0}); !errors.Is(err, ErrCertMismatch) {
+		t.Fatalf("forged report on a restored certificate: err = %v, want ErrCertMismatch", err)
+	}
+	if err := restored.Submit(reputation.Report{TxID: 7, Rater: 1, Ratee: 2, Value: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.certs) != 0 {
+		t.Fatalf("%d certificates held after the only report was filed, want 0", len(restored.certs))
+	}
+}
+
 func TestBeginTransactionIdempotent(t *testing.T) {
 	m, err := New(Config{N: 3})
 	if err != nil {

@@ -376,11 +376,6 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		ledgerScale: cfg.ExposureScale,
 	}
 	e.scatterChunk = e.newScatterChunk()
-	// Mechanism compute parallelizes under the same shard configuration as
-	// the epoch pipeline (and with the same determinism contract).
-	if cs, ok := mech.(reputation.ComputeSharder); ok {
-		cs.SetComputeShards(cfg.Shards)
-	}
 	e.clique = make(map[int]bool)
 	for id, c := range classes {
 		if c == adversary.Colluder {
@@ -897,9 +892,6 @@ func (e *Engine) SetShards(k int) {
 		k = 1
 	}
 	e.shards = k
-	if cs, ok := e.mech.(reputation.ComputeSharder); ok {
-		cs.SetComputeShards(k)
-	}
 }
 
 // SetRoundObserver installs (or, with nil, removes) the callback invoked

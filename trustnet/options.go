@@ -362,7 +362,8 @@ func WithWorkers(n int) Option {
 // decomposition, not a semantic one: every observable result — epoch
 // history, summaries, explorer output — is bit-for-bit identical for every
 // shard count under the same seed, so parallelism can be tuned per
-// deployment without re-baselining experiments.
+// deployment without re-baselining experiments. The mechanism's recompute
+// does not use the shards: its power iteration is serial.
 func WithShards(k int) Option {
 	return func(c *engineConfig) {
 		if k < 1 {

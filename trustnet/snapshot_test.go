@@ -430,10 +430,11 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 // hostile part placed where a restore that writes as it checks would already
 // have overwritten the mechanism and most users: the last consumer, the last
 // provider, the last peer's behaviour class, or a self-rating in the
-// EigenTrust local-trust matrix. Six more corrupt round state no run can
+// EigenTrust local-trust matrix. Seven more corrupt state no run can
 // reach: a provider's satisfaction or willingness, a consumer's
-// satisfaction or observation count, and a provider's served count or
-// quality sum; restored, they would fail or diverge one epoch later. Each must be an error that leaves the
+// satisfaction or observation count, a provider's served count or
+// quality sum, and an EigenTrust score; restored, they would fail or
+// diverge one epoch later. Each must be an error that leaves the
 // engine's encoded snapshot byte-identical to before and its continuation
 // bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreIsAtomic(t *testing.T) {
@@ -482,11 +483,15 @@ func TestRestoreIsAtomic(t *testing.T) {
 			}
 			e := &et.LT.Entries[len(et.LT.Entries)-1]
 			e.J = e.I
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(et); err != nil {
+			st.Engine.Mechanism = gobBytes(t, et)
+		}},
+		{"eigentrust NaN score", "score", func(t *testing.T, st *core.DynamicsState) {
+			var et etState
+			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
 				t.Fatal(err)
 			}
-			st.Engine.Mechanism = buf.Bytes()
+			et.Scores[n-1] = math.NaN()
+			st.Engine.Mechanism = gobBytes(t, et)
 		}},
 	}
 	encode := func(t *testing.T) []byte {
@@ -531,6 +536,96 @@ func TestRestoreIsAtomic(t *testing.T) {
 	t.Run("trustme NaN score", func(t *testing.T) {
 		testTrustMeRestoreIsAtomic(t)
 	})
+	t.Run("powertrust NaN score", func(t *testing.T) {
+		testPowerTrustRestoreIsAtomic(t)
+	})
+}
+
+// gobBytes gob-encodes v.
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// powerTrustState mirrors the PowerTrust mechanism blob; gob matches fields
+// by name.
+type powerTrustState struct {
+	Feedback []struct {
+		Rater, Ratee int
+		Sum          float64
+		Count        int
+	}
+	Scores    []float64
+	Power     []int
+	Dirty     bool
+	DirtyRows []int32
+	Conv      reputation.Convergence
+	HasConv   bool
+}
+
+// testPowerTrustRestoreIsAtomic is TestRestoreIsAtomic's PowerTrust case: a
+// blob whose last peer's score is NaN. The PowerTrust blob is byte-stable,
+// so the engine is compared as its whole encoded snapshot.
+func testPowerTrustRestoreIsAtomic(t *testing.T) {
+	opts := func() []Option {
+		return sessionScenario(408, WithReputationMechanism(PowerTrust(PowerTrustConfig{})))
+	}
+	eng, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, eng, 1)
+	earlier := snapshotRoundTrip(t, eng)
+	runEpochs(t, eng, 1)
+	runEpochs(t, twin, 2)
+	encode := func() []byte {
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := encode()
+	var buf bytes.Buffer
+	if err := earlier.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mech powerTrustState
+	if err := gob.NewDecoder(bytes.NewReader(hostile.State.Engine.Mechanism)).Decode(&mech); err != nil {
+		t.Fatal(err)
+	}
+	if len(mech.Feedback) == 0 {
+		t.Fatal("snapshot carries no feedback, so the feedback restore goes unexercised")
+	}
+	mech.Scores[len(mech.Scores)-1] = math.NaN()
+	hostile.State.Engine.Mechanism = gobBytes(t, mech)
+	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "score") {
+		t.Fatalf("restore of hostile snapshot = %v, want a score error", err)
+	}
+	if !bytes.Equal(encode(), before) {
+		t.Fatal("rejected restore changed the engine")
+	}
+	runEpochs(t, eng, 2)
+	runEpochs(t, twin, 2)
+	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
+		t.Fatal("rejected restore perturbed the continuation")
+	}
 }
 
 // trustMeState mirrors the TrustMe mechanism blob; gob matches fields by
@@ -596,8 +691,10 @@ func testTrustMeRestoreIsAtomic(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(hostile.State.Engine.Mechanism)).Decode(&mech); err != nil {
 		t.Fatal(err)
 	}
-	if len(mech.Certs) == 0 {
-		t.Fatal("snapshot carries no certificate, so the ring and certificate restore go unexercised")
+	// Filing a report consumes its certificate, so a snapshot between
+	// rounds holds none; the trustme package tests restore a pending one.
+	if len(mech.Ring.Store) == 0 {
+		t.Fatal("snapshot carries no rating history, so the ring restore goes unexercised")
 	}
 	mech.Scores[len(mech.Scores)-1] = math.NaN()
 	var blob bytes.Buffer
@@ -619,6 +716,34 @@ func testTrustMeRestoreIsAtomic(t *testing.T) {
 	runEpochs(t, twin, 2)
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restore perturbed the continuation")
+	}
+}
+
+// TestTrustMeCertificatesBounded: TrustMe state does not grow with run
+// length through its certificates. Filing a report consumes its
+// certificate, so a 300-peer run holds no more after 40 epochs than after
+// 10.
+func TestTrustMeCertificatesBounded(t *testing.T) {
+	eng, err := New(sessionScenario(409, WithPeers(300), WithReputationMechanism(TrustMe(TrustMeConfig{})))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := func() int {
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mech trustMeState
+		if err := gob.NewDecoder(bytes.NewReader(snap.State.Engine.Mechanism)).Decode(&mech); err != nil {
+			t.Fatal(err)
+		}
+		return len(mech.Certs)
+	}
+	runEpochs(t, eng, 10)
+	early := certs()
+	runEpochs(t, eng, 30)
+	if late := certs(); late > early {
+		t.Fatalf("%d certificates after 40 epochs, %d after 10", late, early)
 	}
 }
 
