@@ -523,7 +523,9 @@ func BenchmarkBarabasiAlbert(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := sim.NewRNG(1)
 			for i := 0; i < b.N; i++ {
-				_ = graph.BarabasiAlbert(rng, n, 4)
+				if _, err := graph.BarabasiAlbert(rng, n, 4); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

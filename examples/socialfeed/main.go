@@ -25,7 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	friends := trustnet.WattsStrogatzGraph(rng, members, 6, 0.1)
+	friends, err := trustnet.WattsStrogatzGraph(rng, members, 6, 0.1)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Every member publishes three items with sensitivity-derived
 	// policies: a public post, a friends-only email, a high-sensitivity

@@ -273,35 +273,6 @@ func (m *TrustModel) fold(u int, instant float64) (t float64, settled bool) {
 	return t, float64(m.inertia*t)+float64((1-m.inertia)*instant) == t
 }
 
-// Update folds a user's current facets into her trust and returns the new
-// value.
-func (m *TrustModel) Update(user int, f Facets) (float64, error) {
-	if user < 0 || user >= len(m.trust) {
-		return 0, fmt.Errorf("core: user %d out of range [0,%d)", user, len(m.trust))
-	}
-	instant, err := Combine(f, m.weightsFor(user))
-	if err != nil {
-		return 0, err
-	}
-	t, settledNow := m.fold(user, instant)
-	m.trust[user] = t
-	m.started[user] = true
-	m.tree.Stage(user, t)
-	m.tree.Flush()
-	switch {
-	case settledNow && !m.settled[user]:
-		m.settled[user] = true
-		m.settledCount++
-		at := sort.SearchInts(m.unsettled, user)
-		if at < len(m.unsettled) && m.unsettled[at] == user {
-			m.unsettled = append(m.unsettled[:at], m.unsettled[at+1:]...)
-		}
-	case !settledNow:
-		m.unsettle(user)
-	}
-	return m.trust[user], nil
-}
-
 // UpdateScattered is the sparse trust-update pass behind the sub-linear
 // epoch tail. It folds current facets into trust for a candidate subset:
 // the ascending id list cands, or every user when all is set (cands is then
@@ -329,6 +300,9 @@ func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Fa
 	}
 	if count == 0 {
 		return nil
+	}
+	if !all && (cands[0] < 0 || cands[count-1] >= n) {
+		return fmt.Errorf("core: candidates %d..%d out of range [0,%d)", cands[0], cands[count-1], n)
 	}
 	errs := m.growErr(count)
 	newSettled := m.growSettled(count)
@@ -388,7 +362,7 @@ const sparseSeqCutoff = 2048
 // case: the reputation facet is global per epoch, and untouched users share
 // default satisfaction and privacy) pay one geometric mean instead of one
 // each. The memo only skips recomputing a pure function on equal inputs, so
-// the trust vector is bit-for-bit identical to per-user Update calls.
+// the trust vector is bit-for-bit identical to combining every user anew.
 func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets, errs []error, newSettled []bool, lo, hi int) {
 	var lastF Facets
 	var lastInstant float64

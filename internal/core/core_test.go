@@ -185,12 +185,12 @@ func TestTrustModelUpdateAndInertia(t *testing.T) {
 		t.Fatal("initial trust != 0.5")
 	}
 	// First update seeds directly.
-	v, err := m.Update(0, Facets{1, 1, 1})
+	v, err := update(m, 0, Facets{1, 1, 1})
 	if err != nil || v != 1 {
 		t.Fatalf("first update = %v, %v", v, err)
 	}
 	// Second update is smoothed: 0.5*1 + 0.5*0 = 0.5.
-	v, err = m.Update(0, Facets{0, 1, 1})
+	v, err = update(m, 0, Facets{0, 1, 1})
 	if err != nil || v != 0.5 {
 		t.Fatalf("smoothed update = %v", v)
 	}
@@ -200,8 +200,10 @@ func TestTrustModelUpdateAndInertia(t *testing.T) {
 	if m.Trust(-1) != 0 || m.Trust(9) != 0 {
 		t.Fatal("out-of-range trust != 0")
 	}
-	if _, err := m.Update(9, Facets{1, 1, 1}); err == nil {
-		t.Fatal("out-of-range update accepted")
+	for _, u := range []int{-1, 9} {
+		if _, err := update(m, u, Facets{1, 1, 1}); err == nil {
+			t.Fatalf("out-of-range update of %d accepted", u)
+		}
 	}
 }
 
@@ -211,7 +213,7 @@ func TestGlobalTrustAndSystemTrusted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range []Facets{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {0.1, 0.1, 0.1}} {
-		if _, err := m.Update(i, f); err != nil {
+		if _, err := update(m, i, f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,211 +1,80 @@
-// Package graph implements the directed weighted graph substrate used for
-// social networks, trust overlays and feedback graphs throughout the
-// reproduction: adjacency storage, classic random-graph generators
-// (Erdős–Rényi, Barabási–Albert, Watts–Strogatz) and structural metrics.
+// Package graph builds the friendship topologies of the reproduction: the
+// classic random-graph generators (Erdős–Rényi, Barabási–Albert,
+// Watts–Strogatz), each of which writes the immutable int32 adjacency that
+// candidate sampling reads.
 package graph
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/sim"
 )
 
-// Edge is a weighted directed edge.
-type Edge struct {
-	To     int
-	Weight float64
-}
-
-// Graph is a directed weighted multigraph-free graph over nodes 0..N-1.
-// Adding an edge that already exists overwrites its weight.
-//
-// Each node's out- and in-edges are flat slices kept sorted by endpoint, so
-// adjacency reads are the stored slices themselves (no per-read sort or
-// copy) and point queries binary-search.
+// Graph is an immutable unweighted graph over nodes 0..N-1: off[u]..off[u+1]
+// is u's range in ids, and each node's list is ascending. The
+// Barabási–Albert and Watts–Strogatz topologies are symmetric (every edge is
+// stored in both directions); Erdős–Rényi's is directed.
 type Graph struct {
-	n   int
-	out [][]Edge // out[u]: u's out-edges, ascending by destination
-	in  [][]Edge // in[v]: v's in-edges, ascending by source (Edge.To holds the source)
-}
-
-// New returns an empty graph with n nodes.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	g := &Graph{
-		n:   n,
-		out: make([][]Edge, n),
-		in:  make([][]Edge, n),
-	}
-	return g
+	off []int32
+	ids []int32
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return max(len(g.off)-1, 0) }
 
-// AddNode appends a new isolated node and returns its id.
-func (g *Graph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.n++
-	return g.n - 1
-}
-
-func (g *Graph) valid(v int) bool { return v >= 0 && v < g.n }
-
-// search returns the position of endpoint v in es (sorted by To): its index
-// when present, else the index it would be inserted at.
-func search(es []Edge, v int) (int, bool) {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if es[m].To < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+// Neighbors returns u's out-neighbours, ascending (nil if u is out of
+// range). The slice is the graph's own storage (shared; read-only); its
+// capacity is clipped, so appending to it copies.
+func (g *Graph) Neighbors(u int) []int32 {
+	if u < 0 || u >= g.N() {
+		return nil
 	}
-	return lo, lo < len(es) && es[lo].To == v
-}
-
-// upsert sets the weight of endpoint v in es, inserting it in order when
-// absent.
-func upsert(es []Edge, v int, w float64) []Edge {
-	i, ok := search(es, v)
-	if ok {
-		es[i].Weight = w
-		return es
-	}
-	return slices.Insert(es, i, Edge{To: v, Weight: w})
-}
-
-// remove deletes endpoint v from es if present.
-func remove(es []Edge, v int) []Edge {
-	if i, ok := search(es, v); ok {
-		return slices.Delete(es, i, i+1)
-	}
-	return es
-}
-
-// SetEdge adds or updates the directed edge u->v with weight w.
-// It returns an error for out-of-range nodes or self-loops.
-func (g *Graph) SetEdge(u, v int, w float64) error {
-	if !g.valid(u) || !g.valid(v) {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop on node %d rejected", u)
-	}
-	g.out[u] = upsert(g.out[u], v, w)
-	g.in[v] = upsert(g.in[v], u, w)
-	return nil
-}
-
-// AddEdgeBoth adds edges in both directions with the same weight.
-func (g *Graph) AddEdgeBoth(u, v int, w float64) error {
-	if err := g.SetEdge(u, v, w); err != nil {
-		return err
-	}
-	return g.SetEdge(v, u, w)
-}
-
-// RemoveEdge deletes u->v if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	if !g.valid(u) || !g.valid(v) {
-		return
-	}
-	g.out[u] = remove(g.out[u], v)
-	g.in[v] = remove(g.in[v], u)
+	lo, hi := g.off[u], g.off[u+1]
+	return g.ids[lo:hi:hi]
 }
 
 // HasEdge reports whether u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.Weight(u, v)
+	if v < 0 || v >= g.N() {
+		return false
+	}
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
 	return ok
 }
 
-// Weight returns the weight of u->v and whether the edge exists.
-func (g *Graph) Weight(u, v int) (float64, bool) {
-	if !g.valid(u) {
-		return 0, false
-	}
-	es := g.out[u]
-	if i, ok := search(es, v); ok {
-		return es[i].Weight, true
-	}
-	return 0, false
-}
-
-// OutDegree returns the out-degree of u (0 if out of range).
-func (g *Graph) OutDegree(u int) int {
-	if !g.valid(u) {
-		return 0
-	}
-	return len(g.out[u])
-}
-
-// InDegree returns the in-degree of u (0 if out of range).
-func (g *Graph) InDegree(u int) int {
-	if !g.valid(u) {
-		return 0
-	}
-	return len(g.in[u])
-}
-
-// Out returns u's out-edges sorted by destination. The slice is the graph's
-// own storage (shared; read-only) and valid until the next mutation of u's
-// out-edges; its capacity is clipped, so appending to it copies.
-func (g *Graph) Out(u int) []Edge {
-	if !g.valid(u) {
-		return nil
-	}
-	return slices.Clip(g.out[u])
-}
-
-// In returns u's in-edges sorted by source (Edge.To holds the source). The
-// slice is the graph's own storage (shared; read-only) and valid until the
-// next mutation of u's in-edges; its capacity is clipped, so appending to it
-// copies.
-func (g *Graph) In(u int) []Edge {
-	if !g.valid(u) {
-		return nil
-	}
-	return slices.Clip(g.in[u])
-}
-
 // NumEdges returns the total directed edge count.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, es := range g.out {
-		total += len(es)
-	}
-	return total
-}
+func (g *Graph) NumEdges() int { return len(g.ids) }
 
-// Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := range g.out {
-		c.out[u] = slices.Clone(g.out[u])
-		c.in[u] = slices.Clone(g.in[u])
+// ErdosRenyi generates a directed G(n, p) graph (no self-loops). Its edge
+// count is random, so it checks the int32 bound as it appends.
+func ErdosRenyi(rng *sim.RNG, n int, p float64) (*Graph, error) {
+	if n > math.MaxInt32 {
+		return nil, tooLarge("erdos-renyi", n)
 	}
-	return c
-}
-
-// ErdosRenyi generates a directed G(n, p) graph (no self-loops).
-func ErdosRenyi(rng *sim.RNG, n int, p float64) *Graph {
-	g := New(n)
+	n = max(n, 0)
+	g := &Graph{off: make([]int32, n+1)}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && rng.Bool(p) {
-				_ = g.SetEdge(u, v, 1)
+				if len(g.ids) == math.MaxInt32 {
+					return nil, tooLarge("erdos-renyi", n)
+				}
+				g.ids = append(g.ids, int32(v))
 			}
 		}
+		g.off[u+1] = int32(len(g.ids))
 	}
-	return g
+	return g, nil
+}
+
+// tooLarge is the error of a generator whose graph does not fit the int32
+// index: neither its node count nor its directed edge count may exceed
+// math.MaxInt32. BarabasiAlbert and WattsStrogatz know the count up front
+// and return it before allocating.
+func tooLarge(name string, n int) error {
+	return fmt.Errorf("graph: %s graph over %d nodes does not fit the int32 index", name, n)
 }
 
 // BarabasiAlbert generates an undirected (symmetric) preferential-attachment
@@ -213,18 +82,19 @@ func ErdosRenyi(rng *sim.RNG, n int, p float64) *Graph {
 // proportional to their degree. The first m+1 nodes form a clique.
 // The result has the heavy-tailed degree distribution typical of social
 // networks, which is the graph family the reproduced experiments default to.
-func BarabasiAlbert(rng *sim.RNG, n, m int) *Graph {
-	if m < 1 {
-		m = 1
-	}
-	if n < m+1 {
-		n = m + 1
+// It returns an error when BarabasiAlbertEdges(n, m) exceeds
+// math.MaxInt32.
+func BarabasiAlbert(rng *sim.RNG, n, m int) (*Graph, error) {
+	n, m = baShape(n, m)
+	edges := BarabasiAlbertEdges(n, m)
+	if edges > math.MaxInt32 {
+		return nil, tooLarge("barabasi-albert", n)
 	}
 	// ends holds both endpoints of every edge in creation order, the later
 	// node first. Drawing a uniform entry picks a node with probability
 	// proportional to its degree, and it doubles as the edge record the
 	// adjacency is built from.
-	ends := make([]int32, 0, 2*(m*(m+1)/2+(n-m-1)*m))
+	ends := make([]int32, 0, edges)
 	for u := 0; u <= m; u++ {
 		for v := 0; v < u; v++ {
 			ends = append(ends, int32(u), int32(v))
@@ -242,17 +112,34 @@ func BarabasiAlbert(rng *sim.RNG, n, m int) *Graph {
 			}
 		}
 	}
-	return symmetric(n, ends)
+	return symmetric(n, ends), nil
 }
 
-// symmetric builds the unit-weight undirected graph over n nodes whose edges
-// ends lists as (later, earlier) pairs, in nondecreasing order of the later
-// node. All adjacency is filled in one pass into one backing array per
-// direction: a node's list is its earlier neighbours (its own edges, sorted
-// when they are complete) followed by the later nodes that chose it, which
-// arrive ascending.
+// baShape applies BarabasiAlbert's clamps: m >= 1 and n >= m+1.
+func baShape(n, m int) (int, int) {
+	m = max(m, 1)
+	return max(n, m+1), m
+}
+
+// BarabasiAlbertEdges returns the directed edge count of a
+// BarabasiAlbert(·, n, m) graph, 2·(m(m+1)/2 + (n−m−1)·m) after its clamps,
+// or math.MaxInt when n alone exceeds math.MaxInt32 (so the product cannot
+// overflow).
+func BarabasiAlbertEdges(n, m int) int {
+	n, m = baShape(n, m)
+	if n > math.MaxInt32 {
+		return math.MaxInt
+	}
+	return 2 * (m*(m+1)/2 + (n-m-1)*m)
+}
+
+// symmetric builds the undirected graph over n nodes whose edges ends lists
+// as (later, earlier) pairs, in nondecreasing order of the later node. The
+// adjacency is filled in one pass: a node's list is its earlier neighbours
+// (its own edges, sorted when they are complete) followed by the later
+// nodes that chose it, which arrive ascending.
 func symmetric(n int, ends []int32) *Graph {
-	off := make([]int, n+1)
+	off := make([]int32, n+1)
 	for _, x := range ends {
 		off[x+1]++
 	}
@@ -260,91 +147,103 @@ func symmetric(n int, ends []int32) *Graph {
 		off[x+1] += off[x]
 	}
 	at := slices.Clone(off[:n])
-	out := make([]Edge, len(ends))
+	ids := make([]int32, len(ends))
 	for k := 0; k < len(ends); k += 2 {
 		hi, lo := ends[k], ends[k+1]
-		out[at[hi]] = Edge{To: int(lo), Weight: 1}
+		ids[at[hi]] = lo
 		at[hi]++
-		out[at[lo]] = Edge{To: int(hi), Weight: 1}
+		ids[at[lo]] = hi
 		at[lo]++
 		if k+2 == len(ends) || ends[k+2] != hi {
-			slices.SortFunc(out[off[hi]:at[hi]], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+			slices.Sort(ids[off[hi]:at[hi]])
 		}
 	}
-	in := slices.Clone(out)
-	g := New(n)
-	for x := 0; x < n; x++ {
-		lo, hi := off[x], off[x+1]
-		g.out[x] = out[lo:hi:hi]
-		g.in[x] = in[lo:hi:hi]
-	}
-	return g
+	return &Graph{off: off, ids: ids}
 }
 
 // WattsStrogatz generates an undirected small-world graph: a ring lattice
 // where each node connects to k nearest neighbors (k rounded down to even),
-// then each edge is rewired with probability beta.
-func WattsStrogatz(rng *sim.RNG, n, k int, beta float64) *Graph {
-	if n < 3 {
-		n = 3
+// then each edge is rewired with probability beta. It returns an error
+// when WattsStrogatzEdges(n, k) exceeds math.MaxInt32.
+func WattsStrogatz(rng *sim.RNG, n, k int, beta float64) (*Graph, error) {
+	n, k = wsShape(n, k)
+	if WattsStrogatzEdges(n, k) > math.MaxInt32 {
+		return nil, tooLarge("watts-strogatz", n)
 	}
-	if k < 2 {
-		k = 2
-	}
-	if k >= n {
-		k = n - 1
-	}
-	k -= k % 2
-	g := New(n)
-	for u := 0; u < n; u++ {
+	// adj[u] is u's neighbour list, kept ascending while edges are rewired.
+	// The lattice lists share one backing array, each clipped, so a list
+	// that grows past k moves out on its own.
+	lattice := make([]int32, n*k)
+	adj := make([][]int32, n)
+	for u := range adj {
+		a := lattice[u*k : u*k : (u+1)*k]
 		for j := 1; j <= k/2; j++ {
-			v := (u + j) % n
-			_ = g.AddEdgeBoth(u, v, 1)
+			a = append(a, int32((u+j)%n), int32((u-j+n)%n))
 		}
+		slices.Sort(a)
+		adj[u] = a
+	}
+	has := func(u, v int) bool {
+		_, ok := slices.BinarySearch(adj[u], int32(v))
+		return ok
+	}
+	link := func(u, v int) {
+		i, _ := slices.BinarySearch(adj[u], int32(v))
+		adj[u] = slices.Insert(adj[u], i, int32(v))
+	}
+	unlink := func(u, v int) {
+		i, _ := slices.BinarySearch(adj[u], int32(v))
+		adj[u] = slices.Delete(adj[u], i, i+1)
 	}
 	for u := 0; u < n; u++ {
 		for j := 1; j <= k/2; j++ {
 			v := (u + j) % n
-			if !g.HasEdge(u, v) || !rng.Bool(beta) {
+			if !has(u, v) || !rng.Bool(beta) {
 				continue
 			}
 			// Rewire u--v to u--w for a uniformly random non-neighbor w.
 			for tries := 0; tries < 32; tries++ {
 				w := rng.Intn(n)
-				if w == u || g.HasEdge(u, w) {
+				if w == u || has(u, w) {
 					continue
 				}
-				g.RemoveEdge(u, v)
-				g.RemoveEdge(v, u)
-				_ = g.AddEdgeBoth(u, w, 1)
+				unlink(u, v)
+				unlink(v, u)
+				link(u, w)
+				link(w, u)
 				break
 			}
 		}
 	}
+	return flatten(adj, n*k), nil
+}
+
+// flatten builds the graph whose node u has the ascending list adj[u];
+// edges is the total length of the lists.
+func flatten(adj [][]int32, edges int) *Graph {
+	g := &Graph{off: make([]int32, len(adj)+1), ids: make([]int32, 0, edges)}
+	for u, a := range adj {
+		g.ids = append(g.ids, a...)
+		g.off[u+1] = int32(len(g.ids))
+	}
 	return g
 }
 
-// Ring generates an undirected ring of n nodes.
-func Ring(n int) *Graph {
-	if n < 3 {
-		n = 3
-	}
-	g := New(n)
-	for u := 0; u < n; u++ {
-		_ = g.AddEdgeBoth(u, (u+1)%n, 1)
-	}
-	return g
+// wsShape applies WattsStrogatz's clamps: n >= 3, and k in [2, n-1],
+// rounded down to even.
+func wsShape(n, k int) (int, int) {
+	n = max(n, 3)
+	k = min(max(k, 2), n-1)
+	return n, k - k%2
 }
 
-// Complete generates the complete directed graph on n nodes.
-func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				_ = g.SetEdge(u, v, 1)
-			}
-		}
+// WattsStrogatzEdges returns the directed edge count of a
+// WattsStrogatz(·, n, k, ·) graph, n·k after its clamps (rewiring keeps the
+// count), or math.MaxInt when n alone exceeds math.MaxInt32.
+func WattsStrogatzEdges(n, k int) int {
+	n, k = wsShape(n, k)
+	if n > math.MaxInt32 {
+		return math.MaxInt
 	}
-	return g
+	return n * k
 }

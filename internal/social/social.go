@@ -1,12 +1,11 @@
 // Package social models the social-networking application layer of the
-// paper's §1: users, the profile attributes they may disclose, an index of
-// the friendship graph, and the transaction counter that names each
+// paper's §1: users, the profile attributes they may disclose, the
+// friendship graph, and the transaction counter that names each
 // interaction.
 package social
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
@@ -84,18 +83,14 @@ type User struct {
 // Network is the social network state.
 type Network struct {
 	users []*User //trustlint:derived scenario structure rebuilt from the seed; the one mutable part, Behavior, is restored from the engine's class list
-	// friendAt[u]..friendAt[u+1] is u's range in friendIDs, which holds the
-	// friendship graph's out-neighbours of every user, each list ascending.
-	// Candidate sampling reads nothing else of the graph, so the graph
-	// itself is not kept.
-	friendAt  []int32 //trustlint:derived index over the friendship graph, which is rebuilt from the seed
-	friendIDs []int32 //trustlint:derived index over the friendship graph, which is rebuilt from the seed
-	nextTx    uint64
+	// friends is the friendship graph, the int32 adjacency candidate
+	// sampling reads.
+	friends *graph.Graph //trustlint:derived scenario structure rebuilt from the seed
+	nextTx  uint64
 }
 
 // NewNetwork assembles a network; users[i].ID must equal i and the
-// friendship graph must have exactly len(users) nodes. The network keeps
-// an index of the graph's out-neighbours, not the graph.
+// friendship graph must have exactly len(users) nodes.
 func NewNetwork(users []*User, friends *graph.Graph) (*Network, error) {
 	if friends == nil {
 		return nil, fmt.Errorf("social: nil friendship graph")
@@ -112,22 +107,7 @@ func NewNetwork(users []*User, friends *graph.Graph) (*Network, error) {
 			return nil, fmt.Errorf("social: user at index %d has ID %d", i, u.ID)
 		}
 	}
-	edges := friends.NumEdges()
-	if edges > math.MaxInt32 {
-		return nil, fmt.Errorf("social: friendship graph has %d edges, more than an int32 index holds", edges)
-	}
-	n := &Network{
-		users:     users,
-		friendAt:  make([]int32, len(users)+1),
-		friendIDs: make([]int32, 0, edges),
-	}
-	for u := range users {
-		for _, e := range friends.Out(u) {
-			n.friendIDs = append(n.friendIDs, int32(e.To))
-		}
-		n.friendAt[u+1] = int32(len(n.friendIDs))
-	}
-	return n, nil
+	return &Network{users: users, friends: friends}, nil
 }
 
 // N returns the number of users.
@@ -142,15 +122,9 @@ func (n *Network) User(id int) *User {
 }
 
 // FriendsOf returns u's friends, ascending (nil if u is out of range). The
-// slice is the network's own index (shared; read-only); its capacity is
+// slice is the graph's own storage (shared; read-only); its capacity is
 // clipped, so appending to it copies.
-func (n *Network) FriendsOf(u int) []int32 {
-	if u < 0 || u >= len(n.users) {
-		return nil
-	}
-	lo, hi := n.friendAt[u], n.friendAt[u+1]
-	return n.friendIDs[lo:hi:hi]
-}
+func (n *Network) FriendsOf(u int) []int32 { return n.friends.Neighbors(u) }
 
 // NextTxID allocates a fresh interaction id.
 func (n *Network) NextTxID() uint64 {

@@ -131,36 +131,28 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: counters diverged: %+v vs %+v", k, got, ref)
 		}
 	}
-}
-
-// TestSetShardsMidRun changes the shard count between rounds; because shards
-// are a scheduling decomposition only, the trajectory must match an all-
-// sequential run exactly.
-func TestSetShardsMidRun(t *testing.T) {
-	cfg := Config{Seed: 9, NumPeers: 40, Mix: mixMalicious(0.3), RecomputeEvery: 2}
-	seq, err := NewEngine(cfg, newEigen(t, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Run(20)
-
-	dyn, err := NewEngine(cfg, newEigen(t, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dyn.Shards() != 1 {
-		t.Fatalf("default shards = %d, want 1", dyn.Shards())
-	}
-	dyn.Run(5)
-	dyn.SetShards(4)
-	dyn.Run(10)
-	dyn.SetShards(0) // clamps to 1
-	if dyn.Shards() != 1 {
-		t.Fatalf("SetShards(0) left %d", dyn.Shards())
-	}
-	dyn.Run(5)
-	if seq.Summarize() != dyn.Summarize() {
-		t.Fatal("mid-run shard change perturbed the trajectory")
+	// Changing the shard count mid-run, by restoring the state into an
+	// engine at another count, keeps the trajectory too.
+	var st EngineState
+	for i, leg := range []struct{ shards, rounds int }{{1, 5}, {4, 10}, {1, 10}} {
+		c := cfg
+		c.Shards = leg.shards
+		e, err := NewEngine(c, newEigen(t, cfg.NumPeers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := e.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Run(leg.rounds)
+		if st, err = e.State(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 && e.Summarize() != ref.summary {
+			t.Fatalf("mid-run shard change perturbed the trajectory:\n%+v\n!=\n%+v", e.Summarize(), ref.summary)
+		}
 	}
 }
 

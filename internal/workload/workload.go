@@ -10,6 +10,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/adversary"
@@ -107,6 +108,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.NumPeers <= 1 {
 		return c, fmt.Errorf("workload: NumPeers must be > 1, got %d", c.NumPeers)
 	}
+	// Plans, candidate slots and the friend index hold peer ids as int32.
+	if c.NumPeers > math.MaxInt32 {
+		return c, fmt.Errorf("workload: NumPeers %d exceeds the int32 id range", c.NumPeers)
+	}
 	if len(c.Mix.Fractions) == 0 {
 		c.Mix = adversary.Mix{Fractions: map[adversary.Class]float64{adversary.Honest: 1}}
 	}
@@ -124,6 +129,18 @@ func (c Config) withDefaults() (Config, error) {
 			c.GraphParam, c.GraphParam, c.NumPeers)
 	case c.Graph == WattsStrogatz && c.NumPeers < 3:
 		return c, fmt.Errorf("workload: watts-strogatz graph with k=%d needs at least 3 peers, got %d",
+			c.GraphParam, c.NumPeers)
+	}
+	// The friend index is int32, so the graph's directed edge count must fit
+	// one. BA and WS fix the count in advance, so an oversize graph is
+	// refused here, before any allocation; ER's is random, and its generator
+	// checks as it builds.
+	switch {
+	case c.Graph == BarabasiAlbert && graph.BarabasiAlbertEdges(c.NumPeers, c.GraphParam) > math.MaxInt32:
+		return c, fmt.Errorf("workload: barabasi-albert graph with m=%d over %d peers has more edges than the int32 friend index holds",
+			c.GraphParam, c.NumPeers)
+	case c.Graph == WattsStrogatz && graph.WattsStrogatzEdges(c.NumPeers, c.GraphParam) > math.MaxInt32:
+		return c, fmt.Errorf("workload: watts-strogatz graph with k=%d over %d peers has more edges than the int32 friend index holds",
 			c.GraphParam, c.NumPeers)
 	}
 	if c.InteractionsPerRound <= 0 {
@@ -247,7 +264,7 @@ type Engine struct {
 	activity      *sim.Zipf
 	activityOrder []int //trustlint:derived configuration, a fixed permutation of the peer ids derived from the scenario seed
 	// shards is the worker count of the scatter phase (>= 1); see shard.go.
-	shards int //trustlint:derived execution-shape knob (SetShards); bit-identical results for any value
+	shards int //trustlint:derived execution-shape knob (Config.Shards); bit-identical results for any value
 	// active, when non-nil, marks which peers are present in the network
 	// (session Join/Leave/Whitewash waves). nil means everyone is present.
 	// Absent peers are never candidates, never serve, and their scheduled
@@ -343,14 +360,17 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	grng := rng.Split()
 	switch cfg.Graph {
 	case BarabasiAlbert:
-		friends = graph.BarabasiAlbert(grng, cfg.NumPeers, cfg.GraphParam)
+		friends, err = graph.BarabasiAlbert(grng, cfg.NumPeers, cfg.GraphParam)
 	case WattsStrogatz:
-		friends = graph.WattsStrogatz(grng, cfg.NumPeers, cfg.GraphParam, 0.1)
+		friends, err = graph.WattsStrogatz(grng, cfg.NumPeers, cfg.GraphParam, 0.1)
 	case ErdosRenyi:
 		p := float64(cfg.GraphParam) / float64(cfg.NumPeers-1)
-		friends = graph.ErdosRenyi(grng, cfg.NumPeers, p)
+		friends, err = graph.ErdosRenyi(grng, cfg.NumPeers, p)
 	default:
 		return nil, fmt.Errorf("workload: unknown graph kind %d", cfg.Graph)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	users := make([]*social.User, cfg.NumPeers)
 	for i := range users {
@@ -883,16 +903,6 @@ func (e *Engine) CumulativeStats() RoundStats {
 
 // Shards returns the scatter-phase worker count.
 func (e *Engine) Shards() int { return e.shards }
-
-// SetShards changes the scatter-phase worker count (values < 1 are clamped
-// to 1). Because shards are purely a scheduling decomposition, changing the
-// count mid-run does not perturb results.
-func (e *Engine) SetShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	e.shards = k
-}
 
 // SetRoundObserver installs (or, with nil, removes) the callback invoked
 // after every completed round. The callback sees the merged round stats and

@@ -77,7 +77,7 @@ func New(opts ...Option) (*Engine, error) {
 func (e *Engine) Peers() int { return e.cfg.wl.NumPeers }
 
 // Shards returns the number of parallel shards the epoch pipeline scatters
-// work over (WithShards / WithParallelism; 1 when unset).
+// work over (WithShards; 1 when unset).
 func (e *Engine) Shards() int { return e.dyn.Engine().Shards() }
 
 // Mechanism returns the plugged-in reputation mechanism.

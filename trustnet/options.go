@@ -373,16 +373,3 @@ func WithShards(k int) Option {
 		c.wl.Shards = k
 	}
 }
-
-// WithParallelism is WithShards with the worker pools matched to it: one
-// option to scale a scenario onto k cores.
-func WithParallelism(k int) Option {
-	return func(c *engineConfig) {
-		if k < 1 {
-			c.fail(fmt.Errorf("trustnet: parallelism must be >= 1, got %d", k))
-			return
-		}
-		c.wl.Shards = k
-		c.workers = k
-	}
-}

@@ -57,22 +57,25 @@ type Profile = social.Profile
 // StandardProfile builds the experiment-standard profile for a user.
 func StandardProfile(userID int) Profile { return social.StandardProfile(userID) }
 
-// Graph is a weighted directed graph (friendship topologies are symmetric).
+// Graph is a friendship topology: an immutable graph whose N, Neighbors,
+// HasEdge and NumEdges read each node's ascending neighbour list.
 type Graph = graph.Graph
 
 // BarabasiAlbertGraph generates a preferential-attachment graph: n nodes,
-// m edges per arrival.
-func BarabasiAlbertGraph(rng *RNG, n, m int) *Graph {
+// m edges per arrival. Like the other generators, it returns an error when
+// the graph would have more than math.MaxInt32 directed edges.
+func BarabasiAlbertGraph(rng *RNG, n, m int) (*Graph, error) {
 	return graph.BarabasiAlbert(rng, n, m)
 }
 
 // WattsStrogatzGraph generates a small-world graph: n nodes, k nearest
 // neighbours, rewiring probability beta.
-func WattsStrogatzGraph(rng *RNG, n, k int, beta float64) *Graph {
+func WattsStrogatzGraph(rng *RNG, n, k int, beta float64) (*Graph, error) {
 	return graph.WattsStrogatz(rng, n, k, beta)
 }
 
-// ErdosRenyiGraph generates a uniform random graph with edge probability p.
-func ErdosRenyiGraph(rng *RNG, n int, p float64) *Graph {
+// ErdosRenyiGraph generates a uniform random directed graph with edge
+// probability p.
+func ErdosRenyiGraph(rng *RNG, n int, p float64) (*Graph, error) {
 	return graph.ErdosRenyi(rng, n, p)
 }

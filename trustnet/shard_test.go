@@ -39,7 +39,7 @@ func TestRunShardInvariance(t *testing.T) {
 	}
 	ref := run()
 	for _, k := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := run(WithShards(k))
+		got := run(WithShards(k), WithWorkers(k))
 		if len(got) != len(ref) {
 			t.Fatalf("shards=%d: %d epochs, want %d", k, len(got), len(ref))
 		}
@@ -49,20 +49,11 @@ func TestRunShardInvariance(t *testing.T) {
 			}
 		}
 	}
-	got := run(WithParallelism(4))
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("WithParallelism(4): epoch %d diverged", i)
-		}
-	}
 }
 
 func TestShardOptionValidation(t *testing.T) {
 	if _, err := New(shardScenario(WithShards(0))...); err == nil {
 		t.Fatal("WithShards(0) accepted")
-	}
-	if _, err := New(shardScenario(WithParallelism(-1))...); err == nil {
-		t.Fatal("WithParallelism(-1) accepted")
 	}
 	eng, err := New(shardScenario(WithShards(3))...)
 	if err != nil {

@@ -51,7 +51,9 @@ func TestOptionValidation(t *testing.T) {
 		{"negative skew", []Option{WithActivitySkew(-1)}, "skew"},
 		{"negative workers", []Option{WithWorkers(-1)}, "worker"},
 		{"zero shards", []Option{WithShards(0)}, "shard"},
-		{"zero parallelism", []Option{WithParallelism(0)}, "parallelism"},
+		{"BA over the int32 friend index", []Option{WithPeers(70000), WithGraph(BarabasiAlbert, 65000)}, "int32 friend index"},
+		{"WS over the int32 friend index", []Option{WithPeers(1 << 20), WithGraph(WattsStrogatz, 1<<12)}, "int32 friend index"},
+		{"peers over the int32 id range", []Option{WithPeers(math.MaxInt32 + 1)}, "int32 id range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
