@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -188,10 +189,30 @@ func benchDenseEigenTrust(b *testing.B, n int, reports []reputation.Report) {
 	pretrust := reputation.UniformPretrust(n)
 	const alpha, epsilon = 0.15, 1e-6
 	const maxIter = 200
+	var cols []int32
+	var vals []float64
 	compute := func() {
 		rows := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			rows[i] = lt.NormalizedRow(i, pretrust)
+			// Row i of C, or pretrust for a row with no positive local
+			// trust; every cell is looked up in the row, as the dense
+			// implementation did.
+			cols, vals = lt.AppendRow(i, cols[:0], vals[:0])
+			row, sum := make([]float64, n), 0.0
+			for j := range row {
+				if k, ok := slices.BinarySearch(cols, int32(j)); ok {
+					row[j] = vals[k]
+				}
+				sum += row[j]
+			}
+			if sum == 0 {
+				copy(row, pretrust)
+			} else {
+				for j := range row {
+					row[j] /= sum
+				}
+			}
+			rows[i] = row
 		}
 		t := append([]float64(nil), pretrust...)
 		next := make([]float64, n)

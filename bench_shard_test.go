@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -105,7 +106,7 @@ func benchQuiescentEpoch(b *testing.B, users, active, interactions, shards int, 
 	// Warm up in the (fast) sparse mode regardless of the measured mode:
 	// both modes compute identical state, so the warmed engine is the same.
 	for i := 0; i < 60; i++ {
-		if _, err := dyn.Epoch(); err != nil {
+		if _, err := dyn.EpochCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func benchQuiescentEpoch(b *testing.B, users, active, interactions, shards int, 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dyn.Epoch(); err != nil {
+		if _, err := dyn.EpochCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func benchEpoch(b *testing.B, users, interactions, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dyn.Epoch(); err != nil {
+		if _, err := dyn.EpochCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ func BenchmarkE1Coupling(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := dyn.Epoch(); err != nil {
+		if _, err := dyn.EpochCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

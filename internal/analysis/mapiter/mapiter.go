@@ -87,7 +87,6 @@ func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	}
 	c := &checker{
 		pass:   pass,
-		rs:     rs,
 		sorted: sortTargetsAfter(pass, fnBody, rs.End()),
 		locals: make(map[types.Object]bool),
 	}
@@ -158,7 +157,6 @@ func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 // first order-dependent effect found.
 type checker struct {
 	pass   *analysis.Pass
-	rs     *ast.RangeStmt
 	sorted map[string]bool
 	// locals are objects scoped to the loop body (iteration variables and
 	// body-declared names): plain assignment to them is order-local.

@@ -36,22 +36,15 @@ import (
 	"repro/internal/analysis"
 )
 
-// config mirrors cmd/go/internal/work.vetConfig.
+// config holds the fields of cmd/go/internal/work.vetConfig that the
+// checker reads; decoding ignores the rest.
 type config struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool

@@ -105,18 +105,30 @@ func TestGlobalFacetsEmptyAssessment(t *testing.T) {
 }
 
 func TestAUC(t *testing.T) {
-	// The separation measure is metrics.AUC since the incremental-facet
-	// refactor; keep pinning the semantics Assess depends on.
-	if got := metrics.AUC([]float64{0.9, 0.8}, []float64{0.1, 0.2}); got != 1 {
+	// Assess reads the separation measure from metrics.RankSample, with the
+	// observations whose truth is at least 0.5 as the positive class; pin
+	// the semantics it depends on.
+	auc := func(pos, neg []float64) float64 {
+		var r metrics.RankSample
+		for _, v := range pos {
+			r.Add(v, 1)
+		}
+		for _, v := range neg {
+			r.Add(v, 0)
+		}
+		_, a := r.Read()
+		return a
+	}
+	if got := auc([]float64{0.9, 0.8}, []float64{0.1, 0.2}); got != 1 {
 		t.Fatalf("perfect separation auc = %v", got)
 	}
-	if got := metrics.AUC([]float64{0.1}, []float64{0.9}); got != 0 {
+	if got := auc([]float64{0.1}, []float64{0.9}); got != 0 {
 		t.Fatalf("inverted auc = %v", got)
 	}
-	if got := metrics.AUC([]float64{0.5}, []float64{0.5}); got != 0.5 {
+	if got := auc([]float64{0.5}, []float64{0.5}); got != 0.5 {
 		t.Fatalf("tied auc = %v", got)
 	}
-	if !math.IsNaN(metrics.AUC(nil, []float64{1})) || !math.IsNaN(metrics.AUC([]float64{1}, nil)) {
+	if !math.IsNaN(auc(nil, []float64{1})) || !math.IsNaN(auc([]float64{1}, nil)) {
 		t.Fatal("single-class auc not NaN")
 	}
 }

@@ -274,20 +274,16 @@ func (d *Dynamics) History() []EpochStats {
 	return out
 }
 
-// Epoch runs one coupling epoch and returns its stats. The phases between
+// EpochCtx runs one coupling epoch and returns its stats. The phases between
 // the workload barrier and the history append are sharded over the engine's
 // worker count: trust updates and the coupling feedback write disjoint
 // per-user state, so the fan-out preserves the pipeline's determinism
-// contract (identical results for every shard count).
-func (d *Dynamics) Epoch() (EpochStats, error) {
-	return d.EpochCtx(context.Background())
-}
-
-// EpochCtx is Epoch with cancellation checked between workload rounds, not
-// just at the epoch boundary: a served session's shutdown must not stall
-// behind a large in-flight epoch. An interrupted epoch returns the
-// context's error without recording history; the rounds already run stay
-// merged (the engine is a shorter, not corrupt, run).
+// contract (identical results for every shard count). Cancellation is
+// checked between workload rounds, not just at the epoch boundary: a served
+// session's shutdown must not stall behind a large in-flight epoch. An
+// interrupted epoch returns the context's error without recording history;
+// the rounds already run stay merged (the engine is a shorter, not corrupt,
+// run).
 //
 // The epoch tail — trust updates, §3 coupling, and the EpochStats
 // aggregates — costs O(dirty + n/64 + flushed nodes), not Θ(n): only users
@@ -514,16 +510,6 @@ func mergeAscending(dst, a, b []int) []int {
 	}
 	dst = append(dst, a[i:]...)
 	return append(dst, b[j:]...)
-}
-
-// Run executes n epochs.
-func (d *Dynamics) Run(n int) ([]EpochStats, error) {
-	for i := 0; i < n; i++ {
-		if _, err := d.Epoch(); err != nil {
-			return nil, err
-		}
-	}
-	return d.History(), nil
 }
 
 // MapConfig configures the abstract trust/satisfaction iterated map used to

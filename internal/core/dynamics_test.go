@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,21 @@ import (
 	"repro/internal/reputation/eigentrust"
 	"repro/internal/workload"
 )
+
+// Epoch runs one coupling epoch and returns its stats.
+func (d *Dynamics) Epoch() (EpochStats, error) {
+	return d.EpochCtx(context.Background())
+}
+
+// Run executes n epochs.
+func (d *Dynamics) Run(n int) ([]EpochStats, error) {
+	for i := 0; i < n; i++ {
+		if _, err := d.Epoch(); err != nil {
+			return nil, err
+		}
+	}
+	return d.History(), nil
+}
 
 func dynConfig(coupled bool, malicious float64) DynamicsConfig {
 	return DynamicsConfig{

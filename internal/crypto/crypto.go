@@ -1,14 +1,12 @@
 // Package crypto provides the cryptographic substrate the reproduced
-// protocols rely on: Ed25519 peer identities, HMAC-sealed transaction
-// certificates (TrustMe's pairwise certificates, §2.2 of the paper), and
-// hash-chain pseudonyms that approximate the anonymous-reputation schemes
-// the paper cites ([2], [4]).
+// protocols rely on: HMAC-sealed transaction certificates (TrustMe's
+// pairwise certificates, §2.2 of the paper) and hash-chain pseudonyms that
+// approximate the anonymous-reputation schemes the paper cites ([2], [4]).
 //
-// Everything is stdlib-only (crypto/ed25519, crypto/hmac, crypto/sha256).
+// Everything is stdlib-only (crypto/hmac, crypto/sha256).
 package crypto
 
 import (
-	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -17,50 +15,11 @@ import (
 	"fmt"
 )
 
-// Identity is a signing peer identity.
-type Identity struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
-}
-
-// NewIdentity derives a deterministic identity from a 32-byte seed source.
-// Simulation code passes an RNG-derived seed so runs stay reproducible.
-func NewIdentity(seed [32]byte) *Identity {
-	priv := ed25519.NewKeyFromSeed(seed[:])
-	return &Identity{pub: priv.Public().(ed25519.PublicKey), priv: priv}
-}
-
 // SeedFromUint64 expands a 64-bit simulation seed into a 32-byte key seed.
 func SeedFromUint64(v uint64) [32]byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	return sha256.Sum256(b[:])
-}
-
-// Public returns the public key bytes.
-func (id *Identity) Public() []byte {
-	out := make([]byte, len(id.pub))
-	copy(out, id.pub)
-	return out
-}
-
-// Fingerprint returns a short hex fingerprint of the public key.
-func (id *Identity) Fingerprint() string {
-	sum := sha256.Sum256(id.pub)
-	return hex.EncodeToString(sum[:8])
-}
-
-// Sign signs msg.
-func (id *Identity) Sign(msg []byte) []byte {
-	return ed25519.Sign(id.priv, msg)
-}
-
-// Verify checks a signature against a public key.
-func Verify(pub, msg, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize {
-		return false
-	}
-	return ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
 }
 
 // ErrBadCertificate is returned when a transaction certificate fails
@@ -119,29 +78,15 @@ func NewPseudonymChain(seed [32]byte) *PseudonymChain {
 	return &PseudonymChain{state: sha256.Sum256(seed[:])}
 }
 
-// Epoch returns the current epoch number.
-func (p *PseudonymChain) Epoch() int { return p.epoch }
-
 // Current returns the pseudonym for the current epoch.
 func (p *PseudonymChain) Current() string {
 	return hex.EncodeToString(p.state[:12])
 }
 
-// Advance moves to the next epoch, returning the new pseudonym. The previous
-// state becomes the proof pre-image for the old pseudonym.
-func (p *PseudonymChain) Advance() (pseudonym string, proof [32]byte) {
-	proof = p.state
+// Advance moves to the next epoch and returns the new pseudonym. The
+// previous state is the proof pre-image for the old pseudonym.
+func (p *PseudonymChain) Advance() string {
 	p.state = sha256.Sum256(p.state[:])
 	p.epoch++
-	return p.Current(), proof
-}
-
-// VerifyAdvance checks that proof is the pre-image linking oldPseudonym to
-// the chain state that produces newPseudonym.
-func VerifyAdvance(oldPseudonym, newPseudonym string, proof [32]byte) bool {
-	if hex.EncodeToString(proof[:12]) != oldPseudonym {
-		return false
-	}
-	next := sha256.Sum256(proof[:])
-	return hex.EncodeToString(next[:12]) == newPseudonym
+	return p.Current()
 }

@@ -1,50 +1,22 @@
 package crypto
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func TestIdentityDeterministic(t *testing.T) {
-	a := NewIdentity(SeedFromUint64(1))
-	b := NewIdentity(SeedFromUint64(1))
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("same seed produced different identities")
+// VerifyAdvance checks that proof is the pre-image linking oldPseudonym to
+// the chain state that produces newPseudonym.
+func VerifyAdvance(oldPseudonym, newPseudonym string, proof [32]byte) bool {
+	if hex.EncodeToString(proof[:12]) != oldPseudonym {
+		return false
 	}
-	c := NewIdentity(SeedFromUint64(2))
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("different seeds collided")
-	}
-}
-
-func TestSignVerify(t *testing.T) {
-	id := NewIdentity(SeedFromUint64(7))
-	msg := []byte("feedback report")
-	sig := id.Sign(msg)
-	if !Verify(id.Public(), msg, sig) {
-		t.Fatal("valid signature rejected")
-	}
-	if Verify(id.Public(), []byte("tampered"), sig) {
-		t.Fatal("tampered message accepted")
-	}
-	other := NewIdentity(SeedFromUint64(8))
-	if Verify(other.Public(), msg, sig) {
-		t.Fatal("wrong key accepted")
-	}
-	if Verify([]byte{1, 2, 3}, msg, sig) {
-		t.Fatal("malformed key accepted")
-	}
-}
-
-func TestPublicReturnsCopy(t *testing.T) {
-	id := NewIdentity(SeedFromUint64(9))
-	p := id.Public()
-	p[0] ^= 0xFF
-	if !Verify(id.Public(), []byte("x"), id.Sign([]byte("x"))) {
-		t.Fatal("mutating returned key corrupted the identity")
-	}
+	next := sha256.Sum256(proof[:])
+	return hex.EncodeToString(next[:12]) == newPseudonym
 }
 
 func TestTransactionCertRoundTrip(t *testing.T) {
@@ -89,12 +61,13 @@ func TestCertFieldSeparation(t *testing.T) {
 func TestPseudonymChain(t *testing.T) {
 	p := NewPseudonymChain(SeedFromUint64(5))
 	p0 := p.Current()
-	p1, proof := p.Advance()
+	proof := p.State().State
+	p1 := p.Advance()
 	if p0 == p1 {
 		t.Fatal("pseudonym did not change")
 	}
-	if p.Epoch() != 1 {
-		t.Fatalf("epoch = %d", p.Epoch())
+	if e := p.State().Epoch; e != 1 {
+		t.Fatalf("epoch = %d", e)
 	}
 	if !VerifyAdvance(p0, p1, proof) {
 		t.Fatal("valid advance proof rejected")
@@ -114,8 +87,7 @@ func TestPseudonymChainsIndependent(t *testing.T) {
 	b := NewPseudonymChain(SeedFromUint64(rng.Uint64()))
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		pa, _ := a.Advance()
-		pb, _ := b.Advance()
+		pa, pb := a.Advance(), b.Advance()
 		if seen[pa] || seen[pb] || pa == pb {
 			t.Fatal("pseudonym collision across chains")
 		}

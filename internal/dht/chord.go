@@ -72,9 +72,6 @@ func NewRing(replicas int) *Ring {
 // Size returns the number of live nodes.
 func (r *Ring) Size() int { return len(r.sorted) }
 
-// Replicas returns the replication factor.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // Join adds a node with the given address. Keys in its arc are replicated to
 // it on the next Stabilize. Joining an existing address is an error.
 func (r *Ring) Join(addr int) error {
@@ -177,16 +174,6 @@ func (r *Ring) replicaSet(keyID uint64) []*node {
 		out = append(out, r.sorted[(idx+i)%len(r.sorted)])
 	}
 	return out
-}
-
-// ReplicaAddrs returns the addresses currently responsible for key.
-func (r *Ring) ReplicaAddrs(key string) []int {
-	set := r.replicaSet(HashKey(key))
-	addrs := make([]int, len(set))
-	for i, n := range set {
-		addrs[i] = n.addr
-	}
-	return addrs
 }
 
 // Put stores value at the key's replica set.
@@ -310,25 +297,4 @@ func inOpenInterval(x, a, b uint64) bool {
 		return x > a || x < b
 	}
 	return x != a
-}
-
-// Keys returns the number of distinct keys stored across the ring.
-func (r *Ring) Keys() int {
-	seen := make(map[string]bool)
-	for _, n := range r.sorted {
-		for k := range n.store {
-			seen[k] = true
-		}
-	}
-	return len(seen)
-}
-
-// LoadByNode returns how many key replicas each live node stores, keyed by
-// address (for load-balance tests).
-func (r *Ring) LoadByNode() map[int]int {
-	out := make(map[int]int, len(r.sorted))
-	for _, n := range r.sorted {
-		out[n.addr] = len(n.store)
-	}
-	return out
 }

@@ -8,6 +8,37 @@ import (
 	"testing/quick"
 )
 
+// ReplicaAddrs returns the addresses currently responsible for key.
+func (r *Ring) ReplicaAddrs(key string) []int {
+	set := r.replicaSet(HashKey(key))
+	addrs := make([]int, len(set))
+	for i, n := range set {
+		addrs[i] = n.addr
+	}
+	return addrs
+}
+
+// Keys returns the number of distinct keys stored across the ring.
+func (r *Ring) Keys() int {
+	seen := make(map[string]bool)
+	for _, n := range r.sorted {
+		for k := range n.store {
+			seen[k] = true
+		}
+	}
+	return len(seen)
+}
+
+// LoadByNode returns how many key replicas each live node stores, keyed by
+// address (for load-balance tests).
+func (r *Ring) LoadByNode() map[int]int {
+	out := make(map[int]int, len(r.sorted))
+	for _, n := range r.sorted {
+		out[n.addr] = len(n.store)
+	}
+	return out
+}
+
 func buildRing(t *testing.T, n, replicas int) *Ring {
 	t.Helper()
 	r := NewRing(replicas)

@@ -51,7 +51,6 @@ type CSR struct {
 	n       int
 	rowsPer int // rows per block; the last block may hold fewer
 	blocks  []block
-	nnz     int
 
 	// Update scratch: the dirty rows' new entries (ptr per dirty row), the
 	// merge target a rebuilt block swaps its entries with, and the column
@@ -95,9 +94,6 @@ func Build(n int, src RowSource) *CSR {
 	c.Update(src, rows)
 	return c
 }
-
-// NNZ returns the number of stored entries.
-func (c *CSR) NNZ() int { return c.nnz }
 
 // AppendRow appends row i's columns (ascending) and values to cols and vals
 // and returns the extended slices, so a matrix is itself a RowSource.
@@ -231,7 +227,6 @@ func (c *CSR) merge(blk *block, rows []int) {
 		next = r + 1
 	}
 	s.ptr[nrows] = pos
-	c.nnz += size - len(blk.row)
 	blk.entries, c.spare = c.spare, blk.entries
 }
 

@@ -18,6 +18,15 @@ type table struct {
 	vals [][]float64
 }
 
+// NNZ returns the number of stored entries.
+func (c *CSR) NNZ() int {
+	n := 0
+	for i := range c.blocks {
+		n += len(c.blocks[i].row)
+	}
+	return n
+}
+
 func newTable(n int) *table {
 	return &table{cols: make([][]int32, n), vals: make([][]float64, n)}
 }

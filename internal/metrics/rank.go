@@ -162,23 +162,6 @@ func KendallTau(a, b []float64) float64 {
 	return tau
 }
 
-// AUC returns the probability that a uniformly chosen positive outranks a
-// uniformly chosen negative (ties count half) — the Mann–Whitney form of
-// the ROC area, computed in O(m log m) by rank-summing rather than the
-// quadratic pair scan, through RankSample. It returns NaN when either class
-// is empty.
-func AUC(pos, neg []float64) float64 {
-	r := newRankSample(len(pos) + len(neg))
-	for _, v := range pos {
-		r.Add(v, 1)
-	}
-	for _, v := range neg {
-		r.Add(v, 0)
-	}
-	_, auc := r.read(false)
-	return auc
-}
-
 // newRankSample returns an empty sample with room for n observations.
 func newRankSample(n int) *RankSample {
 	return &RankSample{score: make([]uint64, 0, n), truth: make([]uint64, 0, n)}

@@ -11,6 +11,23 @@ import (
 
 // bruteTau is the quadratic tau-b reference the fast implementation must
 // reproduce exactly (up to float noise).
+// AUC returns the probability that a uniformly chosen positive outranks a
+// uniformly chosen negative (ties count half) — the Mann–Whitney form of
+// the ROC area, computed in O(m log m) by rank-summing rather than the
+// quadratic pair scan, through RankSample. It returns NaN when either class
+// is empty.
+func AUC(pos, neg []float64) float64 {
+	r := newRankSample(len(pos) + len(neg))
+	for _, v := range pos {
+		r.Add(v, 1)
+	}
+	for _, v := range neg {
+		r.Add(v, 0)
+	}
+	_, auc := r.read(false)
+	return auc
+}
+
 func bruteTau(a, b []float64) float64 {
 	n := len(a)
 	if n != len(b) || n < 2 {

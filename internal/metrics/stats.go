@@ -230,75 +230,3 @@ func Describe(xs []float64) Agg {
 		Max:    s.Max(),
 	}
 }
-
-// Pearson returns the Pearson linear correlation of two equal-length vectors
-// (0 for degenerate inputs).
-func Pearson(a, b []float64) float64 {
-	n := len(a)
-	if n != len(b) || n < 2 {
-		return 0
-	}
-	ma, mb := Mean(a), Mean(b)
-	var cov, va, vb float64
-	for i := 0; i < n; i++ {
-		da, db := a[i]-ma, b[i]-mb
-		cov += float64(da * db)
-		va += float64(da * da)
-		vb += float64(db * db)
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
-}
-
-// Histogram is a fixed-bin histogram over [lo, hi). Values outside the range
-// are clamped into the first/last bin.
-type Histogram struct {
-	lo, hi float64
-	bins   []int64
-	n      int64
-}
-
-// NewHistogram returns a histogram with nbins bins over [lo, hi).
-// nbins < 1 is clamped to 1, and hi <= lo is widened to lo+1.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bins returns a copy of the bin counts.
-func (h *Histogram) Bins() []int64 {
-	out := make([]int64, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 || i < 0 || i >= len(h.bins) {
-		return 0
-	}
-	return float64(h.bins[i]) / float64(h.n)
-}

@@ -244,57 +244,6 @@ func TestKendallTauNoisyMonotone(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if got := Pearson(a, b); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("Pearson = %v, want 1", got)
-	}
-	c := []float64{8, 6, 4, 2}
-	if got := Pearson(a, c); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("Pearson = %v, want -1", got)
-	}
-	if Pearson(a, []float64{5, 5, 5, 5}) != 0 {
-		t.Fatal("constant-vector Pearson != 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Bins() {
-		if c != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, c)
-		}
-	}
-	// Clamping.
-	h.Add(-5)
-	h.Add(99)
-	bins := h.Bins()
-	if bins[0] != 2 || bins[9] != 2 {
-		t.Fatalf("clamping failed: %v", bins)
-	}
-	if h.N() != 12 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if !almostEqual(h.Fraction(0), 2.0/12.0, 1e-12) {
-		t.Fatalf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // hi<=lo and nbins<1 both clamped
-	h.Add(5)
-	if h.N() != 1 {
-		t.Fatal("degenerate histogram unusable")
-	}
-	if h.Fraction(-1) != 0 || h.Fraction(5) != 0 {
-		t.Fatal("out-of-range Fraction != 0")
-	}
-}
-
 func TestMeanHelper(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean(nil) != NaN")

@@ -58,17 +58,6 @@ func NewSumTree(n int) *SumTree {
 	return &SumTree{n: n, size: size, node: make([]float64, 2*size), stale: make([]uint64, (size+63)/64), lo: size}
 }
 
-// N returns the leaf count.
-func (t *SumTree) N() int { return t.n }
-
-// Leaf returns leaf i's current value, staged or flushed.
-func (t *SumTree) Leaf(i int) float64 {
-	if i < 0 || i >= t.n {
-		return 0
-	}
-	return t.node[t.size+i]
-}
-
 // Stage writes leaf i and marks the sums above it stale until the next
 // Flush. Writing a leaf's current bit pattern (value and sign bit both
 // equal) is a no-op, and so is an index out of range.

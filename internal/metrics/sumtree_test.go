@@ -9,6 +9,14 @@ import (
 )
 
 // sameNodes fails unless every node of got is bitwise the node of want.
+// Leaf returns leaf i's current value, staged or flushed.
+func (t *SumTree) Leaf(i int) float64 {
+	if i < 0 || i >= t.n {
+		return 0
+	}
+	return t.node[t.size+i]
+}
+
 func sameNodes(t *testing.T, where string, got, want *SumTree) {
 	t.Helper()
 	for p := 1; p < len(want.node); p++ {

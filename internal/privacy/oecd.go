@@ -46,14 +46,6 @@ func (p Principle) String() string {
 	}
 }
 
-// Principles lists all eight in order.
-func Principles() []Principle {
-	return []Principle{
-		CollectionLimitation, PurposeSpecification, UseLimitation, DataQuality,
-		SecuritySafeguards, Openness, IndividualParticipation, Accountability,
-	}
-}
-
 // AuditResult is one principle's conformance verdict.
 type AuditResult struct {
 	Principle Principle

@@ -6,6 +6,14 @@ import (
 	"repro/internal/social"
 )
 
+// Principles lists all eight in order.
+func Principles() []Principle {
+	return []Principle{
+		CollectionLimitation, PurposeSpecification, UseLimitation, DataQuality,
+		SecuritySafeguards, Openness, IndividualParticipation, Accountability,
+	}
+}
+
 func runCleanWorkload(t *testing.T) (*Service, *Ledger) {
 	t.Helper()
 	svc, ledger, s := newTestService(t)

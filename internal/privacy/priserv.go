@@ -33,7 +33,6 @@ type itemMeta struct {
 // enforcement.
 type grantedCopy struct {
 	key     string
-	holder  int
 	expires sim.Time // zero = no limit
 	deleted bool
 }
@@ -199,7 +198,7 @@ func (s *Service) Request(requester int, key string, op Operation, purpose Purpo
 	}
 	// Retention: track the granted copy and schedule its mandatory
 	// deletion.
-	copyRec := &grantedCopy{key: key, holder: requester, expires: dec.ExpiresAt}
+	copyRec := &grantedCopy{key: key, expires: dec.ExpiresAt}
 	s.copies = append(s.copies, copyRec)
 	if dec.ExpiresAt > 0 {
 		s.sim.At(dec.ExpiresAt, func() { copyRec.deleted = true })

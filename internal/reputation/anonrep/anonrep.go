@@ -197,7 +197,7 @@ func (m *Mechanism) NextEpoch() {
 		old := m.acctOf[p]
 		oldObs := m.quantize(old.score(m.cfg.PriorStrength))
 		carried := m.quantize(old.score(m.cfg.PriorStrength) + float64(m.rng.NormFloat64()*m.cfg.Noise))
-		nym, _ := m.nyms[p].Advance()
+		nym := m.nyms[p].Advance()
 		m.cur[p] = nym
 		m.accts[nym] = &account{base: carried, hasBase: true}
 		m.acctOf[p] = m.accts[nym]

@@ -66,7 +66,10 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 // RestoreMechanismState implements reputation.Mechanism. It is atomic: the
 // blob is decoded and every derived structure built and checked in locals
 // before the first write to the mechanism, so a rejected blob leaves it as
-// it was.
+// it was. Every value must be reachable: ratings are clamped to [0,1], so
+// scores, carried bases and transfer values lie in [0,1] and an account's
+// sum in [0, count]; counts and epochs are not negative; and the noise
+// stream's buffered Gaussian is finite.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -75,9 +78,35 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N || len(st.Cur) != m.cfg.N {
 		return fmt.Errorf("anonrep: state for %d peers, want %d", len(st.Scores), m.cfg.N)
 	}
+	if err := st.RNG.Check(); err != nil {
+		return fmt.Errorf("anonrep: %w", err)
+	}
+	for p, v := range st.Scores {
+		if err := st.Nyms[p].Check(); err != nil {
+			return fmt.Errorf("anonrep: peer %d: %w", p, err)
+		}
+		if !unit(v) {
+			return fmt.Errorf("anonrep: state score %v of peer %d out of [0,1]", v, p)
+		}
+	}
+	if st.Epoch < 0 {
+		return fmt.Errorf("anonrep: state epoch %d is negative", st.Epoch)
+	}
+	for _, t := range st.LastTransfer {
+		if t.Peer < 0 || t.Peer >= m.cfg.N || !unit(t.OldObs) || !unit(t.Carried) {
+			return fmt.Errorf("anonrep: state transfer %+v out of range", t)
+		}
+	}
 	accts := make(map[string]*account, len(st.Accts))
+	bad := 0
 	for nym, a := range st.Accts {
+		if a.Count < 0 || !unit(a.Base) || !(a.Sum >= 0 && a.Sum <= float64(a.Count)) {
+			bad++
+		}
 		accts[nym] = &account{base: a.Base, hasBase: a.HasBase, sum: a.Sum, count: a.Count}
+	}
+	if bad > 0 {
+		return fmt.Errorf("anonrep: state has %d accounts out of range", bad)
 	}
 	acctOf := make([]*account, m.cfg.N)
 	for p, nym := range st.Cur {
@@ -109,3 +138,6 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.allDirty = true
 	return nil
 }
+
+// unit reports whether v lies in [0,1]; NaN does not.
+func unit(v float64) bool { return v >= 0 && v <= 1 }

@@ -59,9 +59,8 @@ func (c Config) withDefaults() (Config, error) {
 // distribution.
 type Mechanism struct {
 	*reputation.Solver
-	cfg      Config //trustlint:derived configuration, identical by construction on restore
-	lt       *reputation.LocalTrust
-	pretrust []float64 //trustlint:derived configuration, rebuilt by New from cfg.Pretrusted
+	cfg Config //trustlint:derived configuration, identical by construction on restore
+	lt  *reputation.LocalTrust
 }
 
 var _ reputation.Mechanism = (*Mechanism)(nil)
@@ -80,10 +79,9 @@ func New(cfg Config) (*Mechanism, error) {
 	}
 	lt := reputation.NewLocalTrust(cfg.N)
 	return &Mechanism{
-		Solver:   reputation.NewSolver(lt, pretrust, pretrust, cfg.Alpha, cfg.Epsilon, cfg.MaxIter, cfg.ColdStart),
-		cfg:      cfg,
-		lt:       lt,
-		pretrust: pretrust,
+		Solver: reputation.NewSolver(lt, pretrust, pretrust, cfg.Alpha, cfg.Epsilon, cfg.MaxIter, cfg.ColdStart),
+		cfg:    cfg,
+		lt:     lt,
 	}, nil
 }
 

@@ -10,6 +10,29 @@ import (
 	"repro/internal/sim"
 )
 
+// normalizedRow returns row i of the normalized matrix C as a dense vector,
+// read through AppendRow: s_ij over the row sum, or the pretrust
+// distribution for a row with no positive local trust.
+func normalizedRow(lt *reputation.LocalTrust, i int, pretrust []float64) []float64 {
+	row := make([]float64, len(pretrust))
+	cols, vals := lt.AppendRow(i, nil, nil)
+	for k, j := range cols {
+		row[j] = vals[k]
+	}
+	sum := 0.0
+	for _, v := range row {
+		sum += v
+	}
+	if sum == 0 {
+		copy(row, pretrust)
+		return row
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+	return row
+}
+
 // denseCompute is the frozen pre-kernel reference: the Θ(n²) power
 // iteration over fully materialized dense rows, verbatim from the dense
 // implementation the sparse kernel replaced. The golden-equivalence suite
@@ -18,7 +41,7 @@ func denseCompute(lt *reputation.LocalTrust, pretrust []float64, cfg Config) []f
 	n := cfg.N
 	rows := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		rows[i] = lt.NormalizedRow(i, pretrust)
+		rows[i] = normalizedRow(lt, i, pretrust)
 	}
 	t := append([]float64(nil), pretrust...)
 	next := make([]float64, n)
@@ -80,7 +103,11 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		feedRandom(t, m, rng, cfg.N, 500)
 		m.Compute()
-		want := denseCompute(m.lt, m.pretrust, m.cfg)
+		pretrust, err := reputation.PretrustOver(cfg.N, cfg.Pretrusted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := denseCompute(m.lt, pretrust, m.cfg)
 		got := m.Raw()
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-9 {

@@ -177,9 +177,6 @@ func NewLocalTrust(n int) *LocalTrust {
 	}
 }
 
-// N returns the matrix dimension.
-func (l *LocalTrust) N() int { return l.n }
-
 // tally adds a cell's (sat, unsat) delta to column j's tallies, keeping the
 // rated/positive counts current.
 func (l *LocalTrust) tally(j int32, dSat, dUnsat int32) {
@@ -225,18 +222,6 @@ func (l *LocalTrust) AddBatch(rs []Report) error {
 	return nil
 }
 
-// S returns max(sat−unsat, 0) for the pair (i, j).
-func (l *LocalTrust) S(i, j int) float64 {
-	if i < 0 || i >= l.n || j < 0 || j >= l.n {
-		return 0
-	}
-	c := l.rows.Find(i, int32(j))
-	if c == nil || c.sat <= c.unsat {
-		return 0
-	}
-	return float64(c.sat - c.unsat)
-}
-
 // AppendRow appends row i's positive local-trust entries — column indices
 // ascending, values s_ij > 0 — to the given scratch slices and returns
 // them. It is the materialization feed of the mechanisms' CSR rebuild.
@@ -251,28 +236,6 @@ func (l *LocalTrust) AppendRow(i int, cols []int32, vals []float64) ([]int32, []
 		}
 	}
 	return cols, vals
-}
-
-// NormalizedRow returns row i of the normalized matrix C as a dense vector.
-// If the row is empty (peer i has no positive local trust), the pretrust
-// distribution is returned instead, per the EigenTrust paper. It exists for
-// single-row inspection and the dense reference implementation; the compute
-// path materializes rows sparsely via AppendRow.
-func (l *LocalTrust) NormalizedRow(i int, pretrust []float64) []float64 {
-	row := make([]float64, l.n)
-	sum := 0.0
-	for j := 0; j < l.n; j++ {
-		row[j] = l.S(i, j)
-		sum += row[j]
-	}
-	if sum == 0 {
-		copy(row, pretrust)
-		return row
-	}
-	for j := range row {
-		row[j] /= sum
-	}
-	return row
 }
 
 // NetPositiveFraction returns, over peers that received at least one
@@ -303,19 +266,6 @@ func (l *LocalTrust) ResetPeer(i int) {
 			l.tally(int32(i), -c.sat, -c.unsat)
 		}
 	}
-}
-
-// HasOutgoing reports whether peer i has any positive local trust.
-func (l *LocalTrust) HasOutgoing(i int) bool {
-	if i < 0 || i >= l.n {
-		return false
-	}
-	for _, c := range l.rows.Row(i) {
-		if c.Val.sat > c.Val.unsat {
-			return true
-		}
-	}
-	return false
 }
 
 // DirtyRows returns, in ascending order, the rows changed since the last
@@ -392,15 +342,6 @@ func NewGatherer(rng *sim.RNG, disclosure []float64) *Gatherer {
 		d[i] = v
 	}
 	return &Gatherer{rng: rng, disclosure: d, sharedBy: make([]int64, len(d))}
-}
-
-// SharedBy returns how many reports the given rater has disclosed (0 for a
-// rater outside the disclosure vector).
-func (g *Gatherer) SharedBy(rater int) int64 {
-	if rater < 0 || rater >= len(g.sharedBy) {
-		return 0
-	}
-	return g.sharedBy[rater]
 }
 
 // SetDisclosure updates one rater's disclosure probability in place (clamped

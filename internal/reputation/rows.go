@@ -77,16 +77,6 @@ func find[V any](row []Cell[V], j int32) (int, bool) {
 	return lo, lo < len(row) && row[lo].Col == j
 }
 
-// Find returns cell (i, j)'s aggregate, or nil when the pair has none. The
-// pointer is valid until row i's next insert or delete.
-func (r *Rows[V]) Find(i int, j int32) *V {
-	row := r.rows[i]
-	if k, found := find(row, j); found {
-		return &row[k].Val
-	}
-	return nil
-}
-
 // Upsert returns cell (i, j)'s aggregate, inserting a zero one when the pair
 // has none, and marks row i dirty: the caller is about to change it. The
 // pointer is valid until row i's next insert or delete.

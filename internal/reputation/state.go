@@ -99,9 +99,12 @@ func (g *Gatherer) State() GathererState {
 }
 
 // RestoreGatherer rebuilds a gatherer from a captured state. A SharedBy
-// rater outside the disclosure vector or out of ascending order, or a
-// negative count, is an error.
+// rater outside the disclosure vector or out of ascending order, a negative
+// count, or a non-finite buffered Gaussian in the stream is an error.
 func RestoreGatherer(st GathererState) (*Gatherer, error) {
+	if err := st.RNG.Check(); err != nil {
+		return nil, fmt.Errorf("reputation: gatherer state: %w", err)
+	}
 	rng := sim.NewRNG(0)
 	rng.SetState(st.RNG)
 	g := NewGatherer(rng, st.Disclosure)

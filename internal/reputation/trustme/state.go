@@ -52,7 +52,7 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 // before the first write, so a rejected blob leaves the mechanism as it
 // was: one score and one pseudonym chain per peer, every score a number in
 // [0,1] (each is a mean of clamped ratings, or the neutral 0.5), and
-// counters that are not negative.
+// counters and chain epochs that are not negative.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -68,6 +68,11 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	}
 	if st.Messages < 0 || st.Rejected < 0 {
 		return fmt.Errorf("trustme: state counters messages=%d rejected=%d are negative", st.Messages, st.Rejected)
+	}
+	for p, nym := range st.Nyms {
+		if err := nym.Check(); err != nil {
+			return fmt.Errorf("trustme: peer %d: %w", p, err)
+		}
 	}
 
 	m.ring.SetState(st.Ring)

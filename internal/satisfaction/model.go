@@ -11,9 +11,6 @@ type Model struct {
 	Memory float64 `json:"memory,omitempty"`
 }
 
-// DefaultModel returns the model with the paper-calibrated defaults.
-func DefaultModel() Model { return Model{Memory: DefaultMemory} }
-
 // Validate checks the parameters, resolving zero values to defaults.
 func (m Model) Validate() (Model, error) {
 	if m.Memory == 0 {

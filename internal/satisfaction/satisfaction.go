@@ -15,8 +15,6 @@ package satisfaction
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/metrics"
 )
 
 // DefaultMemory is the EMA weight used when a zero memory is supplied:
@@ -75,17 +73,6 @@ func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
 		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
 	}
 	return &Consumer{pop: n, def: clamp01(pref), memory: memory}, nil
-}
-
-// Preference returns the consumer's current preference for a provider.
-func (c *Consumer) Preference(provider int) float64 {
-	if provider < 0 || provider >= c.pop {
-		return 0
-	}
-	if k, ok := c.findOverride(provider); ok {
-		return c.overrides[k].Pref
-	}
-	return c.def
 }
 
 // findOverride returns the position of provider's override: its index when
@@ -213,9 +200,6 @@ func (c *Consumer) Satisfaction() float64 {
 	return c.sat
 }
 
-// Observations returns the number of allocation rounds folded in.
-func (c *Consumer) Observations() int64 { return c.n }
-
 // Provider tracks one data provider's intentions and satisfaction. Its
 // willingness is one shared value for every consumer and is never mutated,
 // so no per-consumer vector is needed.
@@ -275,36 +259,4 @@ func (p *Provider) Satisfaction() float64 {
 		return 0.5
 	}
 	return p.sat
-}
-
-// Observations returns the number of served requests folded in.
-func (p *Provider) Observations() int64 { return p.n }
-
-// SystemView aggregates individual satisfactions into the global notion the
-// paper distinguishes from the individual one (§3: "a user can have a
-// satisfaction perception ... influenced only by its local vision of the
-// system, or by a global one").
-type SystemView struct {
-	// Mean is the global (average) satisfaction.
-	Mean float64
-	// Min is the worst participant's satisfaction.
-	Min float64
-	// P10 is the 10th-percentile satisfaction: the system is globally
-	// satisfying only if even its least-served decile does acceptably.
-	P10 float64
-}
-
-// Aggregate computes the system view over participant satisfactions.
-// An empty input yields the neutral view (all fields 0.5).
-func Aggregate(sats []float64) SystemView {
-	if len(sats) == 0 {
-		return SystemView{Mean: 0.5, Min: 0.5, P10: 0.5}
-	}
-	v := SystemView{Mean: metrics.Mean(sats), Min: sats[0], P10: metrics.Quantile(sats, 0.10)}
-	for _, s := range sats {
-		if s < v.Min {
-			v.Min = s
-		}
-	}
-	return v
 }

@@ -8,6 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
+// Preference returns the consumer's current preference for a provider.
+func (c *Consumer) Preference(provider int) float64 {
+	if provider < 0 || provider >= c.pop {
+		return 0
+	}
+	if k, ok := c.findOverride(provider); ok {
+		return c.overrides[k].Pref
+	}
+	return c.def
+}
+
+// Observations returns the number of allocation rounds folded in.
+func (c *Consumer) Observations() int64 { return c.n }
+
 func TestNewConsumerValidation(t *testing.T) {
 	if _, err := newPrefConsumer(nil, 0.1); err == nil {
 		t.Fatal("empty prefs accepted")
@@ -168,23 +182,6 @@ func TestProviderValidation(t *testing.T) {
 	}
 	if p.Willingness(5) != 0 {
 		t.Fatal("out-of-range willingness != 0")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	v := Aggregate([]float64{0.2, 0.4, 0.6, 0.8, 1.0})
-	if math.Abs(v.Mean-0.6) > 1e-12 {
-		t.Fatalf("mean = %v", v.Mean)
-	}
-	if v.Min != 0.2 {
-		t.Fatalf("min = %v", v.Min)
-	}
-	if v.P10 < 0.2 || v.P10 > 0.4 {
-		t.Fatalf("p10 = %v", v.P10)
-	}
-	empty := Aggregate(nil)
-	if empty.Mean != 0.5 || empty.Min != 0.5 || empty.P10 != 0.5 {
-		t.Fatalf("empty aggregate = %+v", empty)
 	}
 }
 

@@ -121,9 +121,6 @@ func (v *View) TopK(k int) []Entry {
 	return out
 }
 
-// Checksum returns the view's published integrity checksum.
-func (v *View) Checksum() uint64 { return v.checksum }
-
 // Consistent recomputes the checksum and the rank/order invariants; it
 // returns false if the view was torn by a concurrent writer (it never is —
 // the -race hammer test asserts exactly this).

@@ -12,16 +12,10 @@ type Time int64
 
 // Event is a callback scheduled to run at a virtual time.
 type Event struct {
-	At   Time
-	Do   func()
-	seq  uint64 // tie-breaker: FIFO among same-time events
-	idx  int    // heap index
-	dead bool
+	At  Time
+	Do  func()
+	seq uint64 // tie-breaker: FIFO among same-time events
 }
-
-// Cancel marks the event so that it will be skipped when dequeued.
-// Cancelling an already-run event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
 
 type eventHeap []*Event
 
@@ -34,13 +28,9 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
 }
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+	*h = append(*h, x.(*Event))
 }
 func (h *eventHeap) Pop() any {
 	old := *h
@@ -63,7 +53,7 @@ type Sim struct {
 	queue  eventHeap
 	seq    uint64
 	halted bool
-	// Steps counts executed (non-cancelled) events.
+	// Steps counts executed events.
 	Steps int64
 }
 
@@ -118,7 +108,7 @@ func (s *Sim) Every(d Time, fn func()) (cancel func(), err error) {
 // Halt stops the run loop after the current event returns.
 func (s *Sim) Halt() { s.halted = true }
 
-// Pending reports the number of queued (possibly cancelled) events.
+// Pending reports the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }
 
 // Run executes events in timestamp order until the queue is empty or the
@@ -131,9 +121,6 @@ func (s *Sim) Run(horizon Time) error {
 			return ErrHalted
 		}
 		e := heap.Pop(&s.queue).(*Event)
-		if e.dead {
-			continue
-		}
 		if horizon > 0 && e.At > horizon {
 			// Put it back for a later Run call and stop at the horizon.
 			heap.Push(&s.queue, e)

@@ -188,10 +188,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the size of the sampler's support.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next returns the next Zipf-distributed value in [0, N()).
+// Next returns the next Zipf-distributed value in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
 	lo, hi := 0, len(z.cdf)-1

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// N returns the size of the sampler's support.
+func (z *Zipf) N() int { return len(z.cdf) }
+
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // RNGState is the serializable position of an RNG stream. Capturing and
 // restoring it is exact: a restored stream produces the same draw sequence
 // as the original, which is the foundation of the engine-wide
@@ -19,7 +24,16 @@ func (r *RNG) State() RNGState {
 	return RNGState{State: r.state, Spare: r.spare, HasSpare: r.hasSpare}
 }
 
-// SetState restores a previously captured stream position.
+// Check reports whether st is a position a stream can reach: any state
+// word, and a buffered Gaussian, when there is one, that is finite.
+func (st RNGState) Check() error {
+	if st.HasSpare && (math.IsNaN(st.Spare) || math.IsInf(st.Spare, 0)) {
+		return fmt.Errorf("sim: rng state buffers a non-finite Gaussian %v", st.Spare)
+	}
+	return nil
+}
+
+// SetState restores a captured stream position; check untrusted ones first.
 func (r *RNG) SetState(st RNGState) {
 	r.state = st.State
 	r.spare = st.Spare

@@ -21,10 +21,11 @@ func empty(n int) *graph.Graph {
 func honestUsers(n int) []*User {
 	users := make([]*User, n)
 	for i := range users {
-		users[i] = &User{
-			ID:       i,
-			Behavior: adversary.MustNew(adversary.Honest, adversary.Config{}),
+		b, err := adversary.New(adversary.Honest, adversary.Config{})
+		if err != nil {
+			panic(err)
 		}
+		users[i] = &User{ID: i, Behavior: b}
 	}
 	return users
 }

@@ -48,10 +48,10 @@ func TestTrustGateCausesFailures(t *testing.T) {
 }
 
 // sharedTotal sums the reports every peer disclosed to the mechanism.
-func sharedTotal(eng *Engine, n int) int64 {
+func sharedTotal(eng *Engine) int64 {
 	var total int64
-	for u := 0; u < n; u++ {
-		total += eng.Gatherer().SharedBy(u)
+	for _, c := range eng.Gatherer().State().SharedBy {
+		total += c.Reports
 	}
 	return total
 }
@@ -66,7 +66,7 @@ func TestLedgerAccountsFlows(t *testing.T) {
 	// Both flow kinds are recorded: a profile disclosure per served
 	// interaction and a feedback disclosure per shared report.
 	cum := eng.CumulativeStats()
-	profile, feedback := int64(cum.Interactions-cum.Refused), sharedTotal(eng, 20)
+	profile, feedback := int64(cum.Interactions-cum.Refused), sharedTotal(eng)
 	if profile == 0 || feedback == 0 {
 		t.Fatalf("flows: profile=%d feedback=%d", profile, feedback)
 	}
@@ -98,9 +98,9 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	}
 	eng.Run(10)
 	cum := eng.CumulativeStats()
-	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng, 20) != 0 {
+	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng) != 0 {
 		t.Fatalf("ledger Len = %d with %d shared reports, want only the %d profile disclosures",
-			got, sharedTotal(eng, 20), want)
+			got, sharedTotal(eng), want)
 	}
 }
 

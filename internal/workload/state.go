@@ -131,6 +131,14 @@ func (e *Engine) Restore(st EngineState) error {
 	if (st.Activity != nil) != (e.activity != nil) {
 		return fmt.Errorf("workload: snapshot activity-skew state does not match scenario")
 	}
+	if err := st.RNG.Check(); err != nil {
+		return fmt.Errorf("workload: snapshot stream: %w", err)
+	}
+	if st.Activity != nil {
+		if err := st.Activity.Check(); err != nil {
+			return fmt.Errorf("workload: snapshot activity stream: %w", err)
+		}
+	}
 	if st.TrustGate < 0 || st.TrustGate >= 1 {
 		return fmt.Errorf("workload: snapshot trust gate %v out of [0,1)", st.TrustGate)
 	}

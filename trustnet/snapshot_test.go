@@ -473,6 +473,12 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"consumer observations -1", "observations", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].N = -1 }},
 		{"served count -3", "served count", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5] = -3 }},
 		{"quality sum NaN", "quality sum", func(t *testing.T, st *core.DynamicsState) { st.Engine.QualSum[5] = math.NaN() }},
+		{"engine stream spare NaN", "stream", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.RNG.Spare, st.Engine.RNG.HasSpare = math.NaN(), true
+		}},
+		{"gatherer stream spare +Inf", "gatherer", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.Gatherer.RNG.Spare, st.Engine.Gatherer.RNG.HasSpare = math.Inf(1), true
+		}},
 		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
 			var et etState
 			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
@@ -530,11 +536,28 @@ func TestRestoreIsAtomic(t *testing.T) {
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restores perturbed the continuation")
 	}
-	t.Run("anonrep pseudonym with no account", func(t *testing.T) {
-		testAnonRepRestoreIsAtomic(t)
-	})
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(st *anonRepState)
+	}{
+		{"anonrep pseudonym with no account", "no account", func(st *anonRepState) { st.Cur[len(st.Cur)-1] = "no such pseudonym" }},
+		{"anonrep NaN score", "score", func(st *anonRepState) { st.Scores[0] = math.NaN() }},
+		{"anonrep +Inf account base", "account", func(st *anonRepState) { st.mutateAccount(func(a *anonRepAccount) { a.Base = math.Inf(1) }) }},
+		{"anonrep NaN account sum", "account", func(st *anonRepState) { st.mutateAccount(func(a *anonRepAccount) { a.Sum = math.NaN() }) }},
+		{"anonrep negative count", "account", func(st *anonRepState) { st.mutateAccount(func(a *anonRepAccount) { a.Count = -1 }) }},
+		{"anonrep negative epoch", "epoch", func(st *anonRepState) { st.Epoch = -1 }},
+		{"anonrep negative chain epoch", "chain epoch", func(st *anonRepState) { st.Nyms[2].Epoch = -3 }},
+		{"anonrep infinite buffered Gaussian", "Gaussian", func(st *anonRepState) { st.RNG.Spare, st.RNG.HasSpare = math.Inf(-1), true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testAnonRepRestoreIsAtomic(t, tc.want, tc.mutate)
+		})
+	}
 	t.Run("trustme NaN score", func(t *testing.T) {
-		testTrustMeRestoreIsAtomic(t)
+		testTrustMeRestoreIsAtomic(t, "score", func(st *trustMeState) { st.Scores[len(st.Scores)-1] = math.NaN() })
+	})
+	t.Run("trustme negative chain epoch", func(t *testing.T) {
+		testTrustMeRestoreIsAtomic(t, "chain epoch", func(st *trustMeState) { st.Nyms[0].Epoch = -1 })
 	})
 	t.Run("powertrust NaN score", func(t *testing.T) {
 		testPowerTrustRestoreIsAtomic(t)
@@ -641,11 +664,11 @@ type trustMeState struct {
 }
 
 // testTrustMeRestoreIsAtomic is TestRestoreIsAtomic's TrustMe case: a blob
-// whose last peer's score is NaN. TrustMe's blob gob-encodes its
-// certificate map in map order, so the engine is compared as its encoded
-// snapshot without the blob, byte for byte, plus the blob decoded, by
-// value.
-func testTrustMeRestoreIsAtomic(t *testing.T) {
+// that mutate makes hostile must be refused with an error naming want.
+// TrustMe's blob gob-encodes its certificate map in map order, so the
+// engine is compared as its encoded snapshot without the blob, byte for
+// byte, plus the blob decoded, by value.
+func testTrustMeRestoreIsAtomic(t *testing.T, want string, mutate func(st *trustMeState)) {
 	opts := func() []Option {
 		return sessionScenario(407, WithReputationMechanism(TrustMe(TrustMeConfig{})))
 	}
@@ -696,14 +719,10 @@ func testTrustMeRestoreIsAtomic(t *testing.T) {
 	if len(mech.Ring.Store) == 0 {
 		t.Fatal("snapshot carries no rating history, so the ring restore goes unexercised")
 	}
-	mech.Scores[len(mech.Scores)-1] = math.NaN()
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(mech); err != nil {
-		t.Fatal(err)
-	}
-	hostile.State.Engine.Mechanism = blob.Bytes()
-	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "score") {
-		t.Fatalf("restore of hostile snapshot = %v, want a score error", err)
+	mutate(&mech)
+	hostile.State.Engine.Mechanism = gobBytes(t, mech)
+	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of hostile snapshot = %v, want a %s error", err, want)
 	}
 	afterBytes, afterMech := capture(t)
 	if !bytes.Equal(afterBytes, beforeBytes) {
@@ -750,15 +769,10 @@ func TestTrustMeCertificatesBounded(t *testing.T) {
 // anonRepState mirrors the AnonRep mechanism blob; gob matches fields by
 // name.
 type anonRepState struct {
-	RNG   sim.RNGState
-	Nyms  []crypto.ChainState
-	Cur   []string
-	Accts map[string]struct {
-		Base    float64
-		HasBase bool
-		Sum     float64
-		Count   int
-	}
+	RNG          sim.RNGState
+	Nyms         []crypto.ChainState
+	Cur          []string
+	Accts        map[string]anonRepAccount
 	Epoch        int
 	LastTransfer []struct {
 		Peer            int
@@ -768,12 +782,27 @@ type anonRepState struct {
 	Dirty  bool
 }
 
+// anonRepAccount mirrors one AnonRep bank account.
+type anonRepAccount struct {
+	Base    float64
+	HasBase bool
+	Sum     float64
+	Count   int
+}
+
+// mutateAccount applies f to the account of peer 0's current pseudonym.
+func (st *anonRepState) mutateAccount(f func(a *anonRepAccount)) {
+	a := st.Accts[st.Cur[0]]
+	f(&a)
+	st.Accts[st.Cur[0]] = a
+}
+
 // testAnonRepRestoreIsAtomic is TestRestoreIsAtomic's AnonRep case: a blob
-// whose last peer's current pseudonym names no account. The AnonRep blob
-// gob-encodes its account map in map order, so the engine is compared as
-// its encoded snapshot without the blob, byte for byte, plus the blob
-// decoded, by value.
-func testAnonRepRestoreIsAtomic(t *testing.T) {
+// that mutate makes hostile must be refused with an error naming want. The
+// AnonRep blob gob-encodes its account map in map order, so the engine is
+// compared as its encoded snapshot without the blob, byte for byte, plus
+// the blob decoded, by value.
+func testAnonRepRestoreIsAtomic(t *testing.T, want string, mutate func(st *anonRepState)) {
 	opts := func() []Option {
 		return sessionScenario(406, WithReputationMechanism(AnonRep(AnonRepConfig{Seed: 5})))
 	}
@@ -819,14 +848,10 @@ func testAnonRepRestoreIsAtomic(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(hostile.State.Engine.Mechanism)).Decode(&mech); err != nil {
 		t.Fatal(err)
 	}
-	mech.Cur[len(mech.Cur)-1] = "no such pseudonym"
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(mech); err != nil {
-		t.Fatal(err)
-	}
-	hostile.State.Engine.Mechanism = blob.Bytes()
-	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "no account") {
-		t.Fatalf("restore of hostile snapshot = %v, want a no-account error", err)
+	mutate(&mech)
+	hostile.State.Engine.Mechanism = gobBytes(t, mech)
+	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of hostile snapshot = %v, want a %s error", err, want)
 	}
 	afterBytes, afterMech := capture(t)
 	if !bytes.Equal(afterBytes, beforeBytes) {
