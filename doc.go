@@ -6,7 +6,7 @@
 // The public entry point is the trustnet package: an Engine built with
 // functional options over the paper's correlated three-facet trust model
 // (satisfaction §2.1, reputation power §2.2, privacy §2.3), with
-// single-shot (Assess), batch/concurrent (AssessAll) and coupled-dynamics
+// single-shot (Assess), batch (AssessAll) and coupled-dynamics
 // (Run) assessment paths, pluggable reputation mechanisms, and the §4
 // tradeoff explorer. Programs outside this repository should import only
 // repro/trustnet.

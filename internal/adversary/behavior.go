@@ -3,11 +3,13 @@
 // adversarial goals and power (e.g., selfish peers, malicious peers,
 // traitors, whitewashers)", following Marti & Garcia-Molina's taxonomy.
 // Each class decides (a) the service quality a peer delivers, (b) whether it
-// serves at all, and (c) how honestly it rates partners.
+// serves at all, and (c) how honestly it rates partners. A peer's behaviour
+// is a pure function of its class, so the class is all a population stores.
 package adversary
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -28,7 +30,8 @@ const (
 	Colluder
 )
 
-var classNames = map[Class]string{
+// classNames is indexed by Class; index 0 is no class.
+var classNames = [...]string{
 	Honest:      "honest",
 	Malicious:   "malicious",
 	Selfish:     "selfish",
@@ -38,10 +41,13 @@ var classNames = map[Class]string{
 	Colluder:    "colluder",
 }
 
+// Valid reports whether c is one of the behaviour classes.
+func (c Class) Valid() bool { return c >= Honest && c <= Colluder }
+
 // String returns the lowercase class name.
 func (c Class) String() string {
-	if s, ok := classNames[c]; ok {
-		return s
+	if c.Valid() {
+		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
@@ -49,8 +55,8 @@ func (c Class) String() string {
 // ClassNamed resolves a lowercase class name ("honest", "malicious", ...)
 // back to its Class; ok is false for unknown names.
 func ClassNamed(name string) (Class, bool) {
-	for c, s := range classNames {
-		if s == name {
+	for c := Honest; c <= Colluder; c++ {
+		if classNames[c] == name {
 			return c, true
 		}
 	}
@@ -60,11 +66,10 @@ func ClassNamed(name string) (Class, bool) {
 // MarshalText encodes the class as its lowercase name, so JSON scenario
 // specs read "malicious" instead of a magic integer.
 func (c Class) MarshalText() ([]byte, error) {
-	s, ok := classNames[c]
-	if !ok {
+	if !c.Valid() {
 		return nil, fmt.Errorf("adversary: unknown class %d", int(c))
 	}
-	return []byte(s), nil
+	return []byte(classNames[c]), nil
 }
 
 // UnmarshalText decodes a lowercase class name.
@@ -77,167 +82,65 @@ func (c *Class) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Behavior is one peer's behavioural policy.
-type Behavior interface {
-	// Serves reports whether the peer accepts a service request.
-	Serves(rng *sim.RNG) bool
-	// ServiceQuality returns the quality in [0,1] the peer delivers at
-	// logical step t (traitors oscillate with t).
-	ServiceQuality(rng *sim.RNG, t int) float64
-	// Rate converts an observed quality from a partner into the rating the
-	// peer reports ([0,1]); liars invert or inflate.
-	Rate(rng *sim.RNG, partner int, observed float64) float64
+// The behaviour models' parameters.
+const (
+	goodQuality      = 0.9  // mean quality delivered by well-behaved peers
+	badQuality       = 0.1  // mean quality delivered by misbehaving peers
+	noise            = 0.05 // half-width of the uniform jitter on qualities
+	traitorPeriod    = 50   // traitors serve well for one period, then badly for one
+	selfishServeProb = 0.1  // probability a selfish peer serves
+)
+
+// Serves reports whether a peer of class c accepts a service request.
+// Selfish free-riders serve with probability selfishServeProb, drawing once
+// from rng; every other class always serves and draws nothing.
+func Serves(c Class, rng *sim.RNG) bool {
+	if c == Selfish {
+		return rng.Bool(selfishServeProb)
+	}
+	return true
 }
 
-// Config tunes the behaviour models.
-type Config struct {
-	// GoodQuality is the mean quality delivered by well-behaved peers
-	// (default 0.9).
-	GoodQuality float64
-	// BadQuality is the mean quality delivered by misbehaving peers
-	// (default 0.1).
-	BadQuality float64
-	// Noise is the +/- uniform jitter applied to qualities (default 0.05).
-	Noise float64
-	// TraitorPeriod is the oscillation period for traitors (default 50):
-	// they behave well for one period, then badly for one period.
-	TraitorPeriod int
-	// SelfishServeProb is the probability a selfish peer serves (default 0.1).
-	SelfishServeProb float64
-	// Clique is the set of partner ids a colluder inflates (required for
-	// Colluder).
-	Clique map[int]bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.GoodQuality == 0 {
-		c.GoodQuality = 0.9
-	}
-	if c.BadQuality == 0 {
-		c.BadQuality = 0.1
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.05
-	}
-	if c.TraitorPeriod == 0 {
-		c.TraitorPeriod = 50
-	}
-	if c.SelfishServeProb == 0 {
-		c.SelfishServeProb = 0.1
-	}
-	return c
-}
-
-// New constructs the behaviour for a class. It returns an error for unknown
-// classes or a Colluder without a clique.
-func New(class Class, cfg Config) (Behavior, error) {
-	cfg = cfg.withDefaults()
-	switch class {
-	case Honest:
-		return &basic{cfg: cfg, quality: cfg.GoodQuality, honest: true}, nil
-	case Malicious, Whitewasher:
-		// A whitewasher resets its identity via churn; in the protocol it
-		// serves and rates as a malicious peer does.
-		return &basic{cfg: cfg, quality: cfg.BadQuality}, nil
-	case Selfish:
-		return &selfish{cfg: cfg}, nil
+// ServiceQuality returns the quality in [0,1] a peer of class c delivers at
+// logical step t, drawing once from rng. Malicious, whitewashing and
+// colluding peers serve badly; a whitewasher sheds its reputation through
+// churn but serves as a malicious peer does. Traitors serve well for
+// traitorPeriod steps, building reputation, then badly for traitorPeriod
+// steps, milking it. Everyone else serves well.
+func ServiceQuality(c Class, rng *sim.RNG, t int) float64 {
+	switch c {
+	case Malicious, Whitewasher, Colluder:
+		return jitter(rng, badQuality)
 	case Traitor:
-		return &traitor{cfg: cfg}, nil
-	case Slanderer:
-		return &slanderer{cfg: cfg}, nil
-	case Colluder:
-		if len(cfg.Clique) == 0 {
-			return nil, fmt.Errorf("adversary: colluder requires a non-empty clique")
+		if (t/traitorPeriod)%2 != 0 {
+			return jitter(rng, badQuality)
 		}
-		return &colluder{cfg: cfg}, nil
-	default:
-		return nil, fmt.Errorf("adversary: unknown class %d", int(class))
 	}
+	return jitter(rng, goodQuality)
 }
 
-func jitter(rng *sim.RNG, q, noise float64) float64 {
-	q += float64((float64(rng.Float64()*2) - 1) * noise)
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
-
-// basic serves a fixed mean quality; honest peers rate truthfully,
-// malicious/whitewashing peers rate adversarially (invert).
-type basic struct {
-	cfg     Config
-	quality float64
-	honest  bool
-}
-
-func (b *basic) Serves(*sim.RNG) bool { return true }
-func (b *basic) ServiceQuality(rng *sim.RNG, t int) float64 {
-	return jitter(rng, b.quality, b.cfg.Noise)
-}
-func (b *basic) Rate(rng *sim.RNG, partner int, observed float64) float64 {
-	if b.honest {
-		return observed
-	}
-	return 1 - observed // malicious peers also lie in feedback
-}
-
-// selfish free-riders deliver good quality when they bother to serve, and
-// rate honestly — their damage is refusal, not lies.
-type selfish struct{ cfg Config }
-
-func (s *selfish) Serves(rng *sim.RNG) bool { return rng.Bool(s.cfg.SelfishServeProb) }
-func (s *selfish) ServiceQuality(rng *sim.RNG, t int) float64 {
-	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
-}
-func (s *selfish) Rate(rng *sim.RNG, partner int, observed float64) float64 {
-	return observed
-}
-
-// traitor oscillates: good for TraitorPeriod steps (building reputation),
-// then bad for TraitorPeriod steps (milking it).
-type traitor struct{ cfg Config }
-
-func (tr *traitor) Serves(*sim.RNG) bool { return true }
-func (tr *traitor) ServiceQuality(rng *sim.RNG, t int) float64 {
-	phase := (t / tr.cfg.TraitorPeriod) % 2
-	if phase == 0 {
-		return jitter(rng, tr.cfg.GoodQuality, tr.cfg.Noise)
-	}
-	return jitter(rng, tr.cfg.BadQuality, tr.cfg.Noise)
-}
-func (tr *traitor) Rate(rng *sim.RNG, partner int, observed float64) float64 {
-	return observed
-}
-
-// slanderer provides good service but reports the inverse of what it
-// observes, poisoning the feedback pool.
-type slanderer struct{ cfg Config }
-
-func (s *slanderer) Serves(*sim.RNG) bool { return true }
-func (s *slanderer) ServiceQuality(rng *sim.RNG, t int) float64 {
-	return jitter(rng, s.cfg.GoodQuality, s.cfg.Noise)
-}
-func (s *slanderer) Rate(rng *sim.RNG, partner int, observed float64) float64 {
-	return 1 - observed
-}
-
-// colluder serves badly but rates clique members with perfect scores and
-// everyone else truthfully-low, inflating the clique's standing.
-type colluder struct{ cfg Config }
-
-func (c *colluder) Serves(*sim.RNG) bool { return true }
-func (c *colluder) ServiceQuality(rng *sim.RNG, t int) float64 {
-	return jitter(rng, c.cfg.BadQuality, c.cfg.Noise)
-}
-func (c *colluder) Rate(rng *sim.RNG, partner int, observed float64) float64 {
-	if c.cfg.Clique[partner] {
-		return 1
+// Rate converts the quality a peer of class c observed from a partner into
+// the rating it reports, in [0,1]. Malicious, whitewashing and slandering
+// peers report the inverse; a colluder gives a partner that also colludes a
+// perfect score, inflating the clique's standing. Everyone else rates
+// truthfully. It makes no random draw.
+func Rate(c Class, observed float64, partnerColludes bool) float64 {
+	switch c {
+	case Malicious, Whitewasher, Slanderer:
+		return 1 - observed
+	case Colluder:
+		if partnerColludes {
+			return 1
+		}
 	}
 	return observed
+}
+
+// jitter draws q plus uniform noise in [-noise, noise). The product is
+// rounded before the add, so no platform fuses it; every result lies inside
+// [0,1] because noise is smaller than both mean qualities' distance to it.
+func jitter(rng *sim.RNG, q float64) float64 {
+	return q + float64((float64(rng.Float64()*2)-1)*noise)
 }
 
 // Mix describes a population composition; weights need not sum to 1 (they
@@ -253,48 +156,57 @@ type Mix struct {
 	ForceHonest []int
 }
 
-// Assign deterministically assigns n peers to classes proportionally to the
-// mix (largest-remainder), shuffled by rng. Colluders all share one clique.
-// It returns the behaviour list and the ground-truth class per peer.
-// Validate checks the composition without assigning behaviours. An empty
+// Validate checks the composition without assigning classes. An empty
 // Fractions map is valid (callers default it to all honest).
 func (m Mix) Validate() error {
-	total := 0.0
-	for _, f := range m.Fractions {
-		if f < 0 {
-			return fmt.Errorf("adversary: negative fraction")
+	for c := range m.Fractions {
+		if !c.Valid() {
+			return fmt.Errorf("adversary: mix names an unknown class")
 		}
-		total += f
 	}
-	if len(m.Fractions) > 0 && total == 0 {
+	for c := Honest; c <= Colluder; c++ {
+		if f := m.Fractions[c]; !(f >= 0 && f <= math.MaxFloat64) {
+			return fmt.Errorf("adversary: %v fraction %v is negative or not finite", c, f)
+		}
+	}
+	if len(m.Fractions) > 0 && m.total() == 0 {
 		return fmt.Errorf("adversary: empty mix")
 	}
 	return nil
 }
 
-func (m Mix) Assign(rng *sim.RNG, n int, cfg Config) ([]Behavior, []Class, error) {
+// total sums the fractions in class order: a float sum depends on its
+// order, and map order is random.
+func (m Mix) total() float64 {
+	total := 0.0
+	for c := Honest; c <= Colluder; c++ {
+		total += m.Fractions[c]
+	}
+	return total
+}
+
+// Assign deterministically assigns n peers to classes proportionally to the
+// mix (largest-remainder), shuffled by rng, and returns the class of each
+// peer.
+func (m Mix) Assign(rng *sim.RNG, n int) ([]Class, error) {
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("adversary: population size %d must be positive", n)
+		return nil, fmt.Errorf("adversary: population size %d must be positive", n)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(m.Fractions) == 0 {
-		return nil, nil, fmt.Errorf("adversary: empty mix")
+		return nil, fmt.Errorf("adversary: empty mix")
 	}
-	total := 0.0
-	for _, f := range m.Fractions {
-		total += f
-	}
-	classes := []Class{Honest, Malicious, Selfish, Traitor, Whitewasher, Slanderer, Colluder}
-	counts := make(map[Class]int)
+	total := m.total()
+	var counts [Colluder + 1]int
 	assigned := 0
 	type rem struct {
 		c Class
 		r float64
 	}
 	var rems []rem
-	for _, c := range classes {
+	for c := Honest; c <= Colluder; c++ {
 		exact := float64(m.Fractions[c] / total * float64(n))
 		k := int(exact)
 		counts[c] = k
@@ -313,9 +225,9 @@ func (m Mix) Assign(rng *sim.RNG, n int, cfg Config) ([]Behavior, []Class, error
 		rems[best].r = -1
 		assigned++
 	}
-	// Build the id list, shuffle for placement, then construct behaviours.
+	// Build the class list, then shuffle it for placement.
 	classByPeer := make([]Class, 0, n)
-	for _, c := range classes {
+	for c := Honest; c <= Colluder; c++ {
 		for i := 0; i < counts[c]; i++ {
 			classByPeer = append(classByPeer, c)
 		}
@@ -342,23 +254,5 @@ func (m Mix) Assign(rng *sim.RNG, n int, cfg Config) ([]Behavior, []Class, error
 			}
 		}
 	}
-	clique := make(map[int]bool)
-	for id, c := range classByPeer {
-		if c == Colluder {
-			clique[id] = true
-		}
-	}
-	behaviors := make([]Behavior, n)
-	for id, c := range classByPeer {
-		bcfg := cfg
-		if c == Colluder {
-			bcfg.Clique = clique
-		}
-		b, err := New(c, bcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		behaviors[id] = b
-	}
-	return behaviors, classByPeer, nil
+	return classByPeer, nil
 }

@@ -13,7 +13,7 @@ func TestForceHonestGuaranteesClass(t *testing.T) {
 		ForceHonest: []int{0, 1, 2},
 	}
 	for trial := 0; trial < 20; trial++ {
-		_, classes, err := mix.Assign(rng, 40, Config{})
+		classes, err := mix.Assign(rng, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestForceHonestBestEffortWhenImpossible(t *testing.T) {
 		Fractions:   map[Class]float64{Malicious: 1},
 		ForceHonest: []int{0},
 	}
-	_, classes, err := mix.Assign(rng, 10, Config{})
+	classes, err := mix.Assign(rng, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestForceHonestIgnoresOutOfRange(t *testing.T) {
 		Fractions:   map[Class]float64{Honest: 1},
 		ForceHonest: []int{-3, 99},
 	}
-	if _, _, err := mix.Assign(rng, 10, Config{}); err != nil {
+	if _, err := mix.Assign(rng, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,7 +67,7 @@ func TestForceHonestDoesNotStealFromOtherForcedSlot(t *testing.T) {
 		ForceHonest: []int{0, 1},
 	}
 	for trial := 0; trial < 30; trial++ {
-		_, classes, err := mix.Assign(rng, 10, Config{})
+		classes, err := mix.Assign(rng, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,9 +87,10 @@ func NewInfo() *types.Info {
 // to be bit-identical across shard counts, snapshot/restore boundaries and
 // the served-vs-batch twin. A path matches if it equals a prefix or sits
 // below one (so mechanism subpackages like repro/internal/reputation/\
-// eigentrust are covered). The population packages, graph and social, are
-// on it because the generators' random draws and the friend order feed
-// every history. Everything else — cmd/ (including trustmaster
+// eigentrust are covered). The population packages, adversary, graph and
+// social, are on it because the class assignment, the behaviour jitter, the
+// generators' random draws and the friend order feed every history.
+// Everything else — cmd/ (including trustmaster
 // and trustworker), tools/, internal/serve, internal/cluster, the
 // dht/crypto simulation scaffolding — is off the deterministic path
 // and exempt. internal/cluster is exempt by design, not oversight: its job
@@ -97,6 +98,7 @@ func NewInfo() *types.Info {
 // determinism is enforced end-to-end by the golden topology tests instead
 // of the lint allowlist.
 var deterministicPrefixes = []string{
+	"repro/internal/adversary",
 	"repro/internal/core",
 	"repro/internal/workload",
 	"repro/internal/reputation",

@@ -30,13 +30,14 @@
 //
 // # Deterministic packages
 //
-// The analyzers police the eight package trees whose output is golden-pinned:
-// internal/core, internal/workload, internal/reputation (including the
-// mechanism subpackages), internal/linalg, internal/metrics, internal/sim,
-// internal/satisfaction and internal/privacy. Packages off the deterministic
-// path — cmd/, tools/, internal/serve and the remaining internal packages —
-// are exempt, as are _test.go files (order-sensitive tests fail visibly on
-// their own). See IsDeterministic.
+// The analyzers police the eleven package trees whose output is
+// golden-pinned: internal/adversary, internal/core, internal/workload,
+// internal/reputation (including the mechanism subpackages),
+// internal/linalg, internal/metrics, internal/sim, internal/satisfaction,
+// internal/privacy, internal/graph and internal/social. Packages off the
+// deterministic path — cmd/, tools/, internal/serve and the remaining
+// internal packages — are exempt, as are _test.go files (order-sensitive
+// tests fail visibly on their own). See IsDeterministic.
 //
 // # Suppression comments
 //

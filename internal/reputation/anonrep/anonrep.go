@@ -61,7 +61,8 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// account is the per-pseudonym reputation state at the bank.
+// account is the reputation state at the bank of one peer's current
+// pseudonym.
 type account struct {
 	base    float64 // carried reputation
 	hasBase bool
@@ -81,15 +82,13 @@ func (a *account) score(prior float64) float64 {
 
 // Mechanism is the pseudonymous reputation engine.
 type Mechanism struct {
-	cfg   Config //trustlint:derived configuration, identical by construction on restore
-	rng   *sim.RNG
-	nyms  []*crypto.PseudonymChain
-	cur   []string            // current pseudonym per peer
-	accts map[string]*account // bank accounts, by pseudonym
-	// acctOf[p] aliases accts[cur[p]]: the hot paths (Submit, Compute,
-	// TrustworthyFraction) index by peer id without hashing pseudonyms.
-	acctOf []*account //trustlint:derived alias index rebuilt from cur/accts by restore
-	epoch  int
+	cfg  Config //trustlint:derived configuration, identical by construction on restore
+	rng  *sim.RNG
+	nyms []*crypto.PseudonymChain
+	// accts[p] is the account of peer p's current pseudonym; a rotation
+	// replaces it, since nothing can file against a retired pseudonym.
+	accts []account
+	epoch int
 	// lastTransfer records, for the most recent epoch change, the
 	// (oldScore, carriedScore) pair per peer — the adversary's view used
 	// by LinkabilityAdvantage.
@@ -123,15 +122,10 @@ func New(cfg Config) (*Mechanism, error) {
 		cfg:   cfg,
 		rng:   sim.NewRNG(cfg.Seed ^ 0xa17e5),
 		nyms:  make([]*crypto.PseudonymChain, cfg.N),
-		cur:   make([]string, cfg.N),
-		accts: make(map[string]*account),
+		accts: make([]account, cfg.N),
 	}
-	m.acctOf = make([]*account, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		m.nyms[i] = crypto.NewPseudonymChain(crypto.SeedFromUint64(cfg.Seed*7919 + uint64(i)))
-		m.cur[i] = m.nyms[i].Current()
-		m.accts[m.cur[i]] = &account{}
-		m.acctOf[i] = m.accts[m.cur[i]]
 	}
 	m.scores = make([]float64, cfg.N)
 	for i := range m.scores {
@@ -148,10 +142,10 @@ func (m *Mechanism) Epoch() int { return m.epoch }
 
 // Pseudonym returns a peer's current pseudonym (what raters see).
 func (m *Mechanism) Pseudonym(peer int) string {
-	if peer < 0 || peer >= len(m.cur) {
+	if peer < 0 || peer >= len(m.nyms) {
 		return ""
 	}
-	return m.cur[peer]
+	return m.nyms[peer].Current()
 }
 
 // Submit implements reputation.Mechanism: the rating is credited to the
@@ -167,7 +161,7 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 	if v > 1 {
 		v = 1
 	}
-	acct := m.acctOf[r.Ratee]
+	acct := &m.accts[r.Ratee]
 	acct.sum += v
 	acct.count++
 	m.dirty = true
@@ -194,13 +188,11 @@ func (m *Mechanism) quantize(v float64) float64 {
 func (m *Mechanism) NextEpoch() {
 	m.lastTransfer = m.lastTransfer[:0]
 	for p := 0; p < m.cfg.N; p++ {
-		old := m.acctOf[p]
+		old := &m.accts[p]
 		oldObs := m.quantize(old.score(m.cfg.PriorStrength))
 		carried := m.quantize(old.score(m.cfg.PriorStrength) + float64(m.rng.NormFloat64()*m.cfg.Noise))
-		nym := m.nyms[p].Advance()
-		m.cur[p] = nym
-		m.accts[nym] = &account{base: carried, hasBase: true}
-		m.acctOf[p] = m.accts[nym]
+		m.nyms[p].Advance()
+		m.accts[p] = account{base: carried, hasBase: true}
 		m.lastTransfer = append(m.lastTransfer, transfer{peer: p, oldObs: oldObs, carried: carried})
 	}
 	m.epoch++
@@ -218,12 +210,12 @@ func (m *Mechanism) Compute() int {
 	}
 	if m.allDirty {
 		for p := 0; p < m.cfg.N; p++ {
-			m.scores[p] = m.acctOf[p].score(m.cfg.PriorStrength)
+			m.scores[p] = m.accts[p].score(m.cfg.PriorStrength)
 		}
 		m.allDirty = false
 	} else {
 		for _, p := range m.dirtyPeers.Sorted() {
-			m.scores[p] = m.acctOf[p].score(m.cfg.PriorStrength)
+			m.scores[p] = m.accts[p].score(m.cfg.PriorStrength)
 		}
 	}
 	m.dirtyPeers.Reset()
@@ -252,7 +244,7 @@ func (m *Mechanism) ScoresVersion() uint64 { return m.version }
 func (m *Mechanism) TrustworthyFraction() float64 {
 	rated, positive := 0, 0
 	for p := 0; p < m.cfg.N; p++ {
-		acct := m.acctOf[p]
+		acct := &m.accts[p]
 		if acct.count == 0 && !acct.hasBase {
 			continue
 		}

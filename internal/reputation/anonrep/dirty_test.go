@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 )
@@ -90,6 +91,11 @@ func TestSnapshotRoundTripMidDirty(t *testing.T) {
 	if err := restored.RestoreMechanismState(blob); err != nil {
 		t.Fatal(err)
 	}
+	for p := 0; p < n; p++ {
+		if got, want := restored.Pseudonym(p), orig.Pseudonym(p); got != want {
+			t.Fatalf("pseudonym[%d] = %s after restore, want %s", p, got, want)
+		}
+	}
 
 	feed(t, rng, 100, orig, restored)
 	orig.Compute()
@@ -107,11 +113,87 @@ func TestSnapshotRoundTripMidDirty(t *testing.T) {
 	if a, b := orig.TrustworthyFraction(), restored.TrustworthyFraction(); a != b {
 		t.Fatalf("trustworthy fraction diverged: %v != %v", a, b)
 	}
-	// The blobs cannot be compared byte-wise (gob serializes the account map
-	// in randomized order), so decode and compare structurally.
-	s1, s2 := decodeState(t, orig), decodeState(t, restored)
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("states diverged after restore-then-run:\n%+v\n%+v", s1, s2)
+	b1, err := orig.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := restored.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("states diverged after restore-then-run:\n%+v\n%+v", decodeState(t, orig), decodeState(t, restored))
+	}
+}
+
+// TestRotationsKeepOneAccountPerPeer: a rotation replaces each peer's
+// account, so the bank and the blob hold one account per peer however many
+// rotations ran.
+func TestRotationsKeepOneAccountPerPeer(t *testing.T) {
+	const n = 50
+	m, err := New(Config{N: n, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(34)
+	for i := 0; i < 10; i++ {
+		feed(t, rng, 40, m)
+		m.Compute()
+		m.NextEpoch()
+	}
+	if len(m.accts) != n {
+		t.Fatalf("%d accounts after 10 rotations of %d peers", len(m.accts), n)
+	}
+	if st := decodeState(t, m); len(st.Accts) != n {
+		t.Fatalf("blob carries %d accounts for %d peers", len(st.Accts), n)
+	}
+}
+
+// mapLayoutState is the blob layout that kept each peer's current
+// pseudonym and the bank as a map from pseudonym to account, retired
+// pseudonyms included.
+type mapLayoutState struct {
+	RNG          sim.RNGState
+	Nyms         []crypto.ChainState
+	Cur          []string
+	Accts        map[string]accountState
+	Epoch        int
+	LastTransfer []transferState
+	Scores       []float64
+	Dirty        bool
+}
+
+// TestRestoreRejectsMapLayout: a blob in the map layout fails restore with
+// an error and leaves the mechanism as it was.
+func TestRestoreRejectsMapLayout(t *testing.T) {
+	const n = 10
+	m, err := New(Config{N: n, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, sim.NewRNG(35), 30, m)
+	m.Compute()
+	before := decodeState(t, m)
+	old := mapLayoutState{
+		RNG:    before.RNG,
+		Nyms:   before.Nyms,
+		Cur:    make([]string, n),
+		Accts:  map[string]accountState{},
+		Scores: before.Scores,
+	}
+	for p := range old.Cur {
+		old.Cur[p] = m.Pseudonym(p)
+		old.Accts[old.Cur[p]] = before.Accts[p]
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreMechanismState(buf.Bytes()); err == nil {
+		t.Fatal("map-layout blob restored")
+	}
+	if after := decodeState(t, m); !reflect.DeepEqual(after, before) {
+		t.Fatal("rejected restore changed the mechanism")
 	}
 }
 

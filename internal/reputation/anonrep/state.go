@@ -28,8 +28,7 @@ type transferState struct {
 type mechanismState struct {
 	RNG          sim.RNGState
 	Nyms         []crypto.ChainState
-	Cur          []string
-	Accts        map[string]accountState
+	Accts        []accountState // by peer: the account of its current pseudonym
 	Epoch        int
 	LastTransfer []transferState
 	Scores       []float64
@@ -41,8 +40,7 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
 		RNG:    m.rng.State(),
 		Nyms:   make([]crypto.ChainState, len(m.nyms)),
-		Cur:    append([]string(nil), m.cur...),
-		Accts:  make(map[string]accountState, len(m.accts)),
+		Accts:  make([]accountState, len(m.accts)),
 		Epoch:  m.epoch,
 		Scores: append([]float64(nil), m.scores...),
 		Dirty:  m.dirty,
@@ -50,8 +48,8 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	for i, n := range m.nyms {
 		st.Nyms[i] = n.State()
 	}
-	for nym, a := range m.accts {
-		st.Accts[nym] = accountState{Base: a.base, HasBase: a.hasBase, Sum: a.sum, Count: a.count}
+	for p, a := range m.accts {
+		st.Accts[p] = accountState{Base: a.base, HasBase: a.hasBase, Sum: a.sum, Count: a.count}
 	}
 	for _, t := range m.lastTransfer {
 		st.LastTransfer = append(st.LastTransfer, transferState{Peer: t.peer, OldObs: t.oldObs, Carried: t.carried})
@@ -75,8 +73,11 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("anonrep: decode state: %w", err)
 	}
-	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N || len(st.Cur) != m.cfg.N {
+	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N {
 		return fmt.Errorf("anonrep: state for %d peers, want %d", len(st.Scores), m.cfg.N)
+	}
+	if len(st.Accts) != m.cfg.N {
+		return fmt.Errorf("anonrep: state has %d accounts for %d peers", len(st.Accts), m.cfg.N)
 	}
 	if err := st.RNG.Check(); err != nil {
 		return fmt.Errorf("anonrep: %w", err)
@@ -97,24 +98,12 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 			return fmt.Errorf("anonrep: state transfer %+v out of range", t)
 		}
 	}
-	accts := make(map[string]*account, len(st.Accts))
-	bad := 0
-	for nym, a := range st.Accts {
+	accts := make([]account, m.cfg.N)
+	for p, a := range st.Accts {
 		if a.Count < 0 || !unit(a.Base) || !(a.Sum >= 0 && a.Sum <= float64(a.Count)) {
-			bad++
+			return fmt.Errorf("anonrep: state account of peer %d out of range", p)
 		}
-		accts[nym] = &account{base: a.Base, hasBase: a.HasBase, sum: a.Sum, count: a.Count}
-	}
-	if bad > 0 {
-		return fmt.Errorf("anonrep: state has %d accounts out of range", bad)
-	}
-	acctOf := make([]*account, m.cfg.N)
-	for p, nym := range st.Cur {
-		acct := accts[nym]
-		if acct == nil {
-			return fmt.Errorf("anonrep: state has no account for peer %d's pseudonym", p)
-		}
-		acctOf[p] = acct
+		accts[p] = account{base: a.Base, hasBase: a.HasBase, sum: a.Sum, count: a.Count}
 	}
 	var lastTransfer []transfer
 	for _, t := range st.LastTransfer {
@@ -124,9 +113,7 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	for i := range m.nyms {
 		m.nyms[i].SetState(st.Nyms[i])
 	}
-	m.cur = st.Cur
 	m.accts = accts
-	m.acctOf = acctOf
 	m.epoch = st.Epoch
 	m.lastTransfer = lastTransfer
 	m.scores = st.Scores

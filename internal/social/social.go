@@ -1,13 +1,11 @@
 // Package social models the social-networking application layer of the
-// paper's §1: users, the profile attributes they may disclose, the
-// friendship graph, and the transaction counter that names each
-// interaction.
+// paper's §1: the profile attributes users may disclose, the friendship
+// graph, and the transaction counter that names each interaction.
 package social
 
 import (
 	"fmt"
 
-	"repro/internal/adversary"
 	"repro/internal/graph"
 )
 
@@ -74,52 +72,25 @@ func StandardProfile(userID int) Profile {
 	}}
 }
 
-// User is a participant: identity and behaviour policy.
-type User struct {
-	ID       int
-	Behavior adversary.Behavior
-}
-
 // Network is the social network state.
 type Network struct {
-	users []*User //trustlint:derived scenario structure rebuilt from the seed; the one mutable part, Behavior, is restored from the engine's class list
 	// friends is the friendship graph, the int32 adjacency candidate
-	// sampling reads.
+	// sampling reads; it has one node per user.
 	friends *graph.Graph //trustlint:derived scenario structure rebuilt from the seed
 	nextTx  uint64
 }
 
-// NewNetwork assembles a network; users[i].ID must equal i and the
-// friendship graph must have exactly len(users) nodes.
-func NewNetwork(users []*User, friends *graph.Graph) (*Network, error) {
+// NewNetwork assembles a network over the friendship graph, one user per
+// node.
+func NewNetwork(friends *graph.Graph) (*Network, error) {
 	if friends == nil {
 		return nil, fmt.Errorf("social: nil friendship graph")
 	}
-	if friends.N() != len(users) {
-		return nil, fmt.Errorf("social: %d users but friendship graph has %d nodes",
-			len(users), friends.N())
-	}
-	for i, u := range users {
-		if u == nil {
-			return nil, fmt.Errorf("social: nil user at %d", i)
-		}
-		if u.ID != i {
-			return nil, fmt.Errorf("social: user at index %d has ID %d", i, u.ID)
-		}
-	}
-	return &Network{users: users, friends: friends}, nil
+	return &Network{friends: friends}, nil
 }
 
 // N returns the number of users.
-func (n *Network) N() int { return len(n.users) }
-
-// User returns the user with the given id, or nil if out of range.
-func (n *Network) User(id int) *User {
-	if id < 0 || id >= len(n.users) {
-		return nil
-	}
-	return n.users[id]
-}
+func (n *Network) N() int { return n.friends.N() }
 
 // FriendsOf returns u's friends, ascending (nil if u is out of range). The
 // slice is the graph's own storage (shared; read-only); its capacity is

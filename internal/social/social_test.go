@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/adversary"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -18,55 +17,29 @@ func empty(n int) *graph.Graph {
 	return g
 }
 
-func honestUsers(n int) []*User {
-	users := make([]*User, n)
-	for i := range users {
-		b, err := adversary.New(adversary.Honest, adversary.Config{})
-		if err != nil {
-			panic(err)
-		}
-		users[i] = &User{ID: i, Behavior: b}
-	}
-	return users
-}
-
 func TestNewNetworkValidation(t *testing.T) {
-	users := honestUsers(3)
-	if _, err := NewNetwork(users, nil); err == nil {
+	if _, err := NewNetwork(nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewNetwork(users, empty(2)); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	users[1].ID = 7
-	if _, err := NewNetwork(users, empty(3)); err == nil {
-		t.Fatal("mis-indexed user accepted")
-	}
-	users[1].ID = 1
-	users[2] = nil
-	if _, err := NewNetwork(users, empty(3)); err == nil {
-		t.Fatal("nil user accepted")
-	}
 }
 
+// TestUserLookup: the network has one user per graph node, and looking up
+// a user outside the population finds no friends.
 func TestUserLookup(t *testing.T) {
-	net, err := NewNetwork(honestUsers(3), empty(3))
+	net, err := NewNetwork(empty(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if net.N() != 3 {
 		t.Fatalf("N = %d", net.N())
 	}
-	if net.User(1) == nil || net.User(1).ID != 1 {
-		t.Fatal("User(1) lookup failed")
-	}
-	if net.User(-1) != nil || net.User(3) != nil {
+	if net.FriendsOf(-1) != nil || net.FriendsOf(3) != nil {
 		t.Fatal("out-of-range user lookup not nil")
 	}
 }
 
 func TestTxIDsUnique(t *testing.T) {
-	net, err := NewNetwork(honestUsers(2), empty(2))
+	net, err := NewNetwork(empty(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +53,7 @@ func TestTxIDsUnique(t *testing.T) {
 	}
 	// The counter is the network's whole mutable state: a restored network
 	// continues the sequence.
-	back, err := NewNetwork(honestUsers(2), empty(2))
+	back, err := NewNetwork(empty(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +82,7 @@ func TestFriendsOfIndexesGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := NewNetwork(honestUsers(n), g)
+		net, err := NewNetwork(g)
 		if err != nil {
 			t.Fatal(err)
 		}

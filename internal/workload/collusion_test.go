@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -97,4 +98,47 @@ func TestPretrustDampsCollusionInWorkload(t *testing.T) {
 	if bestColluder >= bestHonest {
 		t.Fatalf("clique out-ranked honest peers: %v >= %v", bestColluder, bestHonest)
 	}
+}
+
+// TestSetBehaviorClassKeepsColluderRoster: the colluder roster follows the
+// classes through swaps into and out of the clique, and an unknown class is
+// refused without touching the classes, the roster or the mutation count.
+func TestSetBehaviorClassKeepsColluderRoster(t *testing.T) {
+	e, err := NewEngine(Config{Seed: 49, NumPeers: 30, Mix: collMix(0.3)}, newEigen(t, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := func() []int {
+		var ids []int
+		for id, c := range e.Classes() {
+			if c == adversary.Colluder {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	check := func(step string) {
+		t.Helper()
+		if want := roster(); !slices.Equal(e.colluders, want) {
+			t.Fatalf("%s: roster %v, classes say %v", step, e.colluders, want)
+		}
+	}
+	check("built")
+	first := roster()[0]
+	if err := e.SetBehaviorClass(first, adversary.Honest); err != nil {
+		t.Fatal(err)
+	}
+	check("colluder turned honest")
+	if err := e.SetBehaviorClass(0, adversary.Colluder); err != nil {
+		t.Fatal(err)
+	}
+	check("honest peer joined the clique")
+	classes, gen := e.Classes(), e.MutationGen()
+	if err := e.SetBehaviorClass(1, adversary.Class(99)); err == nil {
+		t.Fatal("unknown class accepted")
+	}
+	if !slices.Equal(e.Classes(), classes) || e.MutationGen() != gen {
+		t.Fatal("refused class swap changed the engine")
+	}
+	check("unknown class refused")
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"slices"
 
+	"repro/internal/adversary"
 	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/sim"
@@ -211,14 +212,14 @@ func (e *Engine) simulate(p interactionPlan, in *roundInputs, slot []int32, sc *
 		slot[len(candidates)] = -1
 	}
 	r.provider = int32(provider)
-	pu := e.snet.User(provider)
-	if !pu.Behavior.Serves(rng) {
+	class := e.classes[provider]
+	if !adversary.Serves(class, rng) {
 		r.status = refused
 		return r
 	}
 	r.status = served
-	r.quality = pu.Behavior.ServiceQuality(rng, in.round)
-	r.rating = e.rate(rng, e.snet.User(consumer), consumer, provider, r.quality)
+	r.quality = adversary.ServiceQuality(class, rng, in.round)
+	r.rating = e.rate(rng, consumer, provider, r.quality)
 	return r
 }
 

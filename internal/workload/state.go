@@ -160,23 +160,9 @@ func (e *Engine) Restore(st EngineState) error {
 			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
 	}
-	// Rebuild behaviours from the recorded classes (intervention swaps may
-	// have diverged from the constructed assignment). Behaviours are pure
-	// functions of (class, config, clique), so this is exact.
-	clique := make(map[int]bool)
-	var colluders []int
 	for id, c := range st.Classes {
-		if c == adversary.Colluder {
-			clique[id] = true
-			colluders = append(colluders, id)
-		}
-	}
-	cfg := e.cfg.AdvCfg
-	cfg.Clique = clique
-	behaviors := make([]adversary.Behavior, n)
-	for id, c := range st.Classes {
-		if behaviors[id], err = adversary.New(c, cfg); err != nil {
-			return fmt.Errorf("workload: rebuild behaviour for peer %d: %w", id, err)
+		if !c.Valid() {
+			return fmt.Errorf("workload: snapshot peer %d has unknown behaviour class %d", id, int(c))
 		}
 	}
 	if err := checkLedgerState(st.Ledger, n); err != nil {
@@ -194,12 +180,8 @@ func (e *Engine) Restore(st EngineState) error {
 		_ = e.consumers[i].SetState(st.Consumers[i]) // checked above
 		_ = e.providers[i].SetState(st.Providers[i]) // checked above
 	}
-	e.clique = clique
-	e.colluders = colluders
-	for id, b := range behaviors {
-		e.classes[id] = st.Classes[id]
-		e.snet.User(id).Behavior = b
-	}
+	copy(e.classes, st.Classes)
+	e.rebuildColluders()
 	_ = e.ledger.SetState(st.Ledger) // checked by checkLedgerState
 	e.rng.SetState(st.RNG)
 	if e.activity != nil {

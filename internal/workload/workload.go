@@ -48,8 +48,6 @@ type Config struct {
 	NumPeers int
 	// Mix is the behaviour-class composition (defaults to all honest).
 	Mix adversary.Mix
-	// AdvCfg tunes the behaviour models.
-	AdvCfg adversary.Config
 	// Graph selects the friendship topology (default BarabasiAlbert).
 	Graph GraphKind
 	// GraphParam is m for BA, k for WS, and expected degree for ER
@@ -236,7 +234,9 @@ type Engine struct {
 	gatherer  *reputation.Gatherer
 	consumers []satisfaction.Consumer
 	providers []satisfaction.Provider
-	classes   []adversary.Class
+	// classes is each peer's behaviour class, the only record of how it
+	// serves and rates (see package adversary).
+	classes []adversary.Class
 	// honestOverride, when non-nil, replaces each peer's honesty: the
 	// probability it reports truthfully (the §3 coupling between system
 	// trust and honest contribution).
@@ -306,9 +306,6 @@ type Engine struct {
 	// summary barriers) — the solver-cost ledger behind the facade's
 	// convergence diagnostics.
 	computeIters int64
-	// clique is the current colluder id set, shared by every colluder
-	// behaviour so intervention-time class swaps keep the clique coherent.
-	clique map[int]bool //trustlint:derived rebuilt from colluders, which come from the scenario's adversary classes
 	// roundObserver, when set, is invoked with each completed round's stats
 	// (the session layer's OnRound hook). It runs after the round's state is
 	// fully merged and must not mutate the engine.
@@ -352,7 +349,7 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		return nil, fmt.Errorf("workload: nil mechanism")
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	behaviors, classes, err := cfg.Mix.Assign(rng.Split(), cfg.NumPeers, cfg.AdvCfg)
+	classes, err := cfg.Mix.Assign(rng.Split(), cfg.NumPeers)
 	if err != nil {
 		return nil, fmt.Errorf("workload: assign behaviours: %w", err)
 	}
@@ -372,14 +369,7 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	users := make([]*social.User, cfg.NumPeers)
-	for i := range users {
-		users[i] = &social.User{
-			ID:       i,
-			Behavior: behaviors[i],
-		}
-	}
-	snet, err := social.NewNetwork(users, friends)
+	snet, err := social.NewNetwork(friends)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
@@ -396,13 +386,7 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		ledgerScale: cfg.ExposureScale,
 	}
 	e.scatterChunk = e.newScatterChunk()
-	e.clique = make(map[int]bool)
-	for id, c := range classes {
-		if c == adversary.Colluder {
-			e.colluders = append(e.colluders, id)
-			e.clique[id] = true
-		}
-	}
+	e.rebuildColluders()
 	if cfg.ActivitySkew > 0 {
 		e.activity = sim.NewZipf(rng.Split(), cfg.NumPeers, cfg.ActivitySkew)
 		e.activityOrder = rng.Perm(cfg.NumPeers)
@@ -656,14 +640,14 @@ func (e *Engine) trustGate(scores []float64) float64 {
 // rate computes the consumer's reported rating, honouring the honesty
 // override when installed. It draws only from the supplied stream so it is
 // safe in the scatter phase.
-func (e *Engine) rate(rng *sim.RNG, cu *social.User, consumer, provider int, quality float64) float64 {
+func (e *Engine) rate(rng *sim.RNG, consumer, provider int, quality float64) float64 {
 	if e.honestOverride != nil {
 		if rng.Bool(e.honestOverride[consumer]) {
 			return quality
 		}
 		return 1 - quality
 	}
-	return cu.Behavior.Rate(rng, provider, quality)
+	return adversary.Rate(e.classes[consumer], quality, e.classes[provider] == adversary.Colluder)
 }
 
 // offerReport runs the rater's disclosure draw at its canonical position in
@@ -1018,59 +1002,33 @@ func (e *Engine) SetLedgerScale(scale float64) error {
 }
 
 // SetBehaviorClass swaps a peer's behaviour class mid-run (adversary
-// activation / honesty restoration). Colluder swaps keep the shared clique
-// coherent: every colluder behaviour is rebuilt over the updated clique.
+// activation / honesty restoration). It refuses an unknown class and
+// leaves the engine unchanged then.
 func (e *Engine) SetBehaviorClass(peer int, class adversary.Class) error {
 	if peer < 0 || peer >= e.cfg.NumPeers {
 		return fmt.Errorf("workload: peer %d out of range [0,%d)", peer, e.cfg.NumPeers)
 	}
+	if !class.Valid() {
+		return fmt.Errorf("workload: unknown behaviour class %d", int(class))
+	}
 	if e.classes[peer] == class {
 		return nil
 	}
-	wasColluder := e.classes[peer] == adversary.Colluder
-	// Validate and construct the non-colluder behaviour BEFORE touching any
-	// shared state, so a bad class leaves clique/classes/colluders intact.
-	// (A Colluder target cannot fail: its clique is non-empty once the peer
-	// joins, and rebuildColluders constructs it below.)
-	var b adversary.Behavior
-	if class != adversary.Colluder {
-		var err error
-		if b, err = adversary.New(class, e.cfg.AdvCfg); err != nil {
-			return fmt.Errorf("workload: %w", err)
-		}
-	}
 	e.mutationGen++
-	if class == adversary.Colluder {
-		e.clique[peer] = true
-	} else if wasColluder {
-		delete(e.clique, peer)
-	}
+	wasColluder := e.classes[peer] == adversary.Colluder
 	e.classes[peer] = class
-	if b != nil {
-		e.snet.User(peer).Behavior = b
-	}
 	if wasColluder || class == adversary.Colluder {
-		return e.rebuildColluders()
+		e.rebuildColluders()
 	}
 	return nil
 }
 
-// rebuildColluders recomputes the colluder roster from the classes and
-// refreshes every colluder's behaviour over the current shared clique.
-func (e *Engine) rebuildColluders() error {
+// rebuildColluders recomputes the colluder roster from the classes.
+func (e *Engine) rebuildColluders() {
 	e.colluders = e.colluders[:0]
-	cfg := e.cfg.AdvCfg
-	cfg.Clique = e.clique
 	for id, c := range e.classes {
-		if c != adversary.Colluder {
-			continue
+		if c == adversary.Colluder {
+			e.colluders = append(e.colluders, id)
 		}
-		e.colluders = append(e.colluders, id)
-		b, err := adversary.New(adversary.Colluder, cfg)
-		if err != nil {
-			return fmt.Errorf("workload: %w", err)
-		}
-		e.snet.User(id).Behavior = b
 	}
-	return nil
 }

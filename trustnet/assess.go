@@ -2,10 +2,8 @@ package trustnet
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Assessment carries the per-user facets extracted from a running scenario
@@ -33,29 +31,22 @@ func (e *Engine) Assess() Assessment {
 }
 
 // AssessAll is the batch path: one facet measurement (a pure read, as
-// Assess), then every user's combined trust computed concurrently by a
-// worker pool (WithWorkers caps it; default GOMAXPROCS). The context
-// cancels the fan-out between users and wins over a combine error; among
-// combine errors, the lowest user's is returned.
+// Assess), then every user's combined trust, in user order. The context is
+// checked before each user and wins over a combine error; among combine
+// errors, the lowest user's is returned.
 func (e *Engine) AssessAll(ctx context.Context) ([]UserAssessment, error) {
 	a := e.Assess()
 	tm := e.dyn.TrustModel()
-	workers := e.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]UserAssessment, len(a.PerUser))
-	err := sim.RunIndexed(ctx, workers, len(out), func(u int) error {
-		f := a.PerUser[u]
+	for u, f := range a.PerUser {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		trust, err := core.Combine(f, tm.UserWeights(u))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[u] = UserAssessment{User: u, Facets: f, Trust: trust}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

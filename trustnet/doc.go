@@ -23,8 +23,7 @@
 //
 //   - Engine.Assess — single-shot: measure the three facets of the scenario
 //     as it stands.
-//   - Engine.AssessAll — batch: every user's facets and combined trust,
-//     computed concurrently by a worker pool.
+//   - Engine.AssessAll — batch: every user's facets and combined trust.
 //   - Engine.Run — drive the §3 coupled dynamics epoch by epoch under a
 //     context.Context.
 //

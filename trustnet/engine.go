@@ -22,9 +22,8 @@ type EpochStats = core.EpochStats
 // privacy ledger, and the per-user trust model, driven either round by
 // round (RunRounds) or through the §3 coupling epochs (Run).
 //
-// An Engine is not safe for concurrent mutation; AssessAll is the one
-// method that may be called while no other method is running and itself
-// fans work out over a pool of goroutines.
+// An Engine is not safe for concurrent mutation. AssessAll is a pure read
+// that runs serially and checks its context before each user.
 type Engine struct {
 	cfg  engineConfig
 	mech Mechanism

@@ -200,9 +200,7 @@ type BehaviorChange struct {
 }
 
 func (c BehaviorChange) check(e *Engine) error {
-	switch c.Class {
-	case Honest, Malicious, Selfish, Traitor, WhitewasherClass, Slanderer, Colluder:
-	default:
+	if !c.Class.Valid() {
 		return fmt.Errorf("trustnet: behavior change to unknown class %d", int(c.Class))
 	}
 	return checkUsers(e, c.Users, "behavior change")

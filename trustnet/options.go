@@ -64,7 +64,6 @@ type engineConfig struct {
 	baseHonesty float64
 	epochRounds int
 	factory     MechanismFactory
-	workers     int
 	err         error
 }
 
@@ -341,18 +340,6 @@ func WithActivitySkew(s float64) Option {
 			return
 		}
 		c.wl.ActivitySkew = s
-	}
-}
-
-// WithWorkers caps the engine's worker pools (default: GOMAXPROCS): the
-// AssessAll fan-out and the explorer's concurrent grid evaluation.
-func WithWorkers(n int) Option {
-	return func(c *engineConfig) {
-		if n < 0 {
-			c.fail(fmt.Errorf("trustnet: negative worker count %d", n))
-			return
-		}
-		c.workers = n
 	}
 }
 

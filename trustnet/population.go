@@ -33,9 +33,6 @@ const (
 // Mix is the behaviour-class composition of a population.
 type Mix = adversary.Mix
 
-// AdversaryConfig tunes the behaviour models of the classes.
-type AdversaryConfig = adversary.Config
-
 // Sensitivity classifies how private a data item is.
 type Sensitivity = social.Sensitivity
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/adversary"
@@ -96,8 +98,8 @@ type Scenario struct {
 	// Shards sets the parallel epoch-shard count; a scheduling knob only,
 	// results are identical for every value.
 	Shards int `json:"shards,omitempty"`
-	// Workers caps the engine's worker pools (AssessAll, sweeps over this
-	// scenario when the Experiment does not override it).
+	// Workers caps the worker pool of sweeps over this scenario when the
+	// Experiment does not override it (default GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 
 	// Schedule is the epoch-indexed intervention script Run applies.
@@ -136,7 +138,10 @@ func MixOf(fractions map[string]float64, forceHonest ...int) *MixSpec {
 		ForceHonest: forceHonest,
 	}
 	rest := 1.0
-	for name, f := range fractions {
+	// A float sum depends on its order, and map order is random: fold in
+	// name order.
+	for _, name := range slices.Sorted(maps.Keys(fractions)) {
+		f := fractions[name]
 		out.Fractions[name] = f
 		rest -= f
 	}
@@ -349,8 +354,8 @@ func (sc Scenario) Options() ([]Option, error) {
 	if sc.Shards != 0 {
 		opts = append(opts, WithShards(sc.Shards))
 	}
-	if sc.Workers != 0 {
-		opts = append(opts, WithWorkers(sc.Workers))
+	if sc.Workers < 0 {
+		return nil, fmt.Errorf("trustnet: negative worker count %d", sc.Workers)
 	}
 	return opts, nil
 }

@@ -125,6 +125,7 @@ func TestScenarioOptionErrors(t *testing.T) {
 		{"unknown context", Scenario{Context: "space"}, "context"},
 		{"context and weights", Scenario{Context: "balanced", Weights: &w}, "both"},
 		{"negative epochs", Scenario{Epochs: -1}, "epochs"},
+		{"negative workers", Scenario{Workers: -1}, "worker"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,5 +300,28 @@ func TestRegistryScheduleIsolation(t *testing.T) {
 	again := MustScenario("churnstorm")
 	if got := again.Schedule[0].Action.(LeaveWave).Users[0]; got != orig {
 		t.Fatalf("registry schedule corrupted: user[0] = %d, want %d", got, orig)
+	}
+}
+
+// TestMixOfFoldsInNameOrder: the honest remainder of a mix is one value
+// whatever the map order. A float sum depends on its order: 1−0.1−0.2−0.3
+// folded in the six orders of these fractions gives four different values.
+func TestMixOfFoldsInNameOrder(t *testing.T) {
+	fractions := map[string]float64{"malicious": 0.1, "selfish": 0.2, "traitor": 0.3}
+	want := MixOf(fractions).Fractions["honest"]
+	for i := 0; i < 200; i++ {
+		if got := MixOf(fractions).Fractions["honest"]; got != want {
+			t.Fatalf("call %d: honest remainder %v, first call %v", i, got, want)
+		}
+	}
+	// The sweep's class axis folds its remainder the same way.
+	for i := 0; i < 200; i++ {
+		sc := Scenario{Mix: &MixSpec{Fractions: map[string]float64{"malicious": 0.1, "selfish": 0.2}}}
+		if err := setClassFraction(&sc, "traitor", 0.3); err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.Mix.Fractions["honest"]; got != want {
+			t.Fatalf("sweep %d: honest remainder %v, MixOf gives %v", i, got, want)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func TestRunShardInvariance(t *testing.T) {
 	}
 	ref := run()
 	for _, k := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := run(WithShards(k), WithWorkers(k))
+		got := run(WithShards(k))
 		if len(got) != len(ref) {
 			t.Fatalf("shards=%d: %d epochs, want %d", k, len(got), len(ref))
 		}

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -241,9 +243,10 @@ func setClassFraction(sc *Scenario, class string, v float64) error {
 	}
 	sc.Mix.Fractions[class] = v
 	rest := 1.0
-	for name, f := range sc.Mix.Fractions {
+	// Fold in name order: a float sum depends on its order.
+	for _, name := range slices.Sorted(maps.Keys(sc.Mix.Fractions)) {
 		if name != "honest" {
-			rest -= f
+			rest -= sc.Mix.Fractions[name]
 		}
 	}
 	if rest < -1e-9 {

@@ -49,7 +49,6 @@ func TestOptionValidation(t *testing.T) {
 		{"zero candidates", []Option{WithCandidateSize(0)}, "candidate"},
 		{"zero recompute", []Option{WithRecomputeEvery(0)}, "recompute"},
 		{"negative skew", []Option{WithActivitySkew(-1)}, "skew"},
-		{"negative workers", []Option{WithWorkers(-1)}, "worker"},
 		{"zero shards", []Option{WithShards(0)}, "shard"},
 		{"BA over the int32 friend index", []Option{WithPeers(70000), WithGraph(BarabasiAlbert, 65000)}, "int32 friend index"},
 		{"WS over the int32 friend index", []Option{WithPeers(1 << 20), WithGraph(WattsStrogatz, 1<<12)}, "int32 friend index"},
@@ -223,10 +222,10 @@ func TestDeterministicSeededRuns(t *testing.T) {
 	}
 }
 
-// TestAssessAllConcurrent exercises the worker-pool fan-out over a
-// 1200-user population; under -race this is the batch path's data-race
-// check.
-func TestAssessAllConcurrent(t *testing.T) {
+// TestAssessAllCoversEveryUser: the batch path assesses every user of a
+// 1200-user population, in user order, and agrees with the single-shot
+// path.
+func TestAssessAllCoversEveryUser(t *testing.T) {
 	const peers = 1200
 	eng, err := New(
 		WithPeers(peers),
@@ -235,7 +234,6 @@ func TestAssessAllConcurrent(t *testing.T) {
 		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
 		WithUserWeights(5, Weights{Satisfaction: 1, Reputation: 0.5, Privacy: 3}),
 		WithRecomputeEvery(2),
-		WithWorkers(8),
 	)
 	if err != nil {
 		t.Fatal(err)
