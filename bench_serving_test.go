@@ -11,23 +11,23 @@ import (
 	"repro/trustnet"
 )
 
-// benchServingOpts is the serving benchmark's scenario: a mid-sized coupled
+// benchServingScenario is the serving benchmark's scenario: a mid-sized coupled
 // population on EigenTrust, the mechanism the served view rebuilds at every
 // epoch boundary.
-func benchServingOpts(users, shards int) []trustnet.Option {
-	return []trustnet.Option{
-		trustnet.WithPeers(users),
-		trustnet.WithRNGSeed(9),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions:   map[trustnet.Class]float64{trustnet.Honest: 0.7, trustnet.Malicious: 0.3},
+func benchServingScenario(users, shards int) trustnet.Scenario {
+	return trustnet.Scenario{
+		Peers: users,
+		Seed:  9,
+		Mix: &trustnet.MixSpec{
+			Fractions:   map[string]float64{"honest": 0.7, "malicious": 0.3},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8}),
-		trustnet.WithCoupling(true),
-		trustnet.WithEpochRounds(5),
-		trustnet.WithRecomputeEvery(2),
-		trustnet.WithShards(shards),
+		},
+		Mechanism:      trustnet.MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		Privacy:        &trustnet.PrivacyPolicy{Disclosure: 0.8},
+		Coupled:        true,
+		EpochRounds:    5,
+		RecomputeEvery: 2,
+		Shards:         shards,
 	}
 }
 
@@ -40,7 +40,7 @@ func BenchmarkServing(b *testing.B) {
 	const users = 200
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("users=%d/shards=%d", users, shards), func(b *testing.B) {
-			eng, err := trustnet.New(benchServingOpts(users, shards)...)
+			eng, err := benchServingScenario(users, shards).NewEngine()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,22 +8,22 @@ import (
 	"repro/trustnet"
 )
 
-// benchSessionOpts is the shared scenario of the session-overhead benchmark:
+// benchSessionScenario is the shared scenario of the session-overhead benchmark:
 // the no-op mechanism isolates the harness cost (session bookkeeping,
 // observer dispatch, schedule scanning) from scoring-algorithm cost.
-func benchSessionOpts(users int) []trustnet.Option {
-	return []trustnet.Option{
-		trustnet.WithPeers(users),
-		trustnet.WithRNGSeed(1),
-		trustnet.WithMix(trustnet.Mix{Fractions: map[trustnet.Class]float64{
-			trustnet.Honest:    0.7,
-			trustnet.Malicious: 0.3,
-		}}),
-		trustnet.WithReputationMechanism(trustnet.NoReputation()),
-		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8, ExposureScale: 50}),
-		trustnet.WithCoupling(true),
-		trustnet.WithEpochRounds(5),
-		trustnet.WithRecomputeEvery(2),
+func benchSessionScenario(users int) trustnet.Scenario {
+	return trustnet.Scenario{
+		Peers: users,
+		Seed:  1,
+		Mix: &trustnet.MixSpec{Fractions: map[string]float64{
+			"honest":    0.7,
+			"malicious": 0.3,
+		}},
+		Mechanism:      trustnet.MechanismSpec{Kind: "none"},
+		Privacy:        &trustnet.PrivacyPolicy{Disclosure: 0.8, ExposureScale: 50},
+		Coupled:        true,
+		EpochRounds:    5,
+		RecomputeEvery: 2,
 	}
 }
 
@@ -36,7 +36,7 @@ func BenchmarkSessionOverhead(b *testing.B) {
 	const users, epochs = 1000, 3
 	b.Run("mode=run", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng, err := trustnet.New(benchSessionOpts(users)...)
+			eng, err := benchSessionScenario(users).NewEngine()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func BenchmarkSessionOverhead(b *testing.B) {
 	})
 	b.Run("mode=session", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng, err := trustnet.New(benchSessionOpts(users)...)
+			eng, err := benchSessionScenario(users).NewEngine()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func BenchmarkSessionOverhead(b *testing.B) {
 	})
 	b.Run("mode=session-observed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng, err := trustnet.New(benchSessionOpts(users)...)
+			eng, err := benchSessionScenario(users).NewEngine()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func BenchmarkSessionOverhead(b *testing.B) {
 // BenchmarkSnapshot measures the checkpoint cost itself: capturing and
 // encoding the full engine state of a warmed-up 1000-user scenario.
 func BenchmarkSnapshot(b *testing.B) {
-	eng, err := trustnet.New(benchSessionOpts(1000)...)
+	eng, err := benchSessionScenario(1000).NewEngine()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,23 +129,23 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // epoch. State that grows with run length shows up as age=80 costing more
 // than age=5; bounded state keeps the two close.
 func BenchmarkEpochAge(b *testing.B) {
-	opts := []trustnet.Option{
-		trustnet.WithPeers(500),
-		trustnet.WithRNGSeed(1),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions:   map[trustnet.Class]float64{trustnet.Honest: 0.7, trustnet.Malicious: 0.3},
+	sc := trustnet.Scenario{
+		Peers: 500,
+		Seed:  1,
+		Mix: &trustnet.MixSpec{
+			Fractions:   map[string]float64{"honest": 0.7, "malicious": 0.3},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8}),
-		trustnet.WithRecomputeEvery(2),
-		trustnet.WithCoupling(true),
-		trustnet.WithEpochRounds(8),
-		trustnet.WithShards(1),
+		},
+		Mechanism:      trustnet.MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		Privacy:        &trustnet.PrivacyPolicy{Disclosure: 0.8},
+		RecomputeEvery: 2,
+		Coupled:        true,
+		EpochRounds:    8,
+		Shards:         1,
 	}
 	for _, age := range []int{5, 80} {
 		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
-			eng, err := trustnet.New(opts...)
+			eng, err := sc.NewEngine()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -10,10 +9,10 @@ import (
 
 // runE11 measures the reputation/anonymity trade-off of the anonymous
 // reputation schemes the paper cites in §2.2 ([2], [4]): rotating
-// pseudonyms with coarse, noisy reputation transfer. The five protection
-// settings are one (granularity, noise) tuple axis of a sweep; a custom
-// driver advances the pseudonym epoch between round chunks and reports the
-// linkability advantage. Sweeping the transfer noise shows the paper's
+// pseudonyms with coarse, noisy reputation transfer. Each of the five
+// (granularity, noise) protection settings runs its own engine, advancing
+// the pseudonym epoch between round chunks, and reports the linkability
+// advantage. Sweeping the transfer noise shows the paper's
 // "interesting but challenging trade-off between reputation and privacy
 // purposes": linkability (privacy loss) and rank accuracy (reputation
 // power) fall together.
@@ -34,34 +33,31 @@ func runE11(w io.Writer, p params) error {
 	}
 	base := scenario(p, 0.3, n)
 	base.Mechanism = trustnet.MechanismSpec{Kind: "anonrep"}
-	res, err := trustnet.NewExperiment(base).
-		VaryTuples([]string{"granularity", "noise"}, settings...).
-		Drive(func(_ context.Context, eng *trustnet.Engine, _ trustnet.Scenario) (map[string]float64, error) {
-			mech, ok := eng.Mechanism().(*trustnet.AnonRepMechanism)
-			if !ok {
-				return nil, fmt.Errorf("E11 needs the anonrep mechanism, got %q", eng.Mechanism().Name())
-			}
-			var advSum float64
-			for c := 0; c < chunks; c++ {
-				eng.RunRounds(roundsPerChunk)
-				mech.NextEpoch()
-				advSum += mech.LinkabilityAdvantage()
-			}
-			return map[string]float64{"linkability": advSum / float64(chunks)}, nil
-		}).
-		Run(context.Background())
-	if err != nil {
-		return err
-	}
 	tab := trustnet.NewTable(
 		fmt.Sprintf("E11: pseudonymous reputation — anonymity vs accuracy (%d peers, 30%% malicious)", n),
 		"granularity", "noise", "linkability", "tau", "bad-rate")
 	var link, tau trustnet.Series
 	link.Name, tau.Name = "linkability", "tau"
-	for _, cell := range res.Cells {
-		gran, noise := cell.Coord.Get("granularity"), cell.Coord.Get("noise")
-		adv := cell.Extra["linkability"].Mean
-		sum := cell.Runs[0].Summary
+	for _, setting := range settings {
+		gran, noise := setting[0], setting[1]
+		sc := base
+		sc.Mechanism.Granularity, sc.Mechanism.Noise = gran, noise
+		eng, err := sc.NewEngine()
+		if err != nil {
+			return err
+		}
+		mech := eng.Mechanism().(*trustnet.AnonRepMechanism)
+		var advSum float64
+		for c := 0; c < chunks; c++ {
+			eng.RunRounds(roundsPerChunk)
+			mech.NextEpoch()
+			advSum += mech.LinkabilityAdvantage()
+		}
+		// Close the measurement period: the rank accuracy reads the scores
+		// of the last recompute.
+		mech.Compute()
+		adv := advSum / float64(chunks)
+		sum := eng.Summary()
 		tab.AddRow(gran, noise, adv, sum.Tau, sum.RecentBadRate)
 		link.Add(noise, adv)
 		tau.Add(noise, sum.Tau)

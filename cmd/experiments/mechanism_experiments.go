@@ -116,41 +116,36 @@ func runE7(w io.Writer, p params) error {
 	taus.Render(w)
 
 	// Convergence ablation: PowerTrust's look-ahead random walk vs the
-	// plain walk on the same feedback — a two-point mechanism axis whose
-	// driver counts the from-dirty recompute.
+	// plain walk on the same feedback, each counting its from-dirty
+	// recompute.
 	abl := scenario(p, 0.3, 50)
 	abl.RecomputeEvery = 1000 // never recompute during the run: Compute() below starts dirty
-	ablRes, err := trustnet.NewExperiment(abl).
-		VaryMechanism(
-			trustnet.MechanismSpec{Kind: "powertrust", Epsilon: 1e-10},
-			trustnet.MechanismSpec{Kind: "powertrust-plain", Epsilon: 1e-10},
-		).
-		Drive(func(_ context.Context, eng *trustnet.Engine, _ trustnet.Scenario) (map[string]float64, error) {
-			eng.RunRounds(20)
-			out := map[string]float64{"converge": float64(eng.Mechanism().Compute())}
-			// Observe the elected elite through the read-only views —
-			// no per-observation copies in the driver loop.
-			if pt, ok := eng.Mechanism().(*trustnet.PowerTrustMechanism); ok {
-				nodes, scores := pt.PowerNodesView(), pt.ScoresView()
-				sum := 0.0
-				for _, id := range nodes {
-					sum += scores[id]
-				}
-				if len(nodes) > 0 {
-					out["power_nodes"] = float64(len(nodes))
-					out["power_elite"] = sum / float64(len(nodes))
-				}
+	var converge [2]int
+	var nodes []int
+	var elite float64
+	for i, kind := range []string{"powertrust", "powertrust-plain"} {
+		abl.Mechanism = trustnet.MechanismSpec{Kind: kind, Epsilon: 1e-10}
+		eng, err := abl.NewEngine()
+		if err != nil {
+			return err
+		}
+		eng.RunRounds(20)
+		converge[i] = eng.Mechanism().Compute()
+		// Observe the look-ahead walk's elected elite through the
+		// read-only views.
+		if pt, ok := eng.Mechanism().(*trustnet.PowerTrustMechanism); ok && i == 0 {
+			nodes = pt.PowerNodesView()
+			scores := pt.ScoresView()
+			for _, id := range nodes {
+				elite += scores[id]
 			}
-			return out, nil
-		}).
-		Run(context.Background())
-	if err != nil {
-		return err
+			if len(nodes) > 0 {
+				elite /= float64(len(nodes))
+			}
+		}
 	}
-	la := ablRes.At(0).Runs[0].Extra
 	fmt.Fprintf(w, "PowerTrust LRW convergence: look-ahead %d rounds vs plain %d rounds (%d power nodes, mean elite score %.2f)\n",
-		int(la["converge"]), int(ablRes.At(1).Runs[0].Extra["converge"]),
-		int(la["power_nodes"]), la["power_elite"])
+		converge[0], converge[1], len(nodes), elite)
 	return nil
 }
 

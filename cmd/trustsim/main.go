@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) error {
 		peers      = fs.Int("peers", 200, "population size")
 		malicious  = fs.Float64("malicious", 0.3, "malicious fraction [0,1]")
 		selfish    = fs.Float64("selfish", 0, "selfish free-rider fraction [0,1]")
-		mechanism  = fs.String("mechanism", "eigentrust", "reputation mechanism: eigentrust|powertrust|trustme|none")
+		mechanism  = fs.String("mechanism", "eigentrust", "reputation mechanism: eigentrust|powertrust|powertrust-plain|trustme|anonrep|none")
 		disclosure = fs.Float64("disclosure", 0.8, "base disclosure level (0,1]")
 		gate       = fs.Float64("gate", 0, "privacy trust-gate strictness [0,1)")
 		epochs     = fs.Int("epochs", 10, "coupling epochs")
@@ -72,98 +72,64 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer stopProfiles()
+	out := output{checkpoint: *checkpoint, resume: *resume, history: *history}
 	if *scenarioRef != "" {
-		return runScenario(*scenarioRef, *shards, *checkpoint, *resume, *history, w)
+		sc, err := trustnet.LoadScenario(*scenarioRef)
+		if err != nil {
+			return err
+		}
+		if sc.Epochs <= 0 {
+			return fmt.Errorf("trustsim: scenario %q has no epochs to run (set Epochs > 0)", sc.Name)
+		}
+		// Shards only reschedule work, so the flag may apply without
+		// touching the result.
+		if sc.Shards == 0 && *shards > 0 {
+			sc.Shards = *shards
+		}
+		out.title = func(eng *trustnet.Engine) string {
+			return fmt.Sprintf("trustsim scenario %q: %d peers, %s, %d epochs",
+				sc.Name, eng.Peers(), eng.Mechanism().Name(), sc.Epochs)
+		}
+		return runScenario(sc, out, w)
+	}
+
+	// A flag is explicit: unlike a Scenario field, a zero count or an
+	// empty name does not mean "default".
+	if *peers == 0 || *rounds == 0 || *shards == 0 || *mechanism == "" || *ctxName == "" {
+		return fmt.Errorf("-peers, -rounds and -shards must be nonzero, -mechanism and -context non-empty")
 	}
 	if *malicious+*selfish > 1 {
 		return fmt.Errorf("malicious + selfish fractions exceed 1")
 	}
-
-	var factory trustnet.MechanismFactory
-	switch *mechanism {
-	case "eigentrust":
-		factory = trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})
-	case "powertrust":
-		factory = trustnet.PowerTrust(trustnet.PowerTrustConfig{})
-	case "trustme":
-		factory = trustnet.TrustMe(trustnet.TrustMeConfig{})
-	case "none":
-		factory = trustnet.NoReputation()
-	default:
-		return fmt.Errorf("unknown mechanism %q", *mechanism)
-	}
-
-	var weightCtx trustnet.AppContext
-	switch *ctxName {
-	case "balanced":
-		weightCtx = trustnet.Balanced
-	case "privacy":
-		weightCtx = trustnet.PrivacyCritical
-	case "performance":
-		weightCtx = trustnet.PerformanceCritical
-	case "marketplace":
-		weightCtx = trustnet.MarketplaceContext
-	default:
-		return fmt.Errorf("unknown context %q", *ctxName)
-	}
-
-	eng, err := trustnet.New(
-		trustnet.WithPeers(*peers),
-		trustnet.WithRNGSeed(*seed),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions: map[trustnet.Class]float64{
-				trustnet.Honest:    1 - *malicious - *selfish,
-				trustnet.Malicious: *malicious,
-				trustnet.Selfish:   *selfish,
+	sc := trustnet.Scenario{
+		Peers: *peers,
+		Seed:  *seed,
+		Mix: &trustnet.MixSpec{
+			Fractions: map[string]float64{
+				"honest":    1 - *malicious - *selfish,
+				"malicious": *malicious,
+				"selfish":   *selfish,
 			},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(factory),
-		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: *disclosure, TrustGate: *gate}),
-		trustnet.WithRecomputeEvery(2),
-		trustnet.WithAppContext(weightCtx),
-		trustnet.WithCoupling(*coupled),
-		trustnet.WithEpochRounds(*rounds),
-		trustnet.WithShards(*shards),
-	)
-	if err != nil {
-		return err
+		},
+		Mechanism:      trustnet.MechanismSpec{Kind: *mechanism, Pretrusted: []int{0, 1, 2}},
+		Privacy:        &trustnet.PrivacyPolicy{Disclosure: *disclosure, TrustGate: *gate},
+		Context:        *ctxName,
+		Coupled:        *coupled,
+		EpochRounds:    *rounds,
+		Epochs:         *epochs,
+		RecomputeEvery: 2,
+		Shards:         *shards,
 	}
-	if *resume != "" {
-		if err := eng.RestoreFromFile(*resume); err != nil {
-			return err
-		}
+	out.title = func(eng *trustnet.Engine) string {
+		ctx, _ := trustnet.ParseAppContext(*ctxName) // the engine was built, so the name resolves
+		return fmt.Sprintf("trustsim: %d peers, %.0f%% malicious, %s, context %s",
+			*peers, *malicious*100, eng.Mechanism().Name(), ctx)
 	}
-	hist, err := eng.Run(context.Background(), *epochs)
-	if err != nil {
-		return err
-	}
-	if *checkpoint != "" {
-		if err := checkpointEngine(eng, *checkpoint); err != nil {
-			return err
-		}
-	}
-	if *history != "" {
-		if err := writeHistory(eng.History(), *history); err != nil {
-			return err
-		}
-	}
-
-	tab := trustnet.NewTable(
-		fmt.Sprintf("trustsim: %d peers, %.0f%% malicious, %s, context %s",
-			*peers, *malicious*100, eng.Mechanism().Name(), weightCtx),
-		"epoch", "trust", "satisfaction", "rep-power", "privacy", "disclosure", "honesty", "bad-rate")
-	for _, e := range hist {
-		tab.AddRow(e.Epoch, e.Trust, e.Satisfaction, e.Reputation, e.Privacy, e.Disclosure, e.Honesty, e.BadRate)
-	}
-	tab.Render(w)
-
-	fmt.Fprintf(w, "\nfinal global trust: %.4f\n", eng.GlobalTrust())
-	fmt.Fprintf(w, "system trusted (median >= 0.5): %v; strictly trusted (p10 >= 0.5): %v\n",
-		eng.SystemTrusted(0.5, 0.5), eng.SystemTrusted(0.5, 0.1))
-	sum := eng.Summary()
-	fmt.Fprintf(w, "reputation rank accuracy (tau): %.4f; feedback share rate: %.4f\n", sum.Tau, sum.ShareRate)
-	return nil
+	// A resumed flag run reports its whole trajectory, so a checkpointed
+	// run continued with -resume prints what one uninterrupted run prints.
+	out.fromStart = true
+	return runScenario(sc, out, w)
 }
 
 // startProfiles begins CPU profiling and/or arranges a heap profile write,
@@ -206,32 +172,30 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	}, nil
 }
 
-// runScenario resolves a declarative scenario (registered name or JSON
-// spec file), runs it end to end — schedule included — and prints the same
-// trajectory report as a flag-built run. Shards only reschedule work, so
-// the -shards flag may be applied without touching the result.
-// -checkpoint/-resume work here too: -resume restores the engine before
-// running (the scenario then budgets sc.Epochs *further* epochs, with
-// schedule entries keyed by absolute epoch index so the remaining ones
-// still fire), which is how a trustnetd /v1/snapshot download is continued
-// offline.
-func runScenario(ref string, shards int, checkpoint, resume, history string, w io.Writer) error {
-	sc, err := trustnet.LoadScenario(ref)
-	if err != nil {
-		return err
-	}
-	if sc.Epochs <= 0 {
-		return fmt.Errorf("trustsim: scenario %q has no epochs to run (set Epochs > 0)", sc.Name)
-	}
-	if sc.Shards == 0 && shards > 0 {
-		sc.Shards = shards
-	}
+// output is what runScenario writes besides the report: the files named by
+// -checkpoint, -resume and -history, and the report's shape.
+type output struct {
+	checkpoint, resume, history string
+	// title heads the trajectory table.
+	title func(*trustnet.Engine) string
+	// fromStart reports every recorded epoch, restored ones included;
+	// otherwise the report covers only the epochs this run drove.
+	fromStart bool
+}
+
+// runScenario runs a scenario end to end — schedule included — and prints
+// its trajectory report. -checkpoint/-resume work here: -resume restores
+// the engine before running (the scenario then budgets sc.Epochs *further*
+// epochs, with schedule entries keyed by absolute epoch index so the
+// remaining ones still fire), which is how a trustnetd /v1/snapshot
+// download is continued offline.
+func runScenario(sc trustnet.Scenario, out output, w io.Writer) error {
 	eng, err := sc.NewEngine()
 	if err != nil {
 		return err
 	}
-	if resume != "" {
-		if err := eng.RestoreFromFile(resume); err != nil {
+	if out.resume != "" {
+		if err := eng.RestoreFromFile(out.resume); err != nil {
 			return err
 		}
 	}
@@ -245,23 +209,24 @@ func runScenario(ref string, shards int, checkpoint, resume, history string, w i
 			return err
 		}
 	}
-	hist := eng.History()[prior:]
-	if checkpoint != "" {
-		if err := checkpointEngine(eng, checkpoint); err != nil {
+	hist := eng.History()
+	if out.checkpoint != "" {
+		if err := checkpointEngine(eng, out.checkpoint); err != nil {
 			return err
 		}
 	}
-	if history != "" {
-		if err := writeHistory(eng.History(), history); err != nil {
+	if out.history != "" {
+		if err := writeHistory(hist, out.history); err != nil {
 			return err
 		}
 	}
-	title := fmt.Sprintf("trustsim scenario %q: %d peers, %s, %d epochs",
-		sc.Name, eng.Peers(), eng.Mechanism().Name(), sc.Epochs)
+	if !out.fromStart {
+		hist = hist[prior:]
+	}
 	if sc.Description != "" {
 		fmt.Fprintf(w, "%s\n", sc.Description)
 	}
-	tab := trustnet.NewTable(title,
+	tab := trustnet.NewTable(out.title(eng),
 		"epoch", "trust", "satisfaction", "rep-power", "privacy", "disclosure", "honesty", "bad-rate")
 	for _, e := range hist {
 		tab.AddRow(e.Epoch, e.Trust, e.Satisfaction, e.Reputation, e.Privacy, e.Disclosure, e.Honesty, e.BadRate)

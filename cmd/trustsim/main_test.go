@@ -28,8 +28,47 @@ func TestRunDefaultsSmall(t *testing.T) {
 	}
 }
 
+// TestFlagRunPinned compares flag runs with the stdout and -history bytes
+// recorded under testdata: the flag-built scenario must keep reproducing
+// them exactly.
+func TestFlagRunPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"defaults", nil},
+		{"trustme-selfish", []string{"-mechanism", "trustme", "-selfish", "0.1"}},
+		{"none-gate-privacy", []string{"-mechanism", "none", "-gate", "0.1", "-context", "privacy"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hist := filepath.Join(t.TempDir(), "history.json")
+			var out strings.Builder
+			if err := run(append(tc.args, "-history", hist), &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct{ got, pinned string }{
+				{out.String(), tc.name + ".out"},
+				{readFile(t, hist), tc.name + ".history.json"},
+			} {
+				if want := readFile(t, filepath.Join("testdata", f.pinned)); f.got != want {
+					t.Errorf("output differs from testdata/%s:\n%s", f.pinned, f.got)
+				}
+			}
+		})
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestRunAllMechanisms(t *testing.T) {
-	for _, mech := range []string{"eigentrust", "powertrust", "trustme", "none"} {
+	for _, mech := range []string{"eigentrust", "powertrust", "powertrust-plain", "trustme", "anonrep", "none"} {
 		var sb strings.Builder
 		err := run([]string{"-peers", "20", "-epochs", "2", "-rounds", "3", "-mechanism", mech}, &sb)
 		if err != nil {
@@ -51,9 +90,19 @@ func TestRunAllContexts(t *testing.T) {
 func TestRunRejectsBadInput(t *testing.T) {
 	cases := [][]string{
 		{"-mechanism", "nope"},
+		{"-mechanism", ""},
 		{"-context", "nope"},
+		{"-context", ""},
 		{"-malicious", "0.8", "-selfish", "0.5"},
 		{"-bogusflag"},
+		{"-peers", "0"},
+		{"-peers", "1"},
+		{"-rounds", "0"},
+		{"-shards", "0"},
+		{"-epochs", "-1"},
+		{"-disclosure", "1.5"},
+		{"-disclosure", "-1"},
+		{"-gate", "1"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

@@ -3,8 +3,8 @@
 // Serrano-Alvarado, Lamarre — 3rd ACM Workshop on Reliability, Availability
 // and Security, 2010).
 //
-// The public entry point is the trustnet package: an Engine built with
-// functional options over the paper's correlated three-facet trust model
+// The public entry point is the trustnet package: an Engine built from a
+// declarative Scenario over the paper's correlated three-facet trust model
 // (satisfaction §2.1, reputation power §2.2, privacy §2.3), with
 // single-shot (Assess), batch (AssessAll) and coupled-dynamics
 // (Run) assessment paths, pluggable reputation mechanisms, and the §4

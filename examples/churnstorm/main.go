@@ -25,15 +25,12 @@ func main() {
 	fmt.Printf("churn storm over %d peers, %d epochs: honest-leave@3, adversary-leave@5, whitewash@7, rejoin@9\n\n",
 		peers, epochs)
 
-	for _, mech := range []struct {
-		name    string
-		factory trustnet.MechanismFactory
-	}{
-		{"eigentrust", trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})},
-		{"trustme", trustnet.TrustMe(trustnet.TrustMeConfig{})},
+	for _, mech := range []trustnet.MechanismSpec{
+		{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		{Kind: "trustme"},
 	} {
-		scores, adversaries := runStorm(mech.factory)
-		fmt.Printf("%-11s mean adversary score after whitewash wave: %.3f\n\n", mech.name, mean(scores, adversaries))
+		scores, adversaries := runStorm(mech)
+		fmt.Printf("%-11s mean adversary score after whitewash wave: %.3f\n\n", mech.Kind, mean(scores, adversaries))
 	}
 
 	fmt.Println("zero-default scores make whitewashing pointless; neutral defaults reward it —")
@@ -44,22 +41,19 @@ func main() {
 // streaming session, printing the live trajectory. It returns the final
 // mechanism scores and the adversary cohort (identical across mechanisms:
 // class assignment depends only on the shared seed).
-func runStorm(factory trustnet.MechanismFactory) (scores []float64, adversaries []int) {
-	eng, err := trustnet.New(
-		trustnet.WithPeers(peers),
-		trustnet.WithRNGSeed(42),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions: map[trustnet.Class]float64{
-				trustnet.Honest:    0.8,
-				trustnet.Malicious: 0.2,
-			},
+func runStorm(mech trustnet.MechanismSpec) (scores []float64, adversaries []int) {
+	eng, err := trustnet.Scenario{
+		Peers: peers,
+		Seed:  42,
+		Mix: &trustnet.MixSpec{
+			Fractions:   map[string]float64{"honest": 0.8, "malicious": 0.2},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(factory),
-		trustnet.WithCoupling(true),
-		trustnet.WithEpochRounds(6),
-		trustnet.WithRecomputeEvery(2),
-	)
+		},
+		Mechanism:      mech,
+		Coupled:        true,
+		EpochRounds:    6,
+		RecomputeEvery: 2,
+	}.NewEngine()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,22 +16,19 @@ const (
 	rounds = 50
 )
 
-func runScenario(mech trustnet.MechanismFactory) (*trustnet.Engine, error) {
-	eng, err := trustnet.New(
-		trustnet.WithPeers(peers),
-		trustnet.WithRNGSeed(7),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions: map[trustnet.Class]float64{
-				trustnet.Honest:    0.7,
-				trustnet.Malicious: 0.3,
-			},
+func runScenario(mech trustnet.MechanismSpec) (*trustnet.Engine, error) {
+	eng, err := trustnet.Scenario{
+		Peers: peers,
+		Seed:  7,
+		Mix: &trustnet.MixSpec{
+			Fractions:   map[string]float64{"honest": 0.7, "malicious": 0.3},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(mech),
+		},
+		Mechanism: mech,
 		// Spread load as EigenTrust recommends.
-		trustnet.WithSelection(trustnet.SelectProportional),
-		trustnet.WithRecomputeEvery(2),
-	)
+		Selection:      "proportional",
+		RecomputeEvery: 2,
+	}.NewEngine()
 	if err != nil {
 		return nil, err
 	}
@@ -40,13 +37,11 @@ func runScenario(mech trustnet.MechanismFactory) (*trustnet.Engine, error) {
 }
 
 func main() {
-	withRep, err := runScenario(trustnet.EigenTrust(trustnet.EigenTrustConfig{
-		Pretrusted: []int{0, 1, 2},
-	}))
+	withRep, err := runScenario(trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := runScenario(trustnet.NoReputation())
+	without, err := runScenario(trustnet.MechanismSpec{Kind: "none"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -192,8 +192,8 @@ func NewTrustModel(n int, w Weights, inertia float64) (*TrustModel, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	if inertia < 0 || inertia >= 1 {
-		return nil, fmt.Errorf("core: inertia %v out of [0,1)", inertia)
+	if err := checkInertia(inertia); err != nil {
+		return nil, err
 	}
 	m := &TrustModel{weights: w, inertia: inertia}
 	m.trust = make([]float64, n)
@@ -207,6 +207,13 @@ func NewTrustModel(n int, w Weights, inertia float64) (*TrustModel, error) {
 	m.tree = metrics.NewSumTree(n)
 	m.tree.FillUniform(0.5)
 	return m, nil
+}
+
+func checkInertia(inertia float64) error {
+	if inertia < 0 || inertia >= 1 {
+		return fmt.Errorf("core: inertia %v out of [0,1)", inertia)
+	}
+	return nil
 }
 
 // N returns the number of users tracked.

@@ -11,19 +11,19 @@ import (
 )
 
 // DynamicsConfig configures the coupled-feedback simulation of §3 / Fig. 1.
+// Zero fields take their defaults; Inertia and BaseHonesty read
+// workload.Explicit(0) as a real zero.
 type DynamicsConfig struct {
 	// Workload is the scenario template. Its Disclosure field is the base
 	// disclosure δ_base.
 	Workload workload.Config
 	// Weights combine the facets into trust (default DefaultWeights).
 	Weights Weights
-	// Inertia smooths trust across epochs (default 0.5). The zero value
-	// means "default"; pass any negative value for an explicit zero
-	// (memoryless trust).
+	// Inertia in [0,1) smooths trust across epochs (default 0.5; an
+	// explicit zero is memoryless trust).
 	Inertia float64
-	// BaseHonesty h0 is the truthful-reporting probability at zero trust;
-	// honesty rises to 1 with full trust (default 0.3). The zero value
-	// means "default"; pass any negative value for an explicit zero.
+	// BaseHonesty h0 in [0,1] is the truthful-reporting probability at
+	// zero trust; honesty rises to 1 with full trust (default 0.3).
 	BaseHonesty float64
 	// EpochRounds is how many workload rounds one coupling epoch spans
 	// (default 10).
@@ -33,26 +33,39 @@ type DynamicsConfig struct {
 	Coupled bool
 }
 
-func (c DynamicsConfig) withDefaults() DynamicsConfig {
+// Validate checks the configuration, the workload's included, without
+// assembling anything; it catches everything NewDynamics itself would
+// reject before the mechanism is built.
+func (c DynamicsConfig) Validate() error {
+	if err := c.Workload.Validate(); err != nil {
+		return err
+	}
+	_, err := c.withDefaults()
+	return err
+}
+
+func (c DynamicsConfig) withDefaults() (DynamicsConfig, error) {
 	if c.Weights == (Weights{}) {
 		c.Weights = DefaultWeights()
 	}
-	switch {
-	case c.Inertia < 0:
-		c.Inertia = 0
-	case c.Inertia == 0:
-		c.Inertia = 0.5
+	if err := c.Weights.Validate(); err != nil {
+		return c, err
 	}
-	switch {
-	case c.BaseHonesty < 0:
-		c.BaseHonesty = 0
-	case c.BaseHonesty == 0:
-		c.BaseHonesty = 0.3
+	c.Inertia = workload.OrDefault(c.Inertia, 0.5)
+	if err := checkInertia(c.Inertia); err != nil {
+		return c, err
 	}
-	if c.EpochRounds <= 0 {
+	c.BaseHonesty = workload.OrDefault(c.BaseHonesty, 0.3)
+	if c.BaseHonesty < 0 || c.BaseHonesty > 1 {
+		return c, fmt.Errorf("core: base honesty %v out of [0,1]", c.BaseHonesty)
+	}
+	if c.EpochRounds < 0 {
+		return c, fmt.Errorf("core: epoch rounds must be positive, got %d", c.EpochRounds)
+	}
+	if c.EpochRounds == 0 {
 		c.EpochRounds = 10
 	}
-	return c
+	return c, nil
 }
 
 // EpochStats records the coupled system's state after one epoch.
@@ -147,7 +160,10 @@ type Dynamics struct {
 // NewDynamics builds the coupled system around a mechanism sized for
 // cfg.Workload.NumPeers.
 func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	eng, err := workload.NewEngine(cfg.Workload, mech)
 	if err != nil {
 		return nil, fmt.Errorf("core: dynamics: %w", err)
@@ -159,14 +175,8 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 	}
 	d := &Dynamics{cfg: cfg, eng: eng, tm: tm}
 	d.facetOf = d.currentFacets
-	base := cfg.Workload.Disclosure
-	switch {
-	case base < 0: // the config's explicit-zero sentinel
-		base = 0
-	case base == 0: // config zero value means "default"; see SetBaseDisclosure
-		base = 1
-	}
-	d.baseDisclosure = base
+	// Every peer starts at the base disclosure the workload config resolved.
+	d.baseDisclosure = eng.Disclosure(0)
 	// Epoch 0 must run dense: no settled proof exists yet, the coupling
 	// invariant is not established, and NaN never equals a real rep facet.
 	d.prevRepFacet = math.NaN()

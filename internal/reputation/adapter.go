@@ -10,8 +10,3 @@ type Whitewasher interface {
 	// state a fresh identity would present.
 	Whitewash(peer int)
 }
-
-// Factory builds a fresh mechanism sized for n peers. It is the pluggable
-// seam of the public facade: scenario runners call the factory once per
-// evaluation so settings never contaminate each other.
-type Factory func(n int) (Mechanism, error)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 )
@@ -133,11 +134,16 @@ func TestSnapshotRoundTripMidDirty(t *testing.T) {
 	if a, b := orig.TrustworthyFraction(), restored.TrustworthyFraction(); a != b {
 		t.Fatalf("trustworthy fraction diverged after restore: %v != %v", a, b)
 	}
-	// The blobs cannot be compared byte-wise (gob serializes the certificate
-	// map in randomized order), so decode and compare structurally.
-	s1, s2 := decodeState(t, orig), decodeState(t, restored)
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("states diverged after restore-then-run:\n%+v\n%+v", s1, s2)
+	b1, err := orig.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := restored.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("states diverged after restore-then-run:\n%+v\n%+v", decodeState(t, orig), decodeState(t, restored))
 	}
 }
 
@@ -155,9 +161,10 @@ func decodeState(t *testing.T, m *Mechanism) mechanismState {
 }
 
 // TestRestoreRejectsHostileState feeds RestoreMechanismState blobs no run
-// can produce: a score that is NaN or outside [0,1], or a negative protocol
-// counter. Each must be an error that leaves the mechanism's state and its
-// scores version as they were; a valid blob restores and moves the version.
+// can produce: a score that is NaN or outside [0,1], a negative protocol
+// counter, or ring keys or certificate TxIDs out of order or repeated. Each
+// must be an error that leaves the mechanism's state and its scores version
+// as they were; a valid blob restores and moves the version.
 func TestRestoreRejectsHostileState(t *testing.T) {
 	const n = 12
 	m, err := New(Config{N: n})
@@ -168,13 +175,30 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 	var tx uint64
 	feedRandom(t, rng, &tx, 80, m)
 	m.Compute()
+	// Two transactions still waiting for their reports hold certificates.
+	for i := uint64(1); i <= 2; i++ {
+		if _, err := m.BeginTransaction(tx+i, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	good := decodeState(t, m)
+	if len(good.Ring.Store) < 2 || len(good.Certs) != 2 {
+		t.Fatalf("state holds %d ring keys and %d certificates, want at least 2 and 2", len(good.Ring.Store), len(good.Certs))
+	}
 	cases := map[string]func(st *mechanismState){
 		"NaN score":         func(st *mechanismState) { st.Scores[n-1] = math.NaN() },
 		"score above one":   func(st *mechanismState) { st.Scores[3] = 1.5 },
 		"negative score":    func(st *mechanismState) { st.Scores[0] = -0.1 },
 		"negative messages": func(st *mechanismState) { st.Messages = -1 },
 		"negative rejected": func(st *mechanismState) { st.Rejected = -1 },
+		"ring keys unsorted": func(st *mechanismState) {
+			st.Ring.Store[0], st.Ring.Store[1] = st.Ring.Store[1], st.Ring.Store[0]
+		},
+		"ring key duplicated": func(st *mechanismState) { st.Ring.Store[1].Key = st.Ring.Store[0].Key },
+		"certificates unsorted": func(st *mechanismState) {
+			st.Certs[0], st.Certs[1] = st.Certs[1], st.Certs[0]
+		},
+		"certificate duplicated": func(st *mechanismState) { st.Certs[1] = st.Certs[0] },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -235,5 +259,58 @@ func TestSubmitClampsRatings(t *testing.T) {
 	}
 	if err := m.RestoreMechanismState(blob); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapLayoutState is the blob layout that kept the ring's store and the
+// certificates as maps, which gob encodes in map order.
+type mapLayoutState struct {
+	Ring struct {
+		Store   map[string][]byte
+		Lookups int64
+		Hops    int64
+	}
+	Certs    map[uint64]crypto.TransactionCert
+	Nyms     []crypto.ChainState
+	Messages int64
+	Rejected int64
+	Scores   []float64
+	Dirty    bool
+}
+
+// TestRestoreRejectsMapLayout: a blob in the map layout fails restore with
+// an error and leaves the mechanism as it was.
+func TestRestoreRejectsMapLayout(t *testing.T) {
+	const n = 10
+	m, err := New(Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tx uint64
+	feedRandom(t, sim.NewRNG(35), &tx, 40, m)
+	m.Compute()
+	before := decodeState(t, m)
+	old := mapLayoutState{
+		Certs:    map[uint64]crypto.TransactionCert{},
+		Nyms:     before.Nyms,
+		Messages: before.Messages,
+		Rejected: before.Rejected,
+		Scores:   before.Scores,
+		Dirty:    before.Dirty,
+	}
+	old.Ring.Store = map[string][]byte{}
+	for _, e := range before.Ring.Store {
+		old.Ring.Store[e.Key] = e.Value
+	}
+	old.Ring.Lookups, old.Ring.Hops = before.Ring.Lookups, before.Ring.Hops
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreMechanismState(buf.Bytes()); err == nil {
+		t.Fatal("map-layout blob restored")
+	}
+	if after := decodeState(t, m); !reflect.DeepEqual(after, before) {
+		t.Fatal("rejected restore changed the mechanism")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/crypto"
 	"repro/internal/dht"
@@ -11,12 +13,14 @@ import (
 
 // mechanismState is the gob-serialized mutable state of the mechanism: the
 // THA-stored rating histories (ring contents + routing counters), the
-// transaction certificates, every peer's pseudonym-chain position, the
-// protocol cost counters, and the score cache. Ring membership itself is
-// configuration (all N peers join in New) and is not serialized.
+// transaction certificates in ascending TxID order, every peer's
+// pseudonym-chain position, the protocol cost counters, and the score
+// cache. Ring membership itself is configuration (all N peers join in New)
+// and is not serialized. Both collections are sorted slices, so equal
+// states encode to equal bytes.
 type mechanismState struct {
 	Ring     dht.RingState
-	Certs    map[uint64]crypto.TransactionCert
+	Certs    []crypto.TransactionCert
 	Nyms     []crypto.ChainState
 	Messages int64
 	Rejected int64
@@ -28,15 +32,15 @@ type mechanismState struct {
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
 		Ring:     m.ring.State(),
-		Certs:    make(map[uint64]crypto.TransactionCert, len(m.certs)),
+		Certs:    make([]crypto.TransactionCert, 0, len(m.certs)),
 		Nyms:     make([]crypto.ChainState, len(m.nyms)),
 		Messages: m.Messages,
 		Rejected: m.Rejected,
 		Scores:   append([]float64(nil), m.scores...),
 		Dirty:    m.dirty,
 	}
-	for tx, cert := range m.certs {
-		st.Certs[tx] = cert
+	for _, tx := range slices.Sorted(maps.Keys(m.certs)) {
+		st.Certs = append(st.Certs, m.certs[tx])
 	}
 	for i, n := range m.nyms {
 		st.Nyms[i] = n.State()
@@ -51,8 +55,9 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 // RestoreMechanismState implements reputation.Mechanism. Every check runs
 // before the first write, so a rejected blob leaves the mechanism as it
 // was: one score and one pseudonym chain per peer, every score a number in
-// [0,1] (each is a mean of clamped ratings, or the neutral 0.5), and
-// counters and chain epochs that are not negative.
+// [0,1] (each is a mean of clamped ratings, or the neutral 0.5), counters
+// and chain epochs that are not negative, and ring keys and certificate
+// TxIDs strictly ascending.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -74,11 +79,19 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 			return fmt.Errorf("trustme: peer %d: %w", p, err)
 		}
 	}
+	if err := st.Ring.Check(); err != nil {
+		return fmt.Errorf("trustme: %w", err)
+	}
+	for i := 1; i < len(st.Certs); i++ {
+		if prev, tx := st.Certs[i-1].TxID, st.Certs[i].TxID; prev >= tx {
+			return fmt.Errorf("trustme: certificate %d after %d: TxIDs not strictly ascending", tx, prev)
+		}
+	}
 
 	m.ring.SetState(st.Ring)
 	m.certs = make(map[uint64]crypto.TransactionCert, len(st.Certs))
-	for tx, cert := range st.Certs {
-		m.certs[tx] = cert
+	for _, cert := range st.Certs {
+		m.certs[cert.TxID] = cert
 	}
 	for i := range m.nyms {
 		m.nyms[i].SetState(st.Nyms[i])

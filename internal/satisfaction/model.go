@@ -4,7 +4,7 @@ import "fmt"
 
 // Model bundles the tunable parameters of the Quiané-Ruiz satisfaction
 // model for callers that configure scenarios declaratively (the public
-// facade's WithSatisfactionModel option).
+// facade's Scenario.Satisfaction); the workload config validates it.
 type Model struct {
 	// Memory is the EMA weight of the newest allocation in [0,1)
 	// (DefaultMemory when zero).

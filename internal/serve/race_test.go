@@ -25,7 +25,7 @@ func TestConcurrentQueriesUnderAdvance(t *testing.T) {
 	)
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng, err := trustnet.New(servedScenario(31, trustnet.WithShards(shards))...)
+			eng, err := servedScenario(31, shards).NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,33 +19,33 @@ import (
 
 // servedScenario is the shared test scenario: big enough to exercise every
 // class and the coupling loop, small enough to run dozens of epochs in tests.
-func servedScenario(seed uint64, extra ...trustnet.Option) []trustnet.Option {
-	opts := []trustnet.Option{
-		trustnet.WithPeers(60),
-		trustnet.WithRNGSeed(seed),
-		trustnet.WithMix(trustnet.Mix{
-			Fractions: map[trustnet.Class]float64{
-				trustnet.Honest:    0.6,
-				trustnet.Malicious: 0.2,
-				trustnet.Selfish:   0.05,
-				trustnet.Traitor:   0.05,
-				trustnet.Colluder:  0.1,
+func servedScenario(seed uint64, shards int) trustnet.Scenario {
+	return trustnet.Scenario{
+		Peers: 60,
+		Seed:  seed,
+		Mix: &trustnet.MixSpec{
+			Fractions: map[string]float64{
+				"honest":    0.6,
+				"malicious": 0.2,
+				"selfish":   0.05,
+				"traitor":   0.05,
+				"colluder":  0.1,
 			},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		trustnet.WithReputationMechanism(trustnet.EigenTrust(trustnet.EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1}),
-		trustnet.WithCoupling(true),
-		trustnet.WithEpochRounds(4),
-		trustnet.WithRecomputeEvery(2),
-		trustnet.WithActivitySkew(0.8),
+		},
+		Mechanism:      trustnet.MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		Privacy:        &trustnet.PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1},
+		Coupled:        true,
+		EpochRounds:    4,
+		RecomputeEvery: 2,
+		ActivitySkew:   0.8,
+		Shards:         shards,
 	}
-	return append(opts, extra...)
 }
 
-func newManualServer(t *testing.T, seed uint64, extra ...trustnet.Option) (*Server, *trustnet.Engine) {
+func newManualServer(t *testing.T, seed uint64, shards int) (*Server, *trustnet.Engine) {
 	t.Helper()
-	eng, err := trustnet.New(servedScenario(seed, extra...)...)
+	eng, err := servedScenario(seed, shards).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestServedDeterminismMatchesBatch(t *testing.T) {
 			for epoch, reports := range epochSchedule {
 				sched = sched.At(epoch, trustnet.ReportWave{Reports: reports})
 			}
-			batch, err := trustnet.New(servedScenario(seed, trustnet.WithShards(shards))...)
+			batch, err := servedScenario(seed, shards).NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestServedDeterminismMatchesBatch(t *testing.T) {
 			}
 
 			// Served twin: HTTP reports before each boundary, HTTP advance.
-			srv, eng := newManualServer(t, seed, trustnet.WithShards(shards))
+			srv, eng := newManualServer(t, seed, shards)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			for epoch := 0; epoch < epochs; epoch++ {
@@ -217,7 +217,7 @@ func TestServedDeterminismMatchesBatch(t *testing.T) {
 
 // TestQueryEndpoints exercises the read API against a stepped server.
 func TestQueryEndpoints(t *testing.T) {
-	srv, eng := newManualServer(t, 7)
+	srv, eng := newManualServer(t, 7, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -301,7 +301,7 @@ func TestQueryEndpoints(t *testing.T) {
 
 // TestReportValidationOverHTTP pins the 4xx surface for bad reports.
 func TestReportValidationOverHTTP(t *testing.T) {
-	srv, _ := newManualServer(t, 7)
+	srv, _ := newManualServer(t, 7, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -334,7 +334,7 @@ func TestReportValidationOverHTTP(t *testing.T) {
 // checkpoint: restoring it into a fresh engine and running the remaining
 // epochs reproduces the server's own continuation exactly.
 func TestSnapshotEndpointResumes(t *testing.T) {
-	srv, eng := newManualServer(t, 99)
+	srv, eng := newManualServer(t, 99, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -361,7 +361,7 @@ func TestSnapshotEndpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := trustnet.New(servedScenario(99, trustnet.WithShards(4))...)
+	restored, err := servedScenario(99, 4).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestSnapshotEndpointResumes(t *testing.T) {
 // TestEpochStreamSSE subscribes to the SSE stream while a background loop
 // runs and checks the event framing and epoch monotonicity.
 func TestEpochStreamSSE(t *testing.T) {
-	eng, err := trustnet.New(servedScenario(13)...)
+	eng, err := servedScenario(13, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestEpochStreamSSE(t *testing.T) {
 // TestAdvanceEndpointModes: /v1/advance steps a manual server, refuses a
 // looped one, and reports budget exhaustion.
 func TestAdvanceEndpointModes(t *testing.T) {
-	eng, err := trustnet.New(servedScenario(3)...)
+	eng, err := servedScenario(3, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestAdvanceEndpointModes(t *testing.T) {
 	}
 
 	// A looped server refuses manual stepping outright.
-	leng, err := trustnet.New(servedScenario(3)...)
+	leng, err := servedScenario(3, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestAdvanceEndpointModes(t *testing.T) {
 // TestLoopCancellation: cancelling the serve context stops the loop promptly
 // even with an unlimited epoch budget, and the server keeps answering reads.
 func TestLoopCancellation(t *testing.T) {
-	eng, err := trustnet.New(servedScenario(17)...)
+	eng, err := servedScenario(17, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestLoopCancellation(t *testing.T) {
 // TestReportQueueSurvivesBudgetEnd: reports enqueued after the session ends
 // are never silently consumed by a boundary that will not run.
 func TestReportQueueSurvivesBudgetEnd(t *testing.T) {
-	eng, err := trustnet.New(servedScenario(23)...)
+	eng, err := servedScenario(23, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil engine accepted")
 	}
-	eng, err := trustnet.New(servedScenario(1)...)
+	eng, err := servedScenario(1, 0).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,15 +61,15 @@ type Config struct {
 	CandidateSize int
 	// Disclosure is the uniform initial disclosure level in [0,1]
 	// (default 1): the probability a peer shares each feedback report.
-	// The zero value means "default"; pass any negative value for an
-	// explicit zero (share nothing).
+	// The zero value means "default"; Explicit(0) shares nothing.
 	Disclosure float64
 	// Selection is the response policy (default SelectBest).
 	Selection Selection
 	// RecomputeEvery recomputes mechanism scores every k rounds
 	// (default 5).
 	RecomputeEvery int
-	// Memory is the satisfaction EMA weight (default satisfaction.DefaultMemory).
+	// Memory is the satisfaction EMA weight in [0,1) (default
+	// satisfaction.DefaultMemory).
 	Memory float64
 	// TrustGate in [0,1) applies the privacy policies' MinTrustLevel
 	// clause through reputation: only candidates whose score reaches the
@@ -95,6 +95,29 @@ type Config struct {
 // DefaultExposureScale is the exposure at which a user counts as half
 // exposed when no scale is configured.
 const DefaultExposureScale = 50
+
+// Explicit marks v as stated explicitly for a config field whose zero value
+// means "default": a zero becomes a negative zero, which compares equal to
+// 0 but carries the sign bit, so no value in range collides with it.
+func Explicit(v float64) float64 {
+	if v == 0 {
+		return math.Copysign(0, -1)
+	}
+	return v
+}
+
+// OrDefault resolves a field whose zero value means "default": def for a
+// zero, a real 0 for Explicit(0), v otherwise.
+func OrDefault(v, def float64) float64 {
+	switch {
+	case v != 0:
+		return v
+	case math.Signbit(v):
+		return 0
+	default:
+		return def
+	}
+}
 
 // profileKey is the ledger item of the profile a consumer discloses to each
 // provider it interacts with. Item keys only need to be unique within their
@@ -141,30 +164,36 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("workload: watts-strogatz graph with k=%d over %d peers has more edges than the int32 friend index holds",
 			c.GraphParam, c.NumPeers)
 	}
-	if c.InteractionsPerRound <= 0 {
+	if c.InteractionsPerRound < 0 {
+		return c, fmt.Errorf("workload: interactions per round must be positive, got %d", c.InteractionsPerRound)
+	}
+	if c.InteractionsPerRound == 0 {
 		c.InteractionsPerRound = c.NumPeers
 	}
-	if c.CandidateSize <= 0 {
+	if c.CandidateSize < 0 {
+		return c, fmt.Errorf("workload: candidate size must be positive, got %d", c.CandidateSize)
+	}
+	if c.CandidateSize == 0 {
 		c.CandidateSize = 5
 	}
-	switch {
-	case c.Disclosure < 0:
-		c.Disclosure = 0
-	case c.Disclosure == 0:
-		c.Disclosure = 1
-	}
-	if c.Disclosure > 1 {
+	c.Disclosure = OrDefault(c.Disclosure, 1)
+	if c.Disclosure < 0 || c.Disclosure > 1 {
 		return c, fmt.Errorf("workload: disclosure %v out of [0,1]", c.Disclosure)
 	}
 	if c.Selection == 0 {
 		c.Selection = SelectBest
 	}
-	if c.RecomputeEvery <= 0 {
+	if c.RecomputeEvery < 0 {
+		return c, fmt.Errorf("workload: recompute interval must be positive, got %d", c.RecomputeEvery)
+	}
+	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 5
 	}
-	if c.Memory == 0 {
-		c.Memory = satisfaction.DefaultMemory
+	m, err := satisfaction.Model{Memory: c.Memory}.Validate()
+	if err != nil {
+		return c, fmt.Errorf("workload: %w", err)
 	}
+	c.Memory = m.Memory
 	if c.TrustGate < 0 || c.TrustGate >= 1 {
 		return c, fmt.Errorf("workload: trust gate %v out of [0,1)", c.TrustGate)
 	}
@@ -187,8 +216,8 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Validate checks the configuration without assembling an engine; it
-// catches everything NewEngine itself would reject. The public facade runs
-// it before spending single-use resources (e.g. a wrapped mechanism).
+// catches everything NewEngine itself would reject, so a caller can refuse
+// a bad configuration before it builds the mechanism.
 func (c Config) Validate() error {
 	c, err := c.withDefaults()
 	if err != nil {

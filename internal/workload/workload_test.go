@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -284,5 +285,22 @@ func TestProportionalSelection(t *testing.T) {
 	s := e.Summarize()
 	if s.Rounds != 40 || s.BadServiceRate == 0 {
 		t.Fatalf("proportional run summary = %+v", s)
+	}
+}
+
+// TestExplicitZero: Explicit(0) resolves to a real zero, without the sign
+// bit that marked it, while a plain zero takes the default and every other
+// value passes through.
+func TestExplicitZero(t *testing.T) {
+	if got := OrDefault(Explicit(0), 1); got != 0 || math.Signbit(got) {
+		t.Fatalf("OrDefault(Explicit(0), 1) = %v, want +0", got)
+	}
+	if got := OrDefault(0, 1); got != 1 {
+		t.Fatalf("OrDefault(0, 1) = %v, want the default 1", got)
+	}
+	for _, v := range []float64{0.25, -0.5} {
+		if got := OrDefault(Explicit(v), 1); got != v {
+			t.Fatalf("OrDefault(Explicit(%v), 1) = %v", v, got)
+		}
 	}
 }

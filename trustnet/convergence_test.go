@@ -9,7 +9,7 @@ import (
 // diagnostics end to end: per-epoch iteration deltas in EpochStats, the
 // cumulative counter on the engine, and the last Convergence record.
 func TestConvergenceDiagnosticsExposed(t *testing.T) {
-	eng, err := New(sessionScenario(3, WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})))...)
+	eng, err := sessionWith(3, MechanismSpec{Pretrusted: []int{0, 1, 2}}).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestConvergenceDiagnosticsExposed(t *testing.T) {
 // TestConvergenceNotReportedForNonIterative checks mechanisms without an
 // iterative solver stay silent rather than faking diagnostics.
 func TestConvergenceNotReportedForNonIterative(t *testing.T) {
-	eng, err := New(sessionScenario(5, WithReputationMechanism(TrustMe(TrustMeConfig{})))...)
+	eng, err := sessionWith(5, MechanismSpec{Kind: "trustme"}).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestConvergenceNotReportedForNonIterative(t *testing.T) {
 // TestComputeIterationsSurviveSnapshot pins the cumulative counter into the
 // snapshot contract: a restored engine continues the count, not restarts it.
 func TestComputeIterationsSurviveSnapshot(t *testing.T) {
-	mech := WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}}))
-	eng, err := New(sessionScenario(7, mech)...)
+	mech := MechanismSpec{Pretrusted: []int{0, 1, 2}}
+	eng, err := sessionWith(7, mech).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestComputeIterationsSurviveSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := New(sessionScenario(7, mech)...)
+	restored, err := sessionWith(7, mech).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

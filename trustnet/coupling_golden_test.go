@@ -96,23 +96,21 @@ func TestCouplingGoldenDigests(t *testing.T) {
 	// The scenario's EigenTrust moves the reputation facet every epoch, so
 	// every coupling pass is a full one; without a mechanism the facet holds
 	// still and later passes visit only the update candidates.
-	mechs := map[string]func() MechanismFactory{
-		"eigentrust": func() MechanismFactory { return EigenTrust(EigenTrustConfig{}) },
-		"none":       NoReputation,
+	mechs := map[string]MechanismSpec{
+		"eigentrust": {},
+		"none":       {Kind: "none"},
 	}
-	for mech, factory := range mechs {
+	for mech, spec := range mechs {
 		for _, coupled := range []bool{false, true} {
 			for _, h0 := range []float64{0, 0.3, 1} {
 				for name, sched := range couplingSchedules(coupled) {
 					key := fmt.Sprintf("%s/coupled=%v/h0=%v/%s", mech, coupled, h0, name)
 					t.Run(key, func(t *testing.T) {
 						build := func() *Engine {
-							eng, err := New(sessionScenario(503, WithReputationMechanism(factory()),
-								WithCoupling(coupled), WithBaseHonesty(h0))...)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return eng
+							sc := sessionWith(503, spec)
+							sc.Coupled = coupled
+							sc.BaseHonesty = floatPtr(h0)
+							return newEngine(t, sc)
 						}
 						drive := func(eng *Engine, n int) {
 							if n == 0 {
@@ -155,10 +153,9 @@ func TestCouplingGoldenDigests(t *testing.T) {
 	for _, coupled := range []bool{false, true} {
 		key := fmt.Sprintf("rounds/coupled=%v", coupled)
 		t.Run(key, func(t *testing.T) {
-			eng, err := New(sessionScenario(503, WithCoupling(coupled))...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := sessionScenario(503)
+			sc.Coupled = coupled
+			eng := newEngine(t, sc)
 			eng.RunRounds(8)
 			if got := digest(eng.Summary()); got != couplingSummaryDigests[key] {
 				t.Errorf("digest %s, recorded %q", got, couplingSummaryDigests[key])

@@ -3,21 +3,18 @@
 // Network According to Satisfaction, Reputation and Privacy" — Busnel,
 // Serrano-Alvarado, Lamarre, 2010) and the substrates it runs on.
 //
-// The central type is Engine, constructed with functional options:
+// The central type is Engine, built from a Scenario — a declarative,
+// JSON round-trippable value naming the population, behaviour mix, graph,
+// mechanism, privacy policy, coupling and epoch shape:
 //
-//	eng, err := trustnet.New(
-//		trustnet.WithPeers(200),
-//		trustnet.WithRNGSeed(42),
-//		trustnet.WithMix(trustnet.Mix{Fractions: map[trustnet.Class]float64{
-//			trustnet.Honest:    0.7,
-//			trustnet.Malicious: 0.3,
-//		}}),
-//		trustnet.WithReputationMechanism(trustnet.EigenTrust(trustnet.EigenTrustConfig{
-//			Pretrusted: []int{0, 1, 2},
-//		})),
-//		trustnet.WithPrivacyPolicy(trustnet.PrivacyPolicy{Disclosure: 0.8}),
-//		trustnet.WithCoupling(true),
-//	)
+//	eng, err := trustnet.Scenario{
+//		Peers:     200,
+//		Seed:      42,
+//		Mix:       trustnet.MixOf(map[string]float64{"malicious": 0.3}),
+//		Mechanism: trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+//		Privacy:   &trustnet.PrivacyPolicy{Disclosure: 0.8},
+//		Coupled:   true,
+//	}.NewEngine()
 //
 // An engine offers three assessment paths:
 //
@@ -39,14 +36,12 @@
 // changes, honesty and adversary activation) at epoch boundaries.
 // Engine.Snapshot captures the complete mutable state (every random-stream
 // position included) as a versioned, serializable Snapshot; restoring it
-// into an engine built from identical options continues bit-for-bit
+// into an engine built from an identical scenario continues bit-for-bit
 // identically to an uninterrupted run, at any shard count.
 //
-// Scenario makes the whole setup a declarative, JSON round-trippable
-// value — population, mix, graph, mechanism spec, privacy policy, coupling
-// and epoch shape, intervention schedule — whose Options method compiles to
-// the functional options above; a Registry ships the example programs as
-// named built-ins (quickstart, filesharing, socialfeed, churnstorm,
+// A Scenario also carries its epoch budget and intervention schedule, so
+// Scenario.Run drives it end to end; a Registry ships the example programs
+// as named built-ins (quickstart, filesharing, socialfeed, churnstorm,
 // tradeoff), runnable via `trustsim -scenario`. Experiment expands a
 // scenario over parameter axes (Vary, VaryTuples, VaryMechanism) and seed
 // replications (Seeds), executes the run matrix on a bounded worker pool,
@@ -58,9 +53,11 @@
 // over the same declarative scenarios, with its grids and hill-climb
 // batches executed as sweeps.
 //
-// Reputation mechanisms are pluggable through the Mechanism interface; the
-// cited implementations ship as factories (EigenTrust, TrustMe, PowerTrust,
-// AnonRep, NoReputation). The supporting substrates — privacy service and
+// A MechanismSpec selects the scoring engine by kind ("eigentrust",
+// "trustme", "powertrust", "powertrust-plain", "anonrep", "none") and
+// builds a fresh one sized for each engine; NewEigenTrust and friends build
+// standalone mechanisms behind the Mechanism interface. The supporting
+// substrates — privacy service and
 // ledger, discrete-event simulator, graph generators, rendering tables —
 // are re-exported so programs never import repro/internal directly.
 //

@@ -25,58 +25,15 @@ type EpochStats = core.EpochStats
 // An Engine is not safe for concurrent mutation. AssessAll is a pure read
 // that runs serially and checks its context before each user.
 type Engine struct {
-	cfg  engineConfig
 	mech Mechanism
 	dyn  *core.Dynamics
 }
 
-// New assembles an engine from the scenario options.
-func New(opts ...Option) (*Engine, error) {
-	cfg, err := resolveOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the full scenario before calling the factory, so a failed
-	// construction never spends a single-use factory (UseMechanism).
-	if err := cfg.wl.Validate(); err != nil {
-		return nil, fmt.Errorf("trustnet: %w", err)
-	}
-	for user := range cfg.userWeights {
-		if user >= cfg.wl.NumPeers {
-			return nil, fmt.Errorf("trustnet: user %d out of range [0,%d)", user, cfg.wl.NumPeers)
-		}
-	}
-	mech, err := cfg.factory(cfg.wl.NumPeers)
-	if err != nil {
-		return nil, fmt.Errorf("trustnet: mechanism factory: %w", err)
-	}
-	if mech == nil {
-		return nil, fmt.Errorf("trustnet: mechanism factory returned nil")
-	}
-	dyn, err := core.NewDynamics(core.DynamicsConfig{
-		Workload:    cfg.wl,
-		Weights:     cfg.weights,
-		Inertia:     cfg.inertia,
-		BaseHonesty: cfg.baseHonesty,
-		EpochRounds: cfg.epochRounds,
-		Coupled:     cfg.coupled,
-	}, mech)
-	if err != nil {
-		return nil, fmt.Errorf("trustnet: %w", err)
-	}
-	for user, w := range cfg.userWeights {
-		if err := dyn.TrustModel().SetUserWeights(user, w); err != nil {
-			return nil, fmt.Errorf("trustnet: %w", err)
-		}
-	}
-	return &Engine{cfg: cfg, mech: mech, dyn: dyn}, nil
-}
-
 // Peers returns the population size.
-func (e *Engine) Peers() int { return e.cfg.wl.NumPeers }
+func (e *Engine) Peers() int { return e.dyn.Engine().Network().N() }
 
 // Shards returns the number of parallel shards the epoch pipeline scatters
-// work over (WithShards; 1 when unset).
+// work over (Scenario.Shards; 1 when unset).
 func (e *Engine) Shards() int { return e.dyn.Engine().Shards() }
 
 // Mechanism returns the plugged-in reputation mechanism.

@@ -8,12 +8,13 @@ import (
 
 // fuzzScenario is the 50-peer scenario of FuzzDecodeSnapshot's seeds,
 // running AnonRep when mech names it and EigenTrust otherwise.
-func fuzzScenario(mech string) []Option {
-	factory := EigenTrust(EigenTrustConfig{})
+func fuzzScenario(mech string) Scenario {
+	sc := sessionScenario(410)
+	sc.Peers = 50
 	if mech == "anonrep" {
-		factory = AnonRep(AnonRepConfig{Seed: 5})
+		sc.Mechanism = MechanismSpec{Kind: "anonrep", Seed: 5}
 	}
-	return sessionScenario(410, WithPeers(50), WithReputationMechanism(factory))
+	return sc
 }
 
 // engineImage is the engine's state as its encoded snapshot, which is
@@ -42,7 +43,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		eng, err := New(fuzzScenario(snap.Mechanism)...)
+		eng, err := fuzzScenario(snap.Mechanism).NewEngine()
 		if err != nil {
 			t.Fatal(err)
 		}

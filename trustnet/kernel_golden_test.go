@@ -9,14 +9,14 @@ import (
 // kernelMechanisms is the full mechanism matrix of the sparse-kernel golden
 // suite. EigenTrust and PowerTrust run the CSR kernel; the rest pin the
 // refactor's blast radius (their scores must be untouched by it).
-func kernelMechanisms() map[string]func() MechanismFactory {
-	return map[string]func() MechanismFactory{
-		"eigentrust":       func() MechanismFactory { return EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1}}) },
-		"powertrust":       func() MechanismFactory { return PowerTrust(PowerTrustConfig{}) },
-		"powertrust-plain": func() MechanismFactory { return PowerTrustPlain(PowerTrustConfig{}) },
-		"trustme":          func() MechanismFactory { return TrustMe(TrustMeConfig{}) },
-		"anonrep":          func() MechanismFactory { return AnonRep(AnonRepConfig{}) },
-		"none":             func() MechanismFactory { return NoReputation() },
+func kernelMechanisms() map[string]MechanismSpec {
+	return map[string]MechanismSpec{
+		"eigentrust":       {Pretrusted: []int{0, 1}},
+		"powertrust":       {Kind: "powertrust"},
+		"powertrust-plain": {Kind: "powertrust-plain"},
+		"trustme":          {Kind: "trustme"},
+		"anonrep":          {Kind: "anonrep"},
+		"none":             {Kind: "none"},
 	}
 }
 
@@ -26,27 +26,24 @@ func kernelMechanisms() map[string]func() MechanismFactory {
 // compute now scatters over the engine's shard configuration, and shards
 // must stay a pure scheduling knob.
 func TestMechanismScoresShardInvariant(t *testing.T) {
-	for name, factory := range kernelMechanisms() {
+	for name, spec := range kernelMechanisms() {
 		for _, seed := range []uint64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				run := func(shards int) ([]float64, []EpochStats) {
-					eng, err := New(
-						WithPeers(60),
-						WithRNGSeed(seed),
-						WithMix(Mix{Fractions: map[Class]float64{
-							Honest:    0.6,
-							Malicious: 0.2,
-							Colluder:  0.2,
-						}}),
-						WithReputationMechanism(factory()),
-						WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.9, ExposureScale: 50}),
-						WithCoupling(true),
-						WithEpochRounds(4),
-						WithShards(shards),
-					)
-					if err != nil {
-						t.Fatal(err)
-					}
+					eng := newEngine(t, Scenario{
+						Peers: 60,
+						Seed:  seed,
+						Mix: &MixSpec{Fractions: map[string]float64{
+							"honest":    0.6,
+							"malicious": 0.2,
+							"colluder":  0.2,
+						}},
+						Mechanism:   spec,
+						Privacy:     &PrivacyPolicy{Disclosure: 0.9, ExposureScale: 50},
+						Coupled:     true,
+						EpochRounds: 4,
+						Shards:      shards,
+					})
 					hist, err := eng.Run(context.Background(), 3)
 					if err != nil {
 						t.Fatal(err)

@@ -128,18 +128,15 @@ func TestFacadeReadKeepsSparseEqualDense(t *testing.T) {
 	}
 	reports := probeReports(raters, func(i int) int { return i % 10 })
 	run := func(t *testing.T, dense bool, read func(*Engine) error) []byte {
-		eng, err := New(
-			WithPeers(300),
-			WithRNGSeed(3),
-			WithReputationMechanism(NoReputation()),
-			WithInertia(0),
-			WithCoupling(true),
-			WithEpochRounds(2),
-			WithInteractionsPerRound(10),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, Scenario{
+			Peers:                300,
+			Seed:                 3,
+			Mechanism:            MechanismSpec{Kind: "none"},
+			Inertia:              floatPtr(0),
+			Coupled:              true,
+			EpochRounds:          2,
+			InteractionsPerRound: 10,
+		})
 		eng.SetDenseReference(dense)
 		ctx := context.Background()
 		s, err := eng.Session(ctx, WithMaxEpochs(6), WithSchedule(Schedule{}.At(0, LeaveWave{Users: leave})))

@@ -1,9 +1,6 @@
 package trustnet
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"repro/internal/reputation"
 	"repro/internal/reputation/anonrep"
 	"repro/internal/reputation/eigentrust"
@@ -17,11 +14,6 @@ import (
 // changed: the engine recomputes its trust gate only when the version
 // moves.
 type Mechanism = reputation.Mechanism
-
-// MechanismFactory builds a fresh mechanism sized for n peers. Scenario
-// runners call the factory once per evaluation, so settings never
-// contaminate each other.
-type MechanismFactory = reputation.Factory
 
 // Report is one feedback report: rater's rating of ratee for a
 // transaction, in [0,1].
@@ -55,9 +47,9 @@ type (
 	AnonRepMechanism = anonrep.Mechanism
 )
 
-// Mechanism configurations. The N field is overridden by factories with the
-// engine's peer count; set it only when constructing standalone mechanisms
-// with NewEigenTrust and friends.
+// Mechanism configurations, for the standalone constructors NewEigenTrust
+// and friends; an engine builds its mechanism from the Scenario's
+// MechanismSpec instead.
 type (
 	// EigenTrustConfig parameterizes EigenTrust.
 	EigenTrustConfig = eigentrust.Config
@@ -68,87 +60,6 @@ type (
 	// AnonRepConfig parameterizes AnonRep.
 	AnonRepConfig = anonrep.Config
 )
-
-// EigenTrust returns a factory for the EigenTrust mechanism; cfg.N is
-// replaced by the engine's peer count.
-func EigenTrust(cfg EigenTrustConfig) MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		c := cfg // copy: one factory value may be shared across engines
-		c.N = n
-		return eigentrust.New(c)
-	}
-}
-
-// TrustMe returns a factory for the TrustMe mechanism; cfg.N is replaced
-// by the engine's peer count.
-func TrustMe(cfg TrustMeConfig) MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		c := cfg // copy: one factory value may be shared across engines
-		c.N = n
-		return trustme.New(c)
-	}
-}
-
-// PowerTrust returns a factory for the PowerTrust mechanism (look-ahead
-// random walk); cfg.N is replaced by the engine's peer count.
-func PowerTrust(cfg PowerTrustConfig) MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		c := cfg // copy: one factory value may be shared across engines
-		c.N = n
-		return powertrust.New(c)
-	}
-}
-
-// PowerTrustPlain returns a factory for the PowerTrust ablation without
-// the look-ahead walk; cfg.N is replaced by the engine's peer count.
-func PowerTrustPlain(cfg PowerTrustConfig) MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		c := cfg // copy: one factory value may be shared across engines
-		c.N = n
-		return powertrust.NewPlain(c)
-	}
-}
-
-// AnonRep returns a factory for the pseudonymous-reputation mechanism;
-// cfg.N is replaced by the engine's peer count.
-func AnonRep(cfg AnonRepConfig) MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		c := cfg // copy: one factory value may be shared across engines
-		c.N = n
-		return anonrep.New(c)
-	}
-}
-
-// NoReputation returns a factory for the no-reputation baseline: every
-// peer scores the same neutral value.
-func NoReputation() MechanismFactory {
-	return func(n int) (Mechanism, error) {
-		return reputation.NewNone(n), nil
-	}
-}
-
-// UseMechanism wraps an already-constructed mechanism as a factory, for
-// callers that need to keep the concrete handle. The mechanism must be
-// sized for the engine's peer count; the factory cannot verify that, so
-// prefer the config-based factories otherwise.
-//
-// The factory is single-use: the explorer calls factories once per
-// evaluated point and relies on each point getting a fresh, uncontaminated
-// mechanism, which a shared instance cannot provide. A second call returns
-// an error instead of silently cross-contaminating evaluations.
-func UseMechanism(m Mechanism) MechanismFactory {
-	var used atomic.Bool
-	return func(int) (Mechanism, error) {
-		if m == nil {
-			return nil, fmt.Errorf("trustnet: nil mechanism")
-		}
-		if used.Swap(true) {
-			return nil, fmt.Errorf(
-				"trustnet: UseMechanism factory is single-use (%s already handed out); use a config-based factory for exploration", m.Name())
-		}
-		return m, nil
-	}
-}
 
 // Standalone constructors, for programs that drive a mechanism directly
 // (submit reports, recompute, whitewash) without a workload engine. Here

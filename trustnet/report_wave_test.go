@@ -20,9 +20,9 @@ var waveReports = []Report{
 // Engine.SubmitReports call at the same epoch boundary produce bit-identical
 // histories and scores.
 func TestReportWaveMatchesDirectSubmission(t *testing.T) {
-	mech := WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}}))
+	mech := MechanismSpec{Pretrusted: []int{0, 1, 2}}
 
-	scheduled, err := New(sessionScenario(11, mech)...)
+	scheduled, err := sessionWith(11, mech).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReportWaveMatchesDirectSubmission(t *testing.T) {
 		}
 	}
 
-	manual, err := New(sessionScenario(11, mech)...)
+	manual, err := sessionWith(11, mech).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestReportWaveMatchesDirectSubmission(t *testing.T) {
 // trajectory-dependent accident of the scenario seed).
 func TestReportWaveChangesScores(t *testing.T) {
 	build := func(sched Schedule) *Engine {
-		eng, err := New(sessionScenario(3, WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})))...)
+		eng, err := sessionWith(3, MechanismSpec{Pretrusted: []int{0, 1, 2}}).NewEngine()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestReportWaveChangesScores(t *testing.T) {
 }
 
 func TestReportWaveValidation(t *testing.T) {
-	eng, err := New(sessionScenario(1)...)
+	eng, err := sessionScenario(1).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,16 @@ import (
 	"maps"
 	"os"
 	"slices"
-	"sort"
 
 	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/reputation"
+	"repro/internal/reputation/anonrep"
+	"repro/internal/reputation/eigentrust"
+	"repro/internal/reputation/powertrust"
+	"repro/internal/reputation/trustme"
+	"repro/internal/satisfaction"
+	"repro/internal/workload"
 )
 
 // Scenario is a declarative, fully serializable run specification: the
@@ -22,10 +29,8 @@ import (
 //
 // Zero values mean "engine default" throughout (and are omitted from the
 // JSON encoding); pointer fields distinguish "unset" from an explicit zero
-// where the engine options do (Inertia, BaseHonesty, Privacy.Disclosure).
-// Options() compiles the spec to the functional options New consumes, so a
-// Scenario and a hand-built option slice produce bit-for-bit identical
-// engines.
+// (Inertia, BaseHonesty, Privacy.Disclosure). NewEngine is the one way to
+// build an Engine.
 type Scenario struct {
 	// Name identifies the scenario in the Registry and in sweep output.
 	Name string `json:"name,omitempty"`
@@ -115,14 +120,14 @@ type MixSpec struct {
 }
 
 // toMix resolves the class names into the adversary mix.
-func (m MixSpec) toMix() (Mix, error) {
-	out := Mix{ForceHonest: append([]int(nil), m.ForceHonest...)}
+func (m MixSpec) toMix() (adversary.Mix, error) {
+	out := adversary.Mix{ForceHonest: append([]int(nil), m.ForceHonest...)}
 	if len(m.Fractions) > 0 {
 		out.Fractions = make(map[Class]float64, len(m.Fractions))
 		for name, f := range m.Fractions {
 			cls, ok := adversary.ClassNamed(name)
 			if !ok {
-				return Mix{}, fmt.Errorf("trustnet: unknown behaviour class %q in mix", name)
+				return adversary.Mix{}, fmt.Errorf("trustnet: unknown behaviour class %q in mix", name)
 			}
 			out.Fractions[cls] = f
 		}
@@ -159,11 +164,43 @@ type GraphSpec struct {
 	Param int `json:"param"`
 }
 
-var graphKinds = map[string]GraphKind{
-	"barabasi-albert": BarabasiAlbert,
-	"watts-strogatz":  WattsStrogatz,
-	"erdos-renyi":     ErdosRenyi,
+var graphKinds = map[string]workload.GraphKind{
+	"barabasi-albert": workload.BarabasiAlbert,
+	"watts-strogatz":  workload.WattsStrogatz,
+	"erdos-renyi":     workload.ErdosRenyi,
 }
+
+var selections = map[string]workload.Selection{
+	"best":         workload.SelectBest,
+	"proportional": workload.SelectProportional,
+}
+
+// PrivacyPolicy bundles the privacy-facet settings of a scenario (§2.3):
+// how much feedback peers disclose, how strictly the policies' minimal
+// trust clause gates service, and how ledgered exposure is normalized.
+// Unlike the raw config structs, Disclosure is explicit — a zero really
+// means "share nothing".
+type PrivacyPolicy struct {
+	// Disclosure is the base probability δ in [0,1] that a peer shares a
+	// feedback report with the reputation layer.
+	Disclosure float64 `json:"disclosure"`
+	// TrustGate in [0,1) applies the policies' MinTrustLevel clause through
+	// reputation: only candidates at or above the TrustGate-quantile of
+	// scores may serve. 0 disables gating.
+	TrustGate float64 `json:"trust_gate,omitempty"`
+	// ExposureScale normalizes ledgered exposure into the privacy facet
+	// (default 50 when zero).
+	ExposureScale float64 `json:"exposure_scale,omitempty"`
+}
+
+// DefaultPrivacyPolicy discloses everything, gates nothing.
+func DefaultPrivacyPolicy() PrivacyPolicy {
+	return PrivacyPolicy{Disclosure: 1, ExposureScale: workload.DefaultExposureScale}
+}
+
+// SatisfactionModel bundles the tunable parameters of the satisfaction
+// facet (§2.1).
+type SatisfactionModel = satisfaction.Model
 
 // MechanismSpec is the serializable mechanism selection plus its
 // parameters; fields irrelevant to the selected kind are ignored. The zero
@@ -198,44 +235,72 @@ type MechanismSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// Factory compiles the spec into a mechanism factory. scenarioSeed seeds
-// mechanisms that carry their own stream (AnonRep) when the spec does not
-// pin one.
-func (m MechanismSpec) Factory(scenarioSeed uint64) (MechanismFactory, error) {
-	switch m.Kind {
-	case "", "eigentrust":
-		return EigenTrust(EigenTrustConfig{
+// mechanismKinds builds each mechanism kind from its spec for n peers;
+// seed seeds the mechanisms that carry their own stream (AnonRep) when the
+// spec does not pin one.
+var mechanismKinds = map[string]func(m MechanismSpec, n int, seed uint64) (Mechanism, error){
+	"eigentrust": func(m MechanismSpec, n int, _ uint64) (Mechanism, error) {
+		return eigentrust.New(eigentrust.Config{
+			N:          n,
 			Pretrusted: append([]int(nil), m.Pretrusted...),
 			Alpha:      m.Alpha,
 			Epsilon:    m.Epsilon,
 			MaxIter:    m.MaxIter,
-		}), nil
-	case "trustme":
-		return TrustMe(TrustMeConfig{Replicas: m.Replicas, Window: m.Window}), nil
-	case "powertrust":
-		return PowerTrust(PowerTrustConfig{
-			M: m.PowerNodes, Alpha: m.Alpha, Epsilon: m.Epsilon, MaxIter: m.MaxIter,
-		}), nil
-	case "powertrust-plain":
-		return PowerTrustPlain(PowerTrustConfig{
-			M: m.PowerNodes, Alpha: m.Alpha, Epsilon: m.Epsilon, MaxIter: m.MaxIter,
-		}), nil
-	case "anonrep":
-		seed := m.Seed
-		if seed == 0 {
-			seed = scenarioSeed
+		})
+	},
+	"trustme": func(m MechanismSpec, n int, _ uint64) (Mechanism, error) {
+		return trustme.New(trustme.Config{N: n, Replicas: m.Replicas, Window: m.Window})
+	},
+	"powertrust": func(m MechanismSpec, n int, _ uint64) (Mechanism, error) {
+		return powertrust.New(m.powerTrust(n))
+	},
+	"powertrust-plain": func(m MechanismSpec, n int, _ uint64) (Mechanism, error) {
+		return powertrust.NewPlain(m.powerTrust(n))
+	},
+	"anonrep": func(m MechanismSpec, n int, seed uint64) (Mechanism, error) {
+		if m.Seed != 0 {
+			seed = m.Seed
 		}
-		return AnonRep(AnonRepConfig{
+		return anonrep.New(anonrep.Config{
+			N:             n,
 			Granularity:   m.Granularity,
 			Noise:         m.Noise,
 			PriorStrength: m.PriorStrength,
 			Seed:          seed,
-		}), nil
-	case "none":
-		return NoReputation(), nil
-	default:
-		return nil, fmt.Errorf("trustnet: unknown mechanism kind %q", m.Kind)
+		})
+	},
+	"none": func(_ MechanismSpec, n int, _ uint64) (Mechanism, error) {
+		return reputation.NewNone(n), nil
+	},
+}
+
+func (m MechanismSpec) powerTrust(n int) powertrust.Config {
+	return powertrust.Config{N: n, M: m.PowerNodes, Alpha: m.Alpha, Epsilon: m.Epsilon, MaxIter: m.MaxIter}
+}
+
+// kind resolves the spec's kind name; the empty name is EigenTrust.
+func (m MechanismSpec) kind() (string, error) {
+	kind := m.Kind
+	if kind == "" {
+		kind = "eigentrust"
 	}
+	if _, ok := mechanismKinds[kind]; !ok {
+		return "", fmt.Errorf("trustnet: unknown mechanism kind %q", m.Kind)
+	}
+	return kind, nil
+}
+
+// build constructs the spec's mechanism for n peers.
+func (m MechanismSpec) build(n int, seed uint64) (Mechanism, error) {
+	kind, err := m.kind()
+	if err != nil {
+		return nil, err
+	}
+	mech, err := mechanismKinds[kind](m, n, seed)
+	if err != nil {
+		return nil, fmt.Errorf("trustnet: mechanism: %w", err)
+	}
+	return mech, nil
 }
 
 var appContexts = map[string]AppContext{
@@ -255,118 +320,130 @@ func ParseAppContext(name string) (AppContext, error) {
 	return ctx, nil
 }
 
-// Options compiles the scenario into the functional options New consumes.
-// The compilation is total: every settable knob of the spec maps onto
-// exactly one option, so New(sc.Options()...) and the equivalent hand-built
-// option slice assemble bit-for-bit identical engines. Epochs and Schedule
-// are session-shape, not engine options — Run and the Sweep executor apply
-// them.
-func (sc Scenario) Options() ([]Option, error) {
-	var opts []Option
-	if sc.Peers != 0 {
-		opts = append(opts, WithPeers(sc.Peers))
+// NewEngine assembles an engine from the scenario. Each value is checked
+// once, by the layer that owns it: the workload config checks the
+// population, graph, privacy and round shape, the dynamics config the
+// weights, inertia, base honesty and epoch shape, the mechanism its own
+// parameters. The scenario checks only what it resolves itself: names, the
+// Context/Weights exclusivity, user-weight ids, the graph parameter, Epochs
+// and Workers. Epochs and Schedule shape a run, not the engine: Run and the
+// Sweep executor apply them.
+func (sc Scenario) NewEngine() (*Engine, error) {
+	cfg, err := sc.dynamicsConfig()
+	if err != nil {
+		return nil, err
 	}
-	opts = append(opts, WithRNGSeed(sc.Seed))
+	// Refuse a bad configuration before the mechanism is sized for it.
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("trustnet: %w", err)
+	}
+	n := cfg.Workload.NumPeers
+	users := slices.Sorted(maps.Keys(sc.UserWeights))
+	for _, user := range users {
+		if user < 0 || user >= n {
+			return nil, fmt.Errorf("trustnet: user %d out of range [0,%d)", user, n)
+		}
+	}
+	mech, err := sc.Mechanism.build(n, sc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	dyn, err := core.NewDynamics(cfg, mech)
+	if err != nil {
+		return nil, fmt.Errorf("trustnet: %w", err)
+	}
+	for _, user := range users {
+		if err := dyn.TrustModel().SetUserWeights(user, sc.UserWeights[user]); err != nil {
+			return nil, fmt.Errorf("trustnet: %w", err)
+		}
+	}
+	return &Engine{mech: mech, dyn: dyn}, nil
+}
+
+// dynamicsConfig resolves the scenario's names and explicit zeros into the
+// dynamics config, leaving the range checks to its Validate.
+func (sc Scenario) dynamicsConfig() (core.DynamicsConfig, error) {
+	cfg := core.DynamicsConfig{
+		Workload: workload.Config{
+			Seed:                 sc.Seed,
+			NumPeers:             sc.Peers,
+			InteractionsPerRound: sc.InteractionsPerRound,
+			CandidateSize:        sc.CandidateSize,
+			RecomputeEvery:       sc.RecomputeEvery,
+			ActivitySkew:         sc.ActivitySkew,
+			Shards:               sc.Shards,
+		},
+		EpochRounds: sc.EpochRounds,
+		Coupled:     sc.Coupled,
+	}
+	wl := &cfg.Workload
+	if wl.NumPeers == 0 {
+		wl.NumPeers = 100
+	}
 	if sc.Mix != nil {
 		m, err := sc.Mix.toMix()
 		if err != nil {
-			return nil, err
+			return cfg, err
 		}
-		opts = append(opts, WithMix(m))
+		wl.Mix = m
 	}
 	if sc.Graph != nil {
 		kind, ok := graphKinds[sc.Graph.Kind]
 		if !ok {
-			return nil, fmt.Errorf("trustnet: unknown graph kind %q", sc.Graph.Kind)
+			return cfg, fmt.Errorf("trustnet: unknown graph kind %q", sc.Graph.Kind)
 		}
-		opts = append(opts, WithGraph(kind, sc.Graph.Param))
+		if sc.Graph.Param <= 0 {
+			return cfg, fmt.Errorf("trustnet: graph parameter must be positive, got %d", sc.Graph.Param)
+		}
+		wl.Graph, wl.GraphParam = kind, sc.Graph.Param
 	}
-	factory, err := sc.Mechanism.Factory(sc.Seed)
-	if err != nil {
-		return nil, err
+	if _, err := sc.Mechanism.kind(); err != nil {
+		return cfg, err
 	}
-	opts = append(opts, WithReputationMechanism(factory))
-	if sc.Privacy != nil {
-		opts = append(opts, WithPrivacyPolicy(*sc.Privacy))
+	if p := sc.Privacy; p != nil {
+		wl.Disclosure = workload.Explicit(p.Disclosure)
+		wl.TrustGate = p.TrustGate
+		wl.ExposureScale = p.ExposureScale
 	}
 	if sc.Satisfaction != nil {
-		opts = append(opts, WithSatisfactionModel(*sc.Satisfaction))
+		wl.Memory = sc.Satisfaction.Memory
 	}
 	if sc.Context != "" && sc.Weights != nil {
-		return nil, fmt.Errorf("trustnet: scenario sets both context %q and explicit weights", sc.Context)
+		return cfg, fmt.Errorf("trustnet: scenario sets both context %q and explicit weights", sc.Context)
 	}
 	if sc.Context != "" {
-		ctx, err := ParseAppContext(sc.Context)
-		if err != nil {
-			return nil, err
+		if _, err := ParseAppContext(sc.Context); err != nil {
+			return cfg, err
 		}
-		opts = append(opts, WithAppContext(ctx))
 	}
 	if sc.Weights != nil {
-		opts = append(opts, WithWeights(*sc.Weights))
+		// The zero Weights is the dynamics default; explicit weights must
+		// be valid in their own right.
+		if err := sc.Weights.Validate(); err != nil {
+			return cfg, fmt.Errorf("trustnet: %w", err)
+		}
 	}
-	// Sorted for a deterministic option slice; the entries are independent
-	// (distinct users), so order never changes semantics.
-	users := make([]int, 0, len(sc.UserWeights))
-	for user := range sc.UserWeights {
-		users = append(users, user)
-	}
-	sort.Ints(users)
-	for _, user := range users {
-		opts = append(opts, WithUserWeights(user, sc.UserWeights[user]))
-	}
-	if sc.Coupled {
-		opts = append(opts, WithCoupling(true))
-	}
+	cfg.Weights = sc.weights()
 	if sc.Inertia != nil {
-		opts = append(opts, WithInertia(*sc.Inertia))
+		cfg.Inertia = workload.Explicit(*sc.Inertia)
 	}
 	if sc.BaseHonesty != nil {
-		opts = append(opts, WithBaseHonesty(*sc.BaseHonesty))
-	}
-	if sc.EpochRounds != 0 {
-		opts = append(opts, WithEpochRounds(sc.EpochRounds))
+		cfg.BaseHonesty = workload.Explicit(*sc.BaseHonesty)
 	}
 	if sc.Epochs < 0 {
-		return nil, fmt.Errorf("trustnet: scenario epochs must be positive, got %d", sc.Epochs)
+		return cfg, fmt.Errorf("trustnet: scenario epochs must be positive, got %d", sc.Epochs)
 	}
-	switch sc.Selection {
-	case "":
-	case "best":
-		opts = append(opts, WithSelection(SelectBest))
-	case "proportional":
-		opts = append(opts, WithSelection(SelectProportional))
-	default:
-		return nil, fmt.Errorf("trustnet: unknown selection policy %q", sc.Selection)
-	}
-	if sc.InteractionsPerRound != 0 {
-		opts = append(opts, WithInteractionsPerRound(sc.InteractionsPerRound))
-	}
-	if sc.CandidateSize != 0 {
-		opts = append(opts, WithCandidateSize(sc.CandidateSize))
-	}
-	if sc.RecomputeEvery != 0 {
-		opts = append(opts, WithRecomputeEvery(sc.RecomputeEvery))
-	}
-	if sc.ActivitySkew != 0 {
-		opts = append(opts, WithActivitySkew(sc.ActivitySkew))
-	}
-	if sc.Shards != 0 {
-		opts = append(opts, WithShards(sc.Shards))
+	if sc.Selection != "" {
+		sel, ok := selections[sc.Selection]
+		if !ok {
+			return cfg, fmt.Errorf("trustnet: unknown selection policy %q", sc.Selection)
+		}
+		wl.Selection = sel
 	}
 	if sc.Workers < 0 {
-		return nil, fmt.Errorf("trustnet: negative worker count %d", sc.Workers)
+		return cfg, fmt.Errorf("trustnet: negative worker count %d", sc.Workers)
 	}
-	return opts, nil
-}
-
-// NewEngine assembles an engine from the scenario (Options + New).
-func (sc Scenario) NewEngine() (*Engine, error) {
-	opts, err := sc.Options()
-	if err != nil {
-		return nil, err
-	}
-	return New(opts...)
+	return cfg, nil
 }
 
 // Run assembles an engine and drives the scenario end to end: Epochs

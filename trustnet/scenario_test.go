@@ -40,8 +40,7 @@ func roundTripScenario() Scenario {
 
 // TestScenarioJSONRoundTrip: marshal → unmarshal must reproduce the spec
 // exactly — concrete intervention types included — and the round-tripped
-// spec must produce bit-for-bit the run of the original and of the
-// equivalent hand-built option slice.
+// spec must produce bit-for-bit the run of the original.
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	sc := roundTripScenario()
 	data, err := json.Marshal(sc)
@@ -68,38 +67,6 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(h1, h2) {
 		t.Fatal("round-tripped scenario ran a different trajectory")
 	}
-
-	// The hand-built option slice, driven through the same schedule.
-	eng, err := New(
-		WithPeers(40),
-		WithRNGSeed(9),
-		WithMix(Mix{
-			Fractions:   map[Class]float64{Honest: 0.7, Malicious: 0.2, Selfish: 0.1},
-			ForceHonest: []int{0, 1},
-		}),
-		WithGraph(WattsStrogatz, 4),
-		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1}})),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1}),
-		WithCoupling(true),
-		WithInertia(0.4),
-		WithEpochRounds(4),
-		WithRecomputeEvery(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := eng.Session(ctx, WithMaxEpochs(5), WithSchedule(sc.Schedule))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range s.Epochs() {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(h1, eng.History()) {
-		t.Fatalf("scenario run diverged from the hand-built option slice:\n%+v\n!=\n%+v", h1, eng.History())
-	}
 }
 
 // TestScenarioRejectsUnknownFields: a typo in a spec file fails loudly.
@@ -109,7 +76,7 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestScenarioOptionErrors: malformed specs fail at compile time with
+// TestScenarioOptionErrors: malformed specs fail at construction with
 // errors naming the offender, never by silently running defaults.
 func TestScenarioOptionErrors(t *testing.T) {
 	w := DefaultWeights()
@@ -126,26 +93,12 @@ func TestScenarioOptionErrors(t *testing.T) {
 		{"context and weights", Scenario{Context: "balanced", Weights: &w}, "both"},
 		{"negative epochs", Scenario{Epochs: -1}, "epochs"},
 		{"negative workers", Scenario{Workers: -1}, "worker"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.sc.Options()
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Options() err = %v, want mention of %q", err, tc.wantErr)
-			}
-		})
-	}
-	// Nonpositive sizes flow through the options' own validation via New.
-	for _, tc := range []struct {
-		name    string
-		sc      Scenario
-		wantErr string
-	}{
-		{"negative peers", Scenario{Peers: -5}, "peers"},
+		{"negative peers", Scenario{Peers: -5}, "NumPeers"},
 		{"negative epoch rounds", Scenario{EpochRounds: -1}, "epoch rounds"},
 		{"negative shards", Scenario{Shards: -2}, "shard"},
 		{"negative recompute", Scenario{RecomputeEvery: -1}, "recompute"},
-	} {
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.sc.NewEngine()
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -158,10 +111,7 @@ func TestScenarioOptionErrors(t *testing.T) {
 // TestRunRejectsNegativeEpochs: the batch wrapper errors instead of
 // silently clamping.
 func TestRunRejectsNegativeEpochs(t *testing.T) {
-	eng, err := New(WithPeers(10), WithRNGSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{Peers: 10, Seed: 1})
 	if _, err := eng.Run(context.Background(), -1); err == nil {
 		t.Fatal("negative epoch count accepted")
 	}

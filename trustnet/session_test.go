@@ -12,27 +12,26 @@ import (
 // dynamics, a mixed adversary population, gating and activity skew, so that
 // every engine subsystem (including the colluder clique and the ledger) is
 // exercised.
-func sessionScenario(seed uint64, extra ...Option) []Option {
-	opts := []Option{
-		WithPeers(60),
-		WithRNGSeed(seed),
-		WithMix(Mix{
-			Fractions: map[Class]float64{
-				Honest:    0.6,
-				Malicious: 0.2,
-				Selfish:   0.05,
-				Traitor:   0.05,
-				Colluder:  0.1,
+func sessionScenario(seed uint64) Scenario {
+	return Scenario{
+		Peers: 60,
+		Seed:  seed,
+		Mix: &MixSpec{
+			Fractions: map[string]float64{
+				"honest":    0.6,
+				"malicious": 0.2,
+				"selfish":   0.05,
+				"traitor":   0.05,
+				"colluder":  0.1,
 			},
 			ForceHonest: []int{0, 1, 2},
-		}),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1}),
-		WithCoupling(true),
-		WithEpochRounds(4),
-		WithRecomputeEvery(2),
-		WithActivitySkew(0.8),
+		},
+		Privacy:        &PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1},
+		Coupled:        true,
+		EpochRounds:    4,
+		RecomputeEvery: 2,
+		ActivitySkew:   0.8,
 	}
-	return append(opts, extra...)
 }
 
 // histBytes gob-encodes a history so comparisons are bit-exact on every
@@ -47,7 +46,7 @@ func histBytes(t *testing.T, h []EpochStats) []byte {
 }
 
 func TestSessionMatchesRun(t *testing.T) {
-	batch, err := New(sessionScenario(7)...)
+	batch, err := sessionScenario(7).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream, err := New(sessionScenario(7)...)
+	stream, err := sessionScenario(7).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestSessionMatchesRun(t *testing.T) {
 }
 
 func TestSessionEpochsIterator(t *testing.T) {
-	eng, err := New(sessionScenario(11)...)
+	eng, err := sessionScenario(11).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestSessionEpochsIterator(t *testing.T) {
 }
 
 func TestSessionObserversDoNotPerturb(t *testing.T) {
-	plain, err := New(sessionScenario(13)...)
+	plain, err := sessionScenario(13).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestSessionObserversDoNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	observed, err := New(sessionScenario(13)...)
+	observed, err := sessionScenario(13).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestSessionObserversDoNotPerturb(t *testing.T) {
 }
 
 func TestSessionContextCancel(t *testing.T) {
-	eng, err := New(sessionScenario(17)...)
+	eng, err := sessionScenario(17).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +193,9 @@ func TestSessionContextCancel(t *testing.T) {
 // context cancelled while an epoch is in flight stops the session within a
 // round, instead of stalling shutdown behind the rest of a large epoch.
 func TestSessionCancelMidEpoch(t *testing.T) {
-	eng, err := New(sessionScenario(23, WithEpochRounds(1000))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := sessionScenario(23)
+	sc.EpochRounds = 1000
+	eng := newEngine(t, sc)
 	ctx, cancel := context.WithCancel(context.Background())
 	rounds := 0
 	s, err := eng.Session(ctx, WithMaxEpochs(1), OnRound(func(RoundStats) {
@@ -222,7 +220,7 @@ func TestSessionCancelMidEpoch(t *testing.T) {
 }
 
 func TestLeaveJoinWaveChangesLoad(t *testing.T) {
-	eng, err := New(sessionScenario(19)...)
+	eng, err := sessionScenario(19).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +266,7 @@ func TestLeaveJoinWaveChangesLoad(t *testing.T) {
 }
 
 func TestBehaviorChangeActivatesAdversaries(t *testing.T) {
-	eng, err := New(
-		WithPeers(60),
-		WithRNGSeed(23),
-		WithCoupling(true),
-		WithEpochRounds(4),
-		WithRecomputeEvery(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{Peers: 60, Seed: 23, Coupled: true, EpochRounds: 4, RecomputeEvery: 2})
 	// All honest; at epoch 3, half the population turns malicious.
 	turned := make([]int, 0, 30)
 	for u := 30; u < 60; u++ {
@@ -313,7 +302,7 @@ func TestBehaviorChangeActivatesAdversaries(t *testing.T) {
 }
 
 func TestPolicyChangeMidRun(t *testing.T) {
-	eng, err := New(sessionScenario(29)...)
+	eng, err := sessionScenario(29).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +328,7 @@ func TestPolicyChangeMidRun(t *testing.T) {
 }
 
 func TestScheduleValidation(t *testing.T) {
-	eng, err := New(sessionScenario(31)...)
+	eng, err := sessionScenario(31).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +347,7 @@ func TestScheduleValidation(t *testing.T) {
 		}
 	}
 	// Whitewash requires a Whitewasher mechanism; the None baseline is not.
-	plain, err := New(WithPeers(10), WithReputationMechanism(NoReputation()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := newEngine(t, Scenario{Peers: 10, Mechanism: MechanismSpec{Kind: "none"}})
 	if _, err := plain.Session(context.Background(),
 		WithSchedule(Schedule{}.At(1, WhitewashWave{Users: []int{3}}))); err == nil {
 		t.Error("whitewash wave accepted for non-whitewashing mechanism")
@@ -384,7 +370,7 @@ func TestScheduleBranchesIndependently(t *testing.T) {
 }
 
 func TestHistoryReturnsCopy(t *testing.T) {
-	eng, err := New(sessionScenario(37)...)
+	eng, err := sessionScenario(37).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,4 +384,18 @@ func TestHistoryReturnsCopy(t *testing.T) {
 	if fresh[0].Trust == -999 || fresh[1] == (EpochStats{}) {
 		t.Fatal("History exposes the engine's internal record")
 	}
+}
+
+// sessionWith is the session scenario under another mechanism.
+func sessionWith(seed uint64, m MechanismSpec) Scenario {
+	sc := sessionScenario(seed)
+	sc.Mechanism = m
+	return sc
+}
+
+// sessionSharded is the session scenario at a shard count.
+func sessionSharded(seed uint64, shards int) Scenario {
+	sc := sessionScenario(seed)
+	sc.Shards = shards
+	return sc
 }

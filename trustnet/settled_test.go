@@ -24,12 +24,9 @@ func settledSchedule() Schedule {
 
 // runScheduled drives a fresh engine through the schedule and returns its
 // full history plus a copy of the final trust vector.
-func runScheduled(t *testing.T, epochs int, dense bool, opts []Option) ([]EpochStats, []float64) {
+func runScheduled(t *testing.T, epochs int, dense bool, sc Scenario) ([]EpochStats, []float64) {
 	t.Helper()
-	eng, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, sc)
 	eng.SetDenseReference(dense)
 	s, err := eng.Session(context.Background(), WithMaxEpochs(epochs), WithSchedule(settledSchedule()))
 	if err != nil {
@@ -52,8 +49,11 @@ func TestSettledMatchesDenseGolden(t *testing.T) {
 	const epochs = 10
 	for _, seed := range []uint64{101, 202, 303} {
 		for _, inertia := range []float64{0.5, 0} {
-			opts := func(shards int) []Option {
-				return sessionScenario(seed, WithShards(shards), WithInertia(inertia))
+			opts := func(shards int) Scenario {
+				sc := sessionScenario(seed)
+				sc.Shards = shards
+				sc.Inertia = floatPtr(inertia)
+				return sc
 			}
 			wantHist, wantTrust := runScheduled(t, epochs, true, opts(1))
 			want := histBytes(t, wantHist)
@@ -81,29 +81,26 @@ func f64Bytes(t *testing.T, v []float64) []byte {
 	return buf.Bytes()
 }
 
-// quiescentOptions builds the settled-regime scenario: a None mechanism
+// quiescentScenario builds the settled-regime scenario: a None mechanism
 // keeps the shared reputation facet constant after epoch 0, and a leave wave
 // shrinks the active set to a handful of users, so everyone else reaches a
 // bitwise trust fixed point and drops out of the epoch tail entirely.
-func quiescentOptions(seed uint64, shards int) []Option {
-	return []Option{
-		WithPeers(60),
-		WithRNGSeed(seed),
-		WithMix(Mix{Fractions: map[Class]float64{Honest: 0.8, Malicious: 0.2}, ForceHonest: []int{0, 1, 2}}),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1}),
-		WithCoupling(true),
-		WithEpochRounds(4),
-		WithReputationMechanism(NoReputation()),
-		WithShards(shards),
+func quiescentScenario(seed uint64, shards int) Scenario {
+	return Scenario{
+		Peers:       60,
+		Seed:        seed,
+		Mix:         &MixSpec{Fractions: map[string]float64{"honest": 0.8, "malicious": 0.2}, ForceHonest: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1},
+		Coupled:     true,
+		EpochRounds: 4,
+		Mechanism:   MechanismSpec{Kind: "none"},
+		Shards:      shards,
 	}
 }
 
-func runQuiescent(t *testing.T, epochs int, dense bool, opts []Option) *Engine {
+func runQuiescent(t *testing.T, epochs int, dense bool, sc Scenario) *Engine {
 	t.Helper()
-	eng, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, sc)
 	eng.SetDenseReference(dense)
 	sched := Schedule{}.At(1, LeaveWave{Users: cohortIDs(5, 60)})
 	s, err := eng.Session(context.Background(), WithMaxEpochs(epochs), WithSchedule(sched))
@@ -133,8 +130,8 @@ func cohortIDs(lo, hi int) []int {
 // dirty-facet count far below the population.
 func TestSettledRegimeSkipsWork(t *testing.T) {
 	const epochs = 80
-	sparse := runQuiescent(t, epochs, false, quiescentOptions(9, 1))
-	dense := runQuiescent(t, epochs, true, quiescentOptions(9, 1))
+	sparse := runQuiescent(t, epochs, false, quiescentScenario(9, 1))
+	dense := runQuiescent(t, epochs, true, quiescentScenario(9, 1))
 	if !bytes.Equal(histBytes(t, sparse.History()), histBytes(t, dense.History())) {
 		t.Fatal("quiescent sparse history diverged from dense reference")
 	}
@@ -162,15 +159,15 @@ func TestSettledRegimeSkipsWork(t *testing.T) {
 // and aggregate trees included.
 func TestSnapshotResumeMidSettled(t *testing.T) {
 	const totalEpochs, boundary = 70, 50
-	want := histBytes(t, runQuiescent(t, totalEpochs, false, quiescentOptions(9, 1)).History())
+	want := histBytes(t, runQuiescent(t, totalEpochs, false, quiescentScenario(9, 1)).History())
 
-	first := runQuiescent(t, boundary, false, quiescentOptions(9, 1))
+	first := runQuiescent(t, boundary, false, quiescentScenario(9, 1))
 	if st := first.History()[boundary-1]; st.SettledUsers == 0 {
 		t.Fatalf("boundary epoch %d has no settled users; snapshot would not cover the settled regime", boundary)
 	}
 	snap := snapshotRoundTrip(t, first)
 	for _, resumeShards := range []int{1, 4} {
-		second, err := New(quiescentOptions(9, resumeShards)...)
+		second, err := quiescentScenario(9, resumeShards).NewEngine()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,40 +6,36 @@ import (
 	"testing"
 )
 
-func shardScenario(extra ...Option) []Option {
-	opts := []Option{
-		WithPeers(80),
-		WithRNGSeed(1234),
-		WithMix(Mix{Fractions: map[Class]float64{
-			Honest:    0.6,
-			Malicious: 0.3,
-			Colluder:  0.1,
-		}}),
-		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.2, ExposureScale: 50}),
-		WithCoupling(true),
-		WithEpochRounds(5),
+func shardScenario(shards int) Scenario {
+	return Scenario{
+		Peers: 80,
+		Seed:  1234,
+		Mix: &MixSpec{Fractions: map[string]float64{
+			"honest":    0.6,
+			"malicious": 0.3,
+			"colluder":  0.1,
+		}},
+		Mechanism:   MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.2, ExposureScale: 50},
+		Coupled:     true,
+		EpochRounds: 5,
+		Shards:      shards,
 	}
-	return append(opts, extra...)
 }
 
 // TestRunShardInvariance drives the public facade end to end: the coupled
 // epoch history must be bit-for-bit identical for every shard count.
 func TestRunShardInvariance(t *testing.T) {
-	run := func(extra ...Option) []EpochStats {
-		eng, err := New(shardScenario(extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, err := eng.Run(context.Background(), 5)
+	run := func(shards int) []EpochStats {
+		hist, err := newEngine(t, shardScenario(shards)).Run(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return hist
 	}
-	ref := run()
+	ref := run(0)
 	for _, k := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := run(WithShards(k))
+		got := run(k)
 		if len(got) != len(ref) {
 			t.Fatalf("shards=%d: %d epochs, want %d", k, len(got), len(ref))
 		}
@@ -52,22 +48,14 @@ func TestRunShardInvariance(t *testing.T) {
 }
 
 func TestShardOptionValidation(t *testing.T) {
-	if _, err := New(shardScenario(WithShards(0))...); err == nil {
-		t.Fatal("WithShards(0) accepted")
+	if _, err := shardScenario(-1).NewEngine(); err == nil {
+		t.Fatal("Shards -1 accepted")
 	}
-	eng, err := New(shardScenario(WithShards(3))...)
-	if err != nil {
-		t.Fatal(err)
+	if got := newEngine(t, shardScenario(3)).Shards(); got != 3 {
+		t.Fatalf("Shards() = %d, want 3", got)
 	}
-	if eng.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", eng.Shards())
-	}
-	def, err := New(shardScenario()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Shards() != 1 {
-		t.Fatalf("default Shards() = %d, want 1", def.Shards())
+	if got := newEngine(t, shardScenario(0)).Shards(); got != 1 {
+		t.Fatalf("default Shards() = %d, want 1", got)
 	}
 }
 

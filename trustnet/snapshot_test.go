@@ -53,7 +53,7 @@ func snapshotRoundTrip(t *testing.T, eng *Engine) *Snapshot {
 // uninterrupted history bit-for-bit.
 func TestSnapshotResumeGolden(t *testing.T) {
 	const totalEpochs = 6
-	reference, err := New(sessionScenario(101, WithShards(1))...)
+	reference, err := sessionSharded(101, 1).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotResumeGolden(t *testing.T) {
 	for _, captureShards := range []int{1, 4} {
 		for _, resumeShards := range []int{1, 4} {
 			for boundary := 0; boundary <= totalEpochs; boundary++ {
-				first, err := New(sessionScenario(101, WithShards(captureShards))...)
+				first, err := sessionSharded(101, captureShards).NewEngine()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +73,7 @@ func TestSnapshotResumeGolden(t *testing.T) {
 					t.Fatalf("snapshot at boundary %d reports epoch %d", boundary, snap.Epoch)
 				}
 
-				second, err := New(sessionScenario(101, WithShards(resumeShards))...)
+				second, err := sessionSharded(101, resumeShards).NewEngine()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,34 +96,32 @@ func TestSnapshotResumeGolden(t *testing.T) {
 func TestSnapshotResumeAllMechanisms(t *testing.T) {
 	const totalEpochs, boundary = 5, 2
 	mechs := []struct {
-		name    string
-		factory MechanismFactory
+		name string
+		spec MechanismSpec
 	}{
-		{"eigentrust", EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})},
-		{"powertrust", PowerTrust(PowerTrustConfig{})},
-		{"trustme", TrustMe(TrustMeConfig{})},
-		{"anonrep", AnonRep(AnonRepConfig{Seed: 5})},
-		{"none", NoReputation()},
+		{"eigentrust", MechanismSpec{Pretrusted: []int{0, 1, 2}}},
+		{"powertrust", MechanismSpec{Kind: "powertrust"}},
+		{"trustme", MechanismSpec{Kind: "trustme"}},
+		{"anonrep", MechanismSpec{Kind: "anonrep", Seed: 5}},
+		{"none", MechanismSpec{Kind: "none"}},
 	}
 	for _, mk := range mechs {
 		t.Run(mk.name, func(t *testing.T) {
-			opts := func() []Option {
-				return sessionScenario(211, WithReputationMechanism(mk.factory))
-			}
-			full, err := New(opts()...)
+			sc := sessionWith(211, mk.spec)
+			full, err := sc.NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}
 			runEpochs(t, full, totalEpochs)
 			want := histBytes(t, full.History())
 
-			first, err := New(opts()...)
+			first, err := sc.NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}
 			runEpochs(t, first, boundary)
 			snap := snapshotRoundTrip(t, first)
-			second, err := New(opts()...)
+			second, err := sc.NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,21 +162,21 @@ func TestSnapshotResumeWithSchedule(t *testing.T) {
 		}
 	}
 
-	full, err := New(sessionScenario(307)...)
+	full, err := sessionScenario(307).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	runScripted(full, totalEpochs)
 	want := histBytes(t, full.History())
 
-	first, err := New(sessionScenario(307)...)
+	first, err := sessionScenario(307).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	runScripted(first, boundary)
 	snap := snapshotRoundTrip(t, first)
 
-	second, err := New(sessionScenario(307, WithShards(4))...)
+	second, err := sessionSharded(307, 4).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +190,7 @@ func TestSnapshotResumeWithSchedule(t *testing.T) {
 }
 
 func TestSnapshotMismatchRejected(t *testing.T) {
-	eng, err := New(sessionScenario(401)...)
+	eng, err := sessionScenario(401).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,7 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	smaller, err := New(WithPeers(10))
+	smaller, err := Scenario{Peers: 10}.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 		t.Fatalf("restore into wrong population = %v, want peers mismatch", err)
 	}
 
-	otherMech, err := New(sessionScenario(401, WithReputationMechanism(TrustMe(TrustMeConfig{})))...)
+	otherMech, err := sessionWith(401, MechanismSpec{Kind: "trustme"}).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +233,11 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 // the engine exactly as it was — its ledger state unchanged and its
 // continuation bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreRejectsHostileLedger(t *testing.T) {
-	eng, err := New(sessionScenario(402)...)
+	eng, err := sessionScenario(402).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(sessionScenario(402)...)
+	twin, err := sessionScenario(402).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +344,11 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 // restore must leave the engine's continuation bit-identical to a twin that
 // never saw the hostile blobs.
 func TestRestoreRejectsHostileUserState(t *testing.T) {
-	eng, err := New(sessionScenario(403)...)
+	eng, err := sessionScenario(403).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(sessionScenario(403)...)
+	twin, err := sessionScenario(403).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +436,11 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 // engine's encoded snapshot byte-identical to before and its continuation
 // bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreIsAtomic(t *testing.T) {
-	eng, err := New(sessionScenario(404)...)
+	eng, err := sessionScenario(404).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(sessionScenario(404)...)
+	twin, err := sessionScenario(404).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,6 +559,14 @@ func TestRestoreIsAtomic(t *testing.T) {
 	t.Run("trustme negative chain epoch", func(t *testing.T) {
 		testTrustMeRestoreIsAtomic(t, "chain epoch", func(st *trustMeState) { st.Nyms[0].Epoch = -1 })
 	})
+	t.Run("trustme ring keys unsorted", func(t *testing.T) {
+		testTrustMeRestoreIsAtomic(t, "ascending", func(st *trustMeState) {
+			st.Ring.Store[0], st.Ring.Store[1] = st.Ring.Store[1], st.Ring.Store[0]
+		})
+	})
+	t.Run("trustme ring key duplicated", func(t *testing.T) {
+		testTrustMeRestoreIsAtomic(t, "ascending", func(st *trustMeState) { st.Ring.Store[1].Key = st.Ring.Store[0].Key })
+	})
 	t.Run("powertrust NaN score", func(t *testing.T) {
 		testPowerTrustRestoreIsAtomic(t)
 	})
@@ -596,14 +602,12 @@ type powerTrustState struct {
 // blob whose last peer's score is NaN. The PowerTrust blob is byte-stable,
 // so the engine is compared as its whole encoded snapshot.
 func testPowerTrustRestoreIsAtomic(t *testing.T) {
-	opts := func() []Option {
-		return sessionScenario(408, WithReputationMechanism(PowerTrust(PowerTrustConfig{})))
-	}
-	eng, err := New(opts()...)
+	sc := sessionWith(408, MechanismSpec{Kind: "powertrust"})
+	eng, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(opts()...)
+	twin, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +661,7 @@ func testPowerTrustRestoreIsAtomic(t *testing.T) {
 // name.
 type trustMeState struct {
 	Ring     dht.RingState
-	Certs    map[uint64]crypto.TransactionCert
+	Certs    []crypto.TransactionCert
 	Nyms     []crypto.ChainState
 	Messages int64
 	Rejected int64
@@ -666,19 +670,15 @@ type trustMeState struct {
 }
 
 // testTrustMeRestoreIsAtomic is TestRestoreIsAtomic's TrustMe case: a blob
-// that mutate makes hostile must be refused with an error naming want.
-// TrustMe's blob gob-encodes its certificate map in map order, so the
-// engine is compared as its encoded snapshot without the blob, byte for
-// byte, plus the blob decoded, by value.
+// that mutate makes hostile must be refused with an error naming want, and
+// leave the engine's encoded snapshot unchanged byte for byte.
 func testTrustMeRestoreIsAtomic(t *testing.T, want string, mutate func(st *trustMeState)) {
-	opts := func() []Option {
-		return sessionScenario(407, WithReputationMechanism(TrustMe(TrustMeConfig{})))
-	}
-	eng, err := New(opts()...)
+	sc := sessionWith(407, MechanismSpec{Kind: "trustme"})
+	eng, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(opts()...)
+	twin, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,24 +686,19 @@ func testTrustMeRestoreIsAtomic(t *testing.T, want string, mutate func(st *trust
 	earlier := snapshotRoundTrip(t, eng)
 	runEpochs(t, eng, 1)
 	runEpochs(t, twin, 2)
-	capture := func(t *testing.T) ([]byte, trustMeState) {
+	capture := func(t *testing.T) []byte {
 		t.Helper()
 		snap, err := eng.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mech trustMeState
-		if err := gob.NewDecoder(bytes.NewReader(snap.State.Engine.Mechanism)).Decode(&mech); err != nil {
-			t.Fatal(err)
-		}
-		snap.State.Engine.Mechanism = nil
 		var buf bytes.Buffer
 		if err := snap.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), mech
+		return buf.Bytes()
 	}
-	beforeBytes, beforeMech := capture(t)
+	before := capture(t)
 	var buf bytes.Buffer
 	if err := earlier.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -718,20 +713,16 @@ func testTrustMeRestoreIsAtomic(t *testing.T, want string, mutate func(st *trust
 	}
 	// Filing a report consumes its certificate, so a snapshot between
 	// rounds holds none; the trustme package tests restore a pending one.
-	if len(mech.Ring.Store) == 0 {
-		t.Fatal("snapshot carries no rating history, so the ring restore goes unexercised")
+	if len(mech.Ring.Store) < 2 {
+		t.Fatal("snapshot carries too little rating history to exercise the ring restore")
 	}
 	mutate(&mech)
 	hostile.State.Engine.Mechanism = gobBytes(t, mech)
 	if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("restore of hostile snapshot = %v, want a %s error", err, want)
 	}
-	afterBytes, afterMech := capture(t)
-	if !bytes.Equal(afterBytes, beforeBytes) {
+	if !bytes.Equal(capture(t), before) {
 		t.Fatal("rejected restore changed the engine")
-	}
-	if !reflect.DeepEqual(afterMech, beforeMech) {
-		t.Fatal("rejected restore changed the TrustMe mechanism")
 	}
 	runEpochs(t, eng, 2)
 	runEpochs(t, twin, 2)
@@ -745,7 +736,9 @@ func testTrustMeRestoreIsAtomic(t *testing.T, want string, mutate func(st *trust
 // certificate, so a 300-peer run holds no more after 40 epochs than after
 // 10.
 func TestTrustMeCertificatesBounded(t *testing.T) {
-	eng, err := New(sessionScenario(409, WithPeers(300), WithReputationMechanism(TrustMe(TrustMeConfig{})))...)
+	sc := sessionWith(409, MechanismSpec{Kind: "trustme"})
+	sc.Peers = 300
+	eng, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,14 +791,12 @@ func (st *anonRepState) mutateAccount(f func(a *anonRepAccount)) { f(&st.Accts[0
 // that mutate makes hostile must be refused with an error naming want, and
 // leave the engine's encoded snapshot byte-identical.
 func testAnonRepRestoreIsAtomic(t *testing.T, want string, mutate func(st *anonRepState)) {
-	opts := func() []Option {
-		return sessionScenario(406, WithReputationMechanism(AnonRep(AnonRepConfig{Seed: 5})))
-	}
-	eng, err := New(opts()...)
+	sc := sessionWith(406, MechanismSpec{Kind: "anonrep", Seed: 5})
+	eng, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(opts()...)
+	twin, err := sc.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -858,16 +849,19 @@ func testAnonRepRestoreIsAtomic(t *testing.T, want string, mutate func(st *anonR
 // snapshot or in the mechanism blob it carries.
 func TestSnapshotEncodeIsByteStable(t *testing.T) {
 	for _, mech := range []struct {
-		name    string
-		factory MechanismFactory
+		name string
+		spec MechanismSpec
 	}{
-		{"eigentrust", EigenTrust(EigenTrustConfig{})},
-		{"powertrust", PowerTrust(PowerTrustConfig{})},
-		{"none", NoReputation()},
-		{"anonrep", AnonRep(AnonRepConfig{Seed: 5})},
+		{"eigentrust", MechanismSpec{}},
+		{"powertrust", MechanismSpec{Kind: "powertrust"}},
+		{"none", MechanismSpec{Kind: "none"}},
+		{"anonrep", MechanismSpec{Kind: "anonrep", Seed: 5}},
+		{"trustme", MechanismSpec{Kind: "trustme"}},
 	} {
 		t.Run(mech.name, func(t *testing.T) {
-			eng, err := New(sessionScenario(405, WithPeers(200), WithReputationMechanism(mech.factory))...)
+			sc := sessionWith(405, mech.spec)
+			sc.Peers = 200
+			eng, err := sc.NewEngine()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -904,19 +898,16 @@ func TestSnapshotSizeBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 60 epochs")
 	}
-	eng, err := New(
-		WithPeers(300),
-		WithRNGSeed(1),
-		WithMix(Mix{Fractions: map[Class]float64{Honest: 0.7, Malicious: 0.3}, ForceHonest: []int{0, 1, 2}}),
-		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8}),
-		WithRecomputeEvery(2),
-		WithCoupling(true),
-		WithEpochRounds(8),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{
+		Peers:          300,
+		Seed:           1,
+		Mix:            mix(0.3),
+		Mechanism:      MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		Privacy:        &PrivacyPolicy{Disclosure: 0.8},
+		RecomputeEvery: 2,
+		Coupled:        true,
+		EpochRounds:    8,
+	})
 	runEpochs(t, eng, 60)
 	snap, err := eng.Snapshot()
 	if err != nil {
@@ -1022,7 +1013,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 // checkpoint file restores bit-for-bit, a wrong-version file reports the
 // version mismatch instead of a raw gob error, and a missing file fails.
 func TestRestoreFromFile(t *testing.T) {
-	eng, err := New(sessionScenario(77)...)
+	eng, err := sessionScenario(77).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1044,7 +1035,7 @@ func TestRestoreFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := New(sessionScenario(77)...)
+	resumed, err := sessionScenario(77).NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func (a Axis) validate(base Scenario) error {
 			return fmt.Errorf("trustnet: axis mixes mechanisms with parameter values")
 		}
 		for _, spec := range a.Mechanisms {
-			if _, err := spec.Factory(1); err != nil {
+			if _, err := spec.kind(); err != nil {
 				return err
 			}
 		}
@@ -270,22 +270,9 @@ type ExperimentSpec struct {
 	Epochs int      `json:"epochs,omitempty"`
 }
 
-// DriveFunc replaces the default per-run driver (run the scenario's epochs
-// with its schedule) for protocols the declarative core cannot express —
-// e.g. advancing a pseudonym epoch between round chunks. It may return
-// extra per-run metrics to aggregate.
-//
-// The function is invoked concurrently from the sweep's worker pool — one
-// call per run, each with its own Engine. It must confine itself to its
-// own run: touch only the engine it is handed and the returned map, never
-// shared accumulators (use the aggregated SweepResult instead), and stay
-// deterministic given the engine's seed, or the sweep's
-// identical-at-any-parallelism contract breaks.
-type DriveFunc func(ctx context.Context, eng *Engine, sc Scenario) (map[string]float64, error)
-
-// ObserveFunc extracts extra per-run metrics from the finished engine.
-// Like DriveFunc it runs concurrently, one call per run: read the engine,
-// fill the returned map, and touch nothing shared.
+// ObserveFunc extracts extra per-run metrics from the finished engine. It
+// is invoked concurrently from the sweep's worker pool, one call per run:
+// read the engine, fill the returned map, and touch nothing shared.
 type ObserveFunc func(eng *Engine) map[string]float64
 
 // Experiment is the batch orchestrator of the §4 many-run studies: it
@@ -306,7 +293,6 @@ type ObserveFunc func(eng *Engine) map[string]float64
 type Experiment struct {
 	spec    ExperimentSpec
 	workers int
-	drive   DriveFunc
 	observe ObserveFunc
 	err     error
 }
@@ -396,17 +382,6 @@ func (e *Experiment) Workers(n int) *Experiment {
 	return e
 }
 
-// Drive replaces the default per-run driver. The function must be
-// deterministic given the engine's seed for the sweep's determinism
-// contract to hold.
-func (e *Experiment) Drive(fn DriveFunc) *Experiment {
-	if fn == nil {
-		return e.fail(fmt.Errorf("trustnet: nil drive function"))
-	}
-	e.drive = fn
-	return e
-}
-
 // Observe registers a per-run metric extractor invoked after each run
 // completes; the returned values aggregate per cell like the built-in
 // metrics.
@@ -449,7 +424,7 @@ type RunResult struct {
 	// Trust the generic metric Φ over them under the scenario's weights.
 	Global Facets  `json:"global"`
 	Trust  float64 `json:"trust"`
-	// Extra carries Drive/Observe-collected metrics.
+	// Extra carries Observe-collected metrics.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -546,7 +521,7 @@ func (e *Experiment) Run(ctx context.Context) (*SweepResult, error) {
 			}
 		}
 	}
-	if epochs <= 0 && e.drive == nil && !axesSetEpochs {
+	if epochs <= 0 && !axesSetEpochs {
 		return nil, fmt.Errorf("trustnet: sweep has no epoch budget: set the scenario's Epochs or call Experiment.Epochs")
 	}
 	workers := e.workers
@@ -571,7 +546,7 @@ func (e *Experiment) Run(ctx context.Context) (*SweepResult, error) {
 		if err != nil {
 			return err
 		}
-		if e.drive == nil && sc.Epochs <= 0 {
+		if sc.Epochs <= 0 {
 			return fmt.Errorf("trustnet: sweep cell [%s] has no epoch budget", coord)
 		}
 		sc.Seed = seeds[seedIdx]
@@ -616,33 +591,13 @@ func applyCell(sc *Scenario, axes []Axis, cell int) (Coord, error) {
 
 // runOne executes a single expanded run.
 func (e *Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunResult, error) {
-	eng, err := sc.NewEngine()
+	eng, _, err := sc.Run(ctx)
 	if err != nil {
 		return RunResult{}, err
 	}
-	var extra map[string]float64
-	if e.drive != nil {
-		extra, err = e.drive(ctx, eng, sc)
-		if err != nil {
-			return RunResult{}, err
-		}
-	} else {
-		s, err := eng.Session(ctx, WithMaxEpochs(sc.Epochs), WithSchedule(sc.Schedule))
-		if err != nil {
-			return RunResult{}, err
-		}
-		for _, err := range s.Epochs() {
-			if err != nil {
-				return RunResult{}, err
-			}
-		}
-	}
-	// A custom Drive may end on RunRounds rather than an epoch boundary, so
-	// close the measurement period with the mechanism barrier; the run is
-	// over, so nothing later is perturbed. Measure before Observe runs:
-	// observers may poke the mechanism (submit a probe report, trigger a
-	// recompute) without perturbing the recorded facets, summary, or history.
-	eng.workloadEngine().BarrierCompute()
+	// Measure before Observe runs: observers may poke the mechanism (submit
+	// a probe report, trigger a recompute) without perturbing the recorded
+	// facets, summary, or history.
 	g := eng.Assess().GlobalFacets()
 	trust, err := Combine(g, sc.weights())
 	if err != nil {
@@ -655,7 +610,6 @@ func (e *Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunR
 		Summary: eng.Summary(),
 		Global:  g,
 		Trust:   trust,
-		Extra:   extra,
 	}
 	if e.observe != nil {
 		for k, v := range e.observe(eng) {
@@ -822,19 +776,6 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 				}
 			}
 			return cw.Write(row)
-		}
-		if len(c.Epochs) == 0 {
-			// No history (custom driver): emit the facet aggregation as a
-			// single summary row.
-			if err := writeRow("", EpochAgg{
-				Trust:        c.Trust,
-				Satisfaction: c.Satisfaction,
-				Reputation:   c.Reputation,
-				Privacy:      c.Privacy,
-			}); err != nil {
-				return err
-			}
-			continue
 		}
 		for _, ep := range c.Epochs {
 			if err := writeRow(strconv.Itoa(ep.Epoch), ep); err != nil {

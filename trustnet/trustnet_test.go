@@ -7,133 +7,127 @@ import (
 	"testing"
 )
 
-func mix(malicious float64) Mix {
-	return Mix{
-		Fractions: map[Class]float64{
-			Honest:    1 - malicious,
-			Malicious: malicious,
-		},
+// mix is the honest/malicious composition most tests run, with peers 0–2
+// forced honest.
+func mix(malicious float64) *MixSpec {
+	return &MixSpec{
+		Fractions:   map[string]float64{"honest": 1 - malicious, "malicious": malicious},
 		ForceHonest: []int{0, 1, 2},
 	}
+}
+
+// newEngine builds the scenario's engine, failing the test on error.
+func newEngine(t testing.TB, sc Scenario) *Engine {
+	t.Helper()
+	eng, err := sc.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
 		name    string
-		opts    []Option
+		sc      Scenario
 		wantErr string
 	}{
-		{"defaults", nil, ""},
-		{"nil option", []Option{nil}, "nil option"},
-		{"peers too small", []Option{WithPeers(1)}, "peers"},
-		{"negative graph param", []Option{WithGraph(BarabasiAlbert, 0)}, "graph parameter"},
-		{"too few peers for BA", []Option{WithPeers(4)}, "barabasi-albert graph with m=4"},
-		{"too few peers for WS", []Option{WithPeers(2), WithGraph(WattsStrogatz, 4)}, "watts-strogatz graph with k=4"},
-		{"unknown graph kind", []Option{WithGraph(GraphKind(99), 4)}, "graph kind"},
-		{"nil factory", []Option{WithReputationMechanism(nil)}, "factory"},
-		{"disclosure above one", []Option{WithPrivacyPolicy(PrivacyPolicy{Disclosure: 1.5})}, "disclosure"},
-		{"negative disclosure", []Option{WithPrivacyPolicy(PrivacyPolicy{Disclosure: -0.1})}, "disclosure"},
-		{"gate at one", []Option{WithPrivacyPolicy(PrivacyPolicy{TrustGate: 1})}, "trust gate"},
-		{"negative exposure scale", []Option{WithPrivacyPolicy(PrivacyPolicy{ExposureScale: -1})}, "exposure scale"},
-		{"bad satisfaction memory", []Option{WithSatisfactionModel(SatisfactionModel{Memory: 1})}, "memory"},
-		{"NaN satisfaction memory", []Option{WithPeers(50), WithSatisfactionModel(SatisfactionModel{Memory: math.NaN()})}, "memory"},
-		{"zero weights", []Option{WithWeights(Weights{})}, "zero"},
-		{"negative weight", []Option{WithWeights(Weights{Satisfaction: -1, Reputation: 1, Privacy: 1})}, "negative"},
-		{"negative user", []Option{WithUserWeights(-1, DefaultWeights())}, "user"},
-		{"user weights out of range", []Option{WithPeers(10), WithUserWeights(10, DefaultWeights())}, "out of range"},
-		{"inertia at one", []Option{WithInertia(1)}, "inertia"},
-		{"base honesty above one", []Option{WithBaseHonesty(1.1)}, "honesty"},
-		{"zero epoch rounds", []Option{WithEpochRounds(0)}, "epoch rounds"},
-		{"unknown selection", []Option{WithSelection(Selection(7))}, "selection"},
-		{"zero interactions", []Option{WithInteractionsPerRound(0)}, "interactions"},
-		{"zero candidates", []Option{WithCandidateSize(0)}, "candidate"},
-		{"zero recompute", []Option{WithRecomputeEvery(0)}, "recompute"},
-		{"negative skew", []Option{WithActivitySkew(-1)}, "skew"},
-		{"zero shards", []Option{WithShards(0)}, "shard"},
-		{"BA over the int32 friend index", []Option{WithPeers(70000), WithGraph(BarabasiAlbert, 65000)}, "int32 friend index"},
-		{"WS over the int32 friend index", []Option{WithPeers(1 << 20), WithGraph(WattsStrogatz, 1<<12)}, "int32 friend index"},
-		{"peers over the int32 id range", []Option{WithPeers(math.MaxInt32 + 1)}, "int32 id range"},
+		{"defaults", Scenario{}, ""},
+		// A Scenario's zero count is unset and takes its default; a
+		// negative one is refused.
+		{"zero epoch rounds", Scenario{EpochRounds: 0}, ""},
+		{"zero interactions", Scenario{InteractionsPerRound: 0}, ""},
+		{"zero candidates", Scenario{CandidateSize: 0}, ""},
+		{"zero recompute", Scenario{RecomputeEvery: 0}, ""},
+		{"zero shards", Scenario{Shards: 0}, ""},
+		// Names match exactly.
+		{"unknown graph kind", Scenario{Graph: &GraphSpec{Kind: "Barabasi-Albert", Param: 4}}, "graph kind"},
+		{"unknown selection", Scenario{Selection: "Best"}, "selection"},
+		{"peers too small", Scenario{Peers: 1}, "NumPeers"},
+		{"negative graph param", Scenario{Graph: &GraphSpec{Kind: "barabasi-albert"}}, "graph parameter"},
+		{"too few peers for BA", Scenario{Peers: 4}, "barabasi-albert graph with m=4"},
+		{"too few peers for WS", Scenario{Peers: 2, Graph: &GraphSpec{Kind: "watts-strogatz", Param: 4}}, "watts-strogatz graph with k=4"},
+		{"disclosure above one", Scenario{Privacy: &PrivacyPolicy{Disclosure: 1.5}}, "disclosure"},
+		{"negative disclosure", Scenario{Privacy: &PrivacyPolicy{Disclosure: -0.1}}, "disclosure"},
+		{"negative disclosure of one", Scenario{Privacy: &PrivacyPolicy{Disclosure: -1}}, "disclosure"},
+		{"gate at one", Scenario{Privacy: &PrivacyPolicy{TrustGate: 1}}, "trust gate"},
+		{"negative exposure scale", Scenario{Privacy: &PrivacyPolicy{ExposureScale: -1}}, "exposure scale"},
+		{"bad satisfaction memory", Scenario{Satisfaction: &SatisfactionModel{Memory: 1}}, "memory"},
+		{"NaN satisfaction memory", Scenario{Peers: 50, Satisfaction: &SatisfactionModel{Memory: math.NaN()}}, "memory"},
+		{"zero weights", Scenario{Weights: &Weights{}}, "zero"},
+		{"negative weight", Scenario{Weights: &Weights{Satisfaction: -1, Reputation: 1, Privacy: 1}}, "negative"},
+		{"negative user", Scenario{UserWeights: map[int]Weights{-1: DefaultWeights()}}, "user"},
+		{"user weights out of range", Scenario{Peers: 10, UserWeights: map[int]Weights{10: DefaultWeights()}}, "out of range"},
+		{"bad user weights", Scenario{UserWeights: map[int]Weights{3: {}}}, "zero"},
+		{"inertia at one", Scenario{Inertia: floatPtr(1)}, "inertia"},
+		{"negative inertia", Scenario{Inertia: floatPtr(-1)}, "inertia"},
+		{"base honesty above one", Scenario{BaseHonesty: floatPtr(1.1)}, "honesty"},
+		{"negative base honesty", Scenario{BaseHonesty: floatPtr(-1)}, "honesty"},
+		{"negative interactions", Scenario{InteractionsPerRound: -1}, "interactions"},
+		{"negative candidates", Scenario{CandidateSize: -1}, "candidate"},
+		{"negative skew", Scenario{ActivitySkew: -1}, "skew"},
+		{"BA over the int32 friend index", Scenario{Peers: 70000, Graph: &GraphSpec{Kind: "barabasi-albert", Param: 65000}}, "int32 friend index"},
+		{"WS over the int32 friend index", Scenario{Peers: 1 << 20, Graph: &GraphSpec{Kind: "watts-strogatz", Param: 1 << 12}}, "int32 friend index"},
+		{"peers over the int32 id range", Scenario{Peers: math.MaxInt32 + 1}, "int32 id range"},
+		{"bad mechanism parameter", Scenario{Mechanism: MechanismSpec{Pretrusted: []int{100}}}, "mechanism"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.opts...)
+			_, err := tc.sc.NewEngine()
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("New() = %v, want success", err)
+					t.Fatalf("NewEngine() = %v, want success", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("New() err = %v, want mention of %q", err, tc.wantErr)
+				t.Fatalf("NewEngine() err = %v, want mention of %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
+// TestFirstOptionErrorWins: a scenario with several bad values reports the
+// population's before the dynamics'.
 func TestFirstOptionErrorWins(t *testing.T) {
-	_, err := New(WithPeers(0), WithInertia(5))
-	if err == nil || !strings.Contains(err.Error(), "peers") {
-		t.Fatalf("err = %v, want the first failing option (peers)", err)
+	_, err := Scenario{Peers: -1, Inertia: floatPtr(5)}.NewEngine()
+	if err == nil || !strings.Contains(err.Error(), "NumPeers") {
+		t.Fatalf("err = %v, want the population error first", err)
 	}
 }
 
-// TestMechanismSwapping plugs every shipped factory into the same scenario;
-// each must run and report scores for the full population under its own
-// name.
+// TestMechanismSwapping builds every mechanism kind into the same
+// scenario; each must run and report scores for the full population under
+// its own name.
 func TestMechanismSwapping(t *testing.T) {
 	const peers = 40
-	factories := []struct {
-		name    string
-		factory MechanismFactory
-	}{
-		{"eigentrust", EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})},
-		{"trustme", TrustMe(TrustMeConfig{})},
-		{"powertrust", PowerTrust(PowerTrustConfig{})},
-		{"powertrust", PowerTrustPlain(PowerTrustConfig{})},
-		{"anonrep", AnonRep(AnonRepConfig{Seed: 5})},
-		{"none", NoReputation()},
-	}
-	for _, f := range factories {
-		eng, err := New(
-			WithPeers(peers),
-			WithRNGSeed(3),
-			WithMix(mix(0.3)),
-			WithReputationMechanism(f.factory),
-			WithRecomputeEvery(2),
-		)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
+	for _, spec := range []MechanismSpec{
+		{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		{Kind: "trustme"},
+		{Kind: "powertrust"},
+		{Kind: "powertrust-plain"},
+		{Kind: "anonrep", Seed: 5},
+		{Kind: "none"},
+	} {
+		eng := newEngine(t, Scenario{
+			Peers:          peers,
+			Seed:           3,
+			Mix:            mix(0.3),
+			Mechanism:      spec,
+			RecomputeEvery: 2,
+		})
 		eng.RunRounds(10)
-		if got := eng.Mechanism().Name(); !strings.HasPrefix(got, f.name) {
-			t.Fatalf("mechanism name = %q, want prefix %q", got, f.name)
+		name := strings.TrimSuffix(spec.Kind, "-plain")
+		if got := eng.Mechanism().Name(); !strings.HasPrefix(got, name) {
+			t.Fatalf("mechanism name = %q, want prefix %q", got, name)
 		}
 		if got := len(eng.Mechanism().ScoresView()); got != peers {
-			t.Fatalf("%s: scores length = %d, want %d", f.name, got, peers)
+			t.Fatalf("%s: scores length = %d, want %d", spec.Kind, got, peers)
 		}
 		a := eng.Assess()
 		if len(a.PerUser) != peers {
-			t.Fatalf("%s: assessment covers %d users, want %d", f.name, len(a.PerUser), peers)
+			t.Fatalf("%s: assessment covers %d users, want %d", spec.Kind, len(a.PerUser), peers)
 		}
-	}
-}
-
-func TestUseMechanismKeepsHandle(t *testing.T) {
-	mech, err := NewEigenTrust(EigenTrustConfig{N: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(
-		WithPeers(30),
-		WithRNGSeed(9),
-		WithMix(mix(0.2)),
-		WithReputationMechanism(UseMechanism(mech)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Mechanism() != Mechanism(mech) {
-		t.Fatal("engine did not keep the provided mechanism handle")
 	}
 }
 
@@ -158,20 +152,16 @@ func TestWhitewasherSeam(t *testing.T) {
 // seed diverges.
 func TestDeterministicSeededRuns(t *testing.T) {
 	build := func(seed uint64) *Engine {
-		eng, err := New(
-			WithPeers(60),
-			WithRNGSeed(seed),
-			WithMix(mix(0.3)),
-			WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-			WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8}),
-			WithRecomputeEvery(2),
-			WithCoupling(true),
-			WithEpochRounds(4),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
+		return newEngine(t, Scenario{
+			Peers:          60,
+			Seed:           seed,
+			Mix:            mix(0.3),
+			Mechanism:      MechanismSpec{Pretrusted: []int{0, 1, 2}},
+			Privacy:        &PrivacyPolicy{Disclosure: 0.8},
+			RecomputeEvery: 2,
+			Coupled:        true,
+			EpochRounds:    4,
+		})
 	}
 	ctx := context.Background()
 	a := build(7)
@@ -227,17 +217,14 @@ func TestDeterministicSeededRuns(t *testing.T) {
 // path.
 func TestAssessAllCoversEveryUser(t *testing.T) {
 	const peers = 1200
-	eng, err := New(
-		WithPeers(peers),
-		WithRNGSeed(11),
-		WithMix(mix(0.3)),
-		WithReputationMechanism(EigenTrust(EigenTrustConfig{Pretrusted: []int{0, 1, 2}})),
-		WithUserWeights(5, Weights{Satisfaction: 1, Reputation: 0.5, Privacy: 3}),
-		WithRecomputeEvery(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{
+		Peers:          peers,
+		Seed:           11,
+		Mix:            mix(0.3),
+		Mechanism:      MechanismSpec{Pretrusted: []int{0, 1, 2}},
+		UserWeights:    map[int]Weights{5: {Satisfaction: 1, Reputation: 0.5, Privacy: 3}},
+		RecomputeEvery: 2,
+	})
 	eng.RunRounds(4)
 	all, err := eng.AssessAll(context.Background())
 	if err != nil {
@@ -272,10 +259,7 @@ func TestAssessAllCoversEveryUser(t *testing.T) {
 }
 
 func TestAssessAllHonoursContext(t *testing.T) {
-	eng, err := New(WithPeers(50), WithRNGSeed(2), WithMix(mix(0.2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{Peers: 50, Seed: 2, Mix: mix(0.2)})
 	eng.RunRounds(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -285,10 +269,7 @@ func TestAssessAllHonoursContext(t *testing.T) {
 }
 
 func TestRunHonoursContext(t *testing.T) {
-	eng, err := New(WithPeers(30), WithRNGSeed(2), WithMix(mix(0.2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, Scenario{Peers: 30, Seed: 2, Mix: mix(0.2)})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.Run(ctx, 5); err == nil {
@@ -299,18 +280,11 @@ func TestRunHonoursContext(t *testing.T) {
 	}
 }
 
-// TestZeroDisclosure: the option layer can express a true zero base
-// disclosure, which the raw config cannot; nothing reaches the mechanism.
+// TestZeroDisclosure: a scenario can express a true zero base disclosure,
+// which the raw config's zero value cannot; nothing reaches the mechanism.
 func TestZeroDisclosure(t *testing.T) {
-	eng, err := New(
-		WithPeers(30),
-		WithRNGSeed(4),
-		WithMix(mix(0.2)),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := Scenario{Peers: 30, Seed: 4, Mix: mix(0.2), Privacy: &PrivacyPolicy{Disclosure: 0}}
+	eng := newEngine(t, sc)
 	if _, err := eng.Epoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,15 +294,7 @@ func TestZeroDisclosure(t *testing.T) {
 
 	// The guarantee must also hold on the RunRounds path, which never
 	// installs the dynamics' per-epoch disclosure vector.
-	eng2, err := New(
-		WithPeers(30),
-		WithRNGSeed(4),
-		WithMix(mix(0.2)),
-		WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng2 := newEngine(t, sc)
 	eng2.RunRounds(10)
 	if got := eng2.SharedReports(); got != 0 {
 		t.Fatalf("zero disclosure still shared %d reports on the RunRounds path", got)
@@ -336,22 +302,19 @@ func TestZeroDisclosure(t *testing.T) {
 }
 
 func TestUserWeightsChangeAssessment(t *testing.T) {
-	build := func(opts ...Option) *Engine {
-		base := []Option{
-			WithPeers(40),
-			WithRNGSeed(6),
-			WithMix(mix(0.3)),
-			WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.5}),
-		}
-		eng, err := New(append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(userWeights map[int]Weights) *Engine {
+		eng := newEngine(t, Scenario{
+			Peers:       40,
+			Seed:        6,
+			Mix:         mix(0.3),
+			Privacy:     &PrivacyPolicy{Disclosure: 0.5},
+			UserWeights: userWeights,
+		})
 		eng.RunRounds(10)
 		return eng
 	}
-	plain := build()
-	weighted := build(WithUserWeights(3, Weights{Satisfaction: 0.1, Reputation: 0.1, Privacy: 5}))
+	plain := build(nil)
+	weighted := build(map[int]Weights{3: {Satisfaction: 0.1, Reputation: 0.1, Privacy: 5}})
 	ctx := context.Background()
 	ap, err := plain.AssessAll(ctx)
 	if err != nil {
@@ -411,64 +374,25 @@ func TestExploreAndOptimize(t *testing.T) {
 	}
 }
 
-// TestUseMechanismSingleUse: a shared instance cannot masquerade as a
-// fresh-per-point factory; the second construction fails loudly instead of
-// cross-contaminating evaluations.
-func TestUseMechanismSingleUse(t *testing.T) {
-	mech, err := NewEigenTrust(EigenTrustConfig{N: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := UseMechanism(mech)
-	opts := []Option{WithPeers(20), WithRNGSeed(1), WithReputationMechanism(factory)}
-	if _, err := New(opts...); err != nil {
-		t.Fatalf("first use: %v", err)
-	}
-	if _, err := New(opts...); err == nil || !strings.Contains(err.Error(), "single-use") {
-		t.Fatalf("second use err = %v, want single-use error", err)
-	}
-}
-
-// TestUseMechanismSurvivesFailedNew: a construction that fails validation
-// must not consume the single-use factory — retrying with corrected
-// options succeeds.
-func TestUseMechanismSurvivesFailedNew(t *testing.T) {
-	mech, err := NewEigenTrust(EigenTrustConfig{N: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := UseMechanism(mech)
-	bad := Mix{Fractions: map[Class]float64{Honest: -1}}
-	if _, err := New(WithPeers(20), WithMix(bad), WithReputationMechanism(factory)); err == nil {
-		t.Fatal("negative mix fraction accepted")
-	}
-	if _, err := New(WithPeers(20), WithRNGSeed(1), WithReputationMechanism(factory)); err != nil {
-		t.Fatalf("retry after failed New: %v (single-use reservation leaked)", err)
-	}
-}
-
-// TestExplicitZeroInertia: WithInertia(0) must really run memoryless, not
-// silently fall back to the core default of 0.5.
+// TestExplicitZeroInertia: an explicit zero Inertia must really run
+// memoryless, not silently fall back to the core default of 0.5.
 func TestExplicitZeroInertia(t *testing.T) {
-	build := func(opts ...Option) []EpochStats {
-		base := []Option{
-			WithPeers(40), WithRNGSeed(3), WithMix(mix(0.3)),
-			WithPrivacyPolicy(PrivacyPolicy{Disclosure: 0.8}),
-			WithEpochRounds(3),
-		}
-		eng, err := New(append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(inertia *float64) []EpochStats {
+		eng := newEngine(t, Scenario{
+			Peers: 40, Seed: 3, Mix: mix(0.3),
+			Privacy:     &PrivacyPolicy{Disclosure: 0.8},
+			EpochRounds: 3,
+			Inertia:     inertia,
+		})
 		h, err := eng.Run(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	def := build()                  // inertia defaults to 0.5
-	zero := build(WithInertia(0))   // memoryless
-	half := build(WithInertia(0.5)) // explicit default
+	def := build(nil)            // inertia defaults to 0.5
+	zero := build(floatPtr(0))   // memoryless
+	half := build(floatPtr(0.5)) // explicit default
 	for i := range def {
 		if def[i] != half[i] {
 			t.Fatalf("explicit 0.5 diverged from default at epoch %d", i)
@@ -481,7 +405,7 @@ func TestExplicitZeroInertia(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("WithInertia(0) produced the default-inertia trajectory; the explicit zero was swallowed")
+		t.Fatal("Inertia 0 produced the default-inertia trajectory; the explicit zero was swallowed")
 	}
 }
 
