@@ -341,11 +341,10 @@ func BenchmarkLedgerExposure(b *testing.B) {
 	l := privacy.NewLedger()
 	rng := sim.NewRNG(1)
 	for k := 0; k < 5000; k++ {
-		l.Record(privacy.Disclosure{
-			Owner: rng.Intn(50), Item: fmt.Sprintf("item/%d", rng.Intn(200)),
-			Sensitivity: social.Sensitivity(rng.Intn(4) + 1),
-			Recipient:   rng.Intn(50), Consented: true,
-		})
+		// Each record reaches a new recipient; Exposure costs the same
+		// whatever the counts are.
+		l.Record(rng.Intn(50), l.Item(fmt.Sprintf("item/%d", rng.Intn(200))),
+			social.Sensitivity(rng.Intn(4)+1), true, true)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -357,28 +356,35 @@ func BenchmarkLedgerExposure(b *testing.B) {
 // calls — the consumer's profile disclosed to its provider, then the
 // feedback report it shares with the mechanism — for consumers among 20k
 // peers, each served by one of its ten partners, into a ledger pre-filled
-// with ten interactions per peer. Disclosures are drawn in batches with the
-// timer stopped, so ns/op and allocs/op are the ledger's own, per
+// with ten interactions per peer. Whether the provider is a new recipient
+// is the consumer's answer in the engine; here a per-peer mask of the
+// partners served so far gives it. Disclosures are drawn in batches with
+// the timer stopped, so ns/op and allocs/op are the ledger's own, per
 // interaction.
 func BenchmarkLedgerRecord(b *testing.B) {
 	const peers, batch = 20000, 4096
 	rng := sim.NewRNG(1)
 	partners := feedbackPeers(rng, peers)
-	next := func() privacy.Disclosure {
-		owner := rng.Intn(peers)
-		return privacy.Disclosure{
-			// The engine keys every owner's profile item "profile".
-			Owner: owner, Item: "profile", Sensitivity: social.Medium,
-			Recipient: partners[owner][rng.Intn(10)], Purpose: privacy.SocialUse, Consented: true,
-		}
+	reached := make([]uint16, peers) // bit k: partner k has the profile
+	type disclosure struct {
+		owner int
+		first bool
+	}
+	next := func() disclosure {
+		owner, k := rng.Intn(peers), rng.Intn(len(partners[0]))
+		first := reached[owner]&(1<<k) == 0
+		reached[owner] |= 1 << k
+		return disclosure{owner, first}
 	}
 	l := privacy.NewLedger()
+	// The engine keys every owner's profile item "profile".
+	profile := l.Item("profile")
 	for k := 0; k < 10*peers; k++ {
 		d := next()
-		l.Record(d)
-		l.RecordFeedback(d.Owner)
+		l.Record(d.owner, profile, social.Medium, true, d.first)
+		l.RecordFeedback(d.owner)
 	}
-	buf := make([]privacy.Disclosure, batch)
+	buf := make([]disclosure, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += batch {
@@ -388,9 +394,9 @@ func BenchmarkLedgerRecord(b *testing.B) {
 			buf[k] = next()
 		}
 		b.StartTimer()
-		for k := range buf[:m] {
-			l.Record(buf[k])
-			l.RecordFeedback(buf[k].Owner)
+		for _, d := range buf[:m] {
+			l.Record(d.owner, profile, social.Medium, true, d.first)
+			l.RecordFeedback(d.owner)
 		}
 	}
 }
@@ -448,9 +454,10 @@ func BenchmarkLocalTrustAddBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkConsumerObserve runs the consumer side of an interaction — the
-// allocation satisfaction over five candidates and the private preference
-// update, in the one ObserveAllocation pass the round's gather makes — for
+// BenchmarkConsumerObserve runs the consumer side of a served interaction —
+// the allocation satisfaction over five candidates, the private preference
+// update and the profile's disclosure flag, in the one ObserveAllocation
+// pass the round's gather makes — for
 // one of 20k sparse consumers, each drawing its candidates from ten
 // partners, after ten warm-up interactions per consumer. Interactions are
 // drawn in batches with the timer stopped.
@@ -484,7 +491,7 @@ func BenchmarkConsumerObserve(b *testing.B) {
 		buf[k].candidates = make([]int32, 5)
 	}
 	observe := func(it *interaction) {
-		consumers[it.consumer].ObserveAllocation(it.provider, it.candidates, it.quality)
+		consumers[it.consumer].ObserveAllocation(it.provider, it.candidates, it.quality, true)
 	}
 	for k := 0; k < 10*users; k++ {
 		next(&buf[0])

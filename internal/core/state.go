@@ -124,10 +124,10 @@ func (d *Dynamics) State() (DynamicsState, error) {
 // The Dynamics must have been built from the identical configuration (shard
 // count excepted). Every check here runs before anything is overwritten.
 func (d *Dynamics) Restore(st DynamicsState) error {
-	if st.BaseDisclosure < 0 || st.BaseDisclosure > 1 {
+	if !(0 <= st.BaseDisclosure && st.BaseDisclosure <= 1) {
 		return fmt.Errorf("core: snapshot base disclosure %v out of [0,1]", st.BaseDisclosure)
 	}
-	if st.BaseHonesty < 0 || st.BaseHonesty > 1 {
+	if !(0 <= st.BaseHonesty && st.BaseHonesty <= 1) {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
 	if err := d.tm.checkState(st.Trust); err != nil {

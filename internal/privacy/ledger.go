@@ -3,7 +3,6 @@ package privacy
 import (
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/social"
@@ -25,11 +24,20 @@ type Disclosure struct {
 
 // Ledger is the accountability record behind the privacy facet (§2.3): one
 // aggregate per owner — consent tallies, a running feedback exposure, and
-// the disclosed items with their maximum sensitivity weights and distinct
-// recipients — which is all the facet queries read, so its size never grows
-// with the number of disclosures. The per-event trail the OECD audit reads
-// lives on the PriServ Service. A facet query touches only the owner's own
-// aggregate, so queries fan out read-only over measurement shards.
+// the disclosed items with their maximum sensitivity weights and counts of
+// distinct recipients — which is all the facet queries read, so its size
+// never grows with the number of disclosures. Who the recipients are is the
+// caller's record, not the ledger's: the workload engine flags each
+// consumer's preference override for a provider it disclosed to, and the
+// PriServ Service keeps a set of the recipients it reached. Each tells
+// Record whether a disclosure reached a new recipient. The per-event trail
+// the OECD audit reads lives on the PriServ Service. A facet query touches
+// only the owner's own aggregate, so queries fan out read-only over
+// measurement shards.
+//
+// Item keys are interned: Item maps a key to an ItemID once, and Record
+// takes the ID, so the interaction path compares no strings. An owner's
+// items stay in ascending key order.
 //
 // Feedback ordering contract: RecordFeedback stands for one item per shared
 // report, with weight Low, the mechanism as its one recipient, and a key
@@ -49,6 +57,12 @@ type Ledger struct {
 	slot   map[int]int32 //trustlint:derived index rebuilt from the restored owner aggregates on SetState
 	n      int64         //trustlint:derived disclosure count, the sum of the owners' totals, recounted on SetState
 
+	// keys[id] is the key interned as ItemID id; ids is its inverse.
+	// Interned keys outlive SetState, so an ItemID a caller holds stays
+	// valid across restores.
+	keys []string
+	ids  map[string]ItemID //trustlint:derived inverse of keys, which State reads
+
 	// Facet cache: each aggregate keeps its owner's PrivacyFacet at
 	// facetScale, so owners whose ledger state did not change between
 	// barriers keep their previous value. Record marks the owner dirty;
@@ -64,25 +78,49 @@ type Ledger struct {
 	dirtyIDs []int   //trustlint:derived scratch rebuilt by every DirtyOwners call
 }
 
+// ItemID names an item key interned by Ledger.Item.
+type ItemID int32
+
 // ownerAgg is one owner's aggregate: consent tallies, the exposure of the
 // shared feedback reports, the disclosed items in ascending key order, and
-// the facet cache entry.
+// the facet cache entry. The first item is held inline and the rest in a
+// slice, so an owner with one item — every owner of the workload engine —
+// is recorded without a second memory access; the fields Record writes
+// come first, so they share cache lines. An owner without items has
+// first.recipients == 0.
 type ownerAgg struct {
 	id        int
-	total, ok int64   // disclosure tallies: all, consented
-	feedback  float64 // running sum of feedbackTerm, one add per report
-	items     []ledgerItem
-	facet     float64
-	facetOK   bool
+	total, ok int64 // disclosure tallies: all, consented
+	first     ledgerItem
 	dirty     bool
+	facetOK   bool
+	feedback  float64 // running sum of feedbackTerm, one add per report
+	facet     float64
+	rest      []ledgerItem
+}
+
+// numItems returns the number of items the owner disclosed.
+func (a *ownerAgg) numItems() int {
+	if a.first.recipients == 0 {
+		return 0
+	}
+	return 1 + len(a.rest)
+}
+
+// item returns the owner's k-th item in key order.
+func (a *ownerAgg) item(k int) *ledgerItem {
+	if k == 0 {
+		return &a.first
+	}
+	return &a.rest[k-1]
 }
 
 // ledgerItem is one disclosed item: the maximum sensitivity weight seen for
-// it and its distinct recipients in ascending order.
+// it and the number of distinct recipients it reached.
 type ledgerItem struct {
-	key    string
-	weight float64
-	rcpt   []int
+	key        ItemID
+	weight     float64
+	recipients int64
 }
 
 // feedbackTerm is the exposure term of one shared feedback report: a Low
@@ -91,7 +129,18 @@ var feedbackTerm = SensitivityWeight(social.Low) * math.Log2(1+1)
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{slot: make(map[int]int32)}
+	return &Ledger{slot: make(map[int]int32), ids: make(map[string]ItemID)}
+}
+
+// Item returns key's ItemID, interning the key on first use.
+func (l *Ledger) Item(key string) ItemID {
+	id, ok := l.ids[key]
+	if !ok {
+		id = ItemID(len(l.keys))
+		l.keys = append(l.keys, key)
+		l.ids[key] = id
+	}
+	return id
 }
 
 // denseLimit bounds the dense index's length once `owners` aggregates
@@ -165,29 +214,51 @@ func (l *Ledger) markDirty(i int32) {
 	l.dirty = append(l.dirty, i)
 }
 
-// Record folds one disclosure into its owner's aggregate.
-func (l *Ledger) Record(d Disclosure) {
-	i := l.aggregate(d.Owner)
+// Record folds one disclosure of owner's item into the owner's aggregate.
+// newRecipient reports whether the disclosure reached a recipient the item
+// had not reached before; the first disclosure of an item always does.
+func (l *Ledger) Record(owner int, item ItemID, sens social.Sensitivity, consented, newRecipient bool) {
+	i := l.aggregate(owner)
 	a := &l.owners[i]
 	a.total++
-	if d.Consented {
+	if consented {
 		a.ok++
 	}
 	l.n++
-	k, found := slices.BinarySearchFunc(a.items, d.Item, func(it ledgerItem, key string) int {
-		return strings.Compare(it.key, key)
-	})
-	if !found {
-		a.items = slices.Insert(a.items, k, ledgerItem{key: d.Item})
+	n, k := a.numItems(), 0
+	for k < n && a.item(k).key != item {
+		k++
 	}
-	it := &a.items[k]
-	if w := SensitivityWeight(d.Sensitivity); w > it.weight {
+	if k == n {
+		k = l.insertItem(a, item)
+		newRecipient = true
+	}
+	it := a.item(k)
+	if w := SensitivityWeight(sens); w > it.weight {
 		it.weight = w
 	}
-	if j, seen := slices.BinarySearch(it.rcpt, d.Recipient); !seen {
-		it.rcpt = slices.Insert(it.rcpt, j, d.Recipient)
+	if newRecipient {
+		it.recipients++
 	}
 	l.markDirty(i)
+}
+
+// insertItem inserts an empty item into a's items at its key's position,
+// which it returns.
+func (l *Ledger) insertItem(a *ownerAgg, item ItemID) int {
+	n, k := a.numItems(), 0
+	for k < n && l.keys[a.item(k).key] < l.keys[item] {
+		k++
+	}
+	if k > 0 {
+		a.rest = slices.Insert(a.rest, k-1, ledgerItem{key: item})
+		return k
+	}
+	if n > 0 {
+		a.rest = slices.Insert(a.rest, 0, a.first)
+	}
+	a.first = ledgerItem{key: item}
+	return 0
 }
 
 // RecordFeedback accounts one feedback report the owner shared with the
@@ -219,9 +290,9 @@ func (a *ownerAgg) exposure() float64 {
 		return 0
 	}
 	total := a.feedback
-	for k := range a.items {
-		it := &a.items[k]
-		total += float64(it.weight * math.Log2(1+float64(len(it.rcpt))))
+	for k := range a.numItems() {
+		it := a.item(k)
+		total += float64(it.weight * math.Log2(1+float64(it.recipients)))
 	}
 	return total
 }

@@ -35,7 +35,7 @@ func TestLedgerRecordAndQuery(t *testing.T) {
 }
 
 func TestExposureGrowsWithRecipientsAndSensitivity(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	// Owner 0: high-sensitivity item to 3 recipients.
 	for r := 1; r <= 3; r++ {
 		l.Record(Disclosure{Owner: 0, Item: "med", Sensitivity: social.High, Recipient: r, Consented: true})
@@ -62,7 +62,7 @@ func TestExposureGrowsWithRecipientsAndSensitivity(t *testing.T) {
 }
 
 func TestExposureZeroCases(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	if l.Exposure(5) != 0 {
 		t.Fatal("fresh owner exposure != 0")
 	}
@@ -74,7 +74,7 @@ func TestExposureZeroCases(t *testing.T) {
 }
 
 func TestNormalizedExposureBounds(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	for r := 1; r <= 100; r++ {
 		l.Record(Disclosure{Owner: 0, Item: "x", Sensitivity: social.High, Recipient: r, Consented: true})
 	}
@@ -92,7 +92,7 @@ func TestNormalizedExposureBounds(t *testing.T) {
 }
 
 func TestRespectRate(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	if l.RespectRate(0) != 1 {
 		t.Fatal("no-history respect rate != 1")
 	}
@@ -105,7 +105,7 @@ func TestRespectRate(t *testing.T) {
 }
 
 func TestPrivacyFacetCombines(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	// Perfect privacy: nothing disclosed.
 	if got := l.PrivacyFacet(0, 4); got != 1 {
 		t.Fatalf("untouched user facet = %v, want 1", got)

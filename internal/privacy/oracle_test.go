@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -29,6 +30,26 @@ type refLedger struct {
 }
 
 type consentTally struct{ total, ok int64 }
+
+// setLedger drives a Ledger the way the set-based ledger was driven, one
+// Disclosure at a time: it keeps every recipient each owner's item reached
+// and tells the ledger whether a disclosure's recipient is new.
+type setLedger struct {
+	*Ledger
+	seen map[reach]struct{}
+}
+
+func newSetLedger() *setLedger {
+	return &setLedger{Ledger: NewLedger(), seen: make(map[reach]struct{})}
+}
+
+func (l *setLedger) Record(d Disclosure) {
+	item := l.Item(d.Item)
+	r := reach{d.Owner, item, d.Recipient}
+	_, seen := l.seen[r]
+	l.seen[r] = struct{}{}
+	l.Ledger.Record(d.Owner, item, d.Sensitivity, d.Consented, !seen)
+}
 
 func newRefLedger() *refLedger {
 	l := &refLedger{}
@@ -174,7 +195,7 @@ func (l *refLedger) SetState(st refState) {
 // ledgerState derives the aggregate form the production ledger captures:
 // owners ascending; each owner's "feedback/…" items folded, in key order,
 // into the feedback sum exactly as Exposure folds them; the other items
-// ascending with their recipient sets sorted.
+// ascending with their recipient counts.
 func (l *refLedger) ledgerState() LedgerState {
 	var st LedgerState
 	owners := make([]int, 0, len(l.consent))
@@ -196,12 +217,7 @@ func (l *refLedger) ledgerState() LedgerState {
 				os.Feedback += float64(l.sensByOwner[o][k] * math.Log2(1+float64(len(recips))))
 				continue
 			}
-			it := ItemState{Key: k, Weight: l.sensByOwner[o][k]}
-			for r := range recips {
-				it.Recipients = append(it.Recipients, r)
-			}
-			slices.Sort(it.Recipients)
-			os.Items = append(os.Items, it)
+			os.Items = append(os.Items, ItemState{Key: k, Weight: l.sensByOwner[o][k], Recipients: int64(len(recips))})
 		}
 		st.Owners = append(st.Owners, os)
 	}
@@ -255,11 +271,12 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 	outliers := []int{4500, 6000, 1 << 40}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
-		l, ref := NewLedger(), newRefLedger()
+		l, ref := newSetLedger(), newRefLedger()
 		scales := []float64{0.5, 1, 2.5, 4}
 		scale := scales[0]
 		var saved LedgerState
 		var refSaved refState
+		seenSaved := make(map[reach]struct{})
 		fresh := 0 // fresh owners recorded so far: ids 16, 32, 48, ...
 		probe := func() []int {
 			owners := append([]int(nil), outliers...)
@@ -313,7 +330,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				if want := ref.ledgerState(); !reflect.DeepEqual(st, want) {
 					t.Fatalf("%s: State differs from oracle:\n got %+v\nwant %+v", where, st, want)
 				}
-				saved, refSaved = st, ref.State()
+				saved, refSaved, seenSaved = st, ref.State(), maps.Clone(l.seen)
 				if err := l.SetState(st); err != nil {
 					t.Fatalf("%s: SetState of a captured state: %v", where, err)
 				}
@@ -322,9 +339,10 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				if err := l.SetState(saved); err != nil {
 					t.Fatalf("%s: SetState of a captured state: %v", where, err)
 				}
+				l.seen = maps.Clone(seenSaved)
 				ref.SetState(refSaved)
 			}
-			compareLedgers(t, where, l, ref, probe(), []float64{scale, 3})
+			compareLedgers(t, where, l.Ledger, ref, probe(), []float64{scale, 3})
 		}
 		if _, ok := l.slot[1<<40]; !ok {
 			t.Fatalf("seed %d: owner 1<<40 is not in the map fallback", seed)
@@ -334,10 +352,11 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 
 // TestLedgerQueriesAllocFree pins the interaction-path ledger operations at
 // zero allocations: Exposure is one pass over the owner's items, and
-// recording an already-seen (owner, item, recipient) or a feedback report
-// of a seen owner only updates that owner's aggregate.
+// recording a disclosure of an item the owner already has, to a new
+// recipient or a seen one, or a feedback report of a seen owner only
+// updates that owner's aggregate.
 func TestLedgerQueriesAllocFree(t *testing.T) {
-	l := NewLedger()
+	l := newSetLedger()
 	for k := 0; k < 200; k++ {
 		l.Record(Disclosure{Owner: k % 7, Item: fmt.Sprintf("item/%d", k%23), Sensitivity: social.Medium, Recipient: k % 5, Consented: true})
 	}
@@ -346,10 +365,12 @@ func TestLedgerQueriesAllocFree(t *testing.T) {
 		t.Fatalf("Exposure allocates %v per call", a)
 	}
 	_ = sink
-	seen := Disclosure{Owner: 3, Item: "item/3", Sensitivity: social.Medium, Recipient: 3, Consented: true}
-	l.Record(seen)
-	if a := testing.AllocsPerRun(1000, func() { l.Record(seen) }); a != 0 {
-		t.Fatalf("re-recording a seen disclosure allocates %v per call", a)
+	l.Record(Disclosure{Owner: 3, Item: "item/3", Sensitivity: social.Medium, Recipient: 3, Consented: true})
+	item := l.Item("item/3")
+	for _, fresh := range []bool{false, true} {
+		if a := testing.AllocsPerRun(1000, func() { l.Ledger.Record(3, item, social.Medium, true, fresh) }); a != 0 {
+			t.Fatalf("recording a disclosure of a seen item (new recipient %v) allocates %v per call", fresh, a)
+		}
 	}
 	if a := testing.AllocsPerRun(1000, func() { l.RecordFeedback(3) }); a != 0 {
 		t.Fatalf("recording a feedback report allocates %v per call", a)
@@ -361,7 +382,7 @@ func TestLedgerQueriesAllocFree(t *testing.T) {
 // arrive for the dense index to cover it, and then moves into it; far
 // outliers never size the dense index past denseLimit(owners seen).
 func TestLedgerDenseIndexBounds(t *testing.T) {
-	l, ref := NewLedger(), newRefLedger()
+	l, ref := newSetLedger(), newRefLedger()
 	record := func(owner int) {
 		d := Disclosure{Owner: owner, Item: fmt.Sprintf("item/%d", owner%5), Sensitivity: social.High, Recipient: owner % 3, Consented: owner%4 != 0}
 		l.Record(d)
@@ -391,8 +412,8 @@ func TestLedgerDenseIndexBounds(t *testing.T) {
 	for o := 0; o < 100; o++ {
 		owners = append(owners, o)
 	}
-	compareLedgers(t, "dense bounds", l, ref, owners, []float64{2})
+	compareLedgers(t, "dense bounds", l.Ledger, ref, owners, []float64{2})
 	l.RefreshFacets(2)
 	ref.RefreshFacets(2)
-	compareLedgers(t, "dense bounds refreshed", l, ref, owners, []float64{2})
+	compareLedgers(t, "dense bounds refreshed", l.Ledger, ref, owners, []float64{2})
 }

@@ -23,6 +23,7 @@ var ErrDenied = errors.New("privacy: access denied")
 // itemMeta is the registry entry for a published item.
 type itemMeta struct {
 	owner       int
+	item        ItemID // the key interned in the ledger
 	sensitivity social.Sensitivity
 	policy      Policy
 	digest      [32]byte
@@ -51,7 +52,8 @@ type Notification struct {
 // sealed with an integrity MAC; every grant is ledgered; retention limits
 // are enforced by simulation events. Besides feeding the ledger's
 // aggregates, the service keeps the per-event disclosure trail the OECD
-// audit reads.
+// audit reads and the set of recipients each owner's item reached, which
+// tells the ledger whether a disclosure reached a new one.
 type Service struct {
 	ring   *dht.Ring
 	ledger *Ledger
@@ -63,6 +65,7 @@ type Service struct {
 	copies   []*grantedCopy
 	notices  []Notification
 	events   []Disclosure // every grant and leak, in recording order
+	reached  map[reach]struct{}
 
 	// Grants counts allowed requests; Denials tallies by reason.
 	Grants  int64
@@ -82,6 +85,7 @@ func NewService(ring *dht.Ring, ledger *Ledger, s *sim.Sim) (*Service, error) {
 		key:      []byte("priserv-integrity-key"),
 		registry: make(map[string]*itemMeta),
 		accesses: make(map[string]map[int]int),
+		reached:  make(map[reach]struct{}),
 		Denials:  make(map[DenyReason]int64),
 	}, nil
 }
@@ -117,6 +121,7 @@ func (s *Service) Publish(owner int, key string, data []byte, sens social.Sensit
 	}
 	s.registry[key] = &itemMeta{
 		owner:       owner,
+		item:        s.ledger.Item(key),
 		sensitivity: sens,
 		policy:      pol,
 		digest:      sha256.Sum256(data),
@@ -180,7 +185,7 @@ func (s *Service) Request(requester int, key string, op Operation, purpose Purpo
 		s.accesses[key] = make(map[int]int)
 	}
 	s.accesses[key][requester]++
-	s.record(Disclosure{
+	s.record(m.item, Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -229,7 +234,7 @@ func (s *Service) Leak(key string, recipient int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	s.record(Disclosure{
+	s.record(m.item, Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -241,10 +246,23 @@ func (s *Service) Leak(key string, recipient int) error {
 	return nil
 }
 
-// record appends a disclosure to the trail and folds it into the ledger.
-func (s *Service) record(d Disclosure) {
+// reach is one recipient an owner's item reached.
+type reach struct {
+	owner     int
+	item      ItemID
+	recipient int
+}
+
+// record appends a disclosure of item to the trail and folds it into the
+// ledger, telling it whether the recipient is new to the owner's item.
+func (s *Service) record(item ItemID, d Disclosure) {
 	s.events = append(s.events, d)
-	s.ledger.Record(d)
+	r := reach{d.Owner, item, d.Recipient}
+	_, seen := s.reached[r]
+	if !seen {
+		s.reached[r] = struct{}{}
+	}
+	s.ledger.Record(d.Owner, item, d.Sensitivity, d.Consented, !seen)
 }
 
 // Events returns every disclosure the service made, in recording order

@@ -36,11 +36,11 @@ type OwnerState struct {
 }
 
 // ItemState is one disclosed item: the maximum sensitivity weight seen for
-// it and its distinct recipients in ascending order.
+// it and the number of distinct recipients it reached.
 type ItemState struct {
 	Key        string
 	Weight     float64
-	Recipients []int
+	Recipients int64
 }
 
 // State captures the ledger's aggregates, ordered by owner id so that equal
@@ -51,8 +51,9 @@ func (l *Ledger) State() LedgerState {
 	for i := range l.owners {
 		a := &l.owners[i]
 		o := OwnerState{Owner: a.id, Total: a.total, Consented: a.ok, Feedback: a.feedback}
-		for _, it := range a.items {
-			o.Items = append(o.Items, ItemState{Key: it.key, Weight: it.weight, Recipients: slices.Clone(it.rcpt)})
+		for k := range a.numItems() {
+			it := a.item(k)
+			o.Items = append(o.Items, ItemState{Key: l.keys[it.key], Weight: it.weight, Recipients: it.recipients})
 		}
 		st.Owners = append(st.Owners, o)
 	}
@@ -63,9 +64,10 @@ func (l *Ledger) State() LedgerState {
 // Validate reports the first structural defect of a captured state: owners
 // out of order or repeated, impossible or overflowing tallies, a feedback
 // exposure that is not a sum of at most Total report terms, items out of
-// order or repeated, an item weight no sensitivity class has, recipients
-// missing, out of order or repeated, or a dirty mark naming no owner. Range
-// checks against a population belong to the caller, which knows it.
+// order or repeated, an item weight no sensitivity class has, an item that
+// reached no recipient, more new recipients than disclosures, or a dirty
+// mark naming no owner. Range checks against a population belong to the
+// caller, which knows it.
 func (st LedgerState) Validate() error {
 	if !ascending(st.Owners, func(o OwnerState) int { return o.Owner }) {
 		return errors.New("privacy: ledger owners out of order or repeated")
@@ -82,13 +84,17 @@ func (st LedgerState) Validate() error {
 		if !ascending(o.Items, func(it ItemState) string { return it.Key }) {
 			return fmt.Errorf("privacy: ledger owner %d: items out of order or repeated", o.Owner)
 		}
+		// Each new recipient came with a disclosure, so the counts sum to
+		// at most the owner's total.
+		left := o.Total
 		for _, it := range o.Items {
 			if !validWeight(it.Weight) {
 				return fmt.Errorf("privacy: ledger owner %d item %q: weight %v is no sensitivity class's", o.Owner, it.Key, it.Weight)
 			}
-			if len(it.Recipients) == 0 || !ascending(it.Recipients, func(r int) int { return r }) {
-				return fmt.Errorf("privacy: ledger owner %d item %q: recipients missing, out of order or repeated", o.Owner, it.Key)
+			if it.Recipients <= 0 || it.Recipients > left {
+				return fmt.Errorf("privacy: ledger owner %d item %q: %d recipients, want 1 to the %d disclosures left", o.Owner, it.Key, it.Recipients, left)
 			}
+			left -= it.Recipients
 		}
 	}
 	if !ascending(st.FacetDirty, func(u int) int { return u }) {
@@ -151,8 +157,13 @@ func (l *Ledger) SetState(st LedgerState) error {
 		o := &st.Owners[k]
 		a := &l.owners[l.aggregate(o.Owner)]
 		a.total, a.ok, a.feedback = o.Total, o.Consented, o.Feedback
-		for _, it := range o.Items {
-			a.items = append(a.items, ledgerItem{key: it.Key, weight: it.Weight, rcpt: slices.Clone(it.Recipients)})
+		for j, it := range o.Items {
+			li := ledgerItem{key: l.Item(it.Key), weight: it.Weight, recipients: it.Recipients}
+			if j == 0 {
+				a.first = li
+			} else {
+				a.rest = append(a.rest, li)
+			}
 		}
 		l.n += o.Total
 	}

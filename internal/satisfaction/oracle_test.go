@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -206,7 +207,7 @@ func TestConsumerPreferenceAllocFree(t *testing.T) {
 		t.Fatalf("re-folding an existing override allocates %v per call", a)
 	}
 	cands := []int32{40, 41, 42, 43, 44}
-	if a := testing.AllocsPerRun(100, func() { sink = c.ObserveAllocation(42, cands, 0.3) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { sink, _ = c.ObserveAllocation(42, cands, 0.3, true) }); a != 0 {
 		t.Fatalf("an allocation to a provider with an override allocates %v per call", a)
 	}
 }
@@ -230,15 +231,15 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 		dense bool // a consumer built with a preference for every provider
 		st    ConsumerState
 	}{
-		{"override provider at pop", false, sparse(0.5, Override{n, 0.4})},
-		{"negative override provider", false, sparse(0.5, Override{-1, 0.4})},
+		{"override provider at pop", false, sparse(0.5, Override{Provider: n, Pref: 0.4})},
+		{"negative override provider", false, sparse(0.5, Override{Provider: -1, Pref: 0.4})},
 		{"NaN default", false, sparse(math.NaN())},
 		{"default above one", false, sparse(1.5)},
-		{"NaN override", false, sparse(0.5, Override{2, math.NaN()})},
-		{"infinite override", false, sparse(0.5, Override{2, math.Inf(1)})},
-		{"negative override", false, sparse(0.5, Override{2, -0.1})},
-		{"overrides descending", false, sparse(0.5, Override{3, 0.4}, Override{2, 0.4})},
-		{"override duplicated", false, sparse(0.5, Override{2, 0.4}, Override{2, 0.6})},
+		{"NaN override", false, sparse(0.5, Override{Provider: 2, Pref: math.NaN()})},
+		{"infinite override", false, sparse(0.5, Override{Provider: 2, Pref: math.Inf(1)})},
+		{"negative override", false, sparse(0.5, Override{Provider: 2, Pref: -0.1})},
+		{"overrides descending", false, sparse(0.5, Override{Provider: 3, Pref: 0.4}, Override{Provider: 2, Pref: 0.4})},
+		{"override duplicated", false, sparse(0.5, Override{Provider: 2, Pref: 0.4}, Override{Provider: 2, Pref: 0.6})},
 		{"NaN dense preference", true, dense(0.5, math.NaN(), 0.5, 0.5, 0.5)},
 		{"dense preference above one", true, dense(0.5, 0.5, 2, 0.5, 0.5)},
 		{"NaN satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.NaN(), Started: true, N: 3}},
@@ -304,6 +305,7 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 		if err := twin.SetState(fused.State()); err != nil {
 			t.Fatal(err)
 		}
+		disclosed := make(map[int]bool) // providers the profile reached
 		for step := 0; step < 400; step++ {
 			cands := make([]int32, rng.Intn(7))
 			for i := range cands {
@@ -332,12 +334,29 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 			for i, c := range cands {
 				wide[i] = int(c)
 			}
-			got := fused.ObserveAllocation(chosen, cands, q)
+			disclose := rng.Bool(0.7)
+			got, first := fused.ObserveAllocation(chosen, cands, q, disclose)
 			want := twin.ObserveQuality(chosen, wide, q)
 			twin.UpdatePreference(chosen, q)
-			where := fmt.Sprintf("seed %d step %d: chosen %d of %v, quality %v", seed, step, chosen, cands, q)
+			valid := chosen >= 0 && chosen < n
+			wantFirst := disclose && valid && !disclosed[chosen]
+			if wantFirst {
+				disclosed[chosen] = true
+			}
+			where := fmt.Sprintf("seed %d step %d: chosen %d of %v, quality %v, disclose %v", seed, step, chosen, cands, q, disclose)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: allocation satisfaction %v, oracle %v", where, got, want)
+			}
+			if first != wantFirst {
+				t.Fatalf("%s: first disclosure %v, want %v", where, first, wantFirst)
+			}
+			for _, o := range fused.State().Overrides {
+				if o.Disclosed != disclosed[int(o.Provider)] {
+					t.Fatalf("%s: provider %d flagged %v, want %v", where, o.Provider, o.Disclosed, disclosed[int(o.Provider)])
+				}
+			}
+			if got := fused.State().Disclosed(); got != int64(len(disclosed)) {
+				t.Fatalf("%s: %d providers flagged, want %d", where, got, len(disclosed))
 			}
 			if gs, ws := fused.State(), twin.State(); !sameConsumerBits(gs, ws) {
 				t.Fatalf("%s: state %+v, oracle %+v", where, gs, ws)
@@ -388,5 +407,13 @@ func TestProviderSetStateRejectsHostile(t *testing.T) {
 				t.Fatalf("rejected state changed the provider: %+v, want %+v", got, before)
 			}
 		})
+	}
+}
+
+// TestOverrideSize pins an override at 16 bytes: the disclosure flag sits in
+// the padding after the provider id.
+func TestOverrideSize(t *testing.T) {
+	if got := unsafe.Sizeof(Override{}); got != 16 {
+		t.Fatalf("Override is %d bytes, want 16", got)
 	}
 }

@@ -48,10 +48,13 @@ type Consumer struct {
 	started   bool
 }
 
-// Override is one provider's own preference, shadowing the default.
+// Override is one provider's own preference, shadowing the default, and
+// whether the consumer has disclosed its profile to that provider. The flag
+// sits in the padding after Provider, so an override stays 16 bytes.
 type Override struct {
-	Provider int32
-	Pref     float64
+	Provider  int32
+	Disclosed bool
+	Pref      float64
 }
 
 // overrideCap is the capacity a uniform consumer's overrides start with:
@@ -102,7 +105,12 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 }
 
 // ObserveAllocation records one allocation together with the quality the
-// chosen provider delivered, and returns the allocation satisfaction.
+// chosen provider delivered, and returns the allocation satisfaction. When
+// disclose is set the allocation also disclosed the consumer's profile to
+// chosen (a served interaction does; a refused one does not), and first
+// reports whether that is the first disclosure to chosen: the chosen
+// provider's override is the one record of who holds the profile, so the
+// caller's ledger keeps only a count of first disclosures.
 //
 // The allocation satisfaction is adequacy × quality. Adequacy is how well
 // allocating chosen matched the consumer's intention given the candidate
@@ -120,10 +128,10 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 // prefers").
 //
 // It is one pass over the overrides: each candidate's override is searched
-// once, and the chosen provider's slot serves both the adequacy and the
-// preference update, so the update inserts at most once and searches again
-// only when chosen is not a candidate.
-func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64) float64 {
+// once, and the chosen provider's slot serves the adequacy, the preference
+// update and the disclosure flag, so the update inserts at most once and
+// searches again only when chosen is not a candidate.
+func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64, disclose bool) (a float64, first bool) {
 	q := clamp01(quality)
 	valid := chosen >= 0 && chosen < c.pop
 	adequacy := 0.0
@@ -159,10 +167,10 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 			adequacy = c.def / best
 		}
 	}
-	a := adequacy * q
+	a = adequacy * q
 	c.fold(a)
 	if !valid {
-		return a
+		return a, false
 	}
 	if !found {
 		if c.overrides == nil {
@@ -172,7 +180,10 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 	}
 	o := &c.overrides[slot]
 	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*q)
-	return a
+	if disclose && !o.Disclosed {
+		o.Disclosed, first = true, true
+	}
+	return a, first
 }
 
 // ObserveFailure records an allocation round in which the consumer got no

@@ -11,7 +11,8 @@ import (
 // carried, so snapshot size tracks interactions rather than population².
 type ConsumerState struct {
 	// Provider count, shared default, and deviations (strictly ascending
-	// by provider, so the encoded bytes do not depend on map order).
+	// by provider, so the encoded bytes do not depend on map order), each
+	// with its disclosure flag.
 	Pop       int
 	Def       float64
 	Overrides []Override
@@ -27,6 +28,18 @@ func (c *Consumer) State() ConsumerState {
 		st.Overrides = slices.Clone(c.overrides)
 	}
 	return st
+}
+
+// Disclosed counts the providers st records a profile disclosure to: the
+// distinct recipients of the consumer's profile.
+func (st ConsumerState) Disclosed() int64 {
+	var n int64
+	for _, o := range st.Overrides {
+		if o.Disclosed {
+			n++
+		}
+	}
+	return n
 }
 
 // validPref reports whether v is a preference a consumer can hold: a

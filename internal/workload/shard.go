@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/adversary"
-	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/sim"
 	"repro/internal/social"
@@ -257,26 +256,36 @@ func (e *Engine) gather(st *RoundStats) {
 			st.BadService++
 			st.Refused++
 			e.recordServed(provider, 0)
-			e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), 0)
+			e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), 0, false)
 			e.offerReport(tx, consumer, provider, 0)
 			continue
 		}
-		e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality)
+		// Being served discloses the consumer's profile to the provider; the
+		// consumer's override for the provider says whether it is the first
+		// time.
+		_, first := e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality, true)
 		if r.quality < 0.5 {
 			st.BadService++
 		}
 		e.recordServed(provider, r.quality)
-		// Interacting discloses the consumer's profile to the provider.
-		e.ledger.Record(privacy.Disclosure{
-			Owner:       consumer,
-			Item:        profileKey,
-			Sensitivity: social.Medium,
-			Recipient:   provider,
-			Purpose:     privacy.SocialUse,
-			Consented:   true,
-		})
+		e.disclosures = append(e.disclosures, profileDisclosure{int32(consumer), first})
 		e.offerReport(tx, consumer, provider, r.rating)
 	}
+	// The ledger takes the round's profile disclosures in one pass after
+	// the merge. Nothing in the merge reads the ledger, so its state and
+	// dirty order are those of recording each in place, and the records,
+	// independent of one another, overlap their memory accesses.
+	for _, d := range e.disclosures {
+		e.ledger.Record(int(d.owner), e.profile, social.Medium, true, d.first)
+	}
+	e.disclosures = e.disclosures[:0]
+}
+
+// profileDisclosure is one served interaction's disclosure of its
+// consumer's profile: first is set when the provider is a new recipient.
+type profileDisclosure struct {
+	owner int32
+	first bool
 }
 
 // recordServed folds one served (or refused, quality 0) interaction into the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/adversary"
 	"repro/internal/privacy"
@@ -139,11 +140,11 @@ func (e *Engine) Restore(st EngineState) error {
 			return fmt.Errorf("workload: snapshot activity stream: %w", err)
 		}
 	}
-	if st.TrustGate < 0 || st.TrustGate >= 1 {
+	if !(0 <= st.TrustGate && st.TrustGate < 1) {
 		return fmt.Errorf("workload: snapshot trust gate %v out of [0,1)", st.TrustGate)
 	}
-	if !(st.LedgerScale > 0) {
-		return fmt.Errorf("workload: snapshot exposure scale %v is not positive", st.LedgerScale)
+	if !(0 < st.LedgerScale && st.LedgerScale <= math.MaxFloat64) {
+		return fmt.Errorf("workload: snapshot exposure scale %v is not positive and finite", st.LedgerScale)
 	}
 	if err := checkServed(st.ServedCount, st.QualSum); err != nil {
 		return err
@@ -165,7 +166,7 @@ func (e *Engine) Restore(st EngineState) error {
 			return fmt.Errorf("workload: snapshot peer %d has unknown behaviour class %d", id, int(c))
 		}
 	}
-	if err := checkLedgerState(st.Ledger, n); err != nil {
+	if err := checkLedgerState(st.Ledger, st.Consumers); err != nil {
 		return err
 	}
 	// The mechanism blob goes last: its restore is the one fallible write,
@@ -241,21 +242,18 @@ func checkServed(count []int, qual []float64) error {
 }
 
 // checkLedgerState rejects a snapshot ledger that is malformed (see
-// privacy.LedgerState.Validate) or names users outside the population:
-// owners and dirty marks must be users, recipients users or -1 (the
-// reputation mechanism). The epoch tail indexes per-user state by these
-// ids, so an out-of-range one would crash or corrupt a later epoch.
-func checkLedgerState(st privacy.LedgerState, n int) error {
+// privacy.LedgerState.Validate), names users outside the population as
+// owners or dirty marks, or disagrees with the consumers' disclosure flags:
+// the engine discloses one item, profileKey, and its count of recipients
+// must equal the number of providers the consumer's overrides flag as
+// disclosed to. The epoch tail indexes per-user state by these ids, so an
+// out-of-range one would crash or corrupt a later epoch, and a count apart
+// from the flags would drift further from them with every interaction.
+func checkLedgerState(st privacy.LedgerState, consumers []satisfaction.ConsumerState) error {
+	n := len(consumers)
 	for _, o := range st.Owners {
 		if o.Owner < 0 || o.Owner >= n {
 			return fmt.Errorf("workload: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
-		}
-		for _, it := range o.Items {
-			for _, r := range it.Recipients {
-				if r < -1 || r >= n {
-					return fmt.Errorf("workload: snapshot ledger owner %d item %q: recipient %d out of range [-1,%d)", o.Owner, it.Key, r, n)
-				}
-			}
 		}
 	}
 	for _, u := range st.FacetDirty {
@@ -265,6 +263,25 @@ func checkLedgerState(st privacy.LedgerState, n int) error {
 	}
 	if err := st.Validate(); err != nil {
 		return fmt.Errorf("workload: snapshot %w", err)
+	}
+	// Owners ascend (Validate checked), so one merge walk pairs each
+	// consumer with its aggregate, if any.
+	owners := st.Owners
+	for u := range consumers {
+		var count int64
+		if len(owners) > 0 && owners[0].Owner == u {
+			items := owners[0].Items
+			owners = owners[1:]
+			if len(items) > 1 || len(items) == 1 && items[0].Key != profileKey {
+				return fmt.Errorf("workload: snapshot ledger owner %d discloses items other than %q", u, profileKey)
+			}
+			if len(items) == 1 {
+				count = items[0].Recipients
+			}
+		}
+		if flags := consumers[u].Disclosed(); flags != count {
+			return fmt.Errorf("workload: snapshot ledger owner %d: profile reached %d recipients, but the consumer flags %d", u, count, flags)
+		}
 	}
 	return nil
 }

@@ -277,8 +277,12 @@ type Engine struct {
 	// disclosed to the provider on each interaction, and each feedback
 	// report disclosed to the mechanism. ledgerScale is its exposure
 	// normalization scale (Config.ExposureScale, changed by SetLedgerScale).
+	// profile is profileKey interned in the ledger. Each consumer's
+	// preference overrides flag the providers its profile reached, so the
+	// ledger's profile count is the consumer's number of flags.
 	ledger      *privacy.Ledger
 	ledgerScale float64
+	profile     privacy.ItemID //trustlint:derived interned at construction; interned keys outlive the ledger's SetState
 	// GateFailures counts allocation rounds where the trust gate left no
 	// eligible candidate.
 	GateFailures int64
@@ -314,12 +318,13 @@ type Engine struct {
 	// not part of EngineState.
 	pending []reputation.Report //trustlint:derived always empty between rounds, when snapshots are taken
 	// The round buffers (see shard.go): one plan, one result and one
-	// CandidateSize-id candidate slot per interaction, one scratch per
-	// scatter chunk, the inputs the scatter reads, and the scatter body,
-	// built once.
+	// CandidateSize-id candidate slot per interaction, the served
+	// interactions' profile disclosures, one scratch per scatter chunk, the
+	// inputs the scatter reads, and the scatter body, built once.
 	plans        []interactionPlan   //trustlint:derived round buffer, empty between rounds
 	results      []interactionResult //trustlint:derived round buffer, empty between rounds
 	cands        []int32             //trustlint:derived round buffer, empty between rounds
+	disclosures  []profileDisclosure //trustlint:derived round buffer, empty between rounds
 	chunks       []chunkScratch      //trustlint:derived scatter scratch, contents never outlive one simulation
 	in           roundInputs         //trustlint:derived set for one scatter and cleared after it
 	scatterChunk func(lo, hi int)    //trustlint:derived built once by NewEngine
@@ -414,6 +419,7 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		ledger:      privacy.NewLedger(),
 		ledgerScale: cfg.ExposureScale,
 	}
+	e.profile = e.ledger.Item(profileKey)
 	e.scatterChunk = e.newScatterChunk()
 	e.rebuildColluders()
 	if cfg.ActivitySkew > 0 {

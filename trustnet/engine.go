@@ -47,9 +47,9 @@ func (e *Engine) Classes() []Class { return e.dyn.Engine().Classes() }
 // (the population size minus users removed by LeaveWave interventions).
 func (e *Engine) ActivePeers() int { return e.dyn.Engine().ActivePeers() }
 
-// Ledger returns the disclosure ledger accounting every information flow
-// of the scenario.
-func (e *Engine) Ledger() *Ledger { return e.dyn.Engine().Ledger() }
+// Ledger returns a read-only view of the disclosure ledger accounting every
+// information flow of the scenario.
+func (e *Engine) Ledger() LedgerView { return LedgerView{e.dyn.Engine().Ledger()} }
 
 // TrustModel returns the per-user trust state.
 func (e *Engine) TrustModel() *TrustModel { return e.dyn.TrustModel() }

@@ -28,6 +28,15 @@ type Ledger = privacy.Ledger
 // Disclosure is one ledgered information flow.
 type Disclosure = privacy.Disclosure
 
+// LedgerView reads an engine's disclosure ledger. Only the engine writes
+// it: each consumer's preference overrides flag the providers its profile
+// reached, and the ledger's profile counts must stay equal to those flags.
+type LedgerView struct{ l *privacy.Ledger }
+
+// Len returns the number of recorded disclosures, feedback reports
+// included.
+func (v LedgerView) Len() int { return v.l.Len() }
+
 // NewLedger creates an empty disclosure ledger.
 func NewLedger() *Ledger { return privacy.NewLedger() }
 

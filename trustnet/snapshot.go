@@ -35,7 +35,14 @@ import (
 // the gatherer's per-rater counts and each consumer's preference overrides
 // are ascending lists instead of maps, so encoding a snapshot twice gives
 // the same bytes. A v4 blob would gob-decode into an empty engine ledger.
-const snapshotVersion = 5
+//
+// v6: a ledger item carries the number of distinct recipients it reached
+// instead of their ids, and each consumer's preference override carries a
+// flag for a provider its profile was disclosed to; restore refuses a
+// profile count that differs from the consumer's flags. A v5 item's
+// recipient list does not decode into a count, and a v5 override has no
+// flag, so every v5 profile count would disagree with its consumer.
+const snapshotVersion = 6
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer

@@ -246,9 +246,9 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 	n := eng.Peers()
 	// withItems returns the first owner disclosing an item to at least
 	// minRcpt recipients.
-	withItems := func(t *testing.T, st *privacy.LedgerState, minRcpt int) *privacy.OwnerState {
+	withItems := func(t *testing.T, st *privacy.LedgerState, minRcpt int64) *privacy.OwnerState {
 		for k := range st.Owners {
-			if o := &st.Owners[k]; len(o.Items) > 0 && len(o.Items[0].Recipients) >= minRcpt {
+			if o := &st.Owners[k]; len(o.Items) > 0 && o.Items[0].Recipients >= minRcpt {
 				return o
 			}
 		}
@@ -266,20 +266,9 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 		{"owner = peers", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = n }},
 		{"owners unsorted", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0], st.Owners[1] = st.Owners[1], st.Owners[0] }},
 		{"owner duplicated", func(t *testing.T, st *privacy.LedgerState) { st.Owners[1].Owner = st.Owners[0].Owner }},
-		{"recipient below -1", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients[0] = -2 }},
-		{"recipient = peers", func(t *testing.T, st *privacy.LedgerState) {
-			r := withItems(t, st, 1).Items[0].Recipients
-			r[len(r)-1] = n
-		}},
-		{"recipients unsorted", func(t *testing.T, st *privacy.LedgerState) {
-			r := withItems(t, st, 2).Items[0].Recipients
-			r[0], r[1] = r[1], r[0]
-		}},
-		{"recipient duplicated", func(t *testing.T, st *privacy.LedgerState) {
-			r := withItems(t, st, 2).Items[0].Recipients
-			r[1] = r[0]
-		}},
-		{"item without recipients", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients = nil }},
+		// As many recipients as peers: more than any consumer flags, and
+		// more than the owner's disclosures when those are fewer.
+		{"recipient = peers", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients = int64(n) }},
 		{"dirty owner out of range", func(t *testing.T, st *privacy.LedgerState) { st.FacetDirty = append(st.FacetDirty, 1<<62) }},
 		{"consented > total", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = st.Owners[0].Total + 1 }},
 		{"negative consented", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = -1 }},
@@ -291,7 +280,7 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 		}},
 		{"item keys unsorted", func(t *testing.T, st *privacy.LedgerState) {
 			o := withItems(t, st, 1)
-			o.Items = append(o.Items, privacy.ItemState{Key: "a", Weight: 0.5, Recipients: []int{0}})
+			o.Items = append(o.Items, privacy.ItemState{Key: "a", Weight: 0.5, Recipients: 1})
 		}},
 		{"item key duplicated", func(t *testing.T, st *privacy.LedgerState) {
 			o := withItems(t, st, 1)
@@ -335,6 +324,17 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restores perturbed the continuation")
 	}
+}
+
+// profileOf returns the first ledger owner's profile item.
+func profileOf(t *testing.T, st *core.DynamicsState) *privacy.ItemState {
+	for k := range st.Engine.Ledger.Owners {
+		if o := &st.Engine.Ledger.Owners[k]; len(o.Items) > 0 {
+			return &o.Items[0]
+		}
+	}
+	t.Fatal("snapshot ledger has no item to corrupt")
+	return nil
 }
 
 // TestRestoreRejectsHostileUserState feeds snapshots whose per-user trust,
@@ -477,6 +477,34 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"gatherer stream spare +Inf", "gatherer", func(t *testing.T, st *core.DynamicsState) {
 			st.Engine.Gatherer.RNG.Spare, st.Engine.Gatherer.RNG.HasSpare = math.Inf(1), true
 		}},
+		{"trust gate NaN", "trust gate", func(t *testing.T, st *core.DynamicsState) { st.Engine.TrustGate = math.NaN() }},
+		{"exposure scale +Inf", "exposure scale", func(t *testing.T, st *core.DynamicsState) { st.Engine.LedgerScale = math.Inf(1) }},
+		{"base disclosure NaN", "base disclosure", func(t *testing.T, st *core.DynamicsState) { st.BaseDisclosure = math.NaN() }},
+		{"base honesty NaN", "base honesty", func(t *testing.T, st *core.DynamicsState) { st.BaseHonesty = math.NaN() }},
+		// The ledger's profile count must equal the consumer's disclosure
+		// flags, whichever side is off.
+		{"disclosure flag without a ledger count", "consumer flags", func(t *testing.T, st *core.DynamicsState) {
+			for _, c := range st.Engine.Consumers {
+				for k := range c.Overrides {
+					if !c.Overrides[k].Disclosed {
+						c.Overrides[k].Disclosed = true
+						return
+					}
+				}
+			}
+			t.Fatal("snapshot has no undisclosed override to flag")
+		}},
+		{"ledger count above the disclosure flags", "consumer flags", func(t *testing.T, st *core.DynamicsState) {
+			for k := range st.Engine.Ledger.Owners {
+				if o := &st.Engine.Ledger.Owners[k]; len(o.Items) > 0 && o.Items[0].Recipients < o.Total {
+					o.Items[0].Recipients++
+					return
+				}
+			}
+			t.Fatal("snapshot ledger has no profile count to raise")
+		}},
+		{"ledger item count 0", "recipients", func(t *testing.T, st *core.DynamicsState) { profileOf(t, st).Recipients = 0 }},
+		{"ledger item count -1", "recipients", func(t *testing.T, st *core.DynamicsState) { profileOf(t, st).Recipients = -1 }},
 		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
 			var et etState
 			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
@@ -988,11 +1016,35 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	}
 	v4 := v4Snapshot{Version: 4, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
 	v4.State.Ledger.Owners = []v4Owner{{Owner: 4, Total: 2, Consented: 2}}
+	// A v5-era stand-in: a ledger item listed its recipients, which does
+	// not decode into a count.
+	type v5Item struct {
+		Key        string
+		Recipients []int
+	}
+	type v5Owner struct {
+		Owner int
+		Items []v5Item
+	}
+	type v5State struct {
+		Engine struct{ Ledger struct{ Owners []v5Owner } }
+		Epoch  int
+	}
+	type v5Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v5State
+	}
+	v5 := v5Snapshot{Version: 5, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
+	v5.State.Engine.Ledger.Owners = []v5Owner{{Owner: 4, Items: []v5Item{{Key: "profile", Recipients: []int{7, 9}}}}}
 	for _, blob := range []any{
 		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
 		v2,
 		v3,
 		v4,
+		v5,
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -1002,7 +1054,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("old-version snapshot %T decoded without error", blob)
 		}
-		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 5)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 6)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
 			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
 		}
 	}
