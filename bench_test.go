@@ -568,24 +568,3 @@ func BenchmarkWorkloadRound(b *testing.B) {
 		eng.Round()
 	}
 }
-
-// BenchmarkAblationCombine contrasts the geometric metric with the
-// arithmetic ablation (cost and behaviour are both of interest).
-func BenchmarkAblationCombine(b *testing.B) {
-	f := core.Facets{Satisfaction: 0.8, Reputation: 0.6, Privacy: 0.9}
-	w := core.DefaultWeights()
-	b.Run("geometric", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Combine(f, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("arithmetic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.CombineArithmetic(f, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -58,14 +58,10 @@ func runE9(w io.Writer, p params) error {
 			granted++
 		}
 		s.After(1, func() {}) // advance virtual time between requests
-		if err := s.Run(0); err != nil {
-			return err
-		}
+		s.Run(0)
 	}
 	// Let all retention expiries fire.
-	if err := s.Run(s.Now() + 2000); err != nil {
-		return err
-	}
+	s.Run(s.Now() + 2000)
 
 	results := trustnet.AuditPrivacy(svc, ledger, s.Now())
 	tab := trustnet.NewTable(

@@ -51,8 +51,10 @@ func DefaultWeights() Weights { return Weights{1, 1, 1} }
 
 // Validate checks the weights.
 func (w Weights) Validate() error {
-	if w.Satisfaction < 0 || w.Reputation < 0 || w.Privacy < 0 {
-		return fmt.Errorf("core: negative facet weight %+v", w)
+	for _, v := range []float64{w.Satisfaction, w.Reputation, w.Privacy} {
+		if !(0 <= v && v <= math.MaxFloat64) {
+			return fmt.Errorf("core: facet weight %v in %+v is not a finite non-negative number", v, w)
+		}
 	}
 	if w.Satisfaction+w.Reputation+w.Privacy == 0 {
 		return fmt.Errorf("core: all facet weights are zero")
@@ -141,20 +143,6 @@ func Combine(f Facets, w Weights) (float64, error) {
 	return math.Exp(logSum / total), nil
 }
 
-// CombineArithmetic is the ablation variant of the metric: a weighted
-// arithmetic mean, which allows one facet to compensate for another's
-// collapse. The ablation benchmark contrasts the two.
-func CombineArithmetic(f Facets, w Weights) (float64, error) {
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if !f.Valid() {
-		return 0, fmt.Errorf("core: facets %+v out of [0,1]", f)
-	}
-	total := w.Satisfaction + w.Reputation + w.Privacy
-	return (float64(w.Satisfaction*f.Satisfaction) + float64(w.Reputation*f.Reputation) + float64(w.Privacy*f.Privacy)) / total, nil
-}
-
 // TrustModel tracks per-user trust towards the system, smoothed with
 // inertia: trust is a durable judgment, not an instantaneous readout.
 // Users may carry individual weight profiles (§3: "each user of the system
@@ -210,14 +198,11 @@ func NewTrustModel(n int, w Weights, inertia float64) (*TrustModel, error) {
 }
 
 func checkInertia(inertia float64) error {
-	if inertia < 0 || inertia >= 1 {
+	if !(0 <= inertia && inertia < 1) {
 		return fmt.Errorf("core: inertia %v out of [0,1)", inertia)
 	}
 	return nil
 }
-
-// N returns the number of users tracked.
-func (m *TrustModel) N() int { return len(m.trust) }
 
 // SetUserWeights installs an individual weight profile for one user,
 // overriding the model default (a privacy-sensitive user may weigh the
@@ -424,11 +409,6 @@ func (m *TrustModel) growSettled(count int) []bool {
 // fixed point.
 func (m *TrustModel) SettledCount() int { return m.settledCount }
 
-// Settled reports whether one user is at her bitwise trust fixed point.
-func (m *TrustModel) Settled(user int) bool {
-	return user >= 0 && user < len(m.settled) && m.settled[user]
-}
-
 // UnsettledIDs returns the ascending ids of users not yet settled. The slice
 // is owned by the model and valid until the next update.
 func (m *TrustModel) UnsettledIDs() []int { return m.unsettled }
@@ -439,13 +419,6 @@ func (m *TrustModel) Trust(user int) float64 {
 		return 0
 	}
 	return m.trust[user]
-}
-
-// Trusts returns all users' trust values.
-func (m *TrustModel) Trusts() []float64 {
-	out := make([]float64, len(m.trust))
-	copy(out, m.trust)
-	return out
 }
 
 // GlobalTrust is the system-level trust: the mean over users (§3

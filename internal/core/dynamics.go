@@ -56,7 +56,7 @@ func (c DynamicsConfig) withDefaults() (DynamicsConfig, error) {
 		return c, err
 	}
 	c.BaseHonesty = workload.OrDefault(c.BaseHonesty, 0.3)
-	if c.BaseHonesty < 0 || c.BaseHonesty > 1 {
+	if !(0 <= c.BaseHonesty && c.BaseHonesty <= 1) {
 		return c, fmt.Errorf("core: base honesty %v out of [0,1]", c.BaseHonesty)
 	}
 	if c.EpochRounds < 0 {

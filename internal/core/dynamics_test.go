@@ -159,7 +159,7 @@ func TestTrustModelAccessors(t *testing.T) {
 	if _, err := d.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if d.TrustModel().N() != 40 {
+	if len(d.TrustModel().trust) != 40 {
 		t.Fatal("trust model size")
 	}
 	if d.Engine() == nil {

@@ -32,7 +32,7 @@ func settleModel(t testing.TB, n int) (*TrustModel, func(int) Facets) {
 func TestSettledUpdateIsNoOp(t *testing.T) {
 	const n = 513
 	m, facetOf := settleModel(t, n)
-	before := append([]float64(nil), m.Trusts()...)
+	before := append([]float64(nil), m.trust...)
 	root := m.GlobalTrust()
 	cands := []int{0, 7, 250, 512}
 	if err := m.UpdateScattered(cands, false, facetOf, 1); err != nil {

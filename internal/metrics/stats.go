@@ -37,9 +37,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += float64(delta * (x - s.mean))
 }
 
-// N returns the number of observations.
-func (s *Stream) N() int64 { return s.n }
-
 // Mean returns the running mean (0 for an empty stream).
 func (s *Stream) Mean() float64 { return s.mean }
 
@@ -59,28 +56,6 @@ func (s *Stream) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 for an empty stream).
 func (s *Stream) Max() float64 { return s.max }
-
-// Merge folds another stream into s (parallel-Welford combination).
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
 
 // Quantile returns the q-quantile of xs using linear interpolation between
 // the order statistics at floor and ceil of q·(len(xs)−1), ordered as

@@ -88,9 +88,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// NumRows reports the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s

@@ -21,8 +21,8 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tab.NumRows())
+	if len(tab.rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.rows))
 	}
 }
 

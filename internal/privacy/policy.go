@@ -25,22 +25,6 @@ const (
 	Aggregate // statistical use, e.g. by the reputation mechanism
 )
 
-// String returns the operation name.
-func (o Operation) String() string {
-	switch o {
-	case Read:
-		return "read"
-	case Write:
-		return "write"
-	case Share:
-		return "share"
-	case Aggregate:
-		return "aggregate"
-	default:
-		return fmt.Sprintf("operation(%d)", int(o))
-	}
-}
-
 // Purpose is the declared reason for an access (P3P purpose specification).
 type Purpose int
 
@@ -53,24 +37,6 @@ const (
 	MaintenanceUse
 )
 
-// String returns the purpose name.
-func (p Purpose) String() string {
-	switch p {
-	case SocialUse:
-		return "social"
-	case ReputationUse:
-		return "reputation"
-	case ResearchUse:
-		return "research"
-	case CommercialUse:
-		return "commercial"
-	case MaintenanceUse:
-		return "maintenance"
-	default:
-		return fmt.Sprintf("purpose(%d)", int(p))
-	}
-}
-
 // Obligation is a duty attached to a granted access.
 type Obligation int
 
@@ -80,20 +46,6 @@ const (
 	DeleteAfterUse
 	NoForward
 )
-
-// String returns the obligation name.
-func (o Obligation) String() string {
-	switch o {
-	case NotifyOwner:
-		return "notify-owner"
-	case DeleteAfterUse:
-		return "delete-after-use"
-	case NoForward:
-		return "no-forward"
-	default:
-		return fmt.Sprintf("obligation(%d)", int(o))
-	}
-}
 
 // Conditions are the access conditions of a policy.
 type Conditions struct {

@@ -161,21 +161,10 @@ func TestSensitivityWeightMonotone(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	if Read.String() != "read" || Aggregate.String() != "aggregate" {
-		t.Fatal("operation names")
-	}
-	if ReputationUse.String() != "reputation" || CommercialUse.String() != "commercial" {
-		t.Fatal("purpose names")
-	}
-	if NotifyOwner.String() != "notify-owner" {
-		t.Fatal("obligation names")
-	}
 	if DenyInsufficientTrust.String() != "insufficient-trust" || DenyNone.String() != "allowed" {
 		t.Fatal("reason names")
 	}
-	for _, s := range []string{Operation(9).String(), Purpose(9).String(), Obligation(9).String(), DenyReason(9).String()} {
-		if s == "" {
-			t.Fatal("unknown enum empty name")
-		}
+	if DenyReason(9).String() == "" {
+		t.Fatal("unknown enum empty name")
 	}
 }

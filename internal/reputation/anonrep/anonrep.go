@@ -49,14 +49,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Granularity == 0 {
 		c.Granularity = 0.1
 	}
-	if c.Granularity < 0 || c.Granularity > 1 {
+	if !(0 <= c.Granularity && c.Granularity <= 1) {
 		return c, fmt.Errorf("anonrep: granularity %v out of (0,1]", c.Granularity)
 	}
-	if c.Noise < 0 {
-		return c, fmt.Errorf("anonrep: negative noise %v", c.Noise)
+	if !(0 <= c.Noise && c.Noise <= math.MaxFloat64) {
+		return c, fmt.Errorf("anonrep: noise %v is not a finite non-negative number", c.Noise)
 	}
 	if c.PriorStrength <= 0 {
 		c.PriorStrength = 4
+	}
+	if !(0 < c.PriorStrength && c.PriorStrength <= math.MaxFloat64) {
+		return c, fmt.Errorf("anonrep: prior strength %v is not a finite positive number", c.PriorStrength)
 	}
 	return c, nil
 }

@@ -6,6 +6,7 @@ package eigentrust
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/reputation"
 )
@@ -41,11 +42,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Alpha == 0 {
 		c.Alpha = 0.15
 	}
-	if c.Alpha < 0 || c.Alpha > 1 {
+	if !(0 <= c.Alpha && c.Alpha <= 1) {
 		return c, fmt.Errorf("eigentrust: alpha %v out of [0,1]", c.Alpha)
 	}
 	if c.Epsilon <= 0 {
 		c.Epsilon = 1e-6
+	}
+	if !(0 < c.Epsilon && c.Epsilon <= math.MaxFloat64) {
+		return c, fmt.Errorf("eigentrust: epsilon %v is not a finite positive number", c.Epsilon)
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200

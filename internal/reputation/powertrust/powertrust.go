@@ -7,6 +7,7 @@ package powertrust
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/reputation"
 )
@@ -47,11 +48,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Alpha == 0 {
 		c.Alpha = 0.15
 	}
-	if c.Alpha < 0 || c.Alpha > 1 {
+	if !(0 <= c.Alpha && c.Alpha <= 1) {
 		return c, fmt.Errorf("powertrust: alpha %v out of [0,1]", c.Alpha)
 	}
 	if c.Epsilon <= 0 {
 		c.Epsilon = 1e-6
+	}
+	if !(0 < c.Epsilon && c.Epsilon <= math.MaxFloat64) {
+		return c, fmt.Errorf("powertrust: epsilon %v is not a finite positive number", c.Epsilon)
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200

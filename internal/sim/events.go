@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"errors"
-	"fmt"
-)
+import "container/heap"
 
 // Time is the virtual simulation time in abstract ticks. Experiments treat a
 // tick as "one unit of network latency" unless stated otherwise.
@@ -41,18 +37,13 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// ErrHalted is returned by Run when the simulation was stopped via Halt
-// before the event queue drained or the horizon was reached.
-var ErrHalted = errors.New("sim: halted")
-
 // Sim is a single-threaded discrete-event simulation loop.
 //
 // The zero value is ready to use; Now starts at 0.
 type Sim struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	halted bool
+	now   Time
+	queue eventHeap
+	seq   uint64
 	// Steps counts executed events.
 	Steps int64
 }
@@ -84,48 +75,16 @@ func (s *Sim) After(d Time, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Every schedules fn at now+d, now+2d, ... until the returned cancel
-// function is called. d must be positive; d <= 0 is rejected.
-func (s *Sim) Every(d Time, fn func()) (cancel func(), err error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("sim: Every period must be positive, got %d", d)
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			s.After(d, tick)
-		}
-	}
-	s.After(d, tick)
-	return func() { stopped = true }, nil
-}
-
-// Halt stops the run loop after the current event returns.
-func (s *Sim) Halt() { s.halted = true }
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }
-
 // Run executes events in timestamp order until the queue is empty or the
-// clock would pass horizon (horizon <= 0 means no horizon). It returns
-// ErrHalted if Halt was called.
-func (s *Sim) Run(horizon Time) error {
-	s.halted = false
+// clock would pass horizon (horizon <= 0 means no horizon).
+func (s *Sim) Run(horizon Time) {
 	for len(s.queue) > 0 {
-		if s.halted {
-			return ErrHalted
-		}
 		e := heap.Pop(&s.queue).(*Event)
 		if horizon > 0 && e.At > horizon {
 			// Put it back for a later Run call and stop at the horizon.
 			heap.Push(&s.queue, e)
 			s.now = horizon
-			return nil
+			return
 		}
 		s.now = e.At
 		s.Steps++
@@ -134,5 +93,4 @@ func (s *Sim) Run(horizon Time) error {
 	if horizon > 0 && s.now < horizon {
 		s.now = horizon
 	}
-	return nil
 }

@@ -99,16 +99,6 @@ func (r *RNG) NormFloat64() float64 {
 	return u * f
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

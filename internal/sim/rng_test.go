@@ -129,18 +129,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(19)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(23)
 	for _, n := range []int{0, 1, 2, 10, 100} {

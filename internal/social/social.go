@@ -22,22 +22,6 @@ const (
 	High
 )
 
-// String returns the sensitivity name.
-func (s Sensitivity) String() string {
-	switch s {
-	case Public:
-		return "public"
-	case Low:
-		return "low"
-	case Medium:
-		return "medium"
-	case High:
-		return "high"
-	default:
-		return fmt.Sprintf("sensitivity(%d)", int(s))
-	}
-}
-
 // Attribute is one profile field.
 type Attribute struct {
 	Name        string
@@ -48,16 +32,6 @@ type Attribute struct {
 // Profile is a user's set of attributes.
 type Profile struct {
 	Attributes []Attribute
-}
-
-// Attribute returns the named attribute and whether it exists.
-func (p Profile) Attribute(name string) (Attribute, bool) {
-	for _, a := range p.Attributes {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Attribute{}, false
 }
 
 // StandardProfile builds the default attribute set used in experiments:

@@ -115,15 +115,8 @@ func TestFriendsOfIndexesGraph(t *testing.T) {
 }
 
 func TestProfileAttribute(t *testing.T) {
+	// The standard profile covers all sensitivity classes.
 	p := StandardProfile(4)
-	a, ok := p.Attribute("email")
-	if !ok || a.Sensitivity != Medium {
-		t.Fatalf("email attribute = %+v, %v", a, ok)
-	}
-	if _, ok := p.Attribute("nonexistent"); ok {
-		t.Fatal("phantom attribute")
-	}
-	// Standard profile covers all sensitivity classes.
 	classes := map[Sensitivity]bool{}
 	for _, a := range p.Attributes {
 		classes[a.Sensitivity] = true
@@ -132,14 +125,5 @@ func TestProfileAttribute(t *testing.T) {
 		if !classes[s] {
 			t.Fatalf("standard profile missing sensitivity %v", s)
 		}
-	}
-}
-
-func TestStringers(t *testing.T) {
-	if Public.String() != "public" || High.String() != "high" {
-		t.Fatal("sensitivity names")
-	}
-	if Sensitivity(9).String() == "" {
-		t.Fatal("unknown enum empty name")
 	}
 }

@@ -177,7 +177,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.CandidateSize = 5
 	}
 	c.Disclosure = OrDefault(c.Disclosure, 1)
-	if c.Disclosure < 0 || c.Disclosure > 1 {
+	if !(0 <= c.Disclosure && c.Disclosure <= 1) {
 		return c, fmt.Errorf("workload: disclosure %v out of [0,1]", c.Disclosure)
 	}
 	if c.Selection == 0 {
@@ -194,11 +194,11 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("workload: %w", err)
 	}
 	c.Memory = m.Memory
-	if c.TrustGate < 0 || c.TrustGate >= 1 {
+	if !(0 <= c.TrustGate && c.TrustGate < 1) {
 		return c, fmt.Errorf("workload: trust gate %v out of [0,1)", c.TrustGate)
 	}
-	if c.ActivitySkew < 0 {
-		return c, fmt.Errorf("workload: negative activity skew %v", c.ActivitySkew)
+	if !(0 <= c.ActivitySkew && c.ActivitySkew <= math.MaxFloat64) {
+		return c, fmt.Errorf("workload: activity skew %v is not a finite non-negative number", c.ActivitySkew)
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("workload: negative shard count %d", c.Shards)
@@ -206,8 +206,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.ExposureScale < 0 {
-		return c, fmt.Errorf("workload: negative exposure scale %v", c.ExposureScale)
+	if !(0 <= c.ExposureScale && c.ExposureScale <= math.MaxFloat64) {
+		return c, fmt.Errorf("workload: exposure scale %v is not a finite non-negative number", c.ExposureScale)
 	}
 	if c.ExposureScale == 0 {
 		c.ExposureScale = DefaultExposureScale

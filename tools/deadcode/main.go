@@ -5,7 +5,8 @@
 // path. The roots are every main package of the repro and perfbench
 // modules, built with -gcflags=all=-l, and a generated program that links
 // the exported trustnet API; DESIGN.md, "What counts as production code",
-// gives the rules. Run it from the repository root:
+// gives the rules. Its summary line also counts the functions only that
+// facade program links. Run it from the repository root:
 //
 //	go run ./tools/deadcode
 package main
@@ -54,13 +55,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	linked := make(map[string]bool)
-	for _, bin := range bins {
+	// The facade program is built last; binLinked holds what the other
+	// roots link, linked adds the facade's symbols.
+	linked, binLinked := make(map[string]bool), make(map[string]bool)
+	for i, bin := range bins {
 		nm, err := goCmd("", "tool", "nm", bin)
 		if err != nil {
 			return err
 		}
 		addSymbols(linked, nm)
+		if i < len(bins)-1 {
+			addSymbols(binLinked, nm)
+		}
 	}
 	dead, stale := unlinked(decls, linked, allow)
 	for _, d := range dead {
@@ -69,8 +75,9 @@ func run() error {
 	for _, key := range stale {
 		fmt.Printf("allowlist entry %s excuses no unlinked function\n", key)
 	}
-	fmt.Printf("%d roots, %d functions under internal/, %d unlinked, %d allowlist entries\n",
-		len(bins), len(decls), len(dead), len(allow))
+	only, onlyLines := facadeOnly(decls, linked, binLinked)
+	fmt.Printf("%d roots, %d functions under internal/, %d unlinked, %d linked only by the facade root (%d lines), %d allowlist entries\n",
+		len(bins), len(decls), len(dead), only, onlyLines, len(allow))
 	if len(dead)+len(stale) > 0 {
 		return fmt.Errorf("%d unlinked functions, %d stale allowlist entries", len(dead), len(stale))
 	}
@@ -286,6 +293,18 @@ func readAllowlist(path string) ([]string, error) {
 		return nil, fmt.Errorf("%s: %d entries, at most %d allowed", path, len(keys), maxAllowlist)
 	}
 	return keys, nil
+}
+
+// facadeOnly counts the declarations, and their lines, that the facade
+// root links and no other root does: the internal code the exported
+// trustnet API alone keeps in production.
+func facadeOnly(decls []decl, linked, binLinked map[string]bool) (n, lines int) {
+	for _, d := range decls {
+		if linked[d.key] && !binLinked[d.key] {
+			n, lines = n+1, lines+d.lines
+		}
+	}
+	return n, lines
 }
 
 // unlinked returns the declarations that are neither linked nor excused, in

@@ -88,6 +88,29 @@ func TestFixtureDeadFunction(t *testing.T) {
 	}
 }
 
+// TestFacadeOnly counts what the facade root links and no binary does: a
+// function both link is not counted, and neither is one nothing links.
+func TestFacadeOnly(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls, err := declaredFuncs(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binLinked := make(map[string]bool)
+	addSymbols(binLinked, "  4a1000 T fixture/x.F\n  4a1040 T fixture/x.T.V\n")
+	linked := make(map[string]bool)
+	addSymbols(linked, "  4a1000 T fixture/x.F\n  4a1040 T fixture/x.T.V\n  4a1060 T fixture/x.(*T).P\n  4a10c0 T fixture/x.Dead\n")
+	if n, lines := facadeOnly(decls, linked, binLinked); n != 2 || lines != 3 {
+		t.Fatalf("facadeOnly = %d functions, %d lines; want 2 (T.P, Dead), 3 lines", n, lines)
+	}
+	if n, lines := facadeOnly(decls, binLinked, binLinked); n != 0 || lines != 0 {
+		t.Fatalf("facadeOnly with no facade-only symbol = %d, %d lines", n, lines)
+	}
+}
+
 func TestReadAllowlist(t *testing.T) {
 	dir := t.TempDir()
 	write := func(body string) string {

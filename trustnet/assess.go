@@ -27,7 +27,7 @@ type UserAssessment struct {
 // are the mechanism's as of its last Compute — every epoch ends with one —
 // and calling it never changes the run.
 func (e *Engine) Assess() Assessment {
-	return core.Assess(e.workloadEngine())
+	return core.Assess(e.WorkloadEngine())
 }
 
 // AssessAll is the batch path: one facet measurement (a pure read, as

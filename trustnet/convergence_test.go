@@ -13,10 +13,10 @@ func TestConvergenceDiagnosticsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ComputeIterations() != 0 {
+	if eng.WorkloadEngine().ComputeIterations() != 0 {
 		t.Fatal("fresh engine reports compute iterations")
 	}
-	if _, ok := eng.Convergence(); ok {
+	if _, ok := eng.WorkloadEngine().Convergence(); ok {
 		t.Fatal("fresh engine reports convergence diagnostics")
 	}
 	hist, err := eng.Run(context.Background(), 4)
@@ -30,10 +30,10 @@ func TestConvergenceDiagnosticsExposed(t *testing.T) {
 		}
 		sum += int64(e.MechIterations)
 	}
-	if got := eng.ComputeIterations(); got != sum {
+	if got := eng.WorkloadEngine().ComputeIterations(); got != sum {
 		t.Fatalf("cumulative iterations %d != sum of epoch deltas %d", got, sum)
 	}
-	conv, ok := eng.Convergence()
+	conv, ok := eng.WorkloadEngine().Convergence()
 	if !ok || conv.Iterations <= 0 {
 		t.Fatalf("Convergence() = %+v ok=%v after run", conv, ok)
 	}
@@ -56,7 +56,7 @@ func TestConvergenceNotReportedForNonIterative(t *testing.T) {
 	if _, err := eng.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.Convergence(); ok {
+	if _, ok := eng.WorkloadEngine().Convergence(); ok {
 		t.Fatal("trustme reported convergence diagnostics")
 	}
 	hist := eng.History()
@@ -82,7 +82,7 @@ func TestComputeIterationsSurviveSnapshot(t *testing.T) {
 	if _, err := eng.Run(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	mid := eng.ComputeIterations()
+	mid := eng.WorkloadEngine().ComputeIterations()
 	if mid <= 0 {
 		t.Fatal("no iterations accumulated before snapshot")
 	}
@@ -97,8 +97,8 @@ func TestComputeIterationsSurviveSnapshot(t *testing.T) {
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.ComputeIterations() != mid {
-		t.Fatalf("restored counter %d != snapshotted %d", restored.ComputeIterations(), mid)
+	if restored.WorkloadEngine().ComputeIterations() != mid {
+		t.Fatalf("restored counter %d != snapshotted %d", restored.WorkloadEngine().ComputeIterations(), mid)
 	}
 	if _, err := eng.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestComputeIterationsSurviveSnapshot(t *testing.T) {
 	if _, err := restored.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if eng.ComputeIterations() != restored.ComputeIterations() {
+	if eng.WorkloadEngine().ComputeIterations() != restored.WorkloadEngine().ComputeIterations() {
 		t.Fatalf("counters diverged after restore-then-run: %d != %d",
-			eng.ComputeIterations(), restored.ComputeIterations())
+			eng.WorkloadEngine().ComputeIterations(), restored.WorkloadEngine().ComputeIterations())
 	}
 }

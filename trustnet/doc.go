@@ -55,11 +55,14 @@
 //
 // A MechanismSpec selects the scoring engine by kind ("eigentrust",
 // "trustme", "powertrust", "powertrust-plain", "anonrep", "none") and
-// builds a fresh one sized for each engine; NewEigenTrust and friends build
-// standalone mechanisms behind the Mechanism interface. The supporting
-// substrates — privacy service and
-// ledger, discrete-event simulator, graph generators, rendering tables —
-// are re-exported so programs never import repro/internal directly.
+// builds a fresh one sized for each engine; NewEigenTrust and NewTrustMe
+// build standalone mechanisms behind the Mechanism interface.
+//
+// Beyond that product, the package exports only what the repository's own
+// programs name: the privacy service and its ledger, policies and audit
+// with the simulation clock and random stream they run on, the
+// Watts–Strogatz generator, and the rendering tables. DESIGN.md §2 lists
+// every export.
 //
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package trustnet

@@ -51,9 +51,6 @@ func (e *Engine) ActivePeers() int { return e.dyn.Engine().ActivePeers() }
 // information flow of the scenario.
 func (e *Engine) Ledger() LedgerView { return LedgerView{e.dyn.Engine().Ledger()} }
 
-// TrustModel returns the per-user trust state.
-func (e *Engine) TrustModel() *TrustModel { return e.dyn.TrustModel() }
-
 // RunRounds executes n interaction rounds without touching the coupling
 // state — the single-mechanism evaluation mode of the §2 experiments.
 // Before the first epoch the rounds run on the scenario's base disclosure
@@ -121,7 +118,7 @@ func (e *Engine) SubmitReports(reports ...Report) error {
 		}
 	}
 	for _, r := range reports {
-		if err := e.workloadEngine().SubmitExternalReport(r.Rater, r.Ratee, r.Value); err != nil {
+		if err := e.WorkloadEngine().SubmitExternalReport(r.Rater, r.Ratee, r.Value); err != nil {
 			return fmt.Errorf("trustnet: %w", err)
 		}
 	}
@@ -151,25 +148,14 @@ func (e *Engine) SystemTrusted(threshold, q float64) bool {
 	return e.dyn.TrustModel().SystemTrusted(threshold, q)
 }
 
-// Convergence returns the reputation mechanism's diagnostics for its most
-// recent iterative Compute (iterations run, final L1 residual, whether it
-// was warm-started); ok is false when the mechanism is not an iterative
-// solver or has not recomputed yet. Per-epoch iteration counts also appear
-// in EpochStats.MechIterations.
-func (e *Engine) Convergence() (Convergence, bool) {
-	return e.dyn.Engine().Convergence()
-}
-
-// ComputeIterations returns the cumulative number of solver iterations the
-// mechanism has spent across the engine's whole run (it survives snapshot
-// round-trips).
-func (e *Engine) ComputeIterations() int64 {
-	return e.dyn.Engine().ComputeIterations()
-}
-
-// workloadEngine exposes the underlying engine to the package's own
-// assessment code.
-func (e *Engine) workloadEngine() *workload.Engine { return e.dyn.Engine() }
+// WorkloadEngine exposes the engine's underlying workload engine. Its
+// readers are perfbench's interaction counter, which reads
+// CumulativeStats around each measured epoch, and the cluster layer
+// (internal/cluster), whose master and workers attach their delegates
+// there. It is not a general-purpose escape hatch: mutating the workload
+// engine directly bypasses the facade's epoch-boundary read/write
+// concordance.
+func (e *Engine) WorkloadEngine() *workload.Engine { return e.dyn.Engine() }
 
 // SetDenseReference switches the epoch tail into its dense reference mode:
 // every user's trust and coupling cells are recomputed every epoch, with no

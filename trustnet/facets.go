@@ -8,10 +8,6 @@ type Facets = core.Facets
 // Weights weighs the facets in the combined metric Φ.
 type Weights = core.Weights
 
-// TrustModel tracks per-user trust towards the system, smoothed with
-// inertia.
-type TrustModel = core.TrustModel
-
 // AppContext is an applicative context (§4); each context weighs the
 // facets differently. (Named AppContext so it cannot be confused with
 // context.Context, which this package's Run/AssessAll/Explore take.)
@@ -38,12 +34,6 @@ func ContextWeights(c AppContext) Weights { return core.ContextWeights(c) }
 // Combine is the generic metric Φ of §4: the weighted geometric mean of
 // the facets — a zero on any weighted facet zeroes trust.
 func Combine(f Facets, w Weights) (float64, error) { return core.Combine(f, w) }
-
-// CombineArithmetic is the ablation variant of Φ: a weighted arithmetic
-// mean, which lets one facet compensate for another's collapse.
-func CombineArithmetic(f Facets, w Weights) (float64, error) {
-	return core.CombineArithmetic(f, w)
-}
 
 // MapConfig configures the noise-free trust/satisfaction iterated map used
 // to verify §3's first claim.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/reputation"
 )
 
 // Intervention is one typed scenario event a Session applies at an epoch
@@ -46,7 +48,7 @@ type JoinWave struct {
 func (w JoinWave) check(e *Engine) error { return checkUsers(e, w.Users, "join wave") }
 func (w JoinWave) applyTo(e *Engine) error {
 	for _, u := range w.Users {
-		if err := e.workloadEngine().SetPeerActive(u, true); err != nil {
+		if err := e.WorkloadEngine().SetPeerActive(u, true); err != nil {
 			return err
 		}
 	}
@@ -63,7 +65,7 @@ type LeaveWave struct {
 func (w LeaveWave) check(e *Engine) error { return checkUsers(e, w.Users, "leave wave") }
 func (w LeaveWave) applyTo(e *Engine) error {
 	for _, u := range w.Users {
-		if err := e.workloadEngine().SetPeerActive(u, false); err != nil {
+		if err := e.WorkloadEngine().SetPeerActive(u, false); err != nil {
 			return err
 		}
 	}
@@ -72,7 +74,7 @@ func (w LeaveWave) applyTo(e *Engine) error {
 
 // WhitewashWave makes the listed users abandon their identities and rejoin
 // fresh: the mechanism's per-peer reputation state is erased (the mechanism
-// must implement Whitewasher) and the user is marked present. The contrast
+// must support whitewashing, as EigenTrust and TrustMe do) and the user is marked present. The contrast
 // between zero-default and neutral-default mechanisms under this wave is the
 // paper's identity-cost argument (§2.2).
 type WhitewashWave struct {
@@ -80,16 +82,16 @@ type WhitewashWave struct {
 }
 
 func (w WhitewashWave) check(e *Engine) error {
-	if _, ok := e.Mechanism().(Whitewasher); !ok {
+	if _, ok := e.Mechanism().(reputation.Whitewasher); !ok {
 		return fmt.Errorf("trustnet: whitewash wave: mechanism %q cannot whitewash", e.Mechanism().Name())
 	}
 	return checkUsers(e, w.Users, "whitewash wave")
 }
 func (w WhitewashWave) applyTo(e *Engine) error {
-	ww := e.Mechanism().(Whitewasher)
+	ww := e.Mechanism().(reputation.Whitewasher)
 	for _, u := range w.Users {
 		ww.Whitewash(u)
-		if err := e.workloadEngine().SetPeerActive(u, true); err != nil {
+		if err := e.WorkloadEngine().SetPeerActive(u, true); err != nil {
 			return err
 		}
 	}
@@ -97,7 +99,7 @@ func (w WhitewashWave) applyTo(e *Engine) error {
 	// SetPeerActive alone would not invalidate cluster replicas when the
 	// whitewashed users were already present.
 	if len(w.Users) > 0 {
-		e.workloadEngine().NoteMutation()
+		e.WorkloadEngine().NoteMutation()
 	}
 	return nil
 }
@@ -126,10 +128,10 @@ func (c PolicyChange) applyTo(e *Engine) error {
 	if err := e.dyn.SetBaseDisclosure(c.Policy.Disclosure); err != nil {
 		return err
 	}
-	if err := e.workloadEngine().SetTrustGate(c.Policy.TrustGate); err != nil {
+	if err := e.WorkloadEngine().SetTrustGate(c.Policy.TrustGate); err != nil {
 		return err
 	}
-	return e.workloadEngine().SetLedgerScale(c.Policy.ExposureScale)
+	return e.WorkloadEngine().SetLedgerScale(c.Policy.ExposureScale)
 }
 
 // TrustGateChange adjusts only the privacy trust-gate strictness.
@@ -144,7 +146,7 @@ func (c TrustGateChange) check(*Engine) error {
 	return nil
 }
 func (c TrustGateChange) applyTo(e *Engine) error {
-	return e.workloadEngine().SetTrustGate(c.Gate)
+	return e.WorkloadEngine().SetTrustGate(c.Gate)
 }
 
 // DisclosureChange adjusts only the base disclosure δ_base, including a true
@@ -207,7 +209,7 @@ func (c BehaviorChange) check(e *Engine) error {
 }
 func (c BehaviorChange) applyTo(e *Engine) error {
 	for _, u := range c.Users {
-		if err := e.workloadEngine().SetBehaviorClass(u, c.Class); err != nil {
+		if err := e.WorkloadEngine().SetBehaviorClass(u, c.Class); err != nil {
 			return err
 		}
 	}

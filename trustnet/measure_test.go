@@ -97,7 +97,7 @@ func TestReadsDoNotPerturbRun(t *testing.T) {
 		if _, err := eng.Run(ctx, 3); err != nil {
 			t.Fatal(err)
 		}
-		return histBytes(t, eng.History()), eng.ComputeIterations()
+		return histBytes(t, eng.History()), eng.WorkloadEngine().ComputeIterations()
 	}
 	wantHist, wantIters := run(t, func(*Engine) error { return nil })
 	for _, r := range facadeReads {

@@ -17,23 +17,12 @@ func NewTable(title string, headers ...string) *Table {
 // Series is a named (x, y) sequence with monotonicity checks.
 type Series = metrics.Series
 
-// Stream accumulates streaming summary statistics (Welford).
-type Stream = metrics.Stream
-
 // RenderSeries prints aligned series against a shared x column.
 func RenderSeries(w io.Writer, title, xName string, series ...*Series) {
 	metrics.RenderSeries(w, title, xName, series...)
 }
 
-// Mean returns the arithmetic mean. An empty slice returns NaN — "no
-// data" never masquerades as a measured 0.
-func Mean(xs []float64) float64 { return metrics.Mean(xs) }
-
 // Quantile returns the q-quantile by linear interpolation (q in [0,1];
 // 0 and 1 return the minimum and maximum). An empty slice or a q outside
 // [0,1] returns NaN.
 func Quantile(xs []float64, q float64) float64 { return metrics.Quantile(xs, q) }
-
-// KendallTau returns the Kendall rank correlation of two equal-length
-// samples.
-func KendallTau(a, b []float64) float64 { return metrics.KendallTau(a, b) }

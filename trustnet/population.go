@@ -25,13 +25,9 @@ const (
 	// Colluder peers form a ballot-stuffing clique.
 	Colluder = adversary.Colluder
 	// WhitewasherClass peers behave maliciously and shed bad reputations by
-	// rejoining under fresh identities. (Named WhitewasherClass because the
-	// facade name Whitewasher is taken by the mechanism-reset interface.)
+	// rejoining under fresh identities.
 	WhitewasherClass = adversary.Whitewasher
 )
-
-// Mix is the behaviour-class composition of a population.
-type Mix = adversary.Mix
 
 // Sensitivity classifies how private a data item is.
 type Sensitivity = social.Sensitivity
@@ -58,21 +54,8 @@ func StandardProfile(userID int) Profile { return social.StandardProfile(userID)
 // HasEdge and NumEdges read each node's ascending neighbour list.
 type Graph = graph.Graph
 
-// BarabasiAlbertGraph generates a preferential-attachment graph: n nodes,
-// m edges per arrival. Like the other generators, it returns an error when
-// the graph would have more than math.MaxInt32 directed edges.
-func BarabasiAlbertGraph(rng *RNG, n, m int) (*Graph, error) {
-	return graph.BarabasiAlbert(rng, n, m)
-}
-
 // WattsStrogatzGraph generates a small-world graph: n nodes, k nearest
 // neighbours, rewiring probability beta.
 func WattsStrogatzGraph(rng *RNG, n, k int, beta float64) (*Graph, error) {
 	return graph.WattsStrogatz(rng, n, k, beta)
-}
-
-// ErdosRenyiGraph generates a uniform random directed graph with edge
-// probability p.
-func ErdosRenyiGraph(rng *RNG, n int, p float64) (*Graph, error) {
-	return graph.ErdosRenyi(rng, n, p)
 }

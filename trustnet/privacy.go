@@ -25,9 +25,6 @@ func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 // privacy facet (§2.3).
 type Ledger = privacy.Ledger
 
-// Disclosure is one ledgered information flow.
-type Disclosure = privacy.Disclosure
-
 // LedgerView reads an engine's disclosure ledger. Only the engine writes
 // it: each consumer's preference overrides flag the providers its profile
 // reached, and the ledger's profile counts must stay equal to those flags.
@@ -37,15 +34,9 @@ type LedgerView struct{ l *privacy.Ledger }
 // included.
 func (v LedgerView) Len() int { return v.l.Len() }
 
-// NewLedger creates an empty disclosure ledger.
-func NewLedger() *Ledger { return privacy.NewLedger() }
-
 // Policy is one data item's P3P-style privacy policy — exactly the field
 // list of §2.3.
 type Policy = privacy.Policy
-
-// PolicyConditions are the access conditions of a policy.
-type PolicyConditions = privacy.Conditions
 
 // Operation is an action a requester may perform on data.
 type Operation = privacy.Operation
@@ -68,16 +59,6 @@ const (
 	ResearchUse    = privacy.ResearchUse
 	CommercialUse  = privacy.CommercialUse
 	MaintenanceUse = privacy.MaintenanceUse
-)
-
-// Obligation is a duty attached to a granted access.
-type Obligation = privacy.Obligation
-
-// Obligations.
-const (
-	NotifyOwner    = privacy.NotifyOwner
-	DeleteAfterUse = privacy.DeleteAfterUse
-	NoForward      = privacy.NoForward
 )
 
 // DenyReason explains a denial, aligned with the policy clause that

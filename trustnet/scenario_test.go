@@ -3,6 +3,7 @@ package trustnet
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,6 +98,25 @@ func TestScenarioOptionErrors(t *testing.T) {
 		{"negative epoch rounds", Scenario{EpochRounds: -1}, "epoch rounds"},
 		{"negative shards", Scenario{Shards: -2}, "shard"},
 		{"negative recompute", Scenario{RecomputeEvery: -1}, "recompute"},
+		// NaN fails every comparison, so each range check must refuse it
+		// explicitly; an unbounded range still refuses +Inf.
+		{"NaN inertia", nanScenario(func(sc *Scenario) { sc.Inertia = floatPtr(nan) }), "inertia"},
+		{"NaN base honesty", nanScenario(func(sc *Scenario) { sc.BaseHonesty = floatPtr(nan) }), "honesty"},
+		{"NaN disclosure", nanScenario(func(sc *Scenario) { sc.Privacy = &PrivacyPolicy{Disclosure: nan} }), "disclosure"},
+		{"NaN trust gate", nanScenario(func(sc *Scenario) { sc.Privacy = &PrivacyPolicy{Disclosure: 1, TrustGate: nan} }), "trust gate"},
+		{"NaN exposure scale", nanScenario(func(sc *Scenario) { sc.Privacy = &PrivacyPolicy{Disclosure: 1, ExposureScale: nan} }), "exposure scale"},
+		{"+Inf exposure scale", nanScenario(func(sc *Scenario) { sc.Privacy = &PrivacyPolicy{Disclosure: 1, ExposureScale: inf} }), "exposure scale"},
+		{"NaN activity skew", nanScenario(func(sc *Scenario) { sc.ActivitySkew = nan }), "skew"},
+		{"+Inf activity skew", nanScenario(func(sc *Scenario) { sc.ActivitySkew = inf }), "skew"},
+		{"NaN satisfaction weight", nanScenario(func(sc *Scenario) { sc.Weights = &Weights{Satisfaction: nan, Reputation: 1, Privacy: 1} }), "weight"},
+		{"+Inf privacy weight", nanScenario(func(sc *Scenario) { sc.Weights = &Weights{Satisfaction: 1, Reputation: 1, Privacy: inf} }), "weight"},
+		{"NaN EigenTrust alpha", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "eigentrust", Alpha: nan} }), "alpha"},
+		{"NaN PowerTrust alpha", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "powertrust", Alpha: nan} }), "alpha"},
+		{"NaN AnonRep granularity", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "anonrep", Granularity: nan} }), "granularity"},
+		{"NaN AnonRep noise", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "anonrep", Noise: nan} }), "noise"},
+		{"NaN AnonRep prior strength", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "anonrep", PriorStrength: nan} }), "prior strength"},
+		{"NaN EigenTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "eigentrust", Epsilon: nan} }), "epsilon"},
+		{"+Inf PowerTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "powertrust", Epsilon: inf} }), "epsilon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,6 +126,15 @@ func TestScenarioOptionErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+var nan, inf = math.NaN(), math.Inf(1)
+
+// nanScenario is a small coupled scenario with one field set by edit.
+func nanScenario(edit func(*Scenario)) Scenario {
+	sc := Scenario{Peers: 30, Coupled: true}
+	edit(&sc)
+	return sc
 }
 
 // TestRunRejectsNegativeEpochs: the batch wrapper errors instead of

@@ -144,7 +144,7 @@ func (s *Session) Next() (EpochStats, error) {
 			return EpochStats{}, err
 		}
 	}
-	we := s.eng.workloadEngine()
+	we := s.eng.WorkloadEngine()
 	if len(s.cfg.onRound) > 0 {
 		we.SetRoundObserver(func(rs RoundStats) {
 			for _, fn := range s.cfg.onRound {

@@ -37,7 +37,11 @@ func runScheduled(t *testing.T, epochs int, dense bool, sc Scenario) ([]EpochSta
 			t.Fatal(err)
 		}
 	}
-	return eng.History(), append([]float64(nil), eng.TrustModel().Trusts()...)
+	trust := make([]float64, eng.Peers())
+	for u := range trust {
+		trust[u] = eng.dyn.TrustModel().Trust(u)
+	}
+	return eng.History(), trust
 }
 
 // TestSettledMatchesDenseGolden is the tentpole's acceptance invariant: the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/reputation"
 )
 
 // mix is the honest/malicious composition most tests run, with peers 0–2
@@ -131,8 +133,8 @@ func TestMechanismSwapping(t *testing.T) {
 	}
 }
 
-// TestWhitewasherSeam checks the mechanisms that advertise identity resets
-// through the facade interface.
+// TestWhitewasherSeam checks the standalone mechanisms that advertise the
+// identity reset a WhitewashWave needs.
 func TestWhitewasherSeam(t *testing.T) {
 	et, err := NewEigenTrust(EigenTrustConfig{N: 10})
 	if err != nil {
@@ -142,7 +144,7 @@ func TestWhitewasherSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []Whitewasher{et, tm} {
+	for _, w := range []reputation.Whitewasher{et, tm} {
 		w.Whitewash(0) // must not panic on fresh state
 	}
 }
@@ -248,7 +250,7 @@ func TestAssessAllCoversEveryUser(t *testing.T) {
 	// each user's effective weights.
 	a := eng.Assess()
 	for _, u := range []int{0, 5, peers - 1} {
-		want, err := Combine(a.PerUser[u], eng.TrustModel().UserWeights(u))
+		want, err := Combine(a.PerUser[u], eng.dyn.TrustModel().UserWeights(u))
 		if err != nil {
 			t.Fatal(err)
 		}
