@@ -343,61 +343,12 @@ func BenchmarkLedgerExposure(b *testing.B) {
 	for k := 0; k < 5000; k++ {
 		// Each record reaches a new recipient; Exposure costs the same
 		// whatever the counts are.
-		l.Record(rng.Intn(50), l.Item(fmt.Sprintf("item/%d", rng.Intn(200))),
+		l.Record(rng.Intn(50), fmt.Sprintf("item/%d", rng.Intn(200)),
 			social.Sensitivity(rng.Intn(4)+1), true, true)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = l.Exposure(i % 50)
-	}
-}
-
-// BenchmarkLedgerRecord records the engine's two per-interaction ledger
-// calls — the consumer's profile disclosed to its provider, then the
-// feedback report it shares with the mechanism — for consumers among 20k
-// peers, each served by one of its ten partners, into a ledger pre-filled
-// with ten interactions per peer. Whether the provider is a new recipient
-// is the consumer's answer in the engine; here a per-peer mask of the
-// partners served so far gives it. Disclosures are drawn in batches with
-// the timer stopped, so ns/op and allocs/op are the ledger's own, per
-// interaction.
-func BenchmarkLedgerRecord(b *testing.B) {
-	const peers, batch = 20000, 4096
-	rng := sim.NewRNG(1)
-	partners := feedbackPeers(rng, peers)
-	reached := make([]uint16, peers) // bit k: partner k has the profile
-	type disclosure struct {
-		owner int
-		first bool
-	}
-	next := func() disclosure {
-		owner, k := rng.Intn(peers), rng.Intn(len(partners[0]))
-		first := reached[owner]&(1<<k) == 0
-		reached[owner] |= 1 << k
-		return disclosure{owner, first}
-	}
-	l := privacy.NewLedger()
-	// The engine keys every owner's profile item "profile".
-	profile := l.Item("profile")
-	for k := 0; k < 10*peers; k++ {
-		d := next()
-		l.Record(d.owner, profile, social.Medium, true, d.first)
-		l.RecordFeedback(d.owner)
-	}
-	buf := make([]disclosure, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += batch {
-		b.StopTimer()
-		m := min(batch, b.N-done)
-		for k := range buf[:m] {
-			buf[k] = next()
-		}
-		b.StartTimer()
-		for _, d := range buf[:m] {
-			l.Record(d.owner, profile, social.Medium, true, d.first)
-			l.RecordFeedback(d.owner)
-		}
 	}
 }
 

@@ -179,22 +179,22 @@ func TestResumeRejectsOldVersionSnapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("old-version snapshot accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 6)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 7)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }
 
-// TestResumeRejectsV5Checkpoint resumes a real checkpoint of the previous
-// format generation, written by "trustsim -peers 120 -epochs 4 -checkpoint"
-// before a ledger item counted its recipients: -resume must fail with the
-// version mismatch.
+// TestResumeRejectsV5Checkpoint resumes a real checkpoint of an older format
+// generation, written by "trustsim -peers 120 -epochs 4 -checkpoint" before
+// a ledger item counted its recipients: -resume must fail with the version
+// mismatch.
 func TestResumeRejectsV5Checkpoint(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-peers", "120", "-epochs", "1", "-resume", filepath.Join("testdata", "v5-peers120.snap")}, &sb)
 	if err == nil {
 		t.Fatal("v5 checkpoint accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 5, want 6)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 5, want 7)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }

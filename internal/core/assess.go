@@ -76,11 +76,11 @@ func (m *facetMeter) measure(e *workload.Engine) reputationReading {
 //     measures it (see facetMeter.measure). Both components are
 //     calibration-free: mechanisms report scores on incomparable scales
 //     (§4: "consistency with the reality").
-//   - Privacy: the ledger-backed privacy facet (policy respect × retained
-//     information), 1 when no ledger is attached.
+//   - Privacy: the privacy facet (policy respect × retained information,
+//     §2.3), 1 for a user who disclosed nothing.
 //
 // Assess is a pure read: it reads the scores as of the mechanism's last
-// Compute (every epoch ends with one) and never refreshes the ledger's
+// Compute (every epoch ends with one) and never refreshes the engine's
 // facet cache, so calling it does not change the run.
 func Assess(e *workload.Engine) Assessment {
 	var m facetMeter

@@ -131,7 +131,7 @@ type Dynamics struct {
 	// prevLedgerScale detects mid-run exposure-scale interventions, which
 	// reprice every privacy facet at once (re-derived from the engine on
 	// restore, so it needs no serialization).
-	prevLedgerScale float64 //trustlint:derived re-read from the restored engine's ledger scale
+	prevLedgerScale float64 //trustlint:derived re-read from the restored engine's exposure scale
 	// Fixed-shape summation trees maintain the EpochStats means from the
 	// dirty set, staged per touched leaf and flushed once per epoch; their
 	// roots are bitwise equal to a dense rebuild over the same leaves (see
@@ -139,7 +139,7 @@ type Dynamics struct {
 	// engine. The §3 coupling variables themselves live only in the
 	// workload engine: disclosure in its gatherer, honesty in its override.
 	satTree  *metrics.SumTree //trustlint:derived rebuilt from engine satisfaction state on restore
-	privTree *metrics.SumTree //trustlint:derived rebuilt from ledger privacy facets on restore
+	privTree *metrics.SumTree //trustlint:derived rebuilt from the engine's privacy facets on restore
 	discTree *metrics.SumTree //trustlint:derived rebuilt from the engine's gatherer disclosure on restore
 	honTree  *metrics.SumTree //trustlint:derived rebuilt from the engine's honesty override on restore
 	// denseRef disables every skip (the golden-test reference mode): all
@@ -148,10 +148,10 @@ type Dynamics struct {
 	denseRef bool //trustlint:derived test-only reference mode, never part of a captured run
 	// Reusable epoch-tail scratch, so settled-regime boundaries allocate
 	// nothing in the trust/coupling/aggregate phases.
-	facetDirty     metrics.DirtySet //trustlint:derived per-epoch scratch, empty between epochs
-	candidates     []int            //trustlint:derived per-epoch scratch, dead between epochs
-	ledgerDirtyBuf []int            //trustlint:derived per-epoch scratch, dead between epochs
-	meter          facetMeter       //trustlint:derived per-epoch scratch, dead between epochs
+	facetDirty   metrics.DirtySet //trustlint:derived per-epoch scratch, empty between epochs
+	candidates   []int            //trustlint:derived per-epoch scratch, dead between epochs
+	privDirtyBuf []int            //trustlint:derived per-epoch scratch, dead between epochs
+	meter        facetMeter       //trustlint:derived per-epoch scratch, dead between epochs
 	// facetOf is currentFacets bound once: the trust update may hand it to
 	// its parallel fan-out, where a per-epoch method value would escape.
 	facetOf func(int) Facets //trustlint:derived method value bound at construction
@@ -227,7 +227,7 @@ func (d *Dynamics) SetDenseReference(on bool) { d.denseRef = on }
 // Config zero value cannot express). It resets every user's current
 // disclosure to the new base.
 func (d *Dynamics) SetBaseDisclosure(v float64) error {
-	if v < 0 || v > 1 {
+	if !(0 <= v && v <= 1) {
 		return fmt.Errorf("core: base disclosure %v out of [0,1]", v)
 	}
 	d.baseDisclosure = v
@@ -244,7 +244,7 @@ func (d *Dynamics) SetBaseDisclosure(v float64) error {
 // trust (a session intervention). It takes effect in the next epoch's
 // coupling update.
 func (d *Dynamics) SetBaseHonesty(h float64) error {
-	if h < 0 || h > 1 {
+	if !(0 <= h && h <= 1) {
 		return fmt.Errorf("core: base honesty %v out of [0,1]", h)
 	}
 	if h != d.cfg.BaseHonesty {
@@ -353,7 +353,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	repFacet := rep.facet
 
 	// 4. Assemble the facet dirty set: users whose satisfaction EMA was
-	// touched, owners whose privacy ledger state changed, and — when the
+	// touched, users whose privacy exposure changed, and — when the
 	// global reputation facet or the exposure scale moved — everyone.
 	// The set is assembled identically on the dense reference path, so the
 	// DirtyFacets counter is schedule-independent.
@@ -368,13 +368,11 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 		d.satTree.Stage(u, d.eng.UserSatisfaction(u))
 	}
 	d.eng.ResetSatisfactionTouched()
-	// The ledger owns its dirty list (in marking order) and the refresh
-	// below resets it, so snapshot it first.
-	d.ledgerDirtyBuf = append(d.ledgerDirtyBuf[:0], d.eng.LedgerDirtyOwners()...)
-	for _, u := range d.ledgerDirtyBuf {
-		if u < n {
-			d.facetDirty.Mark(u)
-		}
+	// The engine owns its privacy touched set and the refresh below resets
+	// it, so copy it first.
+	d.privDirtyBuf = append(d.privDirtyBuf[:0], d.eng.PrivacyTouched()...)
+	for _, u := range d.privDirtyBuf {
+		d.facetDirty.Mark(u)
 	}
 	allDirty := repChanged || scaleChanged || d.denseRef
 	dirtyFacets := d.facetDirty.Len()
@@ -382,7 +380,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 		dirtyFacets = n
 	}
 
-	// Refresh the ledger's facet cache sequentially, then stage the touched
+	// Refresh the privacy facet cache sequentially, then stage the touched
 	// leaves in the aggregate trees (the satisfaction leaves are staged
 	// above; step 7 flushes every tree once). A skipped leaf's sources are
 	// untouched, so its recomputed value would be bit-identical.
@@ -392,7 +390,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
 		}
 	} else {
-		for _, u := range d.ledgerDirtyBuf {
+		for _, u := range d.privDirtyBuf {
 			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
 		}
 	}
@@ -559,7 +557,7 @@ func (c MapConfig) withDefaults() MapConfig {
 // for `steps` steps and returns the trust trajectory (first element t0).
 func RunIteratedMap(t0 float64, steps int, cfg MapConfig) ([]float64, error) {
 	cfg = cfg.withDefaults()
-	if t0 < 0 || t0 > 1 {
+	if !(0 <= t0 && t0 <= 1) {
 		return nil, fmt.Errorf("core: initial trust %v out of [0,1]", t0)
 	}
 	traj := make([]float64, 0, steps+1)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -226,5 +227,23 @@ func TestIteratedMapValidation(t *testing.T) {
 	}
 	if _, err := RunIteratedMap(1.5, 10, MapConfig{Reputation: 0.5, Privacy: 0.5}); err == nil {
 		t.Fatal("t0 > 1 accepted")
+	}
+	if _, err := RunIteratedMap(math.NaN(), 10, MapConfig{Reputation: 0.5, Privacy: 0.5}); err == nil || !strings.Contains(err.Error(), "initial trust") {
+		t.Fatalf("NaN t0: err = %v, want an initial-trust range error", err)
+	}
+}
+
+// TestBaseSettersRejectNaN: the run-time base setters refuse a NaN, which
+// fails every comparison, and leave the dynamics unchanged.
+func TestBaseSettersRejectNaN(t *testing.T) {
+	d := newDyn(t, true, 0.3)
+	if err := d.SetBaseDisclosure(math.NaN()); err == nil {
+		t.Error("NaN base disclosure accepted")
+	}
+	if err := d.SetBaseHonesty(math.NaN()); err == nil {
+		t.Error("NaN base honesty accepted")
+	}
+	if d.baseDisclosure != 0.8 || math.IsNaN(d.cfg.BaseHonesty) || math.IsNaN(d.eng.Disclosure(0)) {
+		t.Fatalf("a refused setter changed the dynamics: base disclosure %v, base honesty %v", d.baseDisclosure, d.cfg.BaseHonesty)
 	}
 }

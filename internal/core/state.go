@@ -76,7 +76,7 @@ func (m *TrustModel) checkState(st TrustModelState) error {
 
 // DynamicsState is the serializable mutable state of the whole coupled
 // system: the workload engine (with its random streams, mechanism and
-// privacy ledger), the trust model, the §3 coupling settings, and the
+// privacy record), the trust model, the §3 coupling settings, and the
 // recorded epoch history. The per-user coupling variables are engine state:
 // disclosure in the gatherer, honesty in the override. Restoring it into a
 // Dynamics built from identical configuration makes the continuation

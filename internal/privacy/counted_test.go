@@ -2,6 +2,9 @@ package privacy
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/satisfaction"
@@ -10,16 +13,21 @@ import (
 )
 
 // TestConsumerFlagsMatchSetLedger drives a random stream of served, refused
-// and repeated interactions the way the workload engine does: each consumer's
-// ObserveAllocation flags the providers its profile reached and answers
-// whether a served interaction is the first to its provider, and the ledger
-// counts those answers. The set-based oracle records every disclosure with
-// its recipient. Exposure, RespectRate and PrivacyFacet must agree bit for
-// bit after every step, and each owner's profile count must equal its
-// consumer's flags.
+// and repeated interactions and shared feedback reports the way the workload
+// engine accounts them: each consumer's ObserveAllocation flags the
+// providers its profile reached and counts them, and each report adds one
+// ItemExposure of a Low item to a running feedback sum. The set-based
+// oracle records every disclosure with its recipient: the profile as one
+// Medium item, each report as its own Low item reaching the mechanism.
+// After every step each consumer's Disclosed must equal its oracle
+// recipient set's size, and the engine's facet formula — Facet at respect
+// 1 over the feedback sum plus the profile's ItemExposure — must equal the
+// oracle's PrivacyFacet bit for bit. Rewinds through State and SetState
+// check that SetState recounts the flags.
 func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 	const users, partners = 40, 6
-	scales := []float64{1, 3.5}
+	scales := []float64{1, 3.5, 50}
+	feedbackTerm := ItemExposure(SensitivityWeight(social.Low), 1)
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := sim.NewRNG(seed)
 		consumers := make([]*satisfaction.Consumer, users)
@@ -30,8 +38,16 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 			}
 			consumers[u] = c
 		}
-		l, ref := NewLedger(), newRefLedger()
-		profile := l.Item("profile")
+		feedback := make([]float64, users)
+		reached := make(map[[2]int]bool) // consumer, provider
+		ref := newRefLedger()
+		// The checkpoint a rewind restores: every consumer's state, the
+		// feedback sums, the recipient sets and the oracle's events.
+		savedConsumers := make([]satisfaction.ConsumerState, users)
+		for u, c := range consumers {
+			savedConsumers[u] = c.State()
+		}
+		savedFeedback, savedReached, savedRef := slices.Clone(feedback), maps.Clone(reached), ref.State()
 		for step := 0; step < 3000; step++ {
 			where := fmt.Sprintf("seed %d step %d", seed, step)
 			u := rng.Intn(users)
@@ -42,39 +58,46 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 				cands[k] = int32((u + 1 + rng.Intn(partners)) % users)
 			}
 			p := int(cands[rng.Intn(len(cands))])
-			switch op := rng.Intn(20); {
-			case op < 12: // served: the profile reaches p
-				_, first := consumers[u].ObserveAllocation(p, cands, rng.Float64(), true)
-				l.Record(u, profile, social.Medium, true, first)
+			switch op := rng.Intn(40); {
+			case op < 22: // served: the profile reaches p
+				consumers[u].ObserveAllocation(p, cands, rng.Float64(), true)
+				reached[[2]int{u, p}] = true
 				ref.Record(Disclosure{Owner: u, Item: "profile", Sensitivity: social.Medium, Recipient: p, Purpose: SocialUse, Consented: true})
-			case op < 16: // refused: no disclosure
-				if _, first := consumers[u].ObserveAllocation(p, cands, 0, false); first {
-					t.Fatalf("%s: a refused interaction reported a first disclosure", where)
-				}
-			case op < 19: // a shared feedback report
-				l.RecordFeedback(u)
+			case op < 30: // refused: no disclosure
+				consumers[u].ObserveAllocation(p, cands, 0, false)
+			case op < 37: // a shared feedback report
+				feedback[u] += feedbackTerm
 				ref.Record(Disclosure{Owner: u, Item: fmt.Sprintf("feedback/%d/%d", u, step), Sensitivity: social.Low, Recipient: -1, Purpose: ReputationUse, Consented: true})
-			default:
-				s := scales[rng.Intn(len(scales))]
-				l.RefreshFacets(s)
-				ref.RefreshFacets(s)
+			case op < 39: // checkpoint
+				for v, c := range consumers {
+					savedConsumers[v] = c.State()
+				}
+				savedFeedback, savedReached, savedRef = slices.Clone(feedback), maps.Clone(reached), ref.State()
+			default: // rewind to the checkpoint
+				for v, c := range consumers {
+					if err := c.SetState(savedConsumers[v]); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				}
+				feedback, reached = slices.Clone(savedFeedback), maps.Clone(savedReached)
+				ref.SetState(savedRef)
 			}
-			compareLedgers(t, where, l, ref, []int{u, (u + 1) % users}, scales)
-		}
-		all := make([]int, users)
-		for u := range all {
-			all[u] = u
-		}
-		compareLedgers(t, fmt.Sprintf("seed %d end", seed), l, ref, all, scales)
-		counts := make([]int64, users)
-		for _, o := range l.State().Owners {
-			for _, it := range o.Items {
-				counts[o.Owner] = it.Recipients
-			}
-		}
-		for u, c := range consumers {
-			if flags := c.State().Disclosed(); flags != counts[u] {
-				t.Fatalf("seed %d: consumer %d flags %d providers, ledger counts %d", seed, u, flags, counts[u])
+			for _, v := range []int{u, (u + 1) % users} {
+				recipients := 0
+				for q := range users {
+					if reached[[2]int{v, q}] {
+						recipients++
+					}
+				}
+				if got := consumers[v].Disclosed(); got != recipients {
+					t.Fatalf("%s: consumer %d counts %d recipients, oracle %d", where, v, got, recipients)
+				}
+				x := feedback[v] + ItemExposure(SensitivityWeight(social.Medium), int64(consumers[v].Disclosed()))
+				for _, s := range scales {
+					if got, want := Facet(1, x, s), ref.PrivacyFacet(v, s); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: consumer %d facet at scale %v = %v, oracle %v", where, v, s, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -126,33 +149,5 @@ func TestServiceRecipientsMatchSetLedger(t *testing.T) {
 			probe[o] = o
 		}
 		compareLedgers(t, fmt.Sprintf("seed %d", seed), l, ref, probe, []float64{1, 4})
-	}
-}
-
-// TestRepeatServedInteractionZeroAllocs pins the gather's consumer and
-// ledger calls for a served interaction between a consumer and a provider
-// its profile already reached: the override search, the preference update,
-// the disclosure flag, the profile record and the feedback report allocate
-// nothing.
-func TestRepeatServedInteractionZeroAllocs(t *testing.T) {
-	c, err := satisfaction.NewUniformConsumer(100, 0.5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLedger()
-	profile := l.Item("profile")
-	cands := []int32{40, 41, 42, 43, 44}
-	for _, p := range cands {
-		_, first := c.ObserveAllocation(int(p), cands, 0.8, true)
-		l.Record(7, profile, social.Medium, true, first)
-		l.RecordFeedback(7)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		_, first := c.ObserveAllocation(42, cands, 0.6, true)
-		l.Record(7, profile, social.Medium, true, first)
-		l.RecordFeedback(7)
-	})
-	if allocs != 0 {
-		t.Fatalf("a repeat served interaction allocates %v objects/op, want 0", allocs)
 	}
 }

@@ -73,21 +73,27 @@ func TestExposureZeroCases(t *testing.T) {
 	}
 }
 
+// TestNormalizedExposureBounds checks the normalization Facet applies,
+// x/(x+scale), read as one minus the facet at full respect.
 func TestNormalizedExposureBounds(t *testing.T) {
 	l := newSetLedger()
 	for r := 1; r <= 100; r++ {
 		l.Record(Disclosure{Owner: 0, Item: "x", Sensitivity: social.High, Recipient: r, Consented: true})
 	}
-	ne := l.NormalizedExposure(0, 2)
+	normalized := func(owner int, scale float64) float64 { return 1 - Facet(1, l.Exposure(owner), scale) }
+	ne := normalized(0, 2)
 	if ne <= 0 || ne >= 1 {
 		t.Fatalf("normalized exposure = %v, want (0,1)", ne)
 	}
-	if l.NormalizedExposure(9, 2) != 0 {
+	if normalized(9, 2) != 0 {
 		t.Fatal("fresh owner normalized exposure != 0")
 	}
 	// Degenerate scale is clamped.
-	if v := l.NormalizedExposure(0, -5); v <= 0 || v >= 1 {
+	if v := normalized(0, -5); v <= 0 || v >= 1 {
 		t.Fatalf("clamped-scale exposure = %v", v)
+	}
+	if normalized(0, -5) != normalized(0, 1) {
+		t.Fatal("a scale below 1 is not clamped to 1")
 	}
 }
 

@@ -23,7 +23,6 @@ var ErrDenied = errors.New("privacy: access denied")
 // itemMeta is the registry entry for a published item.
 type itemMeta struct {
 	owner       int
-	item        ItemID // the key interned in the ledger
 	sensitivity social.Sensitivity
 	policy      Policy
 	digest      [32]byte
@@ -121,7 +120,6 @@ func (s *Service) Publish(owner int, key string, data []byte, sens social.Sensit
 	}
 	s.registry[key] = &itemMeta{
 		owner:       owner,
-		item:        s.ledger.Item(key),
 		sensitivity: sens,
 		policy:      pol,
 		digest:      sha256.Sum256(data),
@@ -185,7 +183,7 @@ func (s *Service) Request(requester int, key string, op Operation, purpose Purpo
 		s.accesses[key] = make(map[int]int)
 	}
 	s.accesses[key][requester]++
-	s.record(m.item, Disclosure{
+	s.record(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -234,7 +232,7 @@ func (s *Service) Leak(key string, recipient int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	s.record(m.item, Disclosure{
+	s.record(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -249,20 +247,20 @@ func (s *Service) Leak(key string, recipient int) error {
 // reach is one recipient an owner's item reached.
 type reach struct {
 	owner     int
-	item      ItemID
+	item      string
 	recipient int
 }
 
-// record appends a disclosure of item to the trail and folds it into the
+// record appends a disclosure to the trail and folds it into the
 // ledger, telling it whether the recipient is new to the owner's item.
-func (s *Service) record(item ItemID, d Disclosure) {
+func (s *Service) record(d Disclosure) {
 	s.events = append(s.events, d)
-	r := reach{d.Owner, item, d.Recipient}
+	r := reach{d.Owner, d.Item, d.Recipient}
 	_, seen := s.reached[r]
 	if !seen {
 		s.reached[r] = struct{}{}
 	}
-	s.ledger.Record(d.Owner, item, d.Sensitivity, d.Consented, !seen)
+	s.ledger.Record(d.Owner, d.Item, d.Sensitivity, d.Consented, !seen)
 }
 
 // Events returns every disclosure the service made, in recording order

@@ -52,15 +52,6 @@ func (l *LocalTrust) HasOutgoing(i int) bool {
 	return false
 }
 
-// SharedBy returns how many reports the given rater has disclosed (0 for a
-// rater outside the disclosure vector).
-func (g *Gatherer) SharedBy(rater int) int64 {
-	if rater < 0 || rater >= len(g.sharedBy) {
-		return 0
-	}
-	return g.sharedBy[rater]
-}
-
 // Find returns cell (i, j)'s aggregate, or nil when the pair has none. The
 // pointer is valid until row i's next insert or delete.
 func (r *Rows[V]) Find(i int, j int32) *V {

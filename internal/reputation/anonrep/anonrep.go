@@ -55,7 +55,7 @@ func (c Config) withDefaults() (Config, error) {
 	if !(0 <= c.Noise && c.Noise <= math.MaxFloat64) {
 		return c, fmt.Errorf("anonrep: noise %v is not a finite non-negative number", c.Noise)
 	}
-	if c.PriorStrength <= 0 {
+	if c.PriorStrength == 0 {
 		c.PriorStrength = 4
 	}
 	if !(0 < c.PriorStrength && c.PriorStrength <= math.MaxFloat64) {

@@ -352,34 +352,33 @@ func TestLocalTrustHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestRestoreGathererRejectsHostile checks that a gatherer state counting
-// reports for a rater outside the disclosure vector, or a negative count,
-// is an error rather than a silently kept entry.
+// TestRestoreGathererRejectsHostile checks that a captured gatherer round
+// trips, and that a stream whose buffered Gaussian is not finite is an
+// error rather than a restored position.
 func TestRestoreGathererRejectsHostile(t *testing.T) {
-	g := NewGatherer(sim.NewRNG(1), []float64{1, 1, 1})
-	g.Commit(1)
-	g.Commit(1)
+	g := NewGatherer(sim.NewRNG(1), []float64{1, 0.5, 1})
+	for rater := range 3 {
+		if g.Admit(rater) {
+			g.Commit()
+		}
+	}
 	good := g.State()
 	back, err := RestoreGatherer(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.SharedBy(1) != 2 || back.SharedBy(0) != 0 || !reflect.DeepEqual(back.State(), good) {
-		t.Fatalf("round trip lost counts: %+v, want %+v", back.State(), good)
+	if !reflect.DeepEqual(back.State(), good) {
+		t.Fatalf("round trip lost state: %+v, want %+v", back.State(), good)
 	}
-	cases := map[string][]SharedCount{
-		"rater at n":      {{3, 1}},
-		"negative rater":  {{-1, 1}},
-		"far rater":       {{1 << 40, 1}},
-		"negative count":  {{2, -4}},
-		"one of two keys": {{1, 2}, {5, 1}},
-		"descending":      {{2, 1}, {1, 2}},
-		"duplicated":      {{1, 2}, {1, 1}},
+	cases := map[string]float64{
+		"spare NaN":  math.NaN(),
+		"spare +Inf": math.Inf(1),
+		"spare -Inf": math.Inf(-1),
 	}
-	for name, shared := range cases {
+	for name, spare := range cases {
 		t.Run(name, func(t *testing.T) {
 			st := good
-			st.SharedBy = shared
+			st.RNG.Spare, st.RNG.HasSpare = spare, true
 			if _, err := RestoreGatherer(st); err == nil {
 				t.Fatal("hostile gatherer state accepted")
 			}

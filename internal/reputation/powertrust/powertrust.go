@@ -51,14 +51,17 @@ func (c Config) withDefaults() (Config, error) {
 	if !(0 <= c.Alpha && c.Alpha <= 1) {
 		return c, fmt.Errorf("powertrust: alpha %v out of [0,1]", c.Alpha)
 	}
-	if c.Epsilon <= 0 {
+	if c.Epsilon == 0 {
 		c.Epsilon = 1e-6
 	}
 	if !(0 < c.Epsilon && c.Epsilon <= math.MaxFloat64) {
 		return c, fmt.Errorf("powertrust: epsilon %v is not a finite positive number", c.Epsilon)
 	}
-	if c.MaxIter <= 0 {
+	if c.MaxIter == 0 {
 		c.MaxIter = 200
+	}
+	if c.MaxIter < 0 {
+		return c, fmt.Errorf("powertrust: max iterations %d is negative", c.MaxIter)
 	}
 	return c, nil
 }

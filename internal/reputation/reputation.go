@@ -323,7 +323,6 @@ func PretrustOver(n int, trusted []int) ([]float64, error) {
 type Gatherer struct {
 	rng        *sim.RNG
 	disclosure []float64
-	sharedBy   []int64 // per rater, aligned with disclosure
 	// Gathered and Withheld count reports passed vs suppressed.
 	Gathered, Withheld int64
 }
@@ -341,7 +340,7 @@ func NewGatherer(rng *sim.RNG, disclosure []float64) *Gatherer {
 		}
 		d[i] = v
 	}
-	return &Gatherer{rng: rng, disclosure: d, sharedBy: make([]int64, len(d))}
+	return &Gatherer{rng: rng, disclosure: d}
 }
 
 // SetDisclosure updates one rater's disclosure probability in place (clamped
@@ -384,14 +383,8 @@ func (g *Gatherer) Admit(rater int) bool {
 }
 
 // Commit records one admitted report as successfully delivered to the
-// mechanism (the second half of the Admit/Commit pair). A rater outside the
-// disclosure vector counts towards Gathered only.
-func (g *Gatherer) Commit(rater int) {
-	g.Gathered++
-	if rater >= 0 && rater < len(g.sharedBy) {
-		g.sharedBy[rater]++
-	}
-}
+// mechanism (the second half of the Admit/Commit pair).
+func (g *Gatherer) Commit() { g.Gathered++ }
 
 // SelectBest is the "response" block used by the experiments: choose the
 // candidate with the highest score, breaking ties uniformly. It returns -1

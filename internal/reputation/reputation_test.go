@@ -203,7 +203,7 @@ func TestGathererDisclosureZeroAndOne(t *testing.T) {
 	shared0 := 0
 	for i := 0; i < 200; i++ {
 		if g.Admit(0) {
-			g.Commit(0)
+			g.Commit()
 			shared0++
 		}
 	}
@@ -213,7 +213,7 @@ func TestGathererDisclosureZeroAndOne(t *testing.T) {
 	shared1 := 0
 	for i := 0; i < 200; i++ {
 		if g.Admit(1) {
-			g.Commit(1)
+			g.Commit()
 			shared1++
 		}
 	}
@@ -231,7 +231,7 @@ func TestGathererFraction(t *testing.T) {
 	shared := 0
 	for i := 0; i < 5000; i++ {
 		if g.Admit(0) {
-			g.Commit(0)
+			g.Commit()
 			shared++
 		}
 	}

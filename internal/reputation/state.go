@@ -68,39 +68,22 @@ func (l *LocalTrust) SetState(st LocalTrustState) error {
 type GathererState struct {
 	RNG        sim.RNGState
 	Disclosure []float64
-	// SharedBy lists the raters that disclosed at least one report, in
-	// strictly ascending rater order, so the encoded bytes do not depend on
-	// map order.
-	SharedBy []SharedCount
-	Gathered int64
-	Withheld int64
-}
-
-// SharedCount is how many reports one rater disclosed.
-type SharedCount struct {
-	Rater   int
-	Reports int64
+	Gathered   int64
+	Withheld   int64
 }
 
 // State captures the gatherer.
 func (g *Gatherer) State() GathererState {
-	st := GathererState{
+	return GathererState{
 		RNG:        g.rng.State(),
 		Disclosure: append([]float64(nil), g.disclosure...),
 		Gathered:   g.Gathered,
 		Withheld:   g.Withheld,
 	}
-	for k, v := range g.sharedBy {
-		if v != 0 {
-			st.SharedBy = append(st.SharedBy, SharedCount{Rater: k, Reports: v})
-		}
-	}
-	return st
 }
 
-// RestoreGatherer rebuilds a gatherer from a captured state. A SharedBy
-// rater outside the disclosure vector or out of ascending order, a negative
-// count, or a non-finite buffered Gaussian in the stream is an error.
+// RestoreGatherer rebuilds a gatherer from a captured state. A non-finite
+// buffered Gaussian in the stream is an error.
 func RestoreGatherer(st GathererState) (*Gatherer, error) {
 	if err := st.RNG.Check(); err != nil {
 		return nil, fmt.Errorf("reputation: gatherer state: %w", err)
@@ -110,18 +93,6 @@ func RestoreGatherer(st GathererState) (*Gatherer, error) {
 	g := NewGatherer(rng, st.Disclosure)
 	g.Gathered = st.Gathered
 	g.Withheld = st.Withheld
-	for i, c := range st.SharedBy {
-		if c.Rater < 0 || c.Rater >= len(g.sharedBy) {
-			return nil, fmt.Errorf("reputation: gatherer state counts rater %d outside [0,%d)", c.Rater, len(g.sharedBy))
-		}
-		if i > 0 && c.Rater <= st.SharedBy[i-1].Rater {
-			return nil, fmt.Errorf("reputation: gatherer state counts rater %d out of ascending order", c.Rater)
-		}
-		if c.Reports < 0 {
-			return nil, fmt.Errorf("reputation: gatherer state counts %d reports for rater %d", c.Reports, c.Rater)
-		}
-		g.sharedBy[c.Rater] = c.Reports
-	}
 	return g, nil
 }
 

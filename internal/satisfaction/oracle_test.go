@@ -207,7 +207,7 @@ func TestConsumerPreferenceAllocFree(t *testing.T) {
 		t.Fatalf("re-folding an existing override allocates %v per call", a)
 	}
 	cands := []int32{40, 41, 42, 43, 44}
-	if a := testing.AllocsPerRun(100, func() { sink, _ = c.ObserveAllocation(42, cands, 0.3, true) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { sink = c.ObserveAllocation(42, cands, 0.3, true) }); a != 0 {
 		t.Fatalf("an allocation to a provider with an override allocates %v per call", a)
 	}
 }
@@ -335,7 +335,9 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 				wide[i] = int(c)
 			}
 			disclose := rng.Bool(0.7)
-			got, first := fused.ObserveAllocation(chosen, cands, q, disclose)
+			before := fused.Disclosed()
+			got := fused.ObserveAllocation(chosen, cands, q, disclose)
+			first := fused.Disclosed() != before
 			want := twin.ObserveQuality(chosen, wide, q)
 			twin.UpdatePreference(chosen, q)
 			valid := chosen >= 0 && chosen < n
@@ -355,8 +357,8 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 					t.Fatalf("%s: provider %d flagged %v, want %v", where, o.Provider, o.Disclosed, disclosed[int(o.Provider)])
 				}
 			}
-			if got := fused.State().Disclosed(); got != int64(len(disclosed)) {
-				t.Fatalf("%s: %d providers flagged, want %d", where, got, len(disclosed))
+			if got := fused.Disclosed(); got != len(disclosed) {
+				t.Fatalf("%s: Disclosed = %d, want %d", where, got, len(disclosed))
 			}
 			if gs, ws := fused.State(), twin.State(); !sameConsumerBits(gs, ws) {
 				t.Fatalf("%s: state %+v, oracle %+v", where, gs, ws)
@@ -410,10 +412,14 @@ func TestProviderSetStateRejectsHostile(t *testing.T) {
 	}
 }
 
-// TestOverrideSize pins an override at 16 bytes: the disclosure flag sits in
-// the padding after the provider id.
+// TestOverrideSize pins an override at 16 bytes and a consumer at 72: the
+// disclosure flag sits in the padding after the provider id, and the
+// disclosure count in the padding after started.
 func TestOverrideSize(t *testing.T) {
 	if got := unsafe.Sizeof(Override{}); got != 16 {
 		t.Fatalf("Override is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Consumer{}); got != 72 {
+		t.Fatalf("Consumer is %d bytes, want 72", got)
 	}
 }

@@ -46,6 +46,10 @@ type Consumer struct {
 	memory    float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
 	n         int64
 	started   bool
+	// disclosed counts the overrides flagged Disclosed: the distinct
+	// recipients of the consumer's profile. It sits in the padding after
+	// started, so a consumer stays 72 bytes.
+	disclosed int32 //trustlint:derived recounted from the restored overrides' flags on SetState
 }
 
 // Override is one provider's own preference, shadowing the default, and
@@ -107,10 +111,9 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 // ObserveAllocation records one allocation together with the quality the
 // chosen provider delivered, and returns the allocation satisfaction. When
 // disclose is set the allocation also disclosed the consumer's profile to
-// chosen (a served interaction does; a refused one does not), and first
-// reports whether that is the first disclosure to chosen: the chosen
-// provider's override is the one record of who holds the profile, so the
-// caller's ledger keeps only a count of first disclosures.
+// chosen (a served interaction does; a refused one does not): the chosen
+// provider's override is the one record of who holds the profile, and
+// Disclosed counts the providers it reached.
 //
 // The allocation satisfaction is adequacy × quality. Adequacy is how well
 // allocating chosen matched the consumer's intention given the candidate
@@ -131,7 +134,7 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 // once, and the chosen provider's slot serves the adequacy, the preference
 // update and the disclosure flag, so the update inserts at most once and
 // searches again only when chosen is not a candidate.
-func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64, disclose bool) (a float64, first bool) {
+func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64, disclose bool) float64 {
 	q := clamp01(quality)
 	valid := chosen >= 0 && chosen < c.pop
 	adequacy := 0.0
@@ -167,10 +170,10 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 			adequacy = c.def / best
 		}
 	}
-	a = adequacy * q
+	a := adequacy * q
 	c.fold(a)
 	if !valid {
-		return a, false
+		return a
 	}
 	if !found {
 		if c.overrides == nil {
@@ -181,10 +184,15 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 	o := &c.overrides[slot]
 	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*q)
 	if disclose && !o.Disclosed {
-		o.Disclosed, first = true, true
+		o.Disclosed = true
+		c.disclosed++
 	}
-	return a, first
+	return a
 }
+
+// Disclosed returns the number of distinct providers the consumer's profile
+// was disclosed to.
+func (c *Consumer) Disclosed() int { return int(c.disclosed) }
 
 // ObserveFailure records an allocation round in which the consumer got no
 // service at all (adequacy 0).

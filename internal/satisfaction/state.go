@@ -30,18 +30,6 @@ func (c *Consumer) State() ConsumerState {
 	return st
 }
 
-// Disclosed counts the providers st records a profile disclosure to: the
-// distinct recipients of the consumer's profile.
-func (st ConsumerState) Disclosed() int64 {
-	var n int64
-	for _, o := range st.Overrides {
-		if o.Disclosed {
-			n++
-		}
-	}
-	return n
-}
-
 // validPref reports whether v is a preference a consumer can hold: a
 // number in [0, 1] (construction clamps into it and the EMA stays in it).
 func validPref(v float64) bool { return v >= 0 && v <= 1 }
@@ -96,6 +84,12 @@ func (c *Consumer) SetState(st ConsumerState) error {
 	c.pop = st.Pop // unchanged: CheckState matched it to the consumer's own
 	c.def = st.Def
 	c.overrides = slices.Clone(st.Overrides)
+	c.disclosed = 0
+	for _, o := range c.overrides {
+		if o.Disclosed {
+			c.disclosed++
+		}
+	}
 	c.sat = st.Sat
 	c.started = st.Started
 	c.n = st.N

@@ -20,6 +20,20 @@ func TestTrustGateValidation(t *testing.T) {
 	if _, err := NewEngine(Config{NumPeers: 10, TrustGate: -0.1}, newEigen(t, 10)); err == nil {
 		t.Fatal("negative gate accepted")
 	}
+	// The run-time setters refuse what construction refuses, NaN included.
+	e, err := NewEngine(Config{NumPeers: 10, TrustGate: 0.2}, newEigen(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetTrustGate(math.NaN()); err == nil || e.cfg.TrustGate != 0.2 {
+		t.Errorf("SetTrustGate(NaN) = %v, gate now %v", err, e.cfg.TrustGate)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), -1} {
+		if err := e.SetLedgerScale(scale); err == nil || e.LedgerScale() != DefaultExposureScale {
+			t.Errorf("SetLedgerScale(%v) = %v, scale now %v", scale, err, e.LedgerScale())
+			e.ledgerScale = DefaultExposureScale
+		}
+	}
 }
 
 func TestTrustGateCausesFailures(t *testing.T) {
@@ -47,42 +61,33 @@ func TestTrustGateCausesFailures(t *testing.T) {
 	}
 }
 
-// sharedTotal sums the reports every peer disclosed to the mechanism.
-func sharedTotal(eng *Engine) int64 {
-	var total int64
-	for _, c := range eng.Gatherer().State().SharedBy {
-		total += c.Reports
-	}
-	return total
-}
-
 func TestLedgerAccountsFlows(t *testing.T) {
-	eng, err := NewEngine(Config{Seed: 33, NumPeers: 20, RecomputeEvery: 2}, newEigen(t, 20))
+	m := newCounting(t, 20)
+	eng, err := NewEngine(Config{Seed: 33, NumPeers: 20, RecomputeEvery: 2}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := eng.Ledger()
 	eng.Run(10)
-	// Both flow kinds are recorded: a profile disclosure per served
+	// Both flow kinds are counted: a profile disclosure per served
 	// interaction and a feedback disclosure per shared report.
 	cum := eng.CumulativeStats()
-	profile, feedback := int64(cum.Interactions-cum.Refused), sharedTotal(eng)
+	profile, feedback := int64(cum.Interactions-cum.Refused), eng.Gatherer().Gathered
 	if profile == 0 || feedback == 0 {
 		t.Fatalf("flows: profile=%d feedback=%d", profile, feedback)
 	}
-	if got := int64(ledger.Len()); got != profile+feedback {
-		t.Fatalf("ledger Len = %d, want %d profile + %d feedback disclosures", got, profile, feedback)
+	if got := eng.Disclosures(); got != profile+feedback {
+		t.Fatalf("Disclosures = %d, want %d profile + %d feedback disclosures", got, profile, feedback)
 	}
-	// Every engine flow is consented.
+	// Every engine flow is consented, so each facet is the exposure term
+	// alone: it lies in (0,1) once the user disclosed anything, and equals
+	// the formula at full respect.
 	for u := 0; u < 20; u++ {
-		if r := ledger.RespectRate(u); r != 1 {
-			t.Fatalf("user %d respect rate = %v: engine recorded an unconsented flow", u, r)
-		}
-	}
-	// Privacy facets reflect the accounting.
-	for u := 0; u < 20; u++ {
-		if p := eng.PrivacyFacetOf(u); p <= 0 || p >= 1 {
+		p := eng.PrivacyFacetOf(u)
+		if p <= 0 || p >= 1 {
 			t.Fatalf("user %d privacy facet = %v, want (0,1)", u, p)
+		}
+		if want := privacyFacetFormula(eng, u, m.reports[u]); math.Float64bits(p) != math.Float64bits(want) {
+			t.Fatalf("user %d privacy facet = %v, formula at full respect %v", u, p, want)
 		}
 	}
 }
@@ -92,15 +97,19 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := eng.Ledger()
 	for u := 0; u < 20; u++ {
 		eng.SetDisclosure(u, 0)
 	}
 	eng.Run(10)
 	cum := eng.CumulativeStats()
-	if got, want := ledger.Len(), cum.Interactions-cum.Refused; got != want || sharedTotal(eng) != 0 {
-		t.Fatalf("ledger Len = %d with %d shared reports, want only the %d profile disclosures",
-			got, sharedTotal(eng), want)
+	if got, want := eng.Disclosures(), int64(cum.Interactions-cum.Refused); got != want || eng.Gatherer().Gathered != 0 {
+		t.Fatalf("Disclosures = %d with %d shared reports, want only the %d profile disclosures",
+			got, eng.Gatherer().Gathered, want)
+	}
+	for u := 0; u < 20; u++ {
+		if f := eng.feedback[u]; f != 0 {
+			t.Fatalf("user %d shared no report but has feedback exposure %v", u, f)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/reputation"
 	"repro/internal/sim"
-	"repro/internal/social"
 )
 
 // The sharded round pipeline.
@@ -25,8 +24,8 @@ import (
 //     interaction's private stream and state that is immutable for the
 //     round (scores, graph, behaviours, honesty override).
 //  3. gather (sequential): results merge into the shared mutable state
-//     (ground-truth tallies, satisfaction EMAs, disclosure ledger, gatherer
-//     → mechanism) in interaction-index order, so transaction ids, EMA folds
+//     (ground-truth tallies, satisfaction EMAs, privacy record, gatherer →
+//     mechanism) in interaction-index order, so transaction ids, EMA folds
 //     and the gatherer's disclosure draws are canonical.
 
 // interactionPlan is one scheduled request: the consumer plus the private
@@ -261,31 +260,16 @@ func (e *Engine) gather(st *RoundStats) {
 			continue
 		}
 		// Being served discloses the consumer's profile to the provider; the
-		// consumer's override for the provider says whether it is the first
-		// time.
-		_, first := e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality, true)
+		// consumer's override for the provider flags it.
+		e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality, true)
+		e.disclosures++
+		e.privDirty.Mark(consumer)
 		if r.quality < 0.5 {
 			st.BadService++
 		}
 		e.recordServed(provider, r.quality)
-		e.disclosures = append(e.disclosures, profileDisclosure{int32(consumer), first})
 		e.offerReport(tx, consumer, provider, r.rating)
 	}
-	// The ledger takes the round's profile disclosures in one pass after
-	// the merge. Nothing in the merge reads the ledger, so its state and
-	// dirty order are those of recording each in place, and the records,
-	// independent of one another, overlap their memory accesses.
-	for _, d := range e.disclosures {
-		e.ledger.Record(int(d.owner), e.profile, social.Medium, true, d.first)
-	}
-	e.disclosures = e.disclosures[:0]
-}
-
-// profileDisclosure is one served interaction's disclosure of its
-// consumer's profile: first is set when the provider is a new recipient.
-type profileDisclosure struct {
-	owner int32
-	first bool
 }
 
 // recordServed folds one served (or refused, quality 0) interaction into the

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/adversary"
-	"repro/internal/privacy"
 	"repro/internal/reputation"
 	"repro/internal/satisfaction"
 	"repro/internal/sim"
@@ -55,10 +54,24 @@ type EngineState struct {
 	// with identical dirty-set accounting.
 	SatDirty  []int
 	TrustGate float64
-	// Ledger is the privacy ledger's per-owner aggregates; LedgerScale is
-	// the exposure normalization scale its facet is read at.
-	Ledger      privacy.LedgerState
-	LedgerScale float64
+	// The privacy record: Disclosures counts the accounted flows, Feedback
+	// lists every user with a nonzero feedback exposure (ascending by
+	// peer), and PrivacyDirty lists the users touched since the last facet
+	// refresh (ascending), which the epoch tail's DirtyFacets accounting
+	// needs on a resumed run. The profile's recipients are the consumers'
+	// override flags. LedgerScale is the exposure normalization scale the
+	// facet is read at.
+	Disclosures  int64
+	Feedback     []FeedbackSum
+	PrivacyDirty []int
+	LedgerScale  float64
+}
+
+// FeedbackSum is one user's feedback exposure: the running sum of one
+// report term per report the user shared.
+type FeedbackSum struct {
+	Peer int
+	Sum  float64
 }
 
 // State captures the engine's mutable state.
@@ -88,8 +101,14 @@ func (e *Engine) State() (EngineState, error) {
 		QualSum:        append([]float64(nil), e.qualSum...),
 		SatDirty:       append([]int(nil), e.satDirty.Sorted()...),
 		TrustGate:      e.cfg.TrustGate,
-		Ledger:         e.ledger.State(),
+		Disclosures:    e.disclosures,
+		PrivacyDirty:   append([]int(nil), e.privDirty.Sorted()...),
 		LedgerScale:    e.ledgerScale,
+	}
+	for u, sum := range e.feedback {
+		if sum != 0 {
+			st.Feedback = append(st.Feedback, FeedbackSum{Peer: u, Sum: sum})
+		}
 	}
 	if e.activity != nil {
 		ast := e.activity.Stream().State()
@@ -166,7 +185,7 @@ func (e *Engine) Restore(st EngineState) error {
 			return fmt.Errorf("workload: snapshot peer %d has unknown behaviour class %d", id, int(c))
 		}
 	}
-	if err := checkLedgerState(st.Ledger, st.Consumers); err != nil {
+	if err := checkPrivacy(st); err != nil {
 		return err
 	}
 	// The mechanism blob goes last: its restore is the one fallible write,
@@ -183,7 +202,17 @@ func (e *Engine) Restore(st EngineState) error {
 	}
 	copy(e.classes, st.Classes)
 	e.rebuildColluders()
-	_ = e.ledger.SetState(st.Ledger) // checked by checkLedgerState
+	e.disclosures = st.Disclosures
+	clear(e.feedback)
+	for _, f := range st.Feedback {
+		e.feedback[f.Peer] = f.Sum
+	}
+	e.privDirty.Reset()
+	for _, u := range st.PrivacyDirty {
+		e.privDirty.Mark(u)
+	}
+	// The facet cache goes cold: the next refresh recomputes every user.
+	e.facetScale = 0
 	e.rng.SetState(st.RNG)
 	if e.activity != nil {
 		e.activity.Stream().SetState(*st.Activity)
@@ -241,47 +270,55 @@ func checkServed(count []int, qual []float64) error {
 	return nil
 }
 
-// checkLedgerState rejects a snapshot ledger that is malformed (see
-// privacy.LedgerState.Validate), names users outside the population as
-// owners or dirty marks, or disagrees with the consumers' disclosure flags:
-// the engine discloses one item, profileKey, and its count of recipients
-// must equal the number of providers the consumer's overrides flag as
-// disclosed to. The epoch tail indexes per-user state by these ids, so an
-// out-of-range one would crash or corrupt a later epoch, and a count apart
-// from the flags would drift further from them with every interaction.
-func checkLedgerState(st privacy.LedgerState, consumers []satisfaction.ConsumerState) error {
-	n := len(consumers)
-	for _, o := range st.Owners {
-		if o.Owner < 0 || o.Owner >= n {
-			return fmt.Errorf("workload: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
-		}
-	}
-	for _, u := range st.FacetDirty {
-		if u < 0 || u >= n {
-			return fmt.Errorf("workload: snapshot ledger dirty owner %d out of range [0,%d)", u, n)
-		}
-	}
-	if err := st.Validate(); err != nil {
-		return fmt.Errorf("workload: snapshot %w", err)
-	}
-	// Owners ascend (Validate checked), so one merge walk pairs each
-	// consumer with its aggregate, if any.
-	owners := st.Owners
-	for u := range consumers {
-		var count int64
-		if len(owners) > 0 && owners[0].Owner == u {
-			items := owners[0].Items
-			owners = owners[1:]
-			if len(items) > 1 || len(items) == 1 && items[0].Key != profileKey {
-				return fmt.Errorf("workload: snapshot ledger owner %d discloses items other than %q", u, profileKey)
-			}
-			if len(items) == 1 {
-				count = items[0].Recipients
+// checkPrivacy rejects a privacy record no run can reach: a user id out of
+// range or out of ascending order, a disclosure count below the profile
+// recipients the consumers flag (each flag came with a disclosure), or
+// feedback exposures that are not numbers in [0, maxFeedback(reports)],
+// where reports is what the count leaves after the flags, or that exceed it
+// together. The epoch tail indexes per-user state by these ids, so an
+// out-of-range one would crash a later epoch.
+func checkPrivacy(st EngineState) error {
+	n := len(st.Consumers)
+	reports := st.Disclosures
+	for _, c := range st.Consumers {
+		for _, o := range c.Overrides {
+			if o.Disclosed {
+				reports--
 			}
 		}
-		if flags := consumers[u].Disclosed(); flags != count {
-			return fmt.Errorf("workload: snapshot ledger owner %d: profile reached %d recipients, but the consumer flags %d", u, count, flags)
+	}
+	if reports < 0 {
+		return fmt.Errorf("workload: snapshot counts %d disclosures, fewer than the consumers' profile recipients", st.Disclosures)
+	}
+	total := 0.0
+	for k, f := range st.Feedback {
+		if f.Peer < 0 || f.Peer >= n || k > 0 && f.Peer <= st.Feedback[k-1].Peer {
+			return fmt.Errorf("workload: snapshot feedback of peer %d out of range [0,%d) or out of ascending order", f.Peer, n)
+		}
+		if !(f.Sum >= 0 && f.Sum <= maxFeedback(reports)) {
+			return fmt.Errorf("workload: snapshot feedback exposure %v of peer %d exceeds %d reports", f.Sum, f.Peer, reports)
+		}
+		total += f.Sum
+	}
+	// The users' reports share the count, so their sums do too. Adding k
+	// sums rounds at most k times, a relative k·2⁻⁵³; the bound allows
+	// twice that and a few roundings of maxFeedback itself.
+	if m := float64(len(st.Feedback)); total > maxFeedback(reports)*(1+float64((m+4)*0x1p-52)) {
+		return fmt.Errorf("workload: snapshot feedback exposures sum to %v, more than %d reports allow", total, reports)
+	}
+	for k, u := range st.PrivacyDirty {
+		if u < 0 || u >= n || k > 0 && u <= st.PrivacyDirty[k-1] {
+			return fmt.Errorf("workload: snapshot privacy dirty mark %d out of range [0,%d) or out of ascending order", u, n)
 		}
 	}
 	return nil
+}
+
+// maxFeedback bounds the feedback exposure of a user with at most `reports`
+// shared reports: that many sequential adds of feedbackTerm, each rounding
+// at most one ulp upward, stay within a relative reports·2⁻⁵² of the exact
+// product.
+func maxFeedback(reports int64) float64 {
+	t := float64(reports)
+	return feedbackTerm * t * (1 + float64(t*0x1p-52))
 }

@@ -87,8 +87,8 @@ type Config struct {
 	// Results are bit-for-bit identical for every shard count: shards are
 	// a scheduling decomposition, not a semantic one — see shard.go.
 	Shards int
-	// ExposureScale normalizes ledgered exposure into the privacy facet
-	// (default DefaultExposureScale; see privacy.Ledger.NormalizedExposure).
+	// ExposureScale normalizes exposure into the privacy facet (default
+	// DefaultExposureScale; see privacy.Facet).
 	ExposureScale float64
 }
 
@@ -118,12 +118,6 @@ func OrDefault(v, def float64) float64 {
 		return def
 	}
 }
-
-// profileKey is the ledger item of the profile a consumer discloses to each
-// provider it interacts with. Item keys only need to be unique within their
-// owner's aggregate, and "feedback/…" sorts before it, as the ledger's
-// feedback ordering contract requires.
-const profileKey = "profile"
 
 func (c Config) withDefaults() (Config, error) {
 	if c.NumPeers <= 1 {
@@ -273,16 +267,23 @@ type Engine struct {
 	round          int
 	rounds         []RoundStats
 	cumulative     RoundStats
-	// ledger accounts every information flow: the consumer's profile
-	// disclosed to the provider on each interaction, and each feedback
-	// report disclosed to the mechanism. ledgerScale is its exposure
-	// normalization scale (Config.ExposureScale, changed by SetLedgerScale).
-	// profile is profileKey interned in the ledger. Each consumer's
-	// preference overrides flag the providers its profile reached, so the
-	// ledger's profile count is the consumer's number of flags.
-	ledger      *privacy.Ledger
+	// The privacy facet's record (§2.3). Every flow the engine accounts is
+	// consented: a served interaction discloses the consumer's profile (a
+	// Medium item) to the provider, and a delivered report discloses the
+	// rater's feedback (a Low item) to the mechanism. So user u's exposure
+	// is feedback[u], the running sum of u's report terms, plus the
+	// profile's term over the providers u's consumer overrides flag as
+	// disclosed to (Consumer.Disclosed). disclosures counts every flow,
+	// privDirty marks the users whose exposure moved since the last
+	// RefreshPrivacyFacets, and facets caches each user's facet at
+	// facetScale (0 while cold). ledgerScale is the exposure normalization
+	// scale (Config.ExposureScale, changed by SetLedgerScale).
+	feedback    []float64
+	disclosures int64
+	privDirty   metrics.DirtySet
+	facets      []float64 //trustlint:derived cache, recomputed by RefreshPrivacyFacets
+	facetScale  float64   //trustlint:derived cache key, reset to cold by Restore
 	ledgerScale float64
-	profile     privacy.ItemID //trustlint:derived interned at construction; interned keys outlive the ledger's SetState
 	// GateFailures counts allocation rounds where the trust gate left no
 	// eligible candidate.
 	GateFailures int64
@@ -318,13 +319,12 @@ type Engine struct {
 	// not part of EngineState.
 	pending []reputation.Report //trustlint:derived always empty between rounds, when snapshots are taken
 	// The round buffers (see shard.go): one plan, one result and one
-	// CandidateSize-id candidate slot per interaction, the served
-	// interactions' profile disclosures, one scratch per scatter chunk, the
-	// inputs the scatter reads, and the scatter body, built once.
+	// CandidateSize-id candidate slot per interaction, one scratch per
+	// scatter chunk, the inputs the scatter reads, and the scatter body,
+	// built once.
 	plans        []interactionPlan   //trustlint:derived round buffer, empty between rounds
 	results      []interactionResult //trustlint:derived round buffer, empty between rounds
 	cands        []int32             //trustlint:derived round buffer, empty between rounds
-	disclosures  []profileDisclosure //trustlint:derived round buffer, empty between rounds
 	chunks       []chunkScratch      //trustlint:derived scatter scratch, contents never outlive one simulation
 	in           roundInputs         //trustlint:derived set for one scatter and cleared after it
 	scatterChunk func(lo, hi int)    //trustlint:derived built once by NewEngine
@@ -416,10 +416,10 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		shards:      cfg.Shards,
 		servedCount: make([]int, cfg.NumPeers),
 		qualSum:     make([]float64, cfg.NumPeers),
-		ledger:      privacy.NewLedger(),
+		feedback:    make([]float64, cfg.NumPeers),
+		facets:      make([]float64, cfg.NumPeers),
 		ledgerScale: cfg.ExposureScale,
 	}
-	e.profile = e.ledger.Item(profileKey)
 	e.scatterChunk = e.newScatterChunk()
 	e.rebuildColluders()
 	if cfg.ActivitySkew > 0 {
@@ -532,29 +532,73 @@ func (e *Engine) Classes() []adversary.Class {
 	return out
 }
 
-// Ledger exposes the engine's privacy ledger.
-func (e *Engine) Ledger() *privacy.Ledger { return e.ledger }
+// Disclosures returns the number of information flows the engine
+// accounted: one per served interaction and one per delivered report.
+func (e *Engine) Disclosures() int64 { return e.disclosures }
 
-// RefreshPrivacyFacets brings the ledger's facet cache up to date at the
-// current exposure scale and clears the ledger's dirty owners. It mutates
-// the cache, so it must run on a sequential phase, before PrivacyFacetOf
-// calls fan out over shards; the epoch boundary is its one caller, after it
-// has read LedgerDirtyOwners.
-func (e *Engine) RefreshPrivacyFacets() { e.ledger.RefreshFacets(e.ledgerScale) }
+// feedbackTerm is the exposure one delivered report adds to its rater's: a
+// Low item reaching one recipient, the mechanism.
+var feedbackTerm = privacy.ItemExposure(privacy.SensitivityWeight(social.Low), 1)
+
+// profileWeight is the sensitivity weight of the profile a served
+// interaction discloses.
+var profileWeight = privacy.SensitivityWeight(social.Medium)
+
+// recordFeedback accounts one report the rater shared with the mechanism.
+// The sum stays a running one, one add per report, because feedbackTerm is
+// not exact.
+func (e *Engine) recordFeedback(rater int) {
+	e.feedback[rater] += feedbackTerm
+	e.disclosures++
+	e.privDirty.Mark(rater)
+}
+
+// privacyFacet computes user u's privacy facet at the given scale: every
+// flow is consented, so the respect rate is 1, and the exposure is the
+// feedback sum plus the profile's term (+0 while no provider holds it).
+func (e *Engine) privacyFacet(u int, scale float64) float64 {
+	x := e.feedback[u] + privacy.ItemExposure(profileWeight, int64(e.consumers[u].Disclosed()))
+	return privacy.Facet(1, x, scale)
+}
+
+// PrivacyTouched returns the ascending ids of users whose privacy facet
+// inputs changed since the last RefreshPrivacyFacets: every served consumer
+// and every rater of a delivered report. The slice is owned by the engine
+// and valid until the next round or refresh.
+func (e *Engine) PrivacyTouched() []int { return e.privDirty.Sorted() }
+
+// RefreshPrivacyFacets brings the facet cache up to date at the current
+// exposure scale — the touched users, or every user after a scale change —
+// and clears the touched set. It mutates the cache, so it must run on a
+// sequential phase, before PrivacyFacetOf calls fan out over shards; the
+// epoch boundary is its one caller, after it has read PrivacyTouched.
+func (e *Engine) RefreshPrivacyFacets() {
+	if e.facetScale != e.ledgerScale {
+		e.facetScale = e.ledgerScale
+		for u := range e.facets {
+			e.facets[u] = e.privacyFacet(u, e.facetScale)
+		}
+	} else {
+		for _, u := range e.privDirty.Sorted() {
+			e.facets[u] = e.privacyFacet(u, e.facetScale)
+		}
+	}
+	e.privDirty.Reset()
+}
 
 // PrivacyFacetOf returns one user's privacy facet at the current exposure
-// scale. It never mutates the ledger, so it is safe to fan out over shards;
-// after RefreshPrivacyFacets it is a cached read.
-func (e *Engine) PrivacyFacetOf(u int) float64 { return e.ledger.PrivacyFacet(u, e.ledgerScale) }
-
-// LedgerDirtyOwners returns the owner ids whose ledger state changed since
-// the last RefreshPrivacyFacets, each once and in no set order. The slice is
-// owned by the ledger and valid until its next mutation — read it before
-// refreshing.
-func (e *Engine) LedgerDirtyOwners() []int { return e.ledger.DirtyOwners() }
+// scale: a cached read unless the user was touched or the scale moved since
+// the last RefreshPrivacyFacets. It never mutates the engine, so it is safe
+// to fan out over shards.
+func (e *Engine) PrivacyFacetOf(u int) float64 {
+	if e.facetScale == e.ledgerScale && !e.privDirty.Dirty(u) {
+		return e.facets[u]
+	}
+	return e.privacyFacet(u, e.ledgerScale)
+}
 
 // LedgerScale returns the exposure normalization scale currently in effect
-// for the ledger's privacy facet.
+// for the privacy facet.
 func (e *Engine) LedgerScale() float64 { return e.ledgerScale }
 
 // UserSatisfaction returns one user's satisfaction facet: her long-run
@@ -701,7 +745,7 @@ func (e *Engine) offerReport(tx uint64, rater, ratee int, value float64) {
 
 // flushReports delivers the round's admitted reports to the mechanism — in
 // one SubmitBatch call when the mechanism supports it — and completes the
-// gatherer and ledger accounting for each delivered report. Batching is
+// gatherer and privacy accounting for each delivered report. Batching is
 // optional because the two paths differ on failure: per-report delivery
 // drops only a rejected report, a batch aborts at the first one. For the
 // batch submitters (EigenTrust, PowerTrust) errors only arise from
@@ -714,9 +758,8 @@ func (e *Engine) flushReports() {
 	if bs, ok := e.mech.(reputation.BatchSubmitter); ok {
 		if bs.SubmitBatch(e.pending) == nil {
 			for i := range e.pending {
-				r := &e.pending[i]
-				e.gatherer.Commit(r.Rater)
-				e.ledger.RecordFeedback(r.Rater)
+				e.gatherer.Commit()
+				e.recordFeedback(e.pending[i].Rater)
 			}
 			if e.reportObserver != nil {
 				e.reportObserver(e.pending)
@@ -729,8 +772,8 @@ func (e *Engine) flushReports() {
 			if e.mech.Submit(*r) != nil {
 				continue
 			}
-			e.gatherer.Commit(r.Rater)
-			e.ledger.RecordFeedback(r.Rater)
+			e.gatherer.Commit()
+			e.recordFeedback(r.Rater)
 			if e.reportObserver != nil {
 				delivered = append(delivered, *r)
 			}
@@ -841,7 +884,7 @@ func (e *Engine) SubmitExternalReport(rater, ratee int, value float64) error {
 	}
 	// Same accounting as a gathered in-simulation report: sharing feedback
 	// discloses the rater's behavioural data to the mechanism.
-	e.ledger.RecordFeedback(rater)
+	e.recordFeedback(rater)
 	if e.reportObserver != nil {
 		e.reportObserver([]reputation.Report{r})
 	}
@@ -1016,18 +1059,18 @@ func (e *Engine) Convergence() (reputation.Convergence, bool) {
 // SetTrustGate changes the privacy trust-gate strictness mid-run (a
 // privacy-policy intervention). The new gate applies from the next round.
 func (e *Engine) SetTrustGate(gate float64) error {
-	if gate < 0 || gate >= 1 {
+	if !(0 <= gate && gate < 1) {
 		return fmt.Errorf("workload: trust gate %v out of [0,1)", gate)
 	}
 	e.cfg.TrustGate = gate
 	return nil
 }
 
-// SetLedgerScale changes the exposure normalization scale of the ledger's
-// privacy facet (0 means DefaultExposureScale).
+// SetLedgerScale changes the exposure normalization scale of the privacy
+// facet (0 means DefaultExposureScale).
 func (e *Engine) SetLedgerScale(scale float64) error {
-	if scale < 0 {
-		return fmt.Errorf("workload: negative exposure scale %v", scale)
+	if !(0 <= scale && scale <= math.MaxFloat64) {
+		return fmt.Errorf("workload: exposure scale %v is not a finite non-negative number", scale)
 	}
 	if scale == 0 {
 		scale = DefaultExposureScale

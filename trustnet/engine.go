@@ -19,7 +19,7 @@ type EpochStats = core.EpochStats
 
 // Engine is the assembled three-facet trust system: a scenario (population,
 // friendship graph, behaviour mix), a pluggable reputation mechanism, the
-// privacy ledger, and the per-user trust model, driven either round by
+// privacy record, and the per-user trust model, driven either round by
 // round (RunRounds) or through the §3 coupling epochs (Run).
 //
 // An Engine is not safe for concurrent mutation. AssessAll is a pure read
@@ -47,9 +47,9 @@ func (e *Engine) Classes() []Class { return e.dyn.Engine().Classes() }
 // (the population size minus users removed by LeaveWave interventions).
 func (e *Engine) ActivePeers() int { return e.dyn.Engine().ActivePeers() }
 
-// Ledger returns a read-only view of the disclosure ledger accounting every
+// Ledger returns a read-only view of the disclosure count accounting every
 // information flow of the scenario.
-func (e *Engine) Ledger() LedgerView { return LedgerView{e.dyn.Engine().Ledger()} }
+func (e *Engine) Ledger() LedgerView { return LedgerView{e.dyn.Engine()} }
 
 // RunRounds executes n interaction rounds without touching the coupling
 // state — the single-mechanism evaluation mode of the §2 experiments.

@@ -132,7 +132,7 @@ func (cfg ExploreConfig) pointScenario() Scenario {
 func evaluatePoints(ctx context.Context, base Scenario, settings []Setting) ([]Point, error) {
 	tuples := make([][]float64, len(settings))
 	for i, s := range settings {
-		if s.Disclosure < 0 || s.Disclosure > 1 || s.TrustGate < 0 || s.TrustGate >= 1 {
+		if !(0 <= s.Disclosure && s.Disclosure <= 1 && 0 <= s.TrustGate && s.TrustGate < 1) {
 			return nil, fmt.Errorf("trustnet: setting %+v out of range", s)
 		}
 		tuples[i] = []float64{s.Disclosure, s.TrustGate}

@@ -2,6 +2,7 @@ package trustnet
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,12 @@ func TestEvaluateSettingBounds(t *testing.T) {
 	}
 	if _, err := EvaluateSetting(cfg, Setting{TrustGate: 1}); err == nil {
 		t.Fatal("gate=1 accepted")
+	}
+	// The setting check itself refuses NaN, before any run is built.
+	for _, s := range []Setting{{Disclosure: math.NaN()}, {Disclosure: 0.5, TrustGate: math.NaN()}} {
+		if _, err := EvaluateSetting(cfg, s); err == nil || !strings.Contains(err.Error(), "setting") {
+			t.Fatalf("EvaluateSetting(%+v) = %v, want a setting range error", s, err)
+		}
 	}
 	p, err := EvaluateSetting(cfg, Setting{Disclosure: 0.8, TrustGate: 0.2})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/reputation"
 )
@@ -113,14 +114,14 @@ type PolicyChange struct {
 
 func (c PolicyChange) check(*Engine) error {
 	p := c.Policy
-	if p.Disclosure < 0 || p.Disclosure > 1 {
+	if !(0 <= p.Disclosure && p.Disclosure <= 1) {
 		return fmt.Errorf("trustnet: policy change disclosure %v out of [0,1]", p.Disclosure)
 	}
-	if p.TrustGate < 0 || p.TrustGate >= 1 {
+	if !(0 <= p.TrustGate && p.TrustGate < 1) {
 		return fmt.Errorf("trustnet: policy change trust gate %v out of [0,1)", p.TrustGate)
 	}
-	if p.ExposureScale < 0 {
-		return fmt.Errorf("trustnet: policy change negative exposure scale %v", p.ExposureScale)
+	if !(0 <= p.ExposureScale && p.ExposureScale <= math.MaxFloat64) {
+		return fmt.Errorf("trustnet: policy change exposure scale %v is not a finite non-negative number", p.ExposureScale)
 	}
 	return nil
 }
@@ -140,7 +141,7 @@ type TrustGateChange struct {
 }
 
 func (c TrustGateChange) check(*Engine) error {
-	if c.Gate < 0 || c.Gate >= 1 {
+	if !(0 <= c.Gate && c.Gate < 1) {
 		return fmt.Errorf("trustnet: trust gate %v out of [0,1)", c.Gate)
 	}
 	return nil
@@ -157,7 +158,7 @@ type DisclosureChange struct {
 }
 
 func (c DisclosureChange) check(*Engine) error {
-	if c.Base < 0 || c.Base > 1 {
+	if !(0 <= c.Base && c.Base <= 1) {
 		return fmt.Errorf("trustnet: disclosure %v out of [0,1]", c.Base)
 	}
 	return nil
@@ -173,7 +174,7 @@ type HonestyChange struct {
 }
 
 func (c HonestyChange) check(*Engine) error {
-	if c.Base < 0 || c.Base > 1 {
+	if !(0 <= c.Base && c.Base <= 1) {
 		return fmt.Errorf("trustnet: base honesty %v out of [0,1]", c.Base)
 	}
 	return nil

@@ -3,6 +3,7 @@ package trustnet
 import (
 	"repro/internal/privacy"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Sim is the discrete-event simulation clock the privacy service's
@@ -21,18 +22,20 @@ func NewSim() *Sim { return sim.New() }
 // NewRNG creates a seeded random stream.
 func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 
-// Ledger accounts for every piece of disclosed information; it backs the
-// privacy facet (§2.3).
+// Ledger is the privacy service's accountability record: per owner, the
+// consent tallies and disclosed items behind the owner's privacy facet
+// (§2.3).
 type Ledger = privacy.Ledger
 
-// LedgerView reads an engine's disclosure ledger. Only the engine writes
-// it: each consumer's preference overrides flag the providers its profile
-// reached, and the ledger's profile counts must stay equal to those flags.
-type LedgerView struct{ l *privacy.Ledger }
+// LedgerView reads an engine's disclosure accounting. Only the engine
+// writes it: one disclosure per served interaction (the consumer's profile
+// reaching the provider) and one per feedback report shared with the
+// mechanism.
+type LedgerView struct{ e *workload.Engine }
 
 // Len returns the number of recorded disclosures, feedback reports
 // included.
-func (v LedgerView) Len() int { return v.l.Len() }
+func (v LedgerView) Len() int { return int(v.e.Disclosures()) }
 
 // Policy is one data item's P3P-style privacy policy — exactly the field
 // list of §2.3.

@@ -117,6 +117,13 @@ func TestScenarioOptionErrors(t *testing.T) {
 		{"NaN AnonRep prior strength", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "anonrep", PriorStrength: nan} }), "prior strength"},
 		{"NaN EigenTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "eigentrust", Epsilon: nan} }), "epsilon"},
 		{"+Inf PowerTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "powertrust", Epsilon: inf} }), "epsilon"},
+		// Only zero means "default": a negative setting is an error, not a
+		// silent default.
+		{"negative EigenTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "eigentrust", Epsilon: -1} }), "epsilon"},
+		{"negative PowerTrust epsilon", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "powertrust", Epsilon: -1e-6} }), "epsilon"},
+		{"negative EigenTrust max iterations", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "eigentrust", MaxIter: -1} }), "max iterations"},
+		{"negative PowerTrust max iterations", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "powertrust", MaxIter: -5} }), "max iterations"},
+		{"negative AnonRep prior strength", nanScenario(func(sc *Scenario) { sc.Mechanism = MechanismSpec{Kind: "anonrep", PriorStrength: -3} }), "prior strength"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -292,6 +299,11 @@ func TestMixOfFoldsInNameOrder(t *testing.T) {
 		if got := MixOf(fractions).Fractions["honest"]; got != want {
 			t.Fatalf("call %d: honest remainder %v, first call %v", i, got, want)
 		}
+	}
+	// A NaN fraction is refused, not folded into the remainder.
+	sc := Scenario{Mix: &MixSpec{Fractions: map[string]float64{"malicious": 0.1}}}
+	if err := setClassFraction(&sc, "traitor", math.NaN()); err == nil {
+		t.Fatal("NaN class fraction accepted")
 	}
 	// The sweep's class axis folds its remainder the same way.
 	for i := 0; i < 200; i++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -338,6 +339,14 @@ func TestScheduleValidation(t *testing.T) {
 		Schedule{}.At(2, LeaveWave{}),
 		Schedule{}.At(2, TrustGateChange{Gate: 1.5}),
 		Schedule{}.At(2, HonestyChange{Base: -0.1}),
+		// NaN fails every comparison, so each check must refuse it.
+		Schedule{}.At(2, TrustGateChange{Gate: math.NaN()}),
+		Schedule{}.At(2, HonestyChange{Base: math.NaN()}),
+		Schedule{}.At(2, DisclosureChange{Base: math.NaN()}),
+		Schedule{}.At(2, PolicyChange{Policy: PrivacyPolicy{Disclosure: math.NaN()}}),
+		Schedule{}.At(2, PolicyChange{Policy: PrivacyPolicy{Disclosure: 1, TrustGate: math.NaN()}}),
+		Schedule{}.At(2, PolicyChange{Policy: PrivacyPolicy{Disclosure: 1, ExposureScale: math.NaN()}}),
+		Schedule{}.At(2, PolicyChange{Policy: PrivacyPolicy{Disclosure: 1, ExposureScale: math.Inf(1)}}),
 		Schedule{}.At(2, BehaviorChange{Users: []int{1}, Class: Class(99)}),
 		{ScheduledIntervention{Epoch: 1, Action: nil}},
 	}

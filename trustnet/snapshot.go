@@ -42,12 +42,19 @@ import (
 // profile count that differs from the consumer's flags. A v5 item's
 // recipient list does not decode into a count, and a v5 override has no
 // flag, so every v5 profile count would disagree with its consumer.
-const snapshotVersion = 6
+//
+// v7: the engine keeps its privacy record itself instead of in a ledger:
+// a disclosure count, a feedback exposure per user and the users touched
+// since the last facet refresh, while the profile's recipient counts are
+// the consumers' override flags alone. The gatherer no longer counts the
+// reports of each rater. A v6 blob's ledger would decode into nothing, so
+// every restored feedback exposure would read 0.
+const snapshotVersion = 7
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer
 // disclosure draws, mechanism-internal streams), the trust model and §3
-// coupling state, the privacy ledger, the reputation mechanism, and the
+// coupling state, the privacy record, the reputation mechanism, and the
 // recorded epoch history.
 //
 // A Snapshot restores only into an Engine built from the identical scenario

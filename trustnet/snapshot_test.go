@@ -15,9 +15,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/dht"
-	"repro/internal/privacy"
 	"repro/internal/reputation"
+	"repro/internal/satisfaction"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // runEpochs drives an engine n epochs, failing the test on any error.
@@ -226,12 +227,14 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsHostileLedger feeds snapshots whose privacy ledger is
-// malformed or names users outside the population through the public
-// encode/decode/restore path: each must be an error, not a panic or an
-// out-of-memory growth of per-user state, and a rejected restore must leave
-// the engine exactly as it was — its ledger state unchanged and its
-// continuation bit-identical to a twin that never saw the hostile blobs.
+// TestRestoreRejectsHostileLedger feeds snapshots whose privacy record —
+// the disclosure count, the per-user feedback exposures, the touched users
+// and the profile flags — is malformed or names users outside the
+// population through the public encode/decode/restore path: each must be an
+// error, not a panic or an out-of-memory growth of per-user state, and a
+// rejected restore must leave the engine exactly as it was — its snapshot
+// unchanged and its continuation bit-identical to a twin that never saw the
+// hostile blobs.
 func TestRestoreRejectsHostileLedger(t *testing.T) {
 	eng, err := sessionScenario(402).NewEngine()
 	if err != nil {
@@ -244,49 +247,58 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 	runEpochs(t, eng, 2)
 	runEpochs(t, twin, 2)
 	n := eng.Peers()
-	// withItems returns the first owner disclosing an item to at least
-	// minRcpt recipients.
-	withItems := func(t *testing.T, st *privacy.LedgerState, minRcpt int64) *privacy.OwnerState {
-		for k := range st.Owners {
-			if o := &st.Owners[k]; len(o.Items) > 0 && o.Items[0].Recipients >= minRcpt {
-				return o
+	last := func(st *workload.EngineState) *workload.FeedbackSum { return &st.Feedback[len(st.Feedback)-1] }
+	// flagged counts the consumers' profile flags.
+	flagged := func(st *workload.EngineState) int64 {
+		var k int64
+		for _, c := range st.Consumers {
+			for _, o := range c.Overrides {
+				if o.Disclosed {
+					k++
+				}
 			}
 		}
-		t.Fatalf("snapshot ledger has no item with %d recipients to corrupt", minRcpt)
-		return nil
+		return k
 	}
-	last := func(st *privacy.LedgerState) *privacy.OwnerState { return &st.Owners[len(st.Owners)-1] }
 	cases := []struct {
-		name   string
-		mutate func(t *testing.T, st *privacy.LedgerState)
+		name, want string
+		mutate     func(st *workload.EngineState)
 	}{
-		{"huge owner", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = 1 << 62 }},
-		{"mid-sized owner", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = 1 << 34 }},
-		{"negative owner", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Owner = -1 }},
-		{"owner = peers", func(t *testing.T, st *privacy.LedgerState) { last(st).Owner = n }},
-		{"owners unsorted", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0], st.Owners[1] = st.Owners[1], st.Owners[0] }},
-		{"owner duplicated", func(t *testing.T, st *privacy.LedgerState) { st.Owners[1].Owner = st.Owners[0].Owner }},
-		// As many recipients as peers: more than any consumer flags, and
-		// more than the owner's disclosures when those are fewer.
-		{"recipient = peers", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Recipients = int64(n) }},
-		{"dirty owner out of range", func(t *testing.T, st *privacy.LedgerState) { st.FacetDirty = append(st.FacetDirty, 1<<62) }},
-		{"consented > total", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = st.Owners[0].Total + 1 }},
-		{"negative consented", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Consented = -1 }},
-		{"negative total", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Total, st.Owners[0].Consented = -1, -1 }},
-		{"feedback NaN", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Feedback = math.NaN() }},
-		{"feedback negative", func(t *testing.T, st *privacy.LedgerState) { st.Owners[0].Feedback = -0.2 }},
-		{"feedback above 0.2 x total", func(t *testing.T, st *privacy.LedgerState) {
-			st.Owners[0].Feedback = 0.2*float64(st.Owners[0].Total) + 0.2
+		{"huge owner", "feedback of peer", func(st *workload.EngineState) { last(st).Peer = 1 << 62 }},
+		{"mid-sized owner", "feedback of peer", func(st *workload.EngineState) { last(st).Peer = 1 << 34 }},
+		{"negative owner", "feedback of peer", func(st *workload.EngineState) { st.Feedback[0].Peer = -1 }},
+		{"owner = peers", "feedback of peer", func(st *workload.EngineState) { last(st).Peer = n }},
+		{"owners unsorted", "feedback of peer", func(st *workload.EngineState) { st.Feedback[0], st.Feedback[1] = st.Feedback[1], st.Feedback[0] }},
+		{"owner duplicated", "feedback of peer", func(st *workload.EngineState) { st.Feedback[1].Peer = st.Feedback[0].Peer }},
+		// A profile recipient as far as the population: a flag on an
+		// override for provider n, past the consumer's last one.
+		{"recipient = peers", "override for provider", func(st *workload.EngineState) {
+			c := &st.Consumers[0]
+			c.Overrides = append(c.Overrides, satisfaction.Override{Provider: int32(n), Disclosed: true, Pref: 0.5})
 		}},
-		{"item keys unsorted", func(t *testing.T, st *privacy.LedgerState) {
-			o := withItems(t, st, 1)
-			o.Items = append(o.Items, privacy.ItemState{Key: "a", Weight: 0.5, Recipients: 1})
+		{"dirty owner out of range", "dirty mark", func(st *workload.EngineState) { st.PrivacyDirty = append(st.PrivacyDirty, 1<<62) }},
+		{"negative dirty mark", "dirty mark", func(st *workload.EngineState) { st.PrivacyDirty = []int{-1} }},
+		{"dirty marks unsorted", "dirty mark", func(st *workload.EngineState) { st.PrivacyDirty = []int{3, 2} }},
+		{"dirty mark duplicated", "dirty mark", func(st *workload.EngineState) { st.PrivacyDirty = []int{2, 2} }},
+		{"negative total", "disclosures", func(st *workload.EngineState) { st.Disclosures = -1 }},
+		{"feedback NaN", "feedback exposure", func(st *workload.EngineState) { st.Feedback[0].Sum = math.NaN() }},
+		{"feedback +Inf", "feedback exposure", func(st *workload.EngineState) { st.Feedback[0].Sum = math.Inf(1) }},
+		{"feedback negative", "feedback exposure", func(st *workload.EngineState) { st.Feedback[0].Sum = -0.2 }},
+		{"feedback above 0.2 x total", "feedback exposure", func(st *workload.EngineState) {
+			st.Feedback[0].Sum = 0.2*float64(st.Disclosures) + 0.2
 		}},
-		{"item key duplicated", func(t *testing.T, st *privacy.LedgerState) {
-			o := withItems(t, st, 1)
-			o.Items = append(o.Items, o.Items[len(o.Items)-1])
+		// Each sum within the reports the count leaves, but together far
+		// above them.
+		{"feedback sums above the reports in total", "feedback exposures sum", func(st *workload.EngineState) {
+			for k := range st.Feedback {
+				st.Feedback[k].Sum = 0.2 * float64(st.Disclosures-flagged(st))
+			}
 		}},
-		{"weight of no class", func(t *testing.T, st *privacy.LedgerState) { withItems(t, st, 1).Items[0].Weight = 0.3 }},
+		// Every disclosure a report, save the flagged profiles: one report
+		// more than that is more than the count allows.
+		{"feedback above the reports left", "feedback exposure", func(st *workload.EngineState) {
+			st.Feedback[0].Sum = 0.2 * float64(st.Disclosures-flagged(st)+1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,10 +307,10 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := snapshotRoundTrip(t, eng)
-			if len(snap.State.Engine.Ledger.Owners) < 2 {
-				t.Fatal("snapshot ledger has too few owners to corrupt")
+			if len(snap.State.Engine.Feedback) < 2 {
+				t.Fatal("snapshot privacy record has too few feedback exposures to corrupt")
 			}
-			tc.mutate(t, &snap.State.Engine.Ledger)
+			tc.mutate(&snap.State.Engine)
 			var buf bytes.Buffer
 			if err := snap.Encode(&buf); err != nil {
 				t.Fatal(err)
@@ -307,14 +319,14 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), "ledger") {
-				t.Fatalf("restore of hostile ledger = %v, want a ledger error", err)
+			if err := eng.Restore(hostile); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore of hostile privacy record = %v, want a %q error", err, tc.want)
 			}
 			after, err := eng.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(after.State.Engine.Ledger, before.State.Engine.Ledger) || after.Epoch != before.Epoch {
+			if !reflect.DeepEqual(after, before) {
 				t.Fatal("rejected restore changed the engine")
 			}
 		})
@@ -324,17 +336,6 @@ func TestRestoreRejectsHostileLedger(t *testing.T) {
 	if !bytes.Equal(histBytes(t, eng.History()), histBytes(t, twin.History())) {
 		t.Fatal("rejected restores perturbed the continuation")
 	}
-}
-
-// profileOf returns the first ledger owner's profile item.
-func profileOf(t *testing.T, st *core.DynamicsState) *privacy.ItemState {
-	for k := range st.Engine.Ledger.Owners {
-		if o := &st.Engine.Ledger.Owners[k]; len(o.Items) > 0 {
-			return &o.Items[0]
-		}
-	}
-	t.Fatal("snapshot ledger has no item to corrupt")
-	return nil
 }
 
 // TestRestoreRejectsHostileUserState feeds snapshots whose per-user trust,
@@ -481,9 +482,20 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"exposure scale +Inf", "exposure scale", func(t *testing.T, st *core.DynamicsState) { st.Engine.LedgerScale = math.Inf(1) }},
 		{"base disclosure NaN", "base disclosure", func(t *testing.T, st *core.DynamicsState) { st.BaseDisclosure = math.NaN() }},
 		{"base honesty NaN", "base honesty", func(t *testing.T, st *core.DynamicsState) { st.BaseHonesty = math.NaN() }},
-		// The ledger's profile count must equal the consumer's disclosure
-		// flags, whichever side is off.
-		{"disclosure flag without a ledger count", "consumer flags", func(t *testing.T, st *core.DynamicsState) {
+		// The privacy record: every profile flag came with a disclosure, and
+		// a feedback exposure and a touched user must be ones a run reaches.
+		{"disclosure flag without a ledger count", "fewer than", func(t *testing.T, st *core.DynamicsState) {
+			var flags int64
+			for _, c := range st.Engine.Consumers {
+				for _, o := range c.Overrides {
+					if o.Disclosed {
+						flags++
+					}
+				}
+			}
+			// Every disclosure counted is a flagged profile; one more flag
+			// has no count behind it.
+			st.Engine.Disclosures = flags
 			for _, c := range st.Engine.Consumers {
 				for k := range c.Overrides {
 					if !c.Overrides[k].Disclosed {
@@ -494,17 +506,15 @@ func TestRestoreIsAtomic(t *testing.T) {
 			}
 			t.Fatal("snapshot has no undisclosed override to flag")
 		}},
-		{"ledger count above the disclosure flags", "consumer flags", func(t *testing.T, st *core.DynamicsState) {
-			for k := range st.Engine.Ledger.Owners {
-				if o := &st.Engine.Ledger.Owners[k]; len(o.Items) > 0 && o.Items[0].Recipients < o.Total {
-					o.Items[0].Recipients++
-					return
-				}
+		{"feedback exposure +Inf", "feedback exposure", func(t *testing.T, st *core.DynamicsState) {
+			if len(st.Engine.Feedback) == 0 {
+				t.Fatal("snapshot has no feedback exposure to corrupt")
 			}
-			t.Fatal("snapshot ledger has no profile count to raise")
+			st.Engine.Feedback[0].Sum = math.Inf(1)
 		}},
-		{"ledger item count 0", "recipients", func(t *testing.T, st *core.DynamicsState) { profileOf(t, st).Recipients = 0 }},
-		{"ledger item count -1", "recipients", func(t *testing.T, st *core.DynamicsState) { profileOf(t, st).Recipients = -1 }},
+		{"privacy dirty mark at peers", "dirty mark", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.PrivacyDirty = append(st.Engine.PrivacyDirty, n)
+		}},
 		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
 			var et etState
 			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
@@ -1039,12 +1049,40 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	}
 	v5 := v5Snapshot{Version: 5, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
 	v5.State.Engine.Ledger.Owners = []v5Owner{{Owner: 4, Items: []v5Item{{Key: "profile", Recipients: []int{7, 9}}}}}
+	// A v6-era stand-in: the engine's privacy state was a ledger of
+	// per-owner aggregates, which a v7 engine state has no field for, so
+	// its feedback exposure would restore as 0.
+	type v6Item struct {
+		Key        string
+		Weight     float64
+		Recipients int64
+	}
+	type v6Owner struct {
+		Owner            int
+		Total, Consented int64
+		Feedback         float64
+		Items            []v6Item
+	}
+	type v6State struct {
+		Engine struct{ Ledger struct{ Owners []v6Owner } }
+		Epoch  int
+	}
+	type v6Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v6State
+	}
+	v6 := v6Snapshot{Version: 6, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
+	v6.State.Engine.Ledger.Owners = []v6Owner{{Owner: 4, Total: 3, Consented: 3, Feedback: 0.4, Items: []v6Item{{Key: "profile", Weight: 0.5, Recipients: 1}}}}
 	for _, blob := range []any{
 		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
 		v2,
 		v3,
 		v4,
 		v5,
+		v6,
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -1054,7 +1092,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("old-version snapshot %T decoded without error", blob)
 		}
-		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 6)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 7)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
 			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
 		}
 	}

@@ -232,7 +232,7 @@ func applyParam(sc *Scenario, param string, v float64) error {
 // setClassFraction sets one adversary class's population fraction; the
 // honest class absorbs the remainder.
 func setClassFraction(sc *Scenario, class string, v float64) error {
-	if v < 0 || v > 1 {
+	if !(0 <= v && v <= 1) {
 		return fmt.Errorf("trustnet: class fraction %s=%v out of [0,1]", class, v)
 	}
 	if sc.Mix == nil {
