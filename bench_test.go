@@ -416,14 +416,11 @@ func BenchmarkConsumerObserve(b *testing.B) {
 	const users, batch = 20000, 4096
 	rng := sim.NewRNG(1)
 	partners := feedbackPeers(rng, users)
-	consumers := make([]*satisfaction.Consumer, users)
-	for i := range consumers {
-		c, err := satisfaction.NewUniformConsumer(users, 0.5, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		consumers[i] = c
+	pop, err := satisfaction.NewPopulation(users, 0.5, 0.8, 0)
+	if err != nil {
+		b.Fatal(err)
 	}
+	consumers := make([]satisfaction.Consumer, users)
 	type interaction struct {
 		consumer, provider int
 		candidates         []int32
@@ -442,7 +439,7 @@ func BenchmarkConsumerObserve(b *testing.B) {
 		buf[k].candidates = make([]int32, 5)
 	}
 	observe := func(it *interaction) {
-		consumers[it.consumer].ObserveAllocation(it.provider, it.candidates, it.quality, true)
+		consumers[it.consumer].ObserveAllocation(&pop, it.provider, it.candidates, it.quality, true)
 	}
 	for k := 0; k < 10*users; k++ {
 		next(&buf[0])

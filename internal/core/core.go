@@ -10,7 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -154,21 +154,19 @@ type TrustModel struct {
 	inertia     float64         //trustlint:derived configuration, re-established when the model is rebuilt from the scenario
 	trust       []float64
 	started     []bool
-	// settled[u] records that u's trust reached its bitwise fixed point under
-	// inertia at her last update: inertia*t + (1-inertia)*Combine(f) == t
-	// exactly. As long as u's facets do not change, re-updating her is a
-	// provable no-op, so the sparse epoch tail may skip her entirely.
-	settled []bool
-	// settledCount / unsettled are indexes over settled, maintained by every
-	// update path (and rebuilt by SetState) so the epoch tail can iterate the
-	// not-yet-converged users without a Θ(n) scan.
+	// Bit u of settled records that u's trust reached its bitwise fixed point
+	// under inertia at her last update: inertia*t + (1-inertia)*Combine(f) ==
+	// t exactly. As long as u's facets do not change, re-updating her is a
+	// provable no-op, so the sparse epoch tail may skip her entirely; the
+	// clear bits are its worklist, read a word at a time (AppendCandidates).
+	settled []uint64
+	// settledCount is maintained by every update path (and recounted by
+	// SetState), so the count needs no scan.
 	settledCount int              //trustlint:derived count of set bits in settled, recomputed on SetState
-	unsettled    []int            //trustlint:derived ascending ids with settled[u]==false, rebuilt on SetState
 	tree         *metrics.SumTree //trustlint:derived fixed-shape sum of trust, rebuilt from it on SetState
 	// Reusable scratch for UpdateScattered, so settled-regime epoch
 	// boundaries allocate nothing.
-	errScratch     []error //trustlint:derived per-call scratch, dead between calls
-	settledScratch []bool  //trustlint:derived per-call scratch, dead between calls
+	settledScratch []bool //trustlint:derived per-call scratch, dead between calls
 }
 
 // NewTrustModel creates a model for n users. inertia in [0,1) is the weight
@@ -186,14 +184,11 @@ func NewTrustModel(n int, w Weights, inertia float64) (*TrustModel, error) {
 	m := &TrustModel{weights: w, inertia: inertia}
 	m.trust = make([]float64, n)
 	m.started = make([]bool, n)
-	m.settled = make([]bool, n)
-	m.unsettled = make([]int, n)
+	m.settled = make([]uint64, (n+63)/64)
 	for i := range m.trust {
 		m.trust[i] = 0.5 // initial neutral trust
-		m.unsettled[i] = i
 	}
-	m.tree = metrics.NewSumTree(n)
-	m.tree.FillUniform(0.5)
+	m.tree = metrics.NewSumTree(n, func(u int) float64 { return m.trust[u] })
 	return m, nil
 }
 
@@ -224,18 +219,17 @@ func (m *TrustModel) SetUserWeights(user int, w Weights) error {
 	return nil
 }
 
-// unsettle drops user from the settled set, inserting her back into the
-// ascending unsettled worklist.
+// unsettle drops user from the settled set, back onto the worklist.
 func (m *TrustModel) unsettle(user int) {
-	if !m.settled[user] {
-		return
+	if m.isSettled(user) {
+		m.settled[user>>6] &^= 1 << (user & 63)
+		m.settledCount--
 	}
-	m.settled[user] = false
-	m.settledCount--
-	at := sort.SearchInts(m.unsettled, user)
-	m.unsettled = append(m.unsettled, 0)
-	copy(m.unsettled[at+1:], m.unsettled[at:])
-	m.unsettled[at] = user
+}
+
+// isSettled reports whether user is at her bitwise trust fixed point.
+func (m *TrustModel) isSettled(user int) bool {
+	return m.settled[user>>6]&(1<<(user&63)) != 0
 }
 
 // UserWeights returns the weight profile in effect for a user: her
@@ -281,7 +275,7 @@ func (m *TrustModel) fold(u int, instant float64) (t float64, settled bool) {
 // settled state; it just visits users the sparse pass proved inert.
 //
 // The parallel phase writes only per-user cells (trust, started, and the
-// settled scratch); the tree, the settled index, and the count are folded
+// settled scratch); the tree and the settled flags and count are folded
 // in a sequential pass, preserving the pipeline's any-shard-count
 // determinism.
 func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Facets, shards int) error {
@@ -296,44 +290,43 @@ func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Fa
 	if !all && (cands[0] < 0 || cands[count-1] >= n) {
 		return fmt.Errorf("core: candidates %d..%d out of range [0,%d)", cands[0], cands[count-1], n)
 	}
-	errs := m.growErr(count)
 	newSettled := m.growSettled(count)
 	// Small batches run sequentially as a direct call: fanning out is slower
 	// than the work, and the steady-state (settled-regime) epoch tail must
-	// not allocate — the ForChunks closure below escapes to the heap.
+	// not allocate — the ForChunks closure below escapes to the heap. Each
+	// chunk reports its first error; the chunks are in canonical order, so
+	// the first non-nil one is the first error of the whole pass.
 	if shards <= 1 || count < sparseSeqCutoff {
-		m.updateChunk(cands, all, facetOf, errs, newSettled, 0, count)
-	} else {
-		sim.ForChunks(shards, count, func(lo, hi int) {
-			m.updateChunk(cands, all, facetOf, errs, newSettled, lo, hi)
-		})
-	}
-	for _, err := range errs {
-		if err != nil {
+		if err := m.updateChunk(cands, all, facetOf, newSettled, 0, count); err != nil {
 			return err
 		}
+	} else {
+		chunk := sim.ChunkLen(shards, count)
+		errs := make([]error, (count+chunk-1)/chunk)
+		sim.ForChunks(shards, count, func(lo, hi int) {
+			errs[lo/chunk] = m.updateChunk(cands, all, facetOf, newSettled, lo, hi)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
 	}
-	// Sequential fold: aggregate tree (staged, then flushed once), settled
-	// flags/count, and the rebuilt unsettled worklist. Every
-	// currently-unsettled user is a candidate (the caller's contract above),
-	// so filtering the visited set rebuilds the whole worklist.
-	m.unsettled = m.unsettled[:0]
+	// Sequential fold: aggregate tree (marked, then flushed once) and the
+	// settled flags and count.
 	for k := 0; k < count; k++ {
 		u := k
 		if !all {
 			u = cands[k]
 		}
-		m.tree.Stage(u, m.trust[u])
-		if on := newSettled[k]; on != m.settled[u] {
-			m.settled[u] = on
+		m.tree.Mark(u)
+		if on := newSettled[k]; on != m.isSettled(u) {
+			m.settled[u>>6] ^= 1 << (u & 63)
 			if on {
 				m.settledCount++
 			} else {
 				m.settledCount--
 			}
-		}
-		if !m.settled[u] {
-			m.unsettled = append(m.unsettled, u)
 		}
 	}
 	m.tree.Flush()
@@ -346,16 +339,19 @@ func (m *TrustModel) UpdateScattered(cands []int, all bool, facetOf func(int) Fa
 // result on equal inputs).
 const sparseSeqCutoff = 2048
 
-// updateChunk folds facets into trust for candidates [lo, hi). It writes
-// only per-user cells (trust, started) and per-candidate scratch (errs,
-// newSettled), so disjoint ranges are safe to run concurrently. Within the
+// updateChunk folds facets into trust for candidates [lo, hi) and returns
+// the first error among them; a user whose facets do not combine keeps her
+// trust, and the others still fold. It writes only per-user cells (trust,
+// started) and per-candidate scratch (newSettled), so disjoint ranges are
+// safe to run concurrently. Within the
 // chunk the last Combine result is memoized for users without individual
 // weight profiles, so runs of users with bit-identical facets (the common
 // case: the reputation facet is global per epoch, and untouched users share
 // default satisfaction and privacy) pay one geometric mean instead of one
 // each. The memo only skips recomputing a pure function on equal inputs, so
 // the trust vector is bit-for-bit identical to combining every user anew.
-func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets, errs []error, newSettled []bool, lo, hi int) {
+func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets, newSettled []bool, lo, hi int) error {
+	var first error
 	var lastF Facets
 	var lastInstant float64
 	lastOK := false
@@ -372,7 +368,9 @@ func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets
 			var err error
 			instant, err = Combine(f, m.weightsFor(u))
 			if err != nil {
-				errs[k] = err
+				if first == nil {
+					first = err
+				}
 				lastOK = false
 				continue
 			}
@@ -385,17 +383,7 @@ func (m *TrustModel) updateChunk(cands []int, all bool, facetOf func(int) Facets
 		m.started[u] = true
 		newSettled[k] = settledNow
 	}
-}
-
-func (m *TrustModel) growErr(count int) []error {
-	if cap(m.errScratch) < count {
-		m.errScratch = make([]error, count)
-	}
-	errs := m.errScratch[:count]
-	for i := range errs {
-		errs[i] = nil
-	}
-	return errs
+	return first
 }
 
 func (m *TrustModel) growSettled(count int) []bool {
@@ -409,9 +397,31 @@ func (m *TrustModel) growSettled(count int) []bool {
 // fixed point.
 func (m *TrustModel) SettledCount() int { return m.settledCount }
 
-// UnsettledIDs returns the ascending ids of users not yet settled. The slice
-// is owned by the model and valid until the next update.
-func (m *TrustModel) UnsettledIDs() []int { return m.unsettled }
+// AppendCandidates appends to dst the candidates of a sparse update, in
+// ascending order without duplicates: the ascending ids in dirty merged with
+// every user not settled. It reads the settled flags a word at a time, so
+// it costs O(n/64 + len(dirty) + unsettled users).
+func (m *TrustModel) AppendCandidates(dst, dirty []int) []int {
+	n, i := len(m.trust), 0
+	for w, word := range m.settled {
+		open := ^word
+		if rest := n - w<<6; rest < 64 {
+			open &= 1<<rest - 1
+		}
+		for ; open != 0; open &= open - 1 {
+			u := w<<6 | bits.TrailingZeros64(open)
+			for i < len(dirty) && dirty[i] < u {
+				dst = append(dst, dirty[i])
+				i++
+			}
+			if i < len(dirty) && dirty[i] == u {
+				i++
+			}
+			dst = append(dst, u)
+		}
+	}
+	return append(dst, dirty[i:]...)
+}
 
 // Trust returns a user's current trust (0.5 before any update).
 func (m *TrustModel) Trust(user int) float64 {

@@ -133,11 +133,12 @@ type Dynamics struct {
 	// restore, so it needs no serialization).
 	prevLedgerScale float64 //trustlint:derived re-read from the restored engine's exposure scale
 	// Fixed-shape summation trees maintain the EpochStats means from the
-	// dirty set, staged per touched leaf and flushed once per epoch; their
+	// dirty set, marked per touched leaf and flushed once per epoch; their
 	// roots are bitwise equal to a dense rebuild over the same leaves (see
 	// metrics.SumTree), so the restore path rebuilds them from the restored
-	// engine. The §3 coupling variables themselves live only in the
-	// workload engine: disclosure in its gatherer, honesty in its override.
+	// engine. The trees keep only their sums: every leaf is read from the
+	// engine, and the §3 coupling variables themselves live only there,
+	// disclosure in its gatherer and honesty in its override.
 	satTree  *metrics.SumTree //trustlint:derived rebuilt from engine satisfaction state on restore
 	privTree *metrics.SumTree //trustlint:derived rebuilt from the engine's privacy facets on restore
 	discTree *metrics.SumTree //trustlint:derived rebuilt from the engine's gatherer disclosure on restore
@@ -182,38 +183,20 @@ func NewDynamics(cfg DynamicsConfig, mech reputation.Mechanism) (*Dynamics, erro
 	d.prevRepFacet = math.NaN()
 	d.couplingAll = true
 	d.prevLedgerScale = eng.LedgerScale()
-	d.satTree = metrics.NewSumTree(n)
-	d.privTree = metrics.NewSumTree(n)
-	d.discTree = metrics.NewSumTree(n)
-	d.honTree = metrics.NewSumTree(n)
-	d.fillTrees()
-	return d, nil
-}
-
-// fillTrees rebuilds the four aggregate trees from the engine's per-user
-// state. Fill is bottom-up over the same fixed shape, so later staged
-// updates continue bit-identically to a run that never rebuilt them. With no
-// honesty override installed yet, every honesty leaf is the initial 1.
-func (d *Dynamics) fillTrees() {
-	leaves := make([]float64, d.cfg.Workload.NumPeers)
-	for _, f := range []struct {
-		tree *metrics.SumTree
-		leaf func(int) float64
-	}{
-		{d.satTree, d.eng.UserSatisfaction},
-		{d.privTree, d.eng.PrivacyFacetOf},
-		{d.discTree, d.eng.Disclosure},
-	} {
-		for u := range leaves {
-			leaves[u] = f.leaf(u)
+	// Each tree reads its leaves from the state the engine owns: the
+	// satisfaction facet, the privacy facet cache, the gatherer's disclosure
+	// and the honesty override (every peer truthful, 1, until one is
+	// installed).
+	d.satTree = metrics.NewSumTree(n, eng.UserSatisfaction)
+	d.privTree = metrics.NewSumTree(n, eng.PrivacyFacetOf)
+	d.discTree = metrics.NewSumTree(n, eng.Disclosure)
+	d.honTree = metrics.NewSumTree(n, func(u int) float64 {
+		if h := eng.HonestOverride(); h != nil {
+			return h[u]
 		}
-		f.tree.Fill(leaves)
-	}
-	if h := d.eng.HonestOverride(); h != nil {
-		d.honTree.Fill(h)
-	} else {
-		d.honTree.FillUniform(1)
-	}
+		return 1
+	})
+	return d, nil
 }
 
 // SetDenseReference switches the epoch tail into its dense reference mode:
@@ -234,7 +217,7 @@ func (d *Dynamics) SetBaseDisclosure(v float64) error {
 	for u := 0; u < d.cfg.Workload.NumPeers; u++ {
 		d.eng.SetDisclosure(u, v)
 	}
-	d.discTree.FillUniform(v)
+	d.discTree.Fill()
 	// The next coupling pass re-derives every user from the new base.
 	d.couplingAll = true
 	return nil
@@ -365,7 +348,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	d.facetDirty.Reset()
 	for _, u := range d.eng.SatisfactionTouched() {
 		d.facetDirty.Mark(u)
-		d.satTree.Stage(u, d.eng.UserSatisfaction(u))
+		d.satTree.Mark(u)
 	}
 	d.eng.ResetSatisfactionTouched()
 	// The engine owns its privacy touched set and the refresh below resets
@@ -380,18 +363,17 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 		dirtyFacets = n
 	}
 
-	// Refresh the privacy facet cache sequentially, then stage the touched
-	// leaves in the aggregate trees (the satisfaction leaves are staged
-	// above; step 7 flushes every tree once). A skipped leaf's sources are
+	// Refresh the privacy facet cache sequentially, then mark the touched
+	// leaves in the aggregate trees (the satisfaction leaves are marked
+	// above; step 7 flushes every tree once), or rebuild the privacy tree
+	// when the scale repriced every leaf. A skipped leaf's sources are
 	// untouched, so its recomputed value would be bit-identical.
 	d.eng.RefreshPrivacyFacets()
 	if scaleChanged {
-		for u := 0; u < n; u++ {
-			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
-		}
+		d.privTree.Fill()
 	} else {
 		for _, u := range d.privDirtyBuf {
-			d.privTree.Stage(u, d.eng.PrivacyFacetOf(u))
+			d.privTree.Mark(u)
 		}
 	}
 
@@ -403,15 +385,15 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 			return EpochStats{}, err
 		}
 	} else {
-		d.candidates = mergeAscending(d.candidates[:0], d.facetDirty.Sorted(), d.tm.UnsettledIDs())
+		d.candidates = d.tm.AppendCandidates(d.candidates[:0], d.facetDirty.Sorted())
 		if err := d.tm.UpdateScattered(d.candidates, false, d.facetOf, shards); err != nil {
 			return EpochStats{}, err
 		}
 	}
 
 	// 6. Close the §3 loops for the next epoch, writing each user's
-	// disclosure and honesty straight into the engine (and stage them in
-	// the aggregate trees, which skip an unchanged leaf). Only visited users'
+	// disclosure and honesty straight into the engine (and mark them in the
+	// aggregate trees). Only visited users'
 	// trust can have moved, so the sparse pass revisits exactly the update
 	// candidates; interventions that change the feedback functions
 	// themselves (couplingAll) force a full pass. A full pass writes every
@@ -420,9 +402,9 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	base, h0 := d.baseDisclosure, d.cfg.BaseHonesty
 	write := func(u int, delta, h float64) {
 		d.eng.SetDisclosure(u, delta)
-		d.discTree.Stage(u, delta)
+		d.discTree.Mark(u)
 		d.eng.SetHonesty(u, h)
-		d.honTree.Stage(u, h)
+		d.honTree.Mark(u)
 	}
 	fullPass := d.couplingAll || allDirty
 	d.couplingAll = false
@@ -459,7 +441,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	}
 
 	// 7. The epoch's aggregates come from the trees' roots: one flush each
-	// re-evaluates every node above a staged leaf once, and the roots are
+	// re-evaluates every node above a marked leaf once, and the roots are
 	// then bitwise equal to a dense recompute over the same fixed shape.
 	for _, t := range [...]*metrics.SumTree{d.satTree, d.privTree, d.discTree, d.honTree} {
 		t.Flush()
@@ -496,28 +478,6 @@ func (d *Dynamics) currentFacets(u int) Facets {
 		Reputation:   d.prevRepFacet,
 		Privacy:      d.eng.PrivacyFacetOf(u),
 	}
-}
-
-// mergeAscending merges two ascending int slices into dst without
-// duplicates.
-func mergeAscending(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }
 
 // MapConfig configures the abstract trust/satisfaction iterated map used to

@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // settleModel drives a model to an all-settled state under constant facets.
@@ -87,7 +91,7 @@ func BenchmarkSettledTrustUpdate(b *testing.B) {
 
 // TestDenseEpochTailZeroAllocs extends the guarantee to a dense epoch tail:
 // with the reputation facet moved, every user is facet-dirty, so the tail
-// updates and couples everyone, stages every tree leaf, flushes the trees
+// updates and couples everyone, marks every tree leaf, flushes the trees
 // and reads the reputation facet off a fully ordered served set. Once its
 // scratch has grown, that allocates nothing.
 func TestDenseEpochTailZeroAllocs(t *testing.T) {
@@ -112,5 +116,68 @@ func TestDenseEpochTailZeroAllocs(t *testing.T) {
 	tail()
 	if allocs := testing.AllocsPerRun(50, tail); allocs != 0 {
 		t.Fatalf("dense epoch tail allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestAppendCandidatesMatchesSetUnion pins the sparse update's candidate
+// set: for random settled flags over awkward population sizes (word
+// boundaries and a partial last word) and random dirty lists, the
+// candidates are the ascending, duplicate-free union of the dirty ids and
+// the unsettled users, appended after what dst already holds.
+func TestAppendCandidatesMatchesSetUnion(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, n := range []int{1, 63, 64, 65, 128, 200} {
+		m, err := NewTrustModel(n, DefaultWeights(), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			settled := rng.Float64()
+			want := []int{-7}
+			var dirty []int
+			for u := 0; u < n; u++ {
+				m.unsettle(u)
+				if rng.Bool(settled) {
+					m.settled[u>>6] |= 1 << (u & 63)
+				}
+				isDirty := rng.Bool(0.2)
+				if isDirty {
+					dirty = append(dirty, u)
+				}
+				if isDirty || !m.isSettled(u) {
+					want = append(want, u)
+				}
+			}
+			got := m.AppendCandidates([]int{-7}, dirty)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: candidates %v, want %v", n, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestUpdateScatteredReportsFirstError pins which error a trust pass
+// returns when several users' facets do not combine: the first in
+// canonical order, whether the pass runs sequentially or fans out over
+// chunks, and whichever chunk finishes first.
+func TestUpdateScatteredReportsFirstError(t *testing.T) {
+	const n = 5000
+	bad := map[int]float64{1300: 2, 3000: 3, 3001: 4}
+	facetOf := func(u int) Facets {
+		f := Facets{Satisfaction: 0.5, Reputation: 0.5, Privacy: 0.5}
+		if s, ok := bad[u]; ok {
+			f.Satisfaction = s
+		}
+		return f
+	}
+	for _, shards := range []int{1, 4} {
+		m, err := NewTrustModel(n, DefaultWeights(), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.UpdateScattered(nil, true, facetOf, shards)
+		if err == nil || !strings.Contains(err.Error(), "Satisfaction:2 ") {
+			t.Fatalf("shards=%d: error %v, want user 1300's", shards, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -21,39 +22,35 @@ type TrustModelState struct {
 
 // State captures the model's mutable state.
 func (m *TrustModel) State() TrustModelState {
+	settled := make([]bool, len(m.trust))
+	for u := range settled {
+		settled[u] = m.settled[u>>6]&(1<<(u&63)) != 0
+	}
 	return TrustModelState{
 		Trust:   append([]float64(nil), m.trust...),
 		Started: append([]bool(nil), m.started...),
-		Settled: append([]bool(nil), m.settled...),
+		Settled: settled,
 	}
 }
 
 // SetState restores a previously captured state of the same population size.
-// The settled count, the unsettled worklist, and the summation tree are
-// derived indexes over the restored vectors and are rebuilt here.
+// The settled count and the summation tree are derived from the restored
+// vectors and are rebuilt here.
 func (m *TrustModel) SetState(st TrustModelState) error {
 	if err := m.checkState(st); err != nil {
 		return err
 	}
 	copy(m.trust, st.Trust)
 	copy(m.started, st.Started)
-	if st.Settled != nil {
-		copy(m.settled, st.Settled)
-	} else {
-		for i := range m.settled {
-			m.settled[i] = false
-		}
-	}
+	clear(m.settled)
 	m.settledCount = 0
-	m.unsettled = m.unsettled[:0]
-	for u, on := range m.settled {
+	for u, on := range st.Settled {
 		if on {
+			m.settled[u>>6] |= 1 << (u & 63)
 			m.settledCount++
-		} else {
-			m.unsettled = append(m.unsettled, u)
 		}
 	}
-	m.tree.Fill(m.trust)
+	m.tree.Fill()
 	return nil
 }
 
@@ -63,8 +60,8 @@ func (m *TrustModel) checkState(st TrustModelState) error {
 	if len(st.Trust) != len(m.trust) || len(st.Started) != len(m.started) {
 		return fmt.Errorf("core: trust-model state for %d users, want %d", len(st.Trust), len(m.trust))
 	}
-	if st.Settled != nil && len(st.Settled) != len(m.settled) {
-		return fmt.Errorf("core: trust-model settled flags for %d users, want %d", len(st.Settled), len(m.settled))
+	if st.Settled != nil && len(st.Settled) != len(m.trust) {
+		return fmt.Errorf("core: trust-model settled flags for %d users, want %d", len(st.Settled), len(m.trust))
 	}
 	for u, t := range st.Trust {
 		if !(t >= 0 && t <= 1) {
@@ -147,6 +144,8 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	d.prevRepFacet = st.PrevRepFacet
 	d.couplingAll = st.CouplingAll
 	d.prevLedgerScale = d.eng.LedgerScale()
-	d.fillTrees()
+	for _, t := range [...]*metrics.SumTree{d.satTree, d.privTree, d.discTree, d.honTree} {
+		t.Fill()
+	}
 	return nil
 }

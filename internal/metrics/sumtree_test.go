@@ -9,14 +9,6 @@ import (
 )
 
 // sameNodes fails unless every node of got is bitwise the node of want.
-// Leaf returns leaf i's current value, staged or flushed.
-func (t *SumTree) Leaf(i int) float64 {
-	if i < 0 || i >= t.n {
-		return 0
-	}
-	return t.node[t.size+i]
-}
-
 func sameNodes(t *testing.T, where string, got, want *SumTree) {
 	t.Helper()
 	for p := 1; p < len(want.node); p++ {
@@ -27,11 +19,13 @@ func sameNodes(t *testing.T, where string, got, want *SumTree) {
 }
 
 // TestSumTreeMatchesDenseRebuild is the property the incremental epoch
-// aggregates stand on: after ANY sequence of staged batches, each flushed
-// once, the tree is node for node the one a full bottom-up rebuild over the
-// same leaves produces — for awkward sizes (non powers of two), batches of
-// every size in any order, repeated writes of one leaf within a batch,
-// adversarially mixed magnitudes, signed zeros and NaN leaves.
+// aggregates stand on: after ANY sequence of owner writes, each marked and
+// flushed once per batch, the tree is node for node the one a full
+// bottom-up rebuild over the same leaves produces — for awkward sizes (non
+// powers of two, where the padding starts right after the last leaf),
+// batches of every size in any order, repeated writes and marks of one leaf
+// within a batch, marks of unchanged leaves, adversarially mixed
+// magnitudes, signed zeros and NaN leaves.
 func TestSumTreeMatchesDenseRebuild(t *testing.T) {
 	rng := sim.NewRNG(99)
 	value := func() float64 {
@@ -52,8 +46,8 @@ func TestSumTreeMatchesDenseRebuild(t *testing.T) {
 		return v
 	}
 	for _, n := range []int{1, 2, 3, 7, 8, 63, 64, 65, 100, 1000, 1023, 4097} {
-		inc := NewSumTree(n)
 		leaves := make([]float64, n)
+		inc := NewSumTree(n, func(i int) float64 { return leaves[i] })
 		for batch := 0; batch < 200; batch++ {
 			k := rng.Intn(n + 1)
 			if batch%50 == 0 {
@@ -61,37 +55,45 @@ func TestSumTreeMatchesDenseRebuild(t *testing.T) {
 			}
 			for s := 0; s < k; s++ {
 				i := rng.Intn(n)
-				v := value()
-				leaves[i] = v
-				inc.Stage(i, v)
+				switch rng.Intn(8) {
+				case 0: // the padding edge: the last leaf
+					i = n - 1
+				case 1: // a mark without a write
+					inc.Mark(i)
+					continue
+				}
+				leaves[i] = value()
+				inc.Mark(i)
 			}
 			if rng.Bool(0.2) {
-				inc.Flush() // a second flush with nothing staged is a no-op
+				inc.Flush() // a second flush with nothing marked is a no-op
 			}
 			inc.Flush()
-			ref := NewSumTree(n)
-			ref.Fill(leaves)
+			ref := NewSumTree(n, func(i int) float64 { return leaves[i] })
 			sameNodes(t, fmt.Sprintf("n=%d batch=%d", n, batch), inc, ref)
 		}
 	}
 }
 
 func TestSumTreeBasics(t *testing.T) {
-	tr := NewSumTree(3)
+	leaves := make([]float64, 3)
+	leaf := func(i int) float64 { return leaves[i] }
+	tr := NewSumTree(3, leaf)
 	if got := tr.Sum(); got != 0 {
 		t.Fatalf("empty sum = %v", got)
 	}
-	tr.FillUniform(0.5)
+	for i := range leaves {
+		leaves[i] = 0.5
+	}
+	tr.Fill()
 	if got := tr.Sum(); got != 1.5 {
 		t.Fatalf("uniform sum = %v, want 1.5", got)
 	}
 	if got := tr.Mean(); got != 0.5 {
 		t.Fatalf("mean = %v, want 0.5", got)
 	}
-	tr.Stage(1, 0.25)
-	if got := tr.Leaf(1); got != 0.25 {
-		t.Fatalf("staged leaf = %v", got)
-	}
+	leaves[1] = 0.25
+	tr.Mark(1)
 	if got := tr.Sum(); got != 1.5 {
 		t.Fatalf("sum before flush = %v, want the flushed 1.5", got)
 	}
@@ -99,27 +101,31 @@ func TestSumTreeBasics(t *testing.T) {
 	if got, want := tr.Sum(), 0.5+0.25+0.5; got != want {
 		t.Fatalf("sum after flush = %v, want %v", got, want)
 	}
-	// Out-of-range stages are ignored, not panics.
-	tr.Stage(-1, 9)
-	tr.Stage(3, 9)
+	// Out-of-range marks are ignored, not panics.
+	tr.Mark(-1)
+	tr.Mark(3)
 	tr.Flush()
-	if got := tr.Leaf(5); got != 0 {
-		t.Fatalf("out-of-range leaf = %v", got)
-	}
-	// Fill drops anything staged.
-	tr.Stage(0, 7)
-	tr.Fill([]float64{1, 2, 3})
+	// Fill drops anything marked.
+	copy(leaves, []float64{1, 2, 3})
+	tr.Mark(0)
+	tr.Fill()
 	tr.Flush()
 	if got := tr.Sum(); got != 6 {
 		t.Fatalf("sum after fill = %v, want 6", got)
 	}
-	one := NewSumTree(1)
-	one.Stage(0, 4)
-	one.Flush()
-	if got := one.Sum(); got != 4 {
+	one := []float64{math.Copysign(0, -1)}
+	oneTree := NewSumTree(1, func(i int) float64 { return one[i] })
+	if got := oneTree.Sum(); !math.Signbit(got) {
+		t.Fatalf("one-leaf sum = %v, want the leaf's -0", got)
+	}
+	one[0] = 4
+	oneTree.Mark(0)
+	oneTree.Flush()
+	if got := oneTree.Sum(); got != 4 {
 		t.Fatalf("one-leaf sum = %v, want 4", got)
 	}
-	empty := NewSumTree(0)
+	empty := NewSumTree(0, func(int) float64 { panic("no leaf to read") })
+	empty.Mark(0)
 	empty.Flush()
 	if got := empty.Sum(); got != 0 {
 		t.Fatalf("zero-size sum = %v", got)
@@ -129,8 +135,18 @@ func TestSumTreeBasics(t *testing.T) {
 	}
 }
 
-// BenchmarkSumTreeFlush prices one staged batch over 100k leaves, 10% and
-// 100% of them staged, against flushing after every leaf (the path walk a
+// TestSumTreeSize pins what a tree keeps: its internal nodes, not a copy of
+// the owner's leaves.
+func TestSumTreeSize(t *testing.T) {
+	for _, tc := range []struct{ n, nodes int }{{0, 2}, {1, 2}, {2, 2}, {3, 4}, {100000, 131072}} {
+		if got := len(NewSumTree(tc.n, func(int) float64 { return 1 }).node); got != tc.nodes {
+			t.Fatalf("a %d-leaf tree keeps %d nodes, want %d", tc.n, got, tc.nodes)
+		}
+	}
+}
+
+// BenchmarkSumTreeFlush prices one marked batch over 100k leaves, 10% and
+// 100% of them marked, against flushing after every leaf (the path walk a
 // per-leaf update pays). Allocation-free.
 func BenchmarkSumTreeFlush(b *testing.B) {
 	const n = 100000
@@ -140,21 +156,24 @@ func BenchmarkSumTreeFlush(b *testing.B) {
 		for i := range ids {
 			ids[i] = rng.Intn(n)
 		}
-		tr := NewSumTree(n)
-		b.Run(fmt.Sprintf("staged=%d%%/batch", share), func(b *testing.B) {
+		leaves := make([]float64, n)
+		tr := NewSumTree(n, func(i int) float64 { return leaves[i] })
+		b.Run(fmt.Sprintf("marked=%d%%/batch", share), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, id := range ids {
-					tr.Stage(id, float64(i+id))
+					leaves[id] = float64(i + id)
+					tr.Mark(id)
 				}
 				tr.Flush()
 			}
 		})
-		b.Run(fmt.Sprintf("staged=%d%%/per-leaf", share), func(b *testing.B) {
+		b.Run(fmt.Sprintf("marked=%d%%/per-leaf", share), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, id := range ids {
-					tr.Stage(id, float64(i+id))
+					leaves[id] = float64(i + id)
+					tr.Mark(id)
 					tr.Flush()
 				}
 			}

@@ -30,22 +30,19 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 	feedbackTerm := ItemExposure(SensitivityWeight(social.Low), 1)
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := sim.NewRNG(seed)
-		consumers := make([]*satisfaction.Consumer, users)
-		for u := range consumers {
-			c, err := satisfaction.NewUniformConsumer(users, 0.5, 0.1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			consumers[u] = c
+		pop, err := satisfaction.NewPopulation(users, 0.5, 0.8, 0.1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		consumers := make([]satisfaction.Consumer, users)
 		feedback := make([]float64, users)
 		reached := make(map[[2]int]bool) // consumer, provider
 		ref := newRefLedger()
 		// The checkpoint a rewind restores: every consumer's state, the
 		// feedback sums, the recipient sets and the oracle's events.
 		savedConsumers := make([]satisfaction.ConsumerState, users)
-		for u, c := range consumers {
-			savedConsumers[u] = c.State()
+		for u := range consumers {
+			savedConsumers[u] = consumers[u].State(&pop)
 		}
 		savedFeedback, savedReached, savedRef := slices.Clone(feedback), maps.Clone(reached), ref.State()
 		for step := 0; step < 3000; step++ {
@@ -60,22 +57,22 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 			p := int(cands[rng.Intn(len(cands))])
 			switch op := rng.Intn(40); {
 			case op < 22: // served: the profile reaches p
-				consumers[u].ObserveAllocation(p, cands, rng.Float64(), true)
+				consumers[u].ObserveAllocation(&pop, p, cands, rng.Float64(), true)
 				reached[[2]int{u, p}] = true
 				ref.Record(Disclosure{Owner: u, Item: "profile", Sensitivity: social.Medium, Recipient: p, Purpose: SocialUse, Consented: true})
 			case op < 30: // refused: no disclosure
-				consumers[u].ObserveAllocation(p, cands, 0, false)
+				consumers[u].ObserveAllocation(&pop, p, cands, 0, false)
 			case op < 37: // a shared feedback report
 				feedback[u] += feedbackTerm
 				ref.Record(Disclosure{Owner: u, Item: fmt.Sprintf("feedback/%d/%d", u, step), Sensitivity: social.Low, Recipient: -1, Purpose: ReputationUse, Consented: true})
 			case op < 39: // checkpoint
-				for v, c := range consumers {
-					savedConsumers[v] = c.State()
+				for v := range consumers {
+					savedConsumers[v] = consumers[v].State(&pop)
 				}
 				savedFeedback, savedReached, savedRef = slices.Clone(feedback), maps.Clone(reached), ref.State()
 			default: // rewind to the checkpoint
-				for v, c := range consumers {
-					if err := c.SetState(savedConsumers[v]); err != nil {
+				for v := range consumers {
+					if err := consumers[v].SetState(savedConsumers[v], &pop); err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
 				}

@@ -19,8 +19,8 @@ import (
 
 // UpdatePreference folds a delivered quality into the consumer's private
 // preference for the provider.
-func (c *Consumer) UpdatePreference(provider int, quality float64) {
-	if provider < 0 || provider >= c.pop {
+func (c *consumer) UpdatePreference(provider int, quality float64) {
+	if provider < 0 || provider >= c.pop.N {
 		return
 	}
 	k, ok := c.findOverride(provider)
@@ -28,10 +28,10 @@ func (c *Consumer) UpdatePreference(provider int, quality float64) {
 		if c.overrides == nil {
 			c.overrides = make([]Override, 0, overrideCap)
 		}
-		c.overrides = slices.Insert(c.overrides, k, Override{Provider: int32(provider), Pref: c.def})
+		c.overrides = slices.Insert(c.overrides, k, Override{Provider: int32(provider), Pref: c.pop.Pref})
 	}
 	o := &c.overrides[k]
-	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*clamp01(quality))
+	o.Pref = float64((1-c.pop.Memory)*o.Pref) + float64(c.pop.Memory*clamp01(quality))
 }
 
 // Adequacy returns how well allocating chosen matched the consumer's
@@ -39,8 +39,8 @@ func (c *Consumer) UpdatePreference(provider int, quality float64) {
 // relative to the best available preference. It is 0 when chosen is invalid
 // or not among the candidates, and 1 when the system picked a most-preferred
 // candidate.
-func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
-	if chosen < 0 || chosen >= c.pop {
+func (c *consumer) Adequacy(chosen int, candidates []int) float64 {
+	if chosen < 0 || chosen >= c.pop.N {
 		return 0
 	}
 	best := 0.0
@@ -65,18 +65,18 @@ func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
 // Observe records one allocation: it computes the allocation satisfaction
 // (the per-allocation adequacy), folds it into the long-run satisfaction,
 // and returns it.
-func (c *Consumer) Observe(chosen int, candidates []int) float64 {
+func (c *consumer) Observe(chosen int, candidates []int) float64 {
 	a := c.Adequacy(chosen, candidates)
-	c.fold(a)
+	c.fold(c.pop.Memory, a)
 	return a
 }
 
 // ObserveQuality records one allocation together with the quality the
 // chosen provider delivered: the allocation satisfaction is adequacy ×
 // quality.
-func (c *Consumer) ObserveQuality(chosen int, candidates []int, quality float64) float64 {
+func (c *consumer) ObserveQuality(chosen int, candidates []int, quality float64) float64 {
 	a := c.Adequacy(chosen, candidates) * clamp01(quality)
-	c.fold(a)
+	c.fold(c.pop.Memory, a)
 	return a
 }
 
@@ -144,7 +144,7 @@ func TestConsumerOverridesMatchMapOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
 		def := rng.Float64()
-		c, err := NewUniformConsumer(n, def, 0.15)
+		c, err := newConsumer(n, def, 0.15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestConsumerOverridesMatchMapOracle(t *testing.T) {
 // default), re-folding a quality into an existing override, and a whole
 // allocation whose chosen provider already has one.
 func TestConsumerPreferenceAllocFree(t *testing.T) {
-	c, err := NewUniformConsumer(100, 0.5, 0.1)
+	c, err := newConsumer(100, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +246,20 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 		{"infinite satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.Inf(1), Started: true, N: 3}},
 		{"negative satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: -0.2, Started: true, N: 3}},
 		{"negative observation count", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, Started: true, N: -1}},
+		{"wrong population", false, ConsumerState{Pop: n + 1, Def: 0.5}},
+		{"default not the population's", false, sparse(0.7)},
+		{"negative zero default", true, ConsumerState{Pop: n, Def: math.Copysign(0, -1)}},
+		{"started without observations", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, Started: true}},
+		{"observations without started", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, N: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var c *Consumer
+			var c *consumer
 			var err error
 			if tc.dense {
 				c, err = newPrefConsumer([]float64{0.5, 0.5, 0.5, 0.5, 0.5}, 0.1)
 			} else {
-				c, err = NewUniformConsumer(n, 0.5, 0.1)
+				c, err = newConsumer(n, 0.5, 0.1)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -289,7 +294,7 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 		if seed%3 == 0 {
 			def = 0
 		}
-		fused, err := NewUniformConsumer(n, def, 0.05+0.3*rng.Float64())
+		fused, err := newConsumer(n, def, 0.05+0.3*rng.Float64())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +303,7 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 				fused.UpdatePreference(p, rng.Float64())
 			}
 		}
-		twin, err := NewUniformConsumer(n, 0.5, fused.memory)
+		twin, err := newConsumer(n, def, fused.pop.Memory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,16 +392,19 @@ func sameConsumerBits(a, b ConsumerState) bool {
 func TestProviderSetStateRejectsHostile(t *testing.T) {
 	const n = 5
 	cases := map[string]ProviderState{
-		"wrong population":           {Pop: n + 1, Def: 0.8, Sat: 0.5, Started: true, N: 2},
-		"NaN willingness":            {Pop: n, Def: math.NaN(), Sat: 0.5, Started: true, N: 2},
-		"willingness above one":      {Pop: n, Def: 1.5, Sat: 0.5, Started: true, N: 2},
-		"NaN satisfaction":           {Pop: n, Def: 0.8, Sat: math.NaN(), Started: true, N: 2},
-		"negative satisfaction":      {Pop: n, Def: 0.8, Sat: -1, Started: true, N: 2},
-		"negative observation count": {Pop: n, Def: 0.8, Sat: 0.5, Started: true, N: -3},
+		"wrong population":                 {Pop: n + 1, Def: 0.8, Sat: 0.5, Started: true, N: 2},
+		"NaN willingness":                  {Pop: n, Def: math.NaN(), Sat: 0.5, Started: true, N: 2},
+		"willingness above one":            {Pop: n, Def: 1.5, Sat: 0.5, Started: true, N: 2},
+		"NaN satisfaction":                 {Pop: n, Def: 0.8, Sat: math.NaN(), Started: true, N: 2},
+		"negative satisfaction":            {Pop: n, Def: 0.8, Sat: -1, Started: true, N: 2},
+		"negative observation count":       {Pop: n, Def: 0.8, Sat: 0.5, Started: true, N: -3},
+		"willingness not the population's": {Pop: n, Def: 0.7, Sat: 0.5, Started: true, N: 2},
+		"started without observations":     {Pop: n, Def: 0.8, Sat: 0.5, Started: true},
+		"observations without started":     {Pop: n, Def: 0.8, Sat: 0.5, N: 2},
 	}
 	for name, st := range cases {
 		t.Run(name, func(t *testing.T) {
-			p, err := NewUniformProvider(n, 0.8, 0.1)
+			p, err := newProvider(n, 0.8, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -412,14 +420,20 @@ func TestProviderSetStateRejectsHostile(t *testing.T) {
 	}
 }
 
-// TestOverrideSize pins an override at 16 bytes and a consumer at 72: the
-// disclosure flag sits in the padding after the provider id, and the
-// disclosure count in the padding after started.
+// TestOverrideSize pins an override at 16 bytes, a consumer at 48 and a
+// provider at 16: the disclosure flag sits in the padding after the
+// provider id; a consumer holds its overrides, EMA, observation count and
+// disclosure count, and a provider its EMA and observation count, while the
+// population size, defaults and memory are the owner's Population, held
+// once.
 func TestOverrideSize(t *testing.T) {
 	if got := unsafe.Sizeof(Override{}); got != 16 {
 		t.Fatalf("Override is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(Consumer{}); got != 72 {
-		t.Fatalf("Consumer is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(Consumer{}); got != 48 {
+		t.Fatalf("Consumer is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(Provider{}); got != 16 {
+		t.Fatalf("Provider is %d bytes, want 16", got)
 	}
 }

@@ -31,24 +31,59 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Consumer tracks one data consumer's intentions and satisfaction.
+// Population is what every consumer and provider of one population shares,
+// held once by their owner rather than by each of them: the population size,
+// the preference a consumer holds for a provider it has not experienced, the
+// willingness every provider serves any consumer with, and the EMA memory.
+// The owner passes it to every Consumer and Provider method that reads it.
+type Population struct {
+	N      int     // peer count: providers for a consumer, consumers for a provider
+	Pref   float64 // a consumer's preference for a provider without an override
+	Will   float64 // a provider's willingness to serve any consumer
+	Memory float64 // EMA weight of the newest allocation
+}
+
+// NewPopulation validates the shared settings of n uniform consumers and
+// providers. The preference and the willingness are clamped into [0,1]; a
+// zero memory means DefaultMemory.
+func NewPopulation(n int, pref, will, memory float64) (Population, error) {
+	if n <= 0 {
+		return Population{}, fmt.Errorf("satisfaction: a population needs at least one peer, got %d", n)
+	}
+	if memory == 0 {
+		memory = DefaultMemory
+	}
+	if !(memory >= 0 && memory <= 1) {
+		return Population{}, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
+	}
+	return Population{N: n, Pref: clamp01(pref), Will: clamp01(will), Memory: memory}, nil
+}
+
+// Willingness returns a provider's willingness to serve a consumer: the
+// shared willingness, or 0 for a consumer outside the population.
+func (pop *Population) Willingness(consumer int) float64 {
+	if consumer < 0 || consumer >= pop.N {
+		return 0
+	}
+	return pop.Will
+}
+
+// Consumer tracks one data consumer's intentions and satisfaction. Its
+// zero value is a consumer with no history.
 //
-// Preferences are a shared default plus per-provider overrides, kept sorted
-// by provider. A consumer starts with no overrides and gains one per
-// provider it experiences — at population scale almost every preference is
-// still the untouched default, so memory stays proportional to
-// interactions, not population².
+// Preferences are the population's shared default plus per-provider
+// overrides, kept sorted by provider. A consumer starts with no overrides
+// and gains one per provider it experiences — at population scale almost
+// every preference is still the untouched default, so memory stays
+// proportional to interactions, not population². Everything the population
+// shares lives in its Population, so a consumer is 48 bytes.
 type Consumer struct {
 	overrides []Override // ascending by provider
-	pop       int        // provider count
-	def       float64    // preference of a provider without an override
 	sat       float64
-	memory    float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
-	n         int64
-	started   bool
+	// n counts the allocations folded into sat; the first one seeds it.
+	n int64
 	// disclosed counts the overrides flagged Disclosed: the distinct
-	// recipients of the consumer's profile. It sits in the padding after
-	// started, so a consumer stays 72 bytes.
+	// recipients of the consumer's profile.
 	disclosed int32 //trustlint:derived recounted from the restored overrides' flags on SetState
 }
 
@@ -64,23 +99,6 @@ type Override struct {
 // overrideCap is the capacity a uniform consumer's overrides start with:
 // one allocation covers the handful of providers a typical consumer meets.
 const overrideCap = 8
-
-// NewUniformConsumer creates a consumer whose preference for every one of n
-// providers starts at the same value. Deviations from the default accumulate
-// sparsely as qualities are observed, so memory stays proportional to the
-// providers actually experienced rather than the population.
-func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("satisfaction: consumer needs at least one provider preference")
-	}
-	if memory == 0 {
-		memory = DefaultMemory
-	}
-	if !(memory >= 0 && memory <= 1) {
-		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
-	}
-	return &Consumer{pop: n, def: clamp01(pref), memory: memory}, nil
-}
 
 // findOverride returns the position of provider's override: its index when
 // present, else the index it would be inserted at. The interaction path
@@ -134,9 +152,9 @@ func (c *Consumer) findOverride(provider int) (int, bool) {
 // once, and the chosen provider's slot serves the adequacy, the preference
 // update and the disclosure flag, so the update inserts at most once and
 // searches again only when chosen is not a candidate.
-func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality float64, disclose bool) float64 {
+func (c *Consumer) ObserveAllocation(pop *Population, chosen int, candidates []int32, quality float64, disclose bool) float64 {
 	q := clamp01(quality)
-	valid := chosen >= 0 && chosen < c.pop
+	valid := chosen >= 0 && chosen < pop.N
 	adequacy := 0.0
 	// slot is chosen's position in the overrides (found: an override is
 	// there; else the position one is inserted at); -1 until searched.
@@ -145,9 +163,9 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 		best := 0.0
 		for _, cand := range candidates {
 			p := 0.0
-			if cand >= 0 && int(cand) < c.pop {
+			if cand >= 0 && int(cand) < pop.N {
 				k, ok := c.findOverride(int(cand))
-				p = c.def
+				p = pop.Pref
 				if ok {
 					p = c.overrides[k].Pref
 				}
@@ -167,11 +185,11 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 		case found:
 			adequacy = c.overrides[slot].Pref / best
 		default:
-			adequacy = c.def / best
+			adequacy = pop.Pref / best
 		}
 	}
 	a := adequacy * q
-	c.fold(a)
+	c.fold(pop.Memory, a)
 	if !valid {
 		return a
 	}
@@ -179,10 +197,10 @@ func (c *Consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 		if c.overrides == nil {
 			c.overrides = make([]Override, 0, overrideCap)
 		}
-		c.overrides = slices.Insert(c.overrides, slot, Override{Provider: int32(chosen), Pref: c.def})
+		c.overrides = slices.Insert(c.overrides, slot, Override{Provider: int32(chosen), Pref: pop.Pref})
 	}
 	o := &c.overrides[slot]
-	o.Pref = float64((1-c.memory)*o.Pref) + float64(c.memory*q)
+	o.Pref = float64((1-pop.Memory)*o.Pref) + float64(pop.Memory*q)
 	if disclose && !o.Disclosed {
 		o.Disclosed = true
 		c.disclosed++
@@ -196,16 +214,17 @@ func (c *Consumer) Disclosed() int { return int(c.disclosed) }
 
 // ObserveFailure records an allocation round in which the consumer got no
 // service at all (adequacy 0).
-func (c *Consumer) ObserveFailure() {
-	c.fold(0)
+func (c *Consumer) ObserveFailure(pop *Population) {
+	c.fold(pop.Memory, 0)
 }
 
-func (c *Consumer) fold(a float64) {
-	if !c.started {
+// fold folds one allocation satisfaction into the long-run EMA of the given
+// memory; the first allocation seeds it.
+func (c *Consumer) fold(memory, a float64) {
+	if c.n == 0 {
 		c.sat = a
-		c.started = true
 	} else {
-		c.sat = float64((1-c.memory)*c.sat) + float64(c.memory*a)
+		c.sat = float64((1-memory)*c.sat) + float64(memory*a)
 	}
 	c.n++
 }
@@ -213,45 +232,20 @@ func (c *Consumer) fold(a float64) {
 // Satisfaction returns the long-run satisfaction in [0,1]. A consumer with
 // no history is neutrally satisfied (0.5): it has no grounds for judgment.
 func (c *Consumer) Satisfaction() float64 {
-	if !c.started {
+	if c.n == 0 {
 		return 0.5
 	}
 	return c.sat
 }
 
-// Provider tracks one data provider's intentions and satisfaction. Its
-// willingness is one shared value for every consumer and is never mutated,
-// so no per-consumer vector is needed.
+// Provider tracks one data provider's satisfaction. Its willingness is the
+// population's, one value for every consumer that is never mutated, so a
+// provider holds only its EMA: 16 bytes. Its zero value is a provider that
+// has served nothing.
 type Provider struct {
-	pop     int     // consumer count
-	def     float64 // willingness to serve any consumer
-	sat     float64
-	memory  float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
-	started bool
-	n       int64
-}
-
-// NewUniformProvider creates a provider equally willing to serve every one
-// of n consumers, without materializing a per-consumer vector.
-func NewUniformProvider(n int, will, memory float64) (*Provider, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("satisfaction: provider needs at least one consumer willingness")
-	}
-	if memory == 0 {
-		memory = DefaultMemory
-	}
-	if !(memory >= 0 && memory <= 1) {
-		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
-	}
-	return &Provider{pop: n, def: clamp01(will), memory: memory}, nil
-}
-
-// Willingness returns the provider's willingness to serve a consumer.
-func (p *Provider) Willingness(consumer int) float64 {
-	if consumer < 0 || consumer >= p.pop {
-		return 0
-	}
-	return p.def
+	sat float64
+	// n counts the allocations folded into sat; the first one seeds it.
+	n int64
 }
 
 // Observe records that the system allocated a request from `consumer` to
@@ -259,22 +253,24 @@ func (p *Provider) Willingness(consumer int) float64 {
 // consumer — "a data provider can be satisfied even if sometimes the system
 // imposes queries he does not intend to treat" (§2.1): a single imposed
 // (low-willingness) request only dents the long-run EMA.
-func (p *Provider) Observe(consumer int) float64 {
-	a := p.Willingness(consumer)
-	if !p.started {
+func (p *Provider) Observe(pop *Population, consumer int) float64 {
+	a := pop.Willingness(consumer)
+	if p.n == 0 {
 		p.sat = a
-		p.started = true
 	} else {
-		p.sat = float64((1-p.memory)*p.sat) + float64(p.memory*a)
+		p.sat = float64((1-pop.Memory)*p.sat) + float64(pop.Memory*a)
 	}
 	p.n++
 	return a
 }
 
+// Observations returns how many allocations the provider was given.
+func (p *Provider) Observations() int64 { return p.n }
+
 // Satisfaction returns the provider's long-run satisfaction (0.5 when it has
 // served nothing).
 func (p *Provider) Satisfaction() float64 {
-	if !p.started {
+	if p.n == 0 {
 		return 0.5
 	}
 	return p.sat

@@ -9,18 +9,18 @@ import (
 )
 
 // Preference returns the consumer's current preference for a provider.
-func (c *Consumer) Preference(provider int) float64 {
-	if provider < 0 || provider >= c.pop {
+func (c *consumer) Preference(provider int) float64 {
+	if provider < 0 || provider >= c.pop.N {
 		return 0
 	}
 	if k, ok := c.findOverride(provider); ok {
 		return c.overrides[k].Pref
 	}
-	return c.def
+	return c.pop.Pref
 }
 
 // Observations returns the number of allocation rounds folded in.
-func (c *Consumer) Observations() int64 { return c.n }
+func (c *consumer) Observations() int64 { return c.n }
 
 func TestNewConsumerValidation(t *testing.T) {
 	if _, err := newPrefConsumer(nil, 0.1); err == nil {
@@ -167,13 +167,13 @@ func TestPreferenceLearning(t *testing.T) {
 }
 
 func TestProviderValidation(t *testing.T) {
-	if _, err := NewUniformProvider(0, 0.7, 0.1); err == nil {
+	if _, err := newProvider(0, 0.7, 0.1); err == nil {
 		t.Fatal("empty willingness accepted")
 	}
-	if _, err := NewUniformProvider(1, 0.7, 2); err == nil {
+	if _, err := newProvider(1, 0.7, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
-	p, err := NewUniformProvider(1, 0.7, 0)
+	p, err := newProvider(1, 0.7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

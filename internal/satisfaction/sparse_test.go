@@ -22,7 +22,7 @@ func TestSparseConsumerMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewUniformConsumer(n, 0.5, 0.2)
+	sparse, err := newConsumer(n, 0.5, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSparseProviderMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewUniformProvider(n, 0.8, 0.15)
+	sparse, err := newProvider(n, 0.8, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,25 +98,25 @@ func TestSparseProviderMatchesDense(t *testing.T) {
 }
 
 func TestSparseConstructorValidation(t *testing.T) {
-	if _, err := NewUniformConsumer(0, 0.5, 0.1); err == nil {
+	if _, err := newConsumer(0, 0.5, 0.1); err == nil {
 		t.Fatal("n=0 consumer accepted")
 	}
-	if _, err := NewUniformConsumer(5, 0.5, -1); err == nil {
+	if _, err := newConsumer(5, 0.5, -1); err == nil {
 		t.Fatal("negative memory accepted")
 	}
-	if _, err := NewUniformProvider(0, 0.8, 0.1); err == nil {
+	if _, err := newProvider(0, 0.8, 0.1); err == nil {
 		t.Fatal("n=0 provider accepted")
 	}
-	if _, err := NewUniformProvider(5, 0.8, 2); err == nil {
+	if _, err := newProvider(5, 0.8, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
-	if _, err := NewUniformConsumer(5, 0.5, math.NaN()); err == nil {
+	if _, err := newConsumer(5, 0.5, math.NaN()); err == nil {
 		t.Fatal("NaN consumer memory accepted")
 	}
-	if _, err := NewUniformProvider(5, 0.8, math.NaN()); err == nil {
+	if _, err := newProvider(5, 0.8, math.NaN()); err == nil {
 		t.Fatal("NaN provider memory accepted")
 	}
-	c, err := NewUniformConsumer(3, 7, 0.1) // default clamped into [0,1]
+	c, err := newConsumer(3, 7, 0.1) // default clamped into [0,1]
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSparseConstructorValidation(t *testing.T) {
 // that a population mismatch is rejected instead of silently merged.
 func TestSparseConsumerStateRoundTrip(t *testing.T) {
 	const n = 20
-	c, err := NewUniformConsumer(n, 0.5, 0.1)
+	c, err := newConsumer(n, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		c.Observe(cands[0], cands)
 	}
 	st := c.State()
-	back, err := NewUniformConsumer(n, 0.5, 0.1)
+	back, err := newConsumer(n, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 	}
 
 	// A population mismatch must error.
-	wrong, err := NewUniformConsumer(n+1, 0.5, 0.1)
+	wrong, err := newConsumer(n+1, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

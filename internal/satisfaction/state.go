@@ -2,6 +2,7 @@ package satisfaction
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -12,18 +13,19 @@ import (
 type ConsumerState struct {
 	// Provider count, shared default, and deviations (strictly ascending
 	// by provider, so the encoded bytes do not depend on map order), each
-	// with its disclosure flag.
-	Pop       int
-	Def       float64
+	// with its disclosure flag. Pop and Def are the population's, and
+	// Started is N > 0; a state is checked against both.
+	Pop       int     //trustlint:derived the population's size, checked against it by CheckState
+	Def       float64 //trustlint:derived the population's default preference, checked against it by CheckState
 	Overrides []Override
 	Sat       float64
-	Started   bool
+	Started   bool //trustlint:derived N > 0, checked against it by CheckState
 	N         int64
 }
 
 // State captures the consumer's mutable state.
-func (c *Consumer) State() ConsumerState {
-	st := ConsumerState{Pop: c.pop, Def: c.def, Sat: c.sat, Started: c.started, N: c.n}
+func (c *Consumer) State(pop *Population) ConsumerState {
+	st := ConsumerState{Pop: pop.N, Def: pop.Pref, Sat: c.sat, Started: c.n > 0, N: c.n}
 	if len(c.overrides) > 0 {
 		st.Overrides = slices.Clone(c.overrides)
 	}
@@ -33,6 +35,23 @@ func (c *Consumer) State() ConsumerState {
 // validPref reports whether v is a preference a consumer can hold: a
 // number in [0, 1] (construction clamps into it and the EMA stays in it).
 func validPref(v float64) bool { return v >= 0 && v <= 1 }
+
+// checkShared rejects a state whose population size or shared default (a
+// consumer's default preference, a provider's willingness) is not the
+// population's own, the default compared by its bits, or whose started flag
+// contradicts its observation count.
+func checkShared(who string, pop, wantPop int, what string, def, wantDef float64, started bool, n int64) error {
+	if pop != wantPop {
+		return fmt.Errorf("satisfaction: %s state for a population of %d, want %d", who, pop, wantPop)
+	}
+	if math.Float64bits(def) != math.Float64bits(wantDef) {
+		return fmt.Errorf("satisfaction: %s state %s %v, want the population's %v", who, what, def, wantDef)
+	}
+	if started != (n > 0) {
+		return fmt.Errorf("satisfaction: %s state started %v after %d observations", who, started, n)
+	}
+	return nil
+}
 
 // checkEMA rejects a long-run satisfaction outside [0, 1] (NaN included;
 // every fold keeps it there) and a negative observation count.
@@ -47,23 +66,21 @@ func checkEMA(who string, sat float64, n int64) error {
 }
 
 // CheckState reports whether SetState would accept st: the provider count
-// must match the consumer's own, the satisfaction and every preference must
-// lie in [0, 1], the observation count must not be negative, and the
-// overrides must name providers in [0, Pop) in strictly ascending order.
-// It changes nothing.
-func (c *Consumer) CheckState(st ConsumerState) error {
-	if st.Pop != c.pop {
-		return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
-	}
+// and the default preference must be the population's, the satisfaction
+// and every preference must lie in [0, 1], the observation count must not
+// be negative and must agree with the started flag, and the overrides must
+// name providers in [0, Pop) in strictly ascending order. It changes
+// nothing.
+func (c *Consumer) CheckState(st ConsumerState, pop *Population) error {
 	if err := checkEMA("consumer", st.Sat, st.N); err != nil {
 		return err
 	}
-	if !validPref(st.Def) {
-		return fmt.Errorf("satisfaction: consumer state default preference %v outside [0,1]", st.Def)
+	if err := checkShared("consumer", st.Pop, pop.N, "default preference", st.Def, pop.Pref, st.Started, st.N); err != nil {
+		return err
 	}
 	for k, o := range st.Overrides {
-		if o.Provider < 0 || int(o.Provider) >= c.pop {
-			return fmt.Errorf("satisfaction: consumer state override for provider %d outside [0,%d)", o.Provider, c.pop)
+		if o.Provider < 0 || int(o.Provider) >= pop.N {
+			return fmt.Errorf("satisfaction: consumer state override for provider %d outside [0,%d)", o.Provider, pop.N)
 		}
 		if k > 0 && o.Provider <= st.Overrides[k-1].Provider {
 			return fmt.Errorf("satisfaction: consumer state override for provider %d not in ascending order", o.Provider)
@@ -77,12 +94,10 @@ func (c *Consumer) CheckState(st ConsumerState) error {
 
 // SetState restores a previously captured state; a state CheckState
 // rejects is an error and leaves the consumer unchanged.
-func (c *Consumer) SetState(st ConsumerState) error {
-	if err := c.CheckState(st); err != nil {
+func (c *Consumer) SetState(st ConsumerState, pop *Population) error {
+	if err := c.CheckState(st, pop); err != nil {
 		return err
 	}
-	c.pop = st.Pop // unchanged: CheckState matched it to the consumer's own
-	c.def = st.Def
 	c.overrides = slices.Clone(st.Overrides)
 	c.disclosed = 0
 	for _, o := range c.overrides {
@@ -91,50 +106,44 @@ func (c *Consumer) SetState(st ConsumerState) error {
 		}
 	}
 	c.sat = st.Sat
-	c.started = st.Started
 	c.n = st.N
 	return nil
 }
 
 // ProviderState is the serializable mutable state of a Provider.
 type ProviderState struct {
-	// Consumer count and the shared uniform willingness.
-	Pop     int
-	Def     float64
+	// Consumer count and the shared uniform willingness: the population's.
+	// Started is N > 0.
+	Pop     int     //trustlint:derived the population's size, checked against it by CheckState
+	Def     float64 //trustlint:derived the population's willingness, checked against it by CheckState
 	Sat     float64
-	Started bool
+	Started bool //trustlint:derived N > 0, checked against it by CheckState
 	N       int64
 }
 
 // State captures the provider's mutable state.
-func (p *Provider) State() ProviderState {
-	return ProviderState{Pop: p.pop, Def: p.def, Sat: p.sat, Started: p.started, N: p.n}
+func (p *Provider) State(pop *Population) ProviderState {
+	return ProviderState{Pop: pop.N, Def: pop.Will, Sat: p.sat, Started: p.n > 0, N: p.n}
 }
 
 // CheckState reports whether SetState would accept st: the consumer count
-// must match the provider's own, the willingness and the satisfaction must
-// lie in [0, 1], and the observation count must not be negative. It
-// changes nothing.
-func (p *Provider) CheckState(st ProviderState) error {
-	if st.Pop != p.pop {
-		return fmt.Errorf("satisfaction: provider state for %d consumers, want %d", st.Pop, p.pop)
+// and the willingness must be the population's, the satisfaction must lie
+// in [0, 1], and the observation count must not be negative and must agree
+// with the started flag. It changes nothing.
+func (p *Provider) CheckState(st ProviderState, pop *Population) error {
+	if err := checkEMA("provider", st.Sat, st.N); err != nil {
+		return err
 	}
-	if !validPref(st.Def) {
-		return fmt.Errorf("satisfaction: provider state willingness %v outside [0,1]", st.Def)
-	}
-	return checkEMA("provider", st.Sat, st.N)
+	return checkShared("provider", st.Pop, pop.N, "willingness", st.Def, pop.Will, st.Started, st.N)
 }
 
 // SetState restores a previously captured state; a state CheckState
 // rejects is an error and leaves the provider unchanged.
-func (p *Provider) SetState(st ProviderState) error {
-	if err := p.CheckState(st); err != nil {
+func (p *Provider) SetState(st ProviderState, pop *Population) error {
+	if err := p.CheckState(st, pop); err != nil {
 		return err
 	}
-	p.pop = st.Pop // unchanged: CheckState matched it to the provider's own
-	p.def = st.Def
 	p.sat = st.Sat
-	p.started = st.Started
 	p.n = st.N
 	return nil
 }

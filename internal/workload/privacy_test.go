@@ -46,7 +46,7 @@ func (m *countingMech) SubmitBatch(rs []reputation.Report) error {
 // reaching the r providers the consumer's overrides flag.
 func privacyFacetFormula(e *Engine, u, reports int) float64 {
 	flagged := 0
-	for _, o := range e.consumers[u].State().Overrides {
+	for _, o := range e.consumers[u].State(&e.pop).Overrides {
 		if o.Disclosed {
 			flagged++
 		}

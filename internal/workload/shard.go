@@ -234,7 +234,7 @@ func (e *Engine) gather(st *RoundStats) {
 			e.GateFailures++
 			fallthrough
 		case noProvider:
-			e.consumers[consumer].ObserveFailure()
+			e.consumers[consumer].ObserveFailure(&e.pop)
 			e.satDirty.Mark(consumer)
 			continue
 		}
@@ -243,8 +243,13 @@ func (e *Engine) gather(st *RoundStats) {
 		tx := e.snet.NextTxID()
 
 		// The provider judges the (possibly imposed) request against its
-		// own intentions.
-		e.providers[provider].Observe(consumer)
+		// own intentions. Its observation count is its served count, which
+		// grows the served set on the first.
+		pr := &e.providers[provider]
+		pr.Observe(&e.pop, consumer)
+		if pr.Observations() == 1 {
+			e.servedStale = true
+		}
 		e.satDirty.Mark(provider)
 		e.satDirty.Mark(consumer)
 
@@ -254,30 +259,19 @@ func (e *Engine) gather(st *RoundStats) {
 		if r.status == refused {
 			st.BadService++
 			st.Refused++
-			e.recordServed(provider, 0)
-			e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), 0, false)
+			e.consumers[consumer].ObserveAllocation(&e.pop, provider, e.candidatesOf(k), 0, false)
 			e.offerReport(tx, consumer, provider, 0)
 			continue
 		}
 		// Being served discloses the consumer's profile to the provider; the
 		// consumer's override for the provider flags it.
-		e.consumers[consumer].ObserveAllocation(provider, e.candidatesOf(k), r.quality, true)
+		e.consumers[consumer].ObserveAllocation(&e.pop, provider, e.candidatesOf(k), r.quality, true)
 		e.disclosures++
 		e.privDirty.Mark(consumer)
 		if r.quality < 0.5 {
 			st.BadService++
 		}
-		e.recordServed(provider, r.quality)
+		e.qualSum[provider] += r.quality
 		e.offerReport(tx, consumer, provider, r.rating)
 	}
-}
-
-// recordServed folds one served (or refused, quality 0) interaction into the
-// ground-truth accumulators: the provider's served count and quality sum.
-func (e *Engine) recordServed(provider int, quality float64) {
-	e.servedCount[provider]++
-	if e.servedCount[provider] == 1 {
-		e.servedStale = true
-	}
-	e.qualSum[provider] += quality
 }

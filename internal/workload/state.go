@@ -97,7 +97,7 @@ func (e *Engine) State() (EngineState, error) {
 		GateFailures:   e.GateFailures,
 		FakeReports:    e.FakeReports,
 		ComputeIters:   e.computeIters,
-		ServedCount:    append([]int(nil), e.servedCount...),
+		ServedCount:    make([]int, len(e.providers)),
 		QualSum:        append([]float64(nil), e.qualSum...),
 		SatDirty:       append([]int(nil), e.satDirty.Sorted()...),
 		TrustGate:      e.cfg.TrustGate,
@@ -115,10 +115,11 @@ func (e *Engine) State() (EngineState, error) {
 		st.Activity = &ast
 	}
 	for i := range e.consumers {
-		st.Consumers[i] = e.consumers[i].State()
+		st.Consumers[i] = e.consumers[i].State(&e.pop)
 	}
 	for i := range e.providers {
-		st.Providers[i] = e.providers[i].State()
+		st.Providers[i] = e.providers[i].State(&e.pop)
+		st.ServedCount[i] = int(e.providers[i].Observations())
 	}
 	return st, nil
 }
@@ -165,7 +166,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if !(0 < st.LedgerScale && st.LedgerScale <= math.MaxFloat64) {
 		return fmt.Errorf("workload: snapshot exposure scale %v is not positive and finite", st.LedgerScale)
 	}
-	if err := checkServed(st.ServedCount, st.QualSum); err != nil {
+	if err := checkServed(st.ServedCount, st.QualSum, st.Providers); err != nil {
 		return err
 	}
 	gatherer, err := reputation.RestoreGatherer(st.Gatherer)
@@ -173,10 +174,10 @@ func (e *Engine) Restore(st EngineState) error {
 		return fmt.Errorf("workload: %w", err)
 	}
 	for i := range e.consumers {
-		if err := e.consumers[i].CheckState(st.Consumers[i]); err != nil {
+		if err := e.consumers[i].CheckState(st.Consumers[i], &e.pop); err != nil {
 			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
-		if err := e.providers[i].CheckState(st.Providers[i]); err != nil {
+		if err := e.providers[i].CheckState(st.Providers[i], &e.pop); err != nil {
 			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
 	}
@@ -197,8 +198,8 @@ func (e *Engine) Restore(st EngineState) error {
 	// Every check has passed, so nothing below can fail.
 	e.snet.SetState(st.Network)
 	for i := range e.consumers {
-		_ = e.consumers[i].SetState(st.Consumers[i]) // checked above
-		_ = e.providers[i].SetState(st.Providers[i]) // checked above
+		_ = e.consumers[i].SetState(st.Consumers[i], &e.pop) // checked above
+		_ = e.providers[i].SetState(st.Providers[i], &e.pop) // checked above
 	}
 	copy(e.classes, st.Classes)
 	e.rebuildColluders()
@@ -235,7 +236,6 @@ func (e *Engine) Restore(st EngineState) error {
 	e.GateFailures = st.GateFailures
 	e.FakeReports = st.FakeReports
 	e.computeIters = st.ComputeIters
-	copy(e.servedCount, st.ServedCount)
 	copy(e.qualSum, st.QualSum)
 	// The served-provider index is derived state: rebuild lazily on next use.
 	e.servedStale = true
@@ -254,14 +254,18 @@ func (e *Engine) Restore(st EngineState) error {
 }
 
 // checkServed rejects ground-truth accumulators no run can reach: a
-// negative served count, or a quality sum that is not a number in
-// [0, count]. Each sum adds count qualities in [0, 1], and every partial
-// sum stays at or below its count, an exactly representable integer, so
-// rounding never carries it past the count.
-func checkServed(count []int, qual []float64) error {
+// negative served count, one that is not the provider's observation count
+// (the engine reads the served count from it), or a quality sum that is not
+// a number in [0, count]. Each sum adds count qualities in [0, 1], and every
+// partial sum stays at or below its count, an exactly representable
+// integer, so rounding never carries it past the count.
+func checkServed(count []int, qual []float64, providers []satisfaction.ProviderState) error {
 	for p, c := range count {
 		if c < 0 {
 			return fmt.Errorf("workload: snapshot served count %d of provider %d is negative", c, p)
+		}
+		if int64(c) != providers[p].N {
+			return fmt.Errorf("workload: snapshot served count %d of provider %d, which observed %d allocations", c, p, providers[p].N)
 		}
 		if q := qual[p]; !(q >= 0 && q <= float64(c)) {
 			return fmt.Errorf("workload: snapshot quality sum %v of provider %d is outside [0,%d]", q, p, c)

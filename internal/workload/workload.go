@@ -250,11 +250,14 @@ func (r RoundStats) BadRate() float64 {
 
 // Engine runs a configured scenario round by round.
 type Engine struct {
-	cfg       Config
-	rng       *sim.RNG
-	snet      *social.Network
-	mech      reputation.Mechanism
-	gatherer  *reputation.Gatherer
+	cfg      Config
+	rng      *sim.RNG
+	snet     *social.Network
+	mech     reputation.Mechanism
+	gatherer *reputation.Gatherer
+	// pop is what every consumer and provider shares: the population size,
+	// the default preference and willingness, and the EMA memory.
+	pop       satisfaction.Population //trustlint:derived configuration, re-established when the engine is rebuilt from the scenario
 	consumers []satisfaction.Consumer
 	providers []satisfaction.Provider
 	// classes is each peer's behaviour class, the only record of how it
@@ -356,15 +359,15 @@ type Engine struct {
 	// honestyGen counts honesty-override changes, which a replica can take
 	// without a full snapshot; see HonestyGen in cluster.go.
 	honestyGen uint64 //trustlint:derived replica-sync cursor for the honesty override alone, compared only against itself within one master process
-	// servedCount/qualSum accumulate each provider's realized service
-	// incrementally (refusals as quality 0), so ground truth and the served
-	// set never require rescanning the interaction log.
-	servedCount []int
-	qualSum     []float64
-	// servedIDs is the ascending id list of providers with servedCount > 0,
+	// qualSum accumulates each provider's realized service quality
+	// incrementally (refusals as quality 0), and the provider's observation
+	// count is how often it served, so ground truth and the served set never
+	// require rescanning the interaction log.
+	qualSum []float64
+	// servedIDs is the ascending id list of providers that ever served,
 	// rebuilt lazily (servedStale) when a provider first serves, so per-epoch
 	// facet measurement iterates the served set without a Θ(n) scan.
-	servedIDs   []int //trustlint:derived index over servedCount, rebuilt lazily after restore (servedStale)
+	servedIDs   []int //trustlint:derived index over the providers' observation counts, rebuilt lazily after restore (servedStale)
 	servedStale bool  //trustlint:derived set by restore (and first-serve transitions) to force the servedIDs rebuild
 	// satDirty marks users whose satisfaction EMA state was touched by the
 	// gather phase since the last ResetSatisfactionTouched — the
@@ -414,7 +417,6 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 		mech:        mech,
 		classes:     classes,
 		shards:      cfg.Shards,
-		servedCount: make([]int, cfg.NumPeers),
 		qualSum:     make([]float64, cfg.NumPeers),
 		feedback:    make([]float64, cfg.NumPeers),
 		facets:      make([]float64, cfg.NumPeers),
@@ -434,22 +436,13 @@ func NewEngine(cfg Config, mech reputation.Mechanism) (*Engine, error) {
 	// Sparse uniform intentions: preferences start at 0.5 and deviate only
 	// for providers actually experienced; providers are mostly willing
 	// (imposed requests dent satisfaction). Dense vectors here would cost
-	// Θ(n²) memory — fatal at 100k+ peers. Every peer starts as a copy of
-	// one validated template, stored by value.
-	c, err := satisfaction.NewUniformConsumer(cfg.NumPeers, 0.5, cfg.Memory)
-	if err != nil {
-		return nil, err
-	}
-	p, err := satisfaction.NewUniformProvider(cfg.NumPeers, 0.8, cfg.Memory)
-	if err != nil {
+	// Θ(n²) memory — fatal at 100k+ peers. The engine holds the shared
+	// settings once; every peer starts as a zero consumer and provider.
+	if e.pop, err = satisfaction.NewPopulation(cfg.NumPeers, 0.5, 0.8, cfg.Memory); err != nil {
 		return nil, err
 	}
 	e.consumers = make([]satisfaction.Consumer, cfg.NumPeers)
 	e.providers = make([]satisfaction.Provider, cfg.NumPeers)
-	for i := range e.consumers {
-		e.consumers[i] = *c
-		e.providers[i] = *p
-	}
 	return e, nil
 }
 
@@ -625,13 +618,14 @@ func (e *Engine) BarrierCompute() {
 }
 
 // ServedProviders returns the ascending ids of providers that ever served
-// (servedCount > 0), rebuilt lazily after a first-serve transition or a
-// restore. The slice is owned by the engine and valid until the next round.
+// (a positive observation count), rebuilt lazily after a first-serve
+// transition or a restore. The slice is owned by the engine and valid until
+// the next round.
 func (e *Engine) ServedProviders() []int {
 	if e.servedStale {
 		e.servedIDs = e.servedIDs[:0]
-		for p, cnt := range e.servedCount {
-			if cnt > 0 {
+		for p := range e.providers {
+			if e.providers[p].Observations() > 0 {
 				e.servedIDs = append(e.servedIDs, p)
 			}
 		}
@@ -645,10 +639,10 @@ func (e *Engine) ServedProviders() []int {
 // who never served scores 1, so an unknown peer ranks as neutral-good
 // rather than bad.
 func (e *Engine) ProviderQuality(p int) float64 {
-	if p < 0 || p >= len(e.servedCount) || e.servedCount[p] == 0 {
+	if p < 0 || p >= len(e.providers) || e.providers[p].Observations() == 0 {
 		return 1
 	}
-	return e.qualSum[p] / float64(e.servedCount[p])
+	return e.qualSum[p] / float64(e.providers[p].Observations())
 }
 
 // Round executes one interaction round through the sharded scatter-gather

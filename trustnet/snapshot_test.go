@@ -433,7 +433,11 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 // reach: a provider's satisfaction or willingness, a consumer's
 // satisfaction or observation count, a provider's served count or
 // quality sum, and an EigenTrust score; restored, they would fail or
-// diverge one epoch later. Each must be an error that leaves the
+// diverge one epoch later. Five more contradict what the engine derives
+// rather than restores: a consumer's default preference or a provider's
+// willingness other than the engine's, a started flag that disagrees with
+// the observation count, and a served count other than the provider's
+// observation count. Each must be an error that leaves the
 // engine's encoded snapshot byte-identical to before and its continuation
 // bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreIsAtomic(t *testing.T) {
@@ -472,6 +476,27 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"consumer observations -1", "observations", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].N = -1 }},
 		{"served count -3", "served count", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5] = -3 }},
 		{"quality sum NaN", "quality sum", func(t *testing.T, st *core.DynamicsState) { st.Engine.QualSum[5] = math.NaN() }},
+		{"last consumer default 0.7", "default preference", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[n-1].Def = 0.7 }},
+		{"last provider willingness 0.7", "willingness", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[n-1].Def = 0.7 }},
+		{"consumer observed but not started", "started", func(t *testing.T, st *core.DynamicsState) {
+			for k := range st.Engine.Consumers {
+				if c := &st.Engine.Consumers[k]; c.N > 0 {
+					c.Started = false
+					return
+				}
+			}
+			t.Fatal("snapshot has no consumer with observations")
+		}},
+		{"provider observed but not started", "started", func(t *testing.T, st *core.DynamicsState) {
+			for k := range st.Engine.Providers {
+				if p := &st.Engine.Providers[k]; p.N > 0 {
+					p.Started = false
+					return
+				}
+			}
+			t.Fatal("snapshot has no provider with observations")
+		}},
+		{"served count one above observations", "observed", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5]++ }},
 		{"engine stream spare NaN", "stream", func(t *testing.T, st *core.DynamicsState) {
 			st.Engine.RNG.Spare, st.Engine.RNG.HasSpare = math.NaN(), true
 		}},
