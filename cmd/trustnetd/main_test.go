@@ -279,7 +279,7 @@ func TestDaemonOldSnapshotClearError(t *testing.T) {
 	if err == nil {
 		t.Fatal("old-version snapshot accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 7)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 8)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }

@@ -179,7 +179,7 @@ func TestResumeRejectsOldVersionSnapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("old-version snapshot accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 7)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 8)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }
@@ -194,7 +194,23 @@ func TestResumeRejectsV5Checkpoint(t *testing.T) {
 	if err == nil {
 		t.Fatal("v5 checkpoint accepted")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 5, want 7)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 5, want 8)") {
+		t.Fatalf("resume error %q does not name the version mismatch", err)
+	}
+}
+
+// TestResumeRejectsV7Checkpoint resumes a real checkpoint of the last format
+// generation, written by "trustsim -peers 120 -epochs 4 -checkpoint" while
+// the state still stored its epoch, round counter and cumulative totals
+// beside the logs they count. Gob skips those fields, so the blob would
+// decode; -resume must fail with the version mismatch.
+func TestResumeRejectsV7Checkpoint(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-peers", "120", "-epochs", "1", "-resume", filepath.Join("testdata", "v7-peers120.snap")}, &sb)
+	if err == nil {
+		t.Fatal("v7 checkpoint accepted")
+	}
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 7, want 8)") {
 		t.Fatalf("resume error %q does not name the version mismatch", err)
 	}
 }

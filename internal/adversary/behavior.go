@@ -15,7 +15,7 @@ import (
 )
 
 // Class enumerates the behaviour classes used across experiments.
-type Class int
+type Class uint8
 
 // Behaviour classes. Honest is the baseline; the rest are the adversarial
 // powers named by the paper (plus slanderers and colluders from the cited

@@ -252,7 +252,7 @@ func TestColluderInflatesClique(t *testing.T) {
 // TestNewUnknownClass checks that an unknown class is refused wherever a
 // class enters: it is not Valid, has no name, and a mix naming it fails.
 func TestNewUnknownClass(t *testing.T) {
-	for _, c := range []Class{0, Colluder + 1, Class(99), Class(-1)} {
+	for _, c := range []Class{0, Colluder + 1, Class(99), Class(255)} {
 		if c.Valid() {
 			t.Fatalf("class %d is valid", int(c))
 		}

@@ -114,19 +114,20 @@ type Dynamics struct {
 	eng            *workload.Engine
 	tm             *TrustModel
 	baseDisclosure float64
-	epoch          int
-	history        []EpochStats
+	// history is every completed epoch; its length is the epoch count.
+	history []EpochStats
 
 	// Sub-linear epoch tail state. The global reputation facet is shared by
 	// every user, so a change in its value dirties the whole population;
-	// prevRepFacet detects that by value (NaN before the first epoch, so
-	// epoch 0 is always dense). couplingAll forces the next §3 coupling pass
-	// to visit every user — set initially (the coupling invariant is not yet
-	// established) and by the base-disclosure / base-honesty / coupling
-	// interventions, whose effects are not proportional to trust movement.
-	// Both are serialized: a resumed run must go dense exactly when the
-	// uninterrupted one would.
-	prevRepFacet float64
+	// prevRepFacet detects that by value. It is the last history entry's
+	// Reputation (NaN before the first epoch, so epoch 0 is always dense),
+	// kept beside it so the trust update reads it per user. couplingAll
+	// forces the next §3 coupling pass to visit every user — set initially
+	// (the coupling invariant is not yet established) and by the
+	// base-disclosure / base-honesty / coupling interventions, whose effects
+	// are not proportional to trust movement. It is serialized: a resumed run
+	// must go dense exactly when the uninterrupted one would.
+	prevRepFacet float64 //trustlint:derived the last history entry's Reputation, re-read by Restore
 	couplingAll  bool
 	// prevLedgerScale detects mid-run exposure-scale interventions, which
 	// reprice every privacy facet at once (re-derived from the engine on
@@ -252,7 +253,7 @@ func (d *Dynamics) SetCoupled(on bool) {
 
 // EpochIndex returns the index the next epoch will run as (equivalently, the
 // number of completed epochs).
-func (d *Dynamics) EpochIndex() int { return d.epoch }
+func (d *Dynamics) EpochIndex() int { return len(d.history) }
 
 // TrustModel exposes the trust state.
 func (d *Dynamics) TrustModel() *TrustModel { return d.tm }
@@ -295,7 +296,7 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	// behaviour-class honesty; a coupled run replaces it from epoch 0 on,
 	// starting all-truthful. (Uncoupled, the full pass at the end of epoch 0
 	// installs the override.)
-	if d.epoch == 0 && d.cfg.Coupled {
+	if len(d.history) == 0 && d.cfg.Coupled {
 		for u := 0; u < d.cfg.Workload.NumPeers; u++ {
 			d.eng.SetHonesty(u, 1)
 		}
@@ -312,7 +313,6 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	if err != nil {
 		return EpochStats{}, err
 	}
-	d.epoch++
 	d.history = append(d.history, st)
 	return st, nil
 }
@@ -320,7 +320,8 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 // closeEpoch is the epoch tail, steps 3 to 7 of EpochCtx: it measures the
 // facets, updates trust, closes the §3 loops and reads the aggregates into
 // the epoch's stats, given the engine's cumulative counters from before the
-// epoch's rounds. It leaves the epoch count and the history to its caller.
+// epoch's rounds. It leaves the history to its caller, and on an error
+// leaves prevRepFacet at the last history entry's.
 func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (EpochStats, error) {
 	n := d.cfg.Workload.NumPeers
 	shards := d.eng.Shards()
@@ -340,7 +341,8 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	// global reputation facet or the exposure scale moved — everyone.
 	// The set is assembled identically on the dense reference path, so the
 	// DirtyFacets counter is schedule-independent.
-	repChanged := math.IsNaN(d.prevRepFacet) || repFacet != d.prevRepFacet
+	prevRepFacet := d.prevRepFacet
+	repChanged := math.IsNaN(prevRepFacet) || repFacet != prevRepFacet
 	d.prevRepFacet = repFacet
 	scale := d.eng.LedgerScale()
 	scaleChanged := scale != d.prevLedgerScale
@@ -380,15 +382,13 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 	// 5. Update trust for the candidates — facet-dirty users plus everyone
 	// not yet at a bitwise fixed point — or for everyone on a dense epoch.
 	// Facets are read on demand; no per-user []Facets is materialized.
-	if allDirty {
-		if err := d.tm.UpdateScattered(nil, true, d.facetOf, shards); err != nil {
-			return EpochStats{}, err
-		}
-	} else {
+	if !allDirty {
 		d.candidates = d.tm.AppendCandidates(d.candidates[:0], d.facetDirty.Sorted())
-		if err := d.tm.UpdateScattered(d.candidates, false, d.facetOf, shards); err != nil {
-			return EpochStats{}, err
-		}
+	}
+	if err := d.tm.UpdateScattered(d.candidates, allDirty, d.facetOf, shards); err != nil {
+		// No history entry records this epoch's facet.
+		d.prevRepFacet = prevRepFacet
+		return EpochStats{}, err
 	}
 
 	// 6. Close the §3 loops for the next epoch, writing each user's
@@ -447,7 +447,7 @@ func (d *Dynamics) closeEpoch(before workload.RoundStats, itersBefore int64) (Ep
 		t.Flush()
 	}
 	st := EpochStats{
-		Epoch:        d.epoch,
+		Epoch:        len(d.history),
 		Trust:        d.tm.GlobalTrust(),
 		Satisfaction: d.satTree.Mean(),
 		Reputation:   repFacet,

@@ -247,3 +247,59 @@ func TestBaseSettersRejectNaN(t *testing.T) {
 		t.Fatalf("a refused setter changed the dynamics: base disclosure %v, base honesty %v", d.baseDisclosure, d.cfg.BaseHonesty)
 	}
 }
+
+// fractionMechanism is an EigenTrust mechanism whose trustworthy fraction
+// can be forced, so a test can push the reputation facet out of [0,1].
+type fractionMechanism struct {
+	*eigentrust.Mechanism
+	force float64 // 0: report the mechanism's own fraction
+}
+
+func (m *fractionMechanism) TrustworthyFraction() float64 {
+	if m.force != 0 {
+		return m.force
+	}
+	return m.Mechanism.TrustworthyFraction()
+}
+
+// TestFailedEpochKeepsRepFacetOnHistory pins the invariant restore relies
+// on: the reputation facet the next epoch compares against is the last
+// history entry's, also after an epoch whose trust update failed and so
+// recorded nothing. A state captured then restores to the same dynamics.
+func TestFailedEpochKeepsRepFacetOnHistory(t *testing.T) {
+	build := func() (*Dynamics, *fractionMechanism) {
+		et, err := eigentrust.New(eigentrust.Config{N: 40, Pretrusted: []int{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mech := &fractionMechanism{Mechanism: et}
+		d, err := NewDynamics(dynConfig(true, 0.3), mech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, mech
+	}
+	d, mech := build()
+	if _, err := d.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	mech.force = 7 // a facet of several units: no trust update accepts it
+	if _, err := d.Epoch(); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+		t.Fatalf("epoch with a reputation facet above 1 = %v, want a facet error", err)
+	}
+	last := d.history[len(d.history)-1].Reputation
+	if len(d.history) != 2 || math.Float64bits(d.prevRepFacet) != math.Float64bits(last) {
+		t.Fatalf("after the failed epoch: %d history entries, rep facet %v, want 2 and %v", len(d.history), d.prevRepFacet, last)
+	}
+	st, err := d.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := build()
+	if err := twin.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if twin.EpochIndex() != 2 || math.Float64bits(twin.prevRepFacet) != math.Float64bits(last) {
+		t.Fatalf("restored epoch %d, rep facet %v, want 2 and %v", twin.EpochIndex(), twin.prevRepFacet, last)
+	}
+}

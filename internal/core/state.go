@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -13,23 +15,18 @@ import (
 type TrustModelState struct {
 	Trust   []float64
 	Started []bool
-	// Settled carries the per-user fixed-point flags so a resumed run skips
-	// exactly the users the uninterrupted run would skip. Nil (a snapshot
-	// predating the settled set) restores as all-unsettled, which is always
-	// valid: the first dense pass re-derives the flags.
-	Settled []bool
+	// Settled is the model's fixed-point bitmap, bit u&63 of word u>>6 for
+	// user u, so a resumed run skips exactly the users the uninterrupted
+	// run would skip.
+	Settled []uint64
 }
 
 // State captures the model's mutable state.
 func (m *TrustModel) State() TrustModelState {
-	settled := make([]bool, len(m.trust))
-	for u := range settled {
-		settled[u] = m.settled[u>>6]&(1<<(u&63)) != 0
-	}
 	return TrustModelState{
 		Trust:   append([]float64(nil), m.trust...),
 		Started: append([]bool(nil), m.started...),
-		Settled: settled,
+		Settled: append([]uint64(nil), m.settled...),
 	}
 }
 
@@ -42,26 +39,28 @@ func (m *TrustModel) SetState(st TrustModelState) error {
 	}
 	copy(m.trust, st.Trust)
 	copy(m.started, st.Started)
-	clear(m.settled)
+	copy(m.settled, st.Settled)
 	m.settledCount = 0
-	for u, on := range st.Settled {
-		if on {
-			m.settled[u>>6] |= 1 << (u & 63)
-			m.settledCount++
-		}
+	for _, w := range m.settled {
+		m.settledCount += bits.OnesCount64(w)
 	}
 	m.tree.Fill()
 	return nil
 }
 
 // checkState rejects a state whose shape does not match the model's
-// population, or whose trust is not a finite value in [0,1].
+// population, whose settled bitmap marks a user beyond it, or whose trust
+// is not a finite value in [0,1].
 func (m *TrustModel) checkState(st TrustModelState) error {
-	if len(st.Trust) != len(m.trust) || len(st.Started) != len(m.started) {
-		return fmt.Errorf("core: trust-model state for %d users, want %d", len(st.Trust), len(m.trust))
+	n := len(m.trust)
+	if len(st.Trust) != n || len(st.Started) != n {
+		return fmt.Errorf("core: trust-model state for %d users, want %d", len(st.Trust), n)
 	}
-	if st.Settled != nil && len(st.Settled) != len(m.trust) {
-		return fmt.Errorf("core: trust-model settled flags for %d users, want %d", len(st.Settled), len(m.trust))
+	if len(st.Settled) != len(m.settled) {
+		return fmt.Errorf("core: trust-model settled bitmap of %d words, want %d", len(st.Settled), len(m.settled))
+	}
+	if tail := n & 63; tail != 0 && st.Settled[n>>6]>>tail != 0 {
+		return fmt.Errorf("core: trust-model settled bitmap marks users beyond %d", n)
 	}
 	for u, t := range st.Trust {
 		if !(t >= 0 && t <= 1) {
@@ -86,16 +85,12 @@ type DynamicsState struct {
 	// change them mid-run.
 	BaseHonesty float64
 	Coupled     bool
-	Epoch       int
+	// History is every completed epoch, History[k] the k-th: the epoch
+	// count is its length, and the last entry's Reputation is the facet the
+	// next epoch compares against. CouplingAll records a pending full
+	// coupling rewrite.
 	History     []EpochStats
-	// PrevRepFacet is the last epoch's reputation facet, used to detect
-	// rep-facet movement (which dirties every user). Old snapshots decode it
-	// as 0, which forces a dense epoch after restore — safe, merely not
-	// sparse. CouplingAll records a pending full coupling rewrite; old
-	// snapshots decode it as false, also safe, because pre-sparse code
-	// maintained the coupling invariant by writing every cell every epoch.
-	PrevRepFacet float64
-	CouplingAll  bool
+	CouplingAll bool
 }
 
 // State captures the coupled system's mutable state.
@@ -110,9 +105,7 @@ func (d *Dynamics) State() (DynamicsState, error) {
 		BaseDisclosure: d.baseDisclosure,
 		BaseHonesty:    d.cfg.BaseHonesty,
 		Coupled:        d.cfg.Coupled,
-		Epoch:          d.epoch,
 		History:        append([]EpochStats(nil), d.history...),
-		PrevRepFacet:   d.prevRepFacet,
 		CouplingAll:    d.couplingAll,
 	}, nil
 }
@@ -127,6 +120,11 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	if !(0 <= st.BaseHonesty && st.BaseHonesty <= 1) {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
+	for k, h := range st.History {
+		if h.Epoch != k {
+			return fmt.Errorf("core: snapshot history entry %d claims epoch %d", k, h.Epoch)
+		}
+	}
 	if err := d.tm.checkState(st.Trust); err != nil {
 		return err
 	}
@@ -139,9 +137,11 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	d.baseDisclosure = st.BaseDisclosure
 	d.cfg.BaseHonesty = st.BaseHonesty
 	d.cfg.Coupled = st.Coupled
-	d.epoch = st.Epoch
 	d.history = append([]EpochStats(nil), st.History...)
-	d.prevRepFacet = st.PrevRepFacet
+	d.prevRepFacet = math.NaN()
+	if k := len(d.history); k > 0 {
+		d.prevRepFacet = d.history[k-1].Reputation
+	}
 	d.couplingAll = st.CouplingAll
 	d.prevLedgerScale = d.eng.LedgerScale()
 	for _, t := range [...]*metrics.SumTree{d.satTree, d.privTree, d.discTree, d.honTree} {

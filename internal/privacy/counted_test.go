@@ -42,7 +42,7 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 		// feedback sums, the recipient sets and the oracle's events.
 		savedConsumers := make([]satisfaction.ConsumerState, users)
 		for u := range consumers {
-			savedConsumers[u] = consumers[u].State(&pop)
+			savedConsumers[u] = consumers[u].State()
 		}
 		savedFeedback, savedReached, savedRef := slices.Clone(feedback), maps.Clone(reached), ref.State()
 		for step := 0; step < 3000; step++ {
@@ -67,7 +67,7 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 				ref.Record(Disclosure{Owner: u, Item: fmt.Sprintf("feedback/%d/%d", u, step), Sensitivity: social.Low, Recipient: -1, Purpose: ReputationUse, Consented: true})
 			case op < 39: // checkpoint
 				for v := range consumers {
-					savedConsumers[v] = consumers[v].State(&pop)
+					savedConsumers[v] = consumers[v].State()
 				}
 				savedFeedback, savedReached, savedRef = slices.Clone(feedback), maps.Clone(reached), ref.State()
 			default: // rewind to the checkpoint

@@ -23,8 +23,6 @@ func (c *consumer) ObserveAllocation(chosen int, candidates []int32, quality flo
 
 func (c *consumer) ObserveFailure() { c.Consumer.ObserveFailure(&c.pop) }
 
-func (c *consumer) State() ConsumerState { return c.Consumer.State(&c.pop) }
-
 func (c *consumer) SetState(st ConsumerState) error { return c.Consumer.SetState(st, &c.pop) }
 
 // newPrefConsumer builds a consumer with one initial preference per
@@ -62,10 +60,6 @@ func (p *provider) Observe(consumer int) float64 { return p.Provider.Observe(&p.
 
 // Willingness returns the provider's willingness to serve a consumer.
 func (p *provider) Willingness(consumer int) float64 { return p.pop.Willingness(consumer) }
-
-func (p *provider) State() ProviderState { return p.Provider.State(&p.pop) }
-
-func (p *provider) SetState(st ProviderState) error { return p.Provider.SetState(st, &p.pop) }
 
 // prefProvider is a provider with one willingness per consumer. Production
 // providers are uniformly willing; the fixture folds each request's own

@@ -113,9 +113,9 @@ func (r *refOverrides) UpdatePreference(provider int, quality float64) {
 	r.overrides[int32(provider)] = float64((1-r.memory)*cur) + float64(r.memory*clamp01(quality))
 }
 
-// state is the oracle's part of a ConsumerState: the sparse fields.
+// state is the oracle's part of a ConsumerState: the overrides.
 func (r *refOverrides) state() ConsumerState {
-	st := ConsumerState{Pop: r.pop, Def: r.def}
+	var st ConsumerState
 	for k, v := range r.overrides {
 		st.Overrides = append(st.Overrides, Override{Provider: k, Pref: v})
 	}
@@ -124,7 +124,6 @@ func (r *refOverrides) state() ConsumerState {
 }
 
 func (r *refOverrides) setState(st ConsumerState) {
-	r.def = st.Def
 	r.overrides = nil
 	if len(st.Overrides) > 0 {
 		r.overrides = make(map[int32]float64, len(st.Overrides))
@@ -178,7 +177,7 @@ func TestConsumerOverridesMatchMapOracle(t *testing.T) {
 				}
 			}
 			got, want := c.State(), ref.state()
-			got.Sat, got.Started, got.N = 0, false, 0
+			got.Sat, got.N = 0, 0
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: State = %+v, want %+v", where, got, want)
 			}
@@ -216,11 +215,11 @@ func TestConsumerPreferenceAllocFree(t *testing.T) {
 // can hold; each must be an error that leaves the consumer unchanged.
 func TestConsumerSetStateRejectsHostile(t *testing.T) {
 	const n = 5
-	sparse := func(def float64, ov ...Override) ConsumerState {
-		return ConsumerState{Pop: n, Def: def, Overrides: ov}
+	sparse := func(ov ...Override) ConsumerState {
+		return ConsumerState{Overrides: ov}
 	}
 	dense := func(prefs ...float64) ConsumerState {
-		st := ConsumerState{Pop: n}
+		var st ConsumerState
 		for p, v := range prefs {
 			st.Overrides = append(st.Overrides, Override{Provider: int32(p), Pref: v})
 		}
@@ -231,26 +230,19 @@ func TestConsumerSetStateRejectsHostile(t *testing.T) {
 		dense bool // a consumer built with a preference for every provider
 		st    ConsumerState
 	}{
-		{"override provider at pop", false, sparse(0.5, Override{Provider: n, Pref: 0.4})},
-		{"negative override provider", false, sparse(0.5, Override{Provider: -1, Pref: 0.4})},
-		{"NaN default", false, sparse(math.NaN())},
-		{"default above one", false, sparse(1.5)},
-		{"NaN override", false, sparse(0.5, Override{Provider: 2, Pref: math.NaN()})},
-		{"infinite override", false, sparse(0.5, Override{Provider: 2, Pref: math.Inf(1)})},
-		{"negative override", false, sparse(0.5, Override{Provider: 2, Pref: -0.1})},
-		{"overrides descending", false, sparse(0.5, Override{Provider: 3, Pref: 0.4}, Override{Provider: 2, Pref: 0.4})},
-		{"override duplicated", false, sparse(0.5, Override{Provider: 2, Pref: 0.4}, Override{Provider: 2, Pref: 0.6})},
+		{"override provider at pop", false, sparse(Override{Provider: n, Pref: 0.4})},
+		{"negative override provider", false, sparse(Override{Provider: -1, Pref: 0.4})},
+		{"NaN override", false, sparse(Override{Provider: 2, Pref: math.NaN()})},
+		{"infinite override", false, sparse(Override{Provider: 2, Pref: math.Inf(1)})},
+		{"negative override", false, sparse(Override{Provider: 2, Pref: -0.1})},
+		{"overrides descending", false, sparse(Override{Provider: 3, Pref: 0.4}, Override{Provider: 2, Pref: 0.4})},
+		{"override duplicated", false, sparse(Override{Provider: 2, Pref: 0.4}, Override{Provider: 2, Pref: 0.6})},
 		{"NaN dense preference", true, dense(0.5, math.NaN(), 0.5, 0.5, 0.5)},
 		{"dense preference above one", true, dense(0.5, 0.5, 2, 0.5, 0.5)},
-		{"NaN satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.NaN(), Started: true, N: 3}},
-		{"infinite satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: math.Inf(1), Started: true, N: 3}},
-		{"negative satisfaction", false, ConsumerState{Pop: n, Def: 0.5, Sat: -0.2, Started: true, N: 3}},
-		{"negative observation count", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, Started: true, N: -1}},
-		{"wrong population", false, ConsumerState{Pop: n + 1, Def: 0.5}},
-		{"default not the population's", false, sparse(0.7)},
-		{"negative zero default", true, ConsumerState{Pop: n, Def: math.Copysign(0, -1)}},
-		{"started without observations", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, Started: true}},
-		{"observations without started", false, ConsumerState{Pop: n, Def: 0.5, Sat: 0.5, N: 4}},
+		{"NaN satisfaction", false, ConsumerState{Sat: math.NaN(), N: 3}},
+		{"infinite satisfaction", false, ConsumerState{Sat: math.Inf(1), N: 3}},
+		{"negative satisfaction", false, ConsumerState{Sat: -0.2, N: 3}},
+		{"negative observation count", false, ConsumerState{Sat: 0.5, N: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -375,8 +367,7 @@ func TestObserveAllocationMatchesTwoCallOracle(t *testing.T) {
 // sameConsumerBits compares two consumer states with every float by its
 // bits.
 func sameConsumerBits(a, b ConsumerState) bool {
-	if a.Pop != b.Pop || a.Started != b.Started || a.N != b.N || len(a.Overrides) != len(b.Overrides) ||
-		math.Float64bits(a.Def) != math.Float64bits(b.Def) || math.Float64bits(a.Sat) != math.Float64bits(b.Sat) {
+	if a.N != b.N || len(a.Overrides) != len(b.Overrides) || math.Float64bits(a.Sat) != math.Float64bits(b.Sat) {
 		return false
 	}
 	for k, o := range a.Overrides {
@@ -392,15 +383,9 @@ func sameConsumerBits(a, b ConsumerState) bool {
 func TestProviderSetStateRejectsHostile(t *testing.T) {
 	const n = 5
 	cases := map[string]ProviderState{
-		"wrong population":                 {Pop: n + 1, Def: 0.8, Sat: 0.5, Started: true, N: 2},
-		"NaN willingness":                  {Pop: n, Def: math.NaN(), Sat: 0.5, Started: true, N: 2},
-		"willingness above one":            {Pop: n, Def: 1.5, Sat: 0.5, Started: true, N: 2},
-		"NaN satisfaction":                 {Pop: n, Def: 0.8, Sat: math.NaN(), Started: true, N: 2},
-		"negative satisfaction":            {Pop: n, Def: 0.8, Sat: -1, Started: true, N: 2},
-		"negative observation count":       {Pop: n, Def: 0.8, Sat: 0.5, Started: true, N: -3},
-		"willingness not the population's": {Pop: n, Def: 0.7, Sat: 0.5, Started: true, N: 2},
-		"started without observations":     {Pop: n, Def: 0.8, Sat: 0.5, Started: true},
-		"observations without started":     {Pop: n, Def: 0.8, Sat: 0.5, N: 2},
+		"NaN satisfaction":           {Sat: math.NaN(), N: 2},
+		"negative satisfaction":      {Sat: -1, N: 2},
+		"negative observation count": {Sat: 0.5, N: -3},
 	}
 	for name, st := range cases {
 		t.Run(name, func(t *testing.T) {

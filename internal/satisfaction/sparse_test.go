@@ -126,8 +126,9 @@ func TestSparseConstructorValidation(t *testing.T) {
 }
 
 // TestSparseConsumerStateRoundTrip checks that a sparse consumer's state
-// (default + overrides) survives a State/SetState cycle bit for bit, and
-// that a population mismatch is rejected instead of silently merged.
+// (its overrides) survives a State/SetState cycle bit for bit, and that an
+// override for a provider the population does not have is rejected
+// instead of silently merged.
 func TestSparseConsumerStateRoundTrip(t *testing.T) {
 	const n = 20
 	c, err := newConsumer(n, 0.5, 0.1)
@@ -157,12 +158,13 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		t.Fatal("satisfaction state diverged after round trip")
 	}
 
-	// A population mismatch must error.
-	wrong, err := newConsumer(n+1, 0.5, 0.1)
+	// A smaller population has no provider n-1 to hold an override for.
+	c.UpdatePreference(n-1, 0.3)
+	wrong, err := newConsumer(n-1, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wrong.SetState(st); err == nil {
-		t.Fatal("population mismatch accepted")
+	if err := wrong.SetState(c.State()); err == nil {
+		t.Fatal("override beyond the population accepted")
 	}
 }

@@ -248,8 +248,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("trustnet-epoch%d.snap", snap.Epoch)))
-	w.Header().Set("X-Trustnet-Epoch", strconv.Itoa(snap.Epoch))
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("trustnet-epoch%d.snap", snap.Epoch())))
+	w.Header().Set("X-Trustnet-Epoch", strconv.Itoa(snap.Epoch()))
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
 }

@@ -10,7 +10,7 @@ import (
 func consumerActivity(e *Engine) []int {
 	counts := make([]int, len(e.consumers))
 	for i, c := range e.consumers {
-		counts[i] = int(c.State(&e.pop).N)
+		counts[i] = int(c.State().N)
 	}
 	return counts
 }

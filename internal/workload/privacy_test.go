@@ -46,7 +46,7 @@ func (m *countingMech) SubmitBatch(rs []reputation.Report) error {
 // reaching the r providers the consumer's overrides flag.
 func privacyFacetFormula(e *Engine, u, reports int) float64 {
 	flagged := 0
-	for _, o := range e.consumers[u].State(&e.pop).Overrides {
+	for _, o := range e.consumers[u].State().Overrides {
 		if o.Disclosed {
 			flagged++
 		}
@@ -194,7 +194,7 @@ func BenchmarkGather(b *testing.B) {
 	}
 	e.Run(10) // every consumer has met a few providers
 	e.planRound(e.activePool())
-	e.scatter(roundInputs{scores: e.mech.ScoresView(), gate: -1, round: e.round})
+	e.scatter(roundInputs{scores: e.mech.ScoresView(), gate: -1, round: len(e.rounds)})
 	plans, results := slices.Clone(e.plans), slices.Clone(e.results)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -258,7 +258,7 @@ func TestPlanScatterZeroAllocs(t *testing.T) {
 			e.Run(10)
 			scores := e.Mechanism().ScoresView()
 			pool := e.activePool()
-			in := roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: e.round}
+			in := roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: len(e.rounds)}
 			if a := testing.AllocsPerRun(20, func() {
 				e.planRound(pool)
 				e.scatter(in)

@@ -39,14 +39,15 @@ type EngineState struct {
 	Classes        []adversary.Class
 	Active         []bool
 	HonestOverride []float64
-	Round          int
-	Rounds         []RoundStats
-	Cumulative     RoundStats
-	GateFailures   int64
-	FakeReports    int64
-	ComputeIters   int64
-	ServedCount    []int
-	QualSum        []float64
+	// Rounds is the log of every completed round, Rounds[k] the k-th: the
+	// round counter is its length and the cumulative totals are its sum.
+	Rounds       []RoundStats
+	GateFailures int64
+	FakeReports  int64
+	ComputeIters int64
+	// QualSum is each provider's sum of delivered qualities; the served
+	// count it is bounded by is the provider's observation count.
+	QualSum []float64
 	// SatDirty lists the users whose satisfaction state was touched since the
 	// last epoch measurement consumed the dirty set (ascending). Normally
 	// empty at snapshot time (epoch boundaries reset it), it is captured so a
@@ -91,13 +92,10 @@ func (e *Engine) State() (EngineState, error) {
 		Classes:        append([]adversary.Class(nil), e.classes...),
 		Active:         append([]bool(nil), e.active...),
 		HonestOverride: append([]float64(nil), e.honestOverride...),
-		Round:          e.round,
 		Rounds:         append([]RoundStats(nil), e.rounds...),
-		Cumulative:     e.cumulative,
 		GateFailures:   e.GateFailures,
 		FakeReports:    e.FakeReports,
 		ComputeIters:   e.computeIters,
-		ServedCount:    make([]int, len(e.providers)),
 		QualSum:        append([]float64(nil), e.qualSum...),
 		SatDirty:       append([]int(nil), e.satDirty.Sorted()...),
 		TrustGate:      e.cfg.TrustGate,
@@ -115,11 +113,10 @@ func (e *Engine) State() (EngineState, error) {
 		st.Activity = &ast
 	}
 	for i := range e.consumers {
-		st.Consumers[i] = e.consumers[i].State(&e.pop)
+		st.Consumers[i] = e.consumers[i].State()
 	}
 	for i := range e.providers {
-		st.Providers[i] = e.providers[i].State(&e.pop)
-		st.ServedCount[i] = int(e.providers[i].Observations())
+		st.Providers[i] = e.providers[i].State()
 	}
 	return st, nil
 }
@@ -134,8 +131,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if st.MechName != e.mech.Name() {
 		return fmt.Errorf("workload: snapshot is for mechanism %q, engine runs %q", st.MechName, e.mech.Name())
 	}
-	if len(st.Consumers) != n || len(st.Providers) != n || len(st.Classes) != n ||
-		len(st.ServedCount) != n || len(st.QualSum) != n {
+	if len(st.Consumers) != n || len(st.Providers) != n || len(st.Classes) != n || len(st.QualSum) != n {
 		return fmt.Errorf("workload: snapshot population does not match %d peers", n)
 	}
 	if len(st.Active) != 0 && len(st.Active) != n {
@@ -166,7 +162,7 @@ func (e *Engine) Restore(st EngineState) error {
 	if !(0 < st.LedgerScale && st.LedgerScale <= math.MaxFloat64) {
 		return fmt.Errorf("workload: snapshot exposure scale %v is not positive and finite", st.LedgerScale)
 	}
-	if err := checkServed(st.ServedCount, st.QualSum, st.Providers); err != nil {
+	if err := checkRounds(st.Rounds); err != nil {
 		return err
 	}
 	gatherer, err := reputation.RestoreGatherer(st.Gatherer)
@@ -177,8 +173,15 @@ func (e *Engine) Restore(st EngineState) error {
 		if err := e.consumers[i].CheckState(st.Consumers[i], &e.pop); err != nil {
 			return fmt.Errorf("workload: peer %d: %w", i, err)
 		}
-		if err := e.providers[i].CheckState(st.Providers[i], &e.pop); err != nil {
+		if err := e.providers[i].CheckState(st.Providers[i]); err != nil {
 			return fmt.Errorf("workload: peer %d: %w", i, err)
+		}
+		// The provider's observation count is its served count, and the
+		// quality sum adds one quality in [0, 1] per served interaction.
+		// Every partial sum stays at or below its count, an exactly
+		// representable integer, so rounding never carries it past.
+		if q, c := st.QualSum[i], st.Providers[i].N; !(q >= 0 && q <= float64(c)) {
+			return fmt.Errorf("workload: snapshot quality sum %v of provider %d is outside [0,%d]", q, i, c)
 		}
 	}
 	for id, c := range st.Classes {
@@ -199,7 +202,7 @@ func (e *Engine) Restore(st EngineState) error {
 	e.snet.SetState(st.Network)
 	for i := range e.consumers {
 		_ = e.consumers[i].SetState(st.Consumers[i], &e.pop) // checked above
-		_ = e.providers[i].SetState(st.Providers[i], &e.pop) // checked above
+		_ = e.providers[i].SetState(st.Providers[i])         // checked above
 	}
 	copy(e.classes, st.Classes)
 	e.rebuildColluders()
@@ -230,9 +233,11 @@ func (e *Engine) Restore(st EngineState) error {
 		}
 	}
 	e.honestOverride = append([]float64(nil), st.HonestOverride...)
-	e.round = st.Round
 	e.rounds = append([]RoundStats(nil), st.Rounds...)
-	e.cumulative = st.Cumulative
+	e.cumulative = RoundStats{}
+	for _, r := range e.rounds {
+		e.cumulative.add(r)
+	}
 	e.GateFailures = st.GateFailures
 	e.FakeReports = st.FakeReports
 	e.computeIters = st.ComputeIters
@@ -253,23 +258,24 @@ func (e *Engine) Restore(st EngineState) error {
 	return nil
 }
 
-// checkServed rejects ground-truth accumulators no run can reach: a
-// negative served count, one that is not the provider's observation count
-// (the engine reads the served count from it), or a quality sum that is not
-// a number in [0, count]. Each sum adds count qualities in [0, 1], and every
-// partial sum stays at or below its count, an exactly representable
-// integer, so rounding never carries it past the count.
-func checkServed(count []int, qual []float64, providers []satisfaction.ProviderState) error {
-	for p, c := range count {
-		if c < 0 {
-			return fmt.Errorf("workload: snapshot served count %d of provider %d is negative", c, p)
+// checkRounds rejects a round log no run can write: an entry whose Round
+// is not its index, a negative count, counts that break
+// Refused <= BadService <= Interactions (a refusal is bad service, and both
+// count served interactions), or interactions whose total, the cumulative
+// count restore derives, overflows.
+func checkRounds(rounds []RoundStats) error {
+	total := 0
+	for k, r := range rounds {
+		if r.Round != k {
+			return fmt.Errorf("workload: snapshot round entry %d claims round %d", k, r.Round)
 		}
-		if int64(c) != providers[p].N {
-			return fmt.Errorf("workload: snapshot served count %d of provider %d, which observed %d allocations", c, p, providers[p].N)
+		if !(0 <= r.Refused && r.Refused <= r.BadService && r.BadService <= r.Interactions) {
+			return fmt.Errorf("workload: snapshot round %d counts %d interactions, %d bad, %d refused", k, r.Interactions, r.BadService, r.Refused)
 		}
-		if q := qual[p]; !(q >= 0 && q <= float64(c)) {
-			return fmt.Errorf("workload: snapshot quality sum %v of provider %d is outside [0,%d]", q, p, c)
+		if total > math.MaxInt-r.Interactions {
+			return fmt.Errorf("workload: snapshot rounds count more than %d interactions", math.MaxInt)
 		}
+		total += r.Interactions
 	}
 	return nil
 }

@@ -248,6 +248,13 @@ func (r RoundStats) BadRate() float64 {
 	return float64(r.BadService) / float64(r.Interactions)
 }
 
+// add accumulates r's counts into s.
+func (s *RoundStats) add(r RoundStats) {
+	s.Interactions += r.Interactions
+	s.BadService += r.BadService
+	s.Refused += r.Refused
+}
+
 // Engine runs a configured scenario round by round.
 type Engine struct {
 	cfg      Config
@@ -267,9 +274,10 @@ type Engine struct {
 	// probability it reports truthfully (the §3 coupling between system
 	// trust and honest contribution).
 	honestOverride []float64
-	round          int
-	rounds         []RoundStats
-	cumulative     RoundStats
+	// rounds logs every completed round; its length is the round counter.
+	// cumulative is its running sum.
+	rounds     []RoundStats
+	cumulative RoundStats //trustlint:derived the sum of rounds, re-added by Restore
 	// The privacy facet's record (§2.3). Every flow the engine accounts is
 	// consented: a served interaction discloses the consumer's profile (a
 	// Medium item) to the provider, and a delivered report discloses the
@@ -652,7 +660,7 @@ func (e *Engine) ProviderQuality(p int) float64 {
 // identical rounds for every shard count.
 func (e *Engine) Round() RoundStats {
 	cfg := e.cfg
-	st := RoundStats{Round: e.round}
+	st := RoundStats{Round: len(e.rounds)}
 	// The round only gates and ranks on the scores, so it reads the
 	// mechanism's view: no report in the round recomputes them.
 	scores := e.mech.ScoresView()
@@ -660,7 +668,7 @@ func (e *Engine) Round() RoundStats {
 	// reads it from every shard concurrently.
 	pool := e.activePool()
 	e.planRound(pool)
-	e.scatter(roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: e.round})
+	e.scatter(roundInputs{scores: scores, gate: e.trustGate(scores), pool: pool, round: st.Round})
 	e.gather(&st)
 	e.plans, e.results, e.cands = e.plans[:0], e.results[:0], e.cands[:0]
 	// Malicious collective: each colluder fabricates one satisfied
@@ -680,14 +688,11 @@ func (e *Engine) Round() RoundStats {
 		}
 	}
 	e.flushReports()
-	e.round++
-	if e.round%cfg.RecomputeEvery == 0 {
+	if (st.Round+1)%cfg.RecomputeEvery == 0 {
 		e.computeIters += int64(e.mech.Compute())
 	}
 	e.rounds = append(e.rounds, st)
-	e.cumulative.Interactions += st.Interactions
-	e.cumulative.BadService += st.BadService
-	e.cumulative.Refused += st.Refused
+	e.cumulative.add(st)
 	if e.roundObserver != nil {
 		e.roundObserver(st)
 	}
@@ -908,7 +913,7 @@ type Summary struct {
 // Summarize computes the summary so far. It is a pure read: Tau ranks the
 // mechanism's scores as of its last Compute (every epoch ends with one).
 func (e *Engine) Summarize() Summary {
-	s := Summary{Rounds: e.round}
+	s := Summary{Rounds: len(e.rounds)}
 	if e.cumulative.Interactions > 0 {
 		s.BadServiceRate = float64(e.cumulative.BadService) / float64(e.cumulative.Interactions)
 	}
@@ -953,7 +958,7 @@ func (e *Engine) Summarize() Summary {
 // holds the number of completed rounds).
 func (e *Engine) CumulativeStats() RoundStats {
 	st := e.cumulative
-	st.Round = e.round
+	st.Round = len(e.rounds)
 	return st
 }
 

@@ -22,7 +22,7 @@ var perUserStores = []struct {
 	{"privacy facet cache", 8},
 	{"disclosure", 8},
 	{"honesty override", 8},
-	{"behaviour class", 8},
+	{"behaviour class", 1},
 	{"friend index", 36},
 	{"mechanism scores (none)", 8},
 	{"trust", 8},

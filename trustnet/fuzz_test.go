@@ -43,7 +43,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		eng, err := fuzzScenario(snap.Mechanism).NewEngine()
+		eng, err := fuzzScenario(snap.Mechanism()).NewEngine()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/reputation"
 )
@@ -303,49 +304,37 @@ func (s Schedule) forEpoch(epoch int) []Intervention {
 	return out
 }
 
-// Intervention kind tags used by the JSON encoding of a Schedule. Each
-// entry marshals as {"epoch": N, "kind": "<tag>", "args": {...}} with args
-// holding the concrete intervention's fields, so schedules round-trip
+// interventionKind is one entry of a Schedule's JSON vocabulary: a
+// concrete intervention type, its tag, and the strict decoder of its args.
+// Each entry marshals as {"epoch": N, "kind": "<tag>", "args": {...}} with
+// args holding the concrete intervention's fields, so schedules round-trip
 // through scenario spec files.
-const (
-	kindJoinWave         = "join-wave"
-	kindLeaveWave        = "leave-wave"
-	kindWhitewashWave    = "whitewash-wave"
-	kindPolicyChange     = "policy-change"
-	kindTrustGateChange  = "trust-gate-change"
-	kindDisclosureChange = "disclosure-change"
-	kindHonestyChange    = "honesty-change"
-	kindCouplingChange   = "coupling-change"
-	kindBehaviorChange   = "behavior-change"
-	kindReportWave       = "report-wave"
-)
+type interventionKind struct {
+	typ    reflect.Type
+	tag    string
+	decode func(args []byte) (Intervention, error)
+}
 
-// interventionKind maps a concrete intervention to its JSON tag.
-func interventionKind(a Intervention) (string, error) {
-	switch a.(type) {
-	case JoinWave:
-		return kindJoinWave, nil
-	case LeaveWave:
-		return kindLeaveWave, nil
-	case WhitewashWave:
-		return kindWhitewashWave, nil
-	case PolicyChange:
-		return kindPolicyChange, nil
-	case TrustGateChange:
-		return kindTrustGateChange, nil
-	case DisclosureChange:
-		return kindDisclosureChange, nil
-	case HonestyChange:
-		return kindHonestyChange, nil
-	case CouplingChange:
-		return kindCouplingChange, nil
-	case BehaviorChange:
-		return kindBehaviorChange, nil
-	case ReportWave:
-		return kindReportWave, nil
-	default:
-		return "", fmt.Errorf("trustnet: intervention %T has no JSON encoding", a)
-	}
+// kindOf builds T's vocabulary entry.
+func kindOf[T Intervention](tag string) interventionKind {
+	return interventionKind{typ: reflect.TypeFor[T](), tag: tag, decode: func(args []byte) (Intervention, error) {
+		return strictUnmarshal[T](args)
+	}}
+}
+
+// interventionKinds is the JSON vocabulary of a Schedule, one entry per
+// intervention type.
+var interventionKinds = [...]interventionKind{
+	kindOf[JoinWave]("join-wave"),
+	kindOf[LeaveWave]("leave-wave"),
+	kindOf[WhitewashWave]("whitewash-wave"),
+	kindOf[PolicyChange]("policy-change"),
+	kindOf[TrustGateChange]("trust-gate-change"),
+	kindOf[DisclosureChange]("disclosure-change"),
+	kindOf[HonestyChange]("honesty-change"),
+	kindOf[CouplingChange]("coupling-change"),
+	kindOf[BehaviorChange]("behavior-change"),
+	kindOf[ReportWave]("report-wave"),
 }
 
 // interventionEnvelope is the wire form of one scheduled intervention.
@@ -360,107 +349,54 @@ func (si ScheduledIntervention) MarshalJSON() ([]byte, error) {
 	if si.Action == nil {
 		return nil, fmt.Errorf("trustnet: schedule entry at epoch %d has nil intervention", si.Epoch)
 	}
-	kind, err := interventionKind(si.Action)
-	if err != nil {
-		return nil, err
+	for _, k := range interventionKinds {
+		if reflect.TypeOf(si.Action) == k.typ {
+			args, err := json.Marshal(si.Action)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(interventionEnvelope{Epoch: si.Epoch, Kind: k.tag, Args: args})
+		}
 	}
-	args, err := json.Marshal(si.Action)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(interventionEnvelope{Epoch: si.Epoch, Kind: kind, Args: args})
+	return nil, fmt.Errorf("trustnet: intervention %T has no JSON encoding", si.Action)
 }
 
 // strictUnmarshal decodes with unknown-field rejection, so a typo in a
 // schedule entry fails loudly instead of silently dropping the field —
 // custom unmarshalers do not inherit the outer decoder's strictness, so
 // the envelope enforces its own.
-func strictUnmarshal(data []byte, v any) error {
+func strictUnmarshal[T any](data []byte) (T, error) {
+	var v T
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(&v)
+	return v, err
 }
 
 // UnmarshalJSON decodes a typed envelope back into the concrete
 // intervention named by its kind tag, rejecting unknown fields in both the
 // envelope and the intervention payload.
 func (si *ScheduledIntervention) UnmarshalJSON(data []byte) error {
-	var env interventionEnvelope
-	if err := strictUnmarshal(data, &env); err != nil {
+	env, err := strictUnmarshal[interventionEnvelope](data)
+	if err != nil {
 		return err
 	}
 	args := env.Args
 	if len(args) == 0 {
 		args = json.RawMessage("{}")
 	}
-	var action Intervention
-	switch env.Kind {
-	case kindJoinWave:
-		var a JoinWave
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
+	for _, k := range interventionKinds {
+		if k.tag == env.Kind {
+			action, err := k.decode(args)
+			if err != nil {
+				return err
+			}
+			si.Epoch = env.Epoch
+			si.Action = action
+			return nil
 		}
-		action = a
-	case kindLeaveWave:
-		var a LeaveWave
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindWhitewashWave:
-		var a WhitewashWave
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindPolicyChange:
-		var a PolicyChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindTrustGateChange:
-		var a TrustGateChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindDisclosureChange:
-		var a DisclosureChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindHonestyChange:
-		var a HonestyChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindCouplingChange:
-		var a CouplingChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindBehaviorChange:
-		var a BehaviorChange
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	case kindReportWave:
-		var a ReportWave
-		if err := strictUnmarshal(args, &a); err != nil {
-			return err
-		}
-		action = a
-	default:
-		return fmt.Errorf("trustnet: unknown intervention kind %q", env.Kind)
 	}
-	si.Epoch = env.Epoch
-	si.Action = action
-	return nil
+	return fmt.Errorf("trustnet: unknown intervention kind %q", env.Kind)
 }
 
 // cloneIntervention deep-copies an intervention's payload, so schedules

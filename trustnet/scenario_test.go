@@ -249,6 +249,40 @@ func TestLoadScenario(t *testing.T) {
 	}
 }
 
+// TestScheduleJSONEveryKind pins the wire form of all ten intervention
+// kinds, byte for byte, and decodes it back into the same schedule.
+func TestScheduleJSONEveryKind(t *testing.T) {
+	s := Schedule{}.
+		At(1, JoinWave{Users: []int{1, 2}}, LeaveWave{Users: []int{3}}, WhitewashWave{Users: []int{4}}).
+		At(2, PolicyChange{Policy: PrivacyPolicy{Disclosure: 0.6, TrustGate: 0.2, ExposureScale: 40}}, TrustGateChange{Gate: 0.3}).
+		At(3, DisclosureChange{Base: 0.5}, HonestyChange{Base: 0.7}, CouplingChange{Enabled: true}).
+		At(4, BehaviorChange{Users: []int{5}, Class: Malicious}, ReportWave{Reports: []Report{{Rater: 1, Ratee: 2, Value: 0.25}}})
+	const want = `[{"epoch":1,"kind":"join-wave","args":{"users":[1,2]}},` +
+		`{"epoch":1,"kind":"leave-wave","args":{"users":[3]}},` +
+		`{"epoch":1,"kind":"whitewash-wave","args":{"users":[4]}},` +
+		`{"epoch":2,"kind":"policy-change","args":{"policy":{"disclosure":0.6,"trust_gate":0.2,"exposure_scale":40}}},` +
+		`{"epoch":2,"kind":"trust-gate-change","args":{"gate":0.3}},` +
+		`{"epoch":3,"kind":"disclosure-change","args":{"base":0.5}},` +
+		`{"epoch":3,"kind":"honesty-change","args":{"base":0.7}},` +
+		`{"epoch":3,"kind":"coupling-change","args":{"enabled":true}},` +
+		`{"epoch":4,"kind":"behavior-change","args":{"users":[5],"class":"malicious"}},` +
+		`{"epoch":4,"kind":"report-wave","args":{"reports":[{"rater":1,"ratee":2,"value":0.25}]}}]`
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != want {
+		t.Fatalf("schedule encodes as\n%s\nwant\n%s", data, want)
+	}
+	var back Schedule
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatalf("decoded schedule %+v, want %+v", back, s)
+	}
+}
+
 // TestScheduleJSONUnknownKind: decoding an unknown intervention tag fails.
 func TestScheduleJSONUnknownKind(t *testing.T) {
 	var si ScheduledIntervention

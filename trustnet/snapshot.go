@@ -49,7 +49,19 @@ import (
 // the consumers' override flags alone. The gatherer no longer counts the
 // reports of each rater. A v6 blob's ledger would decode into nothing, so
 // every restored feedback exposure would read 0.
-const snapshotVersion = 7
+//
+// v8: the state says each fact once. The snapshot's peer count, mechanism
+// and epoch are read from the state; the epoch count is the history's
+// length and the last reputation facet its last entry's; the round counter
+// is the round log's length, the cumulative totals its sum, and a
+// provider's served count its observation count; consumers and providers
+// no longer repeat the population's size, default and started flag; the
+// settled set travels as the trust model's bitmap words; and a behaviour
+// class is one byte. Restore refuses a history or round entry that is not
+// at its own index. Gob skips the fields a v7 blob still carries, so only
+// this version keeps a v7 blob from restoring with its duplicated facts
+// unchecked.
+const snapshotVersion = 8
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
 // state: every random-stream position (the workload planner, per-gatherer
@@ -66,13 +78,18 @@ const snapshotVersion = 7
 // uninterrupted run at every shard count.
 type Snapshot struct {
 	Version int
-	// Peers and Mechanism identify the scenario shape for early mismatch
-	// errors; Epoch is the number of completed epochs at capture time.
-	Peers     int
-	Mechanism string
-	Epoch     int
-	State     core.DynamicsState
+	State   core.DynamicsState
 }
+
+// Peers returns the population size the snapshot was taken at.
+func (s *Snapshot) Peers() int { return len(s.State.Engine.Consumers) }
+
+// Mechanism returns the name of the reputation mechanism the snapshot was
+// taken with.
+func (s *Snapshot) Mechanism() string { return s.State.Engine.MechName }
+
+// Epoch returns the number of epochs completed at capture time.
+func (s *Snapshot) Epoch() int { return len(s.State.History) }
 
 // Snapshot captures the engine's full mutable state. The scenario's
 // mechanism must support snapshots (all built-in mechanisms do).
@@ -81,13 +98,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trustnet: snapshot: %w", err)
 	}
-	return &Snapshot{
-		Version:   snapshotVersion,
-		Peers:     e.Peers(),
-		Mechanism: e.mech.Name(),
-		Epoch:     e.dyn.EpochIndex(),
-		State:     st,
-	}, nil
+	return &Snapshot{Version: snapshotVersion, State: st}, nil
 }
 
 // Restore overwrites the engine's mutable state with the snapshot's. The
@@ -101,11 +112,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s.Version != snapshotVersion {
 		return fmt.Errorf("trustnet: restore: snapshot version mismatch (got %d, want %d)", s.Version, snapshotVersion)
 	}
-	if s.Peers != e.Peers() {
-		return fmt.Errorf("trustnet: restore: snapshot of %d peers into engine of %d", s.Peers, e.Peers())
+	if s.Peers() != e.Peers() {
+		return fmt.Errorf("trustnet: restore: snapshot of %d peers into engine of %d", s.Peers(), e.Peers())
 	}
-	if s.Mechanism != e.mech.Name() {
-		return fmt.Errorf("trustnet: restore: snapshot of mechanism %q into engine running %q", s.Mechanism, e.mech.Name())
+	if s.Mechanism() != e.mech.Name() {
+		return fmt.Errorf("trustnet: restore: snapshot of mechanism %q into engine running %q", s.Mechanism(), e.mech.Name())
 	}
 	if err := e.dyn.Restore(s.State); err != nil {
 		return fmt.Errorf("trustnet: restore: %w", err)

@@ -70,8 +70,8 @@ func TestSnapshotResumeGolden(t *testing.T) {
 				}
 				runEpochs(t, first, boundary)
 				snap := snapshotRoundTrip(t, first)
-				if snap.Epoch != boundary {
-					t.Fatalf("snapshot at boundary %d reports epoch %d", boundary, snap.Epoch)
+				if snap.Epoch() != boundary {
+					t.Fatalf("snapshot at boundary %d reports epoch %d", boundary, snap.Epoch())
 				}
 
 				second, err := sessionSharded(101, resumeShards).NewEngine()
@@ -413,7 +413,7 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 			if !reflect.DeepEqual(after.State.Trust, before.State.Trust) ||
 				!reflect.DeepEqual(after.State.Engine.Gatherer, before.State.Engine.Gatherer) ||
 				!reflect.DeepEqual(after.State.Engine.HonestOverride, before.State.Engine.HonestOverride) ||
-				after.Epoch != before.Epoch {
+				after.Epoch() != before.Epoch() {
 				t.Fatal("rejected restore changed the engine")
 			}
 		})
@@ -427,17 +427,14 @@ func TestRestoreRejectsHostileUserState(t *testing.T) {
 
 // TestRestoreIsAtomic feeds a snapshot taken one epoch earlier, with one
 // hostile part placed where a restore that writes as it checks would already
-// have overwritten the mechanism and most users: the last consumer, the last
-// provider, the last peer's behaviour class, or a self-rating in the
-// EigenTrust local-trust matrix. Seven more corrupt state no run can
-// reach: a provider's satisfaction or willingness, a consumer's
-// satisfaction or observation count, a provider's served count or
-// quality sum, and an EigenTrust score; restored, they would fail or
-// diverge one epoch later. Five more contradict what the engine derives
-// rather than restores: a consumer's default preference or a provider's
-// willingness other than the engine's, a started flag that disagrees with
-// the observation count, and a served count other than the provider's
-// observation count. Each must be an error that leaves the
+// have overwritten the mechanism and most users: the last peer's behaviour
+// class, or a self-rating in the EigenTrust local-trust matrix. More rows
+// corrupt state no run can reach: a provider's or consumer's satisfaction
+// or observation count (a provider's is its served count), a quality sum,
+// an EigenTrust score, a history or round entry that is not at its own
+// index, and round counts that are negative or break
+// Refused <= BadService <= Interactions; restored, they would fail or
+// diverge one epoch later. Each must be an error that leaves the
 // engine's encoded snapshot byte-identical to before and its continuation
 // bit-identical to a twin that never saw the hostile blobs.
 func TestRestoreIsAtomic(t *testing.T) {
@@ -467,36 +464,31 @@ func TestRestoreIsAtomic(t *testing.T) {
 		want   string
 		mutate func(t *testing.T, st *core.DynamicsState)
 	}{
-		{"last consumer default 7", "default preference", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[n-1].Def = 7 }},
-		{"last provider wrong population", "provider state", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[n-1].Pop = n + 1 }},
 		{"last peer unknown class", "behaviour", func(t *testing.T, st *core.DynamicsState) { st.Engine.Classes[n-1] = Class(99) }},
 		{"provider satisfaction NaN", "provider state satisfaction", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[5].Sat = math.NaN() }},
-		{"provider willingness NaN", "willingness", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[5].Def = math.NaN() }},
 		{"consumer satisfaction +Inf", "consumer state satisfaction", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].Sat = math.Inf(1) }},
 		{"consumer observations -1", "observations", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[5].N = -1 }},
-		{"served count -3", "served count", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5] = -3 }},
+		// A provider's served count is its observation count.
+		{"served count -3", "observations", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[5].N = -3 }},
 		{"quality sum NaN", "quality sum", func(t *testing.T, st *core.DynamicsState) { st.Engine.QualSum[5] = math.NaN() }},
-		{"last consumer default 0.7", "default preference", func(t *testing.T, st *core.DynamicsState) { st.Engine.Consumers[n-1].Def = 0.7 }},
-		{"last provider willingness 0.7", "willingness", func(t *testing.T, st *core.DynamicsState) { st.Engine.Providers[n-1].Def = 0.7 }},
-		{"consumer observed but not started", "started", func(t *testing.T, st *core.DynamicsState) {
-			for k := range st.Engine.Consumers {
-				if c := &st.Engine.Consumers[k]; c.N > 0 {
-					c.Started = false
+		// Each history and round entry sits at its own index, and a round's
+		// counts are ones a round can produce.
+		{"history entry 2 claims epoch 1", "claims epoch", func(t *testing.T, st *core.DynamicsState) {
+			next, again := st.History[0], st.History[0]
+			next.Epoch, again.Epoch = 1, 1
+			st.History = append(st.History, next, again)
+		}},
+		{"round entry 0 claims round 3", "claims round", func(t *testing.T, st *core.DynamicsState) { st.Engine.Rounds[0].Round = 3 }},
+		{"negative round interactions", "counts", func(t *testing.T, st *core.DynamicsState) { st.Engine.Rounds[1].Interactions = -1 }},
+		{"refused above bad service", "counts", func(t *testing.T, st *core.DynamicsState) {
+			for k := range st.Engine.Rounds {
+				if r := &st.Engine.Rounds[k]; r.Interactions > r.BadService {
+					r.Refused = r.BadService + 1
 					return
 				}
 			}
-			t.Fatal("snapshot has no consumer with observations")
+			t.Fatal("snapshot has no round with a good interaction")
 		}},
-		{"provider observed but not started", "started", func(t *testing.T, st *core.DynamicsState) {
-			for k := range st.Engine.Providers {
-				if p := &st.Engine.Providers[k]; p.N > 0 {
-					p.Started = false
-					return
-				}
-			}
-			t.Fatal("snapshot has no provider with observations")
-		}},
-		{"served count one above observations", "observed", func(t *testing.T, st *core.DynamicsState) { st.Engine.ServedCount[5]++ }},
 		{"engine stream spare NaN", "stream", func(t *testing.T, st *core.DynamicsState) {
 			st.Engine.RNG.Spare, st.Engine.RNG.HasSpare = math.NaN(), true
 		}},
@@ -1101,6 +1093,31 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	}
 	v6 := v6Snapshot{Version: 6, Peers: 60, Mechanism: "eigentrust", Epoch: 3}
 	v6.State.Engine.Ledger.Owners = []v6Owner{{Owner: 4, Total: 3, Consented: 3, Feedback: 0.4, Items: []v6Item{{Key: "profile", Weight: 0.5, Recipients: 1}}}}
+	// A v7-era stand-in: the epoch, round counter and cumulative totals
+	// stood beside the logs they count, with nothing checking that they
+	// agree. Gob would skip those fields in a v8 state, so only the version
+	// refuses it.
+	type v7Round struct{ Round, Interactions, BadService, Refused int }
+	type v7State struct {
+		Engine struct {
+			Round      int
+			Rounds     []v7Round
+			Cumulative v7Round
+		}
+		Epoch        int
+		PrevRepFacet float64
+	}
+	type v7Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v7State
+	}
+	v7 := v7Snapshot{Version: 7, Peers: 60, Mechanism: "eigentrust", Epoch: 9}
+	v7.State.Epoch, v7.State.PrevRepFacet = 1, 0.5
+	v7.State.Engine.Round, v7.State.Engine.Rounds = -7, []v7Round{{Interactions: 5}}
+	v7.State.Engine.Cumulative = v7Round{Interactions: 5}
 	for _, blob := range []any{
 		v1Snapshot{Version: 1, Peers: 60, Mechanism: "eigentrust", Epoch: 3, State: v1State{Engine: "dense matrices lived here"}},
 		v2,
@@ -1108,6 +1125,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		v4,
 		v5,
 		v6,
+		v7,
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -1117,7 +1135,7 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("old-version snapshot %T decoded without error", blob)
 		}
-		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 7)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version mismatch (got %d, want 8)", reflect.ValueOf(blob).Field(0).Int()); !strings.Contains(err.Error(), want) {
 			t.Fatalf("decode error %q does not name the version mismatch %q", err, want)
 		}
 	}
