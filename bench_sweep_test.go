@@ -27,14 +27,15 @@ func BenchmarkSweep(b *testing.B) {
 		RecomputeEvery: 2,
 	}
 	for _, workers := range []int{1, 4} {
+		base.Workers = workers
+		exp := trustnet.Experiment{
+			Base:  base,
+			Axes:  []trustnet.Axis{trustnet.Vary("disclosure", 0, 0.5, 1), trustnet.Vary("gate", 0, 0.2, 0.4)},
+			Seeds: []uint64{1, 2},
+		}
 		b.Run(fmt.Sprintf("grid=3x3/reps=2/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := trustnet.NewExperiment(base).
-					Vary("disclosure", 0, 0.5, 1).
-					Vary("gate", 0, 0.2, 0.4).
-					Seeds(2).
-					Workers(workers).
-					Run(context.Background())
+				res, err := exp.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

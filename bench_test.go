@@ -88,8 +88,8 @@ func BenchmarkE5DisclosureSweep(b *testing.B) {
 			Mix:            trustnet.MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
 			Mechanism:      trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
 			RecomputeEvery: 2,
+			EpochRounds:    20,
 		},
-		Rounds: 20,
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := trustnet.EvaluateSetting(cfg, trustnet.Setting{Disclosure: 0.5}); err != nil {
@@ -107,8 +107,8 @@ func BenchmarkE6AreaA(b *testing.B) {
 			Mix:            trustnet.MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
 			Mechanism:      trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
 			RecomputeEvery: 2,
+			EpochRounds:    15,
 		},
-		Rounds:   15,
 		GridSize: 3,
 	}
 	for i := 0; i < b.N; i++ {
@@ -222,10 +222,10 @@ func BenchmarkE10Optimize(b *testing.B) {
 			Mix:            trustnet.MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
 			Mechanism:      trustnet.MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
 			RecomputeEvery: 2,
+			EpochRounds:    12,
+			Context:        "privacy",
 		},
-		Rounds:   12,
 		GridSize: 3,
-		Weights:  core.ContextWeights(core.PrivacyCritical),
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := trustnet.Optimize(context.Background(), cfg, trustnet.Constraints{MinPrivacy: 0.5}); err != nil {

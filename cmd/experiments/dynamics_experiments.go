@@ -64,10 +64,11 @@ func coupledScenario(p params, malicious float64, n int) trustnet.Scenario {
 func runE1(w io.Writer, p params) error {
 	n := p.peers(200)
 	epochs := p.epochs(12)
-	res, err := trustnet.NewExperiment(coupledScenario(p, 0.3, n)).
-		Vary("coupling", 1, 0).
-		Epochs(epochs).
-		Run(context.Background())
+	res, err := trustnet.Experiment{
+		Base:   coupledScenario(p, 0.3, n),
+		Axes:   []trustnet.Axis{trustnet.Vary("coupling", 1, 0)},
+		Epochs: epochs,
+	}.Run(context.Background())
 	if err != nil {
 		return err
 	}
@@ -163,10 +164,11 @@ func runE4(w io.Writer, p params) error {
 		0.1: "10% malicious (healthy)",
 		0.7: "70% malicious (majority untrustworthy)",
 	}
-	res, err := trustnet.NewExperiment(coupledScenario(p, 0.3, n)).
-		Vary("malicious", 0.1, 0.7).
-		Epochs(epochs).
-		Run(context.Background())
+	res, err := trustnet.Experiment{
+		Base:   coupledScenario(p, 0.3, n),
+		Axes:   []trustnet.Axis{trustnet.Vary("malicious", 0.1, 0.7)},
+		Epochs: epochs,
+	}.Run(context.Background())
 	if err != nil {
 		return err
 	}
@@ -212,10 +214,11 @@ func runE5(w io.Writer, p params) error {
 	for i := 0; i <= 10; i++ {
 		disclosures = append(disclosures, float64(i)/10)
 	}
-	res, err := trustnet.NewExperiment(base).
-		Vary("disclosure", disclosures...).
-		SeedList(seeds...).
-		Run(context.Background())
+	res, err := trustnet.Experiment{
+		Base:  base,
+		Axes:  []trustnet.Axis{trustnet.Vary("disclosure", disclosures...)},
+		Seeds: seeds,
+	}.Run(context.Background())
 	if err != nil {
 		return err
 	}

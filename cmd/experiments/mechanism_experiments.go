@@ -24,9 +24,10 @@ func runE6(w io.Writer, p params) error {
 	if p.quick {
 		grid, rounds = 4, 20
 	}
+	sc := scenario(p, 0.3, n)
+	sc.EpochRounds = rounds
 	cfg := trustnet.ExploreConfig{
-		Scenario:   scenario(p, 0.3, n),
-		Rounds:     rounds,
+		Scenario:   sc,
 		GridSize:   grid,
 		Thresholds: trustnet.Facets{Satisfaction: 0.6, Reputation: 0.6, Privacy: 0.8},
 	}
@@ -73,10 +74,10 @@ func runE7(w io.Writer, p params) error {
 	base := scenario(p, 0.3, n)
 	base.EpochRounds = rounds
 	base.Epochs = 1
-	res, err := trustnet.NewExperiment(base).
-		Vary("malicious", fractions...).
-		VaryMechanism(mechs...).
-		Observe(func(eng *trustnet.Engine) map[string]float64 {
+	res, err := trustnet.Experiment{
+		Base: base,
+		Axes: []trustnet.Axis{trustnet.Vary("malicious", fractions...), trustnet.VaryMechanism(mechs...)},
+		Observe: func(eng *trustnet.Engine) map[string]float64 {
 			out := map[string]float64{}
 			// Read the message counter before the convergence probe: the
 			// probe submits a report of its own, which must not count
@@ -86,8 +87,8 @@ func runE7(w io.Writer, p params) error {
 			}
 			out["converge"] = float64(convergenceRounds(eng.Mechanism(), eng.Peers()))
 			return out
-		}).
-		Run(context.Background())
+		},
+	}.Run(context.Background())
 	if err != nil {
 		return err
 	}
@@ -176,10 +177,13 @@ func runE8(w io.Writer, p params) error {
 	base := scenario(p, 0, n)
 	base.EpochRounds = rounds
 	base.Epochs = 1
-	res, err := trustnet.NewExperiment(base).
-		VaryTuples(classes, oneHot...).
-		VaryMechanism(eigenSpec(), trustnet.MechanismSpec{Kind: "powertrust"}).
-		Run(context.Background())
+	res, err := trustnet.Experiment{
+		Base: base,
+		Axes: []trustnet.Axis{
+			trustnet.VaryTuples(classes, oneHot...),
+			trustnet.VaryMechanism(eigenSpec(), trustnet.MechanismSpec{Kind: "powertrust"}),
+		},
+	}.Run(context.Background())
 	if err != nil {
 		return err
 	}

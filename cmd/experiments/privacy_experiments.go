@@ -103,11 +103,8 @@ func runE10(w io.Writer, p params) error {
 	if p.quick {
 		rounds, grid = 20, 4
 	}
-	base := trustnet.ExploreConfig{
-		Scenario: scenario(p, 0.3, n),
-		Rounds:   rounds,
-		GridSize: grid,
-	}
+	base := scenario(p, 0.3, n)
+	base.EpochRounds = rounds
 	type row struct {
 		ctx  trustnet.AppContext
 		cons trustnet.Constraints
@@ -122,9 +119,10 @@ func runE10(w io.Writer, p params) error {
 		"context", "disclosure*", "gate*", "S", "R", "P", "trust*")
 	var points []trustnet.Point
 	for _, r := range rows {
-		cfg := base
-		cfg.Weights = trustnet.ContextWeights(r.ctx)
-		pt, err := trustnet.Optimize(context.Background(), cfg, r.cons)
+		w := trustnet.ContextWeights(r.ctx)
+		sc := base
+		sc.Weights = &w
+		pt, err := trustnet.Optimize(context.Background(), trustnet.ExploreConfig{Scenario: sc, GridSize: grid}, r.cons)
 		if err != nil {
 			return fmt.Errorf("context %v: %w", r.ctx, err)
 		}

@@ -5,7 +5,7 @@
 // The whole setup is the registered "quickstart" Scenario — a declarative,
 // JSON-serializable spec — so the same run is also available as
 // `trustsim -scenario quickstart`, and sweeping it only takes
-// trustnet.NewExperiment(sc).Vary(...).
+// trustnet.Experiment{Base: sc, Axes: []trustnet.Axis{trustnet.Vary(...)}}.
 package main
 
 import (
@@ -59,9 +59,9 @@ func main() {
 		fmt.Printf("trust under %-20s context: %.4f\n", ctx, t)
 	}
 
-	// Replications are a one-liner on the same spec: five seeds, and the
+	// Replications are one value over the same spec: five seeds, and the
 	// cross-seed mean ± stddev of the final epoch's trust.
-	res, err := trustnet.NewExperiment(sc).Seeds(5).Run(context.Background())
+	res, err := trustnet.Experiment{Base: sc, Seeds: []uint64{42, 43, 44, 45, 46}}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

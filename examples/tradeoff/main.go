@@ -25,9 +25,10 @@ func main() {
 	for i := 0; i <= 8; i++ {
 		disclosures = append(disclosures, float64(i)/8)
 	}
-	res, err := trustnet.NewExperiment(base).
-		Vary("disclosure", disclosures...).
-		Run(context.Background())
+	res, err := trustnet.Experiment{
+		Base: base,
+		Axes: []trustnet.Axis{trustnet.Vary("disclosure", disclosures...)},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,18 +46,14 @@ func main() {
 
 	// The optimizer finds different best settings for different contexts;
 	// under the hood each Optimize is a grid sweep plus hill-climb batches
-	// over the same scenario.
+	// over the same scenario, each point one epoch of its 30 rounds.
 	explore := base
 	explore.Epochs = 0
-	explore.EpochRounds = 0
 	explore.Privacy = nil // the explorer owns the (disclosure, gate) axes
 	for _, ctx := range []trustnet.AppContext{trustnet.PrivacyCritical, trustnet.PerformanceCritical} {
-		cfg := trustnet.ExploreConfig{
-			Scenario: explore,
-			Rounds:   30,
-			GridSize: 4,
-			Weights:  trustnet.ContextWeights(ctx),
-		}
+		w := trustnet.ContextWeights(ctx)
+		explore.Weights = &w
+		cfg := trustnet.ExploreConfig{Scenario: explore, GridSize: 4}
 		pt, err := trustnet.Optimize(context.Background(), cfg, trustnet.Constraints{})
 		if err != nil {
 			log.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/strictjson"
 	"repro/trustnet"
 )
 
@@ -65,9 +66,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmitReport(w http.ResponseWriter, r *http.Request) {
 	var rep trustnet.Report
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
+	if err := strictjson.Decode(r.Body, &rep); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid report body: %v", err)
 		return
 	}

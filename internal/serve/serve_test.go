@@ -74,10 +74,14 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Resp
 	return resp
 }
 
+// postJSON posts body as JSON, or as is when it is a []byte, and decodes
+// the JSON reply.
 func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, map[string]any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -316,6 +320,8 @@ func TestReportValidationOverHTTP(t *testing.T) {
 		{"value", trustnet.Report{Rater: 1, Ratee: 2, Value: 1.5}, http.StatusUnprocessableEntity},
 		{"unknown-field", map[string]any{"rater": 1, "ratee": 2, "value": 1, "weight": 3}, http.StatusBadRequest},
 		{"garbage", "not json at all", http.StatusBadRequest},
+		{"two-reports", []byte(`{"rater":1,"ratee":2,"value":1} {"rater":3,"ratee":4,"value":0}`), http.StatusBadRequest},
+		{"trailing-garbage", []byte(`{"rater":1,"ratee":2,"value":1}garbage`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

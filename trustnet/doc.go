@@ -40,18 +40,20 @@
 // identically to an uninterrupted run, at any shard count.
 //
 // A Scenario also carries its epoch budget and intervention schedule, so
-// Scenario.Run drives it end to end; a Registry ships the example programs
-// as named built-ins (quickstart, filesharing, socialfeed, churnstorm,
-// tradeoff), runnable via `trustsim -scenario`. Experiment expands a
-// scenario over parameter axes (Vary, VaryTuples, VaryMechanism) and seed
-// replications (Seeds), executes the run matrix on a bounded worker pool,
-// and aggregates typed SweepResults (per-epoch mean/stddev/quantiles,
-// CSV/JSON emitters); equal seeds produce byte-identical results at any
-// parallelism.
+// Scenario.Run drives it end to end; a fixed registry ships the example
+// programs as named built-ins (quickstart, filesharing, socialfeed,
+// churnstorm, tradeoff), runnable via `trustsim -scenario`. An Experiment
+// is a many-run study as plain data: a base scenario, parameter axes
+// (built with Vary, VaryTuples and VaryMechanism), a seed list and an
+// epoch budget. Its Run executes the run matrix on the scenario's worker
+// pool and aggregates a typed SweepResult (per-epoch
+// mean/stddev/quantiles); equal seeds produce byte-identical results at
+// any parallelism.
 //
 // The §4 tradeoff explorer — Explore, Optimize, EvaluateSetting — runs
 // over the same declarative scenarios, with its grids and hill-climb
-// batches executed as sweeps.
+// batches executed as sweeps; each point runs one epoch of the scenario's
+// EpochRounds and combines under its Weights or Context.
 //
 // A MechanismSpec selects the scoring engine by kind ("eigentrust",
 // "trustme", "powertrust", "powertrust-plain", "anonrep", "none") and

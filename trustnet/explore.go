@@ -42,15 +42,13 @@ type ExploreResult struct {
 type ExploreConfig struct {
 	// Scenario is the base spec; its disclosure and trust-gate settings
 	// are overridden per evaluated point, and its mechanism spec builds a
-	// fresh mechanism for every point. Fields that only apply to a live
-	// engine's coupled dynamics (Coupled, EpochRounds, Epochs, Inertia,
-	// BaseHonesty, UserWeights, Schedule) are rejected: exploration
-	// measures settings, not feedback.
+	// fresh mechanism for every point. Each point runs one epoch of
+	// EpochRounds rounds (default 30 here, not the engine's 10) and
+	// combines its facets under the scenario's Weights or Context. Fields
+	// that only apply to a live engine's coupled dynamics (Coupled, Epochs,
+	// Inertia, BaseHonesty, UserWeights, Schedule) are rejected:
+	// exploration measures settings, not feedback.
 	Scenario Scenario
-	// Rounds per evaluation (default 30; negative is an error).
-	Rounds int
-	// Weights combine facets into trust (default: the scenario's weights).
-	Weights Weights
 	// GridSize is the number of points per axis (default 5; a value below
 	// 2 is an error).
 	GridSize int
@@ -68,9 +66,6 @@ func (cfg ExploreConfig) withDefaults() (ExploreConfig, error) {
 	var dropped []string
 	if sc.Coupled {
 		dropped = append(dropped, "Coupled")
-	}
-	if sc.EpochRounds != 0 {
-		dropped = append(dropped, "EpochRounds")
 	}
 	if sc.Epochs != 0 {
 		dropped = append(dropped, "Epochs")
@@ -91,11 +86,8 @@ func (cfg ExploreConfig) withDefaults() (ExploreConfig, error) {
 		return cfg, fmt.Errorf(
 			"trustnet: explorer scenarios do not support %v; exploration measures settings, not coupled dynamics", dropped)
 	}
-	if cfg.Rounds < 0 {
-		return cfg, fmt.Errorf("trustnet: explore rounds must be positive, got %d", cfg.Rounds)
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 30
+	if sc.EpochRounds == 0 {
+		cfg.Scenario.EpochRounds = 30
 	}
 	if cfg.GridSize < 0 || cfg.GridSize == 1 {
 		return cfg, fmt.Errorf("trustnet: explore grid needs at least 2 points per axis, got %d", cfg.GridSize)
@@ -109,20 +101,11 @@ func (cfg ExploreConfig) withDefaults() (ExploreConfig, error) {
 	return cfg, nil
 }
 
-// pointScenario compiles the explorer config into the uncoupled
-// single-epoch base scenario its sweeps expand: one epoch of Rounds
-// workload rounds per evaluated point, combined under the explorer's
-// weights.
+// pointScenario compiles the explorer config into the single-epoch base
+// scenario its sweeps expand.
 func (cfg ExploreConfig) pointScenario() Scenario {
 	sc := cfg.Scenario.clone()
-	sc.Coupled = false
-	sc.EpochRounds = cfg.Rounds
 	sc.Epochs = 1
-	if cfg.Weights != (Weights{}) {
-		w := cfg.Weights
-		sc.Weights = &w
-		sc.Context = ""
-	}
 	return sc
 }
 
@@ -137,9 +120,10 @@ func evaluatePoints(ctx context.Context, base Scenario, settings []Setting) ([]P
 		}
 		tuples[i] = []float64{s.Disclosure, s.TrustGate}
 	}
-	res, err := NewExperiment(base).
-		VaryTuples([]string{"disclosure", "trustgate"}, tuples...).
-		Run(ctx)
+	res, err := Experiment{
+		Base: base,
+		Axes: []Axis{VaryTuples([]string{"disclosure", "trustgate"}, tuples...)},
+	}.Run(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 
 	"repro/internal/reputation"
+	"repro/internal/strictjson"
 )
 
 // Intervention is one typed scenario event a Session applies at an epoch
@@ -367,9 +368,7 @@ func (si ScheduledIntervention) MarshalJSON() ([]byte, error) {
 // the envelope enforces its own.
 func strictUnmarshal[T any](data []byte) (T, error) {
 	var v T
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
+	err := strictjson.Decode(bytes.NewReader(data), &v)
 	return v, err
 }
 

@@ -2,49 +2,18 @@ package trustnet
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
-
-// The scenario registry: named, ready-to-run Scenario specs. The built-ins
-// are declarative counterparts of the five example programs — the same
-// populations, mechanisms and story, expressed as static data — so
-// `trustsim -scenario <name>` runs each deterministically. They are
-// counterparts, not transcripts: where an example computes cohorts or
-// contrasts mechanisms in code (churnstorm derives its whitewash wave from
-// the seeded class assignment and runs two mechanisms), the spec fixes one
-// concrete, self-contained instance.
-var registry = struct {
-	sync.RWMutex
-	byName map[string]Scenario
-}{byName: map[string]Scenario{}}
-
-// RegisterScenario adds a named scenario to the registry. Registration
-// fails on an empty name or a duplicate: built-ins are never silently
-// shadowed.
-func RegisterScenario(sc Scenario) error {
-	if sc.Name == "" {
-		return fmt.Errorf("trustnet: cannot register a scenario without a name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[sc.Name]; dup {
-		return fmt.Errorf("trustnet: scenario %q already registered", sc.Name)
-	}
-	registry.byName[sc.Name] = sc.clone()
-	return nil
-}
 
 // ScenarioByName looks up a registered scenario; the returned value is a
 // deep copy, so callers may mutate it freely.
 func ScenarioByName(name string) (Scenario, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	sc, ok := registry.byName[name]
-	if !ok {
-		return Scenario{}, false
+	for _, sc := range builtinScenarios {
+		if sc.Name == name {
+			return sc.clone(), true
+		}
 	}
-	return sc.clone(), true
+	return Scenario{}, false
 }
 
 // MustScenario is ScenarioByName for built-ins: it panics on an unknown
@@ -59,13 +28,11 @@ func MustScenario(name string) Scenario {
 
 // ScenarioNames lists the registered scenario names, sorted.
 func ScenarioNames() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.byName))
-	for name := range registry.byName {
-		names = append(names, name)
+	names := make([]string, len(builtinScenarios))
+	for i, sc := range builtinScenarios {
+		names[i] = sc.Name
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -86,110 +53,110 @@ func LoadScenario(ref string) (Scenario, error) {
 // floatPtr is a tiny literal helper for the pointer-valued spec fields.
 func floatPtr(v float64) *float64 { return &v }
 
-// The built-in scenarios: the five example programs as data.
-func init() {
-	builtins := []Scenario{
-		{
-			Name:        "quickstart",
-			Description: "coupled §3 dynamics: 70/30 honest/malicious on EigenTrust, 80% disclosure",
-			Peers:       100,
-			Seed:        42,
-			Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Privacy:     &PrivacyPolicy{Disclosure: 0.8},
-			Coupled:     true,
-			EpochRounds: 8,
-			Epochs:      6,
+// builtinScenarios is the scenario registry, a fixed table of named,
+// ready-to-run specs: the serving baseline and declarative counterparts of
+// the five example programs — the same populations, mechanisms and story,
+// expressed as static data — so `trustsim -scenario <name>` runs each
+// deterministically. They are counterparts, not transcripts: where an
+// example computes cohorts or contrasts mechanisms in code (churnstorm
+// derives its whitewash wave from the seeded class assignment and runs two
+// mechanisms), the spec fixes one concrete, self-contained instance.
+var builtinScenarios = [...]Scenario{
+	{
+		Name:        "quickstart",
+		Description: "coupled §3 dynamics: 70/30 honest/malicious on EigenTrust, 80% disclosure",
+		Peers:       100,
+		Seed:        42,
+		Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.8},
+		Coupled:     true,
+		EpochRounds: 8,
+		Epochs:      6,
 
-			RecomputeEvery: 2,
-		},
-		{
-			Name:        "filesharing",
-			Description: "EigenTrust's motivating P2P file-sharing workload, proportional selection",
-			Peers:       150,
-			Seed:        7,
-			Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Selection:   "proportional",
-			EpochRounds: 50,
-			Epochs:      1,
+		RecomputeEvery: 2,
+	},
+	{
+		Name:        "filesharing",
+		Description: "EigenTrust's motivating P2P file-sharing workload, proportional selection",
+		Peers:       150,
+		Seed:        7,
+		Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Selection:   "proportional",
+		EpochRounds: 50,
+		Epochs:      1,
 
-			RecomputeEvery: 2,
-		},
-		{
-			Name:        "socialfeed",
-			Description: "a decentralized social feed: small-world graph, heavy-tailed activity, free-riders, gated privacy",
-			Peers:       120,
-			Seed:        2026,
-			Mix:         MixOf(map[string]float64{"selfish": 0.15, "malicious": 0.05}, 0, 1, 2),
-			Graph:       &GraphSpec{Kind: "watts-strogatz", Param: 6},
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Privacy:     &PrivacyPolicy{Disclosure: 0.7, TrustGate: 0.2},
-			Context:     "privacy",
-			Coupled:     true,
-			EpochRounds: 6,
-			Epochs:      8,
+		RecomputeEvery: 2,
+	},
+	{
+		Name:        "socialfeed",
+		Description: "a decentralized social feed: small-world graph, heavy-tailed activity, free-riders, gated privacy",
+		Peers:       120,
+		Seed:        2026,
+		Mix:         MixOf(map[string]float64{"selfish": 0.15, "malicious": 0.05}, 0, 1, 2),
+		Graph:       &GraphSpec{Kind: "watts-strogatz", Param: 6},
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.7, TrustGate: 0.2},
+		Context:     "privacy",
+		Coupled:     true,
+		EpochRounds: 6,
+		Epochs:      8,
 
-			ActivitySkew:   1.1,
-			RecomputeEvery: 2,
-		},
-		{
-			Name:        "churnstorm",
-			Description: "a scripted churn storm: leave waves, a whitewash wave and a rejoin wave as an intervention schedule",
-			Peers:       100,
-			Seed:        42,
-			Mix:         MixOf(map[string]float64{"malicious": 0.2}, 0, 1, 2),
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Coupled:     true,
-			EpochRounds: 6,
-			Epochs:      12,
+		ActivitySkew:   1.1,
+		RecomputeEvery: 2,
+	},
+	{
+		Name:        "churnstorm",
+		Description: "a scripted churn storm: leave waves, a whitewash wave and a rejoin wave as an intervention schedule",
+		Peers:       100,
+		Seed:        42,
+		Mix:         MixOf(map[string]float64{"malicious": 0.2}, 0, 1, 2),
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Coupled:     true,
+		EpochRounds: 6,
+		Epochs:      12,
 
-			RecomputeEvery: 2,
-			// Fixed-id cohorts (a spec cannot reference the seeded class
-			// assignment like the example program does): one bystander
-			// cohort that rides out the storm offline, one churner cohort
-			// of mixed behaviour that sheds its identities mid-storm.
-			Schedule: Schedule{}.
-				At(3, LeaveWave{Users: cohort(10, 30)}).     // bystanders drop out
-				At(5, LeaveWave{Users: cohort(70, 90)}).     // the churner cohort bails...
-				At(7, WhitewashWave{Users: cohort(70, 90)}). // ...and rejoins under fresh identities
-				At(9, JoinWave{Users: cohort(10, 30)}),      // the bystanders come back
-		},
-		{
-			Name:        "baseline",
-			Description: "serving baseline: a steady mixed population sized for long-lived trustnetd runs",
-			Peers:       100,
-			Seed:        1,
-			Mix:         MixOf(map[string]float64{"malicious": 0.2, "selfish": 0.05}, 0, 1, 2),
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Privacy:     &PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1},
-			Coupled:     true,
-			EpochRounds: 6,
-			// Batch runs (trustsim -scenario baseline) get a finite budget;
-			// trustnetd ignores it and owns the budget via -max-epochs.
-			Epochs: 10,
+		RecomputeEvery: 2,
+		// Fixed-id cohorts (a spec cannot reference the seeded class
+		// assignment like the example program does): one bystander
+		// cohort that rides out the storm offline, one churner cohort
+		// of mixed behaviour that sheds its identities mid-storm.
+		Schedule: Schedule{}.
+			At(3, LeaveWave{Users: cohort(10, 30)}).     // bystanders drop out
+			At(5, LeaveWave{Users: cohort(70, 90)}).     // the churner cohort bails...
+			At(7, WhitewashWave{Users: cohort(70, 90)}). // ...and rejoins under fresh identities
+			At(9, JoinWave{Users: cohort(10, 30)}),      // the bystanders come back
+	},
+	{
+		Name:        "baseline",
+		Description: "serving baseline: a steady mixed population sized for long-lived trustnetd runs",
+		Peers:       100,
+		Seed:        1,
+		Mix:         MixOf(map[string]float64{"malicious": 0.2, "selfish": 0.05}, 0, 1, 2),
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.8, TrustGate: 0.1},
+		Coupled:     true,
+		EpochRounds: 6,
+		// Batch runs (trustsim -scenario baseline) get a finite budget;
+		// trustnetd ignores it and owns the budget via -max-epochs.
+		Epochs: 10,
 
-			RecomputeEvery: 2,
-		},
-		{
-			Name:        "tradeoff",
-			Description: "the Fig. 2 base scenario: sweep its disclosure/trust-gate axes to map the frontier",
-			Peers:       100,
-			Seed:        11,
-			Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
-			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
-			Privacy:     &PrivacyPolicy{Disclosure: 0.8},
-			EpochRounds: 30,
-			Epochs:      1,
+		RecomputeEvery: 2,
+	},
+	{
+		Name:        "tradeoff",
+		Description: "the Fig. 2 base scenario: sweep its disclosure/trust-gate axes to map the frontier",
+		Peers:       100,
+		Seed:        11,
+		Mix:         MixOf(map[string]float64{"malicious": 0.3}, 0, 1, 2),
+		Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
+		Privacy:     &PrivacyPolicy{Disclosure: 0.8},
+		EpochRounds: 30,
+		Epochs:      1,
 
-			RecomputeEvery: 2,
-		},
-	}
-	for _, sc := range builtins {
-		if err := RegisterScenario(sc); err != nil {
-			panic(err)
-		}
-	}
+		RecomputeEvery: 2,
+	},
 }
 
 // cohort returns the user ids [lo, hi).

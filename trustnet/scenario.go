@@ -3,7 +3,6 @@ package trustnet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/reputation/powertrust"
 	"repro/internal/reputation/trustme"
 	"repro/internal/satisfaction"
+	"repro/internal/strictjson"
 	"repro/internal/workload"
 )
 
@@ -103,8 +103,8 @@ type Scenario struct {
 	// Shards sets the parallel epoch-shard count; a scheduling knob only,
 	// results are identical for every value.
 	Shards int `json:"shards,omitempty"`
-	// Workers caps the worker pool of sweeps over this scenario when the
-	// Experiment does not override it (default GOMAXPROCS).
+	// Workers caps the worker pool of sweeps and explorations over this
+	// scenario (default GOMAXPROCS); results are identical for every value.
 	Workers int `json:"workers,omitempty"`
 
 	// Schedule is the epoch-indexed intervention script Run applies.
@@ -533,13 +533,12 @@ func (sc Scenario) clone() Scenario {
 	return out
 }
 
-// ScenarioFromJSON decodes a scenario spec, rejecting unknown fields so a
-// typo in a spec file fails loudly instead of silently running defaults.
+// ScenarioFromJSON decodes a scenario spec, rejecting unknown fields and
+// trailing data so a typo or a second spec in a file fails loudly instead
+// of silently running defaults.
 func ScenarioFromJSON(data []byte) (Scenario, error) {
 	var sc Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &sc); err != nil {
 		return Scenario{}, fmt.Errorf("trustnet: decode scenario: %w", err)
 	}
 	return sc, nil

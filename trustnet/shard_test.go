@@ -65,16 +65,16 @@ func TestShardOptionValidation(t *testing.T) {
 func TestExploreWorkerInvariance(t *testing.T) {
 	explore := func(workers, shards int) *ExploreResult {
 		scenario := Scenario{
-			Peers:     40,
-			Seed:      7,
-			Mix:       &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
-			Mechanism: MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}},
-			Workers:   workers,
-			Shards:    shards,
+			Peers:       40,
+			Seed:        7,
+			Mix:         &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
+			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}},
+			Workers:     workers,
+			Shards:      shards,
+			EpochRounds: 10,
 		}
 		res, err := Explore(context.Background(), ExploreConfig{
 			Scenario: scenario,
-			Rounds:   10,
 			GridSize: 3,
 		})
 		if err != nil {
@@ -108,13 +108,13 @@ func TestOptimizeWorkerInvariance(t *testing.T) {
 	optimize := func(workers int) Point {
 		res, err := Optimize(context.Background(), ExploreConfig{
 			Scenario: Scenario{
-				Peers:     40,
-				Seed:      7,
-				Mix:       &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
-				Mechanism: MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}},
-				Workers:   workers,
+				Peers:       40,
+				Seed:        7,
+				Mix:         &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
+				Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}},
+				Workers:     workers,
+				EpochRounds: 10,
 			},
-			Rounds:   10,
 			GridSize: 3,
 		}, Constraints{})
 		if err != nil {
@@ -136,10 +136,10 @@ func TestExploreCancellation(t *testing.T) {
 	cancel()
 	_, err := Explore(ctx, ExploreConfig{
 		Scenario: Scenario{
-			Peers:     40,
-			Mechanism: MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0}},
+			Peers:       40,
+			Mechanism:   MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0}},
+			EpochRounds: 5,
 		},
-		Rounds:   5,
 		GridSize: 3,
 	})
 	if err == nil {

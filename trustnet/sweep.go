@@ -2,10 +2,7 @@ package trustnet
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"math"
 	"runtime"
@@ -31,7 +28,7 @@ type AxisValue struct {
 	Label string  `json:"label,omitempty"`
 }
 
-// text renders the coordinate value for tables and CSV cells.
+// text renders the coordinate value for Coord.String.
 func (av AxisValue) text() string {
 	if av.Label != "" {
 		return av.Label
@@ -106,10 +103,8 @@ func (a Axis) apply(sc *Scenario, i int) (Coord, error) {
 	return coord, nil
 }
 
-// validate checks the axis shape and applies its first point to a throwaway
-// copy of base, so an unknown parameter or a malformed tuple fails at
-// declaration time, not run N of the matrix.
-func (a Axis) validate(base Scenario) error {
+// validate checks the axis shape and its mechanism kinds.
+func (a Axis) validate() error {
 	if len(a.Mechanisms) > 0 {
 		if len(a.Params) > 0 || len(a.Values) > 0 {
 			return fmt.Errorf("trustnet: axis mixes mechanisms with parameter values")
@@ -132,10 +127,6 @@ func (a Axis) validate(base Scenario) error {
 			return fmt.Errorf("trustnet: axis %v tuple %v has %d values, want %d",
 				a.Params, tuple, len(tuple), len(a.Params))
 		}
-	}
-	scratch := base.clone()
-	if _, err := a.apply(&scratch, 0); err != nil {
-		return err
 	}
 	return nil
 }
@@ -259,156 +250,64 @@ func setClassFraction(sc *Scenario, class string, v float64) error {
 	return nil
 }
 
-// ExperimentSpec is the serializable description of a sweep: the base
-// scenario, the parameter axes, the seed replications, and the epoch
-// budget. A SweepResult embeds the spec that produced it, so a result file
-// is self-describing.
-type ExperimentSpec struct {
-	Base   Scenario `json:"base"`
-	Axes   []Axis   `json:"axes,omitempty"`
-	Seeds  []uint64 `json:"seeds,omitempty"`
-	Epochs int      `json:"epochs,omitempty"`
-}
-
 // ObserveFunc extracts extra per-run metrics from the finished engine. It
 // is invoked concurrently from the sweep's worker pool, one call per run:
 // read the engine, fill the returned map, and touch nothing shared.
 type ObserveFunc func(eng *Engine) map[string]float64
 
-// Experiment is the batch orchestrator of the §4 many-run studies: it
-// expands a base Scenario over parameter axes (Vary/VaryTuples/
-// VaryMechanism) and seed replications (Seeds/SeedList), executes the run
-// matrix on a bounded worker pool under the deterministic-fold discipline
-// (equal seeds ⇒ bit-for-bit equal SweepResults at any parallelism), and
-// aggregates per-epoch mean/stddev/quantiles per cell.
+// Experiment is the one description of a §4 many-run study, and plain
+// data: a base Scenario expanded over parameter axes (built with Vary,
+// VaryTuples and VaryMechanism) and seed replications, with an epoch
+// budget. Run executes the run matrix on a bounded worker pool (the base
+// scenario's Workers, default GOMAXPROCS) under the deterministic-fold
+// discipline (equal seeds ⇒ bit-for-bit equal SweepResults at any pool
+// size) and aggregates per-epoch mean/stddev/quantiles per cell. A
+// SweepResult embeds the Experiment that produced it, so a result file is
+// self-describing.
 //
-//	res, err := trustnet.NewExperiment(base).
-//		Vary("disclosure", 0, 0.25, 0.5, 0.75, 1).
-//		Vary("gate", 0, 0.3).
-//		Seeds(5).
-//		Epochs(10).
-//		Run(ctx)
-//
-// Builder errors stick: the first one is reported by Run.
+//	res, err := trustnet.Experiment{
+//		Base: base,
+//		Axes: []trustnet.Axis{
+//			trustnet.Vary("disclosure", 0, 0.25, 0.5, 0.75, 1),
+//			trustnet.Vary("gate", 0, 0.3),
+//		},
+//		Seeds:  []uint64{1, 2, 3, 4, 5},
+//		Epochs: 10,
+//	}.Run(ctx)
 type Experiment struct {
-	spec    ExperimentSpec
-	workers int
-	observe ObserveFunc
-	err     error
+	Base Scenario `json:"base"`
+	// Axes span the run matrix, first axis outermost.
+	Axes []Axis `json:"axes,omitempty"`
+	// Seeds replicates every cell once per seed (default: Base.Seed).
+	Seeds []uint64 `json:"seeds,omitempty"`
+	// Epochs is every run's epoch budget (default: Base.Epochs); an
+	// "epochs" axis point still wins for its own cell.
+	Epochs int `json:"epochs,omitempty"`
+	// Observe, when set, runs after each run completes; the values it
+	// returns aggregate per cell like the built-in metrics.
+	Observe ObserveFunc `json:"-"`
 }
 
-// NewExperiment starts a sweep over a base scenario.
-func NewExperiment(base Scenario) *Experiment {
-	return &Experiment{spec: ExperimentSpec{Base: base.clone()}}
-}
-
-func (e *Experiment) fail(err error) *Experiment {
-	if e.err == nil {
-		e.err = err
-	}
-	return e
-}
-
-func (e *Experiment) addAxis(a Axis) *Experiment {
-	if err := a.validate(e.spec.Base); err != nil {
-		return e.fail(err)
-	}
-	e.spec.Axes = append(e.spec.Axes, a)
-	return e
-}
-
-// Vary adds a one-parameter axis: the sweep runs every listed value.
-func (e *Experiment) Vary(param string, values ...float64) *Experiment {
+// Vary is a one-parameter axis: the sweep runs every listed value.
+func Vary(param string, values ...float64) Axis {
 	tuples := make([][]float64, len(values))
 	for i, v := range values {
 		tuples[i] = []float64{v}
 	}
-	return e.addAxis(Axis{Params: []string{param}, Values: tuples})
+	return Axis{Params: []string{param}, Values: tuples}
 }
 
-// VaryTuples adds a multi-parameter axis: each tuple sets all named
+// VaryTuples is a multi-parameter axis: each tuple sets all named
 // parameters together (one axis point), for jointly-varied settings that
 // are not a cross product.
-func (e *Experiment) VaryTuples(params []string, tuples ...[]float64) *Experiment {
-	return e.addAxis(Axis{Params: params, Values: tuples})
+func VaryTuples(params []string, tuples ...[]float64) Axis {
+	return Axis{Params: params, Values: tuples}
 }
 
-// VaryMechanism adds a mechanism axis: each spec swaps the scenario's
+// VaryMechanism is a mechanism axis: each spec swaps the scenario's
 // reputation mechanism.
-func (e *Experiment) VaryMechanism(specs ...MechanismSpec) *Experiment {
-	return e.addAxis(Axis{Mechanisms: specs})
-}
-
-// Seeds replicates every cell under n seeds: base.Seed, base.Seed+1, ...
-func (e *Experiment) Seeds(n int) *Experiment {
-	if n < 1 {
-		return e.fail(fmt.Errorf("trustnet: seed replication count must be positive, got %d", n))
-	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = e.spec.Base.Seed + uint64(i)
-	}
-	e.spec.Seeds = seeds
-	return e
-}
-
-// SeedList replicates every cell under the explicit seed list.
-func (e *Experiment) SeedList(seeds ...uint64) *Experiment {
-	if len(seeds) == 0 {
-		return e.fail(fmt.Errorf("trustnet: empty seed list"))
-	}
-	e.spec.Seeds = append([]uint64(nil), seeds...)
-	return e
-}
-
-// Epochs sets how many coupling epochs every run drives, overriding the
-// base scenario's Epochs.
-func (e *Experiment) Epochs(n int) *Experiment {
-	if n < 1 {
-		return e.fail(fmt.Errorf("trustnet: sweep epochs must be positive, got %d", n))
-	}
-	e.spec.Epochs = n
-	return e
-}
-
-// Workers bounds the worker pool executing the run matrix (default: the
-// base scenario's Workers, else GOMAXPROCS). The SweepResult is identical
-// for every pool size.
-func (e *Experiment) Workers(n int) *Experiment {
-	if n < 1 {
-		return e.fail(fmt.Errorf("trustnet: sweep workers must be positive, got %d", n))
-	}
-	e.workers = n
-	return e
-}
-
-// Observe registers a per-run metric extractor invoked after each run
-// completes; the returned values aggregate per cell like the built-in
-// metrics.
-func (e *Experiment) Observe(fn ObserveFunc) *Experiment {
-	if fn == nil {
-		return e.fail(fmt.Errorf("trustnet: nil observe function"))
-	}
-	e.observe = fn
-	return e
-}
-
-// Spec returns the serializable description of the sweep as configured.
-func (e *Experiment) Spec() ExperimentSpec {
-	return e.spec
-}
-
-// Runs returns the size of the expanded run matrix (cells × seeds).
-func (e *Experiment) Runs() int {
-	cells := 1
-	for _, a := range e.spec.Axes {
-		cells *= a.size()
-	}
-	seeds := len(e.spec.Seeds)
-	if seeds == 0 {
-		seeds = 1
-	}
-	return cells * seeds
+func VaryMechanism(specs ...MechanismSpec) Axis {
+	return Axis{Mechanisms: specs}
 }
 
 // RunResult is one executed run of the matrix.
@@ -462,12 +361,12 @@ type CellResult struct {
 	Extra        map[string]Agg `json:"extra,omitempty"`
 }
 
-// SweepResult is the typed outcome of an Experiment: the spec that
+// SweepResult is the typed outcome of an Experiment: the Experiment that
 // produced it and one aggregated CellResult per matrix cell, in row-major
 // axis order (first axis outermost).
 type SweepResult struct {
-	Spec  ExperimentSpec `json:"spec"`
-	Cells []CellResult   `json:"cells"`
+	Spec  Experiment   `json:"spec"`
+	Cells []CellResult `json:"cells"`
 }
 
 // At returns the cell at the given per-axis indices (row-major).
@@ -486,48 +385,29 @@ func (r *SweepResult) At(idx ...int) *CellResult {
 	return &r.Cells[flat]
 }
 
-// Run executes the sweep matrix and aggregates it. The worker pool feeds
+// Run executes the sweep matrix and aggregates it. Every cell and its
+// epoch budget are checked before the first run. The worker pool feeds
 // runs in matrix order and folds results by index, so the SweepResult —
 // including its JSON encoding — is byte-for-byte identical for every
 // worker count; ctx cancels between runs.
-func (e *Experiment) Run(ctx context.Context) (*SweepResult, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
+func (e Experiment) Run(ctx context.Context) (*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	spec := e.spec
-	numCells := 1
-	for _, a := range spec.Axes {
-		if a.size() == 0 {
-			return nil, fmt.Errorf("trustnet: sweep axis with no points")
-		}
-		numCells *= a.size()
+	if err := e.check(); err != nil {
+		return nil, err
 	}
-	seeds := spec.Seeds
+	e.Base = e.Base.clone()
+	numCells := e.cells()
+	seeds := e.Seeds
 	if len(seeds) == 0 {
-		seeds = []uint64{spec.Base.Seed}
+		seeds = []uint64{e.Base.Seed}
 	}
-	epochs := spec.Epochs
+	epochs := e.Epochs
 	if epochs == 0 {
-		epochs = spec.Base.Epochs
+		epochs = e.Base.Epochs
 	}
-	axesSetEpochs := false
-	for _, a := range spec.Axes {
-		for _, p := range a.Params {
-			if p == "epochs" {
-				axesSetEpochs = true
-			}
-		}
-	}
-	if epochs <= 0 && !axesSetEpochs {
-		return nil, fmt.Errorf("trustnet: sweep has no epoch budget: set the scenario's Epochs or call Experiment.Epochs")
-	}
-	workers := e.workers
-	if workers == 0 {
-		workers = spec.Base.Workers
-	}
+	workers := e.Base.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -536,18 +416,15 @@ func (e *Experiment) Run(ctx context.Context) (*SweepResult, error) {
 	runs := make([]RunResult, n)
 	err := sim.RunIndexed(ctx, workers, n, func(i int) error {
 		cell, seedIdx := i/len(seeds), i%len(seeds)
-		sc := spec.Base.clone()
-		// The Epochs() override applies before the axes, so an "epochs"
-		// axis point still wins for its own cell.
+		sc := e.Base.clone()
+		// The Epochs budget applies before the axes, so an "epochs" axis
+		// point still wins for its own cell.
 		if epochs > 0 {
 			sc.Epochs = epochs
 		}
-		coord, err := applyCell(&sc, spec.Axes, cell)
+		coord, err := applyCell(&sc, e.Axes, cell)
 		if err != nil {
 			return err
-		}
-		if sc.Epochs <= 0 {
-			return fmt.Errorf("trustnet: sweep cell [%s] has no epoch budget", coord)
 		}
 		sc.Seed = seeds[seedIdx]
 		rr, err := e.runOne(ctx, sc, coord)
@@ -561,11 +438,81 @@ func (e *Experiment) Run(ctx context.Context) (*SweepResult, error) {
 		return nil, err
 	}
 
-	res := &SweepResult{Spec: spec, Cells: make([]CellResult, numCells)}
+	res := &SweepResult{Spec: e, Cells: make([]CellResult, numCells)}
 	for c := 0; c < numCells; c++ {
 		res.Cells[c] = aggregateCell(runs[c*len(seeds) : (c+1)*len(seeds)])
 	}
 	return res, nil
+}
+
+// mechanismParams are the parameters that set one field of the mechanism
+// spec, which a mechanism axis replaces whole.
+var mechanismParams = map[string]bool{
+	"granularity": true, "noise": true, "priorstrength": true, "alpha": true, "epsilon": true,
+}
+
+// check refuses a sweep that could not run as written: a malformed axis, a
+// parameter two axes (or one tuple) set, a negative epoch budget, a cell
+// without one, or a cell whose parameters do not apply.
+func (e Experiment) check() error {
+	set := map[string]bool{}
+	mechField := "" // the first mechanism field an axis sets
+	for _, a := range e.Axes {
+		if err := a.validate(); err != nil {
+			return err
+		}
+		params := a.Params
+		if len(a.Mechanisms) > 0 {
+			if mechField != "" {
+				return fmt.Errorf("trustnet: a mechanism axis after the %q axis would overwrite it", mechField)
+			}
+			params = []string{"mechanism"}
+		}
+		for j, p := range params {
+			if p == "trustgate" {
+				p = "gate"
+			}
+			if set[p] {
+				return fmt.Errorf("trustnet: sweep sets parameter %q twice", p)
+			}
+			set[p] = true
+			if mechanismParams[p] && mechField == "" {
+				mechField = p
+			}
+			if p == "epochs" {
+				for _, tuple := range a.Values {
+					if tuple[j] < 1 {
+						return fmt.Errorf("trustnet: sweep point epochs=%v has no epoch budget", tuple[j])
+					}
+				}
+			}
+		}
+	}
+	if e.Epochs < 0 {
+		return fmt.Errorf("trustnet: sweep epochs must be positive, got %d", e.Epochs)
+	}
+	if e.Epochs == 0 && e.Base.Epochs <= 0 && !set["epochs"] {
+		return fmt.Errorf("trustnet: sweep has no epoch budget: set the scenario's Epochs or the Experiment's")
+	}
+	// Apply every cell to a throwaway copy of the base, so an unknown
+	// parameter, a non-integral count or class fractions that two axes
+	// push past 1 fail here, not at run N of the matrix.
+	for c := range e.cells() {
+		sc := e.Base.clone()
+		if _, err := applyCell(&sc, e.Axes, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cells returns the number of cells of the run matrix.
+func (e Experiment) cells() int {
+	n := 1
+	for _, a := range e.Axes {
+		n *= a.size()
+	}
+	return n
 }
 
 // applyCell decodes a flat cell index into per-axis points (row-major) and
@@ -590,7 +537,7 @@ func applyCell(sc *Scenario, axes []Axis, cell int) (Coord, error) {
 }
 
 // runOne executes a single expanded run.
-func (e *Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunResult, error) {
+func (e Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunResult, error) {
 	eng, _, err := sc.Run(ctx)
 	if err != nil {
 		return RunResult{}, err
@@ -611,8 +558,8 @@ func (e *Experiment) runOne(ctx context.Context, sc Scenario, coord Coord) (RunR
 		Global:  g,
 		Trust:   trust,
 	}
-	if e.observe != nil {
-		for k, v := range e.observe(eng) {
+	if e.Observe != nil {
+		for k, v := range e.Observe(eng) {
 			if rr.Extra == nil {
 				rr.Extra = map[string]float64{}
 			}
@@ -705,84 +652,4 @@ func aggregateCell(runs []RunResult) CellResult {
 		}
 	}
 	return cell
-}
-
-// WriteJSON emits the result as indented JSON. The encoding is
-// deterministic: equal sweeps produce byte-identical documents at any
-// worker count.
-func (r *SweepResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteCSV emits one row per (cell, epoch): the cell coordinates, the seed
-// replication count, and mean/std per aggregated metric (plus the mean of
-// any extra metrics, repeated on each of the cell's rows). Cells without
-// epoch history emit a single row with the final facet aggregation.
-func (r *SweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	var params []string
-	if len(r.Cells) > 0 {
-		for _, av := range r.Cells[0].Coord {
-			params = append(params, av.Param)
-		}
-	}
-	extras := map[string]bool{}
-	for _, c := range r.Cells {
-		for k := range c.Extra {
-			extras[k] = true
-		}
-	}
-	extraNames := make([]string, 0, len(extras))
-	for k := range extras {
-		extraNames = append(extraNames, k)
-	}
-	sort.Strings(extraNames)
-
-	header := append([]string{}, params...)
-	header = append(header, "seeds", "epoch",
-		"trust_mean", "trust_std",
-		"satisfaction_mean", "satisfaction_std",
-		"reputation_mean", "reputation_std",
-		"privacy_mean", "privacy_std",
-		"disclosure_mean", "honesty_mean", "bad_rate_mean", "tau_mean")
-	for _, k := range extraNames {
-		header = append(header, k+"_mean")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, c := range r.Cells {
-		prefix := make([]string, 0, len(c.Coord))
-		for _, av := range c.Coord {
-			prefix = append(prefix, av.text())
-		}
-		writeRow := func(epoch string, ep EpochAgg) error {
-			row := append([]string{}, prefix...)
-			row = append(row, strconv.Itoa(len(c.Runs)), epoch,
-				f(ep.Trust.Mean), f(ep.Trust.Std),
-				f(ep.Satisfaction.Mean), f(ep.Satisfaction.Std),
-				f(ep.Reputation.Mean), f(ep.Reputation.Std),
-				f(ep.Privacy.Mean), f(ep.Privacy.Std),
-				f(ep.Disclosure.Mean), f(ep.Honesty.Mean), f(ep.BadRate.Mean), f(ep.Tau.Mean))
-			for _, k := range extraNames {
-				if agg, ok := c.Extra[k]; ok {
-					row = append(row, f(agg.Mean))
-				} else {
-					row = append(row, "")
-				}
-			}
-			return cw.Write(row)
-		}
-		for _, ep := range c.Epochs {
-			if err := writeRow(strconv.Itoa(ep.Epoch), ep); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -3,7 +3,6 @@ package trustnet
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -27,24 +26,27 @@ func sweepBase() Scenario {
 
 // TestSweepDeterministicAcrossParallelism: the determinism regression of
 // the sweep executor — a (disclosure × gate) grid with seed replications
-// run at parallelism 1 and parallelism 8 must emit byte-identical
+// run at parallelism 1 and parallelism 8 must marshal to byte-identical
 // SweepResult JSON.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	run := func(workers int) []byte {
-		res, err := NewExperiment(sweepBase()).
-			Vary("disclosure", 0.2, 0.6, 1).
-			Vary("gate", 0, 0.3).
-			Seeds(3).
-			Workers(workers).
-			Run(context.Background())
+		base := sweepBase()
+		base.Workers = workers
+		res, err := Experiment{
+			Base:  base,
+			Axes:  []Axis{Vary("disclosure", 0.2, 0.6, 1), Vary("gate", 0, 0.3)},
+			Seeds: []uint64{5, 6, 7},
+		}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
+		// The pool size is part of the spec; the rest must not depend on it.
+		res.Spec.Base.Workers = 0
+		data, err := json.Marshal(res)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	p1 := run(1)
 	p8 := run(8)
@@ -56,14 +58,14 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 // TestSweepMatrixShape: cells expand row-major over the axes, each cell
 // replicates over the seeds in order, and At() indexes the matrix.
 func TestSweepMatrixShape(t *testing.T) {
-	exp := NewExperiment(sweepBase()).
-		Vary("disclosure", 0.5, 1).
-		VaryMechanism(MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}}, MechanismSpec{Kind: "none"}).
-		Seeds(2)
-	if got := exp.Runs(); got != 8 {
-		t.Fatalf("Runs() = %d, want 8", got)
-	}
-	res, err := exp.Run(context.Background())
+	res, err := Experiment{
+		Base: sweepBase(),
+		Axes: []Axis{
+			Vary("disclosure", 0.5, 1),
+			VaryMechanism(MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}}, MechanismSpec{Kind: "none"}),
+		},
+		Seeds: []uint64{5, 6},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +97,11 @@ func TestSweepMatrixShape(t *testing.T) {
 		t.Fatal("Final is not the last epoch aggregate")
 	}
 	// Equal seeds ⇒ the same cell in a separate sweep is bit-for-bit equal.
-	res2, err := NewExperiment(sweepBase()).
-		Vary("disclosure", 1).
-		Seeds(2).
-		Run(context.Background())
+	res2, err := Experiment{
+		Base:  sweepBase(),
+		Axes:  []Axis{Vary("disclosure", 1)},
+		Seeds: []uint64{5, 6},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,111 +132,137 @@ func TestSweepClassFractionAxis(t *testing.T) {
 	}
 }
 
-// TestSweepBuilderValidation: malformed sweeps fail at declaration or at
-// Run, never by silently shrinking the matrix.
+// TestSweepBuilderValidation: a malformed sweep fails at Run before its
+// first run, never by silently shrinking the matrix.
 func TestSweepBuilderValidation(t *testing.T) {
 	base := sweepBase()
+	noBudget := sweepBase()
+	noBudget.Epochs = 0
 	cases := []struct {
 		name    string
-		build   func() *Experiment
+		exp     Experiment
 		wantErr string
 	}{
-		{"no values", func() *Experiment { return NewExperiment(base).Vary("disclosure") }, "no values"},
-		{"unknown param", func() *Experiment { return NewExperiment(base).Vary("charisma", 1) }, "unknown sweep parameter"},
-		{"tuple arity", func() *Experiment {
-			return NewExperiment(base).VaryTuples([]string{"disclosure", "gate"}, []float64{1})
-		}, "values"},
-		{"zero seeds", func() *Experiment { return NewExperiment(base).Seeds(0) }, "seed replication"},
-		{"empty seed list", func() *Experiment { return NewExperiment(base).SeedList() }, "seed list"},
-		{"zero epochs", func() *Experiment { return NewExperiment(base).Epochs(0) }, "epochs"},
-		{"zero workers", func() *Experiment { return NewExperiment(base).Workers(0) }, "workers"},
-		{"bad mechanism", func() *Experiment {
-			return NewExperiment(base).VaryMechanism(MechanismSpec{Kind: "oracle"})
-		}, "mechanism kind"},
-		{"non-integer int param", func() *Experiment { return NewExperiment(base).Vary("peers", 10.5) }, "integer"},
-		{"no epoch budget", func() *Experiment {
-			b := base
-			b.Epochs = 0
-			return NewExperiment(b).Vary("disclosure", 1)
-		}, "epoch budget"},
+		{"no values", Experiment{Base: base, Axes: []Axis{Vary("disclosure")}}, "no values"},
+		{"unknown param", Experiment{Base: base, Axes: []Axis{Vary("charisma", 1)}}, "unknown sweep parameter"},
+		{"tuple arity", Experiment{Base: base, Axes: []Axis{VaryTuples([]string{"disclosure", "gate"}, []float64{1})}}, "values"},
+		{"zero epochs", Experiment{Base: base, Axes: []Axis{Vary("epochs", 2, 0)}}, "epoch budget"},
+		{"negative epochs", Experiment{Base: base, Epochs: -1}, "epochs"},
+		{"bad mechanism", Experiment{Base: base, Axes: []Axis{VaryMechanism(MechanismSpec{Kind: "oracle"})}}, "mechanism kind"},
+		{"non-integer int param", Experiment{Base: base, Axes: []Axis{Vary("peers", 10, 10.5)}}, "integer"},
+		{"no epoch budget", Experiment{Base: noBudget, Axes: []Axis{Vary("disclosure", 1)}}, "epoch budget"},
+		{"class fractions past one across axes", Experiment{Base: base, Axes: []Axis{Vary("malicious", 0.2, 0.6), Vary("selfish", 0.3, 0.6)}}, "exceed 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.build().Run(context.Background())
+			runs := 0
+			tc.exp.Observe = func(*Engine) map[string]float64 { runs++; return nil }
+			_, err := tc.exp.Run(context.Background())
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
+			}
+			if runs != 0 {
+				t.Fatalf("%d runs finished before the refusal", runs)
 			}
 		})
 	}
 }
 
-// TestSweepEmitters: the CSV emitter writes one row per (cell, epoch) with
-// the axis columns leading; JSON re-decodes to the same cell structure.
-func TestSweepEmitters(t *testing.T) {
-	res, err := NewExperiment(sweepBase()).
-		Vary("disclosure", 0.4, 1).
-		Seeds(2).
-		Observe(func(eng *Engine) map[string]float64 {
-			return map[string]float64{"active": float64(eng.ActivePeers())}
-		}).
-		Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+// TestSweepRefusesParameterSetTwice: two axes, or one tuple, that set the
+// same scenario field (after folding the gate/trustgate alias) would run
+// every cell at the last value while labelling them apart, so Run refuses
+// them; so does a mechanism axis that would overwrite an earlier
+// mechanism-field axis.
+func TestSweepRefusesParameterSetTwice(t *testing.T) {
+	eigen := MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1}}
+	for _, tc := range []struct {
+		name string
+		axes []Axis
+	}{
+		{"alias across axes", []Axis{Vary("gate", 0, 0.2), Vary("trustgate", 0.4)}},
+		{"name across axes", []Axis{Vary("disclosure", 0.2), Vary("disclosure", 0.6)}},
+		{"within one tuple", []Axis{VaryTuples([]string{"trustgate", "gate"}, []float64{0, 0.3})}},
+		{"two mechanism axes", []Axis{VaryMechanism(eigen), VaryMechanism(MechanismSpec{Kind: "none"})}},
+		{"mechanism after its field", []Axis{Vary("alpha", 0.1, 0.3), VaryMechanism(eigen)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := 0
+			_, err := Experiment{
+				Base:    sweepBase(),
+				Axes:    tc.axes,
+				Observe: func(*Engine) map[string]float64 { runs++; return nil },
+			}.Run(context.Background())
+			if err == nil || runs != 0 {
+				t.Fatalf("err = %v after %d runs, want a refusal before the first run", err, runs)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	// A mechanism axis before a field axis sets that field on every spec.
+	if _, err := (Experiment{
+		Base: sweepBase(),
+		Axes: []Axis{VaryMechanism(eigen), Vary("alpha", 0.1)},
+	}).Run(context.Background()); err != nil {
+		t.Fatalf("mechanism axis before its field refused: %v", err)
 	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1+2*3 {
-		t.Fatalf("csv rows = %d, want header + 2 cells x 3 epochs", len(rows))
-	}
-	if rows[0][0] != "disclosure" || rows[0][1] != "seeds" {
-		t.Fatalf("csv header = %v", rows[0])
-	}
-	last := rows[0][len(rows[0])-1]
-	if last != "active_mean" {
-		t.Fatalf("extra metric column missing, header ends with %q", last)
-	}
-	if rows[1][0] != "0.4" || rows[4][0] != "1" {
-		t.Fatalf("axis column values wrong: %q / %q", rows[1][0], rows[4][0])
-	}
+}
 
-	var js bytes.Buffer
-	if err := res.WriteJSON(&js); err != nil {
+// TestSweepEmitters: a SweepResult's JSON re-decodes to the same cell
+// structure, Observe extras included.
+func TestSweepEmitters(t *testing.T) {
+	res, err := Experiment{
+		Base:  sweepBase(),
+		Axes:  []Axis{Vary("disclosure", 0.4, 1)},
+		Seeds: []uint64{5, 6},
+		Observe: func(eng *Engine) map[string]float64 {
+			return map[string]float64{"active": float64(eng.ActivePeers())}
+		},
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded SweepResult
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if len(decoded.Cells) != 2 || decoded.Cells[0].Extra["active"].N != 2 {
 		t.Fatalf("decoded sweep result mangled: %+v", decoded.Cells)
 	}
+	if !reflect.DeepEqual(decoded.Cells, res.Cells) {
+		t.Fatal("cells changed through JSON")
+	}
 }
 
-// TestExperimentSpecSerializable: the sweep's own spec round-trips through
-// JSON, so a study file can describe base + axes + seeds.
+// TestExperimentSpecSerializable: an Experiment round-trips through JSON
+// (all but Observe), so a study file can describe base + axes + seeds.
 func TestExperimentSpecSerializable(t *testing.T) {
-	exp := NewExperiment(sweepBase()).
-		Vary("disclosure", 0, 0.5, 1).
-		VaryMechanism(MechanismSpec{Kind: "eigentrust"}, MechanismSpec{Kind: "trustme"}).
-		Seeds(2).
-		Epochs(4)
-	spec := exp.Spec()
-	data, err := json.Marshal(spec)
+	exp := Experiment{
+		Base: sweepBase(),
+		Axes: []Axis{
+			Vary("disclosure", 0, 0.5, 1),
+			VaryMechanism(MechanismSpec{Kind: "eigentrust"}, MechanismSpec{Kind: "trustme"}),
+		},
+		Seeds:   []uint64{5, 6},
+		Epochs:  4,
+		Observe: func(*Engine) map[string]float64 { return nil },
+	}
+	data, err := json.Marshal(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rt ExperimentSpec
+	var rt Experiment
 	if err := json.Unmarshal(data, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(spec, rt) {
-		t.Fatalf("spec round trip diverged:\n%+v\n!=\n%+v", spec, rt)
+	if rt.Observe != nil {
+		t.Fatal("Observe came back from JSON")
+	}
+	exp.Observe = nil
+	if !reflect.DeepEqual(exp, rt) {
+		t.Fatalf("experiment round trip diverged:\n%+v\n!=\n%+v", exp, rt)
 	}
 }
 
@@ -241,9 +270,7 @@ func TestExperimentSpecSerializable(t *testing.T) {
 // its own epoch budget, and a zero budget from an axis errors instead of
 // silently running the base value.
 func TestSweepEpochsAxis(t *testing.T) {
-	res, err := NewExperiment(sweepBase()).
-		Vary("epochs", 1, 4).
-		Run(context.Background())
+	res, err := Experiment{Base: sweepBase(), Axes: []Axis{Vary("epochs", 1, 4)}}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +280,7 @@ func TestSweepEpochsAxis(t *testing.T) {
 	if got := len(res.Cells[1].Runs[0].History); got != 4 {
 		t.Fatalf("epochs=4 cell ran %d epochs", got)
 	}
-	if _, err := NewExperiment(sweepBase()).Vary("epochs", 0).Run(context.Background()); err == nil ||
+	if _, err := (Experiment{Base: sweepBase(), Axes: []Axis{Vary("epochs", 0)}}).Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "epoch budget") {
 		t.Fatalf("zero-epoch axis err = %v", err)
 	}

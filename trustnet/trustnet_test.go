@@ -343,8 +343,8 @@ func TestExploreAndOptimize(t *testing.T) {
 			Mix:            &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
 			Mechanism:      MechanismSpec{Kind: "eigentrust", Pretrusted: []int{0, 1, 2}},
 			RecomputeEvery: 2,
+			EpochRounds:    6,
 		},
-		Rounds:   6,
 		GridSize: 2,
 	}
 	ctx := context.Background()
@@ -420,7 +420,6 @@ func TestExplorerRejectsDynamicsFields(t *testing.T) {
 		mut  func(*Scenario)
 	}{
 		{"Coupled", func(sc *Scenario) { sc.Coupled = true }},
-		{"EpochRounds", func(sc *Scenario) { sc.EpochRounds = 5 }},
 		{"Epochs", func(sc *Scenario) { sc.Epochs = 3 }},
 		{"Inertia", func(sc *Scenario) { sc.Inertia = &half }},
 		{"BaseHonesty", func(sc *Scenario) { sc.BaseHonesty = &half }},
@@ -429,7 +428,7 @@ func TestExplorerRejectsDynamicsFields(t *testing.T) {
 	} {
 		sc := Scenario{Peers: 20, Seed: 1}
 		tc.mut(&sc)
-		cfg := ExploreConfig{Scenario: sc, Rounds: 3, GridSize: 2}
+		cfg := ExploreConfig{Scenario: sc, GridSize: 2}
 		if _, err := EvaluateSetting(cfg, Setting{}); err == nil || !strings.Contains(err.Error(), tc.name) {
 			t.Fatalf("%s: err = %v, want rejection naming the field", tc.name, err)
 		}
@@ -445,8 +444,8 @@ func TestEvaluateSettingDeterministic(t *testing.T) {
 			Seed:           5,
 			Mix:            &MixSpec{Fractions: map[string]float64{"honest": 0.7, "malicious": 0.3}},
 			RecomputeEvery: 2,
+			EpochRounds:    6,
 		},
-		Rounds: 6,
 	}
 	s := Setting{Disclosure: 0.5, TrustGate: 0.2}
 	p1, err := EvaluateSetting(cfg, s)
