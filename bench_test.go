@@ -192,9 +192,8 @@ func BenchmarkE9PriServ(b *testing.B) {
 		}
 	}
 	ring.Stabilize()
-	ledger := privacy.NewLedger()
 	s := sim.New()
-	svc, err := privacy.NewService(ring, ledger, s)
+	svc, err := privacy.NewService(ring, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,18 +336,41 @@ func BenchmarkPolicyEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkLedgerExposure reads one owner's exposure from a PriServ service
+// whose ledger grants and leaks built: 50 owners publish 200 items each,
+// then 5000 disclosures (nine in ten grants) reach 50 recipients, so an
+// owner holds about 80 disclosed items.
 func BenchmarkLedgerExposure(b *testing.B) {
-	l := privacy.NewLedger()
+	svc, err := privacy.NewStandaloneService(16, 3, sim.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := privacy.Policy{
+		Operations: map[privacy.Operation]bool{privacy.Read: true},
+		Purposes:   map[privacy.Purpose]bool{privacy.SocialUse: true},
+	}
+	for owner := 0; owner < 50; owner++ {
+		for k := 0; k < 200; k++ {
+			sens := social.Sensitivity(k%4 + 1)
+			if err := svc.Publish(owner, fmt.Sprintf("%d/item/%d", owner, k), []byte("data"), sens, pol); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	rng := sim.NewRNG(1)
 	for k := 0; k < 5000; k++ {
-		// Each record reaches a new recipient; Exposure costs the same
-		// whatever the counts are.
-		l.Record(rng.Intn(50), fmt.Sprintf("item/%d", rng.Intn(200)),
-			social.Sensitivity(rng.Intn(4)+1), true, true)
+		key, recipient := fmt.Sprintf("%d/item/%d", rng.Intn(50), rng.Intn(200)), rng.Intn(50)
+		if rng.Bool(0.9) {
+			if _, _, err := svc.Request(recipient, key, privacy.Read, privacy.SocialUse, 1, true); err != nil {
+				b.Fatal(err)
+			}
+		} else if err := svc.Leak(key, recipient); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = l.Exposure(i % 50)
+		_ = svc.Exposure(i % 50)
 	}
 }
 

@@ -20,7 +20,7 @@ func runE9(w io.Writer, p params) error {
 		nOwners, nRequests = 40, 400
 	}
 	s := trustnet.NewSim()
-	svc, ledger, err := trustnet.NewPrivacyService(nNodes, 3, s)
+	svc, err := trustnet.NewPrivacyService(nNodes, 3, s)
 	if err != nil {
 		return err
 	}
@@ -63,7 +63,7 @@ func runE9(w io.Writer, p params) error {
 	// Let all retention expiries fire.
 	s.Run(s.Now() + 2000)
 
-	results := trustnet.AuditPrivacy(svc, ledger, s.Now())
+	results := trustnet.AuditPrivacy(svc, s.Now())
 	tab := trustnet.NewTable(
 		fmt.Sprintf("E9: OECD conformance after %d requests (%d granted)", nRequests, granted),
 		"principle", "pass", "evidence")

@@ -167,9 +167,8 @@ func TestEndToEndPrivacyServiceUnderDHTChurn(t *testing.T) {
 		}
 	}
 	ring.Stabilize()
-	ledger := privacy.NewLedger()
 	s := sim.New()
-	svc, err := privacy.NewService(ring, ledger, s)
+	svc, err := privacy.NewService(ring, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestEndToEndPrivacyServiceUnderDHTChurn(t *testing.T) {
 	if err := svc.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range privacy.Audit(svc, ledger, s.Now()) {
+	for _, r := range privacy.Audit(svc, s.Now()) {
 		if !r.Pass {
 			t.Fatalf("principle %v failed after churn: %s", r.Principle, r.Detail)
 		}

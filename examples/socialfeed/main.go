@@ -21,7 +21,7 @@ func main() {
 
 	// Substrate: the privacy service over a replicated DHT of the members'
 	// machines, and a small-world friendship graph.
-	svc, ledger, err := trustnet.NewPrivacyService(members, 3, s)
+	svc, err := trustnet.NewPrivacyService(members, 3, s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func main() {
 	// Each member can see exactly what about them went where.
 	someone := 3
 	fmt.Printf("\nmember %d's disclosure log (%d events), exposure %.2f, privacy facet %.3f\n",
-		someone, len(svc.EventsFor(someone)), ledger.Exposure(someone), ledger.PrivacyFacet(someone, 10))
+		someone, len(svc.EventsFor(someone)), svc.Exposure(someone), svc.PrivacyFacet(someone, 10))
 
 	// Run retention expiries, then audit.
 	s.Run(s.Now() + 2000)
 	fmt.Println("\nOECD audit:")
-	for _, r := range trustnet.AuditPrivacy(svc, ledger, s.Now()) {
+	for _, r := range trustnet.AuditPrivacy(svc, s.Now()) {
 		fmt.Printf("  %-26s pass=%v (%s)\n", r.Principle, r.Pass, r.Detail)
 	}
 }

@@ -102,14 +102,14 @@ func TestConsumerFlagsMatchSetLedger(t *testing.T) {
 
 // TestServiceRecipientsMatchSetLedger sends PriServ grants and leaks with
 // repeated recipients, withdrawals and a key republished by another owner
-// through the service, which keeps the recipient sets and tells its ledger
-// whether each disclosure reached a new recipient. The set-based oracle
-// replays the service's trail; every query must agree bit for bit.
+// through the service, which keeps each owner's items with their recipient
+// lists. The set-based oracle replays the service's trail; every query must
+// agree bit for bit.
 func TestServiceRecipientsMatchSetLedger(t *testing.T) {
 	const owners, keys = 6, 9
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRNG(seed)
-		svc, l, _ := newTestService(t)
+		svc, _ := newTestService(t)
 		key := func(k int) string { return fmt.Sprintf("item/%d", k) }
 		owner := make([]int, keys)
 		for k := range owner {
@@ -145,6 +145,6 @@ func TestServiceRecipientsMatchSetLedger(t *testing.T) {
 		for o := range probe {
 			probe[o] = o
 		}
-		compareLedgers(t, fmt.Sprintf("seed %d", seed), l, ref, probe, []float64{1, 4})
+		compareLedgers(t, fmt.Sprintf("seed %d", seed), svc, ref, probe, []float64{1, 4})
 	}
 }

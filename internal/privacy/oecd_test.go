@@ -14,9 +14,9 @@ func Principles() []Principle {
 	}
 }
 
-func runCleanWorkload(t *testing.T) (*Service, *Ledger) {
+func runCleanWorkload(t *testing.T) *Service {
 	t.Helper()
-	svc, ledger, s := newTestService(t)
+	svc, s := newTestService(t)
 	pol := allowAll()
 	pol.Retention = 50
 	for i := 0; i < 5; i++ {
@@ -35,12 +35,12 @@ func runCleanWorkload(t *testing.T) (*Service, *Ledger) {
 		}
 	}
 	s.Run(200) // process retention expiries
-	return svc, ledger
+	return svc
 }
 
 func TestAuditCleanSystemPassesAll(t *testing.T) {
-	svc, ledger := runCleanWorkload(t)
-	results := Audit(svc, ledger, 200)
+	svc := runCleanWorkload(t)
+	results := Audit(svc, 200)
 	if len(results) != 8 {
 		t.Fatalf("audit returned %d principles", len(results))
 	}
@@ -59,11 +59,11 @@ func TestAuditCleanSystemPassesAll(t *testing.T) {
 }
 
 func TestAuditDetectsLeak(t *testing.T) {
-	svc, ledger := runCleanWorkload(t)
+	svc := runCleanWorkload(t)
 	if err := svc.Leak(keyFor(0), 99); err != nil {
 		t.Fatal(err)
 	}
-	results := Audit(svc, ledger, 200)
+	results := Audit(svc, 200)
 	byP := map[Principle]AuditResult{}
 	for _, r := range results {
 		byP[r.Principle] = r
@@ -78,7 +78,7 @@ func TestAuditDetectsLeak(t *testing.T) {
 }
 
 func TestAuditDetectsOverdueCopies(t *testing.T) {
-	svc, ledger, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	pol := allowAll()
 	pol.Retention = 10
 	if err := svc.Publish(0, "k", []byte("v"), social.Medium, pol); err != nil {
@@ -89,7 +89,7 @@ func TestAuditDetectsOverdueCopies(t *testing.T) {
 	}
 	// Audit at a time past the retention WITHOUT running the simulation:
 	// the deletion event never fired, so the copy is overdue.
-	results := Audit(svc, ledger, 1000)
+	results := Audit(svc, 1000)
 	for _, r := range results {
 		if r.Principle == SecuritySafeguards && r.Pass {
 			t.Fatal("security safeguards passed with an overdue copy")
@@ -98,7 +98,7 @@ func TestAuditDetectsOverdueCopies(t *testing.T) {
 }
 
 func TestAuditDetectsPurposeMisuse(t *testing.T) {
-	svc, ledger, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	if err := svc.Publish(0, "k", []byte("v"), social.Low, allowAll()); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAuditDetectsPurposeMisuse(t *testing.T) {
 	// checked against the policy of record).
 	m := svc.registry["k"]
 	m.policy.Purposes = map[Purpose]bool{ReputationUse: true}
-	results := Audit(svc, ledger, 0)
+	results := Audit(svc, 0)
 	for _, r := range results {
 		if r.Principle == UseLimitation && r.Pass {
 			t.Fatal("use limitation passed despite purpose outside policy")

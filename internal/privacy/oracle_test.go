@@ -3,6 +3,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,25 +22,6 @@ type refLedger struct {
 }
 
 type consentTally struct{ total, ok int64 }
-
-// setLedger drives a Ledger the way the set-based ledger was driven, one
-// Disclosure at a time: it keeps every recipient each owner's item reached
-// and tells the ledger whether a disclosure's recipient is new.
-type setLedger struct {
-	*Ledger
-	seen map[reach]struct{}
-}
-
-func newSetLedger() *setLedger {
-	return &setLedger{Ledger: NewLedger(), seen: make(map[reach]struct{})}
-}
-
-func (l *setLedger) Record(d Disclosure) {
-	r := reach{d.Owner, d.Item, d.Recipient}
-	_, seen := l.seen[r]
-	l.seen[r] = struct{}{}
-	l.Ledger.Record(d.Owner, d.Item, d.Sensitivity, d.Consented, !seen)
-}
 
 func newRefLedger() *refLedger {
 	l := &refLedger{}
@@ -124,9 +106,9 @@ func (l *refLedger) SetState(events []Disclosure) {
 	}
 }
 
-// compareLedgers checks every owner query bitwise against the oracle, for
-// the given owners and at each scale.
-func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, owners []int, scales []float64) {
+// compareLedgers checks every owner query of the service bitwise against the
+// oracle, for the given owners and at each scale.
+func compareLedgers(t *testing.T, where string, l *Service, ref *refLedger, owners []int, scales []float64) {
 	t.Helper()
 	bits := math.Float64bits
 	for _, o := range owners {
@@ -142,13 +124,13 @@ func compareLedgers(t *testing.T, where string, l *Ledger, ref *refLedger, owner
 			}
 		}
 	}
-	if l.Len() != len(ref.events) {
-		t.Fatalf("%s: Len = %d, want %d", where, l.Len(), len(ref.events))
+	if len(l.Events()) != len(ref.events) {
+		t.Fatalf("%s: %d events, want %d", where, len(l.Events()), len(ref.events))
 	}
 }
 
-// TestLedgerMatchesMapOracle drives random disclosures through the
-// per-owner ledger and the map oracle: repeated items and duplicate
+// TestLedgerMatchesMapOracle records random disclosures in the service's
+// per-owner records and in the map oracle: repeated items and duplicate
 // recipients, Public (weight 0) disclosures and sensitivity upgrades,
 // recipient -1, negative owners and far outliers (1<<40), and a stream of
 // fresh owners. Every query is compared bitwise after every step.
@@ -157,7 +139,8 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 	outliers := []int{4500, 6000, 1 << 40}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
-		l, ref := newSetLedger(), newRefLedger()
+		svc, _ := newTestService(t)
+		ref := newRefLedger()
 		fresh := 0 // fresh owners recorded so far: ids 16, 32, 48, ...
 		probe := func() []int {
 			owners := append([]int(nil), outliers...)
@@ -183,31 +166,36 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				Recipient:   rng.Intn(8) - 1,
 				Consented:   rng.Bool(0.8),
 			}
-			l.Record(d)
+			svc.record(d)
 			ref.Record(d)
-			compareLedgers(t, fmt.Sprintf("seed %d step %d", seed, step), l.Ledger, ref, probe(), []float64{0.5, 1, 2.5, 4})
+			compareLedgers(t, fmt.Sprintf("seed %d step %d", seed, step), svc, ref, probe(), []float64{0.5, 1, 2.5, 4})
 		}
 	}
 }
 
-// TestLedgerQueriesAllocFree pins the service-path ledger operations at
-// zero allocations: Exposure is one pass over the owner's items, and
-// recording a disclosure of an item the owner already has, to a new
-// recipient or a seen one, only updates that owner's record.
+// TestLedgerQueriesAllocFree pins the service's ledger operations at zero
+// allocations: Exposure is one pass over the owner's items, and recording a
+// disclosure of an item the owner already has, to a recipient it reached,
+// only appends to the trail (grown beforehand here) and updates that
+// owner's record. Recording new recipients costs only the amortized growth
+// of the item's recipient list.
 func TestLedgerQueriesAllocFree(t *testing.T) {
-	l := newSetLedger()
+	svc, _ := newTestService(t)
 	for k := 0; k < 200; k++ {
-		l.Record(Disclosure{Owner: k % 7, Item: fmt.Sprintf("item/%d", k%23), Sensitivity: social.Medium, Recipient: k % 5, Consented: true})
+		svc.record(Disclosure{Owner: k % 7, Item: fmt.Sprintf("item/%d", k%23), Sensitivity: social.Medium, Recipient: k % 5, Consented: true})
 	}
 	var sink float64
-	if a := testing.AllocsPerRun(100, func() { sink = l.Exposure(3) + l.PrivacyFacet(3, 2) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { sink = svc.Exposure(3) + svc.PrivacyFacet(3, 2) }); a != 0 {
 		t.Fatalf("Exposure and PrivacyFacet allocate %v per call", a)
 	}
 	_ = sink
-	l.Record(Disclosure{Owner: 3, Item: "item/3", Sensitivity: social.Medium, Recipient: 3, Consented: true})
-	for _, fresh := range []bool{false, true} {
-		if a := testing.AllocsPerRun(1000, func() { l.Ledger.Record(3, "item/3", social.Medium, true, fresh) }); a != 0 {
-			t.Fatalf("recording a disclosure of a seen item (new recipient %v) allocates %v per call", fresh, a)
-		}
+	svc.events = slices.Grow(svc.events, 2100)
+	seen := Disclosure{Owner: 3, Item: "item/3", Sensitivity: social.Medium, Recipient: 3, Consented: true}
+	if a := testing.AllocsPerRun(1000, func() { svc.record(seen) }); a != 0 {
+		t.Fatalf("recording a disclosure of a seen item to a seen recipient allocates %v per call", a)
+	}
+	fresh := seen
+	if a := testing.AllocsPerRun(1000, func() { fresh.Recipient++; svc.record(fresh) }); a != 0 {
+		t.Fatalf("recording a disclosure of a seen item to a new recipient allocates %v per call", a)
 	}
 }

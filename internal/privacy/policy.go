@@ -2,13 +2,14 @@
 // privacy policies ("PPs should consider authorized users, allowed
 // operations, access purposes, access conditions, retention time,
 // obligations and the minimal trust level necessary to allow data access"),
-// a disclosure ledger that accounts for every piece of shared information,
-// an OECD-guidelines audit, and a PriServ-style privacy service for
-// publishing and requesting private data over the DHT.
+// a PriServ-style privacy service for publishing and requesting private data
+// over the DHT, whose ledger accounts for every piece of shared information,
+// and an OECD-guidelines audit.
 package privacy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/social"
@@ -228,4 +229,24 @@ func SensitivityWeight(s social.Sensitivity) float64 {
 	default:
 		return 1.0
 	}
+}
+
+// ItemExposure is the exposure one disclosed item adds: its sensitivity
+// weight × log2(1 + its distinct recipients). The product is rounded on its
+// own, so adding it to a running exposure never fuses into one rounding.
+func ItemExposure(weight float64, recipients int64) float64 {
+	return float64(weight * math.Log2(1+float64(recipients)))
+}
+
+// Facet is a user's privacy satisfaction P_u, the paper's "satisfaction in
+// terms of privacy guarantees": the respect rate of the user's policies
+// times how much information did NOT have to be shared, 1 − x/(x+scale) for
+// exposure x. scale is the exposure at which a user counts as half exposed
+// (clamped to >= 1). The PriServ service and the workload engine both
+// compute their facets with it.
+func Facet(respect, exposure, scale float64) float64 {
+	if scale < 1 {
+		scale = 1
+	}
+	return respect * (1 - exposure/(exposure+scale))
 }

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dht"
 	"repro/internal/sim"
@@ -37,6 +39,20 @@ type grantedCopy struct {
 	deleted bool
 }
 
+// Disclosure is one accountable information-flow event: owner's item reached
+// a recipient, for a purpose, at a time, with or without the owner's policy
+// consenting. (Non-consented events only arise in attack experiments —
+// e.g. a leaky node forwarding data against a NoForward obligation.)
+type Disclosure struct {
+	Owner       int
+	Item        string
+	Sensitivity social.Sensitivity
+	Recipient   int
+	Purpose     Purpose
+	At          sim.Time
+	Consented   bool
+}
+
 // Notification is a NotifyOwner obligation execution record.
 type Notification struct {
 	Owner     int
@@ -49,42 +65,56 @@ type Notification struct {
 // publish private data with a privacy policy; requesters must present
 // operation, purpose and a sufficient trust level. Data lives on the DHT,
 // sealed with an integrity MAC; every grant is ledgered; retention limits
-// are enforced by simulation events. Besides feeding the ledger's
-// aggregates, the service keeps the per-event disclosure trail the OECD
-// audit reads and the set of recipients each owner's item reached, which
-// tells the ledger whether a disclosure reached a new one.
+// are enforced by simulation events. The service is its own ledger: each
+// disclosure goes onto the per-event trail the OECD audit reads and into its
+// owner's consent tallies and disclosed items, which the owner's privacy
+// facet (§2.3) reads and which grow with the items and recipients, never
+// with the number of disclosures.
 type Service struct {
-	ring   *dht.Ring
-	ledger *Ledger
-	sim    *sim.Sim
-	key    []byte // integrity MAC key
+	ring *dht.Ring
+	sim  *sim.Sim
+	key  []byte // integrity MAC key
 
 	registry map[string]*itemMeta
 	accesses map[string]map[int]int // key -> requester -> count
 	copies   []*grantedCopy
 	notices  []Notification
 	events   []Disclosure // every grant and leak, in recording order
-	reached  map[reach]struct{}
+	owners   map[int]*ownerRecord
 
 	// Grants counts allowed requests; Denials tallies by reason.
 	Grants  int64
 	Denials map[DenyReason]int64
 }
 
-// NewService wires a privacy service over a DHT ring, a ledger and the
-// simulation clock.
-func NewService(ring *dht.Ring, ledger *Ledger, s *sim.Sim) (*Service, error) {
-	if ring == nil || ledger == nil || s == nil {
-		return nil, fmt.Errorf("privacy: NewService requires ring, ledger and sim")
+// ownerRecord is one owner's consent tallies and disclosed items, in
+// ascending key order.
+type ownerRecord struct {
+	total, ok int64 // disclosures: all, consented
+	items     []disclosedItem
+}
+
+// disclosedItem is one disclosed item: the maximum sensitivity weight seen
+// for it and the distinct recipients it reached, in ascending order.
+type disclosedItem struct {
+	key        string
+	weight     float64
+	recipients []int
+}
+
+// NewService wires a privacy service over a DHT ring and the simulation
+// clock.
+func NewService(ring *dht.Ring, s *sim.Sim) (*Service, error) {
+	if ring == nil || s == nil {
+		return nil, fmt.Errorf("privacy: NewService requires ring and sim")
 	}
 	return &Service{
 		ring:     ring,
-		ledger:   ledger,
 		sim:      s,
 		key:      []byte("priserv-integrity-key"),
 		registry: make(map[string]*itemMeta),
 		accesses: make(map[string]map[int]int),
-		reached:  make(map[reach]struct{}),
+		owners:   make(map[int]*ownerRecord),
 		Denials:  make(map[DenyReason]int64),
 	}, nil
 }
@@ -147,9 +177,9 @@ func (s *Service) OwnerOf(key string) (int, bool) {
 }
 
 // Request evaluates an access request against the key's policy and, if
-// allowed, returns the data. Every grant is recorded in the ledger and
-// obligations are executed (NotifyOwner appends a notification; retention
-// schedules deletion of the granted copy).
+// allowed, returns the data. Every grant is ledgered and obligations are
+// executed (NotifyOwner appends a notification; retention schedules
+// deletion of the granted copy).
 func (s *Service) Request(requester int, key string, op Operation, purpose Purpose, trust float64, isFriend bool) ([]byte, Decision, error) {
 	m, ok := s.registry[key]
 	if !ok || m.withdrawn {
@@ -226,7 +256,7 @@ func (s *Service) Withdraw(owner int, key string) error {
 
 // Leak records an unconsented flow of key's data to a recipient (used by
 // attack experiments to model a requester violating a NoForward
-// obligation). The ledger and the trail keep the system accountable for it.
+// obligation). The ledger keeps the system accountable for it.
 func (s *Service) Leak(key string, recipient int) error {
 	m, ok := s.registry[key]
 	if !ok {
@@ -244,23 +274,60 @@ func (s *Service) Leak(key string, recipient int) error {
 	return nil
 }
 
-// reach is one recipient an owner's item reached.
-type reach struct {
-	owner     int
-	item      string
-	recipient int
-}
-
-// record appends a disclosure to the trail and folds it into the
-// ledger, telling it whether the recipient is new to the owner's item.
+// record appends a disclosure to the trail and folds it into its owner's
+// record.
 func (s *Service) record(d Disclosure) {
 	s.events = append(s.events, d)
-	r := reach{d.Owner, d.Item, d.Recipient}
-	_, seen := s.reached[r]
-	if !seen {
-		s.reached[r] = struct{}{}
+	a := s.owners[d.Owner]
+	if a == nil {
+		a = &ownerRecord{}
+		s.owners[d.Owner] = a
 	}
-	s.ledger.Record(d.Owner, d.Item, d.Sensitivity, d.Consented, !seen)
+	a.total++
+	if d.Consented {
+		a.ok++
+	}
+	k, found := slices.BinarySearchFunc(a.items, d.Item, func(it disclosedItem, key string) int { return strings.Compare(it.key, key) })
+	if !found {
+		a.items = slices.Insert(a.items, k, disclosedItem{key: d.Item})
+	}
+	it := &a.items[k]
+	if w := SensitivityWeight(d.Sensitivity); w > it.weight {
+		it.weight = w
+	}
+	if r, seen := slices.BinarySearch(it.recipients, d.Recipient); !seen {
+		it.recipients = slices.Insert(it.recipients, r, d.Recipient)
+	}
+}
+
+// Exposure returns owner's information exposure: the ItemExposure of each
+// disclosed item, summed in ascending key order. A user whose
+// high-sensitivity data reached many parties has high exposure.
+func (s *Service) Exposure(owner int) float64 {
+	total := 0.0
+	if a := s.owners[owner]; a != nil {
+		for _, it := range a.items {
+			total += ItemExposure(it.weight, int64(len(it.recipients)))
+		}
+	}
+	return total
+}
+
+// RespectRate returns the fraction of owner's disclosures that were
+// consented (1 when there are none): the "policy respect" half of the
+// privacy facet.
+func (s *Service) RespectRate(owner int) float64 {
+	a := s.owners[owner]
+	if a == nil || a.total == 0 {
+		return 1
+	}
+	return float64(a.ok) / float64(a.total)
+}
+
+// PrivacyFacet computes owner's privacy facet at the given exposure scale
+// (see Facet) on read; nothing is cached.
+func (s *Service) PrivacyFacet(owner int, scale float64) float64 {
+	return Facet(s.RespectRate(owner), s.Exposure(owner), scale)
 }
 
 // Events returns every disclosure the service made, in recording order

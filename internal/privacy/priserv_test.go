@@ -9,7 +9,7 @@ import (
 	"repro/internal/social"
 )
 
-func newTestService(t *testing.T) (*Service, *Ledger, *sim.Sim) {
+func newTestService(t *testing.T) (*Service, *sim.Sim) {
 	t.Helper()
 	ring := dht.NewRing(3)
 	for i := 0; i < 16; i++ {
@@ -18,29 +18,25 @@ func newTestService(t *testing.T) (*Service, *Ledger, *sim.Sim) {
 		}
 	}
 	ring.Stabilize()
-	ledger := NewLedger()
 	s := sim.New()
-	svc, err := NewService(ring, ledger, s)
+	svc, err := NewService(ring, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, ledger, s
+	return svc, s
 }
 
 func TestNewServiceValidation(t *testing.T) {
-	if _, err := NewService(nil, NewLedger(), sim.New()); err == nil {
+	if _, err := NewService(nil, sim.New()); err == nil {
 		t.Fatal("nil ring accepted")
 	}
-	if _, err := NewService(dht.NewRing(1), nil, sim.New()); err == nil {
-		t.Fatal("nil ledger accepted")
-	}
-	if _, err := NewService(dht.NewRing(1), NewLedger(), nil); err == nil {
+	if _, err := NewService(dht.NewRing(1), nil); err == nil {
 		t.Fatal("nil sim accepted")
 	}
 }
 
 func TestPublishRequestGrant(t *testing.T) {
-	svc, ledger, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	pol := allowAll()
 	if err := svc.Publish(0, "u0/email", []byte("a@b.c"), social.Medium, pol); err != nil {
 		t.Fatal(err)
@@ -55,7 +51,7 @@ func TestPublishRequestGrant(t *testing.T) {
 	if svc.Grants != 1 {
 		t.Fatalf("Grants = %d", svc.Grants)
 	}
-	if ledger.Len() != 1 || len(svc.Events()) != 1 {
+	if len(svc.Events()) != 1 {
 		t.Fatal("grant not ledgered")
 	}
 	e := svc.Events()[0]
@@ -65,7 +61,7 @@ func TestPublishRequestGrant(t *testing.T) {
 }
 
 func TestRequestDenied(t *testing.T) {
-	svc, ledger, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	pol := DefaultPolicy(social.High) // friends-only, trust >= 0.8
 	if err := svc.Publish(0, "u0/medical", []byte("x"), social.High, pol); err != nil {
 		t.Fatal(err)
@@ -82,7 +78,7 @@ func TestRequestDenied(t *testing.T) {
 	if !errors.Is(err, ErrDenied) || dec.Reason != DenyPurpose {
 		t.Fatalf("bad purpose: err=%v dec=%+v", err, dec)
 	}
-	if ledger.Len() != 0 {
+	if len(svc.Events()) != 0 {
 		t.Fatal("denied requests must not be ledgered as disclosures")
 	}
 	if svc.Denials[DenyNotFriend] != 1 || svc.Denials[DenyInsufficientTrust] != 1 || svc.Denials[DenyPurpose] != 1 {
@@ -91,7 +87,7 @@ func TestRequestDenied(t *testing.T) {
 }
 
 func TestQuotaEnforcedAcrossRequests(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	pol := allowAll()
 	pol.Conditions.MaxAccessesPerRequester = 2
 	if err := svc.Publish(0, "k", []byte("v"), social.Low, pol); err != nil {
@@ -113,14 +109,14 @@ func TestQuotaEnforcedAcrossRequests(t *testing.T) {
 }
 
 func TestUnknownKey(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	if _, _, err := svc.Request(1, "ghost", Read, SocialUse, 1, true); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestDoublePublishRejected(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	if err := svc.Publish(0, "k", []byte("v"), social.Low, allowAll()); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +126,7 @@ func TestDoublePublishRejected(t *testing.T) {
 }
 
 func TestWithdraw(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	if err := svc.Publish(0, "k", []byte("v"), social.Low, allowAll()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +149,7 @@ func TestWithdraw(t *testing.T) {
 }
 
 func TestRetentionExpiry(t *testing.T) {
-	svc, _, s := newTestService(t)
+	svc, s := newTestService(t)
 	pol := allowAll()
 	pol.Retention = 100
 	if err := svc.Publish(0, "k", []byte("v"), social.Medium, pol); err != nil {
@@ -179,7 +175,7 @@ func TestRetentionExpiry(t *testing.T) {
 }
 
 func TestNotifyOwnerObligation(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	pol := allowAll()
 	pol.Obligations = []Obligation{NotifyOwner}
 	if err := svc.Publish(0, "k", []byte("v"), social.Medium, pol); err != nil {
@@ -195,7 +191,7 @@ func TestNotifyOwnerObligation(t *testing.T) {
 }
 
 func TestLeakIsLedgeredUnconsented(t *testing.T) {
-	svc, ledger, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	if err := svc.Publish(0, "k", []byte("v"), social.High, allowAll()); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +202,8 @@ func TestLeakIsLedgeredUnconsented(t *testing.T) {
 	if len(v) != 1 || v[0].Recipient != 7 || v[0].Consented {
 		t.Fatalf("violations = %+v", v)
 	}
-	if ledger.Len() != 1 || ledger.RespectRate(0) != 0 {
-		t.Fatalf("ledger: Len %d, respect rate %v after one leak", ledger.Len(), ledger.RespectRate(0))
+	if len(svc.Events()) != 1 || svc.RespectRate(0) != 0 {
+		t.Fatalf("ledger: %d events, respect rate %v after one leak", len(svc.Events()), svc.RespectRate(0))
 	}
 	if err := svc.Leak("ghost", 7); err == nil {
 		t.Fatal("leak of unknown key accepted")
@@ -215,7 +211,7 @@ func TestLeakIsLedgeredUnconsented(t *testing.T) {
 }
 
 func TestVerifyIntegrity(t *testing.T) {
-	svc, _, _ := newTestService(t)
+	svc, _ := newTestService(t)
 	for i := 0; i < 10; i++ {
 		if err := svc.Publish(i, keyFor(i), []byte{byte(i)}, social.Low, allowAll()); err != nil {
 			t.Fatal(err)

@@ -271,7 +271,6 @@ type mapLayoutState struct {
 		Hops    int64
 	}
 	Certs    map[uint64]crypto.TransactionCert
-	Nyms     []crypto.ChainState
 	Messages int64
 	Rejected int64
 	Scores   []float64
@@ -292,7 +291,6 @@ func TestRestoreRejectsMapLayout(t *testing.T) {
 	before := decodeState(t, m)
 	old := mapLayoutState{
 		Certs:    map[uint64]crypto.TransactionCert{},
-		Nyms:     before.Nyms,
 		Messages: before.Messages,
 		Rejected: before.Rejected,
 		Scores:   before.Scores,

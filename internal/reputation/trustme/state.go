@@ -13,15 +13,13 @@ import (
 
 // mechanismState is the gob-serialized mutable state of the mechanism: the
 // THA-stored rating histories (ring contents + routing counters), the
-// transaction certificates in ascending TxID order, every peer's
-// pseudonym-chain position, the protocol cost counters, and the score
-// cache. Ring membership itself is configuration (all N peers join in New)
-// and is not serialized. Both collections are sorted slices, so equal
-// states encode to equal bytes.
+// transaction certificates in ascending TxID order, the protocol cost
+// counters, and the score cache. Ring membership itself is configuration
+// (all N peers join in New) and is not serialized. Both collections are
+// sorted slices, so equal states encode to equal bytes.
 type mechanismState struct {
 	Ring     dht.RingState
 	Certs    []crypto.TransactionCert
-	Nyms     []crypto.ChainState
 	Messages int64
 	Rejected int64
 	Scores   []float64
@@ -33,7 +31,6 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
 		Ring:     m.ring.State(),
 		Certs:    make([]crypto.TransactionCert, 0, len(m.certs)),
-		Nyms:     make([]crypto.ChainState, len(m.nyms)),
 		Messages: m.Messages,
 		Rejected: m.Rejected,
 		Scores:   append([]float64(nil), m.scores...),
@@ -41,9 +38,6 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	}
 	for _, tx := range slices.Sorted(maps.Keys(m.certs)) {
 		st.Certs = append(st.Certs, m.certs[tx])
-	}
-	for i, n := range m.nyms {
-		st.Nyms[i] = n.State()
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -54,16 +48,15 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 
 // RestoreMechanismState implements reputation.Mechanism. Every check runs
 // before the first write, so a rejected blob leaves the mechanism as it
-// was: one score and one pseudonym chain per peer, every score a number in
-// [0,1] (each is a mean of clamped ratings, or the neutral 0.5), counters
-// and chain epochs that are not negative, and ring keys and certificate
-// TxIDs strictly ascending.
+// was: one score per peer, every score a number in [0,1] (each is a mean of
+// clamped ratings, or the neutral 0.5), counters that are not negative, and
+// ring keys and certificate TxIDs strictly ascending.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("trustme: decode state: %w", err)
 	}
-	if len(st.Scores) != m.cfg.N || len(st.Nyms) != m.cfg.N {
+	if len(st.Scores) != m.cfg.N {
 		return fmt.Errorf("trustme: state for %d peers, want %d", len(st.Scores), m.cfg.N)
 	}
 	for p, v := range st.Scores {
@@ -73,11 +66,6 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	}
 	if st.Messages < 0 || st.Rejected < 0 {
 		return fmt.Errorf("trustme: state counters messages=%d rejected=%d are negative", st.Messages, st.Rejected)
-	}
-	for p, nym := range st.Nyms {
-		if err := nym.Check(); err != nil {
-			return fmt.Errorf("trustme: peer %d: %w", p, err)
-		}
 	}
 	if err := st.Ring.Check(); err != nil {
 		return fmt.Errorf("trustme: %w", err)
@@ -92,9 +80,6 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	m.certs = make(map[uint64]crypto.TransactionCert, len(st.Certs))
 	for _, cert := range st.Certs {
 		m.certs[cert.TxID] = cert
-	}
-	for i := range m.nyms {
-		m.nyms[i].SetState(st.Nyms[i])
 	}
 	m.Messages = st.Messages
 	m.Rejected = st.Rejected

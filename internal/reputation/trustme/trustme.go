@@ -4,9 +4,9 @@
 // agents (THAs) located through the DHT rather than by the peer itself, and
 // every transaction requires a pairwise certificate established before it
 // takes place, so reports can neither be forged nor bound to the wrong
-// transaction. Raters are recorded under rotating pseudonyms, decoupling
-// feedback from identity (the paper's reputation/privacy trade-off made
-// concrete).
+// transaction. The THAs store bare rating values, never who rated,
+// decoupling feedback from identity (the paper's reputation/privacy
+// trade-off made concrete).
 package trustme
 
 import (
@@ -28,9 +28,6 @@ type Config struct {
 	N int
 	// Replicas is the THA replication factor (default 3).
 	Replicas int
-	// THAKey is the secret shared by trust-holding agents for sealing
-	// transaction certificates (default derived constant).
-	THAKey []byte
 	// Window bounds how many most-recent ratings count per peer
 	// (default 64).
 	Window int
@@ -43,14 +40,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Replicas <= 0 {
 		c.Replicas = 3
 	}
-	if len(c.THAKey) == 0 {
-		c.THAKey = []byte("trustme-tha-shared-key")
-	}
 	if c.Window <= 0 {
 		c.Window = 64
 	}
 	return c, nil
 }
+
+// thaKey is the secret the trust-holding agents share for sealing
+// transaction certificates. Nothing writes it.
+var thaKey = []byte("trustme-tha-shared-key")
 
 // ErrNoCertificate is returned when a report arrives for a transaction with
 // no established certificate.
@@ -65,7 +63,6 @@ type Mechanism struct {
 	cfg   Config //trustlint:derived configuration, identical by construction on restore
 	ring  *dht.Ring
 	certs map[uint64]crypto.TransactionCert
-	nyms  []*crypto.PseudonymChain
 	// Messages approximates protocol message cost: DHT routing hops plus
 	// the certificate exchange per transaction.
 	Messages int64
@@ -113,10 +110,6 @@ func New(cfg Config) (*Mechanism, error) {
 		cfg:   cfg,
 		ring:  ring,
 		certs: make(map[uint64]crypto.TransactionCert),
-		nyms:  make([]*crypto.PseudonymChain, cfg.N),
-	}
-	for i := range m.nyms {
-		m.nyms[i] = crypto.NewPseudonymChain(crypto.SeedFromUint64(uint64(i) + 1))
 	}
 	m.scores = make([]float64, cfg.N)
 	for i := range m.scores {
@@ -153,7 +146,7 @@ func (m *Mechanism) BeginTransaction(txID uint64, consumer, provider int) (crypt
 		return crypto.TransactionCert{}, fmt.Errorf("trustme: locate THA: %w", err)
 	}
 	m.Messages += int64(hops) + 2
-	cert := crypto.SealCert(m.cfg.THAKey, txID, peerName(consumer), peerName(provider))
+	cert := crypto.SealCert(thaKey, txID, peerName(consumer), peerName(provider))
 	m.certs[txID] = cert
 	return cert, nil
 }
@@ -176,7 +169,7 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 			return err
 		}
 	}
-	if err := crypto.VerifyCert(m.cfg.THAKey, cert); err != nil {
+	if err := crypto.VerifyCert(thaKey, cert); err != nil {
 		m.Rejected++
 		return fmt.Errorf("trustme: %w", err)
 	}
@@ -184,9 +177,8 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 		m.Rejected++
 		return fmt.Errorf("%w: tx %d", ErrCertMismatch, r.TxID)
 	}
-	// Append the rating (recorded under the rater's current pseudonym) to
-	// the ratee's THA-stored history, clamped into [0,1] so every score,
-	// a mean of the history, stays there.
+	// Append the rating to the ratee's THA-stored history, clamped into
+	// [0,1] so every score, a mean of the history, stays there.
 	key := scoreKey(r.Ratee)
 	existing, err := m.ring.Get(key)
 	if err != nil && !errors.Is(err, dht.ErrNotFound) {
@@ -200,8 +192,7 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 	if err := m.ring.Put(key, encodeRatings(ratings)); err != nil {
 		return fmt.Errorf("trustme: store history: %w", err)
 	}
-	_ = m.nyms[r.Rater].Current() // pseudonym under which the report is filed
-	m.Messages += 2               // store + ack (routing hops counted by ring)
+	m.Messages += 2 // store + ack (routing hops counted by ring)
 	delete(m.certs, r.TxID)
 	m.dirty = true
 	m.dirtyPeers.Mark(r.Ratee)
@@ -234,20 +225,31 @@ func (m *Mechanism) Compute() int {
 	return 1
 }
 
+// fetchScore is peer's score: the mean of its THA-stored history, or the
+// neutral 0.5 when it has none.
 func (m *Mechanism) fetchScore(peer int) float64 {
+	if mean, ok := m.historyMean(peer); ok {
+		return mean
+	}
+	return 0.5
+}
+
+// historyMean reads peer's THA-stored history and returns its mean rating,
+// or false when the peer has no rating stored.
+func (m *Mechanism) historyMean(peer int) (float64, bool) {
 	v, err := m.ring.Get(scoreKey(peer))
 	if err != nil {
-		return 0.5 // no history: neutral score
+		return 0, false
 	}
 	ratings := decodeRatings(v)
 	if len(ratings) == 0 {
-		return 0.5
+		return 0, false
 	}
 	sum := 0.0
 	for _, r := range ratings {
 		sum += r
 	}
-	return sum / float64(len(ratings))
+	return sum / float64(len(ratings)), true
 }
 
 // Score implements reputation.Mechanism.
@@ -304,19 +306,11 @@ func (m *Mechanism) refreshTF(p int) {
 		}
 		m.tfHas[p] = false
 	}
-	v, err := m.ring.Get(scoreKey(p))
-	if err != nil {
+	mean, ok := m.historyMean(p)
+	if !ok {
 		return
 	}
-	ratings := decodeRatings(v)
-	if len(ratings) == 0 {
-		return
-	}
-	sum := 0.0
-	for _, r := range ratings {
-		sum += r
-	}
-	m.tfMean[p] = sum / float64(len(ratings))
+	m.tfMean[p] = mean
 	m.tfHas[p] = true
 	m.tfRated++
 	if m.tfMean[p] >= 0.5 {
@@ -325,35 +319,18 @@ func (m *Mechanism) refreshTF(p int) {
 }
 
 // Whitewash models a peer abandoning its identity: its THA-stored rating
-// history is deleted and its pseudonym rotated. Because TrustMe defaults
-// unknown peers to the neutral score 0.5, whitewashing launders a bad
-// reputation back to neutral — the vulnerability the adversary taxonomy
-// predicts for neutral-default, identity-bound scores.
+// history is deleted. Because TrustMe defaults unknown peers to the neutral
+// score 0.5, whitewashing launders a bad reputation back to neutral — the
+// vulnerability the adversary taxonomy predicts for neutral-default,
+// identity-bound scores.
 func (m *Mechanism) Whitewash(peer int) {
 	if peer < 0 || peer >= m.cfg.N {
 		return
 	}
 	m.ring.Delete(scoreKey(peer))
-	m.nyms[peer].Advance()
 	m.dirty = true
 	m.dirtyPeers.Mark(peer)
 	m.tfDirty.Mark(peer)
-}
-
-// RotatePseudonyms advances every peer's pseudonym chain (an anonymity
-// epoch change).
-func (m *Mechanism) RotatePseudonyms() {
-	for _, n := range m.nyms {
-		n.Advance()
-	}
-}
-
-// Pseudonym returns the peer's current pseudonym.
-func (m *Mechanism) Pseudonym(peer int) string {
-	if peer < 0 || peer >= len(m.nyms) {
-		return ""
-	}
-	return m.nyms[peer].Current()
 }
 
 func peerName(p int) string { return "peer-" + strconv.Itoa(p) }

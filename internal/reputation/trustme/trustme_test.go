@@ -175,25 +175,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestPseudonymsRotate(t *testing.T) {
-	m, err := New(Config{N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := m.Pseudonym(0)
-	p1 := m.Pseudonym(1)
-	if p0 == "" || p0 == p1 {
-		t.Fatal("pseudonyms not distinct")
-	}
-	m.RotatePseudonyms()
-	if m.Pseudonym(0) == p0 {
-		t.Fatal("pseudonym did not rotate")
-	}
-	if m.Pseudonym(-1) != "" || m.Pseudonym(9) != "" {
-		t.Fatal("out-of-range pseudonym not empty")
-	}
-}
-
 func TestScoresSurviveTHAFailure(t *testing.T) {
 	m, err := New(Config{N: 30, Replicas: 3})
 	if err != nil {

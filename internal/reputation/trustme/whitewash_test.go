@@ -23,14 +23,10 @@ func TestWhitewashLaundersTrustMe(t *testing.T) {
 	if before > 0.1 {
 		t.Fatalf("badly-rated score = %v", before)
 	}
-	nymBefore := m.Pseudonym(0)
 	m.Whitewash(0)
 	m.Compute()
 	if got := m.Score(0); got != 0.5 {
 		t.Fatalf("whitewashed score = %v, want neutral 0.5", got)
-	}
-	if m.Pseudonym(0) == nymBefore {
-		t.Fatal("pseudonym not rotated on whitewash")
 	}
 	m.Whitewash(-1) // must not panic
 	m.Whitewash(99)

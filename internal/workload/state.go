@@ -189,6 +189,9 @@ func (e *Engine) Restore(st EngineState) error {
 			return fmt.Errorf("workload: snapshot peer %d has unknown behaviour class %d", id, int(c))
 		}
 	}
+	if err := checkIDs("satisfaction dirty mark", st.SatDirty, n); err != nil {
+		return err
+	}
 	if err := checkPrivacy(st); err != nil {
 		return err
 	}
@@ -316,9 +319,16 @@ func checkPrivacy(st EngineState) error {
 	if m := float64(len(st.Feedback)); total > maxFeedback(reports)*(1+float64((m+4)*0x1p-52)) {
 		return fmt.Errorf("workload: snapshot feedback exposures sum to %v, more than %d reports allow", total, reports)
 	}
-	for k, u := range st.PrivacyDirty {
-		if u < 0 || u >= n || k > 0 && u <= st.PrivacyDirty[k-1] {
-			return fmt.Errorf("workload: snapshot privacy dirty mark %d out of range [0,%d) or out of ascending order", u, n)
+	return checkIDs("privacy dirty mark", st.PrivacyDirty, n)
+}
+
+// checkIDs rejects a list of user ids no run can write: one out of [0,n) or
+// out of strictly ascending order. The epoch tail indexes per-user state by
+// them, and marking a huge id would grow a dirty set's bitmap to match.
+func checkIDs(what string, ids []int, n int) error {
+	for k, u := range ids {
+		if u < 0 || u >= n || k > 0 && u <= ids[k-1] {
+			return fmt.Errorf("workload: snapshot %s %d out of range [0,%d) or out of ascending order", what, u, n)
 		}
 	}
 	return nil

@@ -61,10 +61,9 @@
 // build standalone mechanisms behind the Mechanism interface.
 //
 // Beyond that product, the package exports only what the repository's own
-// programs name: the privacy service and its ledger, policies and audit
-// with the simulation clock and random stream they run on, the
-// Watts–Strogatz generator, and the rendering tables. DESIGN.md §2 lists
-// every export.
+// programs name: the privacy service with its policies and audit, the
+// simulation clock and random stream they run on, the Watts–Strogatz
+// generator, and the rendering tables. DESIGN.md §2 lists every export.
 //
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package trustnet

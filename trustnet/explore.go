@@ -2,23 +2,41 @@ package trustnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
-
-	"repro/internal/core"
 )
 
-// Setting is one point in the settable-configuration space of §4 / Fig. 2.
-type Setting = core.Setting
+// Setting is one point in the settable-configuration space of §4 / Fig. 2:
+// how much information participants share (the privacy/reputation
+// antagonism's driver), and how strictly privacy policies gate service via
+// their minimal-trust clause.
+type Setting struct {
+	// Disclosure δ ∈ [0,1]: the quantity of shared information.
+	Disclosure float64
+	// TrustGate σ ∈ [0,1): the strictness of the policies' MinTrustLevel
+	// clause (quantile form, see PrivacyPolicy.TrustGate).
+	TrustGate float64
+}
 
-// Point is an evaluated setting: its measured global facets and trust.
-type Point = core.Point
+// Point is an evaluated setting.
+type Point struct {
+	Setting Setting
+	// Global holds the measured global facets at this setting.
+	Global Facets
+	// Trust is the generic metric Φ applied to the global facets.
+	Trust float64
+}
 
-// Constraints are minimum facet levels an application context imposes (§4).
-type Constraints = core.Constraints
+// Constraints are minimum facet levels an application context imposes (§4:
+// "maximize the users' trust towards the system while respecting the
+// system/application constrains").
+type Constraints struct {
+	MinSatisfaction, MinReputation, MinPrivacy float64
+}
 
 // ErrInfeasible is returned by Optimize when no explored setting meets the
 // constraints.
-var ErrInfeasible = core.ErrInfeasible
+var ErrInfeasible = errors.New("trustnet: no setting satisfies the constraints")
 
 // ExploreResult is the outcome of a grid exploration: the full grid, the
 // "Area A" intersection region of Fig. 2 (left), and the best points.

@@ -22,11 +22,6 @@ func NewSim() *Sim { return sim.New() }
 // NewRNG creates a seeded random stream.
 func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 
-// Ledger is the privacy service's accountability record: per owner, the
-// consent tallies and disclosed items behind the owner's privacy facet
-// (§2.3).
-type Ledger = privacy.Ledger
-
 // LedgerView reads an engine's disclosure accounting. Only the engine
 // writes it: one disclosure per served interaction (the consumer's profile
 // reaching the provider) and one per feedback report shared with the
@@ -79,21 +74,22 @@ func DefaultPolicy(sens Sensitivity) Policy { return privacy.DefaultPolicy(sens)
 // PrivacyService is the PriServ-style service: owners publish private data
 // with a policy; requesters must present operation, purpose and a
 // sufficient trust level; every grant is ledgered and retention is
-// enforced by simulation events.
+// enforced by simulation events. Its per-owner record answers Exposure,
+// RespectRate and PrivacyFacet (§2.3).
 type PrivacyService = privacy.Service
 
 // NewPrivacyService assembles the full privacy stack over a fresh
-// DHT: `nodes` storage machines with the given replication factor, a new
-// disclosure ledger, and the service wired to the simulation clock.
-func NewPrivacyService(nodes, replicas int, s *Sim) (*PrivacyService, *Ledger, error) {
+// DHT: `nodes` storage machines with the given replication factor and the
+// service wired to the simulation clock.
+func NewPrivacyService(nodes, replicas int, s *Sim) (*PrivacyService, error) {
 	return privacy.NewStandaloneService(nodes, replicas, s)
 }
 
 // AuditResult is one OECD principle's conformance verdict.
 type AuditResult = privacy.AuditResult
 
-// AuditPrivacy checks the service and ledger against the OECD guideline
-// principles of §2.3.
-func AuditPrivacy(svc *PrivacyService, ledger *Ledger, now VirtualTime) []AuditResult {
-	return privacy.Audit(svc, ledger, now)
+// AuditPrivacy checks the service against the OECD guideline principles of
+// §2.3.
+func AuditPrivacy(svc *PrivacyService, now VirtualTime) []AuditResult {
+	return privacy.Audit(svc, now)
 }

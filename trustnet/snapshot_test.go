@@ -532,6 +532,17 @@ func TestRestoreIsAtomic(t *testing.T) {
 		{"privacy dirty mark at peers", "dirty mark", func(t *testing.T, st *core.DynamicsState) {
 			st.Engine.PrivacyDirty = append(st.Engine.PrivacyDirty, n)
 		}},
+		// Every satisfaction dirty mark is a user, each listed once in
+		// ascending order.
+		{"satisfaction dirty mark beyond population", "satisfaction dirty mark", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.SatDirty = []int{3, n}
+		}},
+		{"satisfaction dirty marks not ascending", "satisfaction dirty mark", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.SatDirty = []int{5, 3}
+		}},
+		{"negative satisfaction dirty mark", "satisfaction dirty mark", func(t *testing.T, st *core.DynamicsState) {
+			st.Engine.SatDirty = []int{-1, 3}
+		}},
 		{"eigentrust self-rating", "self-rating", func(t *testing.T, st *core.DynamicsState) {
 			var et etState
 			if err := gob.NewDecoder(bytes.NewReader(st.Engine.Mechanism)).Decode(&et); err != nil {
@@ -610,9 +621,6 @@ func TestRestoreIsAtomic(t *testing.T) {
 	}
 	t.Run("trustme NaN score", func(t *testing.T) {
 		testTrustMeRestoreIsAtomic(t, "score", func(st *trustMeState) { st.Scores[len(st.Scores)-1] = math.NaN() })
-	})
-	t.Run("trustme negative chain epoch", func(t *testing.T) {
-		testTrustMeRestoreIsAtomic(t, "chain epoch", func(st *trustMeState) { st.Nyms[0].Epoch = -1 })
 	})
 	t.Run("trustme ring keys unsorted", func(t *testing.T) {
 		testTrustMeRestoreIsAtomic(t, "ascending", func(st *trustMeState) {
@@ -717,7 +725,6 @@ func testPowerTrustRestoreIsAtomic(t *testing.T) {
 type trustMeState struct {
 	Ring     dht.RingState
 	Certs    []crypto.TransactionCert
-	Nyms     []crypto.ChainState
 	Messages int64
 	Rejected int64
 	Scores   []float64
